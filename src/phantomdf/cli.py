@@ -434,6 +434,10 @@ def main(argv=None) -> int:
         return 2
     start = time.perf_counter()
     try:
+        # a rerun into the same out dir starts a fresh timing.txt; commands
+        # that time their own stages write it before the total is appended
+        timing = _Settings(args, args.command).out_dir / "timing.txt"
+        timing.unlink(missing_ok=True)
         code = _COMMANDS[args.command](args)
     except PhantomdfError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -442,8 +446,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        st = _Settings(args, args.command)
-        with open(st.out_dir / "timing.txt", "a", encoding="utf-8") as fh:
+        with open(timing, "a", encoding="utf-8") as fh:
             fh.write(f"total: {time.perf_counter() - start:.2f} s\n")
     except OSError:
         pass

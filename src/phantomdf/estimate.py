@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .distributions import DistFn, mixture_component
+from .distributions import DistFn
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -34,15 +34,13 @@ from .processes import (
     MovingMaxSpec,
     ProcessSpec,
     SamplePath,
-    _metropolis_paths,
     _mixture_draw_component,
-    default_burn_in,
+    _path_slabs,
     describe_spec,
     exact_max_cdf,
     generate,
     has_exact_max_law,
     marginal_sf,
-    metropolis_accept,
 )
 from .seeding import rng_for
 
@@ -126,103 +124,6 @@ def _transform_maxima(spec: ProcessSpec, n_list: Sequence[int], R: int,
     raise InvalidArgumentError("no transform sampler for this kind")
 
 
-def _path_matrix(spec: ProcessSpec, L: int, lo: int, hi: int,
-                 seed: int, tag: str) -> np.ndarray:
-    """Stationary path segment of length L for replicas lo..hi-1."""
-    rows = hi - lo
-    if isinstance(spec, IIDSpec):
-        out = np.empty((rows, L))
-        for i, r in enumerate(range(lo, hi)):
-            out[i] = spec.marginal.draw(rng_for(seed, tag, r), L)
-        return out
-    if isinstance(spec, MovingMaxSpec):
-        m = spec.window
-        out = np.empty((rows, L))
-        for i, r in enumerate(range(lo, hi)):
-            raw = spec.base.draw(rng_for(seed, tag, r), L + m - 1)
-            out[i] = np.lib.stride_tricks.sliding_window_view(raw, m).max(axis=1)
-        return out
-    if isinstance(spec, MixtureSpec):
-        out = np.empty((rows, L))
-        for i, r in enumerate(range(lo, hi)):
-            rng = rng_for(seed, tag, r)
-            comp = mixture_component(_mixture_draw_component(rng), spec.vseq)
-            out[i] = comp.draw(rng, L)
-        return out
-    if isinstance(spec, LindleySpec):
-        burn = default_burn_in(spec)
-        z = np.empty((rows, burn + L))
-        for i, r in enumerate(range(lo, hi)):
-            z[i] = spec.step.draw(rng_for(seed, tag, r), burn + L)
-        c = np.concatenate([np.zeros((rows, 1)), np.cumsum(z, axis=1)], axis=1)
-        x = c[:, 1:] - np.minimum.accumulate(c, axis=1)[:, 1:]
-        return x[:, burn:]
-    if isinstance(spec, MetropolisSpec):
-        burn = default_burn_in(spec)
-        rngs = [rng_for(seed, tag, r) for r in range(lo, hi)]
-        paths = _metropolis_paths(spec, rngs, burn + L)
-        return paths[:, burn:]
-    raise InvalidArgumentError(f"unknown spec {type(spec).__name__}")
-
-
-_SLAB = 16_384  # fixed time-slab length; constant so slab boundaries never
-                # depend on worker count or available memory
-
-
-def _markov_chunk_maxima(spec: LindleySpec | MetropolisSpec, n_list: Sequence[int],
-                         lo: int, hi: int, seed: int, tag: str) -> np.ndarray:
-    """Running block maxima for replicas lo..hi-1, streamed in time slabs."""
-    rows = hi - lo
-    burn = default_burn_in(spec)
-    total = burn + n_list[-1]
-    rngs = [rng_for(seed, tag, r) for r in range(lo, hi)]
-    out = np.empty((rows, len(n_list)))
-    runmax = np.full(rows, -np.inf)
-    if isinstance(spec, LindleySpec):
-        c_prev = np.zeros(rows)
-        m_prev = np.zeros(rows)
-    else:
-        x = np.full(rows, spec.init if spec.init is not None
-                    else float(spec.target.quantile(0.5)))
-        fx = np.asarray(spec.target.pdf(x), dtype=float)
-    pos = 0
-    while pos < total:
-        s_len = min(_SLAB, total - pos)
-        if isinstance(spec, LindleySpec):
-            z = np.empty((rows, s_len))
-            for i, rng in enumerate(rngs):
-                z[i] = spec.step.draw(rng, s_len)
-            c = c_prev[:, None] + np.cumsum(z, axis=1)
-            m = np.minimum(m_prev[:, None], np.minimum.accumulate(c, axis=1))
-            xs = c - m
-            c_prev, m_prev = c[:, -1].copy(), m[:, -1].copy()
-        else:
-            z = np.empty((rows, s_len))
-            u = np.empty((rows, s_len))
-            for i, rng in enumerate(rngs):
-                z[i] = spec.proposal.draw(rng, s_len)
-                u[i] = rng.random(s_len)
-            xs = np.empty((rows, s_len))
-            for t in range(s_len):
-                y = x + z[:, t]
-                fy = np.asarray(spec.target.pdf(y), dtype=float)
-                acc = metropolis_accept(fx, fy, u[:, t])
-                x = np.where(acc, y, x)
-                fx = np.where(acc, fy, fx)
-                xs[:, t] = x
-        start = max(burn - pos, 0)
-        if start < s_len:
-            rm = np.maximum.accumulate(xs[:, start:], axis=1)
-            rm = np.maximum(runmax[:, None], rm)
-            for j, n in enumerate(n_list):
-                col = burn + n - 1
-                if pos + start <= col < pos + s_len:
-                    out[:, j] = rm[:, col - pos - start]
-            runmax = rm[:, -1].copy()
-        pos += s_len
-    return out
-
-
 def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
                        tag: str = "maxlaw", workers: int = 1) -> dict[int, np.ndarray]:
     """R block maxima for each requested block size."""
@@ -231,9 +132,16 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
         return _transform_maxima(spec, n_list, R, seed, tag)
     out = {n: np.empty(R) for n in n_list}
     for lo, hi in _chunks(R, workers):
-        chunk = _markov_chunk_maxima(spec, n_list, lo, hi, seed, tag)
-        for j, n in enumerate(n_list):
-            out[n][lo:hi] = chunk[:, j]
+        rngs = [rng_for(seed, tag, r) for r in range(lo, hi)]
+        runmax = np.full(hi - lo, -np.inf)
+        pos = 0
+        for slab in _path_slabs(spec, rngs, n_list[-1]):
+            end = pos + slab.shape[1]
+            for n in n_list:
+                if pos < n <= end:
+                    out[n][lo:hi] = np.maximum(runmax, slab[:, :n - pos].max(axis=1))
+            runmax = np.maximum(runmax, slab.max(axis=1))
+            pos = end
     return out
 
 
@@ -568,22 +476,25 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
             v = dse.level_for(n)
             prs_pq = pair_table[n]
             L = max(p + q for p, q in prs_pq)
-            fi = np.empty(R, dtype=np.int64)
-            win_ok = {pq: np.empty(R, dtype=bool) for pq in prs_pq}
-            marg_exceed = 0
-            marg_total = 0
+            # first exceedance time (L + 1 if none) and, per pair, whether
+            # the window (p, p + q] stays at or below v
+            fi = np.full(R, L + 1, dtype=np.int64)
+            win_ok = {pq: np.ones(R, dtype=bool) for pq in prs_pq}
             for lo, hi in _chunks(R, workers):
-                seg = _path_matrix(spec, L, lo, hi, seed, f"bt-{n}")
-                exceed = seg > v
-                any_exc = exceed.any(axis=1)
-                first = np.where(any_exc, exceed.argmax(axis=1) + 1, L + 1)
-                fi[lo:hi] = first
-                for p, q in prs_pq:
-                    win_ok[(p, q)][lo:hi] = ~exceed[:, p:p + q].any(axis=1)
-                marg_exceed += int(exceed[:, 0].sum())
-                marg_total += hi - lo
+                rngs = [rng_for(seed, f"bt-{n}", r) for r in range(lo, hi)]
+                first = fi[lo:hi]
+                pos = 0
+                for slab in _path_slabs(spec, rngs, L):
+                    exceed = slab > v
+                    hit = (first > L) & exceed.any(axis=1)
+                    first[hit] = pos + exceed[hit].argmax(axis=1) + 1
+                    for p, q in prs_pq:
+                        a, b = max(p - pos, 0), min(p + q - pos, slab.shape[1])
+                        if a < b:
+                            win_ok[(p, q)][lo:hi] &= ~exceed[:, a:b].any(axis=1)
+                    pos += slab.shape[1]
             if tails[n] is None:
-                tails[n] = marg_exceed / marg_total
+                tails[n] = np.count_nonzero(fi == 1) / R  # first value above v
             prs = []
             for p, q in prs_pq:
                 ipq = fi > p + q
@@ -670,12 +581,21 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
     skel_le = np.zeros((R, k), dtype=bool)
     single_le = np.zeros(R, dtype=bool)
     max_le = np.zeros(R, dtype=bool)
+    skel_t = np.arange(1, k + 1) * m - 1  # times of X_m, X_2m, ..., X_km
     for lo, hi in _chunks(R, workers):
-        seg = _path_matrix(spec, n, lo, hi, seed, f"cn-{n}-{m}-{k}")
-        skel = seg[:, m - 1::m][:, :k]
-        skel_le[lo:hi] = np.minimum.accumulate(skel <= v, axis=1)
-        single_le[lo:hi] = seg[:, 0] <= v
-        max_le[lo:hi] = seg.max(axis=1) <= v
+        rngs = [rng_for(seed, f"cn-{n}-{m}-{k}", r) for r in range(lo, hi)]
+        runmax = np.full(hi - lo, -np.inf)
+        pos = 0
+        for slab in _path_slabs(spec, rngs, n):
+            end = pos + slab.shape[1]
+            if pos == 0:
+                single_le[lo:hi] = slab[:, 0] <= v
+            here = (skel_t >= pos) & (skel_t < end)
+            skel_le[lo:hi, here] = slab[:, skel_t[here] - pos] <= v
+            runmax = np.maximum(runmax, slab.max(axis=1))
+            pos = end
+        max_le[lo:hi] = runmax <= v
+    skel_le = np.minimum.accumulate(skel_le, axis=1)
     pz = skel_le.mean(axis=0)  # P(Z_j <= v), j = 1..k
     p1 = float(single_le.mean())
     pmn = float(max_le.mean())

@@ -285,17 +285,25 @@ class PhantomDistFn(_PhantomBase):
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if not lines or lines[0] != "phantomdf continuous v1":
             raise InvalidArgumentError("unrecognized phantom serialization header")
-        gamma = float(lines[1].split()[1])
-        count = int(lines[2].split()[1])
-        xs, ps = [], []
-        for ln in lines[3:3 + count]:
-            xs_str, g_str = ln.split()
-            xs.append(float(xs_str))
-            ps.append(int(round(1.0 / float(g_str))))
-        if len(xs) != count:
+        rows = [ln.split() for ln in lines[1:]]
+        if len(rows) < 2 or [r[0] for r in rows[:2]] != ["gamma", "knots"] \
+                or any(len(r) != 2 for r in rows):
+            raise InvalidArgumentError("truncated or malformed phantom serialization")
+        try:
+            gamma = float(rows[0][1])
+            count = int(rows[1][1])
+            knots = [(float(x), float(e)) for x, e in rows[2:2 + count]]
+        except ValueError as exc:
+            raise InvalidArgumentError(f"non-numeric phantom field: {exc}") from None
+        if len(knots) != count:
             raise InvalidArgumentError("knot count does not match table")
-        prefix = np.repeat(np.asarray(xs, dtype=float),
-                           np.diff([0] + ps))
+        if not all(0.0 < e <= 1.0 for _, e in knots):
+            raise InvalidArgumentError("knot exponents 1/p must lie in (0, 1]")
+        xs = [x for x, _ in knots]
+        ps = [int(round(1.0 / e)) for _, e in knots]
+        if any(b <= a for a, b in zip([0] + ps, ps)):
+            raise InvalidArgumentError("knot exponents must strictly decrease")
+        prefix = np.repeat(np.asarray(xs, dtype=float), np.diff([0] + ps))
         return build_continuous_phantom(DrivingSequence(gamma, prefix))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -158,42 +158,13 @@ def default_burn_in(spec: ProcessSpec) -> int:
 # path generation
 # ---------------------------------------------------------------------------
 
-def _lindley_path(spec: LindleySpec, rng: np.random.Generator,
-                  length: int, burn: int) -> tuple[np.ndarray, np.ndarray]:
-    z = spec.step.draw(rng, burn + length)
-    c = np.concatenate([[0.0], np.cumsum(z)])
-    x = c[1:] - np.minimum.accumulate(c)[1:]
-    values = x[burn:]
-    marks = np.nonzero(values == 0.0)[0]
-    return values, marks
+SLAB = 16_384  # fixed time-slab length; constant so slab boundaries (and with
+               # them the Metropolis draw order) never depend on chunking
 
 
 def metropolis_accept(fx: np.ndarray, fy: np.ndarray, u: np.ndarray) -> np.ndarray:
     # u <= min(fy/fx, 1), with automatic acceptance from states of zero density
     return u * fx <= fy
-
-
-def _metropolis_paths(spec: MetropolisSpec, rngs: list[np.random.Generator],
-                      steps: int) -> np.ndarray:
-    """Lockstep evolution of one chain per generator; returns (len(rngs), steps)."""
-    m = len(rngs)
-    z = np.empty((m, steps))
-    u = np.empty((m, steps))
-    for i, rng in enumerate(rngs):
-        z[i] = spec.proposal.draw(rng, steps)
-        u[i] = rng.random(steps)
-    x0 = spec.init if spec.init is not None else float(spec.target.quantile(0.5))
-    x = np.full(m, x0, dtype=float)
-    fx = np.asarray(spec.target.pdf(x), dtype=float)
-    out = np.empty((m, steps))
-    for t in range(steps):
-        y = x + z[:, t]
-        fy = np.asarray(spec.target.pdf(y), dtype=float)
-        acc = metropolis_accept(fx, fy, u[:, t])
-        x = np.where(acc, y, x)
-        fx = np.where(acc, fy, fx)
-        out[:, t] = x
-    return out
 
 
 def _mixture_draw_component(rng: np.random.Generator) -> int:
@@ -203,6 +174,83 @@ def _mixture_draw_component(rng: np.random.Generator) -> int:
     return max(1, min(k, HUGE_INDEX))
 
 
+def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
+                length: int) -> Iterator[np.ndarray]:
+    """Stationary values 0..length-1 of one path per generator, in time slabs.
+
+    Yields row-major (len(rngs), slab_len) blocks with slab_len <= SLAB that
+    concatenate along axis 1 to the kept window; burn-in is simulated and
+    dropped here.  Slabs cut the time axis burn + length at multiples of
+    SLAB, and every row draws only from its own generator, sequentially in
+    time, so a replica's values do not depend on which rows share the call.
+    """
+    rows = len(rngs)
+    burn = default_burn_in(spec)
+    total = burn + length
+
+    def draws(laws, size: int) -> np.ndarray:
+        out = np.empty((rows, size))
+        for i, (law, rng) in enumerate(zip(laws, rngs)):
+            out[i] = law.draw(rng, size)
+        return out
+
+    if isinstance(spec, IIDSpec):
+        laws = [spec.marginal] * rows
+    elif isinstance(spec, MixtureSpec):
+        laws = [mixture_component(_mixture_draw_component(rng), spec.vseq)
+                for rng in rngs]
+    elif isinstance(spec, MovingMaxSpec):
+        m = int(spec.window)
+        laws = [spec.base] * rows
+        carry = draws(laws, m - 1)
+    elif isinstance(spec, LindleySpec):
+        laws = [spec.step] * rows
+        c_prev = np.zeros(rows)  # partial sum of the steps so far
+        m_prev = np.zeros(rows)  # its running minimum, floored at 0
+    elif isinstance(spec, MetropolisSpec):
+        x = np.full(rows, spec.init if spec.init is not None
+                    else float(spec.target.quantile(0.5)))
+        fx = np.asarray(spec.target.pdf(x), dtype=float)
+    else:
+        raise InvalidArgumentError(f"unknown spec {type(spec).__name__}")
+
+    for pos in range(0, total, SLAB):
+        s_len = min(SLAB, total - pos)
+        if isinstance(spec, MovingMaxSpec):
+            raw = np.concatenate([carry, draws(laws, s_len)], axis=1)
+            xs = np.lib.stride_tricks.sliding_window_view(raw, m, axis=1).max(axis=2)
+            carry = raw[:, s_len:]
+        elif isinstance(spec, LindleySpec):
+            # X_{j+1} = max(X_j + Z_j, 0) = C_{j+1} - min(0, C_1..C_{j+1}); the
+            # carry enters before the cumsum so slabs add up as one long cumsum
+            xs = draws(laws, s_len)
+            xs[:, 0] += c_prev
+            np.cumsum(xs, axis=1, out=xs)
+            low = np.minimum.accumulate(xs, axis=1)
+            np.minimum(low, m_prev[:, None], out=low)
+            c_prev, m_prev = xs[:, -1].copy(), low[:, -1].copy()
+            xs -= low
+        elif isinstance(spec, MetropolisSpec):
+            z = np.empty((rows, s_len))
+            u = np.empty((rows, s_len))
+            for i, rng in enumerate(rngs):
+                z[i] = spec.proposal.draw(rng, s_len)
+                u[i] = rng.random(s_len)
+            xs = np.empty((rows, s_len))
+            for t in range(s_len):
+                y = x + z[:, t]
+                fy = np.asarray(spec.target.pdf(y), dtype=float)
+                acc = metropolis_accept(fx, fy, u[:, t])
+                x = np.where(acc, y, x)
+                fx = np.where(acc, fy, fx)
+                xs[:, t] = x
+        else:
+            xs = draws(laws, s_len)
+        start = max(burn - pos, 0)
+        if start < s_len:
+            yield xs[:, start:]
+
+
 def generate(spec: ProcessSpec, seed: int, length: int) -> SamplePath:
     """Simulate one path of the given length (after any burn-in).
 
@@ -210,27 +258,19 @@ def generate(spec: ProcessSpec, seed: int, length: int) -> SamplePath:
     """
     if length < 1:
         raise InvalidArgumentError("length must be >= 1")
-    rng = rng_for(seed, "path", describe_spec(spec))
-    if isinstance(spec, IIDSpec):
-        return SamplePath(spec, seed, spec.marginal.draw(rng, length))
+    tag = describe_spec(spec)
+    slabs = _path_slabs(spec, [rng_for(seed, "path", tag)], length)
+    values = np.concatenate([slab[0] for slab in slabs])
     if isinstance(spec, LindleySpec):
-        burn = default_burn_in(spec)
-        values, marks = _lindley_path(spec, rng, length, burn)
-        return SamplePath(spec, seed, values, burn_in=burn, regeneration_marks=marks)
+        return SamplePath(spec, seed, values, burn_in=default_burn_in(spec),
+                          regeneration_marks=np.nonzero(values == 0.0)[0])
     if isinstance(spec, MetropolisSpec):
-        burn = default_burn_in(spec)
-        path = _metropolis_paths(spec, [rng], burn + length)[0]
-        return SamplePath(spec, seed, path[burn:], burn_in=burn)
+        return SamplePath(spec, seed, values, burn_in=default_burn_in(spec))
     if isinstance(spec, MixtureSpec):
-        k = _mixture_draw_component(rng)
-        comp = mixture_component(k, spec.vseq)
-        return SamplePath(spec, seed, comp.draw(rng, length), mixture_component=k)
-    if isinstance(spec, MovingMaxSpec):
-        m = int(spec.window)
-        raw = spec.base.draw(rng, length + m - 1)
-        win = np.lib.stride_tricks.sliding_window_view(raw, m)
-        return SamplePath(spec, seed, win.max(axis=1))
-    raise InvalidArgumentError(f"unknown spec {type(spec).__name__}")
+        # the engine drew the component first from this same stream
+        k = _mixture_draw_component(rng_for(seed, "path", tag))
+        return SamplePath(spec, seed, values, mixture_component=k)
+    return SamplePath(spec, seed, values)
 
 
 # ---------------------------------------------------------------------------

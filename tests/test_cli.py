@@ -76,6 +76,13 @@ class TestSimulate:
         assert (a / "path.txt").read_bytes() == (b / "path.txt").read_bytes()
         assert (a / "path.marks.txt").read_bytes() == (b / "path.marks.txt").read_bytes()
 
+    def test_rerun_into_same_dir_keeps_one_total_line(self, run, tmp_path):
+        out = tmp_path / "sim"
+        for _ in range(2):
+            assert run(self.CFG, "simulate", "--out", str(out))[0] == 0
+        lines = (out / "timing.txt").read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("total: ")
+
     def test_seed_override_changes_path(self, run, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(self.CFG, "simulate", "--out", str(a))
@@ -114,6 +121,31 @@ class TestPhantomFit:
                             "marginal = exp(1)\nblock_sizes = 50,200\n",
                             "verify", "--out", str(tmp_path / "v"))
         assert rc == 2
+
+
+class TestMalformedPhantom:
+    HEADER = "phantomdf continuous v1\n"
+    TABLE = "gamma 0.36787944117144233\nknots 2\n0.5 1\n0.9 0.5\n"
+
+    @pytest.mark.parametrize("text", [
+        HEADER,                                            # header only
+        HEADER + "gamma 0.36787944117144233\n",            # no knot count
+        HEADER + TABLE.rsplit("\n", 2)[0] + "\n",           # one knot short
+        HEADER + TABLE.replace("knots 2", "knots two"),    # non-numeric count
+        HEADER + TABLE.replace("0.9 0.5", "0.9 half"),     # non-numeric exponent
+        HEADER + TABLE.replace("0.9 0.5", "0.9 0"),        # zero exponent
+        HEADER + TABLE.replace("0.9 0.5", "0.9 -0.5"),     # negative exponent
+    ], ids=["header-only", "no-count", "short-table", "count-text",
+            "exponent-text", "zero-exponent", "negative-exponent"])
+    def test_verify_exits_2_with_one_line_error(self, run, tmp_path, text):
+        phantom = tmp_path / "phantom.txt"
+        phantom.write_text(text)
+        rc, _out, err = run(f"[verify]\nphantom = {phantom}\nkind = iid\n"
+                            "marginal = exp(1)\nblock_sizes = 50,200\n",
+                            "verify", "--out", str(tmp_path / "v"))
+        assert rc == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 class TestVerdictExitCodes:

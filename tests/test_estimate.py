@@ -16,6 +16,7 @@ from phantomdf.errors import (
     NotRegenerativeError,
 )
 from phantomdf.estimate import (
+    DrivingSeqEstimate,
     alpha_delta_exponent,
     block_maxima_table,
     check_BT,
@@ -37,7 +38,10 @@ from phantomdf.processes import (
     MetropolisSpec,
     MixtureSpec,
     MovingMaxSpec,
+    SLAB,
     SamplePath,
+    _path_slabs,
+    default_burn_in,
     exact_max_cdf,
     generate,
 )
@@ -184,6 +188,71 @@ class TestBT:
         prods = [row.r_tail_product for row in rep.rows]
         assert prods[1] <= prods[0] * 1.05
         assert not rep.r_adjusted
+
+
+class TestSlabScansMatchDenseReference:
+    """Block maxima, check_BT and estimate_Cn scan paths slab by slab; the
+    references here rebuild each path densely from the concatenated slabs."""
+    R = 200
+    # burn-in that leaves 6 values in the first slab, so the window (5, 7]
+    # straddles a slab boundary while M_1 carries the covariance diagnostic
+    EARLY_CUT = LindleySpec(step=LINDLEY.step, burn_in=SLAB - 6)
+
+    def dense(self, seed, tag, length, spec=LINDLEY):
+        rngs = [rng_for(seed, tag, r) for r in range(self.R)]
+        return np.concatenate(list(_path_slabs(spec, rngs, length)), axis=1)
+
+    def test_block_maxima_match_dense_reference(self):
+        first = SLAB - default_burn_in(LINDLEY)  # values in the first slab
+        sizes = [1, 2, 5_000, first, first + 1, 17_000]
+        table = block_maxima_table(LINDLEY, sizes, self.R, seed=40, tag="dense")
+        seg = self.dense(40, "dense", sizes[-1])
+        for n in sizes:
+            np.testing.assert_array_equal(table[n], seg[:, :n].max(axis=1))
+
+    @pytest.mark.parametrize("spec, n, fractions", [
+        (LINDLEY, 8_200, ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0))),
+        (EARLY_CUT, 100, ((0.05, 0.02),)),  # r_n = 4, pair (5, 2), level 0
+    ], ids=["long-pairs", "straddling-window"])
+    def test_check_bt_matches_dense_reference(self, spec, n, fractions):
+        seed = 41
+        assert default_burn_in(spec) + 2 * n > SLAB
+        seg = self.dense(seed, f"bt-{n}", 2 * n, spec)
+        v = float(np.median(seg[:, :n].max(axis=1))) if n > 100 else 0.0
+        dse = DrivingSeqEstimate(gamma=GAMMA, n_values=np.array([n]), v_hat=np.array([v]),
+                                 ci_lo=np.array([v]), ci_hi=np.array([v]),
+                                 method="monte-carlo", replicas=self.R)
+        row = check_BT(spec, dse, pair_fractions=fractions, R=self.R, seed=seed,
+                       method="monte-carlo").rows[0]
+        exceed = seg > v
+        fi = np.where(exceed.any(axis=1), exceed.argmax(axis=1) + 1, 2 * n + 1)
+        for pair in row.pairs:
+            p, q = pair.p, pair.q
+            assert pair.value == np.mean(fi > p + q) - np.mean(fi > p) * np.mean(fi > q)
+        assert row.b_value == max(abs(pair.value) for pair in row.pairs)
+        p, q = row.worst_pair
+        a = (fi > max(p - row.r_n, 0)).astype(float)
+        b = (~exceed[:, p:p + q].any(axis=1)).astype(float)
+        assert 0.0 < a.mean() < 1.0 and 0.0 < b.mean() < 1.0
+        assert row.cov_diag == np.mean(a * b) - a.mean() * b.mean()
+        assert row.r_tail_product == row.r_n * np.mean(exceed[:, 0])
+
+    @pytest.mark.parametrize("spec, n, m, k", [
+        (LINDLEY, 17_000, 1_000, 17),
+        (EARLY_CUT, 12, 2, 6),  # level 0: each dropped or shifted value shows
+    ], ids=["long-path", "early-cut"])
+    def test_estimate_cn_matches_dense_reference(self, spec, n, m, k):
+        seed = 43
+        assert default_burn_in(spec) + n > SLAB
+        seg = self.dense(seed, f"cn-{n}-{m}-{k}", n, spec)
+        skel = seg[:, m - 1::m][:, :k]
+        v = float(np.median(skel.max(axis=1))) if n > 12 else 0.0
+        diag = estimate_Cn(spec, v, n=n, m=m, k=k, R=self.R, seed=seed)
+        want = np.minimum.accumulate(skel <= v, axis=1).mean(axis=0)
+        assert 0.0 < want[-1] < want[0] < 1.0
+        np.testing.assert_array_equal(diag.skeleton_probs, want)
+        assert diag.p_single == np.mean(seg[:, 0] <= v)
+        assert diag.p_max_n == np.mean(seg.max(axis=1) <= v)
 
 
 class TestCn:

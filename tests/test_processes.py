@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from phantomdf.distributions import exponential, pareto, shifted, symmetric_pareto, uniform
+from phantomdf.distributions import (
+    exponential,
+    mixture_component,
+    pareto,
+    shifted,
+    symmetric_pareto,
+    uniform,
+)
 from phantomdf.errors import InvalidSpecError, NotExactlyComputableError
 from phantomdf.processes import (
     IIDSpec,
@@ -13,6 +20,9 @@ from phantomdf.processes import (
     MetropolisSpec,
     MixtureSpec,
     MovingMaxSpec,
+    SLAB,
+    _mixture_draw_component,
+    _path_slabs,
     default_burn_in,
     describe_spec,
     exact_max_cdf,
@@ -22,6 +32,7 @@ from phantomdf.processes import (
     metropolis_config_check,
     target_tail_condition,
 )
+from phantomdf.seeding import rng_for
 
 LINDLEY_STEP = shifted(pareto(2.0, 1.0), -2.0)  # mean 1 - 2 = -1
 
@@ -83,6 +94,59 @@ class TestDeterminism:
         assert abs(f1 - 0.5) < 5 * math.sqrt(0.25 / 400)
 
 
+class TestPathSlabs:
+    """The one path engine: slab layout, burn-in and per-replica streams."""
+    SPECS = [
+        IIDSpec(exponential(1.0)),
+        LindleySpec(step=LINDLEY_STEP, burn_in=50),
+        MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                       proposal=uniform(-1.0, 1.0), burn_in=50),
+        MixtureSpec(),
+        MovingMaxSpec(window=3, base=uniform(0.0, 1.0)),
+    ]
+    LENGTH = 2 * SLAB + 100  # burn-in + LENGTH crosses two slab boundaries
+
+    @staticmethod
+    def paths(spec, rngs, length):
+        slabs = list(_path_slabs(spec, rngs, length))
+        burn = default_burn_in(spec)
+        # slabs cut burn-in + length at multiples of SLAB; burn-in is dropped
+        assert [s.shape[1] for s in slabs] == [SLAB - burn, SLAB, length - 2 * SLAB + burn]
+        assert all(s.shape[0] == len(rngs) for s in slabs)
+        return np.concatenate(slabs, axis=1)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=describe_spec)
+    def test_replica_path_independent_of_chunk(self, spec):
+        chunk = self.paths(spec, [rng_for(1, "engine", r) for r in (4, 5, 6)], self.LENGTH)
+        alone = self.paths(spec, [rng_for(1, "engine", 5)], self.LENGTH)
+        assert chunk.shape == (3, self.LENGTH)
+        np.testing.assert_array_equal(chunk[1], alone[0])
+        assert not np.array_equal(chunk[0], chunk[1])
+
+    @pytest.mark.parametrize("spec", [SPECS[0], SPECS[3], SPECS[4]], ids=describe_spec)
+    def test_stream_continues_across_slabs(self, spec):
+        # without a chain state, the values are those of one long draw
+        path = generate(spec, length=self.LENGTH, seed=9)
+        rng = rng_for(9, "path", describe_spec(spec))
+        if isinstance(spec, MovingMaxSpec):
+            raw = spec.base.draw(rng, self.LENGTH + spec.window - 1)
+            want = np.lib.stride_tricks.sliding_window_view(raw, spec.window).max(axis=1)
+        elif isinstance(spec, MixtureSpec):
+            k = _mixture_draw_component(rng)
+            assert path.mixture_component == k
+            want = mixture_component(k, spec.vseq).draw(rng, self.LENGTH)
+        else:
+            want = spec.marginal.draw(rng, self.LENGTH)
+        np.testing.assert_array_equal(path.values, want)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=describe_spec)
+    def test_generate_is_one_engine_row(self, spec):
+        path = generate(spec, length=self.LENGTH, seed=9)
+        rng = rng_for(9, "path", describe_spec(spec))
+        np.testing.assert_array_equal(path.values, self.paths(spec, [rng], self.LENGTH)[0])
+        assert path.burn_in == default_burn_in(spec)
+
+
 class TestExactMaxLaws:
     def test_iid_power(self):
         F = exponential(1.0)
@@ -127,14 +191,24 @@ class TestExactMaxLaws:
 
 class TestLindley:
     def test_reflection_matches_direct_recursion(self):
-        spec = LindleySpec(step=LINDLEY_STEP, burn_in=200)
-        path = generate(spec, length=400, seed=11)
-        # rebuild the recursion X_{j+1} = max(X_j + Z_j, 0) from the path itself:
-        # increments within the kept window obey X_{j+1} - X_j = Z_j or reset to 0
-        x = path.values
-        assert np.all(x >= 0)
-        resets = x == 0
-        assert resets.any() and not resets.all()
+        burn, length = 200, 2 * SLAB  # the kept window crosses two slab boundaries
+        # drift -0.1 keeps the chain away from 0 at the slab boundaries
+        for drift in (-1.0, -0.1):
+            step = shifted(pareto(2.0, 1.0), drift - 1.0)
+            spec = LindleySpec(step=step, burn_in=burn)
+            path = generate(spec, length=length, seed=11)
+            # replay the path's step draws and run X_{j+1} = max(X_j + Z_j, 0)
+            # from X_0 = 0 one step at a time
+            z = step.draw(rng_for(11, "path", describe_spec(spec)), burn + length)
+            direct = np.empty(z.size)
+            x = 0.0
+            for j, dz in enumerate(z):
+                x = max(x + dz, 0.0)
+                direct[j] = x
+            np.testing.assert_allclose(path.values, direct[burn:], rtol=0.0, atol=1e-6)
+            resets = path.values == 0
+            np.testing.assert_array_equal(resets, direct[burn:] == 0.0)
+            assert resets.any() and not resets.all()
 
     def test_default_burn_in_scales_with_drift(self):
         assert default_burn_in(LindleySpec(step=LINDLEY_STEP)) >= 10_000
@@ -175,6 +249,18 @@ class TestMetropolis:
         ecdf = np.arange(1, x.size + 1) / x.size
         # dependent draws, so allow a few times the iid band
         assert np.max(np.abs(ecdf - target_cdf)) < 0.03
+
+    def test_zero_density_state_always_accepts(self):
+        # started at -5, outside the support of uniform(0, 1): the current and
+        # every proposed density is 0, and 0 <= 0 accepts, so the chain moves
+        # by its proposal increment on every step, the first one included
+        proposal = uniform(-1.0, 1.0)
+        spec = MetropolisSpec(target=uniform(0.0, 1.0), proposal=proposal,
+                              burn_in=0, init=-5.0)
+        path = generate(spec, length=3, seed=13)
+        z = proposal.draw(rng_for(13, "path", describe_spec(spec)), 3)
+        np.testing.assert_array_equal(path.values, np.add.accumulate([-5.0, *z])[1:])
+        assert path.values[0] != -5.0
 
     def test_default_burn_in(self):
         assert default_burn_in(self.spec) == 2000

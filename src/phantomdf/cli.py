@@ -13,11 +13,12 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .config import build_spec, load_config, parse_int_list, parse_law, print_defaults
-from .errors import PhantomdfError
+from .errors import InvalidArgumentError, PhantomdfError
 from .estimate import (
     block_maxima_table,
     check_BT,
@@ -82,8 +83,12 @@ class _Settings:
     @property
     def workers(self) -> int:
         if getattr(self.args, "workers", None) is not None:
-            return self.args.workers
-        return int(self.get("workers"))
+            workers = self.args.workers
+        else:
+            workers = int(self.get("workers"))
+        if workers < 1:
+            raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+        return workers
 
     @property
     def gamma(self) -> float:
@@ -100,8 +105,10 @@ class _Settings:
         return build_spec(self.cp[self.section])
 
 
-def _write(out: Path, name: str, text: str) -> None:
-    (out / name).write_text(text, encoding="utf-8")
+def _write(out: Path, name: str, text: str | Iterable[str]) -> None:
+    """Write a text artifact given whole or as a stream of blocks."""
+    with open(out / name, "w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _fit_sizes(block_sizes: list[int]) -> list[int]:
@@ -416,8 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--replicas", type=int, help="replica count override")
-        p.add_argument("--workers", type=int, help="worker count (chunking only; "
-                       "results are worker-independent)")
+        p.add_argument("--workers", type=int, help="worker processes for replica "
+                       "chunks (>= 1; results are worker-independent)")
         p.add_argument("--print-defaults", action="store_true",
                        help="print the default config INI and exit")
     return parser
@@ -436,7 +443,9 @@ def main(argv=None) -> int:
     try:
         # a rerun into the same out dir starts a fresh timing.txt; commands
         # that time their own stages write it before the total is appended
-        timing = _Settings(args, args.command).out_dir / "timing.txt"
+        settings = _Settings(args, args.command)
+        settings.workers  # reject a bad worker count before any work starts
+        timing = settings.out_dir / "timing.txt"
         timing.unlink(missing_ok=True)
         code = _COMMANDS[args.command](args)
     except PhantomdfError as exc:

@@ -2,7 +2,7 @@
 
 Block maxima always come from R independent blocks; for Markov kinds
 that means R independent paths, each with its own burn-in and its own
-seed substream, so results do not depend on worker chunking.  For kinds
+seed substream, so results do not depend on the worker count.  For kinds
 with a closed-form max law the block maxima are drawn by inverse
 transform from that law, one uniform per replica, shared across block
 sizes (which makes estimated driving levels monotone in n for free).
@@ -11,6 +11,7 @@ sizes (which makes estimated driving levels monotone in n for free).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -78,11 +79,53 @@ MIN_REPLICAS = 200
 _CHUNK_CAP = 128
 
 
-def _chunks(R: int, workers: int) -> list[tuple[int, int]]:
-    # Worker count only sets the chunk size; replica substreams make the
-    # result identical for every chunking.
-    size = min(max(1, math.ceil(R / max(1, workers))), _CHUNK_CAP)
-    return [(lo, min(lo + size, R)) for lo in range(0, R, size)]
+def _chunk_plan(R: int, workers: int) -> tuple[list[tuple[int, int]], int]:
+    """Replica chunks [lo, hi) of R and the number of processes to run them.
+
+    The worker count is clamped to the core count before it sizes the
+    chunks, so no value forks more processes than there are cores or cuts
+    R into more chunks than that clamp needs.
+    """
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
+    size = min(max(1, math.ceil(R / workers)), _CHUNK_CAP)
+    chunks = [(lo, min(lo + size, R)) for lo in range(0, R, size)]
+    return chunks, min(workers, len(chunks))
+
+
+# The chunk function of the running _map_chunks call.  Specs carry closures
+# that do not pickle, so forked workers inherit it instead of receiving it.
+_CHUNK_FN: Callable[[int, int], object] | None = None
+
+
+def _run_chunk(bounds: tuple[int, int]):
+    return _CHUNK_FN(*bounds)
+
+
+def _map_chunks(fn: Callable[[int, int], object], R: int,
+                workers: int) -> list[tuple[tuple[int, int], object]]:
+    """[((lo, hi), fn(lo, hi))] over the replica chunks of R, in chunk order.
+
+    With more than one process the chunks run in a pool forked after
+    _CHUNK_FN is set; only the bounds go out and the chunk results come
+    back.  Every replica draws from its own substream, so the results do
+    not depend on the worker count or on scheduling.
+    """
+    global _CHUNK_FN
+    chunks, procs = _chunk_plan(R, workers)
+    if procs <= 1:  # one chunk or one worker; no chunks when R == 0
+        return [((lo, hi), fn(lo, hi)) for lo, hi in chunks]
+    # imported here so that one-worker runs load no process machinery
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    _CHUNK_FN = fn
+    try:
+        with ProcessPoolExecutor(procs, mp_context=get_context("fork")) as pool:
+            return list(zip(chunks, pool.map(_run_chunk, chunks)))
+    finally:
+        _CHUNK_FN = None
 
 
 def _validate_sizes(block_sizes) -> list[int]:
@@ -130,18 +173,25 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
     n_list = _validate_sizes(block_sizes)
     if has_exact_max_law(spec):
         return _transform_maxima(spec, n_list, R, seed, tag)
-    out = {n: np.empty(R) for n in n_list}
-    for lo, hi in _chunks(R, workers):
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
         rngs = [rng_for(seed, tag, r) for r in range(lo, hi)]
+        maxima = np.empty((len(n_list), hi - lo))
         runmax = np.full(hi - lo, -np.inf)
         pos = 0
         for slab in _path_slabs(spec, rngs, n_list[-1]):
             end = pos + slab.shape[1]
-            for n in n_list:
+            for i, n in enumerate(n_list):
                 if pos < n <= end:
-                    out[n][lo:hi] = np.maximum(runmax, slab[:, :n - pos].max(axis=1))
+                    maxima[i] = np.maximum(runmax, slab[:, :n - pos].max(axis=1))
             runmax = np.maximum(runmax, slab.max(axis=1))
             pos = end
+        return maxima
+
+    out = {n: np.empty(R) for n in n_list}
+    for (lo, hi), maxima in _map_chunks(chunk, R, workers):
+        for n, row in zip(n_list, maxima):
+            out[n][lo:hi] = row
     return out
 
 
@@ -478,21 +528,28 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
             L = max(p + q for p, q in prs_pq)
             # first exceedance time (L + 1 if none) and, per pair, whether
             # the window (p, p + q] stays at or below v
-            fi = np.full(R, L + 1, dtype=np.int64)
-            win_ok = {pq: np.ones(R, dtype=bool) for pq in prs_pq}
-            for lo, hi in _chunks(R, workers):
+            def chunk(lo: int, hi: int):
                 rngs = [rng_for(seed, f"bt-{n}", r) for r in range(lo, hi)]
-                first = fi[lo:hi]
+                first = np.full(hi - lo, L + 1, dtype=np.int64)
+                ok = np.ones((len(prs_pq), hi - lo), dtype=bool)
                 pos = 0
                 for slab in _path_slabs(spec, rngs, L):
                     exceed = slab > v
                     hit = (first > L) & exceed.any(axis=1)
                     first[hit] = pos + exceed[hit].argmax(axis=1) + 1
-                    for p, q in prs_pq:
+                    for i, (p, q) in enumerate(prs_pq):
                         a, b = max(p - pos, 0), min(p + q - pos, slab.shape[1])
                         if a < b:
-                            win_ok[(p, q)][lo:hi] &= ~exceed[:, a:b].any(axis=1)
+                            ok[i] &= ~exceed[:, a:b].any(axis=1)
                     pos += slab.shape[1]
+                return first, ok
+
+            fi = np.empty(R, dtype=np.int64)
+            win_ok = {pq: np.empty(R, dtype=bool) for pq in prs_pq}
+            for (lo, hi), (first, ok) in _map_chunks(chunk, R, workers):
+                fi[lo:hi] = first
+                for pq, row in zip(prs_pq, ok):
+                    win_ok[pq][lo:hi] = row
             if tails[n] is None:
                 tails[n] = np.count_nonzero(fi == 1) / R  # first value above v
             prs = []
@@ -578,23 +635,29 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
     if R < MIN_REPLICAS:
         raise InvalidArgumentError(f"need at least {MIN_REPLICAS} replicas, got {R}")
     v = float(level)
-    skel_le = np.zeros((R, k), dtype=bool)
-    single_le = np.zeros(R, dtype=bool)
-    max_le = np.zeros(R, dtype=bool)
     skel_t = np.arange(1, k + 1) * m - 1  # times of X_m, X_2m, ..., X_km
-    for lo, hi in _chunks(R, workers):
+
+    def chunk(lo: int, hi: int):
         rngs = [rng_for(seed, f"cn-{n}-{m}-{k}", r) for r in range(lo, hi)]
+        skel = np.zeros((hi - lo, k), dtype=bool)
+        single = np.zeros(hi - lo, dtype=bool)
         runmax = np.full(hi - lo, -np.inf)
         pos = 0
         for slab in _path_slabs(spec, rngs, n):
             end = pos + slab.shape[1]
             if pos == 0:
-                single_le[lo:hi] = slab[:, 0] <= v
+                single = slab[:, 0] <= v
             here = (skel_t >= pos) & (skel_t < end)
-            skel_le[lo:hi, here] = slab[:, skel_t[here] - pos] <= v
+            skel[:, here] = slab[:, skel_t[here] - pos] <= v
             runmax = np.maximum(runmax, slab.max(axis=1))
             pos = end
-        max_le[lo:hi] = runmax <= v
+        return skel, single, runmax <= v
+
+    skel_le = np.empty((R, k), dtype=bool)
+    single_le = np.empty(R, dtype=bool)
+    max_le = np.empty(R, dtype=bool)
+    for (lo, hi), (skel, single, below) in _map_chunks(chunk, R, workers):
+        skel_le[lo:hi], single_le[lo:hi], max_le[lo:hi] = skel, single, below
     skel_le = np.minimum.accumulate(skel_le, axis=1)
     pz = skel_le.mean(axis=0)  # P(Z_j <= v), j = 1..k
     p1 = float(single_le.mean())

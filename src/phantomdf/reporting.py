@@ -9,7 +9,7 @@ contract.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -106,7 +106,22 @@ def json_report(payload: dict) -> str:
     return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
 
 
-def path_file_text(path: SamplePath) -> str:
+# values per text block of a streamed artifact: large paths and mark lists
+# are formatted and written one block at a time, never as one string
+TEXT_BLOCK = 65_536
+
+
+def _text_blocks(head: list[str], values: np.ndarray, fmt: str) -> Iterator[str]:
+    # the bytes of "\n".join(head) + "\n" + "\n".join(fmt % v ...) + "\n"
+    yield "\n".join(head) + "\n"
+    if values.size == 0:
+        yield "\n"
+    for i in range(0, values.size, TEXT_BLOCK):
+        yield "".join(fmt % v for v in values[i:i + TEXT_BLOCK].tolist())
+
+
+def path_file_text(path: SamplePath) -> Iterator[str]:
+    """The path file as text blocks; their concatenation is the file."""
     head = [
         "# phantomdf path v1",
         f"# spec: {describe_spec(path.spec)}",
@@ -117,16 +132,15 @@ def path_file_text(path: SamplePath) -> str:
     ]
     if path.mixture_component is not None:
         head.append(f"# component: {path.mixture_component}")
-    body = "\n".join(fmt_float(v) for v in path.values)
-    return "\n".join(head) + "\n" + body + "\n"
+    return _text_blocks(head, path.values, FLOAT_FMT + "\n")
 
 
-def marks_file_text(path: SamplePath) -> str:
+def marks_file_text(path: SamplePath) -> Iterator[str]:
+    """The regeneration marks file as text blocks; their concatenation is the file."""
     if path.regeneration_marks is None:
         raise ValueError("path has no regeneration marks")
     head = [
         "# phantomdf regeneration marks v1 (post burn-in indices)",
         f"# digest: {spec_digest(path.spec)}",
     ]
-    body = "\n".join(str(int(i)) for i in path.regeneration_marks)
-    return "\n".join(head) + "\n" + body + "\n"
+    return _text_blocks(head, path.regeneration_marks, "%d\n")

@@ -123,6 +123,41 @@ class TestPhantomFit:
         assert rc == 2
 
 
+class TestWorkers:
+    CFG = ("[common]\nseed = 11\nreplicas = 256\n"
+           "[phantom-fit]\nkind = metropolis\ntarget = symmetric_pareto(2,1)\n"
+           "proposal = uniform(-1,1)\nblock_sizes = 20,80\n")
+
+    @pytest.mark.parametrize("cfg_extra, argv", [
+        ("", ("--workers", "0")),
+        ("", ("--workers", "-2")),
+        ("workers = 0\n", ()),
+    ], ids=["flag-zero", "flag-negative", "ini-zero"])
+    def test_nonpositive_workers_exit_2_before_any_work(self, run, tmp_path,
+                                                         cfg_extra, argv):
+        out = tmp_path / "o"
+        rc, stdout, err = run(self.CFG + cfg_extra, "phantom-fit", "--out", str(out),
+                              section_args=argv)
+        assert rc == 2 and stdout == ""
+        assert err.splitlines() == [err.strip()] and err.startswith("error: workers")
+        assert not out.exists()
+
+    def test_error_in_a_worker_exits_2_without_traceback(self, run, tmp_path,
+                                                          monkeypatch):
+        from phantomdf import estimate
+        from phantomdf.errors import InvalidArgumentError
+
+        def broken(spec, rngs, length):
+            raise InvalidArgumentError("broken path engine")
+
+        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(estimate, "_path_slabs", broken)
+        rc, _out, err = run(self.CFG, "phantom-fit", "--out", str(tmp_path / "o"),
+                            section_args=("--workers", "2"))
+        assert rc == 2
+        assert err == "error: broken path engine\n"
+
+
 class TestMalformedPhantom:
     HEADER = "phantomdf continuous v1\n"
     TABLE = "gamma 0.36787944117144233\nknots 2\n0.5 1\n0.9 0.5\n"

@@ -5,6 +5,7 @@ Monte Carlo assertions run at fixed seeds with wide z-score margins
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from phantomdf.errors import (
     InvalidArgumentError,
     NotRegenerativeError,
 )
+from phantomdf import estimate
 from phantomdf.estimate import (
     DrivingSeqEstimate,
+    _chunk_plan,
+    _map_chunks,
     alpha_delta_exponent,
     block_maxima_table,
     check_BT,
@@ -253,6 +257,101 @@ class TestSlabScansMatchDenseReference:
         np.testing.assert_array_equal(diag.skeleton_probs, want)
         assert diag.p_single == np.mean(seg[:, 0] <= v)
         assert diag.p_max_n == np.mean(seg.max(axis=1) <= v)
+
+
+class TestWorkerPool:
+    """Replica chunks run in forked worker processes; every replica owns its
+    substream, so one worker and two give equal arrays."""
+    R = 256
+    METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                                proposal=uniform(-1.0, 1.0), burn_in=200)
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        # two processes even on a one-core machine, so the pool path runs
+        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)
+
+    def test_chunk_plan_clamps_workers_to_cores(self, monkeypatch):
+        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 4)
+        chunks, procs = _chunk_plan(1000, 10**6)
+        assert procs == 4
+        assert len(chunks) == 8  # 128-replica chunks, not 1000 single ones
+        assert chunks[0] == (0, 128) and chunks[-1] == (896, 1000)
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert _chunk_plan(3, 10**6) == ([(0, 1), (1, 2), (2, 3)], 3)
+        assert _chunk_plan(100, 3) == ([(0, 34), (34, 68), (68, 100)], 3)
+        assert _chunk_plan(1000, 1)[1] == 1
+        monkeypatch.setattr(estimate.os, "cpu_count", lambda: None)
+        assert _chunk_plan(1000, 10**6)[1] == 1
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_chunk_plan_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(InvalidArgumentError):
+            _chunk_plan(self.R, workers)
+
+    def test_map_chunks_forks_only_for_more_than_one_worker(self):
+        def where(lo, hi):  # a closure: it reaches the workers by fork, not pickle
+            return os.getpid()
+
+        serial = _map_chunks(where, self.R, 1)
+        assert [b for b, _ in serial] == [(0, 128), (128, 256)]
+        assert {pid for _, pid in serial} == {os.getpid()}
+        pooled = _map_chunks(where, self.R, 2)
+        assert [b for b, _ in pooled] == [(0, 128), (128, 256)]
+        assert os.getpid() not in {pid for _, pid in pooled}
+
+    def test_worker_error_reaches_caller_as_invalid_argument(self):
+        def chunk(lo, hi):
+            if lo > 0:
+                raise InvalidArgumentError(f"bad chunk {lo}")
+            return os.getpid()
+
+        with pytest.raises(InvalidArgumentError, match="bad chunk 128"):
+            _map_chunks(chunk, self.R, 2)
+
+    def test_metropolis_block_maxima_pool_invariant(self):
+        sizes = [1, 10, 50, 300]
+        a = block_maxima_table(self.METROPOLIS, sizes, self.R, seed=3, tag="pool")
+        b = block_maxima_table(self.METROPOLIS, sizes, self.R, seed=3, tag="pool",
+                               workers=2)
+        for n in sizes:
+            np.testing.assert_array_equal(a[n], b[n])
+
+    def test_monte_carlo_check_bt_pool_invariant(self, monkeypatch):
+        seen = []
+
+        def spy(fn, R, workers):
+            result = _map_chunks(fn, R, workers)
+            seen.append(result)
+            return result
+
+        monkeypatch.setattr(estimate, "_map_chunks", spy)
+        dse = estimate_driving_sequence(self.METROPOLIS, GAMMA, [20, 80], R=self.R,
+                                        seed=4)
+        reports, scans = [], []
+        for workers in (1, 2):
+            seen.clear()
+            reports.append(check_BT(self.METROPOLIS, dse, R=self.R, seed=4,
+                                    method="monte-carlo", workers=workers))
+            scans.append(list(seen))
+        assert len(scans[0]) == len(scans[1]) == 2  # one scan per block size
+        for one, two in zip(*scans):
+            fi = [np.concatenate([first for _, (first, _ok) in s]) for s in (one, two)]
+            ok = [np.concatenate([o for _, (_first, o) in s], axis=1) for s in (one, two)]
+            np.testing.assert_array_equal(*fi)
+            np.testing.assert_array_equal(*ok)  # every win_ok row, one per pair
+            assert np.unique(fi[0]).size > 2 and 0 < ok[0].mean() < 1  # not degenerate
+        for r1, r2 in zip(reports[0].rows, reports[1].rows):
+            assert r1.b_value == r2.b_value and r1.cov_diag == r2.cov_diag
+            assert [(p.value, p.se) for p in r1.pairs] == [(p.value, p.se) for p in r2.pairs]
+
+    def test_estimate_cn_pool_invariant(self):
+        v = float(symmetric_pareto(2.0, 1.0).quantile(0.99))
+        a, b = (estimate_Cn(self.METROPOLIS, v, n=400, m=20, k=10, R=self.R,
+                            seed=5, workers=w) for w in (1, 2))
+        assert 0.0 < a.p_max_n < 1.0
+        np.testing.assert_array_equal(a.skeleton_probs, b.skeleton_probs)
+        assert (a.c_hat, a.p_single, a.p_max_n) == (b.c_hat, b.p_single, b.p_max_n)
 
 
 class TestCn:

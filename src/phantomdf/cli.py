@@ -183,6 +183,9 @@ def cmd_phantom_fit(args) -> int:
         "sup_gap": ver.sup_gap,
         "gaps": [{"n": r.n, "gap": r.gap, "se": r.se_at_gap} for r in ver.rows],
         "bt_max_b": bt.max_b(),
+        "bt_r_exponent": bt.r_exponent,
+        "bt_r_adjusted": bt.r_adjusted,
+        "driving_raw_violations": dse.raw_violations,
         "theta_verdict": theta.verdict,
         "theta_hat": theta.theta_hat,
     }))

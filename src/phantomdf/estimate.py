@@ -76,7 +76,10 @@ __all__ = [
 ]
 
 MIN_REPLICAS = 200
-_CHUNK_CAP = 128
+# Replicas per chunk: one chunk is one _path_slabs call, whose per-step numpy
+# calls cover all of its rows, so bigger chunks step faster; 256 rows x SLAB
+# x 8 B = 32 MB per slab array bounds the memory a chunk holds.
+_CHUNK_CAP = 256
 
 
 def _chunk_plan(R: int, workers: int) -> tuple[list[tuple[int, int]], int]:

@@ -178,8 +178,9 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
                 length: int) -> Iterator[np.ndarray]:
     """Stationary values 0..length-1 of one path per generator, in time slabs.
 
-    Yields row-major (len(rngs), slab_len) blocks with slab_len <= SLAB that
-    concatenate along axis 1 to the kept window; burn-in is simulated and
+    Yields (len(rngs), slab_len) blocks, row i from rngs[i], with slab_len <=
+    SLAB, that concatenate along axis 1 to the kept window (Metropolis blocks
+    are transposed views of a time-major buffer); burn-in is simulated and
     dropped here.  Slabs cut the time axis burn + length at multiples of
     SLAB, and every row draws only from its own generator, sequentially in
     time, so a replica's values do not depend on which rows share the call.
@@ -223,27 +224,35 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         elif isinstance(spec, LindleySpec):
             # X_{j+1} = max(X_j + Z_j, 0) = C_{j+1} - min(0, C_1..C_{j+1}); the
             # carry enters before the cumsum so slabs add up as one long cumsum
+            # (the running minimum goes one row at a time through one
+            # row-sized buffer, so a slab holds a single slab-sized array)
             xs = draws(laws, s_len)
             xs[:, 0] += c_prev
             np.cumsum(xs, axis=1, out=xs)
-            low = np.minimum.accumulate(xs, axis=1)
-            np.minimum(low, m_prev[:, None], out=low)
-            c_prev, m_prev = xs[:, -1].copy(), low[:, -1].copy()
-            xs -= low
+            c_prev = xs[:, -1].copy()
+            low = np.empty(s_len)
+            for i in range(rows):
+                np.minimum.accumulate(xs[i], out=low)
+                np.minimum(low, m_prev[i], out=low)
+                m_prev[i] = low[-1]
+                xs[i] -= low
         elif isinstance(spec, MetropolisSpec):
-            z = np.empty((rows, s_len))
-            u = np.empty((rows, s_len))
+            # time-major, so each step reads and writes contiguous rows; the
+            # chain state overwrites the increment it was built from
+            zt = np.empty((s_len, rows))
+            ut = np.empty((s_len, rows))
             for i, rng in enumerate(rngs):
-                z[i] = spec.proposal.draw(rng, s_len)
-                u[i] = rng.random(s_len)
-            xs = np.empty((rows, s_len))
+                zt[:, i] = spec.proposal.draw(rng, s_len)
+                ut[:, i] = rng.random(s_len)
             for t in range(s_len):
-                y = x + z[:, t]
+                y = x + zt[t]
                 fy = np.asarray(spec.target.pdf(y), dtype=float)
-                acc = metropolis_accept(fx, fy, u[:, t])
+                acc = metropolis_accept(fx, fy, ut[t])
                 x = np.where(acc, y, x)
                 fx = np.where(acc, fy, fx)
-                xs[:, t] = x
+                zt[t] = x
+            del ut  # freed before the next slab allocates its own
+            xs = zt.T
         else:
             xs = draws(laws, s_len)
         start = max(burn - pos, 0)

@@ -109,6 +109,15 @@ class TestPhantomFit:
         cfg2 = write_config(tmp_path / "ver.ini", ver_cfg)
         assert main(["verify", "--config", cfg2, "--out", str(tmp_path / "ver")]) == 0
 
+    def test_summary_reports_estimator_diagnostics(self, run, tmp_path):
+        out = tmp_path / "fit"
+        assert run(self.CFG, "phantom-fit", "--out", str(out))[0] == 0
+        summary = json.loads((out / "summary.json").read_text())
+        violations = summary["driving_raw_violations"]
+        assert isinstance(violations, int) and violations >= 0
+        assert summary["bt_r_exponent"] in (1 / 3, 1 / 4, 1 / 5)
+        assert summary["bt_r_adjusted"] is (summary["bt_r_exponent"] != 1 / 3)
+
     def test_worker_count_does_not_change_artifacts(self, run, tmp_path):
         a, b = tmp_path / "w1", tmp_path / "w3"
         run(self.CFG, "phantom-fit", "--out", str(a))

@@ -275,12 +275,13 @@ class TestWorkerPool:
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: 4)
         chunks, procs = _chunk_plan(1000, 10**6)
         assert procs == 4
-        assert len(chunks) == 8  # 128-replica chunks, not 1000 single ones
-        assert chunks[0] == (0, 128) and chunks[-1] == (896, 1000)
+        assert chunks == [(0, 250), (250, 500), (500, 750), (750, 1000)]
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         assert _chunk_plan(3, 10**6) == ([(0, 1), (1, 2), (2, 3)], 3)
         assert _chunk_plan(100, 3) == ([(0, 34), (34, 68), (68, 100)], 3)
-        assert _chunk_plan(1000, 1)[1] == 1
+        # one worker: chunks stop at the 256-replica cap
+        assert _chunk_plan(1000, 1) == (
+            [(0, 256), (256, 512), (512, 768), (768, 1000)], 1)
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: None)
         assert _chunk_plan(1000, 10**6)[1] == 1
 
@@ -294,7 +295,7 @@ class TestWorkerPool:
             return os.getpid()
 
         serial = _map_chunks(where, self.R, 1)
-        assert [b for b, _ in serial] == [(0, 128), (128, 256)]
+        assert [b for b, _ in serial] == [(0, 256)]
         assert {pid for _, pid in serial} == {os.getpid()}
         pooled = _map_chunks(where, self.R, 2)
         assert [b for b, _ in pooled] == [(0, 128), (128, 256)]

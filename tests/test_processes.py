@@ -1,6 +1,7 @@
 """Process specs, samplers, closed-form max laws, and chain diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,71 @@ class TestPathSlabs:
         rng = rng_for(9, "path", describe_spec(spec))
         np.testing.assert_array_equal(path.values, self.paths(spec, [rng], self.LENGTH)[0])
         assert path.burn_in == default_burn_in(spec)
+
+
+def metropolis_row_major(spec, rngs, length):
+    """Reference Metropolis chains: the row-major loop, one column per step."""
+    rows, burn = len(rngs), default_burn_in(spec)
+    total = burn + length
+    x = np.full(rows, float(spec.target.quantile(0.5)))
+    fx = np.asarray(spec.target.pdf(x), dtype=float)
+    slabs = []
+    for pos in range(0, total, SLAB):
+        s_len = min(SLAB, total - pos)
+        z = np.empty((rows, s_len))
+        u = np.empty((rows, s_len))
+        for i, rng in enumerate(rngs):
+            z[i] = spec.proposal.draw(rng, s_len)
+            u[i] = rng.random(s_len)
+        xs = np.empty((rows, s_len))
+        for t in range(s_len):
+            y = x + z[:, t]
+            fy = np.asarray(spec.target.pdf(y), dtype=float)
+            acc = u[:, t] * fx <= fy
+            x = np.where(acc, y, x)
+            fx = np.where(acc, fy, fx)
+            xs[:, t] = x
+        slabs.append(xs)
+    return np.concatenate(slabs, axis=1)[:, burn:]
+
+
+class TestSlabKernels:
+    """The Metropolis and Lindley kernels against references, and their memory."""
+    METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                                proposal=uniform(-1.0, 1.0), burn_in=100)
+    LINDLEY = LindleySpec(step=LINDLEY_STEP, burn_in=100)
+    ROWS = 256  # the replica chunk cap
+    SLAB_BYTES = ROWS * SLAB * 8  # one float64 slab array of a full chunk
+
+    @pytest.mark.parametrize("rows", [1, 3, ROWS])
+    def test_metropolis_equals_row_major_loop(self, rows):
+        length = SLAB + 200  # burn-in + length crosses a slab boundary
+        spec = self.METROPOLIS
+        got = np.concatenate(list(_path_slabs(
+            spec, [rng_for(4, "kernel", r) for r in range(rows)], length)), axis=1)
+        want = metropolis_row_major(
+            spec, [rng_for(4, "kernel", r) for r in range(rows)], length)
+        assert got.shape == (rows, length)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["metropolis", "lindley"])
+    def test_one_full_chunk_slab_fits_its_budget(self, kind):
+        # Metropolis: increments and uniforms, the chain state written over the
+        # increments; Lindley: the steps, cumsum and reflection in place.  The
+        # quarter slab array left over covers per-row draws and per-step temps.
+        spec, budget = {"metropolis": (self.METROPOLIS, 2.25),
+                        "lindley": (self.LINDLEY, 1.25)}[kind]
+        rngs = [rng_for(6, "memory", r) for r in range(self.ROWS)]
+        length = SLAB - default_burn_in(spec)  # burn-in + length is one slab
+        slabs = _path_slabs(spec, rngs, length)
+        tracemalloc.start()
+        try:
+            slab = next(slabs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slab.shape == (self.ROWS, length)
+        assert peak <= budget * self.SLAB_BYTES, peak / self.SLAB_BYTES
 
 
 class TestExactMaxLaws:

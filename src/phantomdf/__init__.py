@@ -61,8 +61,8 @@ from .estimate import (
     driving_from_maxima,
     estimate_Cn,
     estimate_driving_sequence,
-    estimate_max_cdf,
     estimate_theta_single_sequence,
+    exact_maxlaw,
     maxlaw_from_maxima,
     propbasic_series,
     rootzen_phantom,

@@ -156,9 +156,6 @@ class DistFn:
             return self.atoms.mass(i)
         return 0.0
 
-    def left_limit(self, x: float) -> float:
-        return float(self.cdf(x)) - self.jump_at(x)
-
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.sampler is None:
             raise InvalidArgumentError(f"law {self.name!r} has no sampler")

@@ -36,6 +36,7 @@ from .processes import (
     ProcessSpec,
     SamplePath,
     _mixture_draw_component,
+    _mixture_weight_leq,
     _path_slabs,
     describe_spec,
     exact_max_cdf,
@@ -48,7 +49,7 @@ from .seeding import rng_for
 __all__ = [
     "MaxLawRow",
     "MaxLawEstimate",
-    "estimate_max_cdf",
+    "exact_maxlaw",
     "DrivingSeqEstimate",
     "estimate_driving_sequence",
     "driving_from_maxima",
@@ -234,7 +235,7 @@ def exact_max_quantile(spec: ProcessSpec, n: int, p: float) -> float:
         return float(spec.base.quantile(math.exp(math.log(p) / e)))
     if isinstance(spec, MixtureSpec):
         def cdf_at(j: int) -> float:
-            return math.exp(n * math.log1p(-1.0 / j)) * (1.0 - 1.0 / (math.isqrt(j) + 1))
+            return math.exp(n * math.log1p(-1.0 / j)) * _mixture_weight_leq(j)
         lo, hi = 1, 2
         while cdf_at(hi) < p:
             lo = hi
@@ -256,49 +257,14 @@ def _type1_quantile(sorted_vals: np.ndarray, p: float) -> float:
     return float(sorted_vals[min(k, sorted_vals.size) - 1])
 
 
-def estimate_max_cdf(spec: ProcessSpec, block_sizes, R: int = 1000, seed: int = 0,
-                     level_grid=None, method: str = "monte-carlo",
-                     workers: int = 1) -> MaxLawEstimate:
-    """Estimate P(M_n <= x) on a level grid for each block size.
-
-    ``level_grid`` may be a shared array, a mapping n -> array, or None
-    for an automatic grid spanning the central probability range of M_n.
-    """
-    n_list = _validate_sizes(block_sizes)
-    if method not in ("monte-carlo", "exact"):
-        raise InvalidArgumentError("method must be 'monte-carlo' or 'exact'")
-
-    def grid_for(n: int, maxima: np.ndarray | None) -> np.ndarray:
-        if level_grid is None:
-            probs = np.linspace(0.002, 0.998, 41)
-            if maxima is None:
-                xs = np.array([exact_max_quantile(spec, n, float(p)) for p in probs])
-            else:
-                s = np.sort(maxima)
-                xs = np.array([_type1_quantile(s, float(p)) for p in probs])
-            return np.unique(xs)
-        if isinstance(level_grid, Mapping):
-            return np.asarray(level_grid[n], dtype=float)
-        return np.asarray(getattr(level_grid, "values", level_grid), dtype=float)
-
+def exact_maxlaw(spec: ProcessSpec, block_sizes, probs) -> MaxLawEstimate:
+    """Closed-form max law at the exact ``probs``-quantiles of each block size."""
     rows = []
-    if method == "exact":
-        for n in n_list:
-            xs = grid_for(n, None)
-            p = np.array([exact_max_cdf(spec, n, float(x)) for x in xs])
-            rows.append(MaxLawRow(n=n, levels=xs, p_hat=p, se=np.zeros_like(p)))
-        return MaxLawEstimate(method="exact", replicas=0, rows=tuple(rows))
-
-    if R < MIN_REPLICAS:
-        raise InvalidArgumentError(f"need at least {MIN_REPLICAS} replicas, got {R}")
-    table = block_maxima_table(spec, n_list, R, seed, tag="maxlaw", workers=workers)
-    for n in n_list:
-        maxima = table[n]
-        xs = grid_for(n, maxima)
-        p = np.searchsorted(np.sort(maxima), xs, side="right") / R
-        se = np.sqrt(p * (1.0 - p) / R)
-        rows.append(MaxLawRow(n=n, levels=xs, p_hat=p, se=se))
-    return MaxLawEstimate(method="monte-carlo", replicas=R, rows=tuple(rows))
+    for n in _validate_sizes(block_sizes):
+        xs = np.unique([exact_max_quantile(spec, n, float(p)) for p in probs])
+        p = np.array([exact_max_cdf(spec, n, float(x)) for x in xs])
+        rows.append(MaxLawRow(n=n, levels=xs, p_hat=p, se=np.zeros_like(p)))
+    return MaxLawEstimate(method="exact", replicas=0, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +427,7 @@ def _bt_exact_cov(spec: ProcessSpec, v: float, p: int, q: int, r: int) -> float:
         j = spec.vseq.count_leq(v)
         if j < 1 or j >= HUGE_INDEX:
             return 0.0
-        c = 1.0 - 1.0 / (math.isqrt(j) + 1)
+        c = _mixture_weight_leq(j)
         base = math.exp((a_len + q) * math.log1p(-1.0 / j))
         return c * (1.0 - c) * base
     raise NotExactlyComputableError("no closed-form covariance")

@@ -9,31 +9,25 @@ supremum of the levels.  By construction G(v_n)**n = gamma exactly at
 every knot, which is the property the verification tooling leans on.
 
 The jump phantom takes the value gamma**(1/p_k) on [v_{p_k}, v_{p_k+1})
-and brackets the continuous one from below on each step.
+and brackets the continuous one from below on each step.  Both phantoms
+are DistFns that read one knot table (ascending knot levels and their
+exponents 1/p_k) with ``np.searchsorted``.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import DistFn, _log_cdf
+from .distributions import DistFn, _log_cdf, sup_power_distance
 from .errors import (
     DegenerateDrivingSequenceError,
     InsufficientGridError,
     InvalidArgumentError,
 )
-from .grids import (
-    HUGE_INDEX,
-    LevelGrid,
-    LevelSequence,
-    ProbePolicy,
-    classify_limit,
-)
+from .grids import LevelGrid, LevelSequence, ProbePolicy, classify_limit
 
 __all__ = [
     "DrivingSequence",
@@ -50,6 +44,10 @@ __all__ = [
     "ThetaTailReport",
 ]
 
+# Largest level index of a knot table: a rule-backed table, or the prefix
+# that a parsed table expands to, holds a float per level index up to here.
+MAX_KNOT_INDEX = 2**24
+
 
 class DrivingSequence:
     """gamma plus the levels v_n, with plateau runs compressed to knots.
@@ -57,7 +55,8 @@ class DrivingSequence:
     Levels may be given as an array (finite prefix) or a
     :class:`LevelSequence` carrying a closed-form rule.  Plateau
     detection uses exact equality of stored levels; a rule region is
-    assumed strictly increasing (spot-checked).
+    assumed strictly increasing (spot-checked), so each of its indices is
+    a knot.
     """
 
     def __init__(self, gamma: float, levels) -> None:
@@ -84,55 +83,36 @@ class DrivingSequence:
                 raise InvalidArgumentError("rule region must be strictly increasing")
 
         # Last index of each constancy run in the prefix.
+        run_ends = np.flatnonzero(np.diff(prefix) > 0)
         if prefix.size:
-            ends = np.nonzero(np.diff(prefix) > 0)[0]
-            run_ends = np.concatenate([ends, [prefix.size - 1]])
-            self._knot_levels = prefix[run_ends]
-            self._knot_index = run_ends + 1  # 1-based level indices p_k
-        else:
-            self._knot_levels = np.array([], dtype=float)
-            self._knot_index = np.array([], dtype=int)
+            run_ends = np.append(run_ends, prefix.size - 1)
+        self._knot_levels = prefix[run_ends]
+        self._knot_index = run_ends + 1  # 1-based level indices p_k
 
-    # -- knot access --------------------------------------------------
+    def knots(self, upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The knot table: ascending levels v_{p_k} and exponents 1/p_k.
 
-    @property
-    def plateau_index(self) -> np.ndarray:
-        return self._knot_index.copy()
-
-    @property
-    def knot_count(self) -> int | None:
-        """Number of knots, or None when a rule supplies infinitely many."""
-        if self.levels.rule is not None:
-            return None
-        return int(self._knot_index.size)
-
-    def knot(self, k: int) -> tuple[float, int]:
-        """Level and 1-based level index of the k-th knot."""
-        k = int(k)
-        if k < 1:
-            raise InvalidArgumentError("knot index must be >= 1")
-        m = self._knot_index.size
-        if k <= m:
-            return float(self._knot_levels[k - 1]), int(self._knot_index[k - 1])
-        if self.levels.rule is None:
-            raise InvalidArgumentError(
-                f"knot {k} beyond stored driving prefix ({m} knots)")
-        n = self.levels.prefix.size + (k - m)
-        return self.levels.value(n), n
-
-    def knot_leq(self, x: float) -> int:
-        """Largest knot index k with knot level <= x (0 when below all)."""
-        x = float(x)
-        m = self._knot_index.size
-        k = int(np.searchsorted(self._knot_levels, x, side="right"))
-        if k < m or self.levels.rule is None:
-            return k
-        n = self.levels.count_leq(x)
-        if n <= self.levels.prefix.size:
-            return k
-        if n >= HUGE_INDEX:
-            return HUGE_INDEX
-        return m + (n - self.levels.prefix.size)
+        A prefix-only sequence returns all of its knots.  A rule-backed one
+        returns the knots with level index p_k <= ``upto``, reading its rule
+        at every index past the prefix; an ``upto`` past MAX_KNOT_INDEX
+        raises instead of allocating.
+        """
+        levels, index = self._knot_levels, self._knot_index
+        rule = self.levels.rule
+        if rule is not None:
+            if upto is None:
+                raise InvalidArgumentError(
+                    "a rule-backed knot table needs a largest level index")
+            if upto > MAX_KNOT_INDEX:
+                raise InvalidArgumentError(
+                    f"knot table up to level index {upto} exceeds the bound "
+                    f"{MAX_KNOT_INDEX}")
+            keep = index <= upto
+            tail = range(self.levels.prefix.size + 1, upto + 1)
+            levels = np.concatenate(
+                [levels[keep], np.fromiter(map(rule, tail), dtype=float, count=len(tail))])
+            index = np.concatenate([index[keep], np.arange(tail.start, tail.stop)])
+        return levels, 1.0 / index
 
     def same_as(self, other: "DrivingSequence") -> bool:
         if self is other:
@@ -142,143 +122,115 @@ class DrivingSequence:
                 and self.levels.rule is other.levels.rule)
 
 
-class _PhantomBase:
-    """Shared knot geometry for the two phantom variants."""
+def _knots_over(d: DrivingSequence, x: np.ndarray):
+    """Knot table reaching past every x, and where x sits in it.
+
+    Returns the table, the number k of knots at or below each x, and the
+    mask of x at or above the supremum of a rule-backed sequence (where
+    the exponent vanishes).  x past a stored prefix raises.
+    """
+    top = (x >= d.levels.sup) & (d.levels.rule is not None)
+    if d.levels.rule is None:
+        xs, es = d.knots()
+    else:
+        inside = x[~top]
+        x_max = float(inside.max()) if inside.size else -math.inf
+        # every prefix knot and the knot after the largest x
+        xs, es = d.knots(max(d.levels.count_leq(x_max), d.levels.prefix.size) + 1)
+    k = np.searchsorted(xs, x, side="right")
+    if np.any((k == xs.size) & (x > xs[-1]) & ~top):
+        raise InvalidArgumentError(
+            "evaluation beyond the stored driving prefix; supply a rule")
+    return xs, es, k, top
+
+
+def _knots_under(d: DrivingSequence, g: np.ndarray):
+    """Knot table reaching an exponent below every positive g."""
+    if d.levels.rule is None:
+        return d.knots()
+    positive = g[g > 0]
+    low = float(positive.min()) if positive.size else 1.0
+    # p = floor(1/low) + 2 exceeds 1/low whatever the rounding of 1/low
+    upto = int(min(1.0 / low, 2.0 * MAX_KNOT_INDEX)) + 2
+    return d.knots(max(upto, d.levels.prefix.size + 1))
+
+
+def _exponent_of(p, log_gamma: float) -> np.ndarray:
+    """The exponent g with gamma**g = p, for p in (0, 1)."""
+    p = np.asarray(p, dtype=float)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise InvalidArgumentError("quantile argument must lie in (0, 1)")
+    return np.log(p) / log_gamma
+
+
+class PhantomDistFn(DistFn):
+    """Continuous phantom G(x) = gamma**g(x), evaluated on the knot table."""
 
     def __init__(self, driving: DrivingSequence) -> None:
+        super().__init__(name="phantom",
+                         cdf=lambda x: np.exp(self.log_cdf(x)),
+                         sf=lambda x: -np.expm1(self.log_cdf(x)),
+                         quantile=lambda p: self.exponent_inverse(
+                             _exponent_of(p, self._log_gamma)),
+                         right_end=driving.levels.sup)
         self.driving = driving
         self._log_gamma = math.log(driving.gamma)
 
-    def _knot_exponent(self, k: int) -> tuple[float, float]:
-        x, p = self.driving.knot(k)
-        return x, 1.0 / p
-
-    def pow(self, x: float, n: float) -> float:
-        """G(x)**n evaluated as exp(n * log G(x))."""
-        return math.exp(n * self.log_cdf(x))
-
-    def log_cdf(self, x: float) -> float:  # overridden
-        raise NotImplementedError
-
-
-class PhantomDistFn(_PhantomBase):
-    """Continuous phantom G(x) = gamma**g(x)."""
-
-    def exponent(self, x: float) -> float:
+    def exponent(self, x):
         """The exponent g(x); exact value 1/p_k at every knot."""
-        d = self.driving
-        x = float(x)
-        if d.levels.rule is not None and x >= d.levels.sup:
-            return 0.0
-        x1, e1 = self._knot_exponent(1)
-        if x < x1:
-            return (x1 - x) + e1
-        k = d.knot_leq(x)
-        xk, ek = self._knot_exponent(k)
-        if x == xk:
-            return ek
-        count = d.knot_count
-        if count is not None and k >= count:
-            raise InvalidArgumentError(
-                "evaluation beyond the stored driving prefix; supply a rule")
-        xn, en = self._knot_exponent(k + 1)
-        t = (x - xk) / (xn - xk)
-        return ek + t * (en - ek)
+        x = np.asarray(x, dtype=float)
+        xs, es, k, top = _knots_over(self.driving, x)
+        i = np.maximum(k - 1, 0)        # last knot at or below x
+        j = np.minimum(k, xs.size - 1)  # the knot after it
+        xk, ek = xs[i], es[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = ek + ((x - xk) / (xs[j] - xk)) * (es[j] - ek)
+        g = np.where(x == xk, ek, g)  # exact at knots, the last one included
+        g = np.where(k == 0, (xs[0] - x) + es[0], g)
+        return np.where(top, 0.0, g)[()]
 
-    def log_cdf(self, x: float) -> float:
-        return self.exponent(x) * self._log_gamma
-
-    def eval(self, x: float) -> float:
-        return math.exp(self.log_cdf(x))
-
-    def tail(self, x: float) -> float:
-        return -math.expm1(self.log_cdf(x))
-
-    def exponent_inverse(self, g: float) -> float:
+    def exponent_inverse(self, g):
         """x with exponent(x) = g, for g > 0 (and the level sup at g = 0)."""
         d = self.driving
-        if g < 0:
+        g = np.asarray(g, dtype=float)
+        if np.any(g < 0):
             raise InvalidArgumentError("exponent must be >= 0")
-        if g == 0.0:
-            if math.isfinite(d.levels.sup):
-                return d.levels.sup
+        zero = g == 0.0
+        if zero.any() and not math.isfinite(d.levels.sup):
             raise InvalidArgumentError("exponent 0 is not attained")
-        x1, e1 = self._knot_exponent(1)
-        if g >= e1:
-            return x1 + (e1 - g)
-        count = d.knot_count
-        lo, hi = 1, 2
-        while True:
-            if count is not None and hi > count:
-                _, e_last = self._knot_exponent(count)
-                if g >= e_last:
-                    hi = count
-                    break
-                raise InvalidArgumentError(
-                    "quantile beyond the stored driving prefix; supply a rule")
-            if self._knot_exponent(hi)[1] < g:
-                break
-            lo = hi
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._knot_exponent(mid)[1] >= g:
-                lo = mid
-            else:
-                hi = mid
-        xk, ek = self._knot_exponent(lo)
-        if g == ek:
-            return xk
-        xn, en = self._knot_exponent(lo + 1)
-        return xk + (ek - g) / (ek - en) * (xn - xk)
+        xs, es = _knots_under(d, g)
+        k = np.searchsorted(-es, -g, side="right")  # knots with exponent >= g
+        if np.any((k == es.size) & (g < es[-1]) & ~zero):
+            raise InvalidArgumentError(
+                "quantile beyond the stored driving prefix; supply a rule")
+        i = np.maximum(k - 1, 0)
+        j = np.minimum(k, es.size - 1)
+        xk, ek = xs[i], es[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = xk + (ek - g) / (ek - es[j]) * (xs[j] - xk)
+        x = np.where(g == ek, xk, x)  # exact at knots, the last one included
+        x = np.where(k == 0, xs[0] + (es[0] - g), x)
+        return np.where(zero, d.levels.sup, x)[()]
 
-    def quantile(self, p: float) -> float:
-        p = float(p)
-        if not (0.0 < p < 1.0):
-            raise InvalidArgumentError("quantile argument must lie in (0, 1)")
-        return self.exponent_inverse(math.log(p) / self._log_gamma)
+    def log_cdf(self, x):
+        return self.exponent(x) * self._log_gamma
 
-    def as_distfn(self, name: str = "phantom") -> DistFn:
-        from .distributions import _vectorize
-        return DistFn(
-            name=name,
-            cdf=_vectorize(self.eval),
-            sf=_vectorize(self.tail),
-            quantile=_vectorize(self.quantile),
-            right_end=self.driving.levels.sup,
-            sampler=lambda rng, size: np.fromiter(
-                (self.quantile(u) for u in np.maximum(rng.random(size), 1e-300)),
-                dtype=float, count=size),
-        )
+    def pow(self, x, n):
+        """G(x)**n evaluated as exp(n * log G(x))."""
+        return np.exp(n * self.log_cdf(x))
 
     # -- serialization -------------------------------------------------
 
     def to_text(self, max_level_index: int | None = None) -> str:
         """Serialize gamma and the (x, g) knot table, 17 significant digits."""
         d = self.driving
-        count = d.knot_count
-        if count is None:
-            if max_level_index is None:
-                raise InvalidArgumentError(
-                    "rule-backed phantom needs max_level_index for serialization")
-            ks = []
-            k = 1
-            while True:
-                _, p = d.knot(k)
-                if p > max_level_index:
-                    break
-                ks.append(k)
-                k += 1
-        else:
-            ks = list(range(1, count + 1))
-        buf = io.StringIO()
-        buf.write("phantomdf continuous v1\n")
-        buf.write(f"gamma {d.gamma:.17g}\n")
-        buf.write(f"knots {len(ks)}\n")
-        for k in ks:
-            x, e = self._knot_exponent(k)
-            buf.write(f"{x:.17g} {e:.17g}\n")
-        return buf.getvalue()
+        if d.levels.rule is not None and max_level_index is None:
+            raise InvalidArgumentError(
+                "rule-backed phantom needs max_level_index for serialization")
+        xs, es = d.knots(max_level_index)
+        rows = "".join(f"{x:.17g} {e:.17g}\n" for x, e in zip(xs.tolist(), es.tolist()))
+        return (f"phantomdf continuous v1\ngamma {d.gamma:.17g}\n"
+                f"knots {xs.size}\n{rows}")
 
     @classmethod
     def from_text(cls, text: str) -> "PhantomDistFn":
@@ -297,9 +249,14 @@ class PhantomDistFn(_PhantomBase):
             raise InvalidArgumentError(f"non-numeric phantom field: {exc}") from None
         if len(knots) != count:
             raise InvalidArgumentError("knot count does not match table")
-        if not all(0.0 < e <= 1.0 for _, e in knots):
-            raise InvalidArgumentError("knot exponents 1/p must lie in (0, 1]")
+        if count < 2:
+            raise InvalidArgumentError("a phantom table needs at least two knots")
         xs = [x for x, _ in knots]
+        if not all(math.isfinite(x) for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
+            raise InvalidArgumentError("knot levels must be finite and strictly increase")
+        if not all(1.0 / MAX_KNOT_INDEX <= e <= 1.0 for _, e in knots):
+            raise InvalidArgumentError(
+                f"knot exponents 1/p must lie in [1/{MAX_KNOT_INDEX}, 1]")
         ps = [int(round(1.0 / e)) for _, e in knots]
         if any(b <= a for a, b in zip([0] + ps, ps)):
             raise InvalidArgumentError("knot exponents must strictly decrease")
@@ -307,41 +264,36 @@ class PhantomDistFn(_PhantomBase):
         return build_continuous_phantom(DrivingSequence(gamma, prefix))
 
 
-class JumpPhantom(_PhantomBase):
-    """Step phantom: 0 below the first knot, gamma**(1/p_k) on each step."""
+class JumpPhantom(DistFn):
+    """Step phantom on the same knot table: 0 below the first knot,
+    gamma**(1/p_k) on [v_{p_k}, v_{p_{k+1}})."""
 
-    def eval(self, x: float) -> float:
-        d = self.driving
-        x = float(x)
-        if d.levels.rule is not None and x >= d.levels.sup:
-            return 1.0
-        k = d.knot_leq(x)
-        if k == 0:
-            return 0.0
-        if k >= HUGE_INDEX:
-            return 1.0
-        count = d.knot_count
-        if count is not None and k >= count and x > self.driving.knot(count)[0]:
+    def __init__(self, driving: DrivingSequence) -> None:
+        super().__init__(name="jump-phantom",
+                         cdf=lambda x: np.exp(self.log_cdf(x)),
+                         sf=lambda x: -np.expm1(self.log_cdf(x)),
+                         quantile=self._quantile,
+                         right_end=driving.levels.sup)
+        self.driving = driving
+        self._log_gamma = math.log(driving.gamma)
+
+    def log_cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        _, es, k, top = _knots_over(self.driving, x)
+        lc = np.where(k == 0, -np.inf, es[np.maximum(k - 1, 0)] * self._log_gamma)
+        return np.where(top, 0.0, lc)[()]
+
+    def pow(self, x, n):
+        return np.exp(n * self.log_cdf(x))
+
+    def _quantile(self, p):
+        g = _exponent_of(p, self._log_gamma)
+        xs, es = _knots_under(self.driving, g)
+        k = np.searchsorted(-es, -g, side="left")  # knots with exponent > g
+        if np.any(k == es.size):
             raise InvalidArgumentError(
-                "evaluation beyond the stored driving prefix; supply a rule")
-        return math.exp(self.log_cdf(x))
-
-    def log_cdf(self, x: float) -> float:
-        d = self.driving
-        x = float(x)
-        if d.levels.rule is not None and x >= d.levels.sup:
-            return 0.0
-        k = d.knot_leq(x)
-        if k == 0:
-            return -math.inf
-        if k >= HUGE_INDEX:
-            return 0.0
-        _, e = self._knot_exponent(k)
-        return e * self._log_gamma
-
-    def pow(self, x: float, n: float) -> float:
-        lc = self.log_cdf(x)
-        return 0.0 if lc == -math.inf else math.exp(n * lc)
+                "quantile beyond the stored driving prefix; supply a rule")
+        return xs[k][()]
 
 
 def build_continuous_phantom(driving: DrivingSequence) -> PhantomDistFn:
@@ -372,24 +324,12 @@ def driving_from_estimates(gamma: float, n_values, v_values) -> DrivingSequence:
     return DrivingSequence(gamma, prefix)
 
 
-def _log_cdf_any(G, xs: np.ndarray) -> np.ndarray:
-    if isinstance(G, _PhantomBase):
-        return np.array([G.log_cdf(float(x)) for x in xs], dtype=float)
-    return _log_cdf(G, np.asarray(xs, dtype=float))
-
-
 def phantom_gap(continuous: PhantomDistFn, jump: JumpPhantom,
                 n: int, grid: LevelGrid) -> float:
     """max over the grid of |G**n - Gtilde**n| for the two variants."""
     if not continuous.driving.same_as(jump.driving):
         raise InvalidArgumentError("phantoms stem from different driving sequences")
-    if n < 1:
-        raise InvalidArgumentError("power index must be >= 1")
-    if len(grid) == 0:
-        raise InvalidArgumentError("empty evaluation grid")
-    a = np.exp(n * _log_cdf_any(continuous, grid.values))
-    b = np.array([jump.pow(float(x), n) for x in grid.values])
-    return float(np.max(np.abs(a - b)))
+    return sup_power_distance(continuous, jump, n, grid)
 
 
 @dataclass(frozen=True)
@@ -409,7 +349,7 @@ class PhantomVerification:
         return all(r.gap <= se_multiplier * r.se_at_gap + tolerance for r in self.rows)
 
 
-def verify_phantom(G, maxlaw, min_levels: int = 16) -> PhantomVerification:
+def verify_phantom(G: DistFn, maxlaw, min_levels: int = 16) -> PhantomVerification:
     """Compare G**n against an estimated max law on its level grid.
 
     ``maxlaw`` is a MaxLawEstimate; each block size contributes the sup of
@@ -424,7 +364,7 @@ def verify_phantom(G, maxlaw, min_levels: int = 16) -> PhantomVerification:
         if inside < min_levels:
             raise InsufficientGridError(
                 f"n={r.n}: only {inside} grid levels inside [0.01, 0.99]")
-        gn = np.exp(r.n * _log_cdf_any(G, r.levels))
+        gn = np.exp(r.n * _log_cdf(G, r.levels))
         gaps = np.abs(r.p_hat - gn)
         i = int(np.argmax(gaps))
         rows.append(VerifyRow(n=int(r.n), gap=float(gaps[i]),

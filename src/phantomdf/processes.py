@@ -179,20 +179,22 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
     """Stationary values 0..length-1 of one path per generator, in time slabs.
 
     Yields (len(rngs), slab_len) blocks, row i from rngs[i], with slab_len <=
-    SLAB, that concatenate along axis 1 to the kept window (Metropolis blocks
-    are transposed views of a time-major buffer); burn-in is simulated and
-    dropped here.  Slabs cut the time axis burn + length at multiples of
-    SLAB, and every row draws only from its own generator, sequentially in
-    time, so a replica's values do not depend on which rows share the call.
+    SLAB, that concatenate along axis 1 to the kept window; burn-in is
+    simulated and dropped here.  Slabs cut the time axis burn + length at
+    multiples of SLAB, and every row draws only from its own generator,
+    sequentially in time, so a replica's values do not depend on which rows
+    share the call.  Slabs are views of buffers that the next slab
+    overwrites (Metropolis slabs are transposed views of time-major ones),
+    so a caller must reduce or copy a slab before it calls next().
     """
     rows = len(rngs)
     burn = default_burn_in(spec)
     total = burn + length
+    width = min(SLAB, total)
 
-    def draws(laws, size: int) -> np.ndarray:
-        out = np.empty((rows, size))
+    def draws(laws, out: np.ndarray) -> np.ndarray:
         for i, (law, rng) in enumerate(zip(laws, rngs)):
-            out[i] = law.draw(rng, size)
+            out[i] = law.draw(rng, out.shape[1])
         return out
 
     if isinstance(spec, IIDSpec):
@@ -203,22 +205,27 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
     elif isinstance(spec, MovingMaxSpec):
         m = int(spec.window)
         laws = [spec.base] * rows
-        carry = draws(laws, m - 1)
+        carry = draws(laws, np.empty((rows, m - 1)))
     elif isinstance(spec, LindleySpec):
         laws = [spec.step] * rows
         c_prev = np.zeros(rows)  # partial sum of the steps so far
         m_prev = np.zeros(rows)  # its running minimum, floored at 0
+        low_buf = np.empty(width)
     elif isinstance(spec, MetropolisSpec):
         x = np.full(rows, spec.init if spec.init is not None
                     else float(spec.target.quantile(0.5)))
         fx = np.asarray(spec.target.pdf(x), dtype=float)
+        # time-major increment and uniform buffers
+        zt_buf, ut_buf = np.empty((width, rows)), np.empty((width, rows))
     else:
         raise InvalidArgumentError(f"unknown spec {type(spec).__name__}")
+    if not isinstance(spec, MetropolisSpec):
+        buf = np.empty((rows, width))
 
     for pos in range(0, total, SLAB):
         s_len = min(SLAB, total - pos)
         if isinstance(spec, MovingMaxSpec):
-            raw = np.concatenate([carry, draws(laws, s_len)], axis=1)
+            raw = np.concatenate([carry, draws(laws, buf[:, :s_len])], axis=1)
             xs = np.lib.stride_tricks.sliding_window_view(raw, m, axis=1).max(axis=2)
             carry = raw[:, s_len:]
         elif isinstance(spec, LindleySpec):
@@ -226,11 +233,11 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
             # carry enters before the cumsum so slabs add up as one long cumsum
             # (the running minimum goes one row at a time through one
             # row-sized buffer, so a slab holds a single slab-sized array)
-            xs = draws(laws, s_len)
+            xs = draws(laws, buf[:, :s_len])
             xs[:, 0] += c_prev
             np.cumsum(xs, axis=1, out=xs)
             c_prev = xs[:, -1].copy()
-            low = np.empty(s_len)
+            low = low_buf[:s_len]
             for i in range(rows):
                 np.minimum.accumulate(xs[i], out=low)
                 np.minimum(low, m_prev[i], out=low)
@@ -239,8 +246,7 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         elif isinstance(spec, MetropolisSpec):
             # time-major, so each step reads and writes contiguous rows; the
             # chain state overwrites the increment it was built from
-            zt = np.empty((s_len, rows))
-            ut = np.empty((s_len, rows))
+            zt, ut = zt_buf[:s_len], ut_buf[:s_len]
             for i, rng in enumerate(rngs):
                 zt[:, i] = spec.proposal.draw(rng, s_len)
                 ut[:, i] = rng.random(s_len)
@@ -251,10 +257,9 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
                 x = np.where(acc, y, x)
                 fx = np.where(acc, fy, fx)
                 zt[t] = x
-            del ut  # freed before the next slab allocates its own
             xs = zt.T
         else:
-            xs = draws(laws, s_len)
+            xs = draws(laws, buf[:, :s_len])
         start = max(burn - pos, 0)
         if start < s_len:
             yield xs[:, start:]
@@ -268,8 +273,11 @@ def generate(spec: ProcessSpec, seed: int, length: int) -> SamplePath:
     if length < 1:
         raise InvalidArgumentError("length must be >= 1")
     tag = describe_spec(spec)
-    slabs = _path_slabs(spec, [rng_for(seed, "path", tag)], length)
-    values = np.concatenate([slab[0] for slab in slabs])
+    values = np.empty(length)
+    pos = 0
+    for slab in _path_slabs(spec, [rng_for(seed, "path", tag)], length):
+        values[pos:pos + slab.shape[1]] = slab[0]  # copied before next() reuses it
+        pos += slab.shape[1]
     if isinstance(spec, LindleySpec):
         return SamplePath(spec, seed, values, burn_in=default_burn_in(spec),
                           regeneration_marks=np.nonzero(values == 0.0)[0])

@@ -30,8 +30,8 @@ from phantomdf.estimate import (
     driving_from_maxima,
     estimate_Cn,
     estimate_driving_sequence,
-    estimate_max_cdf,
     estimate_theta_single_sequence,
+    exact_maxlaw,
     maxlaw_from_maxima,
     propbasic_series,
     rootzen_phantom,
@@ -62,8 +62,6 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             estimate_driving_sequence(IID_EXP, GAMMA, [100], R=100,
                                       method="monte-carlo")
-        with pytest.raises(InvalidArgumentError):
-            estimate_max_cdf(MOVMAX2, [100], R=199)
         with pytest.raises(InvalidArgumentError):
             check_BT(MOVMAX2, _exact_dse([100]), R=50, method="monte-carlo")
 
@@ -114,9 +112,9 @@ class TestDrivingSequence:
 
     def test_to_driving_sequence_knots(self):
         dse = _exact_dse([10, 100])
-        d = dse.to_driving_sequence()
-        assert d.knot(1) == (dse.level_for(10), 10)
-        assert d.knot(2) == (dse.level_for(100), 100)
+        xs, es = dse.to_driving_sequence().knots()
+        np.testing.assert_array_equal(xs, [dse.level_for(10), dse.level_for(100)])
+        np.testing.assert_array_equal(es, [1.0 / 10, 1.0 / 100])
 
 
 class TestBlockMaximaTable:
@@ -140,12 +138,27 @@ class TestBlockMaximaTable:
 class TestMaxLaw:
     def test_monte_carlo_within_4se_of_exact(self):
         R = 1000
-        est = estimate_max_cdf(MOVMAX2, [20, 80], R=R, seed=11)
+        table = block_maxima_table(MOVMAX2, [20, 80], R, seed=11, tag="maxlaw")
+        est = maxlaw_from_maxima(table, R, probs=np.linspace(0.002, 0.998, 41))
         for row in est.rows:
             exact = np.array([exact_max_cdf(MOVMAX2, row.n, float(x))
                               for x in row.levels])
             se = np.maximum(row.se, 1.0 / R)
             assert np.max(np.abs(row.p_hat - exact) / se) <= 4.0
+
+    def test_exact_grid(self):
+        probs = np.linspace(0.002, 0.998, 41)
+        est = exact_maxlaw(MOVMAX2, [20, 80], probs=probs)
+        assert est.method == "exact" and est.replicas == 0
+        for row in est.rows:
+            assert row.levels.size == probs.size
+            np.testing.assert_array_equal(
+                row.p_hat, [exact_max_cdf(MOVMAX2, row.n, float(x)) for x in row.levels])
+            # levels are the exact quantiles, so the law there meets probs
+            np.testing.assert_allclose(row.p_hat, probs, rtol=1e-9)
+            assert not row.se.any()
+        with pytest.raises(InvalidArgumentError):
+            exact_maxlaw(MOVMAX2, [80, 20], probs)
 
     def test_level_cap_clips_grid(self):
         R = 400
@@ -204,7 +217,7 @@ class TestSlabScansMatchDenseReference:
 
     def dense(self, seed, tag, length, spec=LINDLEY):
         rngs = [rng_for(seed, tag, r) for r in range(self.R)]
-        return np.concatenate(list(_path_slabs(spec, rngs, length)), axis=1)
+        return np.concatenate([s.copy() for s in _path_slabs(spec, rngs, length)], axis=1)
 
     def test_block_maxima_match_dense_reference(self):
         first = SLAB - default_burn_in(LINDLEY)  # values in the first slab

@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from phantomdf.distributions import exponential, powered
+from phantomdf.distributions import DistFn, exponential, powered
 from phantomdf.errors import (
     DegenerateDrivingSequenceError,
     InsufficientGridError,
     InvalidArgumentError,
 )
-from phantomdf.estimate import MaxLawEstimate, MaxLawRow, estimate_max_cdf
-from phantomdf.grids import LevelGrid, LevelSequence
+from phantomdf.estimate import MaxLawEstimate, MaxLawRow, exact_maxlaw
+from phantomdf.grids import HUGE_INDEX, LevelGrid, LevelSequence
 from phantomdf.phantom import (
+    MAX_KNOT_INDEX,
     DrivingSequence,
     JumpPhantom,
     PhantomDistFn,
@@ -36,6 +37,248 @@ def plateau_driving():
     return DrivingSequence(GAMMA, [1.0, 1.0, 1.0, 2.0, 3.0])
 
 
+class ScalarReference:
+    """The scalar phantom evaluation that the knot table replaced, kept as a
+    reference: the knot accessors and the continuous ``exponent``,
+    ``exponent_inverse`` and jump ``log_cdf`` bodies as they were."""
+
+    def __init__(self, driving: DrivingSequence) -> None:
+        self.driving = self  # the copied bodies read knots off self.driving
+        self.levels = driving.levels
+        self._knot_levels = driving._knot_levels
+        self._knot_index = driving._knot_index
+        self._log_gamma = math.log(driving.gamma)
+
+    @property
+    def knot_count(self):
+        if self.levels.rule is not None:
+            return None
+        return int(self._knot_index.size)
+
+    def knot(self, k):
+        k = int(k)
+        if k < 1:
+            raise InvalidArgumentError("knot index must be >= 1")
+        m = self._knot_index.size
+        if k <= m:
+            return float(self._knot_levels[k - 1]), int(self._knot_index[k - 1])
+        if self.levels.rule is None:
+            raise InvalidArgumentError(
+                f"knot {k} beyond stored driving prefix ({m} knots)")
+        n = self.levels.prefix.size + (k - m)
+        return self.levels.value(n), n
+
+    def knot_leq(self, x):
+        x = float(x)
+        m = self._knot_index.size
+        k = int(np.searchsorted(self._knot_levels, x, side="right"))
+        if k < m or self.levels.rule is None:
+            return k
+        n = self.levels.count_leq(x)
+        if n <= self.levels.prefix.size:
+            return k
+        if n >= HUGE_INDEX:
+            return HUGE_INDEX
+        return m + (n - self.levels.prefix.size)
+
+    def _knot_exponent(self, k):
+        x, p = self.driving.knot(k)
+        return x, 1.0 / p
+
+    def exponent(self, x):
+        d = self.driving
+        x = float(x)
+        if d.levels.rule is not None and x >= d.levels.sup:
+            return 0.0
+        x1, e1 = self._knot_exponent(1)
+        if x < x1:
+            return (x1 - x) + e1
+        k = d.knot_leq(x)
+        xk, ek = self._knot_exponent(k)
+        if x == xk:
+            return ek
+        count = d.knot_count
+        if count is not None and k >= count:
+            raise InvalidArgumentError(
+                "evaluation beyond the stored driving prefix; supply a rule")
+        xn, en = self._knot_exponent(k + 1)
+        t = (x - xk) / (xn - xk)
+        return ek + t * (en - ek)
+
+    def exponent_inverse(self, g):
+        d = self.driving
+        if g < 0:
+            raise InvalidArgumentError("exponent must be >= 0")
+        if g == 0.0:
+            if math.isfinite(d.levels.sup):
+                return d.levels.sup
+            raise InvalidArgumentError("exponent 0 is not attained")
+        x1, e1 = self._knot_exponent(1)
+        if g >= e1:
+            return x1 + (e1 - g)
+        count = d.knot_count
+        lo, hi = 1, 2
+        while True:
+            if count is not None and hi > count:
+                _, e_last = self._knot_exponent(count)
+                if g >= e_last:
+                    hi = count
+                    break
+                raise InvalidArgumentError(
+                    "quantile beyond the stored driving prefix; supply a rule")
+            if self._knot_exponent(hi)[1] < g:
+                break
+            lo = hi
+            hi *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._knot_exponent(mid)[1] >= g:
+                lo = mid
+            else:
+                hi = mid
+        xk, ek = self._knot_exponent(lo)
+        if g == ek:
+            return xk
+        xn, en = self._knot_exponent(lo + 1)
+        return xk + (ek - g) / (ek - en) * (xn - xk)
+
+    def jump_log_cdf(self, x):
+        d = self.driving
+        x = float(x)
+        if d.levels.rule is not None and x >= d.levels.sup:
+            return 0.0
+        k = d.knot_leq(x)
+        if k == 0:
+            return -math.inf
+        if k >= HUGE_INDEX:
+            return 0.0
+        _, e = self._knot_exponent(k)
+        return e * self._log_gamma
+
+
+def _drivings():
+    """Prefix-only, rule-backed and parsed driving sequences, by name."""
+    sizes = np.unique(np.round(10.0 ** np.arange(1.0, 4.01, 1.0 / 6.0)).astype(int))
+    fitted = driving_from_estimates(
+        GAMMA, sizes, exponential(1.0).quantile(GAMMA ** (1.0 / sizes)))
+    parsed = PhantomDistFn.from_text(build_continuous_phantom(fitted).to_text())
+    return {
+        "plateau": plateau_driving(),
+        "estimates": driving_from_estimates(GAMMA, [2, 5, 9, 40], [1.0, 2.0, 3.0, 3.5]),
+        "fitted": fitted,
+        "rule": DrivingSequence(GAMMA, LevelSequence(rule=float)),
+        "prefix-and-rule": DrivingSequence(
+            0.3, LevelSequence(prefix=(0.25, 0.25, 1.0, 1.0, 1.5), rule=float)),
+        "parsed": parsed.driving,
+    }
+
+
+DRIVINGS = _drivings()
+
+
+class TestKnotTableMatchesScalarReference:
+    """The vectorised phantoms give the scalar reference's floats exactly."""
+
+    @staticmethod
+    def probe_levels(d: DrivingSequence) -> np.ndarray:
+        xs, _ = d.knots(60) if d.levels.rule is not None else d.knots()
+        xs = xs[:60]
+        mids = (xs[:-1] + xs[1:]) / 2.0
+        thirds = xs[:-1] + (xs[1:] - xs[:-1]) / 3.0
+        below = xs[0] - np.array([2.5, 1.0, 1e-9])
+        between = np.random.default_rng(8).uniform(xs[0], xs[-1], 400)
+        return np.concatenate([below, xs, mids, thirds, between])
+
+    @pytest.mark.parametrize("name", DRIVINGS)
+    def test_continuous_exponent(self, name):
+        d = DRIVINGS[name]
+        ref, G = ScalarReference(d), build_continuous_phantom(d)
+        x = self.probe_levels(d)
+        want = np.array([ref.exponent(v) for v in x])
+        np.testing.assert_array_equal(G.exponent(x), want)
+        assert all(G.exponent(v) == w for v, w in zip(x[::7], want[::7]))
+        np.testing.assert_array_equal(G.pow(x, 17), np.exp(17 * (want * ref._log_gamma)))
+
+    @pytest.mark.parametrize("name", DRIVINGS)
+    def test_jump_log_cdf(self, name):
+        d = DRIVINGS[name]
+        ref, J = ScalarReference(d), build_jump_phantom(d)
+        x = self.probe_levels(d)
+        np.testing.assert_array_equal(J.log_cdf(x), [ref.jump_log_cdf(v) for v in x])
+
+    @pytest.mark.parametrize("name", DRIVINGS)
+    def test_exponent_inverse(self, name):
+        d = DRIVINGS[name]
+        ref, G = ScalarReference(d), build_continuous_phantom(d)
+        _, es = d.knots(60) if d.levels.rule is not None else d.knots()
+        es = es[:60]
+        between = np.random.default_rng(9).uniform(es[-1], es[0], 400)
+        g = np.concatenate([es, (es[:-1] + es[1:]) / 2.0, es[0] + np.array([0.5, 3.0]),
+                            between])
+        np.testing.assert_array_equal(G.exponent_inverse(g),
+                                      [ref.exponent_inverse(v) for v in g])
+
+    @pytest.mark.parametrize("name", ["plateau", "estimates", "fitted", "parsed"])
+    def test_past_the_prefix_raises(self, name):
+        d = DRIVINGS[name]
+        ref = ScalarReference(d)
+        G, J = build_continuous_phantom(d), build_jump_phantom(d)
+        xs, es = d.knots()
+        beyond = float(xs[-1]) + 0.5
+        for fn in (ref.exponent, G.exponent, J.log_cdf, G.cdf, J.cdf):
+            with pytest.raises(InvalidArgumentError):
+                fn(beyond)
+        with pytest.raises(InvalidArgumentError):
+            G.exponent(np.array([float(xs[0]), beyond]))  # one bad point suffices
+        for fn in (ref.exponent_inverse, G.exponent_inverse):
+            with pytest.raises(InvalidArgumentError):
+                fn(float(es[-1]) / 2.0)
+
+    def test_rule_backed_sup_and_huge_levels(self):
+        bounded = LevelSequence(rule=lambda n: 2.0 - 1.0 / n, sup=2.0)
+        d = DrivingSequence(GAMMA, bounded)
+        ref, G = ScalarReference(d), build_continuous_phantom(d)
+        J = build_jump_phantom(d)
+        x = np.array([2.0, 7.0, np.inf])
+        np.testing.assert_array_equal(G.exponent(x), [ref.exponent(v) for v in x])
+        np.testing.assert_array_equal(J.log_cdf(x), [ref.jump_log_cdf(v) for v in x])
+        assert G.exponent_inverse(0.0) == ref.exponent_inverse(0.0) == 2.0
+
+
+class TestPhantomsAreDistFns:
+    def test_isinstance(self):
+        d = plateau_driving()
+        assert isinstance(build_continuous_phantom(d), DistFn)
+        assert isinstance(build_jump_phantom(d), DistFn)
+        assert build_continuous_phantom(d).right_end == 3.0
+
+    def test_vectorised_cdf_sf_quantile(self):
+        G = build_continuous_phantom(DrivingSequence(GAMMA, LevelSequence(rule=float)))
+        x = np.array([[0.5, 1.0], [2.7, 400.0]])
+        lc = G.exponent(x) * math.log(GAMMA)
+        np.testing.assert_array_equal(G.cdf(x), np.exp(lc))
+        np.testing.assert_array_equal(G.tail(x), -np.expm1(lc))
+        assert G.cdf(x).shape == x.shape
+        np.testing.assert_allclose(G.quantile(G.cdf(x)), x, rtol=1e-12)
+        with pytest.raises(InvalidArgumentError):
+            G.quantile(np.array([0.5, 1.0]))
+
+    def test_jump_quantile_is_generalized_inverse(self):
+        J = build_jump_phantom(plateau_driving())
+        p = np.array([1e-3, GAMMA ** (1.0 / 3.0), 0.75, GAMMA ** 0.2])
+        np.testing.assert_array_equal(J.quantile(p), [1.0, 1.0, 2.0, 3.0])
+        assert np.all(J.cdf(J.quantile(p)) >= p)
+        with pytest.raises(InvalidArgumentError):
+            J.quantile(0.99)  # above the last step
+
+    def test_verify_reads_a_phantom_like_any_distfn(self):
+        G = TestVerification().fit_from_exact_driving(GAMMA)
+        plain = DistFn(name="copy", cdf=G.cdf, sf=G.sf, quantile=G.quantile,
+                       right_end=G.right_end)
+        maxlaw = TestVerification().exact_maxlaw()
+        assert verify_phantom(G, maxlaw) == verify_phantom(plain, maxlaw)
+
+
 class TestDrivingSequence:
     def test_gamma_range_enforced(self):
         for g in (0.0, 1.0, -0.2, 1.7):
@@ -47,25 +290,39 @@ class TestDrivingSequence:
             DrivingSequence(0.5, [2.0, 2.0, 2.0])
 
     def test_plateaus_compress_to_knots(self):
-        d = plateau_driving()
-        assert d.knot_count == 3
-        assert d.knot(1) == (1.0, 3)
-        assert d.knot(2) == (2.0, 4)
-        assert d.knot(3) == (3.0, 5)
-        assert d.knot_leq(2.5) == 2
-        assert d.knot_leq(0.2) == 0
+        xs, es = plateau_driving().knots()
+        np.testing.assert_array_equal(xs, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(es, [1.0 / 3, 1.0 / 4, 1.0 / 5])
+        assert np.searchsorted(xs, 2.5, side="right") == 2
+        assert np.searchsorted(xs, 0.2, side="right") == 0
 
     def test_rule_backed_knots(self):
         d = DrivingSequence(GAMMA, LevelSequence(rule=float))
-        assert d.knot_count is None
-        assert d.knot(7) == (7.0, 7)
-        assert d.knot_leq(12.3) == 12
+        with pytest.raises(InvalidArgumentError):
+            d.knots()  # a rule supplies infinitely many knots
+        xs, es = d.knots(20)
+        assert xs.size == 20
+        assert (xs[6], es[6]) == (7.0, 1.0 / 7)
+        assert np.searchsorted(xs, 12.3, side="right") == 12
+
+    def test_rule_backed_table_is_bounded(self):
+        d = DrivingSequence(GAMMA, LevelSequence(prefix=(0.5, 0.5), rule=float))
+        xs, es = d.knots(4)
+        np.testing.assert_array_equal(xs, [0.5, 3.0, 4.0])
+        np.testing.assert_array_equal(es, [1.0 / 2, 1.0 / 3, 1.0 / 4])
+        with pytest.raises(InvalidArgumentError):
+            d.knots(MAX_KNOT_INDEX + 1)
+        G = build_continuous_phantom(d)
+        with pytest.raises(InvalidArgumentError):
+            G.cdf(float(MAX_KNOT_INDEX) + 0.5)
+        with pytest.raises(InvalidArgumentError):
+            G.quantile(1.0 - 1e-12)
 
     def test_driving_from_estimates(self):
         d = driving_from_estimates(GAMMA, [2, 5, 9], [1.0, 2.0, 3.0])
-        assert d.knot(1) == (1.0, 2)
-        assert d.knot(2) == (2.0, 5)
-        assert d.knot(3) == (3.0, 9)
+        xs, es = d.knots()
+        np.testing.assert_array_equal(xs, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(es, [1.0 / 2, 1.0 / 5, 1.0 / 9])
         with pytest.raises(InvalidArgumentError):
             driving_from_estimates(GAMMA, [5, 2], [1.0, 2.0])
         with pytest.raises(InvalidArgumentError):
@@ -78,7 +335,7 @@ class TestContinuousPhantom:
         assert G.exponent(1.0) == 1.0 / 3.0
         assert G.exponent(2.0) == 0.25
         assert G.exponent(3.0) == 0.2
-        assert G.eval(1.0) == pytest.approx(math.exp(-1.0 / 3.0), rel=1e-15)
+        assert G.cdf(1.0) == pytest.approx(math.exp(-1.0 / 3.0), rel=1e-15)
 
     def test_linear_between_knots(self):
         G = build_continuous_phantom(plateau_driving())
@@ -91,7 +348,7 @@ class TestContinuousPhantom:
     def test_beyond_prefix_fails_without_rule(self):
         G = build_continuous_phantom(plateau_driving())
         with pytest.raises(InvalidArgumentError):
-            G.eval(3.5)
+            G.cdf(3.5)
         with pytest.raises(InvalidArgumentError):
             G.quantile(0.9999999)
 
@@ -104,29 +361,29 @@ class TestContinuousPhantom:
     def test_quantile_duality(self):
         G = build_continuous_phantom(DrivingSequence(GAMMA, LevelSequence(rule=float)))
         for x in (1.0, 2.7, 19.25, 400.0):
-            assert G.quantile(G.eval(x)) == pytest.approx(x, rel=1e-12)
+            assert G.quantile(G.cdf(x)) == pytest.approx(x, rel=1e-12)
 
     def test_tail_complement(self):
         G = build_continuous_phantom(plateau_driving())
-        assert G.tail(2.0) == pytest.approx(1.0 - G.eval(2.0), rel=1e-14)
+        assert G.tail(2.0) == pytest.approx(1.0 - G.cdf(2.0), rel=1e-14)
 
 
 class TestJumpPhantom:
     def test_step_values(self):
         J = build_jump_phantom(plateau_driving())
-        assert J.eval(0.99) == 0.0
-        assert J.eval(1.0) == pytest.approx(GAMMA ** (1.0 / 3.0), rel=1e-15)
-        assert J.eval(2.9) == pytest.approx(GAMMA ** 0.25, rel=1e-15)
-        assert J.eval(3.0) == pytest.approx(GAMMA ** 0.2, rel=1e-15)
+        assert J.cdf(0.99) == 0.0
+        assert J.cdf(1.0) == pytest.approx(GAMMA ** (1.0 / 3.0), rel=1e-15)
+        assert J.cdf(2.9) == pytest.approx(GAMMA ** 0.25, rel=1e-15)
+        assert J.cdf(3.0) == pytest.approx(GAMMA ** 0.2, rel=1e-15)
         with pytest.raises(InvalidArgumentError):
-            J.eval(3.5)
+            J.cdf(3.5)
 
     def test_jump_below_continuous(self):
         """The step variant never exceeds the interpolated one."""
         d = plateau_driving()
         G, J = build_continuous_phantom(d), build_jump_phantom(d)
         for x in np.linspace(1.0, 3.0, 41):
-            assert J.eval(float(x)) <= G.eval(float(x)) + 1e-15
+            assert J.cdf(float(x)) <= G.cdf(float(x)) + 1e-15
 
     def test_pow_at_zero_cdf(self):
         J = build_jump_phantom(plateau_driving())
@@ -155,18 +412,84 @@ class TestSerialization:
         H = PhantomDistFn.from_text(text)
         assert H.to_text() == text
         for x in np.linspace(0.5, 3.0, 21):
-            assert H.eval(float(x)) == G.eval(float(x))
+            assert H.cdf(float(x)) == G.cdf(float(x))
 
     def test_rule_backed_needs_truncation(self):
         G = build_continuous_phantom(DrivingSequence(GAMMA, LevelSequence(rule=float)))
         with pytest.raises(InvalidArgumentError):
             G.to_text()
         H = PhantomDistFn.from_text(G.to_text(max_level_index=50))
-        assert H.eval(37.5) == pytest.approx(G.eval(37.5), rel=1e-14)
+        assert H.cdf(37.5) == pytest.approx(G.cdf(37.5), rel=1e-14)
 
     def test_header_checked(self):
         with pytest.raises(InvalidArgumentError):
             PhantomDistFn.from_text("not a phantom\n")
+
+
+@st.composite
+def knot_tables(draw):
+    size = draw(st.integers(min_value=2, max_value=12))
+    ps = sorted(draw(st.lists(st.integers(min_value=1, max_value=100_000),
+                              min_size=size, max_size=size, unique=True)))
+    xs = sorted(draw(st.lists(st.floats(min_value=-1e9, max_value=1e9),
+                              min_size=size, max_size=size, unique=True)))
+    gamma = draw(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+    return gamma, ps, xs
+
+
+_HEADER = "phantomdf continuous v1\n"
+_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(lambda v: f"{v:.17g}"),
+    st.integers(min_value=-3, max_value=8).map(str),
+    st.integers(min_value=-3, max_value=2**40).map(str),
+    st.sampled_from(["0", "1", "0.5", "1e-300", "5e-324", "1e400", "-0", "nan",
+                     "two", "knots", "gamma", ""]),
+)
+
+
+@st.composite
+def phantom_texts(draw):
+    """Phantom files with random tokens in every field and random rows."""
+    header = draw(st.sampled_from(["phantomdf continuous v1", "phantomdf v1", ""]))
+    head_rows = [f"gamma {draw(_TOKENS)}", f"knots {draw(_TOKENS)}"]
+    knot_row = st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 1.0)).map(
+        lambda t: f"{t[0]:.17g} {t[1]:.17g}")
+    rows = draw(st.lists(st.one_of(knot_row, st.lists(_TOKENS, max_size=3).map(" ".join)),
+                         max_size=6))
+    lines = [header] + draw(st.permutations(head_rows)) + rows
+    return "\n".join(lines) + "\n"
+
+
+class TestSerializationProperties:
+    @given(knot_tables())
+    def test_round_trip_keeps_every_knot(self, table):
+        gamma, ps, xs = table
+        G = build_continuous_phantom(driving_from_estimates(gamma, ps, xs))
+        text = G.to_text()
+        H = PhantomDistFn.from_text(text)
+        assert H.driving.gamma == G.driving.gamma
+        for a, b in zip(H.driving.knots(), G.driving.knots()):
+            np.testing.assert_array_equal(a, b)
+        assert H.to_text() == text
+
+    @settings(max_examples=300)
+    @given(st.one_of(phantom_texts(), st.text(max_size=80)))
+    @example(_HEADER + "gamma 0.5\nknots 1\n0.5 1\n")              # one knot
+    @example(_HEADER + "gamma 0.5\nknots 2\n1 1\n1 0.5\n")         # repeated level
+    @example(_HEADER + "gamma 0.5\nknots 2\n0 1\n1 5e-324\n")      # subnormal 1/p
+    @example(_HEADER + "gamma 0.5\nknots 2\nnan 1\n1 0.5\n")       # nan level
+    def test_malformed_text_raises_only_invalid_argument(self, text):
+        try:
+            G = PhantomDistFn.from_text(text)
+        except InvalidArgumentError:
+            return
+        assert G.driving.knots()[0].size >= 2  # parsed into a usable phantom
+
+    def test_too_fine_exponent_refused_before_allocating(self):
+        text = ("phantomdf continuous v1\ngamma 0.5\nknots 2\n0 1\n"
+                f"1 {1.0 / (4 * MAX_KNOT_INDEX):.17g}\n")
+        with pytest.raises(InvalidArgumentError):
+            PhantomDistFn.from_text(text)
 
 
 class TestVerification:
@@ -179,7 +502,8 @@ class TestVerification:
         return build_continuous_phantom(driving_from_estimates(gamma, sizes, levels))
 
     def exact_maxlaw(self) -> MaxLawEstimate:
-        return estimate_max_cdf(IIDSpec(exponential(1.0)), [200, 2000], method="exact")
+        return exact_maxlaw(IIDSpec(exponential(1.0)), [200, 2000],
+                            probs=np.linspace(0.002, 0.998, 41))
 
     def test_true_phantom_verifies(self):
         rep = verify_phantom(self.fit_from_exact_driving(GAMMA), self.exact_maxlaw())

@@ -109,7 +109,7 @@ class TestPathSlabs:
 
     @staticmethod
     def paths(spec, rngs, length):
-        slabs = list(_path_slabs(spec, rngs, length))
+        slabs = [s.copy() for s in _path_slabs(spec, rngs, length)]
         burn = default_burn_in(spec)
         # slabs cut burn-in + length at multiples of SLAB; burn-in is dropped
         assert [s.shape[1] for s in slabs] == [SLAB - burn, SLAB, length - 2 * SLAB + burn]
@@ -186,8 +186,8 @@ class TestSlabKernels:
     def test_metropolis_equals_row_major_loop(self, rows):
         length = SLAB + 200  # burn-in + length crosses a slab boundary
         spec = self.METROPOLIS
-        got = np.concatenate(list(_path_slabs(
-            spec, [rng_for(4, "kernel", r) for r in range(rows)], length)), axis=1)
+        got = np.concatenate([s.copy() for s in _path_slabs(
+            spec, [rng_for(4, "kernel", r) for r in range(rows)], length)], axis=1)
         want = metropolis_row_major(
             spec, [rng_for(4, "kernel", r) for r in range(rows)], length)
         assert got.shape == (rows, length)
@@ -210,6 +210,26 @@ class TestSlabKernels:
         finally:
             tracemalloc.stop()
         assert slab.shape == (self.ROWS, length)
+        assert peak <= budget * self.SLAB_BYTES, peak / self.SLAB_BYTES
+
+    @pytest.mark.parametrize("kind", ["metropolis", "lindley"])
+    def test_three_full_slabs_fit_the_same_budget(self, kind):
+        # every slab reuses the buffers of the one before, so a caller that
+        # holds the previous slab while it asks for the next costs nothing
+        spec, budget = {"metropolis": (self.METROPOLIS, 2.25),
+                        "lindley": (self.LINDLEY, 1.25)}[kind]
+        rngs = [rng_for(7, "memory", r) for r in range(self.ROWS)]
+        length = 3 * SLAB - default_burn_in(spec)
+        slabs = _path_slabs(spec, rngs, length)
+        widths = []
+        tracemalloc.start()
+        try:
+            for slab in slabs:
+                widths.append(slab.shape[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert widths == [SLAB - default_burn_in(spec), SLAB, SLAB]
         assert peak <= budget * self.SLAB_BYTES, peak / self.SLAB_BYTES
 
 

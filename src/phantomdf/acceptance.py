@@ -23,27 +23,23 @@ from .distributions import (
     uniform,
 )
 from .estimate import (
+    VERIFY_RULE,
     block_maxima_table,
     check_BT,
-    cycle_tail_ratio,
-    decompose_regenerative,
-    driving_from_maxima,
     estimate_driving_sequence,
     estimate_theta_single_sequence,
-    maxlaw_from_maxima,
-    rootzen_phantom,
+    fit_phantom,
+    regen_phantom,
+    verify_by_simulation,
 )
 from .grids import LevelSequence
-from .phantom import DrivingSequence, build_continuous_phantom, verify_phantom
+from .phantom import DrivingSequence, build_continuous_phantom
 from .processes import (
     IIDSpec,
-    LindleySpec,
     MetropolisSpec,
     MixtureSpec,
     MovingMaxSpec,
     exact_max_cdf,
-    generate,
-    lindley_step_tail_vs_stationary,
     marginal_sf,
     metropolis_config_check,
     target_tail_condition,
@@ -254,43 +250,29 @@ def criterion_6(workers: int = 1) -> CriterionResult:
 def criterion_7(workers: int = 1) -> CriterionResult:
     """Lindley pipeline: regenerative phantom, cycle tail band,
     stationary-vs-step tail verdict."""
-    step = shifted(pareto(2.0, 1.0), -2.0)
-    spec = LindleySpec(step=step)
-    path = generate(spec, SEED, 1_000_000)
-    rs = decompose_regenerative(path)
+    rg = regen_phantom(shifted(pareto(2.0, 1.0), -2.0), 1_000_000, [1_000, 10_000],
+                       R=1_000, seed=SEED, tag="c7", workers=workers)
+    rs, ver = rg.stats, rg.verification
     cycles_ok = rs.cycle_count >= 1_000
-    G = rootzen_phantom(rs)
-
-    table = block_maxima_table(spec, [1_000, 10_000], R=1_000, seed=SEED,
-                               tag="c7", workers=workers)
-    ml = maxlaw_from_maxima(table, R=1_000)
-    ver = verify_phantom(G, ml)
-    gaps_ok = ver.passes(se_multiplier=3.0, tolerance=0.05)
-
-    band = cycle_tail_ratio(rs, step, q=0.99)
-    band_ok = 0.5 <= band.ratio <= 2.0
-
-    tails = lindley_step_tail_vs_stationary(step, path.values)
-    tail_ok = tails.verdict == "ratio->0"
 
     arts = {
-        "lindley_maxlaw.csv": maxlaw_csv(ml),
+        "lindley_maxlaw.csv": maxlaw_csv(rg.maxlaw),
         "lindley_regen.json": json_report({
             "cycle_count": rs.cycle_count,
             "mu_hat": rs.mu_hat,
             "mu_se": rs.mu_se,
-            "gaps": [{"n": r.n, "gap": r.gap, "se": r.se_at_gap} for r in ver.rows],
-            "cycle_tail_ratio": band.ratio,
-            "tail_verdict": tails.verdict,
+            "gaps": ver.gaps(),
+            "cycle_tail_ratio": rg.band.ratio,
+            "tail_verdict": rg.tails.verdict,
         }),
     }
     return CriterionResult(
         number=7, name="regenerative Lindley pipeline",
-        passed=cycles_ok and gaps_ok and band_ok and tail_ok,
-        tolerance="gap <= 3 SE + 0.05; band [0.5, 2]; verdict ratio->0",
+        passed=cycles_ok and rg.verified and rg.band_ok and rg.tail_ok,
+        tolerance=f"{VERIFY_RULE}; band [0.5, 2]; verdict ratio->0",
         detail=(f"{rs.cycle_count} cycles; gaps "
                 + ", ".join(f"n={r.n}: {r.gap:.4f}" for r in ver.rows)
-                + f"; tail band {band.ratio:.3f}; verdict {tails.verdict!r}"),
+                + f"; tail band {rg.band.ratio:.3f}; verdict {rg.tails.verdict!r}"),
         artifacts=arts)
 
 
@@ -310,20 +292,12 @@ def criterion_8(workers: int = 1) -> CriterionResult:
                                            R=1_000, seed=SEED, workers=workers)
     zero_ok = theta.verdict == "zero"
 
-    # driving fit on a dense log grid so the piecewise-linear exponent has
-    # knots within ~1.5x of every verified level; validation maxima are an
-    # independent simulation
-    fit_sizes = np.unique(np.round(
-        10.0 ** np.arange(2.0, 6.0 + 1e-9, 1.0 / 6.0)).astype(int)).tolist()
-    fit = block_maxima_table(spec, fit_sizes, R=1_000, seed=SEED,
-                             tag="c8-fit", workers=workers)
-    dse = driving_from_maxima(GAMMA, fit, R=1_000)
-    phantom = build_continuous_phantom(dse.to_driving_sequence())
-    val = block_maxima_table(spec, [1_000, 10_000], R=1_000, seed=SEED,
-                             tag="c8-val", workers=workers)
-    ml = maxlaw_from_maxima(val, R=1_000, level_cap=float(dse.v_hat[-1]))
-    ver = verify_phantom(phantom, ml)
-    gaps_ok = ver.passes(se_multiplier=3.0, tolerance=0.05)
+    # the validation maxima are simulated independently of the fit's
+    dse, phantom = fit_phantom(spec, GAMMA, [1_000, 10_000], R=1_000, seed=SEED,
+                               tag="c8-fit", workers=workers)
+    ml, ver, gaps_ok = verify_by_simulation(spec, phantom, [1_000, 10_000],
+                                            R=1_000, seed=SEED, tag="c8-val",
+                                            workers=workers)
 
     arts = {
         "metropolis_driving.csv": driving_csv(dse),
@@ -338,13 +312,13 @@ def criterion_8(workers: int = 1) -> CriterionResult:
             },
             "tail_condition_holds": tail_rep.holds,
             "theta_verdict": theta.verdict,
-            "gaps": [{"n": r.n, "gap": r.gap, "se": r.se_at_gap} for r in ver.rows],
+            "gaps": ver.gaps(),
         }),
     }
     return CriterionResult(
         number=8, name="random-walk sampler pipeline",
         passed=cfg_ok and shift_ok and zero_ok and gaps_ok,
-        tolerance="config checks boolean; gap <= 3 SE + 0.05",
+        tolerance=f"config checks boolean; {VERIFY_RULE}",
         detail=(f"config ok = {cfg_ok}; flat-tail holds = {shift_ok}; "
                 f"theta verdict = {theta.verdict!r}; gaps "
                 + ", ".join(f"n={r.n}: {r.gap:.4f}" for r in ver.rows)),

@@ -9,28 +9,23 @@ numbers live only in timing.txt.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from .config import build_spec, load_config, parse_int_list, parse_law, print_defaults
 from .errors import InvalidArgumentError, PhantomdfError
 from .estimate import (
-    block_maxima_table,
     check_BT,
-    cycle_tail_ratio,
-    decompose_regenerative,
-    driving_from_maxima,
+    estimate_driving_sequence,
     estimate_theta_single_sequence,
-    maxlaw_from_maxima,
-    rootzen_phantom,
+    fit_phantom,
+    regen_phantom,
+    verify_by_simulation,
 )
-from .phantom import PhantomDistFn, build_continuous_phantom, verify_phantom
-from .processes import LindleySpec, generate, lindley_step_tail_vs_stationary
+from .phantom import PhantomDistFn
+from .processes import generate
 from .rates import (
     DeltaEvidence,
     ExponentialMixing,
@@ -111,17 +106,6 @@ def _write(out: Path, name: str, text: str | Iterable[str]) -> None:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
-def _fit_sizes(block_sizes: list[int]) -> list[int]:
-    # knots every sixth of a decade; a verified block's 0.01 and 0.99
-    # levels sit at effective indices n/4.6 and 460n, so the grid runs
-    # from a decade below the smallest block to two past the largest
-    lo = max(0.0, math.log10(min(block_sizes)) - 1.0)
-    hi = math.log10(max(block_sizes)) + 2.0
-    grid = 10.0 ** np.arange(lo, hi + 1e-9, 1.0 / 6.0)
-    sizes = np.unique(np.round(grid).astype(int))
-    return sorted(set(sizes.tolist()) | set(block_sizes))
-
-
 def cmd_simulate(args) -> int:
     st = _Settings(args, "simulate")
     spec = st.spec()
@@ -150,16 +134,10 @@ def cmd_phantom_fit(args) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
     R, seed, gamma = st.replicas, st.seed, st.gamma
-    fit_sizes = _fit_sizes(blocks)
-    fit = block_maxima_table(spec, fit_sizes, R, seed, tag="phantom-fit",
-                             workers=st.workers)
-    dse = driving_from_maxima(gamma, fit, R)
-    phantom = build_continuous_phantom(dse.to_driving_sequence())
-    val = block_maxima_table(spec, blocks, R, seed, tag="phantom-verify",
-                             workers=st.workers)
-    ml = maxlaw_from_maxima(val, R, level_cap=float(dse.v_hat[-1]))
-    ver = verify_phantom(phantom, ml)
-    verified = ver.passes(se_multiplier=3.0, tolerance=0.05)
+    dse, phantom = fit_phantom(spec, gamma, blocks, R, seed, tag="phantom-fit",
+                               workers=st.workers)
+    ml, ver, verified = verify_by_simulation(spec, phantom, blocks, R, seed,
+                                             tag="phantom-verify", workers=st.workers)
 
     bt = check_BT(spec, dse, T=float(st.get("bt_T", "2.0")),
                   n_list=blocks, R=R, seed=seed, workers=st.workers)
@@ -181,7 +159,7 @@ def cmd_phantom_fit(args) -> int:
         "seed": seed,
         "phantom_verified": verified,
         "sup_gap": ver.sup_gap,
-        "gaps": [{"n": r.n, "gap": r.gap, "se": r.se_at_gap} for r in ver.rows],
+        "gaps": ver.gaps(),
         "bt_max_b": bt.max_b(),
         "bt_r_exponent": bt.r_exponent,
         "bt_r_adjusted": bt.r_adjusted,
@@ -200,20 +178,15 @@ def cmd_verify(args) -> int:
     blocks = parse_int_list(st.get("block_sizes"))
     text = Path(st.get("phantom")).read_text(encoding="utf-8")
     phantom = PhantomDistFn.from_text(text)
-    table = block_maxima_table(spec, blocks, st.replicas, st.seed,
-                               tag="verify", workers=st.workers)
-    levels = phantom.driving.levels
-    cap = None if levels.rule is not None else float(levels.prefix[-1])
-    ml = maxlaw_from_maxima(table, st.replicas, level_cap=cap)
-    ver = verify_phantom(phantom, ml)
-    ok = ver.passes(se_multiplier=3.0, tolerance=0.05)
+    ml, ver, ok = verify_by_simulation(spec, phantom, blocks, st.replicas, st.seed,
+                                       tag="verify", workers=st.workers)
     out = st.out_dir
     _write(out, "maxlaw.csv", maxlaw_csv(ml))
     _write(out, "summary.json", json_report({
         "subcommand": "verify",
         "phantom_verified": ok,
         "sup_gap": ver.sup_gap,
-        "gaps": [{"n": r.n, "gap": r.gap, "se": r.se_at_gap} for r in ver.rows],
+        "gaps": ver.gaps(),
     }))
     print(f"verify: sup gap {ver.sup_gap:.4f} -> "
           f"{'verified' if ok else 'NOT verified'}")
@@ -224,7 +197,6 @@ def cmd_bt_check(args) -> int:
     st = _Settings(args, "bt-check")
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
-    from .estimate import estimate_driving_sequence
     dse = estimate_driving_sequence(spec, st.gamma, blocks, R=st.replicas,
                                     seed=st.seed, workers=st.workers)
     bt = check_BT(spec, dse, T=float(st.get("T", "2.0")), n_list=blocks,
@@ -250,46 +222,32 @@ def cmd_bt_check(args) -> int:
 
 def cmd_regen(args) -> int:
     st = _Settings(args, "regen")
-    step = parse_law(st.get("step"))
-    spec = LindleySpec(step=step)
-    length = int(st.get("length"))
-    path = generate(spec, st.seed, length)
-    rs = decompose_regenerative(path)
-    G = rootzen_phantom(rs, smoothing=st.get("smoothing", "linear"))
-    blocks = parse_int_list(st.get("verify_blocks"))
-    table = block_maxima_table(spec, blocks, st.replicas, st.seed,
-                               tag="regen-verify", workers=st.workers)
-    ml = maxlaw_from_maxima(table, st.replicas)
-    ver = verify_phantom(G, ml)
-    gaps_ok = ver.passes(se_multiplier=3.0, tolerance=0.05)
-    band = cycle_tail_ratio(rs, step, q=0.99)
-    band_ok = 0.5 <= band.ratio <= 2.0
-    tails = lindley_step_tail_vs_stationary(step, path.values)
-    tail_ok = tails.verdict == "ratio->0"
-
-    uniq, counts = np.unique(rs.maxima, return_counts=True)
-    cum = np.cumsum(counts) / rs.cycle_count
+    rg = regen_phantom(parse_law(st.get("step")), int(st.get("length")),
+                       parse_int_list(st.get("verify_blocks")), st.replicas,
+                       st.seed, tag="regen-verify", workers=st.workers,
+                       smoothing=st.get("smoothing", "linear"))
+    rs, ver = rg.stats, rg.verification
     out = st.out_dir
     _write(out, "cycle_maxima_cdf.csv",
-           csv_table(("y", "cycle_cdf"), zip(uniq, cum)))
-    _write(out, "maxlaw.csv", maxlaw_csv(ml))
-    _write(out, "path.marks.txt", marks_file_text(path))
+           csv_table(("y", "cycle_cdf"), zip(*rs.cycle_cdf)))
+    _write(out, "maxlaw.csv", maxlaw_csv(rg.maxlaw))
+    _write(out, "path.marks.txt", marks_file_text(rg.path))
     _write(out, "summary.json", json_report({
         "subcommand": "regen",
         "cycle_count": rs.cycle_count,
         "mu_hat": rs.mu_hat,
         "mu_se": rs.mu_se,
-        "phantom_verified": gaps_ok,
+        "phantom_verified": rg.verified,
         "sup_gap": ver.sup_gap,
-        "cycle_tail_ratio": band.ratio,
-        "cycle_tail_band_ok": band_ok,
-        "stationary_tail_verdict": tails.verdict,
+        "cycle_tail_ratio": rg.band.ratio,
+        "cycle_tail_band_ok": rg.band_ok,
+        "stationary_tail_verdict": rg.tails.verdict,
         "zero_cycle_diag": {str(k): v for k, v in rs.zero_cycle_diag.items()},
     }))
-    ok = gaps_ok and band_ok and tail_ok
+    ok = rg.verified and rg.band_ok and rg.tail_ok
     print(f"regen: {rs.cycle_count} cycles, mu = {rs.mu_hat:.4f}, "
-          f"sup gap {ver.sup_gap:.4f}, tail band {band.ratio:.3f}, "
-          f"verdict {tails.verdict} -> {'ok' if ok else 'FAILS'}")
+          f"sup gap {ver.sup_gap:.4f}, tail band {rg.band.ratio:.3f}, "
+          f"verdict {rg.tails.verdict} -> {'ok' if ok else 'FAILS'}")
     return 0 if ok else 1
 
 

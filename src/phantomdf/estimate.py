@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import stats
 
-from .distributions import DistFn
+from .distributions import DistFn, TailComparison
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -26,7 +27,8 @@ from .errors import (
     NotRegenerativeError,
 )
 from .grids import HUGE_INDEX
-from .phantom import DrivingSequence, driving_from_estimates
+from .phantom import (DrivingSequence, PhantomDistFn, PhantomVerification,
+                      build_continuous_phantom, driving_from_estimates, verify_phantom)
 from .processes import (
     IIDSpec,
     LindleySpec,
@@ -42,6 +44,7 @@ from .processes import (
     exact_max_cdf,
     generate,
     has_exact_max_law,
+    lindley_step_tail_vs_stationary,
     marginal_sf,
 )
 from .seeding import rng_for
@@ -74,6 +77,11 @@ __all__ = [
     "ThetaEstimate",
     "estimate_theta_single_sequence",
     "divergence_rule",
+    "VERIFY_RULE",
+    "fit_phantom",
+    "verify_by_simulation",
+    "RegenPhantom",
+    "regen_phantom",
 ]
 
 MIN_REPLICAS = 200
@@ -722,6 +730,12 @@ class RegenStats:
     head_wait: int | None
     head_max: float | None
 
+    @cached_property
+    def cycle_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct cycle maxima and their empirical CDF, built once."""
+        uniq, counts = np.unique(self.maxima, return_counts=True)
+        return uniq, np.cumsum(counts) / self.cycle_count
+
 
 def decompose_regenerative(path: SamplePath,
                            diag_windows=(10, 100, 1000),
@@ -775,9 +789,7 @@ def rootzen_phantom(rs: RegenStats, smoothing: str = "linear") -> DistFn:
             f"need at least {MIN_CYCLES} cycles, got {rs.cycle_count}")
     if smoothing not in ("linear", "step"):
         raise InvalidArgumentError("smoothing must be 'linear' or 'step'")
-    uniq, counts = np.unique(rs.maxima, return_counts=True)
-    total = rs.cycle_count
-    cum = np.cumsum(counts) / total
+    uniq, cum = rs.cycle_cdf
     tail_knots = 1.0 - cum
     inv_mu = 1.0 / rs.mu_hat
 
@@ -933,3 +945,79 @@ def estimate_theta_single_sequence(spec: ProcessSpec, gamma: float, n_list,
             if dse.method == "monte-carlo" else 0.0
     return ThetaEstimate(gamma=gamma, method=dse.method, verdict=verdict,
                          theta_hat=theta_hat, se=se, rows=tuple(rows), driving=dse)
+
+
+# ---------------------------------------------------------------------------
+# experiment pipelines: build a phantom, then check G**n by simulation
+# ---------------------------------------------------------------------------
+
+# the verdict of every simulation check of a phantom, at each block size
+_GAP_SE, _GAP_TOL = 3.0, 0.05
+VERIFY_RULE = f"gap <= {_GAP_SE:g} SE + {_GAP_TOL:g}"
+
+
+def _fit_sizes(block_sizes: list[int]) -> list[int]:
+    # knots every sixth of a decade; a verified block's 0.01 and 0.99
+    # levels sit at effective indices n/4.6 and 460n, so the grid runs
+    # from a decade below the smallest block to two past the largest
+    lo = max(0.0, math.log10(min(block_sizes)) - 1.0)
+    hi = math.log10(max(block_sizes)) + 2.0
+    grid = 10.0 ** np.arange(lo, hi + 1e-9, 1.0 / 6.0)
+    sizes = np.unique(np.round(grid).astype(int))
+    return sorted(set(sizes.tolist()) | set(block_sizes))
+
+
+def fit_phantom(spec: ProcessSpec, gamma: float, block_sizes, R: int, seed: int,
+                tag: str, workers: int = 1) -> tuple[DrivingSeqEstimate, PhantomDistFn]:
+    """O'Brien's continuous phantom, its driving levels fitted to R block
+    maxima per size of a log grid around ``block_sizes``."""
+    sizes = _fit_sizes(_validate_sizes(block_sizes))
+    fit = block_maxima_table(spec, sizes, R, seed, tag=tag, workers=workers)
+    dse = driving_from_maxima(gamma, fit, R)
+    return dse, build_continuous_phantom(dse.to_driving_sequence())
+
+
+def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int,
+                         seed: int, tag: str, workers: int = 1
+                         ) -> tuple[MaxLawEstimate, PhantomVerification, bool]:
+    """Max law of R block maxima per size, G**n's gaps to it, and the verdict.
+
+    A knot table that ends at a stored level caps the compared levels there.
+    """
+    table = block_maxima_table(spec, _validate_sizes(block_sizes), R, seed,
+                               tag=tag, workers=workers)
+    levels = phantom.driving.levels if isinstance(phantom, PhantomDistFn) else None
+    cap = None if levels is None or levels.rule is not None else float(levels.prefix[-1])
+    ml = maxlaw_from_maxima(table, R, level_cap=cap)
+    ver = verify_phantom(phantom, ml)
+    return ml, ver, ver.passes(se_multiplier=_GAP_SE, tolerance=_GAP_TOL)
+
+
+@dataclass(frozen=True)
+class RegenPhantom:
+    path: SamplePath
+    stats: RegenStats
+    maxlaw: MaxLawEstimate
+    verification: PhantomVerification
+    verified: bool
+    band: CycleTailBand
+    band_ok: bool  # cycle tail ratio inside [0.5, 2]
+    tails: TailComparison
+    tail_ok: bool  # step tail negligible against the stationary tail
+
+
+def regen_phantom(step: DistFn, length: int, block_sizes, R: int, seed: int,
+                  tag: str, workers: int = 1, smoothing: str = "linear") -> RegenPhantom:
+    """Regenerative phantom of one Lindley path with the given step law,
+    verified by simulation, with its cycle-tail band and tail verdict."""
+    blocks = _validate_sizes(block_sizes)
+    spec = LindleySpec(step=step)
+    path = generate(spec, seed, length)
+    rs = decompose_regenerative(path)
+    G = rootzen_phantom(rs, smoothing=smoothing)
+    ml, ver, verified = verify_by_simulation(spec, G, blocks, R, seed, tag, workers)
+    band = cycle_tail_ratio(rs, step, q=0.99)
+    tails = lindley_step_tail_vs_stationary(step, path.values)
+    return RegenPhantom(path=path, stats=rs, maxlaw=ml, verification=ver,
+                        verified=verified, band=band, band_ok=0.5 <= band.ratio <= 2.0,
+                        tails=tails, tail_ok=tails.verdict == "ratio->0")

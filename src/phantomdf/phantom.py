@@ -348,6 +348,10 @@ class PhantomVerification:
     def passes(self, se_multiplier: float = 3.0, tolerance: float = 0.0) -> bool:
         return all(r.gap <= se_multiplier * r.se_at_gap + tolerance for r in self.rows)
 
+    def gaps(self) -> list[dict]:
+        """Per-block-size gap and its SE, as the JSON reports list them."""
+        return [{"n": r.n, "gap": r.gap, "se": r.se_at_gap} for r in self.rows]
+
 
 def verify_phantom(G: DistFn, maxlaw, min_levels: int = 16) -> PhantomVerification:
     """Compare G**n against an estimated max law on its level grid.

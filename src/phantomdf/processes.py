@@ -206,6 +206,7 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         m = int(spec.window)
         laws = [spec.base] * rows
         carry = draws(laws, np.empty((rows, m - 1)))
+        buf = np.empty((rows, m - 1 + width))  # carry, then the slab's draws
     elif isinstance(spec, LindleySpec):
         laws = [spec.step] * rows
         c_prev = np.zeros(rows)  # partial sum of the steps so far
@@ -219,15 +220,20 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         zt_buf, ut_buf = np.empty((width, rows)), np.empty((width, rows))
     else:
         raise InvalidArgumentError(f"unknown spec {type(spec).__name__}")
-    if not isinstance(spec, MetropolisSpec):
+    if not isinstance(spec, (MetropolisSpec, MovingMaxSpec)):
         buf = np.empty((rows, width))
 
     for pos in range(0, total, SLAB):
         s_len = min(SLAB, total - pos)
         if isinstance(spec, MovingMaxSpec):
-            raw = np.concatenate([carry, draws(laws, buf[:, :s_len])], axis=1)
-            xs = np.lib.stride_tricks.sliding_window_view(raw, m, axis=1).max(axis=2)
-            carry = raw[:, s_len:]
+            # x_t = max(raw_t, ..., raw_{t+m-1}): keep the last m - 1 draws for
+            # the next slab, then fold neighbouring maxima m - 1 times in place
+            buf[:, :m - 1] = carry
+            draws(laws, buf[:, m - 1:m - 1 + s_len])
+            carry = buf[:, s_len:s_len + m - 1].copy()
+            for k in range(s_len + m - 2, s_len - 1, -1):
+                np.maximum(buf[:, :k], buf[:, 1:k + 1], out=buf[:, :k])
+            xs = buf[:, :s_len]
         elif isinstance(spec, LindleySpec):
             # X_{j+1} = max(X_j + Z_j, 0) = C_{j+1} - min(0, C_1..C_{j+1}); the
             # carry enters before the cumsum so slabs add up as one long cumsum

@@ -244,3 +244,47 @@ def test_regen_pipeline(run, tmp_path):
     assert summary["phantom_verified"] is True
     assert summary["cycle_count"] >= 500
     assert summary["stationary_tail_verdict"] == "ratio->0"
+
+
+class TestBadBlockSizes:
+    """Bad block sizes exit 2 with one line before anything is simulated."""
+    FIT = ("[common]\nseed = 11\nreplicas = 256\n"
+           "[phantom-fit]\nkind = metropolis\ntarget = symmetric_pareto(2,1)\n"
+           "proposal = uniform(-1,1)\nblock_sizes = {}\n")
+    VERIFY = ("[verify]\nphantom = {}\nkind = iid\nmarginal = exp(1)\n"
+              "block_sizes = {}\n")
+    REGEN = ("[regen]\nstep = pareto(2,1)-2\nlength = 2000000\n"
+             "verify_blocks = {}\n")
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        from phantomdf import cli, estimate
+
+        def called(*args, **kwargs):
+            raise AssertionError("simulated before the block sizes were checked")
+
+        for module in (cli, estimate):  # wherever a module binds them
+            for name in ("block_maxima_table", "generate"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, called)
+
+    def assert_rejected(self, rc, stdout, err):
+        assert rc == 2 and stdout == ""
+        assert err.splitlines() == ["error: block sizes must be strictly increasing, >= 1"]
+
+    @pytest.mark.parametrize("sizes", ["1000,100", "0,100", "100,100"])
+    def test_phantom_fit(self, run, tmp_path, sizes):
+        self.assert_rejected(*run(self.FIT.format(sizes), "phantom-fit",
+                                  "--out", str(tmp_path / "o")))
+
+    @pytest.mark.parametrize("sizes", ["200,50", "0,100"])
+    def test_verify(self, run, tmp_path, sizes):
+        phantom = tmp_path / "phantom.txt"
+        phantom.write_text(TestMalformedPhantom.HEADER + TestMalformedPhantom.TABLE)
+        self.assert_rejected(*run(self.VERIFY.format(phantom, sizes), "verify",
+                                  "--out", str(tmp_path / "o")))
+
+    @pytest.mark.parametrize("sizes", ["10000,1000", "0,1000"])
+    def test_regen(self, run, tmp_path, sizes):
+        self.assert_rejected(*run(self.REGEN.format(sizes), "regen",
+                                  "--out", str(tmp_path / "o")))

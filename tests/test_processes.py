@@ -174,11 +174,32 @@ def metropolis_row_major(spec, rngs, length):
     return np.concatenate(slabs, axis=1)[:, burn:]
 
 
+def moving_max_concatenated(spec, rngs, length):
+    """Reference moving-max slabs: each slab's draws joined to the carry."""
+    rows, m = len(rngs), spec.window
+    carry = np.empty((rows, m - 1))
+    for i, rng in enumerate(rngs):
+        carry[i] = spec.base.draw(rng, m - 1)
+    slabs = []
+    for pos in range(0, length, SLAB):
+        s_len = min(SLAB, length - pos)
+        fresh = np.empty((rows, s_len))
+        for i, rng in enumerate(rngs):
+            fresh[i] = spec.base.draw(rng, s_len)
+        raw = np.concatenate([carry, fresh], axis=1)
+        slabs.append(np.lib.stride_tricks.sliding_window_view(raw, m, axis=1).max(axis=2))
+        carry = raw[:, s_len:]
+    return np.concatenate(slabs, axis=1)
+
+
 class TestSlabKernels:
-    """The Metropolis and Lindley kernels against references, and their memory."""
+    """The slab kernels against references, and their memory."""
     METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
                                 proposal=uniform(-1.0, 1.0), burn_in=100)
     LINDLEY = LindleySpec(step=LINDLEY_STEP, burn_in=100)
+    MOVING_MAX = MovingMaxSpec(window=5, base=exponential(1.0))
+    BUDGETS = {"metropolis": (METROPOLIS, 2.25), "lindley": (LINDLEY, 1.25),
+               "moving-max": (MOVING_MAX, 2.25)}
     ROWS = 256  # the replica chunk cap
     SLAB_BYTES = ROWS * SLAB * 8  # one float64 slab array of a full chunk
 
@@ -193,13 +214,26 @@ class TestSlabKernels:
         assert got.shape == (rows, length)
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("kind", ["metropolis", "lindley"])
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_moving_max_equals_concatenated_windows(self, window, rows):
+        spec = MovingMaxSpec(window=window, base=exponential(1.0))
+        length = 2 * SLAB + 300
+        got = np.concatenate([s.copy() for s in _path_slabs(
+            spec, [rng_for(5, "kernel", r) for r in range(rows)], length)], axis=1)
+        want = moving_max_concatenated(
+            spec, [rng_for(5, "kernel", r) for r in range(rows)], length)
+        assert got.shape == (rows, length)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["metropolis", "lindley", "moving-max"])
     def test_one_full_chunk_slab_fits_its_budget(self, kind):
         # Metropolis: increments and uniforms, the chain state written over the
-        # increments; Lindley: the steps, cumsum and reflection in place.  The
-        # quarter slab array left over covers per-row draws and per-step temps.
-        spec, budget = {"metropolis": (self.METROPOLIS, 2.25),
-                        "lindley": (self.LINDLEY, 1.25)}[kind]
+        # increments; Lindley: the steps, cumsum and reflection in place;
+        # moving-max: the draws after the carry, folded into window maxima in
+        # place (each fold may copy its shifted input).  The quarter slab
+        # array left over covers per-row draws and per-step temps.
+        spec, budget = self.BUDGETS[kind]
         rngs = [rng_for(6, "memory", r) for r in range(self.ROWS)]
         length = SLAB - default_burn_in(spec)  # burn-in + length is one slab
         slabs = _path_slabs(spec, rngs, length)
@@ -212,12 +246,11 @@ class TestSlabKernels:
         assert slab.shape == (self.ROWS, length)
         assert peak <= budget * self.SLAB_BYTES, peak / self.SLAB_BYTES
 
-    @pytest.mark.parametrize("kind", ["metropolis", "lindley"])
+    @pytest.mark.parametrize("kind", ["metropolis", "lindley", "moving-max"])
     def test_three_full_slabs_fit_the_same_budget(self, kind):
         # every slab reuses the buffers of the one before, so a caller that
         # holds the previous slab while it asks for the next costs nothing
-        spec, budget = {"metropolis": (self.METROPOLIS, 2.25),
-                        "lindley": (self.LINDLEY, 1.25)}[kind]
+        spec, budget = self.BUDGETS[kind]
         rngs = [rng_for(7, "memory", r) for r in range(self.ROWS)]
         length = 3 * SLAB - default_burn_in(spec)
         slabs = _path_slabs(spec, rngs, length)

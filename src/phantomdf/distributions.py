@@ -33,6 +33,7 @@ from .grids import (
     ProbePolicy,
     classify_ratio_track,
     converges_to,
+    first_index_where,
     last_quarter,
 )
 
@@ -258,24 +259,12 @@ def _jump_quantile(atoms: AtomRule, p: float) -> float:
     if not (0.0 < p < 1.0):
         raise InvalidArgumentError("quantile argument must lie in (0, 1)")
     target = 1.0 - p
-    if atoms.tail(1) <= target:
-        return atoms.location(1)
-    lo, hi = 1, 2
-    while atoms.tail(hi) > target:
-        lo = hi
-        hi *= 2
-        if atoms.count is not None and hi >= atoms.count:
-            hi = atoms.count
-            break
-        if hi > HUGE_INDEX:
-            raise InvalidArgumentError("quantile beyond representable atom index")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if atoms.tail(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return atoms.location(hi)
+    # a finite list ends at its last atom: nothing lies beyond it
+    k = first_index_where(lambda i: (atoms.count is not None and i >= atoms.count)
+                          or atoms.tail(i) <= target, 0)
+    if k is None:
+        raise InvalidArgumentError("quantile beyond representable atom index")
+    return atoms.location(k)
 
 
 def jump_law(name: str, atoms: AtomRule,

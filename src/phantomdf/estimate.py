@@ -26,7 +26,7 @@ from .errors import (
     NotExactlyComputableError,
     NotRegenerativeError,
 )
-from .grids import HUGE_INDEX
+from .grids import HUGE_INDEX, first_index_where
 from .phantom import (DrivingSequence, PhantomDistFn, PhantomVerification,
                       build_continuous_phantom, driving_from_estimates, verify_phantom)
 from .processes import (
@@ -140,11 +140,54 @@ def _map_chunks(fn: Callable[[int, int], object], R: int,
         _CHUNK_FN = None
 
 
+def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], R: int,
+                   seed: int, tag: str, workers: int = 1) -> np.ndarray:
+    """max(X_a, ..., X_{b-1}) for each window [a, b) of each replica's path.
+
+    Returns (len(windows), R); an empty window gives -inf.  Replica r draws
+    from rng_for(seed, tag, r) and its path runs to the largest b.  The
+    window ends cut the time axis into segments, the slab scan reads each
+    segment's max once, and a window's max is the max of its segments, so
+    every path value is read once whatever the windows.
+    """
+    cuts = np.unique([0, *(t for w in windows for t in w)])
+    at = {int(t): j for j, t in enumerate(cuts)}
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        rngs = [rng_for(seed, tag, r) for r in range(lo, hi)]
+        seg = np.full((cuts.size - 1, hi - lo), -np.inf)  # max over [cuts[j], cuts[j+1])
+        pos = 0
+        for slab in _path_slabs(spec, rngs, int(cuts[-1])):
+            end = pos + slab.shape[1]
+            for j in range(np.searchsorted(cuts, pos, side="right") - 1,
+                           np.searchsorted(cuts, end)):
+                a, b = max(cuts[j], pos) - pos, min(cuts[j + 1], end) - pos
+                np.maximum(seg[j], slab[:, a:b].max(axis=1), out=seg[j])
+            pos = end
+        return np.array([seg[at[a]:at[b]].max(axis=0, initial=-np.inf)
+                         for a, b in windows])
+
+    out = np.empty((len(windows), R))
+    for (lo, hi), part in _map_chunks(chunk, R, workers):
+        out[:, lo:hi] = part
+    return out
+
+
 def _validate_sizes(block_sizes) -> list[int]:
     ns = [int(n) for n in np.atleast_1d(block_sizes)]
     if not ns or any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidArgumentError("block sizes must be strictly increasing, >= 1")
     return ns
+
+
+def _check_replicas(R: int) -> None:
+    if R < MIN_REPLICAS:
+        raise InvalidArgumentError(f"need at least {MIN_REPLICAS} replicas, got {R}")
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (0.0 < gamma < 1.0):
+        raise InvalidArgumentError("gamma must lie strictly inside (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +228,8 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
     n_list = _validate_sizes(block_sizes)
     if has_exact_max_law(spec):
         return _transform_maxima(spec, n_list, R, seed, tag)
-
-    def chunk(lo: int, hi: int) -> np.ndarray:
-        rngs = [rng_for(seed, tag, r) for r in range(lo, hi)]
-        maxima = np.empty((len(n_list), hi - lo))
-        runmax = np.full(hi - lo, -np.inf)
-        pos = 0
-        for slab in _path_slabs(spec, rngs, n_list[-1]):
-            end = pos + slab.shape[1]
-            for i, n in enumerate(n_list):
-                if pos < n <= end:
-                    maxima[i] = np.maximum(runmax, slab[:, :n - pos].max(axis=1))
-            runmax = np.maximum(runmax, slab.max(axis=1))
-            pos = end
-        return maxima
-
-    out = {n: np.empty(R) for n in n_list}
-    for (lo, hi), maxima in _map_chunks(chunk, R, workers):
-        for n, row in zip(n_list, maxima):
-            out[n][lo:hi] = row
-    return out
+    maxima = _window_maxima(spec, [(0, n) for n in n_list], R, seed, tag, workers)
+    return dict(zip(n_list, maxima))
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +267,12 @@ def exact_max_quantile(spec: ProcessSpec, n: int, p: float) -> float:
         e = n + spec.window - 1
         return float(spec.base.quantile(math.exp(math.log(p) / e)))
     if isinstance(spec, MixtureSpec):
-        def cdf_at(j: int) -> float:
-            return math.exp(n * math.log1p(-1.0 / j)) * _mixture_weight_leq(j)
-        lo, hi = 1, 2
-        while cdf_at(hi) < p:
-            lo = hi
-            hi *= 2
-            if hi > HUGE_INDEX:
-                raise InvalidArgumentError("quantile index overflow")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if cdf_at(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        return spec.vseq.value(hi)
+        # smallest j > 1 with P(M_n <= v_j) = (1 - 1/j)**n P(K*K <= j) >= p
+        j = first_index_where(
+            lambda j: math.exp(n * math.log1p(-1.0 / j)) * _mixture_weight_leq(j) >= p, 1)
+        if j is None:
+            raise InvalidArgumentError("quantile index overflow")
+        return spec.vseq.value(j)
     raise NotExactlyComputableError(f"no closed form for {describe_spec(spec)}")
 
 
@@ -309,8 +325,7 @@ class DrivingSeqEstimate:
 def driving_from_maxima(gamma: float, table: Mapping[int, np.ndarray],
                         R: int) -> DrivingSeqEstimate:
     """Driving-sequence estimate from an existing block-maxima table."""
-    if not (0.0 < gamma < 1.0):
-        raise InvalidArgumentError("gamma must lie strictly inside (0, 1)")
+    _check_gamma(gamma)
     n_list = sorted(int(n) for n in table)
     k_lo = max(int(stats.binom.ppf(0.025, R, gamma)), 1)
     k_hi = min(int(stats.binom.ppf(0.975, R, gamma)) + 1, R)
@@ -361,8 +376,7 @@ def estimate_driving_sequence(spec: ProcessSpec, gamma: float, block_sizes,
     order-statistic confidence interval, and enforces monotonicity in n
     by a running maximum (violations are counted, not hidden).
     """
-    if not (0.0 < gamma < 1.0):
-        raise InvalidArgumentError("gamma must lie strictly inside (0, 1)")
+    _check_gamma(gamma)
     n_list = _validate_sizes(block_sizes)
     if method == "auto":
         method = "exact" if has_exact_max_law(spec) else "monte-carlo"
@@ -371,8 +385,7 @@ def estimate_driving_sequence(spec: ProcessSpec, gamma: float, block_sizes,
         return DrivingSeqEstimate(gamma=gamma, n_values=np.asarray(n_list),
                                   v_hat=v, ci_lo=v.copy(), ci_hi=v.copy(),
                                   method="exact", replicas=0)
-    if R < MIN_REPLICAS:
-        raise InvalidArgumentError(f"need at least {MIN_REPLICAS} replicas, got {R}")
+    _check_replicas(R)
     table = block_maxima_table(spec, n_list, R, seed, tag="driving", workers=workers)
     return driving_from_maxima(gamma, table, R)
 
@@ -496,51 +509,33 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
             rows.append((n, v, prs, worst, None))
         replicas = 0
     else:
-        if R < MIN_REPLICAS:
-            raise InvalidArgumentError(f"need at least {MIN_REPLICAS} replicas, got {R}")
+        _check_replicas(R)
         replicas = R
         for n in n_list:
             v = dse.level_for(n)
             prs_pq = pair_table[n]
-            L = max(p + q for p, q in prs_pq)
-            # first exceedance time (L + 1 if none) and, per pair, whether
-            # the window (p, p + q] stays at or below v
-            def chunk(lo: int, hi: int):
-                rngs = [rng_for(seed, f"bt-{n}", r) for r in range(lo, hi)]
-                first = np.full(hi - lo, L + 1, dtype=np.int64)
-                ok = np.ones((len(prs_pq), hi - lo), dtype=bool)
-                pos = 0
-                for slab in _path_slabs(spec, rngs, L):
-                    exceed = slab > v
-                    hit = (first > L) & exceed.any(axis=1)
-                    first[hit] = pos + exceed[hit].argmax(axis=1) + 1
-                    for i, (p, q) in enumerate(prs_pq):
-                        a, b = max(p - pos, 0), min(p + q - pos, slab.shape[1])
-                        if a < b:
-                            ok[i] &= ~exceed[:, a:b].any(axis=1)
-                    pos += slab.shape[1]
-                return first, ok
-
-            fi = np.empty(R, dtype=np.int64)
-            win_ok = {pq: np.empty(R, dtype=bool) for pq in prs_pq}
-            for (lo, hi), (first, ok) in _map_chunks(chunk, R, workers):
-                fi[lo:hi] = first
-                for pq, row in zip(prs_pq, ok):
-                    win_ok[pq][lo:hi] = row
+            # the windows [0, t) for t = 1, p, q, p + q and p - r_n (under every
+            # candidate exponent: it is chosen after all rows), and (p, p + q]
+            heads = [1, *(t for p, q in prs_pq for t in (p, q, p + q)),
+                     *(max(p - max(1, math.floor(n ** e)), 0)
+                       for p, _ in prs_pq for e in candidates)]
+            windows = [(0, t) for t in heads] + [(p, p + q) for p, q in prs_pq]
+            le = dict(zip(windows, _window_maxima(spec, windows, R, seed, f"bt-{n}",
+                                                  workers) <= v))
             if tails[n] is None:
-                tails[n] = np.count_nonzero(fi == 1) / R  # first value above v
+                tails[n] = np.count_nonzero(~le[0, 1]) / R  # first value above v
             prs = []
             for p, q in prs_pq:
-                ipq = fi > p + q
-                ip = fi > p
-                iq = fi > q
+                ipq = le[0, p + q]
+                ip = le[0, p]
+                iq = le[0, q]
                 d = ipq.mean() - ip.mean() * iq.mean()
                 cov = np.cov(np.vstack([ipq, ip, iq]).astype(float), ddof=1) / R
                 grad = np.array([1.0, -iq.mean(), -ip.mean()])
                 se = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
                 prs.append(BTPair(p=p, q=q, value=float(d), se=se))
             worst = max(prs, key=lambda b: abs(b.value))
-            rows.append((n, v, prs, worst, (fi, win_ok)))
+            rows.append((n, v, prs, worst, le))
 
     # choose the r exponent so that r_n * tail decays along n_list
     chosen = candidates[0]
@@ -556,14 +551,13 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
         adjusted = True
 
     out_rows = []
-    for n, v, prs, worst, mc_data in rows:
+    for n, v, prs, worst, le in rows:
         r_n = max(1, math.floor(n ** chosen))
-        if mc_data is None:
+        if le is None:
             cov = _bt_exact_cov(spec, v, worst.p, worst.q, r_n)
         else:
-            fi, win_ok = mc_data
-            a = (fi > max(worst.p - r_n, 0)).astype(float)
-            b = win_ok[(worst.p, worst.q)].astype(float)
+            a = le[0, max(worst.p - r_n, 0)].astype(float)
+            b = le[worst.p, worst.p + worst.q].astype(float)
             cov = float(np.mean(a * b) - a.mean() * b.mean())
         out_rows.append(BTRow(n=n, level=v, b_value=abs(worst.value),
                               worst_pair=(worst.p, worst.q), pairs=tuple(prs),
@@ -609,33 +603,13 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
         raise InvalidArgumentError("need k >= 2 and m >= 1")
     if k * m > n:
         raise InvalidArgumentError("need k * m <= n")
-    if R < MIN_REPLICAS:
-        raise InvalidArgumentError(f"need at least {MIN_REPLICAS} replicas, got {R}")
+    _check_replicas(R)
     v = float(level)
-    skel_t = np.arange(1, k + 1) * m - 1  # times of X_m, X_2m, ..., X_km
-
-    def chunk(lo: int, hi: int):
-        rngs = [rng_for(seed, f"cn-{n}-{m}-{k}", r) for r in range(lo, hi)]
-        skel = np.zeros((hi - lo, k), dtype=bool)
-        single = np.zeros(hi - lo, dtype=bool)
-        runmax = np.full(hi - lo, -np.inf)
-        pos = 0
-        for slab in _path_slabs(spec, rngs, n):
-            end = pos + slab.shape[1]
-            if pos == 0:
-                single = slab[:, 0] <= v
-            here = (skel_t >= pos) & (skel_t < end)
-            skel[:, here] = slab[:, skel_t[here] - pos] <= v
-            runmax = np.maximum(runmax, slab.max(axis=1))
-            pos = end
-        return skel, single, runmax <= v
-
-    skel_le = np.empty((R, k), dtype=bool)
-    single_le = np.empty(R, dtype=bool)
-    max_le = np.empty(R, dtype=bool)
-    for (lo, hi), (skel, single, below) in _map_chunks(chunk, R, workers):
-        skel_le[lo:hi], single_le[lo:hi], max_le[lo:hi] = skel, single, below
-    skel_le = np.minimum.accumulate(skel_le, axis=1)
+    skel_t = [j * m - 1 for j in range(1, k + 1)]  # times of X_m, X_2m, ..., X_km
+    windows = [(0, 1), (0, n), *((t, t + 1) for t in skel_t)]
+    below = _window_maxima(spec, windows, R, seed, f"cn-{n}-{m}-{k}", workers) <= v
+    single_le, max_le = below[0], below[1]
+    skel_le = np.minimum.accumulate(below[2:].T, axis=1)
     pz = skel_le.mean(axis=0)  # P(Z_j <= v), j = 1..k
     p1 = float(single_le.mean())
     pmn = float(max_le.mean())
@@ -777,6 +751,11 @@ def decompose_regenerative(path: SamplePath,
 MIN_CYCLES = 500
 
 
+def _check_smoothing(smoothing: str) -> None:
+    if smoothing not in ("linear", "step"):
+        raise InvalidArgumentError("smoothing must be 'linear' or 'step'")
+
+
 def rootzen_phantom(rs: RegenStats, smoothing: str = "linear") -> DistFn:
     """Phantom from cycle maxima: G = (empirical law of Y)**(1/mu_hat).
 
@@ -787,8 +766,7 @@ def rootzen_phantom(rs: RegenStats, smoothing: str = "linear") -> DistFn:
     if rs.cycle_count < MIN_CYCLES:
         raise InsufficientDataError(
             f"need at least {MIN_CYCLES} cycles, got {rs.cycle_count}")
-    if smoothing not in ("linear", "step"):
-        raise InvalidArgumentError("smoothing must be 'linear' or 'step'")
+    _check_smoothing(smoothing)
     uniq, cum = rs.cycle_cdf
     tail_knots = 1.0 - cum
     inv_mu = 1.0 / rs.mu_hat
@@ -972,6 +950,8 @@ def fit_phantom(spec: ProcessSpec, gamma: float, block_sizes, R: int, seed: int,
     """O'Brien's continuous phantom, its driving levels fitted to R block
     maxima per size of a log grid around ``block_sizes``."""
     sizes = _fit_sizes(_validate_sizes(block_sizes))
+    _check_gamma(gamma)
+    _check_replicas(R)
     fit = block_maxima_table(spec, sizes, R, seed, tag=tag, workers=workers)
     dse = driving_from_maxima(gamma, fit, R)
     return dse, build_continuous_phantom(dse.to_driving_sequence())
@@ -984,8 +964,9 @@ def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int
 
     A knot table that ends at a stored level caps the compared levels there.
     """
-    table = block_maxima_table(spec, _validate_sizes(block_sizes), R, seed,
-                               tag=tag, workers=workers)
+    n_list = _validate_sizes(block_sizes)
+    _check_replicas(R)
+    table = block_maxima_table(spec, n_list, R, seed, tag=tag, workers=workers)
     levels = phantom.driving.levels if isinstance(phantom, PhantomDistFn) else None
     cap = None if levels is None or levels.rule is not None else float(levels.prefix[-1])
     ml = maxlaw_from_maxima(table, R, level_cap=cap)
@@ -1011,6 +992,8 @@ def regen_phantom(step: DistFn, length: int, block_sizes, R: int, seed: int,
     """Regenerative phantom of one Lindley path with the given step law,
     verified by simulation, with its cycle-tail band and tail verdict."""
     blocks = _validate_sizes(block_sizes)
+    _check_smoothing(smoothing)
+    _check_replicas(R)
     spec = LindleySpec(step=step)
     path = generate(spec, seed, length)
     rs = decompose_regenerative(path)

@@ -19,6 +19,27 @@ from .errors import InvalidArgumentError
 HUGE_INDEX = 2**62
 
 
+def first_index_where(holds: Callable[[int], bool], start: int) -> int | None:
+    """Smallest k > start with holds(k); None if there is none up to HUGE_INDEX.
+
+    ``holds`` must be monotone: false up to some index and true from there
+    on.  The search doubles from start + 1 until ``holds`` is true, then
+    bisects, and gives up as soon as the doubling would pass HUGE_INDEX.
+    """
+    lo, hi = start, start + 1
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+        if hi > HUGE_INDEX:
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class LevelSequence:
     """Non-decreasing levels v_1 <= v_2 <= ... with lazy evaluation.
 
@@ -78,20 +99,8 @@ class LevelSequence:
             return k
         if x >= self.sup:
             return HUGE_INDEX
-        lo = self.prefix.size
-        hi = max(1, lo + 1)
-        while self.value(hi) <= x:
-            lo = hi
-            hi *= 2
-            if hi > HUGE_INDEX:
-                return HUGE_INDEX
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.value(mid) <= x:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        k = first_index_where(lambda n: self.value(n) > x, self.prefix.size)
+        return HUGE_INDEX if k is None else k - 1
 
     def shifted(self, offset: float) -> "LevelSequence":
         rule = None

@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .distributions import DistFn, mixture_component
+from .distributions import _VERDICT, DistFn, TailComparison, mixture_component
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -472,7 +472,7 @@ EMPIRICAL_RATIO_TOL = 0.2
 
 def lindley_step_tail_vs_stationary(step: DistFn, values,
                                     probe: ProbePolicy = ProbePolicy(),
-                                    max_quantile: float = 0.999):
+                                    max_quantile: float = 0.999) -> TailComparison:
     """Compare the step tail 1-H against the empirical stationary tail.
 
     For subexponential steps the stationary tail is one order heavier
@@ -480,8 +480,6 @@ def lindley_step_tail_vs_stationary(step: DistFn, values,
     levels are the empirical quantiles at 1 - 2**-j, capped at
     ``max_quantile``.
     """
-    from .distributions import TailComparison
-
     values = np.asarray(getattr(values, "values", values), dtype=float)
     if values.size < 100_000:
         raise InsufficientDataError("need at least 1e5 path values")
@@ -499,6 +497,5 @@ def lindley_step_tail_vs_stationary(step: DistFn, values,
     step_sf = np.asarray(step.tail(levels), dtype=float)
     keep = emp_sf > 0
     track = step_sf[keep] / emp_sf[keep]
-    verdict = {"one": "equivalent", "zero": "ratio->0", "inf": "ratio->inf",
-               "divergent": "divergent"}[classify_ratio_track(track, EMPIRICAL_RATIO_TOL)]
-    return TailComparison(levels=levels[keep], ratio_track=track, verdict=verdict)
+    return TailComparison(levels=levels[keep], ratio_track=track,
+                          verdict=_VERDICT[classify_ratio_track(track, EMPIRICAL_RATIO_TOL)])

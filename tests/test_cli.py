@@ -247,7 +247,8 @@ def test_regen_pipeline(run, tmp_path):
 
 
 class TestBadBlockSizes:
-    """Bad block sizes exit 2 with one line before anything is simulated."""
+    """Bad block sizes, gamma, smoothing or replica counts exit 2 with one
+    line before anything is simulated."""
     FIT = ("[common]\nseed = 11\nreplicas = 256\n"
            "[phantom-fit]\nkind = metropolis\ntarget = symmetric_pareto(2,1)\n"
            "proposal = uniform(-1,1)\nblock_sizes = {}\n")
@@ -268,9 +269,10 @@ class TestBadBlockSizes:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, called)
 
-    def assert_rejected(self, rc, stdout, err):
+    def assert_rejected(self, rc, stdout, err,
+                        error="error: block sizes must be strictly increasing, >= 1"):
         assert rc == 2 and stdout == ""
-        assert err.splitlines() == ["error: block sizes must be strictly increasing, >= 1"]
+        assert err.splitlines() == [error]
 
     @pytest.mark.parametrize("sizes", ["1000,100", "0,100", "100,100"])
     def test_phantom_fit(self, run, tmp_path, sizes):
@@ -288,3 +290,25 @@ class TestBadBlockSizes:
     def test_regen(self, run, tmp_path, sizes):
         self.assert_rejected(*run(self.REGEN.format(sizes), "regen",
                                   "--out", str(tmp_path / "o")))
+
+    @pytest.mark.parametrize("gamma", ["1.5", "0", "nan"])
+    def test_phantom_fit_gamma(self, run, tmp_path, gamma):
+        self.assert_rejected(*run(self.FIT.format("100,1000") + f"gamma = {gamma}\n",
+                                  "phantom-fit", "--out", str(tmp_path / "o")),
+                             error="error: gamma must lie strictly inside (0, 1)")
+
+    def test_regen_smoothing(self, run, tmp_path):
+        self.assert_rejected(*run(self.REGEN.format("1000,10000") + "smoothing = cubic\n",
+                                  "regen", "--out", str(tmp_path / "o")),
+                             error="error: smoothing must be 'linear' or 'step'")
+
+    @pytest.mark.parametrize("command", ["phantom-fit", "verify", "regen"])
+    def test_replica_floor(self, run, tmp_path, command):
+        phantom = tmp_path / "phantom.txt"
+        phantom.write_text(TestMalformedPhantom.HEADER + TestMalformedPhantom.TABLE)
+        cfg = {"phantom-fit": self.FIT.format("100,1000"),
+               "verify": self.VERIFY.format(phantom, "50,200"),
+               "regen": self.REGEN.format("1000,10000")}[command]
+        self.assert_rejected(*run(cfg, command, "--out", str(tmp_path / "o"),
+                                  section_args=("--replicas", "50")),
+                             error="error: need at least 200 replicas, got 50")

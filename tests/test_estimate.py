@@ -21,6 +21,7 @@ from phantomdf.estimate import (
     DrivingSeqEstimate,
     _chunk_plan,
     _map_chunks,
+    _window_maxima,
     alpha_delta_exponent,
     block_maxima_table,
     check_BT,
@@ -55,6 +56,8 @@ GAMMA = math.exp(-1.0)
 IID_EXP = IIDSpec(exponential(1.0))
 MOVMAX2 = MovingMaxSpec(window=2, base=uniform(0.0, 1.0))
 LINDLEY = LindleySpec(step=shifted(pareto(2.0, 1.0), -2.0), burn_in=300)
+METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                            proposal=uniform(-1.0, 1.0), burn_in=200)
 
 
 class TestValidation:
@@ -219,6 +222,21 @@ class TestSlabScansMatchDenseReference:
         rngs = [rng_for(seed, tag, r) for r in range(self.R)]
         return np.concatenate([s.copy() for s in _path_slabs(spec, rngs, length)], axis=1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec", [LINDLEY, METROPOLIS], ids=["lindley", "metropolis"])
+    def test_window_maxima_match_dense_reference(self, monkeypatch, spec, workers):
+        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)  # workers=2 forks
+        first = SLAB - default_burn_in(spec)  # values in the first slab
+        length = 17_000
+        windows = [(7, 7), (0, 1), (0, 1), (100, 5_000), (2_000, 9_000),
+                   (first - 1, first), (first, first + 1), (first - 10, length),
+                   (0, length), (0, 3), (2, 3), (3, 5)]
+        got = _window_maxima(spec, windows, self.R, seed=44, tag="win", workers=workers)
+        seg = self.dense(44, "win", length, spec)
+        want = [seg[:, a:b].max(axis=1) if a < b else np.full(self.R, -np.inf)
+                for a, b in windows]
+        np.testing.assert_array_equal(got, want)
+
     def test_block_maxima_match_dense_reference(self):
         first = SLAB - default_burn_in(LINDLEY)  # values in the first slab
         sizes = [1, 2, 5_000, first, first + 1, 17_000]
@@ -276,8 +294,6 @@ class TestWorkerPool:
     """Replica chunks run in forked worker processes; every replica owns its
     substream, so one worker and two give equal arrays."""
     R = 256
-    METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                                proposal=uniform(-1.0, 1.0), burn_in=200)
 
     @pytest.fixture(autouse=True)
     def two_cores(self, monkeypatch):
@@ -325,8 +341,8 @@ class TestWorkerPool:
 
     def test_metropolis_block_maxima_pool_invariant(self):
         sizes = [1, 10, 50, 300]
-        a = block_maxima_table(self.METROPOLIS, sizes, self.R, seed=3, tag="pool")
-        b = block_maxima_table(self.METROPOLIS, sizes, self.R, seed=3, tag="pool",
+        a = block_maxima_table(METROPOLIS, sizes, self.R, seed=3, tag="pool")
+        b = block_maxima_table(METROPOLIS, sizes, self.R, seed=3, tag="pool",
                                workers=2)
         for n in sizes:
             np.testing.assert_array_equal(a[n], b[n])
@@ -340,28 +356,30 @@ class TestWorkerPool:
             return result
 
         monkeypatch.setattr(estimate, "_map_chunks", spy)
-        dse = estimate_driving_sequence(self.METROPOLIS, GAMMA, [20, 80], R=self.R,
+        dse = estimate_driving_sequence(METROPOLIS, GAMMA, [20, 80], R=self.R,
                                         seed=4)
         reports, scans = [], []
         for workers in (1, 2):
             seen.clear()
-            reports.append(check_BT(self.METROPOLIS, dse, R=self.R, seed=4,
+            reports.append(check_BT(METROPOLIS, dse, R=self.R, seed=4,
                                     method="monte-carlo", workers=workers))
             scans.append(list(seen))
         assert len(scans[0]) == len(scans[1]) == 2  # one scan per block size
-        for one, two in zip(*scans):
-            fi = [np.concatenate([first for _, (first, _ok) in s]) for s in (one, two)]
-            ok = [np.concatenate([o for _, (_first, o) in s], axis=1) for s in (one, two)]
-            np.testing.assert_array_equal(*fi)
-            np.testing.assert_array_equal(*ok)  # every win_ok row, one per pair
-            assert np.unique(fi[0]).size > 2 and 0 < ok[0].mean() < 1  # not degenerate
+        for n, one, two in zip([20, 80], *scans):
+            maxima = [np.concatenate([m for _, m in s], axis=1) for s in (one, two)]
+            np.testing.assert_array_equal(*maxima)  # every window, one row each
+            below = maxima[0] <= dse.level_for(n)
+            assert maxima[0].shape[1] == self.R and np.isfinite(maxima[0]).all()
+            # not degenerate: replicas differ, and each window exceeds v somewhere
+            assert all(np.unique(row).size > 2 for row in maxima[0])
+            assert 0 < below.mean() < 1 and not below.all(axis=1).any()
         for r1, r2 in zip(reports[0].rows, reports[1].rows):
             assert r1.b_value == r2.b_value and r1.cov_diag == r2.cov_diag
             assert [(p.value, p.se) for p in r1.pairs] == [(p.value, p.se) for p in r2.pairs]
 
     def test_estimate_cn_pool_invariant(self):
         v = float(symmetric_pareto(2.0, 1.0).quantile(0.99))
-        a, b = (estimate_Cn(self.METROPOLIS, v, n=400, m=20, k=10, R=self.R,
+        a, b = (estimate_Cn(METROPOLIS, v, n=400, m=20, k=10, R=self.R,
                             seed=5, workers=w) for w in (1, 2))
         assert 0.0 < a.p_max_n < 1.0
         np.testing.assert_array_equal(a.skeleton_probs, b.skeleton_probs)

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phantomdf.distributions import exponential, uniform
+from phantomdf.distributions import (
+    AtomRule,
+    _jump_quantile,
+    exponential,
+    geometric,
+    jump_sequence,
+    mixture_component,
+    uniform,
+)
 from phantomdf.errors import InvalidArgumentError
+from phantomdf.estimate import exact_max_quantile
 from phantomdf.grids import (
     HUGE_INDEX,
     LevelGrid,
@@ -16,8 +25,10 @@ from phantomdf.grids import (
     classify_limit,
     classify_ratio_track,
     converges_to,
+    first_index_where,
     last_quarter,
 )
+from phantomdf.processes import MixtureSpec, _mixture_weight_leq
 
 
 class TestLevelSequence:
@@ -79,6 +90,145 @@ class TestLevelSequence:
         t = s.shifted(10.0)
         assert t.value(1) == 11.0
         assert t.value(5) == 15.0
+
+
+# The three searches that first_index_where replaced, copied verbatim (self
+# renamed), as references for the shared search.
+
+def _old_count_leq(self, x: float) -> int:
+    x = float(x)
+    k = int(np.searchsorted(self.prefix, x, side="right"))
+    if k < self.prefix.size or self.rule is None:
+        return k
+    if x >= self.sup:
+        return HUGE_INDEX
+    lo = self.prefix.size
+    hi = max(1, lo + 1)
+    while self.value(hi) <= x:
+        lo = hi
+        hi *= 2
+        if hi > HUGE_INDEX:
+            return HUGE_INDEX
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if self.value(mid) <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _old_jump_quantile(atoms, p: float) -> float:
+    if not (0.0 < p < 1.0):
+        raise InvalidArgumentError("quantile argument must lie in (0, 1)")
+    target = 1.0 - p
+    if atoms.tail(1) <= target:
+        return atoms.location(1)
+    lo, hi = 1, 2
+    while atoms.tail(hi) > target:
+        lo = hi
+        hi *= 2
+        if atoms.count is not None and hi >= atoms.count:
+            hi = atoms.count
+            break
+        if hi > HUGE_INDEX:
+            raise InvalidArgumentError("quantile beyond representable atom index")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if atoms.tail(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return atoms.location(hi)
+
+
+def _old_mixture_quantile(spec, n: int, p: float) -> float:
+    def cdf_at(j: int) -> float:
+        return math.exp(n * math.log1p(-1.0 / j)) * _mixture_weight_leq(j)
+    lo, hi = 1, 2
+    while cdf_at(hi) < p:
+        lo = hi
+        hi *= 2
+        if hi > HUGE_INDEX:
+            raise InvalidArgumentError("quantile index overflow")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cdf_at(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return spec.vseq.value(hi)
+
+
+def _same_outcome(new, old, *args):
+    """Both calls return the same value, or both raise InvalidArgumentError."""
+    try:
+        want = old(*args)
+    except InvalidArgumentError:
+        with pytest.raises(InvalidArgumentError):
+            new(*args)
+        return
+    assert new(*args) == want
+
+
+BOUNDED = LevelSequence(rule=lambda n: 1.0 - 1.0 / n, sup=1.0)
+PROBS = [1e-9, 0.01, 0.2, 0.5, 0.7, 0.9, 0.99, 0.999999, 1.0 - 1e-12, 1.0 - 2.0**-53]
+
+
+class TestFirstIndexWhere:
+    def test_smallest_index_above_start(self):
+        assert first_index_where(lambda k: k >= 37, 0) == 37
+        assert first_index_where(lambda k: k >= 37, 36) == 37
+        assert first_index_where(lambda k: k >= 37, 40) == 41
+        assert first_index_where(lambda k: k >= 2**61 + 3, 0) == 2**61 + 3
+
+    def test_gives_up_past_huge_index(self):
+        probes = []
+        assert first_index_where(lambda k: probes.append(k) or False, 0) is None
+        assert max(probes) == 2**62 == HUGE_INDEX
+        probes.clear()
+        assert first_index_where(lambda k: probes.append(k) or False, 2) is None
+        assert max(probes) == 3 * 2**60 <= HUGE_INDEX  # the next doubling passes it
+
+    @pytest.mark.parametrize("seq", [
+        LevelSequence(rule=float),
+        LevelSequence(prefix=[0.5, 2.0, 2.0], rule=float),
+        LevelSequence(rule=math.log1p),
+        BOUNDED,
+        LevelSequence(prefix=[-1.0, 0.25], rule=lambda n: 1.0 - 1.0 / n, sup=1.0),
+        LevelSequence(rule=lambda n: 0.0, sup=1.0),  # never passes 0: saturates
+    ], ids=["identity", "prefix", "log", "bounded", "bounded-prefix", "flat"])
+    def test_count_leq_matches_old_search(self, seq):
+        xs = [-2.0, 0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-40, 1.0 - 2.0**-53, 1.0, 2.0, 2.5,
+              7.0, 1234567.9, 2.0**61, 3.0 * 2.0**60, 2.0**62, 1e300]
+        for x in xs:
+            assert seq.count_leq(x) == _old_count_leq(seq, x), x
+
+    @pytest.mark.parametrize("atoms", [
+        geometric(0.3).atoms,
+        geometric(1e-6).atoms,
+        mixture_component(3).atoms,
+        mixture_component(2, BOUNDED).atoms,
+        jump_sequence([1.0, 2.0, 3.0, 5.0, 8.0], [0.5, 0.3, 0.1, 0.05, 0.0]).atoms,
+        jump_sequence(np.arange(1.0, 38.0), 1.0 - np.arange(1.0, 38.0) / 37.0).atoms,
+        AtomRule(locations=LevelSequence(rule=float), tail_after=lambda i: 0.5),
+        # the last tail is not quite 0, so only the count stops the search
+        AtomRule(locations=LevelSequence(prefix=[1.0, 2.0, 3.0]),
+                 tail_after=lambda i: (0.5, 0.25, 5e-16)[i - 1], count=3),
+    ], ids=["geometric", "geometric-slow", "mixture", "mixture-bounded", "finite-5",
+            "finite-37", "never-below-half", "finite-last-tail-positive"])
+    def test_jump_quantile_matches_old_search(self, atoms):
+        for p in PROBS:
+            _same_outcome(_jump_quantile, _old_jump_quantile, atoms, p)
+
+    @pytest.mark.parametrize("vseq", [LevelSequence(rule=float), BOUNDED],
+                             ids=["identity", "bounded"])
+    def test_mixture_quantile_matches_old_search(self, vseq):
+        spec = MixtureSpec(vseq=vseq)
+        for n in (1, 2, 10, 1000, 10**6):
+            for p in PROBS:
+                _same_outcome(lambda *a: exact_max_quantile(spec, *a),
+                              lambda *a: _old_mixture_quantile(spec, *a), n, p)
 
 
 class TestProbePolicy:

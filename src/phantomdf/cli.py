@@ -9,6 +9,7 @@ numbers live only in timing.txt.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -89,6 +90,13 @@ class _Settings:
     def gamma(self) -> float:
         return float(self.get("gamma"))
 
+    def horizon(self, key: str) -> float:
+        """The B_T horizon T stored under ``key``: finite and positive."""
+        T = float(self.get(key, "2.0"))
+        if not (math.isfinite(T) and T > 0):
+            raise InvalidArgumentError(f"{key} must be finite and positive, got {T:g}")
+        return T
+
     @property
     def out_dir(self) -> Path:
         out = self.args.out if self.args.out is not None else self.get("out")
@@ -134,13 +142,14 @@ def cmd_phantom_fit(args) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
     R, seed, gamma = st.replicas, st.seed, st.gamma
+    bt_T = st.horizon("bt_T")
     dse, phantom = fit_phantom(spec, gamma, blocks, R, seed, tag="phantom-fit",
                                workers=st.workers)
     ml, ver, verified = verify_by_simulation(spec, phantom, blocks, R, seed,
                                              tag="phantom-verify", workers=st.workers)
 
-    bt = check_BT(spec, dse, T=float(st.get("bt_T", "2.0")),
-                  n_list=blocks, R=R, seed=seed, workers=st.workers)
+    bt = check_BT(spec, dse, T=bt_T, n_list=blocks, R=R, seed=seed,
+                  workers=st.workers)
     theta = estimate_theta_single_sequence(spec, gamma, blocks, R=R,
                                            seed=seed, workers=st.workers)
     theta_text = "theta = 0" if theta.verdict == "zero" \
@@ -197,9 +206,10 @@ def cmd_bt_check(args) -> int:
     st = _Settings(args, "bt-check")
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
+    T = st.horizon("T")
     dse = estimate_driving_sequence(spec, st.gamma, blocks, R=st.replicas,
                                     seed=st.seed, workers=st.workers)
-    bt = check_BT(spec, dse, T=float(st.get("T", "2.0")), n_list=blocks,
+    bt = check_BT(spec, dse, T=T, n_list=blocks,
                   R=st.replicas, seed=st.seed, workers=st.workers)
     last = bt.rows[-1]
     worst = max(last.pairs, key=lambda p: abs(p.value))

@@ -108,21 +108,20 @@ def parse_law(text: str) -> DistFn:
     m = _LAW_RE.match(text)
     if m is None:
         raise InvalidArgumentError(f"cannot parse law string {text!r}")
+
+    def number(piece: str) -> float:
+        try:
+            return float(piece)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"bad numeric argument {piece!r} in {text!r}") from None
+
     name, argtext = m.group(1), m.group(2).strip()
-    args = []
-    if argtext:
-        for piece in argtext.split(","):
-            try:
-                args.append(float(piece))
-            except ValueError:
-                raise InvalidArgumentError(
-                    f"bad numeric argument {piece!r} in {text!r}") from None
+    args = [number(piece) for piece in argtext.split(",")] if argtext else []
     dist = make_distribution(name, *args)
     if m.group("off") is not None:
-        off = float(m.group("off"))
-        if m.group("sign") == "-":
-            off = -off
-        dist = shifted(dist, off)
+        off = number(m.group("off"))
+        dist = shifted(dist, -off if m.group("sign") == "-" else off)
     return dist
 
 

@@ -15,12 +15,12 @@ concentration-function exponent.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     DegenerateDistributionError,
@@ -247,6 +247,8 @@ def uniform(a: float = 0.0, b: float = 1.0) -> DistFn:
 def beta_law(c: float, d: float) -> DistFn:
     if c <= 0 or d <= 0:
         raise InvalidArgumentError("shape parameters must be positive")
+    from scipy import stats  # only this law needs scipy; keep it off the import path
+
     frozen = stats.beta(c, d)
     return DistFn(name=f"beta({c:g},{d:g})", cdf=frozen.cdf, sf=frozen.sf,
                   quantile=frozen.ppf, pdf=frozen.pdf,
@@ -376,10 +378,12 @@ def mixture_component(k: int, vseq: LevelSequence | None = None) -> DistFn:
     vseq(n) for every n >= k*k, so n * (tail at vseq(n)) is exactly 1.
     """
     k = int(k)
-    if k < 1:
-        raise InvalidArgumentError("component index must be >= 1")
+    if k < 1 or k * k > HUGE_INDEX:
+        raise InvalidArgumentError("component index must lie in [1, 2**31]")
     if vseq is None:
         vseq = LevelSequence(rule=float)
+    elif not isinstance(vseq, LevelSequence):
+        raise InvalidArgumentError("atom levels must be a LevelSequence")
     base = k * k
 
     atoms = AtomRule(
@@ -408,6 +412,8 @@ def jump_sequence(levels, tailprobs, count: int | None = None) -> DistFn:
         loc = levels
     else:
         arr = np.asarray(levels, dtype=float)
+        if arr.ndim != 1:
+            raise InvalidArgumentError("atom locations must be a 1-d array")
         if np.any(np.diff(arr) <= 0):
             raise InvalidArgumentError("atom locations must be strictly increasing")
         loc = LevelSequence(prefix=arr)
@@ -427,6 +433,8 @@ def jump_sequence(levels, tailprobs, count: int | None = None) -> DistFn:
 def shifted(dist: DistFn, offset: float) -> DistFn:
     """Law of X + offset."""
     offset = float(offset)
+    if not math.isfinite(offset):
+        raise InvalidArgumentError(f"shift must be finite, got {offset:g}")
 
     def move(end):
         return end + offset if math.isfinite(end) else end
@@ -491,12 +499,24 @@ _CATALOG: dict[str, Callable[..., DistFn]] = {
 
 
 def make_distribution(name: str, *args, **kwargs) -> DistFn:
-    """Instantiate a catalog law by name."""
+    """Instantiate a catalog law by name.
+
+    Arguments that do not fit the law's signature, and non-finite numbers,
+    raise InvalidArgumentError before the law is built.
+    """
     key = name.strip().lower().replace("-", "_")
     if key not in _CATALOG:
         raise InvalidArgumentError(
             f"unknown distribution {name!r}; catalog: {sorted(set(_CATALOG))}")
-    return _CATALOG[key](*args, **kwargs)
+    law = _CATALOG[key]
+    try:
+        inspect.signature(law).bind(*args, **kwargs)
+    except TypeError as exc:
+        raise InvalidArgumentError(f"bad arguments for {name!r}: {exc}") from None
+    if any(isinstance(a, float) and not math.isfinite(a)
+           for a in (*args, *kwargs.values())):
+        raise InvalidArgumentError(f"parameters of {name!r} must be finite")
+    return law(*args, **kwargs)
 
 
 def dkw_epsilon(n: int, confidence: float = 0.999) -> float:

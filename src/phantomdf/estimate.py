@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .distributions import DistFn, TailComparison
 from .errors import (
@@ -281,6 +280,26 @@ def _type1_quantile(sorted_vals: np.ndarray, p: float) -> float:
     return float(sorted_vals[min(k, sorted_vals.size) - 1])
 
 
+def _binom_quantile(q: float, R: int, p: float) -> int:
+    """Smallest k with P(Bin(R, p) <= k) >= q, up to the rounding of the sum.
+
+    The pmf is summed over R p +- t, clipped to [0, R]; with
+    t = 25 + sqrt(625 + 150 var), about 12.25 SD at large R, Bernstein's
+    inequality leaves less than 1e-32 of the mass outside, too little to
+    move a rank.  The log-pmf comes from the ratios pmf(k+1) / pmf(k), each
+    of order one, so no large log-gamma values cancel even at R = 1e6.
+    """
+    mean = R * p
+    half = 25.0 + math.sqrt(625.0 + 150.0 * mean * (1.0 - p))
+    lo = max(0, math.floor(mean - half))
+    hi = min(R, math.ceil(mean + half))
+    k = np.arange(lo, hi, dtype=float)
+    steps = np.log((R - k) / (k + 1.0)) + (math.log(p) - math.log1p(-p))
+    log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
+    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+    return lo + int(np.searchsorted(cdf / cdf[-1], q, side="left"))
+
+
 def exact_maxlaw(spec: ProcessSpec, block_sizes, probs) -> MaxLawEstimate:
     """Closed-form max law at the exact ``probs``-quantiles of each block size."""
     rows = []
@@ -327,8 +346,8 @@ def driving_from_maxima(gamma: float, table: Mapping[int, np.ndarray],
     """Driving-sequence estimate from an existing block-maxima table."""
     _check_gamma(gamma)
     n_list = sorted(int(n) for n in table)
-    k_lo = max(int(stats.binom.ppf(0.025, R, gamma)), 1)
-    k_hi = min(int(stats.binom.ppf(0.975, R, gamma)) + 1, R)
+    k_lo = max(_binom_quantile(0.025, R, gamma), 1)
+    k_hi = min(_binom_quantile(0.975, R, gamma) + 1, R)
     v_hat = np.empty(len(n_list))
     ci_lo = np.empty(len(n_list))
     ci_hi = np.empty(len(n_list))
@@ -466,8 +485,8 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
     r_n = floor(n**e); e starts at 1/3 and is lowered to 1/4 then 1/5 if
     r_n * P(X_1 > v_n) fails to decay along n_list.
     """
-    if T <= 0:
-        raise InvalidArgumentError("T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise InvalidArgumentError(f"T must be finite and positive, got {T:g}")
     if n_list is None:
         n_list = [int(n) for n in dse.n_values]
     n_list = _validate_sizes(n_list)

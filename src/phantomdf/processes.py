@@ -84,6 +84,8 @@ class MetropolisSpec:
     def __post_init__(self) -> None:
         if self.target.pdf is None or self.proposal.pdf is None:
             raise InvalidSpecError("target and proposal need densities")
+        if self.init is not None and not math.isfinite(self.init):
+            raise InvalidSpecError(f"init must be finite, got {self.init:g}")
         z = np.linspace(0.0, 0.999, 101)
         zz = self.proposal.quantile(0.5 + 0.499 * z[1:])
         asym = np.max(np.abs(np.asarray(self.proposal.pdf(zz))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 _MASK = (1 << 64) - 1
 
@@ -21,10 +21,10 @@ def _tag_int(tag) -> int:
     return int(tag) & _MASK
 
 
-def seed_sequence(master_seed: int, *tags) -> np.random.SeedSequence:
+def seed_sequence(master_seed: int, *tags) -> SeedSequence:
     entropy = (int(master_seed) & _MASK,) + tuple(_tag_int(t) for t in tags)
-    return np.random.SeedSequence(entropy)
+    return SeedSequence(entropy)
 
 
-def rng_for(master_seed: int, *tags) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, *tags)))
+def rng_for(master_seed: int, *tags) -> Generator:
+    return Generator(PCG64(seed_sequence(master_seed, *tags)))

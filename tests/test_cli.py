@@ -6,6 +6,10 @@ each scenario gets its own config file under tmp_path.
 
 import configparser
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,8 +251,8 @@ def test_regen_pipeline(run, tmp_path):
 
 
 class TestBadBlockSizes:
-    """Bad block sizes, gamma, smoothing or replica counts exit 2 with one
-    line before anything is simulated."""
+    """Bad block sizes, gamma, smoothing, replica counts, B_T horizons or
+    law parameters exit 2 with one line before anything is simulated."""
     FIT = ("[common]\nseed = 11\nreplicas = 256\n"
            "[phantom-fit]\nkind = metropolis\ntarget = symmetric_pareto(2,1)\n"
            "proposal = uniform(-1,1)\nblock_sizes = {}\n")
@@ -312,3 +316,61 @@ class TestBadBlockSizes:
         self.assert_rejected(*run(cfg, command, "--out", str(tmp_path / "o"),
                                   section_args=("--replicas", "50")),
                              error="error: need at least 200 replicas, got 50")
+
+    @pytest.mark.parametrize("T", ["nan", "inf", "-1"])
+    def test_phantom_fit_horizon(self, run, tmp_path, T):
+        self.assert_rejected(*run(self.FIT.format("100,1000") + f"bt_T = {T}\n",
+                                  "phantom-fit", "--out", str(tmp_path / "o")),
+                             error=f"error: bt_T must be finite and positive, got {float(T):g}")
+
+    @pytest.mark.parametrize("T", ["nan", "inf", "-1"])
+    def test_bt_check_horizon(self, run, tmp_path, T):
+        cfg = self.FIT.replace("[phantom-fit]", "[bt-check]").format("100,1000")
+        self.assert_rejected(*run(cfg + f"T = {T}\n", "bt-check", "--out", str(tmp_path / "o")),
+                             error=f"error: T must be finite and positive, got {float(T):g}")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("law, error", [
+        ("exp(nan)", "parameters of 'exp' must be finite"),
+        ("exp(inf)", "parameters of 'exp' must be finite"),
+        ("exp(1e400)", "parameters of 'exp' must be finite"),
+        ("pareto(nan,1)", "parameters of 'pareto' must be finite"),
+        ("beta(nan,1)", "parameters of 'beta' must be finite"),
+        ("exp(1)+1e400", "shift must be finite, got inf"),
+    ])
+    def test_phantom_fit_non_finite_law(self, run, tmp_path, law, error):
+        cfg = ("[common]\nreplicas = 256\n[phantom-fit]\nkind = iid\n"
+               f"marginal = {law}\nblock_sizes = 100,1000\n")
+        self.assert_rejected(*run(cfg, "phantom-fit", "--out", str(tmp_path / "o")),
+                             error=f"error: {error}")
+
+    @pytest.mark.parametrize("init", ["nan", "inf"])
+    def test_phantom_fit_non_finite_init(self, run, tmp_path, init):
+        self.assert_rejected(*run(self.FIT.format("100,1000") + f"init = {init}\n",
+                                  "phantom-fit", "--out", str(tmp_path / "o")),
+                             error=f"error: init must be finite, got {init}")
+
+    @pytest.mark.filterwarnings("error")
+    def test_regen_non_finite_shift(self, run, tmp_path):
+        cfg = self.REGEN.format("1000,10000").replace("pareto(2,1)-2", "pareto(2,1)-1e400")
+        self.assert_rejected(*run(cfg, "regen", "--out", str(tmp_path / "o")),
+                             error="error: shift must be finite, got -inf")
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    """Importing the package and running a whole phantom-fit load numpy but
+    not scipy.stats; only the beta law imports scipy."""
+    cfg = write_config(tmp_path / "cfg.ini", "[common]\nreplicas = 200\n"
+                       "[phantom-fit]\nkind = iid\nmarginal = exp(1)\nblock_sizes = 10\n")
+    script = ("import sys\n"
+              "import phantomdf, phantomdf.cli\n"
+              "print('scipy.stats' in sys.modules)\n"
+              f"rc = phantomdf.cli.main(['phantom-fit', '--config', {cfg!r}, "
+              f"'--out', {str(tmp_path / 'o')!r}])\n"
+              "print(rc, 'scipy.stats' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "0 False"), proc.stdout

@@ -113,6 +113,25 @@ class TestDrivingSequence:
         # coverage on the sample itself cannot fall below gamma
         assert np.mean(table[50] <= dse.level_for(50)) >= GAMMA
 
+    def test_binom_quantile_matches_scipy(self):
+        """The CI ranks equal scipy's binom.ppf on a grid of R, gamma and q,
+        on every (R, gamma) a workload, criterion or test fits, and where
+        the summation window clips at 0 or at R."""
+        from scipy import stats
+
+        grid = [200, 256, 300, 400, 500, 512, 1000, 2000, 5000, 10**4, 2 * 10**4,
+                5 * 10**4, 10**5, 10**6, *range(200, 1194, 7)]
+        cases = [(R, g) for R in grid
+                 for g in (GAMMA, 0.05, 0.1, 0.25, 0.5, 0.9)]
+        cases += [(R, GAMMA) for R in (*range(200, 401), 512, 1000, 10**6)]
+        cases += [(R, g) for R in (1, 2, 5, 20, 200) for g in (0.001, 0.05, 0.9, 0.999)]
+        triples = [(q, R, g) for R, g in cases for q in (0.025, 0.975)]
+        # q equal to a cdf value: the rank is the smallest k that reaches q
+        triples += [(0.5, 1, 0.5), (0.25, 2, 0.5), (0.75, 2, 0.5)]
+        mismatches = [(q, R, g) for q, R, g in triples
+                      if estimate._binom_quantile(q, R, g) != int(stats.binom.ppf(q, R, g))]
+        assert mismatches == []
+
     def test_to_driving_sequence_knots(self):
         dse = _exact_dse([10, 100])
         xs, es = dse.to_driving_sequence().knots()
@@ -200,6 +219,11 @@ class TestBT:
     def test_pair_budget_enforced(self):
         with pytest.raises(InvalidArgumentError):
             check_BT(IID_EXP, _exact_dse([100]), T=1.5, method="exact")  # (1,1) pair needs T >= 2
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0, 0.0])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        with pytest.raises(InvalidArgumentError, match="T must be finite and positive"):
+            check_BT(IID_EXP, _exact_dse([100]), T=T, method="exact")
 
     def test_r_product_decays_for_iid(self):
         rep = check_BT(IID_EXP,

@@ -121,7 +121,7 @@ def criterion_2(workers: int = 1) -> CriterionResult:
     mc_ok = worst_z <= 4.0
 
     arts = {
-        "mixture_maxlaw.csv": csv_table(("n", "level", "p_hat", "se", "replicas"), rows),
+        "mixture_maxlaw.csv": csv_table(("n", "level", "p_hat", "se", "replicas"), zip(*rows)),
         "mixture_exact.json": json_report(
             {"N": N, "exact": {str(t): exact_vals[t] for t in ts}}),
     }

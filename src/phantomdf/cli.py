@@ -239,7 +239,7 @@ def cmd_regen(args) -> int:
     rs, ver = rg.stats, rg.verification
     out = st.out_dir
     _write(out, "cycle_maxima_cdf.csv",
-           csv_table(("y", "cycle_cdf"), zip(*rs.cycle_cdf)))
+           csv_table(("y", "cycle_cdf"), rs.cycle_cdf))
     _write(out, "maxlaw.csv", maxlaw_csv(rg.maxlaw))
     _write(out, "path.marks.txt", marks_file_text(rg.path))
     _write(out, "summary.json", json_report({
@@ -262,19 +262,53 @@ def cmd_regen(args) -> int:
 
 
 def _parse_mixing(text: str):
+    """A mixing case from ``name(arg)``, or None for an empty string."""
     text = text.strip().lower()
     if not text:
         return None
     name, _, argtext = text.partition("(")
     argtext = argtext.rstrip(")")
-    arg = float(argtext) if argtext else 0.0
+    try:
+        arg = float(argtext) if argtext else 0.0
+    except ValueError:
+        raise InvalidArgumentError(
+            f"mixing argument must be a number, got {argtext!r}") from None
+    if not math.isfinite(arg):
+        raise InvalidArgumentError(f"mixing argument must be finite, got {argtext!r}")
     if name == "m_dependent":
+        if arg != int(arg):
+            raise InvalidArgumentError(
+                f"m_dependent range must be an integer, got {argtext!r}")
         return MDependent(m=int(arg))
     if name == "exponential":
         return ExponentialMixing(rho=arg)
     if name == "polynomial":
         return PolynomialMixing(beta=arg)
-    raise ValueError(f"unknown mixing case {text!r}")
+    raise InvalidArgumentError(f"unknown mixing case {text!r}")
+
+
+def _parse_flag(key: str, text: str) -> bool:
+    flag = text.strip().lower()
+    if flag not in ("true", "false"):
+        raise InvalidArgumentError(f"{key} must be true or false, got {text!r}")
+    return flag == "true"
+
+
+def _parse_delta_xi(text: str) -> dict[float, bool]:
+    """``xi:flag`` pairs, comma-separated; each xi finite and >= 0."""
+    delta_xi = {}
+    for piece in filter(None, (p.strip() for p in text.split(","))):
+        xitext, colon, flag = piece.partition(":")
+        try:
+            xi = float(xitext)
+        except ValueError:
+            xi = math.nan
+        if not colon or not (math.isfinite(xi) and xi >= 0):
+            raise InvalidArgumentError(
+                f"delta_xi entries must read xi:true or xi:false with a finite "
+                f"xi >= 0, got {piece!r}")
+        delta_xi[xi] = _parse_flag("delta_xi flag", flag)
+    return delta_xi
 
 
 def cmd_rates(args) -> int:
@@ -295,13 +329,8 @@ def cmd_rates(args) -> int:
     ok = verdict.sufficient
     mixing = _parse_mixing(st.get("mixing", ""))
     if mixing is not None:
-        delta_xi = {}
-        for piece in (st.get("delta_xi", "") or "").split(","):
-            if ":" in piece:
-                xi, flag = piece.split(":")
-                delta_xi[float(xi)] = flag.strip().lower() == "true"
-        ev = DeltaEvidence(delta0=(st.get("delta0", "false").lower() == "true"),
-                           delta_xi=delta_xi)
+        ev = DeltaEvidence(delta0=_parse_flag("delta0", st.get("delta0", "false")),
+                           delta_xi=_parse_delta_xi(st.get("delta_xi", "") or ""))
         case = alpha_discontinuous_case(mixing, ev)
         payload["discontinuous_case"] = {
             "admits_phantom": case.admits_phantom,

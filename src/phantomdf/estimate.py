@@ -384,6 +384,16 @@ def maxlaw_from_maxima(table: Mapping[int, np.ndarray], R: int,
     return MaxLawEstimate(method="monte-carlo", replicas=R, rows=tuple(rows))
 
 
+def _resolve_method(spec: ProcessSpec, method: str) -> str:
+    """'exact' or 'monte-carlo'; 'auto' picks exact where a closed form exists."""
+    if method not in ("auto", "exact", "monte-carlo"):
+        raise InvalidArgumentError(
+            f"method must be 'auto', 'exact' or 'monte-carlo', got {method!r}")
+    if method == "auto":
+        return "exact" if has_exact_max_law(spec) else "monte-carlo"
+    return method
+
+
 def estimate_driving_sequence(spec: ProcessSpec, gamma: float, block_sizes,
                               R: int = 1000, seed: int = 0,
                               method: str = "auto",
@@ -397,8 +407,7 @@ def estimate_driving_sequence(spec: ProcessSpec, gamma: float, block_sizes,
     """
     _check_gamma(gamma)
     n_list = _validate_sizes(block_sizes)
-    if method == "auto":
-        method = "exact" if has_exact_max_law(spec) else "monte-carlo"
+    method = _resolve_method(spec, method)
     if method == "exact":
         v = np.array([exact_max_quantile(spec, n, gamma) for n in n_list])
         return DrivingSeqEstimate(gamma=gamma, n_values=np.asarray(n_list),
@@ -490,8 +499,7 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
     if n_list is None:
         n_list = [int(n) for n in dse.n_values]
     n_list = _validate_sizes(n_list)
-    if method == "auto":
-        method = "exact" if has_exact_max_law(spec) else "monte-carlo"
+    method = _resolve_method(spec, method)
 
     pair_table: dict[int, list[tuple[int, int]]] = {}
     for n in n_list:

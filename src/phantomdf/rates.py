@@ -81,6 +81,8 @@ def check_rate_sufficiency(kind: DependenceKind | str, beta: float,
     """Strict test beta > threshold; boundary inputs are not sufficient."""
     kind = DependenceKind(kind)
     thr = threshold_beta(kind, b)
+    if not math.isfinite(beta):
+        raise InvalidArgumentError(f"decay rate beta must be finite, got {beta:g}")
     note = ""
     if kind is DependenceKind.ALPHA:
         note = "no rate needed for continuous marginals"
@@ -98,8 +100,9 @@ class MDependent:
     m: int
 
     def __post_init__(self):
-        if self.m < 0:
-            raise InvalidArgumentError("dependence range m must be >= 0")
+        if not isinstance(self.m, int) or self.m < 0:
+            raise InvalidArgumentError(f"dependence range m must be an integer >= 0, "
+                                       f"got {self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,8 @@ class PolynomialMixing:
     C: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise InvalidArgumentError("polynomial rate beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise InvalidArgumentError("polynomial rate beta must be finite and positive")
         if self.C < 0:
             raise InvalidArgumentError("mixing constant C must be >= 0")
 

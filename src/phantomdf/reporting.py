@@ -41,48 +41,36 @@ def fmt_float(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return fmt_float(x)
-    return str(x)
-
-
-def csv_table(header: Iterable[str], rows: Iterable[Iterable]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def csv_table(header: Iterable[str], columns: Iterable[Iterable]) -> str:
+    return "".join(_text_blocks([",".join(header)], columns))
 
 
 def maxlaw_csv(est: MaxLawEstimate) -> str:
-    rows = []
-    for r in est.rows:
-        for x, p, s in zip(r.levels, r.p_hat, r.se):
-            rows.append((r.n, x, p, s, est.replicas))
-    return csv_table(("n", "level", "p_hat", "se", "replicas"), rows)
+    n = np.repeat([r.n for r in est.rows], [r.levels.size for r in est.rows])
+    grid = [np.concatenate([getattr(r, f) for r in est.rows])
+            for f in ("levels", "p_hat", "se")]
+    return csv_table(("n", "level", "p_hat", "se", "replicas"),
+                     (n, *grid, np.full(n.size, est.replicas)))
 
 
 def driving_csv(dse: DrivingSeqEstimate) -> str:
-    rows = zip(dse.n_values, dse.v_hat, dse.ci_lo, dse.ci_hi)
-    return csv_table(("n", "v_hat", "ci_lo", "ci_hi"), rows)
+    return csv_table(("n", "v_hat", "ci_lo", "ci_hi"),
+                     (dse.n_values, dse.v_hat, dse.ci_lo, dse.ci_hi))
 
 
 def bt_csv(report: BTReport) -> str:
-    rows = []
-    for r in report.rows:
-        for pair in r.pairs:
-            rows.append((r.n, pair.p, pair.q, pair.value, pair.se))
-    return csv_table(("n", "p", "q", "b_value", "se"), rows)
+    n = [r.n for r in report.rows for _ in r.pairs]
+    pairs = [pair for r in report.rows for pair in r.pairs]
+    return csv_table(("n", "p", "q", "b_value", "se"), (
+        n, [b.p for b in pairs], [b.q for b in pairs],
+        [b.value for b in pairs], [b.se for b in pairs]))
 
 
 def theta_csv(est: ThetaEstimate) -> str:
-    rows = [(r.n, r.level, r.tail, r.s, r.gamma_prime, r.theta,
-             r.theta_lo, r.theta_hi) for r in est.rows]
+    fields = ("n", "level", "tail", "s", "gamma_prime", "theta", "theta_lo", "theta_hi")
     return csv_table(("n", "level", "tail", "n_tail", "gamma_prime",
-                      "theta", "theta_lo", "theta_hi"), rows)
+                      "theta", "theta_lo", "theta_hi"),
+                     [[getattr(r, f) for r in est.rows] for f in fields])
 
 
 def _plain(obj):
@@ -111,13 +99,23 @@ def json_report(payload: dict) -> str:
 TEXT_BLOCK = 65_536
 
 
-def _text_blocks(head: list[str], values: np.ndarray, fmt: str) -> Iterator[str]:
-    # the bytes of "\n".join(head) + "\n" + "\n".join(fmt % v ...) + "\n"
+def _text_blocks(head: list[str], columns: Iterable[Iterable]) -> Iterator[str]:
+    # the head lines, then one row template over equal-length columns: %d
+    # for an integer column, FLOAT_FMT for any other
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in columns) + "\n"
     yield "\n".join(head) + "\n"
-    if values.size == 0:
-        yield "\n"
-    for i in range(0, values.size, TEXT_BLOCK):
-        yield "".join(fmt % v for v in values[i:i + TEXT_BLOCK].tolist())
+    for i in range(0, columns[0].size, TEXT_BLOCK):
+        block = [c[i:i + TEXT_BLOCK].tolist() for c in columns]
+        # one column formats its values directly; 1-tuples of them are slower
+        # (1.39M marks: 0.56-0.60 s against 0.45-0.56 s on a 2-core VM)
+        yield "".join(map(row.__mod__, block[0] if len(block) == 1
+                          else zip(*block, strict=True)))
+
+
+def _file_blocks(head: list[str], values: np.ndarray) -> Iterator[str]:
+    # a path or marks file with no values still ends in one empty line
+    return _text_blocks(head + [""] if values.size == 0 else head, [values])
 
 
 def path_file_text(path: SamplePath) -> Iterator[str]:
@@ -132,7 +130,7 @@ def path_file_text(path: SamplePath) -> Iterator[str]:
     ]
     if path.mixture_component is not None:
         head.append(f"# component: {path.mixture_component}")
-    return _text_blocks(head, path.values, FLOAT_FMT + "\n")
+    return _file_blocks(head, path.values)
 
 
 def marks_file_text(path: SamplePath) -> Iterator[str]:
@@ -143,4 +141,4 @@ def marks_file_text(path: SamplePath) -> Iterator[str]:
         "# phantomdf regeneration marks v1 (post burn-in indices)",
         f"# digest: {spec_digest(path.spec)}",
     ]
-    return _text_blocks(head, path.regeneration_marks, "%d\n")
+    return _file_blocks(head, path.regeneration_marks)

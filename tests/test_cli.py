@@ -251,8 +251,9 @@ def test_regen_pipeline(run, tmp_path):
 
 
 class TestBadBlockSizes:
-    """Bad block sizes, gamma, smoothing, replica counts, B_T horizons or
-    law parameters exit 2 with one line before anything is simulated."""
+    """Bad block sizes, gamma, smoothing, replica counts, B_T horizons, law
+    parameters or estimation methods exit 2 with one line before anything
+    is simulated."""
     FIT = ("[common]\nseed = 11\nreplicas = 256\n"
            "[phantom-fit]\nkind = metropolis\ntarget = symmetric_pareto(2,1)\n"
            "proposal = uniform(-1,1)\nblock_sizes = {}\n")
@@ -355,6 +356,64 @@ class TestBadBlockSizes:
         cfg = self.REGEN.format("1000,10000").replace("pareto(2,1)-2", "pareto(2,1)-1e400")
         self.assert_rejected(*run(cfg, "regen", "--out", str(tmp_path / "o")),
                              error="error: shift must be finite, got -inf")
+
+
+    @pytest.mark.parametrize("kind", ["iid\nmarginal = exp(1)",
+                                      "lindley\nstep = pareto(2,1)-2"])
+    def test_extremal_index_method(self, run, tmp_path, kind):
+        cfg = (f"[extremal-index]\nkind = {kind}\nblock_sizes = 100,1000\n"
+               "method = exactt\n")
+        self.assert_rejected(*run(cfg, "extremal-index", "--out", str(tmp_path / "o")),
+                             error="error: method must be 'auto', 'exact' or "
+                                   "'monte-carlo', got 'exactt'")
+
+
+class TestBadRates:
+    """Rate checks with a non-finite rate, a malformed mixing case or a flag
+    that is neither true nor false exit 2 with one line and write nothing."""
+    BASE = "[rates]\nkind = theta\nb = 1.0\nbeta = 4.0\n"
+    MIXING = "[rates]\nkind = alpha\nb = 1.0\nbeta = 1.0\nmixing = {}\n"
+    XI = MIXING.format("polynomial(4)") + "delta_xi = {}\n"
+    XI_ERROR = "delta_xi entries must read xi:true or xi:false with a finite xi >= 0, got {!r}"
+
+    @pytest.mark.parametrize("cfg, error", [
+        pytest.param(BASE.replace("4.0", "nan"), "decay rate beta must be finite, got nan",
+                     id="beta-nan"),
+        pytest.param(BASE.replace("4.0", "inf"), "decay rate beta must be finite, got inf",
+                     id="beta-inf"),
+        pytest.param(MIXING.format("m_dependent(inf)"),
+                     "mixing argument must be finite, got 'inf'", id="m_dependent-inf"),
+        pytest.param(MIXING.format("m_dependent(2.7)"),
+                     "m_dependent range must be an integer, got '2.7'", id="m_dependent-2.7"),
+        pytest.param(MIXING.format("polynomial(nan)"),
+                     "mixing argument must be finite, got 'nan'", id="polynomial-nan"),
+        pytest.param(MIXING.format("polynomial(inf)"),
+                     "mixing argument must be finite, got 'inf'", id="polynomial-inf"),
+        pytest.param(MIXING.format("polynomial(four)"),
+                     "mixing argument must be a number, got 'four'", id="polynomial-text"),
+        pytest.param(MIXING.format("geometric(0.5)"),
+                     "unknown mixing case 'geometric(0.5)'", id="unknown-case"),
+        pytest.param(XI.format("nan:true"), XI_ERROR.format("nan:true"), id="xi-nan"),
+        pytest.param(XI.format("-1:true"), XI_ERROR.format("-1:true"), id="xi-negative"),
+        pytest.param(XI.format("0.5"), XI_ERROR.format("0.5"), id="xi-without-flag"),
+        pytest.param(XI.format("0.5:yes"), "delta_xi flag must be true or false, got 'yes'",
+                     id="xi-flag-yes"),
+        pytest.param(MIXING.format("m_dependent(2)") + "delta0 = ture\n",
+                     "delta0 must be true or false, got 'ture'", id="delta0-ture"),
+    ])
+    def test_rejected(self, run, tmp_path, cfg, error):
+        rc, stdout, err = run(cfg, "rates", "--out", str(tmp_path / "r"))
+        assert (rc, stdout) == (2, "")
+        assert err.splitlines() == [f"error: {error}"]
+        assert not (tmp_path / "r" / "summary.json").exists()
+
+    def test_flags_and_integer_ranges_still_parse(self, run, tmp_path):
+        rc, _stdout, err = run(self.MIXING.format("m_dependent(2.0)") +
+                               "delta0 = TRUE\ndelta_xi = 0.1:false, 0.2:True,\n",
+                               "rates", "--out", str(tmp_path / "r"))
+        assert (rc, err) == (0, "")
+        case = json.loads((tmp_path / "r" / "summary.json").read_text())["discontinuous_case"]
+        assert case["which_case"] == "m-dependent"
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):

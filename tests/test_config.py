@@ -1,13 +1,15 @@
-"""Law strings: each one parses to a law or is rejected with one error."""
+"""Law and mixing strings: each one parses or is rejected with one error."""
 
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phantomdf.cli import _parse_mixing
 from phantomdf.config import parse_law
 from phantomdf.distributions import _CATALOG, DistFn
 from phantomdf.errors import InvalidArgumentError
+from phantomdf.rates import ExponentialMixing, MDependent, PolynomialMixing
 
 _NUMBERS = st.one_of(
     st.floats().map(repr),
@@ -58,3 +60,41 @@ def test_malformed_arguments_are_rejected(text):
 def test_finite_laws_still_parse():
     assert parse_law("pareto(2,1)-2").name == "pareto(2,1)-2"
     assert parse_law("mixture_component(3)").name == "mixture-component(k=3)"
+
+
+_MIXINGS = st.builds(
+    lambda name, args: f"{name}({','.join(args)})",
+    st.one_of(st.sampled_from(["m_dependent", "exponential", "polynomial"]),
+              st.text(max_size=5)),
+    st.lists(_NUMBERS, max_size=2),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_MIXINGS, st.text(max_size=20)))
+def test_parse_mixing_returns_a_case_or_rejects(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            case = _parse_mixing(text)
+        except InvalidArgumentError:
+            return
+    assert case is None or isinstance(case, (MDependent, ExponentialMixing, PolynomialMixing))
+
+
+@pytest.mark.parametrize("text", [
+    "m_dependent(inf)", "m_dependent(2.7)", "m_dependent(-1)", "m_dependent(1e400)",
+    "polynomial(nan)", "polynomial(inf)", "polynomial(0)", "exponential(1)",
+    "exponential(nan)", "polynomial(x)", "polynomial(1,2)", "geometric(2)",
+])
+def test_malformed_mixing_cases_are_rejected(text):
+    with pytest.raises(InvalidArgumentError):
+        _parse_mixing(text)
+
+
+def test_mixing_cases_still_parse():
+    assert _parse_mixing("  ") is None
+    assert _parse_mixing("M_Dependent(3)") == MDependent(3)
+    assert _parse_mixing("m_dependent(3.0)") == MDependent(3)
+    assert _parse_mixing("exponential(0.5)") == ExponentialMixing(rho=0.5)
+    assert _parse_mixing("polynomial(4)") == PolynomialMixing(beta=4.0)

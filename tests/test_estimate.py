@@ -68,6 +68,18 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             check_BT(MOVMAX2, _exact_dse([100]), R=50, method="monte-carlo")
 
+    @pytest.mark.parametrize("method", ["exactt", "Exact", "", "monte carlo"])
+    def test_unknown_method_is_rejected_before_simulation(self, monkeypatch, method):
+        def called(*args, **kwargs):
+            raise AssertionError("simulated before the method was checked")
+
+        monkeypatch.setattr(estimate, "block_maxima_table", called)
+        monkeypatch.setattr(estimate, "_window_maxima", called)
+        with pytest.raises(InvalidArgumentError, match="method must be 'auto', 'exact' or"):
+            estimate_theta_single_sequence(LINDLEY, GAMMA, [100], R=200, method=method)
+        with pytest.raises(InvalidArgumentError, match="method must be 'auto', 'exact' or"):
+            check_BT(LINDLEY, _exact_dse([100]), R=200, method=method)
+
     def test_block_sizes_strictly_increasing(self):
         for bad in ([100, 100], [1000, 100], [0, 10]):
             with pytest.raises(InvalidArgumentError):

@@ -37,7 +37,8 @@ from phantomdf.processes import (
     generate,
     lindley_step_tail_vs_stationary,
 )
-from phantomdf.reporting import csv_table, driving_csv, maxlaw_csv
+from phantomdf.reporting import driving_csv, maxlaw_csv
+from test_reporting import reference_csv_table
 
 GAMMA = math.exp(-1.0)
 R = 200
@@ -249,7 +250,7 @@ def test_regen_command_writes_the_reference(tmp_path):
     (path, rs, (ml, _ver, ok), band, band_ok, tails, _tail_ok,
      (uniq, cum)) = reference_regen(STEP, 100_000, [100, 1_000], R, SEED)
     assert (out / "cycle_maxima_cdf.csv").read_text() == \
-        csv_table(("y", "cycle_cdf"), zip(uniq, cum))
+        reference_csv_table(("y", "cycle_cdf"), zip(uniq, cum))
     assert (out / "maxlaw.csv").read_text() == maxlaw_csv(ml)
     summary = json.loads((out / "summary.json").read_text())
     assert (summary["cycle_count"], summary["phantom_verified"],

@@ -85,6 +85,20 @@ def test_mixing_case_validation():
         alpha_discontinuous_case(object(), DeltaEvidence())
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_non_finite_rates_are_rejected(beta):
+    with pytest.raises(InvalidArgumentError, match="beta must be finite"):
+        check_rate_sufficiency("theta", beta, 1.0)
+    with pytest.raises(InvalidArgumentError, match="beta must be finite"):
+        PolynomialMixing(beta=beta)
+
+
+@pytest.mark.parametrize("m", [2.7, 2.0, math.inf, "3"])
+def test_dependence_range_must_be_an_integer(m):
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        MDependent(m)
+
+
 class TestDiscontinuousCases:
     def test_m_dependent_needs_base_bound(self):
         ok = alpha_discontinuous_case(MDependent(3), DeltaEvidence(delta0=True))

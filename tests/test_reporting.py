@@ -1,14 +1,174 @@
-"""Text artifacts: streamed path and marks files keep the joined bytes."""
+"""Text artifacts: every writer keeps the bytes of the per-cell writer it
+replaced, and streamed path and marks files keep the joined bytes."""
+
+import math
 
 import numpy as np
 import pytest
 
-from phantomdf import reporting
-from phantomdf.distributions import pareto, shifted
-from phantomdf.processes import IIDSpec, LindleySpec, SamplePath, describe_spec, generate, spec_digest
-from phantomdf.reporting import FLOAT_FMT, marks_file_text, path_file_text
+from phantomdf import acceptance, reporting
+from phantomdf.distributions import exponential, jump_sequence, pareto, shifted, uniform
+from phantomdf.estimate import (
+    block_maxima_table,
+    check_BT,
+    estimate_driving_sequence,
+    estimate_theta_single_sequence,
+    exact_maxlaw,
+    maxlaw_from_maxima,
+)
+from phantomdf.processes import (
+    IIDSpec,
+    LindleySpec,
+    MovingMaxSpec,
+    SamplePath,
+    describe_spec,
+    generate,
+    spec_digest,
+)
+from phantomdf.reporting import (
+    FLOAT_FMT,
+    bt_csv,
+    csv_table,
+    driving_csv,
+    marks_file_text,
+    maxlaw_csv,
+    path_file_text,
+    theta_csv,
+)
 
 LINDLEY = LindleySpec(step=shifted(pareto(2.0, 1.0), -2.0), burn_in=300)
+IID = IIDSpec(exponential(1.0))
+MOVMAX2 = MovingMaxSpec(window=2, base=uniform(0.0, 1.0))
+# a bounded jump law: at n >= 100 the driving level is the top atom, whose
+# tail is 0, so theta = inf
+TOP_ATOM = IIDSpec(jump_sequence([1.0, 2.0, 3.0], [0.5, 0.1, 0.0]))
+GAMMA = math.exp(-1.0)
+R = 200
+SEED = 20260814
+
+
+# ---------------------------------------------------------------------------
+# references: the per-cell CSV writer and its row builders, verbatim
+# ---------------------------------------------------------------------------
+
+def fmt_float(x: float) -> str:
+    return "%.17g" % float(x)  # FLOAT_FMT, spelled out so a changed format shows
+
+
+def _cell(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return fmt_float(x)
+    return str(x)
+
+
+def reference_csv_table(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_cell(c) for c in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def reference_maxlaw_csv(est) -> str:
+    rows = []
+    for r in est.rows:
+        for x, p, s in zip(r.levels, r.p_hat, r.se):
+            rows.append((r.n, x, p, s, est.replicas))
+    return reference_csv_table(("n", "level", "p_hat", "se", "replicas"), rows)
+
+
+def reference_driving_csv(dse) -> str:
+    rows = zip(dse.n_values, dse.v_hat, dse.ci_lo, dse.ci_hi)
+    return reference_csv_table(("n", "v_hat", "ci_lo", "ci_hi"), rows)
+
+
+def reference_bt_csv(report) -> str:
+    rows = []
+    for r in report.rows:
+        for pair in r.pairs:
+            rows.append((r.n, pair.p, pair.q, pair.value, pair.se))
+    return reference_csv_table(("n", "p", "q", "b_value", "se"), rows)
+
+
+def reference_theta_csv(est) -> str:
+    rows = [(r.n, r.level, r.tail, r.s, r.gamma_prime, r.theta,
+             r.theta_lo, r.theta_hi) for r in est.rows]
+    return reference_csv_table(("n", "level", "tail", "n_tail", "gamma_prime",
+                                "theta", "theta_lo", "theta_hi"), rows)
+
+
+# ---------------------------------------------------------------------------
+# the typed-column writer against the references
+# ---------------------------------------------------------------------------
+
+def test_maxlaw_csv_keeps_the_per_cell_bytes():
+    table = block_maxima_table(IID, [10, 100], R, SEED, tag="pin")
+    for est in (maxlaw_from_maxima(table, R),
+                maxlaw_from_maxima(table, R, level_cap=float(np.median(table[100]))),
+                exact_maxlaw(MOVMAX2, [20, 80], probs=np.linspace(0.01, 0.99, 33))):
+        assert maxlaw_csv(est) == reference_maxlaw_csv(est)
+
+
+def test_driving_csv_keeps_the_per_cell_bytes():
+    for method in ("exact", "monte-carlo"):
+        dse = estimate_driving_sequence(MOVMAX2, GAMMA, [10, 100, 1000], R=R,
+                                        seed=SEED, method=method)
+        assert driving_csv(dse) == reference_driving_csv(dse)
+
+
+def test_bt_csv_keeps_the_per_cell_bytes():
+    for spec, method in ((MOVMAX2, "exact"), (IID, "monte-carlo"), (LINDLEY, "monte-carlo")):
+        dse = estimate_driving_sequence(spec, GAMMA, [10, 100], R=R, seed=SEED)
+        report = check_BT(spec, dse, n_list=[10, 100], R=R, seed=SEED, method=method)
+        assert report.method == method
+        assert bt_csv(report) == reference_bt_csv(report)
+
+
+def test_theta_csv_keeps_the_per_cell_bytes():
+    for spec, method in ((TOP_ATOM, "exact"), (TOP_ATOM, "monte-carlo"),
+                         (MOVMAX2, "monte-carlo"), (LINDLEY, "monte-carlo")):
+        est = estimate_theta_single_sequence(spec, GAMMA, [100, 1000], R=R,
+                                             seed=SEED, method=method)
+        assert theta_csv(est) == reference_theta_csv(est)
+    top = estimate_theta_single_sequence(TOP_ATOM, GAMMA, [100, 1000], method="exact")
+    assert math.isinf(top.rows[-1].theta)
+    assert ",inf," in theta_csv(top)
+
+
+def test_criterion_2_table_keeps_the_per_cell_bytes(monkeypatch):
+    seen = []
+
+    def spy(header, columns):
+        columns = [list(c) for c in columns]
+        seen.append((header, columns))
+        return csv_table(header, columns)
+
+    monkeypatch.setattr(acceptance, "csv_table", spy)
+    text = acceptance.criterion_2().artifacts["mixture_maxlaw.csv"]
+    (header, columns), = seen
+    assert text == reference_csv_table(header, zip(*columns))
+    assert [type(c[0]) for c in columns] == [int, float, float, float, int]
+
+
+def test_csv_table_across_blocks_keeps_the_per_cell_bytes(monkeypatch):
+    monkeypatch.setattr(reporting, "TEXT_BLOCK", 97)
+    rng = np.random.default_rng(3)
+    for size in (1, 96, 97, 98, 3 * 97, 3 * 97 + 1, 1_000):
+        n = rng.integers(-10**12, 10**12, size)
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        x[::7] = np.inf
+        u = rng.random(size)
+        header = ("n", "x", "u")
+        assert csv_table(header, (n, x, u)) == reference_csv_table(header, zip(n, x, u))
+        assert csv_table(header[1:], (x, u)) == reference_csv_table(header[1:], zip(x, u))
+
+
+def test_csv_table_without_rows_is_the_header_line():
+    empty = np.array([])
+    assert csv_table(("a", "b"), (empty, empty)) == reference_csv_table(("a", "b"), []) \
+        == "a,b\n"
 
 
 def joined_path_text(path):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -266,10 +267,14 @@ def _parse_mixing(text: str):
     text = text.strip().lower()
     if not text:
         return None
-    name, _, argtext = text.partition("(")
-    argtext = argtext.rstrip(")")
+    call = re.fullmatch(r"(\w+)\(([^()]*)\)", text)
+    if call is None:
+        raise InvalidArgumentError(f"mixing case must read name(argument), got {text!r}")
+    name, argtext = call.groups()
+    if not argtext.strip():
+        raise InvalidArgumentError(f"mixing case {text!r} needs an argument")
     try:
-        arg = float(argtext) if argtext else 0.0
+        arg = float(argtext)
     except ValueError:
         raise InvalidArgumentError(
             f"mixing argument must be a number, got {argtext!r}") from None

@@ -193,22 +193,45 @@ def _check_gamma(gamma: float) -> None:
 # block maxima
 # ---------------------------------------------------------------------------
 
+class _QuantileColumns(Mapping):
+    """Block maxima Q(u**(1/(n + shift))) of sorted uniforms u, by block size n.
+
+    The map u -> Q(u**(1/e)) is non-decreasing, so every column comes out
+    ascending.  A column is built when it is read and not kept, so the table
+    holds one array of R log-uniforms whatever the number of block sizes.
+    """
+
+    def __init__(self, quantile: Callable, shift: int, n_list: Sequence[int],
+                 logu: np.ndarray) -> None:
+        self._quantile, self._shift = quantile, shift
+        self._n_list, self._logu = tuple(n_list), logu
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        if n not in self._n_list:
+            raise KeyError(n)
+        p = np.exp(self._logu / (n + self._shift))
+        return np.asarray(self._quantile(p), dtype=float)
+
+    def __iter__(self):
+        return iter(self._n_list)
+
+    def __len__(self) -> int:
+        return len(self._n_list)
+
+
 def _transform_maxima(spec: ProcessSpec, n_list: Sequence[int], R: int,
-                      seed: int, tag: str) -> dict[int, np.ndarray]:
+                      seed: int, tag: str) -> Mapping[int, np.ndarray]:
     rng = rng_for(seed, tag, "maxima")
     u = np.maximum(rng.random(R), 1e-300)
     logu = np.log(u)
-    out: dict[int, np.ndarray] = {}
     if isinstance(spec, IIDSpec):
-        for n in n_list:
-            out[n] = np.asarray(spec.marginal.quantile(np.exp(logu / n)), dtype=float)
-        return out
+        logu.sort()
+        return _QuantileColumns(spec.marginal.quantile, 0, n_list, logu)
     if isinstance(spec, MovingMaxSpec):
-        for n in n_list:
-            e = n + spec.window - 1
-            out[n] = np.asarray(spec.base.quantile(np.exp(logu / e)), dtype=float)
-        return out
+        logu.sort()
+        return _QuantileColumns(spec.base.quantile, spec.window - 1, n_list, logu)
     if isinstance(spec, MixtureSpec):
+        out: dict[int, np.ndarray] = {}
         krng = rng_for(seed, tag, "component")
         ks = np.array([_mixture_draw_component(krng) for _ in range(R)], dtype=np.int64)
         bases = ks.astype(float) ** 2
@@ -222,8 +245,12 @@ def _transform_maxima(spec: ProcessSpec, n_list: Sequence[int], R: int,
 
 
 def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
-                       tag: str = "maxlaw", workers: int = 1) -> dict[int, np.ndarray]:
-    """R block maxima for each requested block size."""
+                       tag: str = "maxlaw", workers: int = 1) -> Mapping[int, np.ndarray]:
+    """R block maxima for each requested block size.
+
+    Order contract: IID and moving-max columns are ascending and built
+    when read; Monte-Carlo (Markov) and mixture columns are in replica order.
+    """
     n_list = _validate_sizes(block_sizes)
     if has_exact_max_law(spec):
         return _transform_maxima(spec, n_list, R, seed, tag)
@@ -273,6 +300,11 @@ def exact_max_quantile(spec: ProcessSpec, n: int, p: float) -> float:
             raise InvalidArgumentError("quantile index overflow")
         return spec.vseq.value(j)
     raise NotExactlyComputableError(f"no closed form for {describe_spec(spec)}")
+
+
+def _ascending(col: np.ndarray) -> np.ndarray:
+    """The column itself when already ascending, else a sorted copy."""
+    return col if np.all(col[1:] >= col[:-1]) else np.sort(col)
 
 
 def _type1_quantile(sorted_vals: np.ndarray, p: float) -> float:
@@ -352,7 +384,7 @@ def driving_from_maxima(gamma: float, table: Mapping[int, np.ndarray],
     ci_lo = np.empty(len(n_list))
     ci_hi = np.empty(len(n_list))
     for i, n in enumerate(n_list):
-        s = np.sort(table[n])
+        s = _ascending(table[n])
         v_hat[i] = _type1_quantile(s, gamma)
         ci_lo[i] = s[k_lo - 1]
         ci_hi[i] = s[k_hi - 1]
@@ -374,7 +406,7 @@ def maxlaw_from_maxima(table: Mapping[int, np.ndarray], R: int,
         probs = np.linspace(0.01, 0.99, 33)
     rows = []
     for n in sorted(int(n) for n in table):
-        s = np.sort(table[n])
+        s = _ascending(table[n])
         xs = np.unique([_type1_quantile(s, float(p)) for p in probs])
         if level_cap is not None:
             xs = xs[xs <= level_cap]

@@ -105,6 +105,11 @@ class MDependent:
                                        f"got {self.m!r}")
 
 
+def _check_mixing_constant(C: float) -> None:
+    if not (math.isfinite(C) and C >= 0):
+        raise InvalidArgumentError(f"mixing constant C must be finite and >= 0, got {C!r}")
+
+
 @dataclass(frozen=True)
 class ExponentialMixing:
     rho: float
@@ -113,8 +118,7 @@ class ExponentialMixing:
     def __post_init__(self):
         if not (0.0 <= self.rho < 1.0):
             raise InvalidArgumentError("exponential base rho must lie in [0, 1)")
-        if self.C < 0:
-            raise InvalidArgumentError("mixing constant C must be >= 0")
+        _check_mixing_constant(self.C)
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,7 @@ class PolynomialMixing:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise InvalidArgumentError("polynomial rate beta must be finite and positive")
-        if self.C < 0:
-            raise InvalidArgumentError("mixing constant C must be >= 0")
+        _check_mixing_constant(self.C)
 
 
 MixingCase = MDependent | ExponentialMixing | PolynomialMixing

@@ -393,6 +393,20 @@ class TestBadRates:
                      "mixing argument must be a number, got 'four'", id="polynomial-text"),
         pytest.param(MIXING.format("geometric(0.5)"),
                      "unknown mixing case 'geometric(0.5)'", id="unknown-case"),
+        pytest.param(MIXING.format("exponential"),
+                     "mixing case must read name(argument), got 'exponential'",
+                     id="exponential-without-argument"),
+        pytest.param(MIXING.format("polynomial()"),
+                     "mixing case 'polynomial()' needs an argument", id="polynomial-empty"),
+        pytest.param(MIXING.format("polynomial(4"),
+                     "mixing case must read name(argument), got 'polynomial(4'",
+                     id="polynomial-unclosed"),
+        pytest.param(MIXING.format("polynomial(4)))"),
+                     "mixing case must read name(argument), got 'polynomial(4)))'",
+                     id="polynomial-extra-parentheses"),
+        pytest.param(MIXING.format("polynomial)4("),
+                     "mixing case must read name(argument), got 'polynomial)4('",
+                     id="polynomial-reversed-parentheses"),
         pytest.param(XI.format("nan:true"), XI_ERROR.format("nan:true"), id="xi-nan"),
         pytest.param(XI.format("-1:true"), XI_ERROR.format("-1:true"), id="xi-negative"),
         pytest.param(XI.format("0.5"), XI_ERROR.format("0.5"), id="xi-without-flag"),

@@ -1,12 +1,14 @@
-"""Law and mixing strings: each one parses or is rejected with one error."""
+"""Law, mixing and integer-list strings: each one parses or is rejected
+with one error."""
 
+import math
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from phantomdf.cli import _parse_mixing
-from phantomdf.config import parse_law
+from phantomdf.config import parse_int_list, parse_law
 from phantomdf.distributions import _CATALOG, DistFn
 from phantomdf.errors import InvalidArgumentError
 from phantomdf.rates import ExponentialMixing, MDependent, PolynomialMixing
@@ -86,6 +88,8 @@ def test_parse_mixing_returns_a_case_or_rejects(text):
     "m_dependent(inf)", "m_dependent(2.7)", "m_dependent(-1)", "m_dependent(1e400)",
     "polynomial(nan)", "polynomial(inf)", "polynomial(0)", "exponential(1)",
     "exponential(nan)", "polynomial(x)", "polynomial(1,2)", "geometric(2)",
+    "exponential", "polynomial()", "exponential( )", "polynomial(4", "polynomial(4)))",
+    "polynomial)4(", "polynomial((4))", "polynomial(4)x", "(4)",
 ])
 def test_malformed_mixing_cases_are_rejected(text):
     with pytest.raises(InvalidArgumentError):
@@ -98,3 +102,29 @@ def test_mixing_cases_still_parse():
     assert _parse_mixing("m_dependent(3.0)") == MDependent(3)
     assert _parse_mixing("exponential(0.5)") == ExponentialMixing(rho=0.5)
     assert _parse_mixing("polynomial(4)") == PolynomialMixing(beta=4.0)
+
+
+@pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("make", [lambda C: ExponentialMixing(rho=0.5, C=C),
+                                  lambda C: PolynomialMixing(beta=4.0, C=C)],
+                         ids=["exponential", "polynomial"])
+def test_mixing_constant_must_be_finite_and_non_negative(make, C):
+    with pytest.raises(InvalidArgumentError, match="C must be finite and >= 0"):
+        make(C)
+
+
+_INT_LISTS = st.lists(st.one_of(st.integers().map(str), _NUMBERS, st.text(max_size=4)),
+                      max_size=5).map(",".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_INT_LISTS, st.text(max_size=20)))
+def test_parse_int_list_returns_ints_or_rejects(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = parse_int_list(text)
+        except InvalidArgumentError:
+            return
+    assert isinstance(values, list)
+    assert all(type(v) is int for v in values)

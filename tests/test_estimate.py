@@ -6,11 +6,13 @@ Monte Carlo assertions run at fixed seeds with wide z-score margins
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from phantomdf.distributions import exponential, pareto, shifted, symmetric_pareto, uniform
+from phantomdf.distributions import (DistFn, exponential, geometric, pareto, shifted,
+                                     symmetric_pareto, uniform)
 from phantomdf.errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -33,6 +35,7 @@ from phantomdf.estimate import (
     estimate_driving_sequence,
     estimate_theta_single_sequence,
     exact_maxlaw,
+    fit_phantom,
     maxlaw_from_maxima,
     propbasic_series,
     rootzen_phantom,
@@ -167,6 +170,86 @@ class TestBlockMaximaTable:
         for spec in (MOVMAX2, LINDLEY):
             t = block_maxima_table(spec, [25, 100], 210, seed=4, tag="mono")
             assert np.all(t[100] >= t[25] - 1e-12)
+
+
+def replica_order_transform_maxima(spec, n_list, R, seed, tag):
+    """The IID and moving-max branches of the transform sampler as they were
+    before it sorted the uniforms, verbatim: every column in replica order."""
+    rng = rng_for(seed, tag, "maxima")
+    u = np.maximum(rng.random(R), 1e-300)
+    logu = np.log(u)
+    out = {}
+    if isinstance(spec, IIDSpec):
+        for n in n_list:
+            out[n] = np.asarray(spec.marginal.quantile(np.exp(logu / n)), dtype=float)
+        return out
+    if isinstance(spec, MovingMaxSpec):
+        for n in n_list:
+            e = n + spec.window - 1
+            out[n] = np.asarray(spec.base.quantile(np.exp(logu / e)), dtype=float)
+        return out
+    raise InvalidArgumentError("no transform sampler for this kind")
+
+
+# a quantile that is not monotone, so its columns come out unsorted
+WOBBLE = IIDSpec(DistFn(name="wobble", cdf=lambda x: np.clip(x, -1.0, 1.0),
+                        quantile=lambda p: np.sin(40.0 * np.asarray(p)), right_end=1.0))
+
+
+class TestSortedTransformColumns:
+    SIZES = [1, 2, 7, 50, 1000, 10**5]
+
+    @pytest.mark.parametrize("spec, R", [
+        (MOVMAX2, 20_000),
+        (IIDSpec(pareto(2.0, 1.0)), 20_000),
+        (IID_EXP, 20_000),
+        (IIDSpec(symmetric_pareto(2.0, 1.0)), 20_000),
+        (IIDSpec(geometric(0.3)), 2_000),  # flat quantile steps: many ties
+    ], ids=["moving-max", "pareto", "exp", "symmetric-pareto", "geometric"])
+    def test_columns_are_the_sorted_replica_order_columns(self, spec, R):
+        table = block_maxima_table(spec, self.SIZES, R, seed=21, tag="sorted")
+        old = replica_order_transform_maxima(spec, self.SIZES, R, 21, "sorted")
+        assert list(table) == self.SIZES and len(table) == len(self.SIZES)
+        for n in self.SIZES:
+            np.testing.assert_array_equal(table[n], np.sort(old[n]))
+        assert 3 not in table
+        with pytest.raises(KeyError):
+            table[3]
+
+    def test_estimators_sort_a_column_that_is_not_ascending(self):
+        R = 1000
+        table = block_maxima_table(WOBBLE, self.SIZES, R, seed=22, tag="guard")
+        old = replica_order_transform_maxima(WOBBLE, self.SIZES, R, 22, "guard")
+        ref = {n: np.sort(old[n]) for n in self.SIZES}
+        for n in self.SIZES:
+            assert not np.all(np.diff(table[n]) >= 0)  # the guard has work to do
+            np.testing.assert_array_equal(estimate._ascending(table[n]), ref[n])
+        got, want = driving_from_maxima(GAMMA, table, R), driving_from_maxima(GAMMA, ref, R)
+        for field in ("v_hat", "ci_lo", "ci_hi"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert got.raw_violations == want.raw_violations
+        got, want = maxlaw_from_maxima(table, R), maxlaw_from_maxima(ref, R)
+        for a, b in zip(got.rows, want.rows, strict=True):
+            assert a.n == b.n
+            for field in ("levels", "p_hat", "se"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    def test_fit_memory_does_not_grow_with_the_fit_sizes(self):
+        # 19 fit sizes for [10000], 31 for [100, 1000, 10000], both up to
+        # 10**6, so the phantom's driving prefix is the same size; the table
+        # holds one array of R log-uniforms and builds one column at a time
+        def peak(blocks):
+            tracemalloc.start()
+            try:
+                fit_phantom(MOVMAX2, GAMMA, blocks, 200_000, seed=23, tag="memory")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert len(estimate._fit_sizes([10000])) == 19
+        assert len(estimate._fit_sizes([100, 1000, 10000])) == 31
+        few, many = peak([10000]), peak([100, 1000, 10000])
+        assert many <= 1.25 * few, many / few
 
 
 class TestMaxLaw:

@@ -8,14 +8,8 @@ sufficient-condition calculators for weak-dependence rate theorems.
 
 from .distributions import (
     AtomRule,
-    ConcentrationReport,
-    DeltaReport,
     DistFn,
-    RegularityReport,
-    TailComparison,
     beta_law,
-    concentration_exponent,
-    delta_condition,
     dkw_epsilon,
     exponential,
     geometric,
@@ -24,17 +18,12 @@ from .distributions import (
     make_distribution,
     mixture_component,
     pareto,
-    powered,
-    regularity_check,
     shifted,
-    strict_tail_equivalence,
-    sup_power_distance,
     superheavy,
     symmetric_pareto,
     uniform,
 )
 from .errors import (
-    DegenerateDistributionError,
     DegenerateDrivingSequenceError,
     InsufficientDataError,
     InsufficientGridError,
@@ -53,7 +42,6 @@ from .estimate import (
     PropBasicSeries,
     RegenStats,
     ThetaEstimate,
-    alpha_delta_exponent,
     block_maxima_table,
     check_BT,
     cycle_tail_ratio,
@@ -67,18 +55,13 @@ from .estimate import (
     propbasic_series,
     rootzen_phantom,
 )
-from .grids import HUGE_INDEX, LevelGrid, LevelSequence, ProbePolicy
+from .grids import HUGE_INDEX, LevelSequence
 from .phantom import (
     DrivingSequence,
     JumpPhantom,
     PhantomDistFn,
     PhantomVerification,
-    build_continuous_phantom,
-    build_jump_phantom,
     driving_from_estimates,
-    extremal_index_from_gammas,
-    extremal_index_tail_ratio,
-    phantom_gap,
     verify_phantom,
 )
 from .processes import (
@@ -89,6 +72,7 @@ from .processes import (
     MixtureSpec,
     MovingMaxSpec,
     SamplePath,
+    TailComparison,
     exact_max_cdf,
     generate,
     lindley_step_tail_vs_stationary,

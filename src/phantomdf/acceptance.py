@@ -33,7 +33,7 @@ from .estimate import (
     verify_by_simulation,
 )
 from .grids import LevelSequence
-from .phantom import DrivingSequence, build_continuous_phantom
+from .phantom import DrivingSequence, JumpPhantom, PhantomDistFn
 from .processes import (
     IIDSpec,
     MetropolisSpec,
@@ -82,11 +82,11 @@ class CriterionResult:
 
 
 def criterion_1(workers: int = 1) -> CriterionResult:
-    """Exponent identity of the continuous phantom on v_n = n."""
+    """Exponent identity of the continuous and the jump phantom on v_n = n."""
     driving = DrivingSequence(GAMMA, LevelSequence(prefix=(1.0,), rule=float))
-    G = build_continuous_phantom(driving)
     n = np.arange(1, 10_001)
-    worst = float(np.max(np.abs(G.pow(n.astype(float), n) - GAMMA)))
+    worst = max(float(np.max(np.abs(G.pow(n.astype(float), n) - GAMMA)))
+                for G in (PhantomDistFn(driving), JumpPhantom(driving)))
     return CriterionResult(
         number=1, name="phantom exactness at driving levels",
         passed=worst <= 1e-12, tolerance="1e-12",

@@ -23,6 +23,7 @@ from .estimate import (
     estimate_driving_sequence,
     estimate_theta_single_sequence,
     fit_phantom,
+    propbasic_series,
     regen_phantom,
     verify_by_simulation,
 )
@@ -67,9 +68,10 @@ class _Settings:
 
     @property
     def seed(self) -> int:
-        if self.args.seed is not None:
-            return self.args.seed
-        return int(self.get("seed"))
+        seed = self.args.seed if self.args.seed is not None else int(self.get("seed"))
+        if not 0 <= seed < 2**64:
+            raise InvalidArgumentError(f"seed must lie in [0, 2**64), got {seed}")
+        return seed
 
     @property
     def replicas(self) -> int:
@@ -215,6 +217,9 @@ def cmd_bt_check(args) -> int:
     last = bt.rows[-1]
     worst = max(last.pairs, key=lambda p: abs(p.value))
     ok = abs(worst.value) <= max(4.0 * worst.se, 0.02)
+    # the skeleton condition k_n C_n -> 0 with k_n P(X_1 > v_n) bounded;
+    # reported only, it does not enter the exit code
+    pb = propbasic_series(spec, dse, R=st.replicas, seed=st.seed, workers=st.workers)
     out = st.out_dir
     _write(out, "bt.csv", bt_csv(bt))
     _write(out, "driving.csv", driving_csv(dse))
@@ -225,6 +230,12 @@ def cmd_bt_check(args) -> int:
         "r_exponent": bt.r_exponent,
         "r_adjusted": bt.r_adjusted,
         "factorizes_at_largest_n": ok,
+        "propbasic": {
+            "rows": [{"n": r.n, "k": r.k, "m": r.m, "k_tail": r.k_tail,
+                      "k_c": r.k_c, "sandwich_ok": r.sandwich_ok} for r in pb.rows],
+            "max_k_tail": pb.max_k_tail,
+            "diverging": pb.diverging,
+        },
     }))
     print(f"bt-check: b({last.n}) = {last.b_value:.5f} -> "
           f"{'ok' if ok else 'FAILS'}")
@@ -449,7 +460,8 @@ def main(argv=None) -> int:
         # a rerun into the same out dir starts a fresh timing.txt; commands
         # that time their own stages write it before the total is appended
         settings = _Settings(args, args.command)
-        settings.workers  # reject a bad worker count before any work starts
+        # reject a bad seed or worker count before any work starts
+        settings.seed, settings.workers
         timing = settings.out_dir / "timing.txt"
         timing.unlink(missing_ok=True)
         code = _COMMANDS[args.command](args)

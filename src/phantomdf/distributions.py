@@ -1,54 +1,26 @@
-"""Distribution functions and pointwise tail diagnostics.
+"""Distribution functions with declared tails and atoms.
 
 A :class:`DistFn` bundles the CDF with its survival function, quantile
 function, declared atoms and an optional sampler.  Atoms are always
 declared, never inferred numerically: a law without an ``atoms`` rule is
 treated as continuous everywhere.
-
-The analyzers in this module answer the questions that matter for
-phantom distribution functions: right-tail regularity (no mass at the
-right end and left-limit tail ratio tending to one), strict tail
-equivalence of two laws, the sup distance between n-th powers, the
-atom-ratio conditions used for discontinuous marginals, and the
-concentration-function exponent.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateDistributionError,
-    InvalidArgumentError,
-)
-from .grids import (
-    HUGE_INDEX,
-    LevelGrid,
-    LevelSequence,
-    ProbePolicy,
-    classify_ratio_track,
-    converges_to,
-    first_index_where,
-    last_quarter,
-)
+from .errors import InvalidArgumentError
+from .grids import HUGE_INDEX, LevelSequence, first_index_where
 
 __all__ = [
     "AtomRule",
     "DistFn",
-    "RegularityReport",
-    "TailComparison",
-    "DeltaReport",
-    "ConcentrationReport",
-    "regularity_check",
-    "strict_tail_equivalence",
-    "sup_power_distance",
-    "delta_condition",
-    "concentration_exponent",
     "exponential",
     "pareto",
     "uniform",
@@ -59,7 +31,6 @@ __all__ = [
     "mixture_component",
     "jump_sequence",
     "shifted",
-    "powered",
     "make_distribution",
     "dkw_epsilon",
 ]
@@ -460,30 +431,6 @@ def shifted(dist: DistFn, offset: float) -> DistFn:
     )
 
 
-def powered(dist: DistFn, theta: float, name: str | None = None) -> DistFn:
-    """Continuous law with distribution function F**theta."""
-    if theta <= 0:
-        raise InvalidArgumentError("theta must be positive")
-    if dist.atoms is not None:
-        raise InvalidArgumentError("powered() supports continuous laws only")
-
-    def cdf(x):
-        with np.errstate(divide="ignore"):
-            logf = np.log(np.asarray(dist.cdf(x), dtype=float))
-        return np.exp(theta * logf)
-
-    def sf(x):
-        return -np.expm1(theta * np.log1p(-np.asarray(dist.tail(x), dtype=float)))
-
-    def quantile(p):
-        return dist.quantile(np.asarray(p, dtype=float) ** (1.0 / theta))
-
-    return DistFn(name=name or f"{dist.name}^{theta:g}", cdf=cdf, sf=sf,
-                  quantile=quantile, right_end=dist.right_end,
-                  left_end=dist.left_end,
-                  sampler=lambda rng, size: quantile(np.maximum(rng.random(size), 1e-300)))
-
-
 _CATALOG: dict[str, Callable[..., DistFn]] = {
     "exp": exponential,
     "exponential": exponential,
@@ -526,183 +473,7 @@ def dkw_epsilon(n: int, confidence: float = 0.999) -> float:
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
 
 
-# ---------------------------------------------------------------------------
-# analyzers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegularityReport:
-    is_regular: bool
-    probe_levels: np.ndarray
-    ratio_track: np.ndarray
-    mass_at_right_end: float
-
-
-@dataclass(frozen=True)
-class TailComparison:
-    levels: np.ndarray
-    ratio_track: np.ndarray
-    verdict: str  # equivalent | ratio->0 | ratio->inf | divergent | mismatched-right-ends
-
-
-@dataclass(frozen=True)
-class DeltaReport:
-    xi: float
-    holds: bool
-    sup_value: float
-    levels: np.ndarray
-    track: np.ndarray
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    b: float
-    B_hat: float
-    satisfied: bool
-
-
-def _left_tail_ratio(dist: DistFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sfv = np.asarray(dist.tail(xs), dtype=float)
-    jumps = np.array([dist.jump_at(x) for x in xs])
-    keep = sfv > 0
-    return xs[keep], (sfv[keep] + jumps[keep]) / sfv[keep]
-
-
-def regularity_check(dist: DistFn, probe: ProbePolicy = ProbePolicy()) -> RegularityReport:
-    """Right-tail regularity: no mass at the right end, left-limit tail ratio -> 1.
-
-    Continuous laws pass trivially (the ratio track is identically one).
-    For atom-listed laws the ratio uses the declared atom masses, so a
-    geometric law reports the constant ratio 1/(1-p) and fails.
-    """
-    if dist.right_end == -math.inf:
-        raise DegenerateDistributionError("distribution has no right tail")
-    xs = probe.levels(dist)
-    if xs.size < 32:
-        raise InvalidArgumentError(
-            f"regularity probe needs at least 32 ascending levels, got {xs.size}")
-    levels, track = _left_tail_ratio(dist, xs)
-    if math.isfinite(dist.right_end):
-        mass = float(dist.tail(dist.right_end)) + dist.jump_at(dist.right_end)
-    else:
-        mass = 0.0
-    ok = (mass <= 1e-15) and track.size > 0 and converges_to(track, 1.0, probe.ratio_tol)
-    return RegularityReport(is_regular=bool(ok), probe_levels=levels,
-                            ratio_track=track, mass_at_right_end=mass)
-
-
-_VERDICT = {"one": "equivalent", "zero": "ratio->0", "inf": "ratio->inf",
-            "divergent": "divergent"}
-
-
-def strict_tail_equivalence(G: DistFn, H: DistFn,
-                            probe: ProbePolicy = ProbePolicy()) -> TailComparison:
-    """Compare right tails of G and H along G's tail-geometric probe grid.
-
-    The track holds (1-H)/(1-G).  Verdict 'equivalent' means the track
-    obeys the convergence rule at 1; a limit other than 0, 1 or infinity
-    is reported as 'divergent' (not tail-equivalent, tails comparable).
-    """
-    if G.right_end != H.right_end:
-        return TailComparison(levels=np.array([]), ratio_track=np.array([]),
-                              verdict="mismatched-right-ends")
-    xs = probe.levels(G)
-    gt = np.asarray(G.tail(xs), dtype=float)
-    ht = np.asarray(H.tail(xs), dtype=float)
-    keep = gt > 0
-    track = ht[keep] / gt[keep]
-    return TailComparison(levels=xs[keep], ratio_track=track,
-                          verdict=_VERDICT[classify_ratio_track(track, probe.ratio_tol)])
-
-
 def _log_cdf(dist: DistFn, xs: np.ndarray) -> np.ndarray:
     tails = np.asarray(dist.tail(xs), dtype=float)
     with np.errstate(divide="ignore"):
         return np.log1p(-np.minimum(tails, 1.0))
-
-
-def sup_power_distance(G: DistFn, H: DistFn, n: int, grid: LevelGrid) -> float:
-    """max over the grid of |G(x)**n - H(x)**n|, powers taken in log scale."""
-    if n < 1:
-        raise InvalidArgumentError("power index must be >= 1")
-    if len(grid) == 0:
-        raise InvalidArgumentError("empty evaluation grid")
-    xs = grid.values
-    gn = np.exp(n * _log_cdf(G, xs))
-    hn = np.exp(n * _log_cdf(H, xs))
-    return float(np.max(np.abs(gn - hn)))
-
-
-def _atom_probe_levels(dist: DistFn, probe: ProbePolicy) -> np.ndarray:
-    """Atom locations for sup-type checks: a head run plus tail-geometric picks."""
-    atoms = dist.atoms
-    assert atoms is not None
-    head_n = 64 if atoms.count is None else min(64, atoms.count)
-    xs = [atoms.location(i) for i in range(1, head_n + 1)]
-    cutoff = probe.truncation_level(dist)
-    for j in range(1, probe.depth + 1):
-        p = 1.0 - 2.0 ** (-j)
-        if 2.0 ** (-j) < probe.tail_cutoff:
-            break
-        x = _jump_quantile(atoms, p)
-        if x <= cutoff:
-            xs.append(x)
-    xs = np.unique(np.asarray(xs, dtype=float))
-    return xs[xs <= cutoff]
-
-
-def delta_condition(dist: DistFn, xi: float,
-                    probe: ProbePolicy = ProbePolicy()) -> DeltaReport:
-    """Atom-jump tail conditions for discontinuous marginals.
-
-    xi = 0: does dF(x) / (1-F(x)) -> 0 along atoms ascending to the right
-    end?  xi > 0: is sup over atoms of dF(x) / (1-F(x))**(1+xi) finite
-    (per the truncation rule)?  Laws without declared atoms hold trivially.
-    """
-    if xi < 0:
-        raise InvalidArgumentError("xi must be >= 0")
-    if dist.atoms is None:
-        return DeltaReport(xi=xi, holds=True, sup_value=0.0,
-                           levels=np.array([]), track=np.array([]))
-    xs = _atom_probe_levels(dist, probe)
-    sfv = np.asarray(dist.tail(xs), dtype=float)
-    masses = np.array([dist.jump_at(x) for x in xs])
-    keep = sfv > 0
-    xs, sfv, masses = xs[keep], sfv[keep], masses[keep]
-    track = masses / sfv ** (1.0 + xi)
-    if track.size == 0:
-        return DeltaReport(xi=xi, holds=True, sup_value=0.0, levels=xs, track=track)
-    sup_value = float(np.max(track))
-    if xi == 0:
-        holds = bool(np.max(last_quarter(track)) <= probe.ratio_tol)
-    else:
-        holds = sup_value <= probe.cap
-    return DeltaReport(xi=xi, holds=holds, sup_value=sup_value, levels=xs, track=track)
-
-
-def concentration_exponent(dist: DistFn, b: float,
-                           probe: ProbePolicy = ProbePolicy()) -> ConcentrationReport:
-    """Estimate B in F(x+u) - F(x) <= B * u**b over probe pairs.
-
-    Any declared atom forces the ratio through the cap as u -> 0, so jump
-    laws report satisfied=False for every b.
-    """
-    if not (0.0 < b <= 1.0):
-        raise InvalidArgumentError("b must lie in (0, 1]")
-    probs = np.concatenate([np.linspace(0.02, 0.98, 25),
-                            1.0 - 2.0 ** (-np.arange(2.0, probe.depth + 1))])
-    probs = probs[probs <= 1.0 - probe.tail_cutoff]
-    xs = np.asarray(dist.quantile(np.unique(probs)), dtype=float)
-    xs = np.unique(xs[np.isfinite(xs)])
-    us = 2.0 ** (-np.arange(0.0, 51.0))
-    best = 0.0
-    for x in xs:
-        inc = np.asarray(dist.cdf(x + us), dtype=float) - float(dist.cdf(x))
-        best = max(best, float(np.max(inc / us ** b)))
-    if dist.atoms is not None:
-        # F(a) - F(a - u) >= mass(a) for every u, so any probed atom with
-        # positive mass sends the ratio to infinity as u -> 0.
-        locs = _atom_probe_levels(dist, probe)
-        if any(dist.jump_at(a) > 0 for a in locs):
-            best = math.inf
-    return ConcentrationReport(b=b, B_hat=best, satisfied=bool(best <= probe.cap))

@@ -9,10 +9,6 @@ class InvalidArgumentError(PhantomdfError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class DegenerateDistributionError(PhantomdfError):
-    """Distribution has no usable right tail (e.g. right end is -inf)."""
-
-
 class DegenerateDrivingSequenceError(PhantomdfError):
     """All driving levels coincide, so no phantom can be built."""
 

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import DistFn, TailComparison
+from .distributions import DistFn
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .grids import HUGE_INDEX, first_index_where
 from .phantom import (DrivingSequence, PhantomDistFn, PhantomVerification,
-                      build_continuous_phantom, driving_from_estimates, verify_phantom)
+                      driving_from_estimates, verify_phantom)
 from .processes import (
     IIDSpec,
     LindleySpec,
@@ -36,6 +36,7 @@ from .processes import (
     MovingMaxSpec,
     ProcessSpec,
     SamplePath,
+    TailComparison,
     _mixture_draw_component,
     _mixture_weight_leq,
     _path_slabs,
@@ -66,7 +67,6 @@ __all__ = [
     "PropBasicRow",
     "PropBasicSeries",
     "propbasic_series",
-    "alpha_delta_exponent",
     "RegenStats",
     "decompose_regenerative",
     "rootzen_phantom",
@@ -694,58 +694,45 @@ class PropBasicRow:
     k: int
     m: int
     level: float
-    k_tail: float  # k_n * P(X_1 > v_n)
-    k_c: float     # k_n * C_hat(m_n; k_n)
+    k_tail: float      # k_n * P(X_1 > v_n)
+    k_c: float         # k_n * C_hat(m_n; k_n)
+    sandwich_ok: bool  # gamma <= P(M_n <= v_n) <= P(X_1 <= v_n)**k_n + k_n C_hat
 
 
 @dataclass(frozen=True)
 class PropBasicSeries:
     rows: tuple[PropBasicRow, ...]
-    max_k_tail: float
+    max_k_tail: float | None  # None when no block size has a row
     diverging: bool
 
 
-def propbasic_series(spec: ProcessSpec, dse: DrivingSeqEstimate,
-                     k_rule: Callable[[int], int] = math.isqrt,
-                     m_rule: Callable[[int], int] = math.isqrt,
-                     n_list=None, R: int = 1000, seed: int = 0,
-                     workers: int = 1) -> PropBasicSeries:
-    """Track k_n * C_n(m_n; k_n) and k_n * P(X_1 > v_n) along block sizes.
+def propbasic_series(spec: ProcessSpec, dse: DrivingSeqEstimate, R: int = 1000,
+                     seed: int = 0, workers: int = 1) -> PropBasicSeries:
+    """Track k_n * C_n(m_n; k_n) and k_n * P(X_1 > v_n) along dse's block sizes.
 
-    When the first series tends to 0, boundedness of the second is the
-    necessary condition for a phantom at the driving levels; the report
-    flags divergence via the factor-2-per-decade rule.
+    k_n = max(isqrt(n), 2) skeleton points at spacing m_n = isqrt(n); a
+    block size below 2 holds no two-point skeleton and gets no row.  When
+    the first series tends to 0, boundedness of the second is the
+    condition for a phantom at the driving levels; the report flags its
+    divergence via the factor-2-per-decade rule.
     """
-    if n_list is None:
-        n_list = [int(n) for n in dse.n_values]
-    n_list = _validate_sizes(n_list)
     rows = []
-    for n in n_list:
-        k, m = int(k_rule(n)), int(m_rule(n))
-        if k < 2:
-            k = 2
-        if m < 1:
-            m = 1
-        if k * m > n:
-            raise InvalidArgumentError(f"k*m > n at n={n}")
+    for n in (int(n) for n in dse.n_values if n >= 2):
+        k, m = max(math.isqrt(n), 2), math.isqrt(n)
         v = dse.level_for(n)
-        diag = estimate_Cn(spec, v, n, m, k, R=R, seed=seed, workers=workers)
+        diag = estimate_Cn(spec, v, n, m, k, R=R, seed=seed, gamma=dse.gamma,
+                           workers=workers)
         try:
             tail = marginal_sf(spec, v)
         except NotExactlyComputableError:
             tail = 1.0 - diag.p_single
         rows.append(PropBasicRow(n=n, k=k, m=m, level=v,
-                                 k_tail=float(k * tail), k_c=float(k * diag.c_hat)))
+                                 k_tail=float(k * tail), k_c=float(k * diag.c_hat),
+                                 sandwich_ok=diag.sandwich_lower_ok
+                                 and diag.sandwich_upper_ok))
     series = [r.k_tail for r in rows]
-    return PropBasicSeries(rows=tuple(rows), max_k_tail=max(series),
-                           diverging=divergence_rule(n_list, series))
-
-
-def alpha_delta_exponent(beta: float) -> float:
-    """Largest usable skeleton-growth exponent beta/(1+beta) for polynomial mixing."""
-    if beta <= 0:
-        raise InvalidArgumentError("beta must be positive")
-    return beta / (1.0 + beta)
+    return PropBasicSeries(rows=tuple(rows), max_k_tail=max(series, default=None),
+                           diverging=divergence_rule([r.n for r in rows], series))
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +1000,7 @@ def fit_phantom(spec: ProcessSpec, gamma: float, block_sizes, R: int, seed: int,
     _check_replicas(R)
     fit = block_maxima_table(spec, sizes, R, seed, tag=tag, workers=workers)
     dse = driving_from_maxima(gamma, fit, R)
-    return dse, build_continuous_phantom(dse.to_driving_sequence())
+    return dse, PhantomDistFn(dse.to_driving_sequence())
 
 
 def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int,

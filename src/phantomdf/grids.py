@@ -1,14 +1,13 @@
-"""Level sequences, probe policies and evaluation grids.
+"""Level sequences, tail probe levels and ratio-track classification.
 
-Analyzer routines never pick probe points ad hoc: they take a
-:class:`ProbePolicy` (tail-geometric probing plus the convergence and
-truncation rules) or an explicit :class:`LevelGrid`.
+Tail diagnostics never pick probe points ad hoc: they read
+:func:`probe_levels` and judge their tracks with the convergence rule
+at ``PROBE_RATIO_TOL``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,94 +110,23 @@ class LevelSequence:
         return LevelSequence(self.prefix + offset, rule=rule, sup=sup)
 
 
-@dataclass(frozen=True)
-class ProbePolicy:
-    """Default probing scheme for tail diagnostics.
-
-    Probe levels sit at quantile(1 - 2**-j), j = 1..depth, so they are
-    geometric in tail probability.  ``ratio_tol`` parameterizes the
-    convergence rule (last quarter of a track inside [1-tol, 1+tol]);
-    ``tail_cutoff`` and ``cap`` implement the truncation rule for
-    suprema ("finite" means no probed value beyond ``cap`` below the
-    quantile of 1 - tail_cutoff).
-    """
-
-    depth: int = 40
-    ratio_tol: float = 0.02
-    tail_cutoff: float = 1e-8
-    cap: float = 1e8
-    explicit_levels: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise InvalidArgumentError("probe depth must be >= 1")
-        if not (0 < self.ratio_tol < 1):
-            raise InvalidArgumentError("ratio_tol must lie in (0, 1)")
-        if not (0 < self.tail_cutoff < 1):
-            raise InvalidArgumentError("tail_cutoff must lie in (0, 1)")
-
-    def probabilities(self) -> np.ndarray:
-        j = np.arange(1, self.depth + 1, dtype=float)
-        return 1.0 - 2.0 ** (-j)
-
-    def levels(self, dist) -> np.ndarray:
-        """Probe levels for ``dist``, ascending, duplicates and overflow dropped."""
-        if self.explicit_levels is not None:
-            xs = np.asarray(self.explicit_levels, dtype=float)
-            if xs.size == 0:
-                raise InvalidArgumentError("explicit probe grid is empty")
-            if np.any(np.diff(xs) <= 0):
-                raise InvalidArgumentError("explicit probe grid must be strictly ascending")
-            return xs
-        xs = np.asarray(dist.quantile(self.probabilities()), dtype=float)
-        xs = xs[np.isfinite(xs)]
-        if xs.size == 0:
-            raise InvalidArgumentError("no finite probe levels for this distribution")
-        keep = np.concatenate([[True], np.diff(xs) > 0])
-        return xs[keep]
-
-    def truncation_level(self, dist) -> float:
-        return float(dist.quantile(1.0 - self.tail_cutoff))
+# Tail diagnostics probe at quantile(1 - 2**-j), j = 1..PROBE_DEPTH, so the
+# probes are geometric in tail probability; a ratio track converges when
+# its last quarter stays within PROBE_RATIO_TOL of the target.
+PROBE_DEPTH = 40
+PROBE_RATIO_TOL = 0.02
 
 
-@dataclass(frozen=True)
-class LevelGrid:
-    """A fixed ascending grid of evaluation levels."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.size and np.any(np.diff(self.values) < 0):
-            raise InvalidArgumentError("grid levels must be ascending")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    @classmethod
-    def from_values(cls, xs) -> "LevelGrid":
-        return cls(np.asarray(xs, dtype=float))
-
-    @classmethod
-    def power_scale(cls, dist, n: int, size: int = 512,
-                    min_tail: float | None = None) -> "LevelGrid":
-        """Grid tuned for comparing n-th powers of distribution functions.
-
-        Levels are quantiles at probabilities 1 - c/n with c log-spaced, so
-        the region where F**n moves from ~0 to ~1 is covered densely and the
-        lowest level sits at quantile(min_tail), default 1e-3/n.
-        """
-        if n < 1:
-            raise InvalidArgumentError("power index must be >= 1")
-        if min_tail is None:
-            min_tail = 1e-3 / n
-        c = np.geomspace(1e-4, n * (1.0 - min_tail), size)
-        p = np.clip(1.0 - c / n, min_tail, 1.0 - 1e-16)
-        p = np.unique(p)
+def probe_levels(dist) -> np.ndarray:
+    """Probe levels for ``dist``, ascending, duplicates and overflow dropped."""
+    p = 1.0 - 2.0 ** -np.arange(1.0, PROBE_DEPTH + 1)
+    with np.errstate(over="ignore"):
         xs = np.asarray(dist.quantile(p), dtype=float)
-        xs = xs[np.isfinite(xs)]
-        keep = np.concatenate([[True], np.diff(xs) > 0])
-        return cls(xs[keep])
+    xs = xs[np.isfinite(xs)]
+    if xs.size == 0:
+        raise InvalidArgumentError("no finite probe levels for this distribution")
+    keep = np.concatenate([[True], np.diff(xs) > 0])
+    return xs[keep]
 
 
 def last_quarter(track: np.ndarray) -> np.ndarray:
@@ -214,19 +142,6 @@ def converges_to(track, target: float, tol: float) -> bool:
         return False
     tail = last_quarter(track)
     return bool(np.all(np.abs(tail - target) <= tol))
-
-
-def classify_limit(track, tol: float) -> tuple[str, float | None]:
-    """Classify a track as converged (to the median of its last quarter) or divergent."""
-    track = np.asarray(track, dtype=float)
-    if track.size == 0:
-        return "divergent", None
-    tail = last_quarter(track)
-    value = float(np.median(tail))
-    scale = max(1.0, abs(value))
-    if np.all(np.abs(tail - value) <= tol * scale):
-        return "converged", value
-    return "divergent", None
 
 
 # Thresholds for deciding that a positive ratio track heads to 0 or infinity.

@@ -21,27 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistFn, _log_cdf, sup_power_distance
+from .distributions import DistFn, _log_cdf
 from .errors import (
     DegenerateDrivingSequenceError,
     InsufficientGridError,
     InvalidArgumentError,
 )
-from .grids import LevelGrid, LevelSequence, ProbePolicy, classify_limit
+from .grids import LevelSequence
 
 __all__ = [
     "DrivingSequence",
     "PhantomDistFn",
     "JumpPhantom",
-    "build_continuous_phantom",
-    "build_jump_phantom",
     "driving_from_estimates",
-    "phantom_gap",
     "verify_phantom",
     "PhantomVerification",
-    "extremal_index_from_gammas",
-    "extremal_index_tail_ratio",
-    "ThetaTailReport",
 ]
 
 # Largest level index of a knot table: a rule-backed table, or the prefix
@@ -113,13 +107,6 @@ class DrivingSequence:
                 [levels[keep], np.fromiter(map(rule, tail), dtype=float, count=len(tail))])
             index = np.concatenate([index[keep], np.arange(tail.start, tail.stop)])
         return levels, 1.0 / index
-
-    def same_as(self, other: "DrivingSequence") -> bool:
-        if self is other:
-            return True
-        return (self.gamma == other.gamma
-                and np.array_equal(self.levels.prefix, other.levels.prefix)
-                and self.levels.rule is other.levels.rule)
 
 
 def _knots_over(d: DrivingSequence, x: np.ndarray):
@@ -261,7 +248,7 @@ class PhantomDistFn(DistFn):
         if any(b <= a for a, b in zip([0] + ps, ps)):
             raise InvalidArgumentError("knot exponents must strictly decrease")
         prefix = np.repeat(np.asarray(xs, dtype=float), np.diff([0] + ps))
-        return build_continuous_phantom(DrivingSequence(gamma, prefix))
+        return cls(DrivingSequence(gamma, prefix))
 
 
 class JumpPhantom(DistFn):
@@ -296,14 +283,6 @@ class JumpPhantom(DistFn):
         return xs[k][()]
 
 
-def build_continuous_phantom(driving: DrivingSequence) -> PhantomDistFn:
-    return PhantomDistFn(driving)
-
-
-def build_jump_phantom(driving: DrivingSequence) -> JumpPhantom:
-    return JumpPhantom(driving)
-
-
 def driving_from_estimates(gamma: float, n_values, v_values) -> DrivingSequence:
     """Driving sequence from levels estimated on a subgrid of block sizes.
 
@@ -322,14 +301,6 @@ def driving_from_estimates(gamma: float, n_values, v_values) -> DrivingSequence:
     reps = np.diff(np.concatenate([[0], n_values]))
     prefix = np.repeat(v_values, reps)
     return DrivingSequence(gamma, prefix)
-
-
-def phantom_gap(continuous: PhantomDistFn, jump: JumpPhantom,
-                n: int, grid: LevelGrid) -> float:
-    """max over the grid of |G**n - Gtilde**n| for the two variants."""
-    if not continuous.driving.same_as(jump.driving):
-        raise InvalidArgumentError("phantoms stem from different driving sequences")
-    return sup_power_distance(continuous, jump, n, grid)
 
 
 @dataclass(frozen=True)
@@ -376,40 +347,3 @@ def verify_phantom(G: DistFn, maxlaw, min_levels: int = 16) -> PhantomVerificati
                               level_at_gap=float(r.levels[i])))
     sup_gap = max((r.gap for r in rows), default=0.0)
     return PhantomVerification(rows=tuple(rows), sup_gap=sup_gap)
-
-
-def extremal_index_from_gammas(gamma: float, gamma_prime: float) -> float:
-    """theta = log(gamma) / log(gamma_prime); theta = 0 when gamma_prime = 0."""
-    gamma = float(gamma)
-    gamma_prime = float(gamma_prime)
-    if not (0.0 < gamma < 1.0):
-        raise InvalidArgumentError("gamma must lie strictly inside (0, 1)")
-    if gamma_prime == 0.0:
-        return 0.0
-    if not (0.0 < gamma_prime < 1.0):
-        raise InvalidArgumentError("gamma_prime must lie in [0, 1)")
-    return math.log(gamma) / math.log(gamma_prime)
-
-
-@dataclass(frozen=True)
-class ThetaTailReport:
-    levels: np.ndarray
-    ratio_track: np.ndarray
-    converged: bool
-    theta: float | None
-
-
-def extremal_index_tail_ratio(G: DistFn, F: DistFn,
-                              probe: ProbePolicy = ProbePolicy()) -> ThetaTailReport:
-    """Limit of (1-G)/(1-F) toward the shared right end, when it stabilizes."""
-    if G.right_end != F.right_end:
-        raise InvalidArgumentError("right ends differ; tail ratio undefined")
-    xs = probe.levels(F)
-    ft = np.asarray(F.tail(xs), dtype=float)
-    gt = np.asarray(G.tail(xs), dtype=float)
-    keep = ft > 0
-    track = gt[keep] / ft[keep]
-    status, value = classify_limit(track, probe.ratio_tol)
-    return ThetaTailReport(levels=xs[keep], ratio_track=track,
-                           converged=status == "converged",
-                           theta=value if status == "converged" else None)

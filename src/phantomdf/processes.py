@@ -18,14 +18,22 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .distributions import _VERDICT, DistFn, TailComparison, mixture_component
+from .distributions import DistFn, mixture_component
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
     InvalidSpecError,
     NotExactlyComputableError,
 )
-from .grids import HUGE_INDEX, LevelSequence, ProbePolicy, classify_ratio_track, converges_to
+from .grids import (
+    HUGE_INDEX,
+    PROBE_DEPTH,
+    PROBE_RATIO_TOL,
+    LevelSequence,
+    classify_ratio_track,
+    converges_to,
+    probe_levels,
+)
 from .seeding import rng_for
 
 __all__ = [
@@ -44,6 +52,7 @@ __all__ = [
     "metropolis_config_check",
     "target_tail_condition",
     "TailShiftReport",
+    "TailComparison",
     "lindley_step_tail_vs_stationary",
 ]
 
@@ -448,8 +457,7 @@ class TailShiftReport:
     ratio_track: np.ndarray
 
 
-def target_tail_condition(F: DistFn, m: float,
-                          probe: ProbePolicy = ProbePolicy()) -> TailShiftReport:
+def target_tail_condition(F: DistFn, m: float) -> TailShiftReport:
     """Does (1 - F(u + m)) / (1 - F(u)) -> 1 toward the right end?
 
     This is the flat-tail criterion under which a bounded-step chain has
@@ -458,14 +466,24 @@ def target_tail_condition(F: DistFn, m: float,
     """
     if not m > 0:
         raise InvalidArgumentError("shift m must be positive")
-    xs = probe.levels(F)
+    xs = probe_levels(F)
     base = np.asarray(F.tail(xs), dtype=float)
     shifted_tail = np.asarray(F.tail(xs + m), dtype=float)
     keep = base > 0
     track = shifted_tail[keep] / base[keep]
-    return TailShiftReport(m=float(m), holds=converges_to(track, 1.0, probe.ratio_tol),
+    return TailShiftReport(m=float(m), holds=converges_to(track, 1.0, PROBE_RATIO_TOL),
                            levels=xs[keep], ratio_track=track)
 
+
+@dataclass(frozen=True)
+class TailComparison:
+    levels: np.ndarray
+    ratio_track: np.ndarray
+    verdict: str  # equivalent | ratio->0 | ratio->inf | divergent | mismatched-right-ends
+
+
+_VERDICT = {"one": "equivalent", "zero": "ratio->0", "inf": "ratio->inf",
+            "divergent": "divergent"}
 
 # Looser ratio tolerance for comparisons against an empirical tail: at the
 # 0.999 quantile of a 1e5-point path the binomial noise alone is ~10%.
@@ -473,7 +491,6 @@ EMPIRICAL_RATIO_TOL = 0.2
 
 
 def lindley_step_tail_vs_stationary(step: DistFn, values,
-                                    probe: ProbePolicy = ProbePolicy(),
                                     max_quantile: float = 0.999) -> TailComparison:
     """Compare the step tail 1-H against the empirical stationary tail.
 
@@ -490,7 +507,7 @@ def lindley_step_tail_vs_stationary(step: DistFn, values,
         return TailComparison(levels=np.array([]), ratio_track=np.array([]),
                               verdict="mismatched-right-ends")
     sorted_vals = np.sort(values)
-    qs = 1.0 - 2.0 ** (-np.arange(1.0, probe.depth + 1))
+    qs = 1.0 - 2.0 ** (-np.arange(1.0, PROBE_DEPTH + 1))
     qs = qs[qs <= max_quantile]
     idx = np.minimum((qs * values.size).astype(int), values.size - 1)
     levels = np.unique(sorted_vals[idx])

@@ -83,6 +83,8 @@ def check_rate_sufficiency(kind: DependenceKind | str, beta: float,
     thr = threshold_beta(kind, b)
     if not math.isfinite(beta):
         raise InvalidArgumentError(f"decay rate beta must be finite, got {beta:g}")
+    if beta < 0:
+        raise InvalidArgumentError(f"decay rate beta must be >= 0, got {beta:g}")
     note = ""
     if kind is DependenceKind.ALPHA:
         note = "no rate needed for continuous marginals"

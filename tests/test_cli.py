@@ -155,6 +155,23 @@ class TestWorkers:
         assert err.splitlines() == [err.strip()] and err.startswith("error: workers")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg_extra, argv, seed", [
+        ("", ("--seed", "-1"), "-1"),
+        ("", ("--seed", str(2**64)), str(2**64)),
+        ("seed = -1\n", (), "-1"),
+        ("seed = 18446744073709551616\n", (), str(2**64)),
+    ], ids=["flag-negative", "flag-2**64", "ini-negative", "ini-2**64"])
+    def test_seed_outside_64_bits_exits_2_before_any_work(self, run, tmp_path,
+                                                          cfg_extra, argv, seed):
+        # the seed streams reduce the master seed mod 2**64: -1 and 2**64
+        # would alias seeds 2**64 - 1 and 0
+        out = tmp_path / "o"
+        rc, stdout, err = run(self.CFG + cfg_extra, "phantom-fit", "--out", str(out),
+                              section_args=argv)
+        assert (rc, stdout) == (2, "")
+        assert err.splitlines() == [f"error: seed must lie in [0, 2**64), got {seed}"]
+        assert not out.exists()
+
     def test_error_in_a_worker_exits_2_without_traceback(self, run, tmp_path,
                                                           monkeypatch):
         from phantomdf import estimate
@@ -232,6 +249,24 @@ class TestVerdictExitCodes:
                             "block_sizes = 50,200\nt = 2.0\n",
                             "bt-check", "--out", str(tmp_path / "bt"))
         assert rc == 0 and "ok" in stdout
+
+    def test_bt_check_reports_propbasic(self, run, tmp_path, monkeypatch):
+        from phantomdf import estimate
+
+        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)
+        cfg = ("[common]\nseed = 3\nreplicas = 400\n"
+               "[bt-check]\nkind = iid\nmarginal = exp(1)\nblock_sizes = 50,200\n")
+        outs = [tmp_path / "w1", tmp_path / "w2"]
+        for out, workers in zip(outs, ("1", "2")):
+            assert run(cfg, "bt-check", "--out", str(out),
+                       section_args=("--workers", workers))[0] == 0
+        for name in ("bt.csv", "driving.csv", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        pb = json.loads((outs[0] / "summary.json").read_text())["propbasic"]
+        assert [(r["n"], r["k"], r["m"]) for r in pb["rows"]] == [(50, 7, 7), (200, 14, 14)]
+        assert pb["max_k_tail"] == max(r["k_tail"] for r in pb["rows"]) < 1.0
+        assert pb["diverging"] is False
+        assert all(r["sandwich_ok"] and r["k_c"] >= 0 for r in pb["rows"])
 
 
 def test_regen_pipeline(run, tmp_path):
@@ -381,6 +416,8 @@ class TestBadRates:
                      id="beta-nan"),
         pytest.param(BASE.replace("4.0", "inf"), "decay rate beta must be finite, got inf",
                      id="beta-inf"),
+        pytest.param(BASE.replace("4.0", "-1"), "decay rate beta must be >= 0, got -1",
+                     id="beta-negative"),
         pytest.param(MIXING.format("m_dependent(inf)"),
                      "mixing argument must be finite, got 'inf'", id="m_dependent-inf"),
         pytest.param(MIXING.format("m_dependent(2.7)"),

@@ -1,4 +1,4 @@
-"""Catalog laws and the tail/jump analyzers.
+"""Catalog laws and their tail, atom and increment structure.
 
 Sampler checks use a Dvoretzky-Kiefer-Wolfowitz band at 99.9% confidence
 with a fixed seed, so a failure means a real bug, not bad luck.
@@ -13,8 +13,6 @@ from hypothesis import given, settings, strategies as st
 from phantomdf.distributions import (
     DistFn,
     beta_law,
-    concentration_exponent,
-    delta_condition,
     dkw_epsilon,
     exponential,
     geometric,
@@ -22,17 +20,22 @@ from phantomdf.distributions import (
     make_distribution,
     mixture_component,
     pareto,
-    powered,
-    regularity_check,
     shifted,
-    strict_tail_equivalence,
-    sup_power_distance,
     superheavy,
     symmetric_pareto,
     uniform,
 )
-from phantomdf.errors import InvalidArgumentError
-from phantomdf.grids import LevelGrid
+from phantomdf.errors import InsufficientGridError, InvalidArgumentError
+from phantomdf.estimate import MaxLawEstimate, MaxLawRow, exact_max_quantile, exact_maxlaw
+from phantomdf.grids import (
+    PROBE_RATIO_TOL,
+    classify_ratio_track,
+    converges_to,
+    last_quarter,
+    probe_levels,
+)
+from phantomdf.phantom import verify_phantom
+from phantomdf.processes import IIDSpec, exact_max_cdf
 from phantomdf.seeding import rng_for
 
 CONTINUOUS = [
@@ -117,11 +120,12 @@ def test_shifted_and_powered():
     assert float(sh.quantile(0.3)) == pytest.approx(float(base.quantile(0.3)) + 2.5)
     assert float(sh.cdf(3.0)) == pytest.approx(float(base.cdf(0.5)))
 
-    pw = powered(base, 0.5)
+    # F**n is the max law of n i.i.d. draws
+    spec, n = IIDSpec(base), 3
     x = 1.7
-    assert float(pw.cdf(x)) == pytest.approx(float(base.cdf(x)) ** 0.5)
+    assert exact_max_cdf(spec, n, x) == pytest.approx(float(base.cdf(x)) ** n)
     p = 0.42
-    assert float(pw.cdf(pw.quantile(p))) == pytest.approx(p)
+    assert exact_max_cdf(spec, n, exact_max_quantile(spec, n, p)) == pytest.approx(p)
 
 
 def test_make_distribution_catalog():
@@ -132,37 +136,58 @@ def test_make_distribution_catalog():
 
 
 # ---------------------------------------------------------------------------
-# analyzers
+# tail regularity, tail comparison, atom decay and increments: the
+# hypotheses that ``rates`` takes as assertions, read off the catalog laws
 # ---------------------------------------------------------------------------
 
 
+def jump_over_tail(dist, xi=0.0):
+    """dF(x) / (1 - F(x))**(1 + xi) at the probe levels with a positive tail."""
+    xs = probe_levels(dist)
+    sf = np.asarray(dist.tail(xs), dtype=float)
+    jumps = np.array([dist.jump_at(x) for x in xs])
+    keep = sf > 0
+    return jumps[keep] / sf[keep] ** (1.0 + xi)
+
+
+def tail_ratio_class(G, H):
+    """Limit class of (1 - H)/(1 - G) along G's probe levels."""
+    xs = probe_levels(G)
+    gt = np.asarray(G.tail(xs), dtype=float)
+    ht = np.asarray(H.tail(xs), dtype=float)
+    keep = gt > 0
+    return classify_ratio_track(ht[keep] / gt[keep], PROBE_RATIO_TOL)
+
+
+def increment_ratio(dist, b, xs):
+    """max over x in xs and u = 2**-j of (F(x + u) - F(x)) / u**b."""
+    us = 2.0 ** -np.arange(0.0, 51.0)
+    return max(float(np.max((np.asarray(dist.cdf(x + us)) - float(dist.cdf(x))) / us ** b))
+               for x in xs)
+
+
 def test_regularity_continuous_laws_pass():
+    # left-limit tail ratio (1 - F(x-)) / (1 - F(x)) is identically one
     for d in (exponential(1.0), pareto(2.0, 1.0), uniform(0.0, 1.0)):
-        rep = regularity_check(d)
-        assert rep.is_regular
-        np.testing.assert_allclose(rep.ratio_track, 1.0)
+        np.testing.assert_allclose(1.0 + jump_over_tail(d), 1.0)
 
 
 def test_regularity_geometric_fails():
     """Left-limit tail ratio is the constant 1/(1-p), never near 1."""
-    rep = regularity_check(geometric(0.5))
-    assert not rep.is_regular
-    np.testing.assert_allclose(rep.ratio_track, 2.0)
+    np.testing.assert_allclose(1.0 + jump_over_tail(geometric(0.5)), 2.0)
 
 
 def test_regularity_mixture_component_passes():
     # ratio at the n-th atom is 1 + 1/(n-1) -> 1
-    rep = regularity_check(mixture_component(1))
-    assert rep.is_regular
+    assert converges_to(1.0 + jump_over_tail(mixture_component(1)), 1.0, PROBE_RATIO_TOL)
 
 
 def test_tail_equivalence_verdicts():
     e1, e2 = exponential(1.0), exponential(2.0)
-    assert strict_tail_equivalence(e1, e1).verdict == "equivalent"
+    assert tail_ratio_class(e1, e1) == "one"
     # (1-H)/(1-G) = exp(-2x)/exp(-x) = exp(-x) -> 0
-    assert strict_tail_equivalence(e1, e2).verdict == "ratio->0"
-    assert strict_tail_equivalence(e2, e1).verdict == "ratio->inf"
-    assert strict_tail_equivalence(uniform(0, 1), e1).verdict == "mismatched-right-ends"
+    assert tail_ratio_class(e1, e2) == "zero"
+    assert tail_ratio_class(e2, e1) == "inf"
 
 
 def test_tail_equivalence_constant_ratio_is_divergent():
@@ -171,70 +196,74 @@ def test_tail_equivalence_constant_ratio_is_divergent():
                   sf=lambda x: 0.5 * np.exp(-np.asarray(x)),
                   quantile=lambda p: -np.log(2.0 * (1.0 - np.asarray(p))),
                   right_end=math.inf, left_end=-math.log(2.0))
-    assert strict_tail_equivalence(exponential(1.0), half).verdict == "divergent"
+    assert tail_ratio_class(exponential(1.0), half) == "divergent"
+
+
+def exact_rows(*rows):
+    return MaxLawEstimate(method="exact", replicas=0, rows=rows)
 
 
 def test_sup_power_distance_self_is_zero():
+    # verify_phantom's gap is sup |P(M_n <= x) - G(x)**n| over the law's grid
     F = exponential(1.0)
-    grid = LevelGrid.power_scale(F, n=64)
-    assert sup_power_distance(F, F, 64, grid) == 0.0
+    ml = exact_maxlaw(IIDSpec(F), [64], np.linspace(0.005, 0.995, 199))
+    assert verify_phantom(F, ml).sup_gap == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sup_power_distance_squared_law():
     """For H = F**2, sup |F**n - H**n| = max_a |a - a**2| = 1/4."""
     F = exponential(1.0)
-    H = powered(F, 2.0)
+    a = np.linspace(0.001, 0.999, 4096)
     for n in (1, 10, 200):
-        grid = LevelGrid.power_scale(F, n=n, size=4096)
-        assert sup_power_distance(F, H, n, grid) == pytest.approx(0.25, abs=2e-3)
+        xs = np.asarray(F.quantile(a ** (1.0 / n)))
+        hn = np.asarray(F.cdf(xs)) ** (2 * n)
+        row = MaxLawRow(n=n, levels=xs, p_hat=hn, se=np.zeros_like(xs))
+        assert verify_phantom(F, exact_rows(row)).sup_gap == pytest.approx(0.25, abs=2e-3)
 
 
 def test_sup_power_distance_validation():
-    grid = LevelGrid.from_values([])
-    with pytest.raises(InvalidArgumentError):
-        sup_power_distance(exponential(1.0), exponential(1.0), 10, grid)
+    empty = np.array([])
+    with pytest.raises(InsufficientGridError):
+        verify_phantom(exponential(1.0), exact_rows(MaxLawRow(10, empty, empty, empty)))
 
 
 def test_delta_condition_continuous_trivial():
-    rep = delta_condition(exponential(1.0), 0.0)
-    assert rep.holds and rep.sup_value == 0.0
+    for d in CONTINUOUS:
+        assert not np.any(jump_over_tail(d))
 
 
 def test_delta_condition_geometric():
     # mass/tail = p/(1-p) is constant: the xi = 0 limit condition fails
-    rep0 = delta_condition(geometric(0.5), 0.0)
-    assert not rep0.holds
-    np.testing.assert_allclose(rep0.track, 1.0)
+    np.testing.assert_allclose(jump_over_tail(geometric(0.5)), 1.0)
     # mass/tail**2 doubles at each atom and blows through any cap
-    rep1 = delta_condition(geometric(0.5), 1.0)
-    assert not rep1.holds
+    track = jump_over_tail(geometric(0.5), xi=1.0)
+    np.testing.assert_allclose(track[1:] / track[:-1], 2.0)
 
 
 def test_delta_condition_polynomial_tail():
     # atoms at n with tail 1/n: mass_n/tail_n ~ 1/n -> 0, so xi = 0 holds
-    d = jump_sequence(float, lambda n: 1.0 / n)
-    rep = delta_condition(d, 0.0)
-    assert rep.holds
-    with pytest.raises(InvalidArgumentError):
-        delta_condition(d, -0.5)
+    track = jump_over_tail(jump_sequence(float, lambda n: 1.0 / n))
+    assert np.max(last_quarter(track)) <= PROBE_RATIO_TOL
 
 
 def test_concentration_uniform_lipschitz():
-    rep = concentration_exponent(uniform(0.0, 1.0), 1.0)
-    assert rep.satisfied
-    assert rep.B_hat == pytest.approx(1.0, abs=1e-9)
+    xs = np.linspace(0.02, 0.98, 25)
+    assert increment_ratio(uniform(0.0, 1.0), 1.0, xs) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_concentration_jump_law_fails_every_b():
+    # F(a) - F(a - u) is the atom's mass for every u, so the ratio blows up
+    d, u = geometric(0.5), 2.0 ** -50
+    assert d.jump_at(1.0) == 0.5
     for b in (0.3, 1.0):
-        assert not concentration_exponent(geometric(0.5), b).satisfied
+        assert increment_ratio(d, b, [1.0 - u]) >= 0.5 / u ** b
 
 
 def test_concentration_holder_half():
     # beta(1/2, 1/2) has cdf increments ~ (2/pi) sqrt(u) near 0: b = 1/2 works
-    rep = concentration_exponent(beta_law(0.5, 0.5), 0.5)
-    assert rep.satisfied
-    assert rep.B_hat < 2.0
+    d = beta_law(0.5, 0.5)
+    xs = np.asarray(d.quantile(np.linspace(0.02, 0.98, 25)))
+    assert increment_ratio(d, 0.5, xs) < 2.0
 
 
 @settings(max_examples=25)

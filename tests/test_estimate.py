@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phantomdf.distributions import (DistFn, exponential, geometric, pareto, shifted,
-                                     symmetric_pareto, uniform)
+from phantomdf.distributions import (DistFn, dkw_epsilon, exponential, geometric, pareto,
+                                     shifted, symmetric_pareto, uniform)
 from phantomdf.errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -24,7 +24,6 @@ from phantomdf.estimate import (
     _chunk_plan,
     _map_chunks,
     _window_maxima,
-    alpha_delta_exponent,
     block_maxima_table,
     check_BT,
     cycle_tail_ratio,
@@ -516,14 +515,36 @@ class TestCn:
     def test_propbasic_bounded_for_iid(self):
         dse = estimate_driving_sequence(IID_EXP, GAMMA, [100, 400], method="exact")
         series = propbasic_series(IID_EXP, dse, R=400, seed=23)
+        assert [(r.n, r.k, r.m) for r in series.rows] == [(100, 10, 10), (400, 20, 20)]
         assert not series.diverging
         # k_n P(X_1 > v_n) ~ 1/sqrt(n) stays below 1 for the exp marginal
         assert series.max_k_tail < 1.0
+        # gamma <= P(M_n <= v_n) <= P(X_1 <= v_n)**k + k C_hat within 3 SE
+        assert all(r.sandwich_ok for r in series.rows)
+
+    def test_propbasic_skips_a_block_without_skeleton(self):
+        # a block of one value holds no two skeleton points
+        dse = estimate_driving_sequence(IID_EXP, GAMMA, [1, 2], method="exact")
+        series = propbasic_series(IID_EXP, dse, R=200, seed=23)
+        assert [(r.n, r.k, r.m) for r in series.rows] == [(2, 2, 1)]
+        only = estimate_driving_sequence(IID_EXP, GAMMA, [1], method="exact")
+        empty = propbasic_series(IID_EXP, only, R=200, seed=23)
+        assert (empty.rows, empty.max_k_tail, empty.diverging) == ((), None, False)
 
 
-def test_alpha_delta_exponent():
-    assert alpha_delta_exponent(4.0) == pytest.approx(0.8)
-    assert alpha_delta_exponent(1.0) == pytest.approx(0.5)
+@pytest.mark.parametrize("spec", [IIDSpec(exponential(1.0)),
+                                  MovingMaxSpec(window=2, base=uniform(0.0, 1.0))],
+                         ids=["iid-exp", "moving-max-uniform"])
+def test_window_maxima_within_dkw_band(spec):
+    """Block maxima from the path scan (not the transform sampler) against
+    the closed-form max law: the ECDF stays inside the 99.9% DKW band."""
+    R, sizes = 2000, (1, 50, 1000)
+    maxima = _window_maxima(spec, [(0, n) for n in sizes], R, seed=1, tag="dkw")
+    i = np.arange(1, R + 1)
+    for n, col in zip(sizes, maxima):
+        F = np.array([exact_max_cdf(spec, n, float(x)) for x in np.sort(col)])
+        sup = max(np.max(i / R - F), np.max(F - (i - 1) / R))
+        assert sup <= dkw_epsilon(R, 0.999), (n, sup)
 
 
 class TestRegenerative:

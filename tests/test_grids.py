@@ -1,4 +1,4 @@
-"""Level sequences, probe policies, and track classification."""
+"""Level sequences, tail probe levels, and track classification."""
 
 import math
 
@@ -8,25 +8,24 @@ from hypothesis import given, strategies as st
 
 from phantomdf.distributions import (
     AtomRule,
+    DistFn,
     _jump_quantile,
     exponential,
     geometric,
     jump_sequence,
     mixture_component,
-    uniform,
 )
 from phantomdf.errors import InvalidArgumentError
 from phantomdf.estimate import exact_max_quantile
 from phantomdf.grids import (
     HUGE_INDEX,
-    LevelGrid,
+    PROBE_DEPTH,
     LevelSequence,
-    ProbePolicy,
-    classify_limit,
     classify_ratio_track,
     converges_to,
     first_index_where,
     last_quarter,
+    probe_levels,
 )
 from phantomdf.processes import MixtureSpec, _mixture_weight_leq
 
@@ -233,45 +232,20 @@ class TestFirstIndexWhere:
 
 class TestProbePolicy:
     def test_probabilities_are_tail_geometric(self):
-        p = ProbePolicy(depth=5).probabilities()
-        np.testing.assert_allclose(1.0 - p, [0.5, 0.25, 0.125, 0.0625, 0.03125])
+        # exp(1) has tail exp(-x): the j-th probe level has tail 2**-j
+        xs = probe_levels(exponential(1.0))
+        np.testing.assert_allclose(np.exp(-xs), 2.0 ** -np.arange(1.0, PROBE_DEPTH + 1))
 
     def test_levels_strictly_ascending(self):
-        xs = ProbePolicy().levels(exponential(1.0))
+        xs = probe_levels(exponential(1.0))
         assert np.all(np.diff(xs) > 0)
 
-    def test_truncation_level(self):
-        pol = ProbePolicy(tail_cutoff=1e-8)
-        assert pol.truncation_level(exponential(1.0)) == pytest.approx(-math.log(1e-8))
-
-    def test_explicit_grid_must_ascend(self):
-        with pytest.raises(InvalidArgumentError):
-            ProbePolicy(explicit_levels=(1.0, 1.0, 2.0)).levels(exponential(1.0))
-
     def test_bad_parameters_rejected(self):
+        # a law whose quantiles are all infinite leaves no probe level
+        law = DistFn(name="no-finite-quantile", cdf=lambda x: 0.0 * np.asarray(x),
+                     quantile=lambda p: np.full(np.shape(p), np.inf), right_end=math.inf)
         with pytest.raises(InvalidArgumentError):
-            ProbePolicy(depth=0)
-        with pytest.raises(InvalidArgumentError):
-            ProbePolicy(ratio_tol=1.5)
-
-
-class TestLevelGrid:
-    def test_descending_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            LevelGrid.from_values([3.0, 1.0])
-
-    def test_power_scale_covers_transition(self):
-        """The n-th power of the cdf should sweep most of (0, 1) on the grid."""
-        F = exponential(1.0)
-        grid = LevelGrid.power_scale(F, n=100)
-        fn = np.asarray(F.cdf(grid.values)) ** 100
-        assert fn.min() < 0.01
-        assert fn.max() > 0.98
-        assert np.all(np.diff(grid.values) > 0)
-
-    def test_power_scale_bounded_support(self):
-        grid = LevelGrid.power_scale(uniform(0.0, 1.0), n=50)
-        assert grid.values.max() <= 1.0
+            probe_levels(law)
 
 
 def test_last_quarter_size():
@@ -284,16 +258,6 @@ def test_converges_to():
     assert converges_to(track, 1.0, 0.02)
     assert not converges_to(track, 1.0, 1e-4)
     assert not converges_to(np.array([]), 1.0, 0.5)
-
-
-def test_classify_limit():
-    kind, value = classify_limit(2.0 + 1.0 / np.arange(1, 201), tol=0.02)
-    assert kind == "converged"
-    assert value == pytest.approx(2.0, abs=0.02)
-
-    kind, value = classify_limit(np.tile([0.0, 1.0], 50), tol=0.02)
-    assert kind == "divergent"
-    assert value is None
 
 
 @pytest.mark.parametrize("track,expected", [

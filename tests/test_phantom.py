@@ -6,28 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phantomdf.distributions import DistFn, exponential, powered
+from phantomdf.distributions import DistFn, exponential
 from phantomdf.errors import (
     DegenerateDrivingSequenceError,
     InsufficientGridError,
     InvalidArgumentError,
 )
-from phantomdf.estimate import MaxLawEstimate, MaxLawRow, exact_maxlaw
-from phantomdf.grids import HUGE_INDEX, LevelGrid, LevelSequence
+from phantomdf.estimate import (
+    MaxLawEstimate,
+    MaxLawRow,
+    estimate_theta_single_sequence,
+    exact_maxlaw,
+)
+from phantomdf.grids import HUGE_INDEX, LevelSequence
 from phantomdf.phantom import (
     MAX_KNOT_INDEX,
     DrivingSequence,
     JumpPhantom,
     PhantomDistFn,
-    build_continuous_phantom,
-    build_jump_phantom,
     driving_from_estimates,
-    extremal_index_from_gammas,
-    extremal_index_tail_ratio,
-    phantom_gap,
     verify_phantom,
 )
-from phantomdf.processes import IIDSpec
+from phantomdf.processes import IIDSpec, MovingMaxSpec
 
 GAMMA = math.exp(-1.0)
 
@@ -161,7 +161,7 @@ def _drivings():
     sizes = np.unique(np.round(10.0 ** np.arange(1.0, 4.01, 1.0 / 6.0)).astype(int))
     fitted = driving_from_estimates(
         GAMMA, sizes, exponential(1.0).quantile(GAMMA ** (1.0 / sizes)))
-    parsed = PhantomDistFn.from_text(build_continuous_phantom(fitted).to_text())
+    parsed = PhantomDistFn.from_text(PhantomDistFn(fitted).to_text())
     return {
         "plateau": plateau_driving(),
         "estimates": driving_from_estimates(GAMMA, [2, 5, 9, 40], [1.0, 2.0, 3.0, 3.5]),
@@ -192,7 +192,7 @@ class TestKnotTableMatchesScalarReference:
     @pytest.mark.parametrize("name", DRIVINGS)
     def test_continuous_exponent(self, name):
         d = DRIVINGS[name]
-        ref, G = ScalarReference(d), build_continuous_phantom(d)
+        ref, G = ScalarReference(d), PhantomDistFn(d)
         x = self.probe_levels(d)
         want = np.array([ref.exponent(v) for v in x])
         np.testing.assert_array_equal(G.exponent(x), want)
@@ -202,14 +202,14 @@ class TestKnotTableMatchesScalarReference:
     @pytest.mark.parametrize("name", DRIVINGS)
     def test_jump_log_cdf(self, name):
         d = DRIVINGS[name]
-        ref, J = ScalarReference(d), build_jump_phantom(d)
+        ref, J = ScalarReference(d), JumpPhantom(d)
         x = self.probe_levels(d)
         np.testing.assert_array_equal(J.log_cdf(x), [ref.jump_log_cdf(v) for v in x])
 
     @pytest.mark.parametrize("name", DRIVINGS)
     def test_exponent_inverse(self, name):
         d = DRIVINGS[name]
-        ref, G = ScalarReference(d), build_continuous_phantom(d)
+        ref, G = ScalarReference(d), PhantomDistFn(d)
         _, es = d.knots(60) if d.levels.rule is not None else d.knots()
         es = es[:60]
         between = np.random.default_rng(9).uniform(es[-1], es[0], 400)
@@ -222,7 +222,7 @@ class TestKnotTableMatchesScalarReference:
     def test_past_the_prefix_raises(self, name):
         d = DRIVINGS[name]
         ref = ScalarReference(d)
-        G, J = build_continuous_phantom(d), build_jump_phantom(d)
+        G, J = PhantomDistFn(d), JumpPhantom(d)
         xs, es = d.knots()
         beyond = float(xs[-1]) + 0.5
         for fn in (ref.exponent, G.exponent, J.log_cdf, G.cdf, J.cdf):
@@ -237,8 +237,8 @@ class TestKnotTableMatchesScalarReference:
     def test_rule_backed_sup_and_huge_levels(self):
         bounded = LevelSequence(rule=lambda n: 2.0 - 1.0 / n, sup=2.0)
         d = DrivingSequence(GAMMA, bounded)
-        ref, G = ScalarReference(d), build_continuous_phantom(d)
-        J = build_jump_phantom(d)
+        ref, G = ScalarReference(d), PhantomDistFn(d)
+        J = JumpPhantom(d)
         x = np.array([2.0, 7.0, np.inf])
         np.testing.assert_array_equal(G.exponent(x), [ref.exponent(v) for v in x])
         np.testing.assert_array_equal(J.log_cdf(x), [ref.jump_log_cdf(v) for v in x])
@@ -248,12 +248,12 @@ class TestKnotTableMatchesScalarReference:
 class TestPhantomsAreDistFns:
     def test_isinstance(self):
         d = plateau_driving()
-        assert isinstance(build_continuous_phantom(d), DistFn)
-        assert isinstance(build_jump_phantom(d), DistFn)
-        assert build_continuous_phantom(d).right_end == 3.0
+        assert isinstance(PhantomDistFn(d), DistFn)
+        assert isinstance(JumpPhantom(d), DistFn)
+        assert PhantomDistFn(d).right_end == 3.0
 
     def test_vectorised_cdf_sf_quantile(self):
-        G = build_continuous_phantom(DrivingSequence(GAMMA, LevelSequence(rule=float)))
+        G = PhantomDistFn(DrivingSequence(GAMMA, LevelSequence(rule=float)))
         x = np.array([[0.5, 1.0], [2.7, 400.0]])
         lc = G.exponent(x) * math.log(GAMMA)
         np.testing.assert_array_equal(G.cdf(x), np.exp(lc))
@@ -264,7 +264,7 @@ class TestPhantomsAreDistFns:
             G.quantile(np.array([0.5, 1.0]))
 
     def test_jump_quantile_is_generalized_inverse(self):
-        J = build_jump_phantom(plateau_driving())
+        J = JumpPhantom(plateau_driving())
         p = np.array([1e-3, GAMMA ** (1.0 / 3.0), 0.75, GAMMA ** 0.2])
         np.testing.assert_array_equal(J.quantile(p), [1.0, 1.0, 2.0, 3.0])
         assert np.all(J.cdf(J.quantile(p)) >= p)
@@ -312,7 +312,7 @@ class TestDrivingSequence:
         np.testing.assert_array_equal(es, [1.0 / 2, 1.0 / 3, 1.0 / 4])
         with pytest.raises(InvalidArgumentError):
             d.knots(MAX_KNOT_INDEX + 1)
-        G = build_continuous_phantom(d)
+        G = PhantomDistFn(d)
         with pytest.raises(InvalidArgumentError):
             G.cdf(float(MAX_KNOT_INDEX) + 0.5)
         with pytest.raises(InvalidArgumentError):
@@ -331,22 +331,22 @@ class TestDrivingSequence:
 
 class TestContinuousPhantom:
     def test_exact_at_knots(self):
-        G = build_continuous_phantom(plateau_driving())
+        G = PhantomDistFn(plateau_driving())
         assert G.exponent(1.0) == 1.0 / 3.0
         assert G.exponent(2.0) == 0.25
         assert G.exponent(3.0) == 0.2
         assert G.cdf(1.0) == pytest.approx(math.exp(-1.0 / 3.0), rel=1e-15)
 
     def test_linear_between_knots(self):
-        G = build_continuous_phantom(plateau_driving())
+        G = PhantomDistFn(plateau_driving())
         assert G.exponent(1.5) == pytest.approx((1.0 / 3.0 + 0.25) / 2.0, rel=1e-15)
 
     def test_unit_slope_below_first_knot(self):
-        G = build_continuous_phantom(plateau_driving())
+        G = PhantomDistFn(plateau_driving())
         assert G.exponent(0.25) == pytest.approx(0.75 + 1.0 / 3.0, rel=1e-15)
 
     def test_beyond_prefix_fails_without_rule(self):
-        G = build_continuous_phantom(plateau_driving())
+        G = PhantomDistFn(plateau_driving())
         with pytest.raises(InvalidArgumentError):
             G.cdf(3.5)
         with pytest.raises(InvalidArgumentError):
@@ -354,23 +354,23 @@ class TestContinuousPhantom:
 
     def test_power_identity_strictly_increasing_levels(self):
         """G(v_n)**n = gamma at every index once plateaus are absent."""
-        G = build_continuous_phantom(DrivingSequence(GAMMA, LevelSequence(rule=float)))
+        G = PhantomDistFn(DrivingSequence(GAMMA, LevelSequence(rule=float)))
         for n in (1, 2, 17, 1000, 10**6):
             assert G.pow(float(n), n) == pytest.approx(GAMMA, abs=1e-12)
 
     def test_quantile_duality(self):
-        G = build_continuous_phantom(DrivingSequence(GAMMA, LevelSequence(rule=float)))
+        G = PhantomDistFn(DrivingSequence(GAMMA, LevelSequence(rule=float)))
         for x in (1.0, 2.7, 19.25, 400.0):
             assert G.quantile(G.cdf(x)) == pytest.approx(x, rel=1e-12)
 
     def test_tail_complement(self):
-        G = build_continuous_phantom(plateau_driving())
+        G = PhantomDistFn(plateau_driving())
         assert G.tail(2.0) == pytest.approx(1.0 - G.cdf(2.0), rel=1e-14)
 
 
 class TestJumpPhantom:
     def test_step_values(self):
-        J = build_jump_phantom(plateau_driving())
+        J = JumpPhantom(plateau_driving())
         assert J.cdf(0.99) == 0.0
         assert J.cdf(1.0) == pytest.approx(GAMMA ** (1.0 / 3.0), rel=1e-15)
         assert J.cdf(2.9) == pytest.approx(GAMMA ** 0.25, rel=1e-15)
@@ -381,33 +381,26 @@ class TestJumpPhantom:
     def test_jump_below_continuous(self):
         """The step variant never exceeds the interpolated one."""
         d = plateau_driving()
-        G, J = build_continuous_phantom(d), build_jump_phantom(d)
+        G, J = PhantomDistFn(d), JumpPhantom(d)
         for x in np.linspace(1.0, 3.0, 41):
             assert J.cdf(float(x)) <= G.cdf(float(x)) + 1e-15
 
     def test_pow_at_zero_cdf(self):
-        J = build_jump_phantom(plateau_driving())
+        J = JumpPhantom(plateau_driving())
         assert J.pow(0.5, 100) == 0.0
 
 
 def test_phantom_gap_dense_driving_is_small():
     # knots at every integer: interpolation slack at block size n is O(1/n)
     d = DrivingSequence(GAMMA, LevelSequence(rule=float))
-    G, J = build_continuous_phantom(d), build_jump_phantom(d)
-    grid = LevelGrid.from_values(np.arange(50.0, 400.0, 0.25))
-    assert phantom_gap(G, J, 100, grid) < 0.01
-
-
-def test_phantom_gap_requires_shared_driving():
-    G = build_continuous_phantom(plateau_driving())
-    J = build_jump_phantom(DrivingSequence(GAMMA, [1.0, 2.0]))
-    with pytest.raises(InvalidArgumentError):
-        phantom_gap(G, J, 10, LevelGrid.from_values([1.5]))
+    G, J = PhantomDistFn(d), JumpPhantom(d)
+    grid = np.arange(50.0, 400.0, 0.25)
+    assert np.max(np.abs(G.pow(grid, 100) - J.pow(grid, 100))) < 0.01
 
 
 class TestSerialization:
     def test_round_trip_exact(self):
-        G = build_continuous_phantom(plateau_driving())
+        G = PhantomDistFn(plateau_driving())
         text = G.to_text()
         H = PhantomDistFn.from_text(text)
         assert H.to_text() == text
@@ -415,7 +408,7 @@ class TestSerialization:
             assert H.cdf(float(x)) == G.cdf(float(x))
 
     def test_rule_backed_needs_truncation(self):
-        G = build_continuous_phantom(DrivingSequence(GAMMA, LevelSequence(rule=float)))
+        G = PhantomDistFn(DrivingSequence(GAMMA, LevelSequence(rule=float)))
         with pytest.raises(InvalidArgumentError):
             G.to_text()
         H = PhantomDistFn.from_text(G.to_text(max_level_index=50))
@@ -464,7 +457,7 @@ class TestSerializationProperties:
     @given(knot_tables())
     def test_round_trip_keeps_every_knot(self, table):
         gamma, ps, xs = table
-        G = build_continuous_phantom(driving_from_estimates(gamma, ps, xs))
+        G = PhantomDistFn(driving_from_estimates(gamma, ps, xs))
         text = G.to_text()
         H = PhantomDistFn.from_text(text)
         assert H.driving.gamma == G.driving.gamma
@@ -499,7 +492,7 @@ class TestVerification:
         F = exponential(1.0)
         sizes = np.unique(np.round(10.0 ** np.arange(1.0, 6.21, 1.0 / 6.0)).astype(int))
         levels = F.quantile(GAMMA ** (1.0 / sizes))
-        return build_continuous_phantom(driving_from_estimates(gamma, sizes, levels))
+        return PhantomDistFn(driving_from_estimates(gamma, sizes, levels))
 
     def exact_maxlaw(self) -> MaxLawEstimate:
         return exact_maxlaw(IIDSpec(exponential(1.0)), [200, 2000],
@@ -524,26 +517,24 @@ class TestVerification:
 
 
 class TestExtremalIndex:
+    """theta = log(gamma) / log(gamma'_n) on the exact moving max of window 2."""
+    MOVMAX2 = MovingMaxSpec(window=2, base=exponential(1.0))
+
     def test_log_ratio(self):
-        assert extremal_index_from_gammas(GAMMA, GAMMA ** 2) == pytest.approx(0.5, rel=1e-15)
-        assert extremal_index_from_gammas(GAMMA, 0.0) == 0.0
-        with pytest.raises(InvalidArgumentError):
-            extremal_index_from_gammas(GAMMA, 1.0)
+        est = estimate_theta_single_sequence(self.MOVMAX2, GAMMA, [100, 10_000],
+                                             method="exact")
+        for row in est.rows:
+            assert row.theta == pytest.approx(math.log(GAMMA) / math.log(row.gamma_prime),
+                                              rel=1e-12)
+        assert est.theta_hat == pytest.approx(0.5, abs=0.01)
 
+    @settings(max_examples=25, deadline=None)
     @given(c=st.floats(min_value=0.05, max_value=8.0),
-           gamma=st.floats(min_value=0.05, max_value=0.95),
-           theta=st.floats(min_value=0.05, max_value=1.0))
-    def test_scale_consistency(self, c, gamma, theta):
-        """Raising both gammas to a common power cannot move theta."""
-        gp = gamma ** (1.0 / theta)
-        base = extremal_index_from_gammas(gamma, gp)
-        scaled = extremal_index_from_gammas(gamma ** c, gp ** c)
-        assert scaled == pytest.approx(base, rel=1e-9)
-        assert base == pytest.approx(theta, rel=1e-9)
-
-    def test_tail_ratio_powered_marginal(self):
-        # (1 - F**t)/(1 - F) -> t near the right end
-        F = exponential(1.0)
-        rep = extremal_index_tail_ratio(powered(F, 0.5), F)
-        assert rep.converged
-        assert rep.theta == pytest.approx(0.5, abs=0.01)
+           gamma=st.floats(min_value=0.05, max_value=0.95))
+    def test_scale_consistency(self, c, gamma):
+        """Raising gamma to a power cannot move theta."""
+        base, scaled = (estimate_theta_single_sequence(self.MOVMAX2, g, [10_000],
+                                                       method="exact").theta_hat
+                        for g in (gamma, gamma ** c))
+        assert scaled == pytest.approx(base, abs=0.01)
+        assert base == pytest.approx(0.5, abs=0.01)

@@ -29,7 +29,7 @@ from phantomdf.estimate import (
     verify_by_simulation,
 )
 from phantomdf.grids import LevelSequence
-from phantomdf.phantom import DrivingSequence, build_continuous_phantom, verify_phantom
+from phantomdf.phantom import DrivingSequence, PhantomDistFn, verify_phantom
 from phantomdf.processes import (
     IIDSpec,
     LindleySpec,
@@ -67,7 +67,7 @@ def reference_phantom_fit(spec, blocks, R, seed, gamma=GAMMA, workers=1):
     fit = block_maxima_table(spec, fit_sizes, R, seed, tag="phantom-fit",
                              workers=workers)
     dse = driving_from_maxima(gamma, fit, R)
-    phantom = build_continuous_phantom(dse.to_driving_sequence())
+    phantom = PhantomDistFn(dse.to_driving_sequence())
     val = block_maxima_table(spec, blocks, R, seed, tag="phantom-verify",
                              workers=workers)
     ml = maxlaw_from_maxima(val, R, level_cap=float(dse.v_hat[-1]))
@@ -83,7 +83,7 @@ def reference_criterion_8_fit(spec, R, seed, workers=1):
     fit = block_maxima_table(spec, fit_sizes, R=R, seed=seed,
                              tag="c8-fit", workers=workers)
     dse = driving_from_maxima(GAMMA, fit, R=R)
-    phantom = build_continuous_phantom(dse.to_driving_sequence())
+    phantom = PhantomDistFn(dse.to_driving_sequence())
     return dse, phantom
 
 
@@ -165,13 +165,13 @@ class TestFitAndVerify:
         blocks = [10, 100]
         table = block_maxima_table(IID, blocks, R, SEED, tag="cap")
         cap = float(np.median(table[100]))
-        short = build_continuous_phantom(DrivingSequence(GAMMA, [0.5, 1.0, cap]))
+        short = PhantomDistFn(DrivingSequence(GAMMA, [0.5, 1.0, cap]))
         ml = verify_by_simulation(IID, short, blocks, R, SEED, tag="cap")[0]
         assert_same_maxlaw(ml, maxlaw_from_maxima(table, R, level_cap=cap))
         assert max(ml.row(100).levels) <= cap
         assert ml.row(100).levels.size < maxlaw_from_maxima(table, R).row(100).levels.size
 
-        rule = build_continuous_phantom(DrivingSequence(
+        rule = PhantomDistFn(DrivingSequence(
             GAMMA, LevelSequence(prefix=(1.0,), rule=lambda n: math.log(n) + 1.0)))
         ml = verify_by_simulation(IID, rule, blocks, R, SEED, tag="cap")[0]
         assert_same_maxlaw(ml, maxlaw_from_maxima(table, R))

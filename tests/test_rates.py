@@ -93,6 +93,13 @@ def test_non_finite_rates_are_rejected(beta):
         PolynomialMixing(beta=beta)
 
 
+@pytest.mark.parametrize("beta", [-1.0, -1e-12])
+def test_negative_rates_are_rejected(beta):
+    # a negative rate is no decay rate: an error, not an insufficient verdict
+    with pytest.raises(InvalidArgumentError, match="beta must be >= 0"):
+        check_rate_sufficiency("theta", beta, 1.0)
+
+
 @pytest.mark.parametrize("m", [2.7, 2.0, math.inf, "3"])
 def test_dependence_range_must_be_an_integer(m):
     with pytest.raises(InvalidArgumentError, match="must be an integer"):

@@ -16,7 +16,14 @@ import time
 from pathlib import Path
 from typing import Iterable
 
-from .config import build_spec, load_config, parse_int_list, parse_law, print_defaults
+from .config import (
+    build_spec,
+    load_config,
+    parse_int_list,
+    parse_law,
+    parse_number,
+    print_defaults,
+)
 from .errors import InvalidArgumentError, PhantomdfError
 from .estimate import (
     check_BT,
@@ -52,12 +59,14 @@ __all__ = ["main"]
 
 
 class _Settings:
-    """Config lookup with section -> [common] fallback and CLI overrides."""
+    """Config lookup with section -> [common] fallback and CLI overrides,
+    and the wall-clock lines of the run's timing.txt."""
 
     def __init__(self, args: argparse.Namespace, section: str):
         self.cp = load_config(getattr(args, "config", None))
         self.section = section
         self.args = args
+        self.timing: list[str] = []
 
     def get(self, key: str, default: str | None = None) -> str | None:
         if self.cp.has_option(self.section, key):
@@ -66,9 +75,13 @@ class _Settings:
             return self.cp.get("common", key)
         return default
 
+    def number(self, key: str, kind: type = int, default: str | None = None) -> int | float:
+        """The value under ``key`` as ``kind`` (see ``parse_number``)."""
+        return parse_number(key, self.get(key, default), kind)
+
     @property
     def seed(self) -> int:
-        seed = self.args.seed if self.args.seed is not None else int(self.get("seed"))
+        seed = self.args.seed if self.args.seed is not None else self.number("seed")
         if not 0 <= seed < 2**64:
             raise InvalidArgumentError(f"seed must lie in [0, 2**64), got {seed}")
         return seed
@@ -77,25 +90,25 @@ class _Settings:
     def replicas(self) -> int:
         if self.args.replicas is not None:
             return self.args.replicas
-        return int(self.get("replicas"))
+        return self.number("replicas")
 
     @property
     def workers(self) -> int:
         if getattr(self.args, "workers", None) is not None:
             workers = self.args.workers
         else:
-            workers = int(self.get("workers"))
+            workers = self.number("workers")
         if workers < 1:
             raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
         return workers
 
     @property
     def gamma(self) -> float:
-        return float(self.get("gamma"))
+        return self.number("gamma", float)
 
     def horizon(self, key: str) -> float:
         """The B_T horizon T stored under ``key``: finite and positive."""
-        T = float(self.get(key, "2.0"))
+        T = self.number(key, float, "2.0")
         if not (math.isfinite(T) and T > 0):
             raise InvalidArgumentError(f"{key} must be finite and positive, got {T:g}")
         return T
@@ -110,25 +123,26 @@ class _Settings:
     def spec(self):
         return build_spec(self.cp[self.section])
 
+    def write(self, name: str, text: str | Iterable[str]) -> None:
+        """Write a text artifact given whole or as a stream of blocks, and
+        time it; a stream's time includes its formatting."""
+        start = time.perf_counter()
+        with open(self.out_dir / name, "w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        self.timing.append(f"write {name}: {time.perf_counter() - start:.2f} s")
 
-def _write(out: Path, name: str, text: str | Iterable[str]) -> None:
-    """Write a text artifact given whole or as a stream of blocks."""
-    with open(out / name, "w", encoding="utf-8") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
 
-
-def cmd_simulate(args) -> int:
-    st = _Settings(args, "simulate")
+def cmd_simulate(st: _Settings) -> int:
     spec = st.spec()
-    length = int(st.get("length"))
+    length = st.number("length")
     path = generate(spec, st.seed, length)
     out = st.out_dir
-    _write(out, "path.txt", path_file_text(path))
+    st.write("path.txt", path_file_text(path))
     wrote = ["path.txt"]
     if path.regeneration_marks is not None:
-        _write(out, "path.marks.txt", marks_file_text(path))
+        st.write("path.marks.txt", marks_file_text(path))
         wrote.append("path.marks.txt")
-    _write(out, "summary.json", json_report({
+    st.write("summary.json", json_report({
         "subcommand": "simulate",
         "seed": st.seed,
         "length": length,
@@ -140,8 +154,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_phantom_fit(args) -> int:
-    st = _Settings(args, "phantom-fit")
+def cmd_phantom_fit(st: _Settings) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
     R, seed, gamma = st.replicas, st.seed, st.gamma
@@ -158,13 +171,12 @@ def cmd_phantom_fit(args) -> int:
     theta_text = "theta = 0" if theta.verdict == "zero" \
         else f"theta = {theta.theta_hat:.4f}"
 
-    out = st.out_dir
-    _write(out, "driving.csv", driving_csv(dse))
-    _write(out, "maxlaw.csv", maxlaw_csv(ml))
-    _write(out, "bt.csv", bt_csv(bt))
-    _write(out, "theta.csv", theta_csv(theta))
-    _write(out, "phantom.txt", phantom.to_text())
-    _write(out, "summary.json", json_report({
+    st.write("driving.csv", driving_csv(dse))
+    st.write("maxlaw.csv", maxlaw_csv(ml))
+    st.write("bt.csv", bt_csv(bt))
+    st.write("theta.csv", theta_csv(theta))
+    st.write("phantom.txt", phantom.to_text())
+    st.write("summary.json", json_report({
         "subcommand": "phantom-fit",
         "gamma": gamma,
         "replicas": R,
@@ -184,17 +196,15 @@ def cmd_phantom_fit(args) -> int:
     return 0 if verified else 1
 
 
-def cmd_verify(args) -> int:
-    st = _Settings(args, "verify")
+def cmd_verify(st: _Settings) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
     text = Path(st.get("phantom")).read_text(encoding="utf-8")
     phantom = PhantomDistFn.from_text(text)
     ml, ver, ok = verify_by_simulation(spec, phantom, blocks, st.replicas, st.seed,
                                        tag="verify", workers=st.workers)
-    out = st.out_dir
-    _write(out, "maxlaw.csv", maxlaw_csv(ml))
-    _write(out, "summary.json", json_report({
+    st.write("maxlaw.csv", maxlaw_csv(ml))
+    st.write("summary.json", json_report({
         "subcommand": "verify",
         "phantom_verified": ok,
         "sup_gap": ver.sup_gap,
@@ -205,8 +215,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_bt_check(args) -> int:
-    st = _Settings(args, "bt-check")
+def cmd_bt_check(st: _Settings) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
     T = st.horizon("T")
@@ -220,10 +229,9 @@ def cmd_bt_check(args) -> int:
     # the skeleton condition k_n C_n -> 0 with k_n P(X_1 > v_n) bounded;
     # reported only, it does not enter the exit code
     pb = propbasic_series(spec, dse, R=st.replicas, seed=st.seed, workers=st.workers)
-    out = st.out_dir
-    _write(out, "bt.csv", bt_csv(bt))
-    _write(out, "driving.csv", driving_csv(dse))
-    _write(out, "summary.json", json_report({
+    st.write("bt.csv", bt_csv(bt))
+    st.write("driving.csv", driving_csv(dse))
+    st.write("summary.json", json_report({
         "subcommand": "bt-check",
         "T": bt.T,
         "b_values": {str(r.n): r.b_value for r in bt.rows},
@@ -242,19 +250,17 @@ def cmd_bt_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_regen(args) -> int:
-    st = _Settings(args, "regen")
-    rg = regen_phantom(parse_law(st.get("step")), int(st.get("length")),
+def cmd_regen(st: _Settings) -> int:
+    rg = regen_phantom(parse_law(st.get("step")), st.number("length"),
                        parse_int_list(st.get("verify_blocks")), st.replicas,
                        st.seed, tag="regen-verify", workers=st.workers,
                        smoothing=st.get("smoothing", "linear"))
     rs, ver = rg.stats, rg.verification
-    out = st.out_dir
-    _write(out, "cycle_maxima_cdf.csv",
+    st.write("cycle_maxima_cdf.csv",
            csv_table(("y", "cycle_cdf"), rs.cycle_cdf))
-    _write(out, "maxlaw.csv", maxlaw_csv(rg.maxlaw))
-    _write(out, "path.marks.txt", marks_file_text(rg.path))
-    _write(out, "summary.json", json_report({
+    st.write("maxlaw.csv", maxlaw_csv(rg.maxlaw))
+    st.write("path.marks.txt", marks_file_text(rg.path))
+    st.write("summary.json", json_report({
         "subcommand": "regen",
         "cycle_count": rs.cycle_count,
         "mu_hat": rs.mu_hat,
@@ -327,11 +333,10 @@ def _parse_delta_xi(text: str) -> dict[float, bool]:
     return delta_xi
 
 
-def cmd_rates(args) -> int:
-    st = _Settings(args, "rates")
+def cmd_rates(st: _Settings) -> int:
     kind = st.get("kind")
-    b = float(st.get("b"))
-    beta = float(st.get("beta"))
+    b = st.number("b", float)
+    beta = st.number("beta", float)
     verdict = check_rate_sufficiency(kind, beta, b)
     payload = {"rate_check": {
         "kind": verdict.kind.value,
@@ -355,8 +360,7 @@ def cmd_rates(args) -> int:
             "detail": case.detail,
         }
         ok = ok and case.admits_phantom
-    out = st.out_dir
-    _write(out, "summary.json", json_report(payload))
+    st.write("summary.json", json_report(payload))
     note = f" ({verdict.note})" if verdict.note else ""
     print(f"rates: {verdict.kind.value} threshold {verdict.threshold:.4f}, "
           f"beta = {beta:g} -> "
@@ -364,17 +368,15 @@ def cmd_rates(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_extremal_index(args) -> int:
-    st = _Settings(args, "extremal-index")
+def cmd_extremal_index(st: _Settings) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
     est = estimate_theta_single_sequence(spec, st.gamma, blocks,
                                          R=st.replicas, seed=st.seed,
                                          method=st.get("method", "auto"),
                                          workers=st.workers)
-    out = st.out_dir
-    _write(out, "theta.csv", theta_csv(est))
-    _write(out, "summary.json", json_report({
+    st.write("theta.csv", theta_csv(est))
+    st.write("summary.json", json_report({
         "subcommand": "extremal-index",
         "verdict": est.verdict,
         "theta_hat": est.theta_hat,
@@ -390,26 +392,23 @@ def cmd_extremal_index(args) -> int:
     return 0
 
 
-def cmd_acceptance(args) -> int:
+def cmd_acceptance(st: _Settings) -> int:
     from .acceptance import run_all
 
-    st = _Settings(args, "acceptance")
     which = st.get("criteria", "all")
     numbers = None if which.strip() == "all" else parse_int_list(which)
     results = run_all(numbers, workers=st.workers)
-    out = st.out_dir
+    st.timing.extend(f"criterion {r.number}: {r.seconds:.2f} s" for r in results)
     for r in results:
         print(r.line())
         for name, text in r.artifacts.items():
-            _write(out, f"criterion{r.number}_{name}", text)
-    _write(out, "summary.json", json_report({
+            st.write(f"criterion{r.number}_{name}", text)
+    st.write("summary.json", json_report({
         "subcommand": "acceptance",
         "results": [{"number": r.number, "name": r.name, "passed": r.passed,
                      "detail": r.detail} for r in results],
         "all_passed": all(r.passed for r in results),
     }))
-    _write(out, "timing.txt", "".join(
-        f"criterion {r.number}: {r.seconds:.2f} s\n" for r in results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -457,23 +456,22 @@ def main(argv=None) -> int:
         return 2
     start = time.perf_counter()
     try:
-        # a rerun into the same out dir starts a fresh timing.txt; commands
-        # that time their own stages write it before the total is appended
         settings = _Settings(args, args.command)
         # reject a bad seed or worker count before any work starts
         settings.seed, settings.workers
-        timing = settings.out_dir / "timing.txt"
-        timing.unlink(missing_ok=True)
-        code = _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](settings)
     except PhantomdfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # wall-clock lines, outside the byte contract; a rerun into the same out
+    # dir replaces them
+    settings.timing.append(f"total: {time.perf_counter() - start:.2f} s")
     try:
-        with open(timing, "a", encoding="utf-8") as fh:
-            fh.write(f"total: {time.perf_counter() - start:.2f} s\n")
+        (settings.out_dir / "timing.txt").write_text(
+            "".join(line + "\n" for line in settings.timing), encoding="utf-8")
     except OSError:
         pass
     return code

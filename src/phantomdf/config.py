@@ -30,6 +30,7 @@ __all__ = [
     "print_defaults",
     "build_spec",
     "parse_int_list",
+    "parse_number",
 ]
 
 DEFAULTS: dict[str, dict[str, str]] = {
@@ -132,6 +133,16 @@ def parse_int_list(text: str) -> list[int]:
         raise InvalidArgumentError(f"bad integer list {text!r}") from None
 
 
+def parse_number(key: str, text: str | None, kind: type = int) -> int | float:
+    """``text``, the config value of ``key``, as ``kind`` (int or float); a
+    malformed value raises an error that names the key."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise InvalidArgumentError(f"{key} must be {what}, got {text!r}") from None
+
+
 def _parser_with_defaults() -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(DEFAULTS)
@@ -176,8 +187,8 @@ def build_spec(section: configparser.SectionProxy) -> ProcessSpec:
         init = section.get("init", "").strip()
         return MetropolisSpec(target=parse_law(section["target"]),
                               proposal=parse_law(section["proposal"]),
-                              init=float(init) if init else None)
+                              init=parse_number("init", init, float) if init else None)
     if kind == "mixture":
         return MixtureSpec()
-    window = section.getint("window", 2)
+    window = parse_number("window", section.get("window", "2"))
     return MovingMaxSpec(window=window, base=parse_law(section["base"]))

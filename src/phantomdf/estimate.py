@@ -37,6 +37,7 @@ from .processes import (
     ProcessSpec,
     SamplePath,
     TailComparison,
+    _empty,
     _mixture_draw_component,
     _mixture_weight_leq,
     _path_slabs,
@@ -166,7 +167,7 @@ def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], R: int
         return np.array([seg[at[a]:at[b]].max(axis=0, initial=-np.inf)
                          for a, b in windows])
 
-    out = np.empty((len(windows), R))
+    out = _empty((len(windows), R), "replicas")
     for (lo, hi), part in _map_chunks(chunk, R, workers):
         out[:, lo:hi] = part
     return out
@@ -222,7 +223,7 @@ class _QuantileColumns(Mapping):
 def _transform_maxima(spec: ProcessSpec, n_list: Sequence[int], R: int,
                       seed: int, tag: str) -> Mapping[int, np.ndarray]:
     rng = rng_for(seed, tag, "maxima")
-    u = np.maximum(rng.random(R), 1e-300)
+    u = np.maximum(rng.random(out=_empty(R, "replicas")), 1e-300)
     logu = np.log(u)
     if isinstance(spec, IIDSpec):
         logu.sort()

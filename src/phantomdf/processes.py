@@ -178,6 +178,15 @@ def metropolis_accept(fx: np.ndarray, fy: np.ndarray, u: np.ndarray) -> np.ndarr
     return u * fx <= fy
 
 
+def _empty(shape, field: str) -> np.ndarray:
+    """np.empty(shape) of floats; a shape numpy cannot allocate is a bad
+    value of the config field that sized it."""
+    try:
+        return np.empty(shape)
+    except MemoryError as exc:
+        raise InvalidArgumentError(f"{field} is too large: {exc}") from None
+
+
 def _mixture_draw_component(rng: np.random.Generator) -> int:
     # P(K > k) = 1/(k+1) <=> K = ceil(u / (1 - u))
     u = rng.random()
@@ -216,8 +225,8 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
     elif isinstance(spec, MovingMaxSpec):
         m = int(spec.window)
         laws = [spec.base] * rows
-        carry = draws(laws, np.empty((rows, m - 1)))
-        buf = np.empty((rows, m - 1 + width))  # carry, then the slab's draws
+        carry = draws(laws, _empty((rows, m - 1), "window"))
+        buf = _empty((rows, m - 1 + width), "window")  # carry, then the slab's draws
     elif isinstance(spec, LindleySpec):
         laws = [spec.step] * rows
         c_prev = np.zeros(rows)  # partial sum of the steps so far
@@ -290,7 +299,7 @@ def generate(spec: ProcessSpec, seed: int, length: int) -> SamplePath:
     if length < 1:
         raise InvalidArgumentError("length must be >= 1")
     tag = describe_spec(spec)
-    values = np.empty(length)
+    values = _empty(length, "length")
     pos = 0
     for slab in _path_slabs(spec, [rng_for(seed, "path", tag)], length):
         values[pos:pos + slab.shape[1]] = slab[0]  # copied before next() reuses it

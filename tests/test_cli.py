@@ -7,6 +7,7 @@ each scenario gets its own config file under tmp_path.
 import configparser
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,7 +86,13 @@ class TestSimulate:
         for _ in range(2):
             assert run(self.CFG, "simulate", "--out", str(out))[0] == 0
         lines = (out / "timing.txt").read_text().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("total: ")
+        # one write line per artifact, in write order, then one total line
+        assert [line for line in lines if line.startswith("total: ")] == [lines[-1]]
+        assert all(re.fullmatch(r"write [\w.]+: \d+\.\d\d s", line) for line in lines[:-1])
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "write path.txt", "write path.marks.txt", "write summary.json"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "path.marks.txt", "path.txt", "summary.json", "timing.txt"]
 
     def test_seed_override_changes_path(self, run, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -401,6 +408,40 @@ class TestBadBlockSizes:
         self.assert_rejected(*run(cfg, "extremal-index", "--out", str(tmp_path / "o")),
                              error="error: method must be 'auto', 'exact' or "
                                    "'monte-carlo', got 'exactt'")
+
+
+class TestBadNumbers:
+    """A malformed number exits 2 with one line naming its config key, and a
+    size too large for memory exits 2 with one line naming the field that
+    sized the array (numpy refuses these sizes before it touches memory)."""
+
+    @pytest.mark.parametrize("command, cfg, error", [
+        ("phantom-fit", "[common]\nreplicas = abc\n", "replicas must be an integer, got 'abc'"),
+        ("simulate", "[simulate]\nkind = moving_max\nwindow = 2.5\nbase = uniform(0,1)\n",
+         "window must be an integer, got '2.5'"),
+        ("simulate", "[simulate]\nlength = 1e3\n", "length must be an integer, got '1e3'"),
+        ("phantom-fit", "[common]\ngamma = e\n", "gamma must be a number, got 'e'"),
+        ("phantom-fit", "[phantom-fit]\nkind = metropolis\ntarget = symmetric_pareto(2,1)\n"
+         "proposal = uniform(-1,1)\ninit = zero\n", "init must be a number, got 'zero'"),
+    ], ids=["replicas", "window", "length", "gamma", "init"])
+    def test_malformed_number_names_its_key(self, run, tmp_path, command, cfg, error):
+        rc, stdout, err = run(cfg, command, "--out", str(tmp_path / "o"))
+        assert (rc, stdout) == (2, "")
+        assert err.splitlines() == [f"error: {error}"]
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("phantom-fit", "[phantom-fit]\nkind = iid\nmarginal = exp(1)\n"
+         "replicas = 1000000000000000\n", "replicas"),
+        ("simulate", "[simulate]\nlength = 100000000000000\n", "length"),
+        ("simulate", "[simulate]\nkind = moving_max\nwindow = 1000000000000000\n"
+         "base = uniform(0,1)\n", "window"),
+    ], ids=["replicas", "length", "window"])
+    def test_size_beyond_memory_names_its_field(self, run, tmp_path, command, cfg, field):
+        rc, stdout, err = run(cfg, command, "--out", str(tmp_path / "o"))
+        assert (rc, stdout) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {field} is too large: Unable to allocate")
+        assert not (tmp_path / "o").exists()
 
 
 class TestBadRates:

@@ -1,16 +1,17 @@
-"""Law, mixing and integer-list strings: each one parses or is rejected
-with one error."""
+"""Law, mixing, integer-list and numeric config strings: each one parses
+or is rejected with one error."""
 
+import argparse
 import math
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phantomdf.cli import _parse_mixing
+from phantomdf.cli import _parse_mixing, _Settings
 from phantomdf.config import parse_int_list, parse_law
 from phantomdf.distributions import _CATALOG, DistFn
-from phantomdf.errors import InvalidArgumentError
+from phantomdf.errors import InvalidArgumentError, InvalidSpecError
 from phantomdf.rates import ExponentialMixing, MDependent, PolynomialMixing
 
 _NUMBERS = st.one_of(
@@ -128,3 +129,44 @@ def test_parse_int_list_returns_ints_or_rejects(text):
             return
     assert isinstance(values, list)
     assert all(type(v) is int for v in values)
+
+
+_METROPOLIS = {"kind": "metropolis", "target": "symmetric_pareto(2,1)",
+               "proposal": "uniform(-1,1)"}
+# (section, extra keys, key, getter, type of the value read)
+_NUMERIC_FIELDS = [
+    ("phantom-fit", {}, "seed", lambda s: s.seed, int),
+    ("phantom-fit", {}, "replicas", lambda s: s.replicas, int),
+    ("phantom-fit", {}, "workers", lambda s: s.workers, int),
+    ("phantom-fit", {}, "gamma", lambda s: s.gamma, float),
+    ("phantom-fit", {}, "bt_T", lambda s: s.horizon("bt_T"), float),
+    ("bt-check", {}, "T", lambda s: s.horizon("T"), float),
+    ("simulate", {}, "length", lambda s: s.number("length"), int),
+    ("regen", {}, "length", lambda s: s.number("length"), int),
+    ("rates", {}, "b", lambda s: s.number("b", float), float),
+    ("rates", {}, "beta", lambda s: s.number("beta", float), float),
+    ("extremal-index", {}, "window", lambda s: s.spec().window, int),
+    ("phantom-fit", _METROPOLIS, "init", lambda s: s.spec().init, float),
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_NUMERIC_FIELDS),
+       st.one_of(_NUMBERS, st.integers().map(str), st.text(max_size=12),
+                 st.sampled_from(["1e3", "2.5", " 7 ", "1_000", "0x10", "-0", "+3",
+                                  "9" * 5000, str(2**64), str(10**15)])))
+def test_numeric_config_fields_read_their_type_or_reject(field, text):
+    """The getters the commands read numbers through, called directly (no
+    command runs, so nothing is simulated)."""
+    section, extra, key, read, kind = field
+    config = _Settings(argparse.Namespace(config=None, seed=None, replicas=None,
+                                          workers=None, out=None), section)
+    for k, v in {**extra, key: text}.items():
+        config.cp.set(section, k, v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = read(config)
+        except (InvalidArgumentError, InvalidSpecError):
+            return
+    assert type(value) is kind or (key == "init" and value is None and not text.strip())

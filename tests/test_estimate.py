@@ -547,6 +547,52 @@ def test_window_maxima_within_dkw_band(spec):
         assert sup <= dkw_epsilon(R, 0.999), (n, sup)
 
 
+def intervals_theta(values: np.ndarray, level: float, batches: int = 20):
+    """Ferro & Segers' (JRSS-B 2003) intervals estimator of theta from the
+    exceedances of ``level``, and its delete-one-batch jackknife SE.
+
+    With T the N - 1 gaps between successive exceedance times,
+    theta = 2 (sum T)**2 / ((N - 1) sum T**2) when max T <= 2, else
+    theta = 2 (sum (T - 1))**2 / ((N - 1) sum (T - 1)(T - 2)), untruncated.
+    The path is cut into ``batches`` contiguous stretches, each giving its
+    own gaps; the estimate pools them, and the SE is the jackknife over
+    batches: sqrt((B - 1) / B * sum_b (theta_(-b) - mean theta_(-b))**2),
+    with theta_(-b) the pooled estimate without batch b.
+    """
+    gaps = [np.diff(np.flatnonzero(part > level))
+            for part in np.array_split(values, batches)]
+    shift = 0 if max(g.max(initial=0) for g in gaps) <= 2 else 1
+    # per batch: number of gaps, sum of T - shift, sum of (T - shift)(T - 2 shift)
+    parts = np.array([(g.size, np.sum(g - shift), np.sum((g - shift) * (g - 2 * shift)))
+                      for g in gaps], dtype=float)
+    total = parts.sum(axis=0)
+
+    def theta(count, s1, s2):
+        return 2.0 * s1 ** 2 / (count * s2)
+
+    left_out = np.array([theta(*(total - part)) for part in parts])
+    se = math.sqrt((batches - 1) / batches * np.sum((left_out - left_out.mean()) ** 2))
+    return theta(*total), se
+
+
+@pytest.mark.parametrize("spec, theta", [(MOVMAX2, 0.5), (IID_EXP, 1.0)],
+                         ids=["moving-max-uniform", "iid-exp"])
+def test_intervals_estimator_agrees_with_theta_estimate(spec, theta):
+    """A second estimator of theta on paths from the same spec and seed: the
+    intervals estimator at the driving level v_n agrees with
+    estimate_theta_single_sequence within 3 SE, the SE of the difference
+    being the root sum of squares of the jackknife SE above and the
+    estimate's own SE (its order-statistic CI half-width / 1.96)."""
+    seed, n = 7, 1000
+    est = estimate_theta_single_sequence(spec, GAMMA, [100, n], R=4000, seed=seed,
+                                         method="monte-carlo")
+    fs, fs_se = intervals_theta(generate(spec, seed, 2_000_000).values, est.rows[-1].level)
+    assert est.verdict == "positive" and est.se > 0 and fs_se > 0
+    assert abs(fs - est.theta_hat) <= 3.0 * math.hypot(fs_se, est.se), (fs, fs_se, est)
+    # and both find the known theta
+    assert abs(fs - theta) <= 3.0 * fs_se and abs(est.theta_hat - theta) <= 3.0 * est.se
+
+
 class TestRegenerative:
     def synthetic(self):
         values = np.array([2.0, 0.0, 5.0, 1.0, 0.0, 3.0, 0.0, 9.0, 0.0, 2.0])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phantomdf import acceptance, reporting
 from phantomdf.distributions import exponential, jump_sequence, pareto, shifted, uniform
@@ -217,3 +218,60 @@ def test_marks_of_a_path_without_regeneration_raise_at_call():
     path = generate(IIDSpec(pareto(2.0, 1.0)), 1, 10)
     with pytest.raises(ValueError):
         marks_file_text(path)
+
+
+# ---------------------------------------------------------------------------
+# the digit kernel behind integer-only blocks against "%d\n" per value
+# ---------------------------------------------------------------------------
+
+def percent_d_lines(values) -> str:
+    return "".join("%d\n" % v for v in values)
+
+
+def edges(dtype) -> list[int]:
+    info = np.iinfo(dtype)
+    return [v for v in (0, 1, -1, 9, -9, 10, -10, 99, 100, -100, info.min, info.min + 1,
+                        info.max - 1, info.max) if info.min <= v <= info.max]
+
+
+def blocks_of(dtype, values, monkeypatch):
+    """_text_blocks on one integer column at TEXT_BLOCK = 97, with the size
+    of every kernel call recorded."""
+    calls = []
+
+    def spy(block):
+        calls.append(block.size)
+        return int_lines(block)
+
+    int_lines = reporting._int_lines
+    monkeypatch.setattr(reporting, "TEXT_BLOCK", 97)
+    monkeypatch.setattr(reporting, "_int_lines", spy)
+    return list(reporting._text_blocks(["# head"], [np.array(values, dtype=dtype)])), calls
+
+
+_BLOCK_EDGE_SIZES = [0, 1, 96, 97, 98, 2 * 97 - 1, 2 * 97, 2 * 97 + 1, 3 * 97, 3 * 97 + 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.int64, np.uint64]), st.sampled_from(_BLOCK_EDGE_SIZES), st.data())
+def test_integer_column_keeps_the_percent_d_bytes(dtype, size, data):
+    info = np.iinfo(dtype)
+    values = data.draw(st.lists(st.one_of(st.sampled_from(edges(dtype)),
+                                          st.integers(int(info.min), int(info.max))),
+                                min_size=size, max_size=size))
+    with pytest.MonkeyPatch.context() as mp:
+        blocks, calls = blocks_of(dtype, values, mp)
+    assert "".join(blocks) == "# head\n" + percent_d_lines(values)
+    assert len(blocks) == 1 + -(-size // 97)
+    assert len(calls) == len(blocks) - 1 and all(0 < c <= 97 for c in calls)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_integer_column_edges_and_empty_column(dtype, monkeypatch):
+    values = edges(dtype) * 30  # 10-14 edges a copy: several blocks of 97
+    assert reporting._int_lines(np.array(values, dtype=dtype)) == percent_d_lines(values)
+    assert reporting._int_lines(np.array([], dtype=dtype)) == ""
+    blocks, calls = blocks_of(dtype, values, monkeypatch)
+    assert "".join(blocks) == "# head\n" + percent_d_lines(values)
+    assert calls == [97] * (len(values) // 97) + [len(values) % 97]
+    assert blocks_of(dtype, [], monkeypatch) == (["# head\n"], [])

@@ -332,8 +332,10 @@ def symmetric_pareto(alpha: float, scale: float = 1.0) -> DistFn:
         return np.where(p >= 0.5, mag, -mag)
 
     def pdf(x):
-        x = np.asarray(x, dtype=float)
-        return (alpha / (2.0 * scale)) * np.exp(-(alpha + 1.0) * np.log1p(np.abs(x) / scale))
+        x = np.abs(np.asarray(x, dtype=float))
+        if scale != 1.0:  # x / 1.0 == x exactly, so the unit scale skips it
+            x = x / scale
+        return (alpha / (2.0 * scale)) * np.exp(-(alpha + 1.0) * np.log1p(x))
 
     return DistFn(name=f"symmetric_pareto({alpha:g},{scale:g})",
                   cdf=cdf, sf=sf, quantile=quantile, pdf=pdf,

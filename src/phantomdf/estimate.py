@@ -1041,6 +1041,9 @@ def regen_phantom(step: DistFn, length: int, block_sizes, R: int, seed: int,
     blocks = _validate_sizes(block_sizes)
     _check_smoothing(smoothing)
     _check_replicas(R)
+    # the verification table's array, tried before the path work it follows,
+    # so a replica count numpy cannot allocate exits before any simulation
+    _empty((len(blocks), R), "replicas")
     spec = LindleySpec(step=step)
     path = generate(spec, seed, length)
     rs = decompose_regenerative(path)

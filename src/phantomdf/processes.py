@@ -171,11 +171,7 @@ def default_burn_in(spec: ProcessSpec) -> int:
 
 SLAB = 16_384  # fixed time-slab length; constant so slab boundaries (and with
                # them the Metropolis draw order) never depend on chunking
-
-
-def metropolis_accept(fx: np.ndarray, fy: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # u <= min(fy/fx, 1), with automatic acceptance from states of zero density
-    return u * fx <= fy
+FILL_ROWS = 32  # Metropolis rows drawn row-major per transposed block copy
 
 
 def _empty(shape, field: str) -> np.ndarray:
@@ -236,8 +232,10 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         x = np.full(rows, spec.init if spec.init is not None
                     else float(spec.target.quantile(0.5)))
         fx = np.asarray(spec.target.pdf(x), dtype=float)
-        # time-major increment and uniform buffers
+        pdf, where = spec.target.pdf, np.where
+        # time-major increment and uniform buffers, and a row-major fill scratch
         zt_buf, ut_buf = np.empty((width, rows)), np.empty((width, rows))
+        fill = np.empty((min(FILL_ROWS, rows), width))
     else:
         raise InvalidArgumentError(f"unknown spec {type(spec).__name__}")
     if not isinstance(spec, (MetropolisSpec, MovingMaxSpec)):
@@ -271,18 +269,27 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
                 xs[i] -= low
         elif isinstance(spec, MetropolisSpec):
             # time-major, so each step reads and writes contiguous rows; the
-            # chain state overwrites the increment it was built from
+            # chain state overwrites the increment it was built from.  Each
+            # row draws its increments, then its uniforms, from its own
+            # generator; a group of rows goes in with one transposed copy.
             zt, ut = zt_buf[:s_len], ut_buf[:s_len]
-            for i, rng in enumerate(rngs):
-                zt[:, i] = spec.proposal.draw(rng, s_len)
-                ut[:, i] = rng.random(s_len)
-            for t in range(s_len):
-                y = x + zt[t]
-                fy = np.asarray(spec.target.pdf(y), dtype=float)
-                acc = metropolis_accept(fx, fy, ut[t])
-                x = np.where(acc, y, x)
-                fx = np.where(acc, fy, fx)
-                zt[t] = x
+            for lo in range(0, rows, FILL_ROWS):
+                group = rngs[lo:lo + FILL_ROWS]
+                block = fill[:len(group), :s_len]
+                for row, rng in zip(block, group):
+                    row[:] = spec.proposal.draw(rng, s_len)
+                zt[:, lo:lo + len(group)] = block.T
+                for row, rng in zip(block, group):
+                    rng.random(s_len, out=row)
+                ut[:, lo:lo + len(group)] = block.T
+            for z, u in zip(zt, ut):
+                # u <= min(fy/fx, 1); a state of zero density always moves
+                y = x + z
+                fy = pdf(y)
+                acc = u * fx <= fy
+                x = where(acc, y, x)
+                fx = where(acc, fy, fx)
+                z[:] = x
             xs = zt.T
         else:
             xs = draws(laws, buf[:, :s_len])

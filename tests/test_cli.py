@@ -443,6 +443,19 @@ class TestBadNumbers:
         assert err.startswith(f"error: {field} is too large: Unable to allocate")
         assert not (tmp_path / "o").exists()
 
+    def test_regen_rejects_replicas_before_the_path(self, run, tmp_path, monkeypatch):
+        # the replica count is tried against memory before the 2e6-step path
+        # is simulated, so the exit costs no path work
+        def generate(*args):
+            raise AssertionError("generate ran before the replica check")
+        monkeypatch.setattr("phantomdf.estimate.generate", generate)
+        rc, stdout, err = run("[regen]\nlength = 2000000\nreplicas = 1000000000000000\n",
+                              "regen", "--out", str(tmp_path / "o"))
+        assert (rc, stdout) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: replicas is too large: Unable to allocate")
+        assert not (tmp_path / "o").exists()
+
 
 class TestBadRates:
     """Rate checks with a non-finite rate, a malformed mixing case or a flag

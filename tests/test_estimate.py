@@ -547,17 +547,16 @@ def test_window_maxima_within_dkw_band(spec):
         assert sup <= dkw_epsilon(R, 0.999), (n, sup)
 
 
-def intervals_theta(values: np.ndarray, level: float, batches: int = 20):
+def intervals_fit(values: np.ndarray, level: float, batches: int = 20):
     """Ferro & Segers' (JRSS-B 2003) intervals estimator of theta from the
-    exceedances of ``level``, and its delete-one-batch jackknife SE.
+    exceedances of ``level``, and its delete-one-batch estimates.
 
     With T the N - 1 gaps between successive exceedance times,
     theta = 2 (sum T)**2 / ((N - 1) sum T**2) when max T <= 2, else
     theta = 2 (sum (T - 1))**2 / ((N - 1) sum (T - 1)(T - 2)), untruncated.
     The path is cut into ``batches`` contiguous stretches, each giving its
-    own gaps; the estimate pools them, and the SE is the jackknife over
-    batches: sqrt((B - 1) / B * sum_b (theta_(-b) - mean theta_(-b))**2),
-    with theta_(-b) the pooled estimate without batch b.
+    own gaps; the estimate pools them, and theta_(-b) is the pooled
+    estimate without batch b.
     """
     gaps = [np.diff(np.flatnonzero(part > level))
             for part in np.array_split(values, batches)]
@@ -570,9 +569,19 @@ def intervals_theta(values: np.ndarray, level: float, batches: int = 20):
     def theta(count, s1, s2):
         return 2.0 * s1 ** 2 / (count * s2)
 
-    left_out = np.array([theta(*(total - part)) for part in parts])
-    se = math.sqrt((batches - 1) / batches * np.sum((left_out - left_out.mean()) ** 2))
-    return theta(*total), se
+    return theta(*total), np.array([theta(*(total - part)) for part in parts])
+
+
+def jackknife_se(left_out: np.ndarray) -> float:
+    """sqrt((B - 1) / B * sum_b (t_(-b) - mean t_(-b))**2) over B left-out batches."""
+    b = left_out.size
+    return math.sqrt((b - 1) / b * np.sum((left_out - left_out.mean()) ** 2))
+
+
+def intervals_theta(values: np.ndarray, level: float, batches: int = 20):
+    """The intervals estimate of theta at ``level`` and its jackknife SE."""
+    theta, left_out = intervals_fit(values, level, batches)
+    return theta, jackknife_se(left_out)
 
 
 @pytest.mark.parametrize("spec, theta", [(MOVMAX2, 0.5), (IID_EXP, 1.0)],
@@ -591,6 +600,20 @@ def test_intervals_estimator_agrees_with_theta_estimate(spec, theta):
     assert abs(fs - est.theta_hat) <= 3.0 * math.hypot(fs_se, est.se), (fs, fs_se, est)
     # and both find the known theta
     assert abs(fs - theta) <= 3.0 * fs_se and abs(est.theta_hat - theta) <= 3.0 * est.se
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_intervals_estimator_falls_toward_zero_on_lindley(seed):
+    """A theta = 0 witness (Asmussen 1998): on a Lindley path with
+    subexponential steps, the intervals estimate at the 0.90, 0.95, 0.99 and
+    0.995 path quantiles falls at every step by more than 3 jackknife SEs of
+    that step (the delete-one-batch differences of the two estimates)."""
+    values = generate(LindleySpec(step=LINDLEY.step), seed, 2_000_000).values
+    fits = [intervals_fit(values, float(np.quantile(values, q)))
+            for q in (0.90, 0.95, 0.99, 0.995)]
+    for (low, low_out), (high, high_out) in zip(fits, fits[1:]):
+        assert low - high > 3.0 * jackknife_se(low_out - high_out), (low, high)
+    assert fits[-1][0] < 0.02
 
 
 class TestRegenerative:

@@ -16,6 +16,7 @@ from phantomdf.distributions import (
 )
 from phantomdf.errors import InvalidSpecError, NotExactlyComputableError
 from phantomdf.processes import (
+    FILL_ROWS,
     IIDSpec,
     LindleySpec,
     MetropolisSpec,
@@ -152,7 +153,8 @@ def metropolis_row_major(spec, rngs, length):
     """Reference Metropolis chains: the row-major loop, one column per step."""
     rows, burn = len(rngs), default_burn_in(spec)
     total = burn + length
-    x = np.full(rows, float(spec.target.quantile(0.5)))
+    x = np.full(rows, spec.init if spec.init is not None
+                else float(spec.target.quantile(0.5)))
     fx = np.asarray(spec.target.pdf(x), dtype=float)
     slabs = []
     for pos in range(0, total, SLAB):
@@ -203,16 +205,43 @@ class TestSlabKernels:
     ROWS = 256  # the replica chunk cap
     SLAB_BYTES = ROWS * SLAB * 8  # one float64 slab array of a full chunk
 
-    @pytest.mark.parametrize("rows", [1, 3, ROWS])
-    def test_metropolis_equals_row_major_loop(self, rows):
-        length = SLAB + 200  # burn-in + length crosses a slab boundary
-        spec = self.METROPOLIS
+    @staticmethod
+    def metropolis_pair(spec, rows, length):
+        """The slab kernel's paths and the reference loop's, same streams."""
         got = np.concatenate([s.copy() for s in _path_slabs(
             spec, [rng_for(4, "kernel", r) for r in range(rows)], length)], axis=1)
         want = metropolis_row_major(
             spec, [rng_for(4, "kernel", r) for r in range(rows)], length)
         assert got.shape == (rows, length)
+        return got, want
+
+    # row counts below, at and across multiples of the fill group FILL_ROWS
+    @pytest.mark.parametrize("rows", [1, 3, FILL_ROWS + 1, ROWS, ROWS + 1])
+    def test_metropolis_equals_row_major_loop(self, rows):
+        length = SLAB + 200  # burn-in + length crosses a slab boundary
+        np.testing.assert_array_equal(*self.metropolis_pair(self.METROPOLIS, rows, length))
+
+    def test_metropolis_zero_density_state_always_moves(self):
+        # started at -5, outside the support of uniform(0, 1): while a state
+        # has density 0, u * 0 <= f(y) accepts every proposal, so the chain
+        # moves by its increment at every such step; the kernel keeps this
+        # rule row for row
+        spec = MetropolisSpec(target=uniform(0.0, 1.0), proposal=uniform(-1.0, 1.0),
+                              burn_in=0, init=-5.0)
+        rows, length = FILL_ROWS + 1, SLAB + 200
+        got, want = self.metropolis_pair(spec, rows, length)
         np.testing.assert_array_equal(got, want)
+        prev = np.concatenate([np.full((rows, 1), -5.0), got[:, :-1]], axis=1)
+        outside = np.asarray(spec.target.pdf(prev)) == 0.0
+        # a walk from -5 takes at least 5 steps of length <= 1 into [0, 1],
+        # and some rows get there within the path
+        assert np.all(outside[:, :5]) and not outside.all()
+        # the first slab's increments are each row's first SLAB draws
+        z = np.array([spec.proposal.draw(rng_for(4, "kernel", r), SLAB)
+                      for r in range(rows)])
+        head = outside[:, :SLAB]
+        np.testing.assert_array_equal(got[:, :SLAB][head], (prev[:, :SLAB] + z)[head])
+        assert np.all(got[outside] != prev[outside])
 
     @pytest.mark.parametrize("window", [1, 2, 5])
     @pytest.mark.parametrize("rows", [1, 3])
@@ -229,7 +258,8 @@ class TestSlabKernels:
     @pytest.mark.parametrize("kind", ["metropolis", "lindley", "moving-max"])
     def test_one_full_chunk_slab_fits_its_budget(self, kind):
         # Metropolis: increments and uniforms, the chain state written over the
-        # increments; Lindley: the steps, cumsum and reflection in place;
+        # increments, and a FILL_ROWS-row fill scratch (an eighth of a slab
+        # array at 256 rows; 2.13 slab arrays in all); Lindley: the steps, cumsum and reflection in place;
         # moving-max: the draws after the carry, folded into window maxima in
         # place (each fold may copy its shifted input).  The quarter slab
         # array left over covers per-row draws and per-step temps.

@@ -32,7 +32,6 @@ from .estimate import (
     regen_phantom,
     verify_by_simulation,
 )
-from .grids import LevelSequence
 from .phantom import DrivingSequence, JumpPhantom, PhantomDistFn
 from .processes import (
     IIDSpec,
@@ -83,7 +82,7 @@ class CriterionResult:
 
 def criterion_1(workers: int = 1) -> CriterionResult:
     """Exponent identity of the continuous and the jump phantom on v_n = n."""
-    driving = DrivingSequence(GAMMA, LevelSequence(prefix=(1.0,), rule=float))
+    driving = DrivingSequence(GAMMA, [1.0], [1], rule=float)
     n = np.arange(1, 10_001)
     worst = max(float(np.max(np.abs(G.pow(n.astype(float), n) - GAMMA)))
                 for G in (PhantomDistFn(driving), JumpPhantom(driving)))

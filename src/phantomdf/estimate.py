@@ -26,8 +26,8 @@ from .errors import (
     NotRegenerativeError,
 )
 from .grids import HUGE_INDEX, first_index_where
-from .phantom import (DrivingSequence, PhantomDistFn, PhantomVerification,
-                      driving_from_estimates, verify_phantom)
+from .phantom import (PhantomDistFn, PhantomVerification, driving_from_estimates,
+                      verify_phantom)
 from .processes import (
     IIDSpec,
     LindleySpec,
@@ -363,15 +363,6 @@ class DrivingSeqEstimate:
         if idx.size == 0:
             raise InvalidArgumentError(f"no driving level stored for n={n}")
         return float(self.v_hat[idx[0]])
-
-    def ci_for(self, n: int) -> tuple[float, float]:
-        idx = np.nonzero(self.n_values == int(n))[0]
-        if idx.size == 0:
-            raise InvalidArgumentError(f"no driving level stored for n={n}")
-        return float(self.ci_lo[idx[0]]), float(self.ci_hi[idx[0]])
-
-    def to_driving_sequence(self) -> DrivingSequence:
-        return driving_from_estimates(self.gamma, self.n_values, self.v_hat)
 
 
 def driving_from_maxima(gamma: float, table: Mapping[int, np.ndarray],
@@ -1001,7 +992,7 @@ def fit_phantom(spec: ProcessSpec, gamma: float, block_sizes, R: int, seed: int,
     _check_replicas(R)
     fit = block_maxima_table(spec, sizes, R, seed, tag=tag, workers=workers)
     dse = driving_from_maxima(gamma, fit, R)
-    return dse, PhantomDistFn(dse.to_driving_sequence())
+    return dse, PhantomDistFn(driving_from_estimates(gamma, dse.n_values, dse.v_hat))
 
 
 def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int,
@@ -1014,8 +1005,8 @@ def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int
     n_list = _validate_sizes(block_sizes)
     _check_replicas(R)
     table = block_maxima_table(spec, n_list, R, seed, tag=tag, workers=workers)
-    levels = phantom.driving.levels if isinstance(phantom, PhantomDistFn) else None
-    cap = None if levels is None or levels.rule is not None else float(levels.prefix[-1])
+    d = phantom.driving if isinstance(phantom, PhantomDistFn) else None
+    cap = None if d is None or d.rule is not None else d.sup
     ml = maxlaw_from_maxima(table, R, level_cap=cap)
     ver = verify_phantom(phantom, ml)
     return ml, ver, ver.passes(se_multiplier=_GAP_SE, tolerance=_GAP_TOL)

@@ -66,12 +66,6 @@ class LevelSequence:
             sup = math.inf if rule is not None else float(self.prefix[-1])
         self.sup = float(sup)
 
-    def __len__(self) -> int:
-        # Finite only for prefix-only sequences.
-        if self.rule is not None:
-            raise InvalidArgumentError("rule-backed sequence has no finite length")
-        return int(self.prefix.size)
-
     def value(self, n: int) -> float:
         n = int(n)
         if n < 1:
@@ -82,9 +76,6 @@ class LevelSequence:
             raise InvalidArgumentError(
                 f"level index {n} beyond stored prefix of size {self.prefix.size}")
         return float(self.rule(n))
-
-    def values(self, indices) -> np.ndarray:
-        return np.array([self.value(int(n)) for n in np.atleast_1d(indices)], dtype=float)
 
     def count_leq(self, x: float) -> int:
         """Largest n with v_n <= x; 0 when x sits below v_1.

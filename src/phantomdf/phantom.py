@@ -3,7 +3,8 @@
 Given gamma in (0, 1) and non-decreasing levels v_1 <= v_2 <= ... , the
 continuous phantom is G(x) = gamma**g(x) where g interpolates linearly
 (in x) between the knots (v_{p_k}, 1/p_k); p_k is the last index of the
-k-th constancy run, so plateaus in the levels are compressed away.  Below
+k-th constancy run, so plateaus in the levels are compressed away and
+only the knots are stored.  Below
 the first knot g(x) = (v_{p_1} - x) + 1/p_1, and g vanishes at the
 supremum of the levels.  By construction G(v_n)**n = gamma exactly at
 every knot, which is the property the verification tooling leans on.
@@ -27,7 +28,7 @@ from .errors import (
     InsufficientGridError,
     InvalidArgumentError,
 )
-from .grids import LevelSequence
+from .grids import HUGE_INDEX, first_index_where
 
 __all__ = [
     "DrivingSequence",
@@ -38,61 +39,63 @@ __all__ = [
     "PhantomVerification",
 ]
 
-# Largest level index of a knot table: a rule-backed table, or the prefix
-# that a parsed table expands to, holds a float per level index up to here.
+# Largest level index of a knot table that a rule expands index by index.
 MAX_KNOT_INDEX = 2**24
 
 
 class DrivingSequence:
-    """gamma plus the levels v_n, with plateau runs compressed to knots.
+    """gamma plus the knot table of a driving sequence v_1 <= v_2 <= ...
 
-    Levels may be given as an array (finite prefix) or a
-    :class:`LevelSequence` carrying a closed-form rule.  Plateau
-    detection uses exact equality of stored levels; a rule region is
-    assumed strictly increasing (spot-checked), so each of its indices is
-    a knot.
+    The knots are the strictly increasing levels v_{p_k} at the strictly
+    increasing 1-based level indices p_k, the last index of each plateau
+    run of the levels.  A closed-form ``rule`` may continue the table:
+    every index past the last knot index is then a knot of level rule(n),
+    assumed strictly increasing (spot-checked) up to ``sup`` (``inf`` by
+    default).  Without a rule, sup is the last knot level.
     """
 
-    def __init__(self, gamma: float, levels) -> None:
+    def __init__(self, gamma: float, levels, index, rule=None,
+                 sup: float | None = None) -> None:
         gamma = float(gamma)
         if not (0.0 < gamma < 1.0):
             raise InvalidArgumentError("gamma must lie strictly inside (0, 1)")
-        if not isinstance(levels, LevelSequence):
-            levels = LevelSequence(prefix=np.asarray(levels, dtype=float))
-        self.gamma = gamma
-        self.levels = levels
-
-        prefix = levels.prefix
-        if levels.rule is None and np.unique(prefix).size < 2:
+        levels = np.asarray(levels, dtype=float)
+        index = np.asarray(index, dtype=np.int64)
+        if levels.ndim != 1 or levels.shape != index.shape:
+            raise InvalidArgumentError("need one knot index per knot level")
+        if not np.all(np.isfinite(levels)) or np.any(np.diff(levels) <= 0):
+            raise InvalidArgumentError("knot levels must be finite and strictly increase")
+        if index.size and (index[0] < 1 or np.any(np.diff(index) <= 0)):
+            raise InvalidArgumentError("knot indices must be >= 1 and strictly increase")
+        if rule is None and levels.size < 2:
             raise DegenerateDrivingSequenceError(
                 "all driving levels coincide; no phantom exists")
-        if levels.rule is not None and prefix.size:
-            if float(levels.rule(prefix.size + 1)) <= float(prefix[-1]):
-                raise InvalidArgumentError(
-                    "rule must strictly exceed the stored prefix")
-        if levels.rule is not None:
-            a = float(levels.value(prefix.size + 1))
-            b = float(levels.value(prefix.size + 2))
-            if not b > a:
+        if rule is None and sup is not None:
+            raise InvalidArgumentError("a sup bounds a rule; the knots give their own")
+        self.gamma = gamma
+        self.rule = rule
+        self.sup = float(levels[-1]) if rule is None else \
+            (math.inf if sup is None else float(sup))
+        self._knot_levels = levels
+        self._knot_index = index
+        self._last_index = int(index[-1]) if index.size else 0  # the rule starts after it
+        if rule is not None:
+            a = float(rule(self._last_index + 1))
+            if levels.size and not a > levels[-1]:
+                raise InvalidArgumentError("rule must strictly exceed the last knot level")
+            if not float(rule(self._last_index + 2)) > a:
                 raise InvalidArgumentError("rule region must be strictly increasing")
-
-        # Last index of each constancy run in the prefix.
-        run_ends = np.flatnonzero(np.diff(prefix) > 0)
-        if prefix.size:
-            run_ends = np.append(run_ends, prefix.size - 1)
-        self._knot_levels = prefix[run_ends]
-        self._knot_index = run_ends + 1  # 1-based level indices p_k
 
     def knots(self, upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The knot table: ascending levels v_{p_k} and exponents 1/p_k.
 
-        A prefix-only sequence returns all of its knots.  A rule-backed one
-        returns the knots with level index p_k <= ``upto``, reading its rule
-        at every index past the prefix; an ``upto`` past MAX_KNOT_INDEX
-        raises instead of allocating.
+        A sequence without a rule returns its stored knots.  A rule-backed
+        one returns the knots with level index p_k <= ``upto``, reading its
+        rule at every index past the last stored knot; an ``upto`` past
+        MAX_KNOT_INDEX raises instead of allocating.
         """
         levels, index = self._knot_levels, self._knot_index
-        rule = self.levels.rule
+        rule = self.rule
         if rule is not None:
             if upto is None:
                 raise InvalidArgumentError(
@@ -102,7 +105,7 @@ class DrivingSequence:
                     f"knot table up to level index {upto} exceeds the bound "
                     f"{MAX_KNOT_INDEX}")
             keep = index <= upto
-            tail = range(self.levels.prefix.size + 1, upto + 1)
+            tail = range(self._last_index + 1, upto + 1)
             levels = np.concatenate(
                 [levels[keep], np.fromiter(map(rule, tail), dtype=float, count=len(tail))])
             index = np.concatenate([index[keep], np.arange(tail.start, tail.stop)])
@@ -114,16 +117,19 @@ def _knots_over(d: DrivingSequence, x: np.ndarray):
 
     Returns the table, the number k of knots at or below each x, and the
     mask of x at or above the supremum of a rule-backed sequence (where
-    the exponent vanishes).  x past a stored prefix raises.
+    the exponent vanishes).  x past the stored knots of a sequence
+    without a rule raises.
     """
-    top = (x >= d.levels.sup) & (d.levels.rule is not None)
-    if d.levels.rule is None:
+    rule = d.rule
+    top = (x >= d.sup) & (rule is not None)
+    if rule is None:
         xs, es = d.knots()
     else:
         inside = x[~top]
         x_max = float(inside.max()) if inside.size else -math.inf
-        # every prefix knot and the knot after the largest x
-        xs, es = d.knots(max(d.levels.count_leq(x_max), d.levels.prefix.size) + 1)
+        # every stored knot and the first rule knot past the largest x
+        upto = first_index_where(lambda n: rule(n) > x_max, d._last_index)
+        xs, es = d.knots(HUGE_INDEX + 1 if upto is None else upto)
     k = np.searchsorted(xs, x, side="right")
     if np.any((k == xs.size) & (x > xs[-1]) & ~top):
         raise InvalidArgumentError(
@@ -133,13 +139,13 @@ def _knots_over(d: DrivingSequence, x: np.ndarray):
 
 def _knots_under(d: DrivingSequence, g: np.ndarray):
     """Knot table reaching an exponent below every positive g."""
-    if d.levels.rule is None:
+    if d.rule is None:
         return d.knots()
     positive = g[g > 0]
     low = float(positive.min()) if positive.size else 1.0
     # p = floor(1/low) + 2 exceeds 1/low whatever the rounding of 1/low
     upto = int(min(1.0 / low, 2.0 * MAX_KNOT_INDEX)) + 2
-    return d.knots(max(upto, d.levels.prefix.size + 1))
+    return d.knots(max(upto, d._last_index + 1))
 
 
 def _exponent_of(p, log_gamma: float) -> np.ndarray:
@@ -159,7 +165,7 @@ class PhantomDistFn(DistFn):
                          sf=lambda x: -np.expm1(self.log_cdf(x)),
                          quantile=lambda p: self.exponent_inverse(
                              _exponent_of(p, self._log_gamma)),
-                         right_end=driving.levels.sup)
+                         right_end=driving.sup)
         self.driving = driving
         self._log_gamma = math.log(driving.gamma)
 
@@ -183,7 +189,7 @@ class PhantomDistFn(DistFn):
         if np.any(g < 0):
             raise InvalidArgumentError("exponent must be >= 0")
         zero = g == 0.0
-        if zero.any() and not math.isfinite(d.levels.sup):
+        if zero.any() and not math.isfinite(d.sup):
             raise InvalidArgumentError("exponent 0 is not attained")
         xs, es = _knots_under(d, g)
         k = np.searchsorted(-es, -g, side="right")  # knots with exponent >= g
@@ -197,7 +203,7 @@ class PhantomDistFn(DistFn):
             x = xk + (ek - g) / (ek - es[j]) * (xs[j] - xk)
         x = np.where(g == ek, xk, x)  # exact at knots, the last one included
         x = np.where(k == 0, xs[0] + (es[0] - g), x)
-        return np.where(zero, d.levels.sup, x)[()]
+        return np.where(zero, d.sup, x)[()]
 
     def log_cdf(self, x):
         return self.exponent(x) * self._log_gamma
@@ -211,7 +217,7 @@ class PhantomDistFn(DistFn):
     def to_text(self, max_level_index: int | None = None) -> str:
         """Serialize gamma and the (x, g) knot table, 17 significant digits."""
         d = self.driving
-        if d.levels.rule is not None and max_level_index is None:
+        if d.rule is not None and max_level_index is None:
             raise InvalidArgumentError(
                 "rule-backed phantom needs max_level_index for serialization")
         xs, es = d.knots(max_level_index)
@@ -231,24 +237,21 @@ class PhantomDistFn(DistFn):
         try:
             gamma = float(rows[0][1])
             count = int(rows[1][1])
-            knots = [(float(x), float(e)) for x, e in rows[2:2 + count]]
+            knots = [(float(x), float(e)) for x, e in rows[2:]]
         except ValueError as exc:
             raise InvalidArgumentError(f"non-numeric phantom field: {exc}") from None
         if len(knots) != count:
             raise InvalidArgumentError("knot count does not match table")
         if count < 2:
             raise InvalidArgumentError("a phantom table needs at least two knots")
-        xs = [x for x, _ in knots]
-        if not all(math.isfinite(x) for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
-            raise InvalidArgumentError("knot levels must be finite and strictly increase")
-        if not all(1.0 / MAX_KNOT_INDEX <= e <= 1.0 for _, e in knots):
+        # the bound refuses 1/p that round(1/e) could not take (5e-324)
+        if not all(1.0 / HUGE_INDEX <= e <= 1.0 for _, e in knots):
             raise InvalidArgumentError(
-                f"knot exponents 1/p must lie in [1/{MAX_KNOT_INDEX}, 1]")
-        ps = [int(round(1.0 / e)) for _, e in knots]
-        if any(b <= a for a, b in zip([0] + ps, ps)):
-            raise InvalidArgumentError("knot exponents must strictly decrease")
-        prefix = np.repeat(np.asarray(xs, dtype=float), np.diff([0] + ps))
-        return cls(DrivingSequence(gamma, prefix))
+                f"knot exponents 1/p must lie in [1/{HUGE_INDEX}, 1]")
+        ps = [round(1.0 / e) for _, e in knots]
+        if any(1.0 / p != e for p, (_, e) in zip(ps, knots)):
+            raise InvalidArgumentError("knot exponents must be exactly 1/p for integer p")
+        return cls(DrivingSequence(gamma, [x for x, _ in knots], ps))
 
 
 class JumpPhantom(DistFn):
@@ -260,7 +263,7 @@ class JumpPhantom(DistFn):
                          cdf=lambda x: np.exp(self.log_cdf(x)),
                          sf=lambda x: -np.expm1(self.log_cdf(x)),
                          quantile=self._quantile,
-                         right_end=driving.levels.sup)
+                         right_end=driving.sup)
         self.driving = driving
         self._log_gamma = math.log(driving.gamma)
 
@@ -288,19 +291,16 @@ def driving_from_estimates(gamma: float, n_values, v_values) -> DrivingSequence:
 
     The estimate at block size n_i is held constant over (n_{i-1}, n_i],
     which makes the estimation points plateau ends: the resulting phantom
-    has knots exactly at (v_i, 1/n_i).
+    has knots exactly at (v_i, 1/n_i).  Tied levels, which a running
+    maximum of the estimates produces, form one plateau and keep the last
+    of their block sizes.
     """
-    n_values = np.asarray(n_values, dtype=int)
+    n_values = np.asarray(n_values, dtype=np.int64)
     v_values = np.asarray(v_values, dtype=float)
     if n_values.size != v_values.size or n_values.size == 0:
         raise InvalidArgumentError("need matching, non-empty n and level arrays")
-    if n_values[0] < 1 or np.any(np.diff(n_values) <= 0):
-        raise InvalidArgumentError("block sizes must be strictly increasing, >= 1")
-    if np.any(np.diff(v_values) < 0):
-        raise InvalidArgumentError("estimated levels must be non-decreasing")
-    reps = np.diff(np.concatenate([[0], n_values]))
-    prefix = np.repeat(v_values, reps)
-    return DrivingSequence(gamma, prefix)
+    last = np.append(v_values[1:] != v_values[:-1], True)  # each run's last entry
+    return DrivingSequence(gamma, v_values[last], n_values[last])
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,20 @@ class TestPhantomFit:
         cfg2 = write_config(tmp_path / "ver.ini", ver_cfg)
         assert main(["verify", "--config", cfg2, "--out", str(tmp_path / "ver")]) == 0
 
+    def test_verify_reads_a_fit_past_the_rule_bound(self, run, tmp_path):
+        # a fit grid up to 10**8 gives knot exponents down to 1e-8, past
+        # the index bound of a rule's expansion, and verify reads them back
+        cfg = ("[common]\nseed = 1\nreplicas = 200\n[{0}]\n{1}kind = moving_max\n"
+               "window = 2\nbase = uniform(0,1)\nblock_sizes = 100000,1000000\n")
+        out = tmp_path / "fit"
+        assert run(cfg.format("phantom-fit", ""), "phantom-fit", "--out", str(out))[0] == 0
+        text = (out / "phantom.txt").read_text()
+        assert float(text.splitlines()[-1].split()[1]) == 1e-8
+        rc, stdout, err = run(cfg.format("verify", f"phantom = {out / 'phantom.txt'}\n"),
+                              "verify", "--out", str(tmp_path / "ver"))
+        assert (rc, err) == (0, ""), err
+        assert json.loads((tmp_path / "ver" / "summary.json").read_text())["phantom_verified"]
+
     def test_summary_reports_estimator_diagnostics(self, run, tmp_path):
         out = tmp_path / "fit"
         assert run(self.CFG, "phantom-fit", "--out", str(out))[0] == 0

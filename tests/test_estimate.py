@@ -39,6 +39,7 @@ from phantomdf.estimate import (
     propbasic_series,
     rootzen_phantom,
 )
+from phantomdf.phantom import driving_from_estimates
 from phantomdf.processes import (
     IIDSpec,
     LindleySpec,
@@ -112,8 +113,9 @@ class TestDrivingSequence:
                                        seed=314, method="monte-carlo")
         exact = estimate_driving_sequence(MOVMAX2, GAMMA, [20, 80, 320], method="exact")
         assert np.all(np.diff(mc.v_hat) >= 0)
-        for n in (20, 80, 320):
-            lo, hi = mc.ci_for(n)
+        assert mc.n_values.tolist() == [20, 80, 320]
+        for i, n in enumerate(mc.n_values):
+            lo, hi = mc.ci_lo[i], mc.ci_hi[i]
             assert lo <= mc.level_for(n) <= hi
             assert lo <= exact.level_for(n) <= hi
 
@@ -146,9 +148,9 @@ class TestDrivingSequence:
                       if estimate._binom_quantile(q, R, g) != int(stats.binom.ppf(q, R, g))]
         assert mismatches == []
 
-    def test_to_driving_sequence_knots(self):
+    def test_driving_from_estimates_knots(self):
         dse = _exact_dse([10, 100])
-        xs, es = dse.to_driving_sequence().knots()
+        xs, es = driving_from_estimates(dse.gamma, dse.n_values, dse.v_hat).knots()
         np.testing.assert_array_equal(xs, [dse.level_for(10), dse.level_for(100)])
         np.testing.assert_array_equal(es, [1.0 / 10, 1.0 / 100])
 
@@ -233,22 +235,31 @@ class TestSortedTransformColumns:
             for field in ("levels", "p_hat", "se"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
+    @staticmethod
+    def fit_peak(blocks, R):
+        tracemalloc.start()
+        try:
+            fit_phantom(MOVMAX2, GAMMA, blocks, R, seed=23, tag="memory")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_fit_memory_does_not_grow_with_the_fit_sizes(self):
         # 19 fit sizes for [10000], 31 for [100, 1000, 10000], both up to
-        # 10**6, so the phantom's driving prefix is the same size; the table
-        # holds one array of R log-uniforms and builds one column at a time
-        def peak(blocks):
-            tracemalloc.start()
-            try:
-                fit_phantom(MOVMAX2, GAMMA, blocks, 200_000, seed=23, tag="memory")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        # 10**6; the table holds one array of R log-uniforms and builds one
+        # column at a time
         assert len(estimate._fit_sizes([10000])) == 19
         assert len(estimate._fit_sizes([100, 1000, 10000])) == 31
-        few, many = peak([10000]), peak([100, 1000, 10000])
+        few, many = self.fit_peak([10000], 200_000), self.fit_peak([100, 1000, 10000], 200_000)
         assert many <= 1.25 * few, many / few
+
+    def test_fit_memory_does_not_grow_with_the_largest_block(self):
+        # 19 fit sizes each, up to 10**5 and 10**7: the phantom stores one
+        # knot per fit size, not one level per index up to the largest
+        assert len(estimate._fit_sizes([1000])) == len(estimate._fit_sizes([100_000])) == 19
+        self.fit_peak([1000], 2000)  # the first fit in a process allocates once more
+        small, large = self.fit_peak([1000], 2000), self.fit_peak([100_000], 2000)
+        assert large <= 1.25 * small, large / small
 
 
 class TestMaxLaw:
@@ -610,6 +621,24 @@ def test_intervals_estimator_falls_toward_zero_on_lindley(seed):
     that step (the delete-one-batch differences of the two estimates)."""
     values = generate(LindleySpec(step=LINDLEY.step), seed, 2_000_000).values
     fits = [intervals_fit(values, float(np.quantile(values, q)))
+            for q in (0.90, 0.95, 0.99, 0.995)]
+    for (low, low_out), (high, high_out) in zip(fits, fits[1:]):
+        assert low - high > 3.0 * jackknife_se(low_out - high_out), (low, high)
+    assert fits[-1][0] < 0.02
+
+
+
+def test_intervals_estimator_falls_toward_zero_on_metropolis():
+    """A theta = 0 witness (Roberts, Rosenthal, Segers & Sousa 2006): on the
+    random-walk Metropolis chain of a heavy-tailed target with a bounded
+    proposal, the intervals estimate at the 0.90, 0.95, 0.99 and 0.995
+    quantiles of 64 independent rows of 1e5 steps, one batch per row,
+    falls at every step by more than 3 jackknife SEs of that step."""
+    rows, steps = 64, 100_000
+    rngs = [rng_for(1, "witness", str(i)) for i in range(rows)]
+    values = np.concatenate([s.copy() for s in _path_slabs(METROPOLIS, rngs, steps)],
+                            axis=1).ravel()  # row after row: batch b is row b
+    fits = [intervals_fit(values, float(np.quantile(values, q)), batches=rows)
             for q in (0.90, 0.95, 0.99, 0.995)]
     for (low, low_out), (high, high_out) in zip(fits, fits[1:]):
         assert low - high > 3.0 * jackknife_se(low_out - high_out), (low, high)

@@ -35,7 +35,7 @@ class TestLevelSequence:
         s = LevelSequence(prefix=[1.0, 1.0, 2.0, 5.0])
         assert s.value(1) == 1.0
         assert s.value(3) == 2.0
-        assert len(s) == 4
+        assert s.prefix.size == 4
         assert s.sup == 5.0
 
     def test_beyond_prefix_fails_without_rule(self):
@@ -48,8 +48,7 @@ class TestLevelSequence:
         assert s.value(2) == 2.0
         assert s.value(7) == 7.0
         assert math.isinf(s.sup)
-        with pytest.raises(InvalidArgumentError):
-            len(s)
+        assert s.prefix.size == 2  # the rule serves every index past the prefix
 
     def test_decreasing_prefix_rejected(self):
         with pytest.raises(InvalidArgumentError):

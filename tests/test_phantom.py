@@ -1,6 +1,7 @@
 """Continuous and step phantoms built from a driving sequence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,20 +34,27 @@ GAMMA = math.exp(-1.0)
 
 
 def plateau_driving():
-    # three levels repeated 3, 1, 1 times: knots (1, 3), (2, 4), (3, 5)
-    return DrivingSequence(GAMMA, [1.0, 1.0, 1.0, 2.0, 3.0])
+    # the levels 1, 1, 1, 2, 3: three levels repeated 3, 1, 1 times
+    return DrivingSequence(GAMMA, [1.0, 2.0, 3.0], [3, 4, 5])
+
+
+def rule_driving(rule=float, sup=None):
+    return DrivingSequence(GAMMA, [], [], rule=rule, sup=sup)
 
 
 class ScalarReference:
     """The scalar phantom evaluation that the knot table replaced, kept as a
     reference: the knot accessors and the continuous ``exponent``,
-    ``exponent_inverse`` and jump ``log_cdf`` bodies as they were."""
+    ``exponent_inverse`` and jump ``log_cdf`` bodies as they were, on the
+    dense levels v_1, v_2, ... that the knot table compresses."""
 
     def __init__(self, driving: DrivingSequence) -> None:
         self.driving = self  # the copied bodies read knots off self.driving
-        self.levels = driving.levels
         self._knot_levels = driving._knot_levels
         self._knot_index = driving._knot_index
+        self.levels = LevelSequence(
+            prefix=np.repeat(self._knot_levels, np.diff(self._knot_index, prepend=0)),
+            rule=driving.rule, sup=driving.sup)
         self._log_gamma = math.log(driving.gamma)
 
     @property
@@ -166,9 +174,9 @@ def _drivings():
         "plateau": plateau_driving(),
         "estimates": driving_from_estimates(GAMMA, [2, 5, 9, 40], [1.0, 2.0, 3.0, 3.5]),
         "fitted": fitted,
-        "rule": DrivingSequence(GAMMA, LevelSequence(rule=float)),
-        "prefix-and-rule": DrivingSequence(
-            0.3, LevelSequence(prefix=(0.25, 0.25, 1.0, 1.0, 1.5), rule=float)),
+        "rule": rule_driving(),
+        # the levels 0.25, 0.25, 1, 1, 1.5, then v_n = n
+        "prefix-and-rule": DrivingSequence(0.3, [0.25, 1.0, 1.5], [2, 4, 5], rule=float),
         "parsed": parsed.driving,
     }
 
@@ -181,7 +189,7 @@ class TestKnotTableMatchesScalarReference:
 
     @staticmethod
     def probe_levels(d: DrivingSequence) -> np.ndarray:
-        xs, _ = d.knots(60) if d.levels.rule is not None else d.knots()
+        xs, _ = d.knots(60) if d.rule is not None else d.knots()
         xs = xs[:60]
         mids = (xs[:-1] + xs[1:]) / 2.0
         thirds = xs[:-1] + (xs[1:] - xs[:-1]) / 3.0
@@ -210,7 +218,7 @@ class TestKnotTableMatchesScalarReference:
     def test_exponent_inverse(self, name):
         d = DRIVINGS[name]
         ref, G = ScalarReference(d), PhantomDistFn(d)
-        _, es = d.knots(60) if d.levels.rule is not None else d.knots()
+        _, es = d.knots(60) if d.rule is not None else d.knots()
         es = es[:60]
         between = np.random.default_rng(9).uniform(es[-1], es[0], 400)
         g = np.concatenate([es, (es[:-1] + es[1:]) / 2.0, es[0] + np.array([0.5, 3.0]),
@@ -235,8 +243,7 @@ class TestKnotTableMatchesScalarReference:
                 fn(float(es[-1]) / 2.0)
 
     def test_rule_backed_sup_and_huge_levels(self):
-        bounded = LevelSequence(rule=lambda n: 2.0 - 1.0 / n, sup=2.0)
-        d = DrivingSequence(GAMMA, bounded)
+        d = rule_driving(lambda n: 2.0 - 1.0 / n, sup=2.0)
         ref, G = ScalarReference(d), PhantomDistFn(d)
         J = JumpPhantom(d)
         x = np.array([2.0, 7.0, np.inf])
@@ -253,7 +260,7 @@ class TestPhantomsAreDistFns:
         assert PhantomDistFn(d).right_end == 3.0
 
     def test_vectorised_cdf_sf_quantile(self):
-        G = PhantomDistFn(DrivingSequence(GAMMA, LevelSequence(rule=float)))
+        G = PhantomDistFn(rule_driving())
         x = np.array([[0.5, 1.0], [2.7, 400.0]])
         lc = G.exponent(x) * math.log(GAMMA)
         np.testing.assert_array_equal(G.cdf(x), np.exp(lc))
@@ -283,21 +290,46 @@ class TestDrivingSequence:
     def test_gamma_range_enforced(self):
         for g in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(InvalidArgumentError):
-                DrivingSequence(g, [1.0, 2.0])
+                DrivingSequence(g, [1.0, 2.0], [1, 2])
 
     def test_constant_levels_are_degenerate(self):
         with pytest.raises(DegenerateDrivingSequenceError):
-            DrivingSequence(0.5, [2.0, 2.0, 2.0])
+            driving_from_estimates(0.5, [1, 2, 3], [2.0, 2.0, 2.0])
+        with pytest.raises(DegenerateDrivingSequenceError):
+            DrivingSequence(0.5, [2.0], [3])
+
+    @pytest.mark.parametrize("levels, index, rule", [
+        ([1.0, 1.0], [1, 2], None),               # repeated level
+        ([2.0, 1.0], [1, 2], None),               # falling level
+        ([1.0, math.inf], [1, 2], None),          # infinite level
+        ([1.0, math.nan], [1, 2], None),          # nan level
+        ([1.0, 2.0], [2, 2], None),               # repeated index
+        ([1.0, 2.0], [0, 2], None),               # index below 1
+        ([1.0, 2.0], [1], None),                  # one index short
+        ([5.0], [2], float),                      # rule(3) = 3 below the last knot
+        ([], [], lambda n: 1.0),                  # flat rule
+    ], ids=["repeated-level", "falling-level", "inf-level", "nan-level",
+            "repeated-index", "index-zero", "short-index", "rule-below", "flat-rule"])
+    def test_malformed_knot_tables_refused(self, levels, index, rule):
+        with pytest.raises(InvalidArgumentError):
+            DrivingSequence(GAMMA, levels, index, rule=rule)
+
+    def test_sup_without_rule_refused(self):
+        with pytest.raises(InvalidArgumentError):
+            DrivingSequence(GAMMA, [1.0, 2.0], [1, 2], sup=3.0)
+        assert DrivingSequence(GAMMA, [1.0, 2.0], [1, 2]).sup == 2.0
+        assert rule_driving().sup == math.inf
 
     def test_plateaus_compress_to_knots(self):
-        xs, es = plateau_driving().knots()
+        d = driving_from_estimates(GAMMA, [1, 2, 3, 4, 5], [1.0, 1.0, 1.0, 2.0, 3.0])
+        xs, es = d.knots()  # the knots of plateau_driving()
         np.testing.assert_array_equal(xs, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(es, [1.0 / 3, 1.0 / 4, 1.0 / 5])
         assert np.searchsorted(xs, 2.5, side="right") == 2
         assert np.searchsorted(xs, 0.2, side="right") == 0
 
     def test_rule_backed_knots(self):
-        d = DrivingSequence(GAMMA, LevelSequence(rule=float))
+        d = rule_driving()
         with pytest.raises(InvalidArgumentError):
             d.knots()  # a rule supplies infinitely many knots
         xs, es = d.knots(20)
@@ -306,7 +338,7 @@ class TestDrivingSequence:
         assert np.searchsorted(xs, 12.3, side="right") == 12
 
     def test_rule_backed_table_is_bounded(self):
-        d = DrivingSequence(GAMMA, LevelSequence(prefix=(0.5, 0.5), rule=float))
+        d = DrivingSequence(GAMMA, [0.5], [2], rule=float)  # 0.5, 0.5, then v_n = n
         xs, es = d.knots(4)
         np.testing.assert_array_equal(xs, [0.5, 3.0, 4.0])
         np.testing.assert_array_equal(es, [1.0 / 2, 1.0 / 3, 1.0 / 4])
@@ -354,12 +386,12 @@ class TestContinuousPhantom:
 
     def test_power_identity_strictly_increasing_levels(self):
         """G(v_n)**n = gamma at every index once plateaus are absent."""
-        G = PhantomDistFn(DrivingSequence(GAMMA, LevelSequence(rule=float)))
+        G = PhantomDistFn(rule_driving())
         for n in (1, 2, 17, 1000, 10**6):
             assert G.pow(float(n), n) == pytest.approx(GAMMA, abs=1e-12)
 
     def test_quantile_duality(self):
-        G = PhantomDistFn(DrivingSequence(GAMMA, LevelSequence(rule=float)))
+        G = PhantomDistFn(rule_driving())
         for x in (1.0, 2.7, 19.25, 400.0):
             assert G.quantile(G.cdf(x)) == pytest.approx(x, rel=1e-12)
 
@@ -392,7 +424,7 @@ class TestJumpPhantom:
 
 def test_phantom_gap_dense_driving_is_small():
     # knots at every integer: interpolation slack at block size n is O(1/n)
-    d = DrivingSequence(GAMMA, LevelSequence(rule=float))
+    d = rule_driving()
     G, J = PhantomDistFn(d), JumpPhantom(d)
     grid = np.arange(50.0, 400.0, 0.25)
     assert np.max(np.abs(G.pow(grid, 100) - J.pow(grid, 100))) < 0.01
@@ -408,7 +440,7 @@ class TestSerialization:
             assert H.cdf(float(x)) == G.cdf(float(x))
 
     def test_rule_backed_needs_truncation(self):
-        G = PhantomDistFn(DrivingSequence(GAMMA, LevelSequence(rule=float)))
+        G = PhantomDistFn(rule_driving())
         with pytest.raises(InvalidArgumentError):
             G.to_text()
         H = PhantomDistFn.from_text(G.to_text(max_level_index=50))
@@ -471,6 +503,8 @@ class TestSerializationProperties:
     @example(_HEADER + "gamma 0.5\nknots 2\n1 1\n1 0.5\n")         # repeated level
     @example(_HEADER + "gamma 0.5\nknots 2\n0 1\n1 5e-324\n")      # subnormal 1/p
     @example(_HEADER + "gamma 0.5\nknots 2\nnan 1\n1 0.5\n")       # nan level
+    @example(_HEADER + "gamma 0.5\nknots 2\n0 1\n1 0.5\n2 0.25\n3 0.125\n")  # extra rows
+    @example(_HEADER + "gamma 0.5\nknots 2\n0 1\n1 0.3\n")         # 0.3 is not 1/p
     def test_malformed_text_raises_only_invalid_argument(self, text):
         try:
             G = PhantomDistFn.from_text(text)
@@ -478,11 +512,34 @@ class TestSerializationProperties:
             return
         assert G.driving.knots()[0].size >= 2  # parsed into a usable phantom
 
+    @staticmethod
+    def two_knots(e: str) -> str:
+        return f"{_HEADER}gamma 0.5\nknots 2\n0 1\n1 {e}\n"
+
     def test_too_fine_exponent_refused_before_allocating(self):
-        text = ("phantomdf continuous v1\ngamma 0.5\nknots 2\n0 1\n"
-                f"1 {1.0 / (4 * MAX_KNOT_INDEX):.17g}\n")
-        with pytest.raises(InvalidArgumentError):
-            PhantomDistFn.from_text(text)
+        # below 1/HUGE_INDEX, 1/p is refused before round(1/e) sees it;
+        # a finer 1/p than a rule expands to is stored as one knot
+        for e in ("5e-324", f"{2.0 ** -63:.17g}"):
+            with pytest.raises(InvalidArgumentError):
+                PhantomDistFn.from_text(self.two_knots(e))
+        e = 1.0 / (4 * MAX_KNOT_INDEX)
+        tracemalloc.start()
+        try:
+            G = PhantomDistFn.from_text(self.two_knots(f"{e:.17g}"))
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(G.driving.knots()[1], [1.0, e])
+        assert G.exponent(1.0) == e
+
+    def test_exponent_that_is_not_1_over_p_refused(self):
+        with pytest.raises(InvalidArgumentError, match="exactly 1/p"):
+            PhantomDistFn.from_text(self.two_knots("0.3"))
+        assert PhantomDistFn.from_text(self.two_knots(f"{1 / 3:.17g}")).exponent(1.0) == 1 / 3
+
+    def test_rows_past_the_count_refused(self):
+        with pytest.raises(InvalidArgumentError, match="knot count"):
+            PhantomDistFn.from_text(self.two_knots("0.5") + "2 0.25\n3 0.125\n")
 
 
 class TestVerification:

@@ -28,8 +28,8 @@ from phantomdf.estimate import (
     rootzen_phantom,
     verify_by_simulation,
 )
-from phantomdf.grids import LevelSequence
-from phantomdf.phantom import DrivingSequence, PhantomDistFn, verify_phantom
+from phantomdf.phantom import (DrivingSequence, PhantomDistFn, driving_from_estimates,
+                               verify_phantom)
 from phantomdf.processes import (
     IIDSpec,
     LindleySpec,
@@ -67,7 +67,7 @@ def reference_phantom_fit(spec, blocks, R, seed, gamma=GAMMA, workers=1):
     fit = block_maxima_table(spec, fit_sizes, R, seed, tag="phantom-fit",
                              workers=workers)
     dse = driving_from_maxima(gamma, fit, R)
-    phantom = PhantomDistFn(dse.to_driving_sequence())
+    phantom = PhantomDistFn(driving_from_estimates(gamma, dse.n_values, dse.v_hat))
     val = block_maxima_table(spec, blocks, R, seed, tag="phantom-verify",
                              workers=workers)
     ml = maxlaw_from_maxima(val, R, level_cap=float(dse.v_hat[-1]))
@@ -83,7 +83,7 @@ def reference_criterion_8_fit(spec, R, seed, workers=1):
     fit = block_maxima_table(spec, fit_sizes, R=R, seed=seed,
                              tag="c8-fit", workers=workers)
     dse = driving_from_maxima(GAMMA, fit, R=R)
-    phantom = PhantomDistFn(dse.to_driving_sequence())
+    phantom = PhantomDistFn(driving_from_estimates(GAMMA, dse.n_values, dse.v_hat))
     return dse, phantom
 
 
@@ -159,20 +159,21 @@ class TestFitAndVerify:
 
     def test_fitted_cap_is_the_last_driving_level(self):
         dse, phantom = fit_phantom(IID, GAMMA, [10, 100], R, SEED, tag="phantom-fit")
-        assert float(phantom.driving.levels.prefix[-1]) == float(dse.v_hat[-1])
+        assert phantom.driving.rule is None
+        assert phantom.driving.sup == float(dse.v_hat[-1])
 
     def test_a_stored_prefix_caps_the_levels_and_a_rule_does_not(self):
         blocks = [10, 100]
         table = block_maxima_table(IID, blocks, R, SEED, tag="cap")
         cap = float(np.median(table[100]))
-        short = PhantomDistFn(DrivingSequence(GAMMA, [0.5, 1.0, cap]))
+        short = PhantomDistFn(DrivingSequence(GAMMA, [0.5, 1.0, cap], [1, 2, 3]))
         ml = verify_by_simulation(IID, short, blocks, R, SEED, tag="cap")[0]
         assert_same_maxlaw(ml, maxlaw_from_maxima(table, R, level_cap=cap))
         assert max(ml.row(100).levels) <= cap
         assert ml.row(100).levels.size < maxlaw_from_maxima(table, R).row(100).levels.size
 
         rule = PhantomDistFn(DrivingSequence(
-            GAMMA, LevelSequence(prefix=(1.0,), rule=lambda n: math.log(n) + 1.0)))
+            GAMMA, [1.0], [1], rule=lambda n: math.log(n) + 1.0))
         ml = verify_by_simulation(IID, rule, blocks, R, SEED, tag="cap")[0]
         assert_same_maxlaw(ml, maxlaw_from_maxima(table, R))
 

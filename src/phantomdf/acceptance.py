@@ -82,9 +82,10 @@ class CriterionResult:
 
 def criterion_1(workers: int = 1) -> CriterionResult:
     """Exponent identity of the continuous and the jump phantom on v_n = n."""
-    driving = DrivingSequence(GAMMA, [1.0], [1], rule=float)
     n = np.arange(1, 10_001)
-    worst = max(float(np.max(np.abs(G.pow(n.astype(float), n) - GAMMA)))
+    v = n.astype(float)
+    driving = DrivingSequence(GAMMA, v, n)
+    worst = max(float(np.max(np.abs(G.pow(v, n) - GAMMA)))
                 for G in (PhantomDistFn(driving), JumpPhantom(driving)))
     return CriterionResult(
         number=1, name="phantom exactness at driving levels",

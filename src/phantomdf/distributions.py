@@ -242,8 +242,7 @@ def _jump_quantile(atoms: AtomRule, p: float) -> float:
 
 def jump_law(name: str, atoms: AtomRule,
              sampler: Callable | None = None,
-             mean: float | None = None,
-             left_end: float | None = None) -> DistFn:
+             mean: float | None = None) -> DistFn:
     """Build a purely-jump DistFn from an atom rule."""
     if atoms.count is not None and atoms.tail(atoms.count) > 1e-15:
         raise InvalidArgumentError(
@@ -264,10 +263,8 @@ def jump_law(name: str, atoms: AtomRule,
         right_end = atoms.locations.sup
     if sampler is None:
         sampler = lambda rng, size: quantile(np.maximum(rng.random(size), 1e-300))
-    if left_end is None:
-        left_end = atoms.location(1)
     return DistFn(name=name, cdf=cdf, sf=sf, quantile=quantile,
-                  right_end=right_end, left_end=left_end, atoms=atoms,
+                  right_end=right_end, left_end=atoms.location(1), atoms=atoms,
                   sampler=sampler, mean=mean)
 
 

@@ -31,7 +31,6 @@ from .phantom import (PhantomDistFn, PhantomVerification, driving_from_estimates
 from .processes import (
     IIDSpec,
     LindleySpec,
-    MetropolisSpec,
     MixtureSpec,
     MovingMaxSpec,
     ProcessSpec,
@@ -392,7 +391,7 @@ def maxlaw_from_maxima(table: Mapping[int, np.ndarray], R: int,
     """Max-law estimate on empirical-quantile grids of an existing table.
 
     ``level_cap`` drops grid levels above a known evaluation bound (for
-    comparison against a phantom whose stored driving prefix ends there).
+    comparison against a phantom whose last knot level is that bound).
     """
     if probs is None:
         probs = np.linspace(0.01, 0.99, 33)
@@ -749,9 +748,12 @@ class RegenStats:
         return uniq, np.cumsum(counts) / self.cycle_count
 
 
+# most sliding windows the zero-cycle diagnostic averages, per window length
+MAX_DIAG_WINDOWS = 20_000
+
+
 def decompose_regenerative(path: SamplePath,
-                           diag_windows=(10, 100, 1000),
-                           max_diag_windows: int = 20_000) -> RegenStats:
+                           diag_windows=(10, 100, 1000)) -> RegenStats:
     """Split a regenerative path into cycles at its regeneration marks.
 
     The zero-cycle diagnostic estimates P(Y_0 > max of the next n cycle
@@ -777,7 +779,7 @@ def decompose_regenerative(path: SamplePath,
         w = int(w)
         if maxima.size <= w + 1:
             continue
-        count = min(maxima.size - w, max_diag_windows)
+        count = min(maxima.size - w, MAX_DIAG_WINDOWS)
         lead = maxima[:count]
         windows = np.lib.stride_tricks.sliding_window_view(maxima[1:], w)[:count]
         diag[w] = float(np.mean(lead > windows.max(axis=1)))
@@ -1000,13 +1002,12 @@ def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int
                          ) -> tuple[MaxLawEstimate, PhantomVerification, bool]:
     """Max law of R block maxima per size, G**n's gaps to it, and the verdict.
 
-    A knot table that ends at a stored level caps the compared levels there.
+    The last knot level of a continuous phantom caps the compared levels.
     """
     n_list = _validate_sizes(block_sizes)
     _check_replicas(R)
     table = block_maxima_table(spec, n_list, R, seed, tag=tag, workers=workers)
-    d = phantom.driving if isinstance(phantom, PhantomDistFn) else None
-    cap = None if d is None or d.rule is not None else d.sup
+    cap = phantom.driving.sup if isinstance(phantom, PhantomDistFn) else None
     ml = maxlaw_from_maxima(table, R, level_cap=cap)
     ver = verify_phantom(phantom, ml)
     return ml, ver, ver.passes(se_multiplier=_GAP_SE, tolerance=_GAP_TOL)

@@ -396,9 +396,12 @@ class MetropolisCheck:
     notes: tuple[str, ...]
 
 
+# points of each grid that metropolis_config_check probes the densities on
+CHECK_GRID_POINTS = 1024
+
+
 def metropolis_config_check(target_pdf: Callable, proposal_pdf: Callable,
-                            a: float, b: float,
-                            grid_points: int = 1024) -> MetropolisCheck:
+                            a: float, b: float) -> MetropolisCheck:
     """Grid-based check of the mixing conditions for the Metropolis walk.
 
     (i) the support of the target is connected (one contiguous positive
@@ -412,7 +415,7 @@ def metropolis_config_check(target_pdf: Callable, proposal_pdf: Callable,
     span = b - a
     notes: list[str] = []
 
-    wide = np.linspace(a - 2.0 * span, b + 2.0 * span, 4 * grid_points)
+    wide = np.linspace(a - 2.0 * span, b + 2.0 * span, 4 * CHECK_GRID_POINTS)
     fw = np.asarray(target_pdf(wide), dtype=float)
     pos = fw > 0.0
     runs = np.nonzero(np.diff(pos.astype(int)))[0]
@@ -421,7 +424,7 @@ def metropolis_config_check(target_pdf: Callable, proposal_pdf: Callable,
     if not support_connected:
         notes.append("target support is empty or disconnected on the probe grid")
 
-    xs = np.linspace(a, b, grid_points)
+    xs = np.linspace(a, b, CHECK_GRID_POINTS)
     fv = np.asarray(target_pdf(xs), dtype=float)
     interval_in_support = bool(np.all(fv > 0.0))
     if not interval_in_support:
@@ -438,7 +441,7 @@ def metropolis_config_check(target_pdf: Callable, proposal_pdf: Callable,
     for is_flat in flat:
         run = run + 1 if is_flat else 0
         max_run = max(max_run, run)
-    dx = span / (grid_points - 1)
+    dx = span / (CHECK_GRID_POINTS - 1)
     max_constancy = max_run * dx
     if max_constancy > span / 4.0:
         monotone_ok = False
@@ -447,7 +450,7 @@ def metropolis_config_check(target_pdf: Callable, proposal_pdf: Callable,
         monotone_ok = monotone
 
     half = span / 3.0
-    hz = np.linspace(-half, half, grid_points)
+    hz = np.linspace(-half, half, CHECK_GRID_POINTS)
     hv = np.asarray(proposal_pdf(hz), dtype=float)
     floor = float(np.min(hv))
     sym = float(np.max(np.abs(hv - hv[::-1]))) <= 1e-9 * max(float(np.max(np.abs(hv))), 1.0)
@@ -506,14 +509,12 @@ _VERDICT = {"one": "equivalent", "zero": "ratio->0", "inf": "ratio->inf",
 EMPIRICAL_RATIO_TOL = 0.2
 
 
-def lindley_step_tail_vs_stationary(step: DistFn, values,
-                                    max_quantile: float = 0.999) -> TailComparison:
+def lindley_step_tail_vs_stationary(step: DistFn, values) -> TailComparison:
     """Compare the step tail 1-H against the empirical stationary tail.
 
     For subexponential steps the stationary tail is one order heavier
     (integrated tail), so the expected verdict is 'ratio->0'.  Probe
-    levels are the empirical quantiles at 1 - 2**-j, capped at
-    ``max_quantile``.
+    levels are the empirical quantiles at 1 - 2**-j, capped at 0.999.
     """
     values = np.asarray(getattr(values, "values", values), dtype=float)
     if values.size < 100_000:
@@ -524,7 +525,7 @@ def lindley_step_tail_vs_stationary(step: DistFn, values,
                               verdict="mismatched-right-ends")
     sorted_vals = np.sort(values)
     qs = 1.0 - 2.0 ** (-np.arange(1.0, PROBE_DEPTH + 1))
-    qs = qs[qs <= max_quantile]
+    qs = qs[qs <= 0.999]
     idx = np.minimum((qs * values.size).astype(int), values.size - 1)
     levels = np.unique(sorted_vals[idx])
     emp_sf = (values.size - np.searchsorted(sorted_vals, levels, side="right")) \

@@ -120,9 +120,9 @@ class TestPhantomFit:
         cfg2 = write_config(tmp_path / "ver.ini", ver_cfg)
         assert main(["verify", "--config", cfg2, "--out", str(tmp_path / "ver")]) == 0
 
-    def test_verify_reads_a_fit_past_the_rule_bound(self, run, tmp_path):
-        # a fit grid up to 10**8 gives knot exponents down to 1e-8, past
-        # the index bound of a rule's expansion, and verify reads them back
+    def test_verify_reads_back_a_fit_with_1e_8_exponents(self, run, tmp_path):
+        # a fit grid up to 10**8 gives knot exponents down to 1e-8, each
+        # stored as one knot, and verify reads them back
         cfg = ("[common]\nseed = 1\nreplicas = 200\n[{0}]\n{1}kind = moving_max\n"
                "window = 2\nbase = uniform(0,1)\nblock_sizes = 100000,1000000\n")
         out = tmp_path / "fit"

@@ -19,9 +19,7 @@ from phantomdf.estimate import (
     estimate_theta_single_sequence,
     exact_maxlaw,
 )
-from phantomdf.grids import HUGE_INDEX, LevelSequence
 from phantomdf.phantom import (
-    MAX_KNOT_INDEX,
     DrivingSequence,
     JumpPhantom,
     PhantomDistFn,
@@ -38,29 +36,26 @@ def plateau_driving():
     return DrivingSequence(GAMMA, [1.0, 2.0, 3.0], [3, 4, 5])
 
 
-def rule_driving(rule=float, sup=None):
-    return DrivingSequence(GAMMA, [], [], rule=rule, sup=sup)
+def integer_driving(last):
+    """The levels v_n = n for n <= last: every index is a knot."""
+    n = np.arange(1, last + 1)
+    return DrivingSequence(GAMMA, n.astype(float), n)
 
 
 class ScalarReference:
     """The scalar phantom evaluation that the knot table replaced, kept as a
     reference: the knot accessors and the continuous ``exponent``,
-    ``exponent_inverse`` and jump ``log_cdf`` bodies as they were, on the
-    dense levels v_1, v_2, ... that the knot table compresses."""
+    ``exponent_inverse`` and jump ``log_cdf`` bodies as they were, one knot
+    at a time."""
 
     def __init__(self, driving: DrivingSequence) -> None:
         self.driving = self  # the copied bodies read knots off self.driving
         self._knot_levels = driving._knot_levels
         self._knot_index = driving._knot_index
-        self.levels = LevelSequence(
-            prefix=np.repeat(self._knot_levels, np.diff(self._knot_index, prepend=0)),
-            rule=driving.rule, sup=driving.sup)
         self._log_gamma = math.log(driving.gamma)
 
     @property
     def knot_count(self):
-        if self.levels.rule is not None:
-            return None
         return int(self._knot_index.size)
 
     def knot(self, k):
@@ -70,24 +65,11 @@ class ScalarReference:
         m = self._knot_index.size
         if k <= m:
             return float(self._knot_levels[k - 1]), int(self._knot_index[k - 1])
-        if self.levels.rule is None:
-            raise InvalidArgumentError(
-                f"knot {k} beyond stored driving prefix ({m} knots)")
-        n = self.levels.prefix.size + (k - m)
-        return self.levels.value(n), n
+        raise InvalidArgumentError(
+            f"knot {k} beyond stored driving prefix ({m} knots)")
 
     def knot_leq(self, x):
-        x = float(x)
-        m = self._knot_index.size
-        k = int(np.searchsorted(self._knot_levels, x, side="right"))
-        if k < m or self.levels.rule is None:
-            return k
-        n = self.levels.count_leq(x)
-        if n <= self.levels.prefix.size:
-            return k
-        if n >= HUGE_INDEX:
-            return HUGE_INDEX
-        return m + (n - self.levels.prefix.size)
+        return int(np.searchsorted(self._knot_levels, float(x), side="right"))
 
     def _knot_exponent(self, k):
         x, p = self.driving.knot(k)
@@ -96,8 +78,6 @@ class ScalarReference:
     def exponent(self, x):
         d = self.driving
         x = float(x)
-        if d.levels.rule is not None and x >= d.levels.sup:
-            return 0.0
         x1, e1 = self._knot_exponent(1)
         if x < x1:
             return (x1 - x) + e1
@@ -105,10 +85,8 @@ class ScalarReference:
         xk, ek = self._knot_exponent(k)
         if x == xk:
             return ek
-        count = d.knot_count
-        if count is not None and k >= count:
-            raise InvalidArgumentError(
-                "evaluation beyond the stored driving prefix; supply a rule")
+        if k >= d.knot_count:
+            raise InvalidArgumentError("evaluation beyond the stored driving prefix")
         xn, en = self._knot_exponent(k + 1)
         t = (x - xk) / (xn - xk)
         return ek + t * (en - ek)
@@ -117,23 +95,18 @@ class ScalarReference:
         d = self.driving
         if g < 0:
             raise InvalidArgumentError("exponent must be >= 0")
-        if g == 0.0:
-            if math.isfinite(d.levels.sup):
-                return d.levels.sup
-            raise InvalidArgumentError("exponent 0 is not attained")
         x1, e1 = self._knot_exponent(1)
         if g >= e1:
             return x1 + (e1 - g)
         count = d.knot_count
         lo, hi = 1, 2
         while True:
-            if count is not None and hi > count:
+            if hi > count:
                 _, e_last = self._knot_exponent(count)
                 if g >= e_last:
                     hi = count
                     break
-                raise InvalidArgumentError(
-                    "quantile beyond the stored driving prefix; supply a rule")
+                raise InvalidArgumentError("quantile beyond the stored driving prefix")
             if self._knot_exponent(hi)[1] < g:
                 break
             lo = hi
@@ -151,21 +124,15 @@ class ScalarReference:
         return xk + (ek - g) / (ek - en) * (xn - xk)
 
     def jump_log_cdf(self, x):
-        d = self.driving
-        x = float(x)
-        if d.levels.rule is not None and x >= d.levels.sup:
-            return 0.0
-        k = d.knot_leq(x)
+        k = self.driving.knot_leq(float(x))
         if k == 0:
             return -math.inf
-        if k >= HUGE_INDEX:
-            return 0.0
         _, e = self._knot_exponent(k)
         return e * self._log_gamma
 
 
 def _drivings():
-    """Prefix-only, rule-backed and parsed driving sequences, by name."""
+    """Stored and parsed driving sequences, by name."""
     sizes = np.unique(np.round(10.0 ** np.arange(1.0, 4.01, 1.0 / 6.0)).astype(int))
     fitted = driving_from_estimates(
         GAMMA, sizes, exponential(1.0).quantile(GAMMA ** (1.0 / sizes)))
@@ -174,9 +141,11 @@ def _drivings():
         "plateau": plateau_driving(),
         "estimates": driving_from_estimates(GAMMA, [2, 5, 9, 40], [1.0, 2.0, 3.0, 3.5]),
         "fitted": fitted,
-        "rule": rule_driving(),
-        # the levels 0.25, 0.25, 1, 1, 1.5, then v_n = n
-        "prefix-and-rule": DrivingSequence(0.3, [0.25, 1.0, 1.5], [2, 4, 5], rule=float),
+        # the rule v_n = n, stored up to n = 60
+        "rule": integer_driving(60),
+        # the levels 0.25, 0.25, 1, 1, 1.5, then the rule v_n = n up to 60
+        "prefix-and-rule": DrivingSequence(
+            0.3, np.r_[0.25, 1.0, 1.5, np.arange(6.0, 61.0)], np.r_[2, 4, 5, np.arange(6, 61)]),
         "parsed": parsed.driving,
     }
 
@@ -189,8 +158,7 @@ class TestKnotTableMatchesScalarReference:
 
     @staticmethod
     def probe_levels(d: DrivingSequence) -> np.ndarray:
-        xs, _ = d.knots(60) if d.rule is not None else d.knots()
-        xs = xs[:60]
+        xs = d.knots()[0][:60]
         mids = (xs[:-1] + xs[1:]) / 2.0
         thirds = xs[:-1] + (xs[1:] - xs[:-1]) / 3.0
         below = xs[0] - np.array([2.5, 1.0, 1e-9])
@@ -218,15 +186,14 @@ class TestKnotTableMatchesScalarReference:
     def test_exponent_inverse(self, name):
         d = DRIVINGS[name]
         ref, G = ScalarReference(d), PhantomDistFn(d)
-        _, es = d.knots(60) if d.rule is not None else d.knots()
-        es = es[:60]
+        es = d.knots()[1][:60]
         between = np.random.default_rng(9).uniform(es[-1], es[0], 400)
         g = np.concatenate([es, (es[:-1] + es[1:]) / 2.0, es[0] + np.array([0.5, 3.0]),
                             between])
         np.testing.assert_array_equal(G.exponent_inverse(g),
                                       [ref.exponent_inverse(v) for v in g])
 
-    @pytest.mark.parametrize("name", ["plateau", "estimates", "fitted", "parsed"])
+    @pytest.mark.parametrize("name", DRIVINGS)
     def test_past_the_prefix_raises(self, name):
         d = DRIVINGS[name]
         ref = ScalarReference(d)
@@ -242,15 +209,6 @@ class TestKnotTableMatchesScalarReference:
             with pytest.raises(InvalidArgumentError):
                 fn(float(es[-1]) / 2.0)
 
-    def test_rule_backed_sup_and_huge_levels(self):
-        d = rule_driving(lambda n: 2.0 - 1.0 / n, sup=2.0)
-        ref, G = ScalarReference(d), PhantomDistFn(d)
-        J = JumpPhantom(d)
-        x = np.array([2.0, 7.0, np.inf])
-        np.testing.assert_array_equal(G.exponent(x), [ref.exponent(v) for v in x])
-        np.testing.assert_array_equal(J.log_cdf(x), [ref.jump_log_cdf(v) for v in x])
-        assert G.exponent_inverse(0.0) == ref.exponent_inverse(0.0) == 2.0
-
 
 class TestPhantomsAreDistFns:
     def test_isinstance(self):
@@ -260,7 +218,7 @@ class TestPhantomsAreDistFns:
         assert PhantomDistFn(d).right_end == 3.0
 
     def test_vectorised_cdf_sf_quantile(self):
-        G = PhantomDistFn(rule_driving())
+        G = PhantomDistFn(integer_driving(1000))
         x = np.array([[0.5, 1.0], [2.7, 400.0]])
         lc = G.exponent(x) * math.log(GAMMA)
         np.testing.assert_array_equal(G.cdf(x), np.exp(lc))
@@ -298,27 +256,24 @@ class TestDrivingSequence:
         with pytest.raises(DegenerateDrivingSequenceError):
             DrivingSequence(0.5, [2.0], [3])
 
-    @pytest.mark.parametrize("levels, index, rule", [
-        ([1.0, 1.0], [1, 2], None),               # repeated level
-        ([2.0, 1.0], [1, 2], None),               # falling level
-        ([1.0, math.inf], [1, 2], None),          # infinite level
-        ([1.0, math.nan], [1, 2], None),          # nan level
-        ([1.0, 2.0], [2, 2], None),               # repeated index
-        ([1.0, 2.0], [0, 2], None),               # index below 1
-        ([1.0, 2.0], [1], None),                  # one index short
-        ([5.0], [2], float),                      # rule(3) = 3 below the last knot
-        ([], [], lambda n: 1.0),                  # flat rule
+    @pytest.mark.parametrize("levels, index", [
+        ([1.0, 1.0], [1, 2]),               # repeated level
+        ([2.0, 1.0], [1, 2]),               # falling level
+        ([1.0, math.inf], [1, 2]),          # infinite level
+        ([1.0, math.nan], [1, 2]),          # nan level
+        ([1.0, 2.0], [2, 2]),               # repeated index
+        ([1.0, 2.0], [0, 2]),               # index below 1
+        ([1.0, 2.0], [1]),                  # one index short
     ], ids=["repeated-level", "falling-level", "inf-level", "nan-level",
-            "repeated-index", "index-zero", "short-index", "rule-below", "flat-rule"])
-    def test_malformed_knot_tables_refused(self, levels, index, rule):
+            "repeated-index", "index-zero", "short-index"])
+    def test_malformed_knot_tables_refused(self, levels, index):
         with pytest.raises(InvalidArgumentError):
-            DrivingSequence(GAMMA, levels, index, rule=rule)
+            DrivingSequence(GAMMA, levels, index)
 
-    def test_sup_without_rule_refused(self):
-        with pytest.raises(InvalidArgumentError):
-            DrivingSequence(GAMMA, [1.0, 2.0], [1, 2], sup=3.0)
+    def test_sup_is_the_last_knot_level(self):
         assert DrivingSequence(GAMMA, [1.0, 2.0], [1, 2]).sup == 2.0
-        assert rule_driving().sup == math.inf
+        assert plateau_driving().sup == 3.0
+        assert integer_driving(50).sup == 50.0
 
     def test_plateaus_compress_to_knots(self):
         d = driving_from_estimates(GAMMA, [1, 2, 3, 4, 5], [1.0, 1.0, 1.0, 2.0, 3.0])
@@ -327,28 +282,6 @@ class TestDrivingSequence:
         np.testing.assert_array_equal(es, [1.0 / 3, 1.0 / 4, 1.0 / 5])
         assert np.searchsorted(xs, 2.5, side="right") == 2
         assert np.searchsorted(xs, 0.2, side="right") == 0
-
-    def test_rule_backed_knots(self):
-        d = rule_driving()
-        with pytest.raises(InvalidArgumentError):
-            d.knots()  # a rule supplies infinitely many knots
-        xs, es = d.knots(20)
-        assert xs.size == 20
-        assert (xs[6], es[6]) == (7.0, 1.0 / 7)
-        assert np.searchsorted(xs, 12.3, side="right") == 12
-
-    def test_rule_backed_table_is_bounded(self):
-        d = DrivingSequence(GAMMA, [0.5], [2], rule=float)  # 0.5, 0.5, then v_n = n
-        xs, es = d.knots(4)
-        np.testing.assert_array_equal(xs, [0.5, 3.0, 4.0])
-        np.testing.assert_array_equal(es, [1.0 / 2, 1.0 / 3, 1.0 / 4])
-        with pytest.raises(InvalidArgumentError):
-            d.knots(MAX_KNOT_INDEX + 1)
-        G = PhantomDistFn(d)
-        with pytest.raises(InvalidArgumentError):
-            G.cdf(float(MAX_KNOT_INDEX) + 0.5)
-        with pytest.raises(InvalidArgumentError):
-            G.quantile(1.0 - 1e-12)
 
     def test_driving_from_estimates(self):
         d = driving_from_estimates(GAMMA, [2, 5, 9], [1.0, 2.0, 3.0])
@@ -386,14 +319,24 @@ class TestContinuousPhantom:
 
     def test_power_identity_strictly_increasing_levels(self):
         """G(v_n)**n = gamma at every index once plateaus are absent."""
-        G = PhantomDistFn(rule_driving())
+        G = PhantomDistFn(integer_driving(10**6))
         for n in (1, 2, 17, 1000, 10**6):
             assert G.pow(float(n), n) == pytest.approx(GAMMA, abs=1e-12)
 
     def test_quantile_duality(self):
-        G = PhantomDistFn(rule_driving())
+        G = PhantomDistFn(integer_driving(1000))
         for x in (1.0, 2.7, 19.25, 400.0):
             assert G.quantile(G.cdf(x)) == pytest.approx(x, rel=1e-12)
+
+    def test_exponent_below_the_last_knots_refused(self):
+        G = PhantomDistFn(plateau_driving())  # last knot (3, 1/5)
+        assert G.exponent_inverse(0.2) == 3.0
+        assert G.quantile(GAMMA ** 0.25) == pytest.approx(2.0, rel=1e-12)
+        for g in (0.1, 0.0, np.array([0.25, 0.19])):
+            with pytest.raises(InvalidArgumentError):
+                G.exponent_inverse(g)
+        with pytest.raises(InvalidArgumentError):
+            G.quantile(np.array([GAMMA ** 0.25, GAMMA ** 0.1]))
 
     def test_tail_complement(self):
         G = PhantomDistFn(plateau_driving())
@@ -424,7 +367,7 @@ class TestJumpPhantom:
 
 def test_phantom_gap_dense_driving_is_small():
     # knots at every integer: interpolation slack at block size n is O(1/n)
-    d = rule_driving()
+    d = integer_driving(1000)
     G, J = PhantomDistFn(d), JumpPhantom(d)
     grid = np.arange(50.0, 400.0, 0.25)
     assert np.max(np.abs(G.pow(grid, 100) - J.pow(grid, 100))) < 0.01
@@ -438,13 +381,6 @@ class TestSerialization:
         assert H.to_text() == text
         for x in np.linspace(0.5, 3.0, 21):
             assert H.cdf(float(x)) == G.cdf(float(x))
-
-    def test_rule_backed_needs_truncation(self):
-        G = PhantomDistFn(rule_driving())
-        with pytest.raises(InvalidArgumentError):
-            G.to_text()
-        H = PhantomDistFn.from_text(G.to_text(max_level_index=50))
-        assert H.cdf(37.5) == pytest.approx(G.cdf(37.5), rel=1e-14)
 
     def test_header_checked(self):
         with pytest.raises(InvalidArgumentError):
@@ -518,11 +454,11 @@ class TestSerializationProperties:
 
     def test_too_fine_exponent_refused_before_allocating(self):
         # below 1/HUGE_INDEX, 1/p is refused before round(1/e) sees it;
-        # a finer 1/p than a rule expands to is stored as one knot
+        # a fine 1/p is stored as one knot, never expanded index by index
         for e in ("5e-324", f"{2.0 ** -63:.17g}"):
             with pytest.raises(InvalidArgumentError):
                 PhantomDistFn.from_text(self.two_knots(e))
-        e = 1.0 / (4 * MAX_KNOT_INDEX)
+        e = 1.0 / 2**26
         tracemalloc.start()
         try:
             G = PhantomDistFn.from_text(self.two_knots(f"{e:.17g}"))

@@ -159,10 +159,9 @@ class TestFitAndVerify:
 
     def test_fitted_cap_is_the_last_driving_level(self):
         dse, phantom = fit_phantom(IID, GAMMA, [10, 100], R, SEED, tag="phantom-fit")
-        assert phantom.driving.rule is None
         assert phantom.driving.sup == float(dse.v_hat[-1])
 
-    def test_a_stored_prefix_caps_the_levels_and_a_rule_does_not(self):
+    def test_the_last_knot_caps_the_levels_and_a_plain_law_does_not(self):
         blocks = [10, 100]
         table = block_maxima_table(IID, blocks, R, SEED, tag="cap")
         cap = float(np.median(table[100]))
@@ -172,9 +171,7 @@ class TestFitAndVerify:
         assert max(ml.row(100).levels) <= cap
         assert ml.row(100).levels.size < maxlaw_from_maxima(table, R).row(100).levels.size
 
-        rule = PhantomDistFn(DrivingSequence(
-            GAMMA, [1.0], [1], rule=lambda n: math.log(n) + 1.0))
-        ml = verify_by_simulation(IID, rule, blocks, R, SEED, tag="cap")[0]
+        ml = verify_by_simulation(IID, exponential(1.0), blocks, R, SEED, tag="cap")[0]
         assert_same_maxlaw(ml, maxlaw_from_maxima(table, R))
 
     def test_verdict_is_the_rule(self):

@@ -55,7 +55,7 @@ from .estimate import (
     propbasic_series,
     rootzen_phantom,
 )
-from .grids import HUGE_INDEX, LevelSequence
+from .grids import HUGE_INDEX
 from .phantom import (
     DrivingSequence,
     JumpPhantom,

@@ -253,8 +253,7 @@ def cmd_bt_check(st: _Settings) -> int:
 def cmd_regen(st: _Settings) -> int:
     rg = regen_phantom(parse_law(st.get("step")), st.number("length"),
                        parse_int_list(st.get("verify_blocks")), st.replicas,
-                       st.seed, tag="regen-verify", workers=st.workers,
-                       smoothing=st.get("smoothing", "linear"))
+                       st.seed, tag="regen-verify", workers=st.workers)
     rs, ver = rg.stats, rg.verification
     st.write("cycle_maxima_cdf.csv",
            csv_table(("y", "cycle_cdf"), rs.cycle_cdf))

@@ -68,7 +68,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "step": "pareto(2,1)-2",
         "length": "1000000",
         "verify_blocks": "1000,10000",
-        "smoothing": "linear",
     },
     "rates": {
         "kind": "theta",

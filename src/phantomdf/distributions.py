@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import HUGE_INDEX, LevelSequence, first_index_where
+from .grids import HUGE_INDEX, first_index_where
 
 __all__ = [
     "AtomRule",
@@ -51,12 +51,12 @@ def _vectorize(fn: Callable[[float], float]) -> Callable:
 class AtomRule:
     """Atom bookkeeping for a purely-jump (or mixed) law.
 
-    Atom i (1-based) sits at ``locations.value(i)`` and the tail mass
-    strictly beyond it is ``tail_after(i)``; ``tail_after(0)`` is 1 by
+    Atom i (1-based) sits at ``location(i)``, increasing in i, and the tail
+    mass strictly beyond it is ``tail_after(i)``; ``tail_after(0)`` is 1 by
     convention, so atom i carries mass tail(i-1) - tail(i).
     """
 
-    locations: LevelSequence
+    location: Callable[[int], float]
     tail_after: Callable[[int], float]
     count: int | None = None
 
@@ -70,14 +70,12 @@ class AtomRule:
     def mass(self, i: int) -> float:
         return self.tail(i - 1) - self.tail(i)
 
-    def location(self, i: int) -> float:
-        return self.locations.value(i)
-
     def index_leq(self, x: float) -> int:
-        i = self.locations.count_leq(x)
-        if self.count is not None:
-            i = min(i, self.count)
-        return i
+        """Number of atoms at or below x; HUGE_INDEX when the search runs out."""
+        x = float(x)
+        k = first_index_where(lambda i: self.location(i) > x, 0)
+        i = HUGE_INDEX if k is None else k - 1
+        return i if self.count is None else min(i, self.count)
 
 
 @dataclass(frozen=True)
@@ -257,10 +255,7 @@ def jump_law(name: str, atoms: AtomRule,
     cdf = _vectorize(cdf_scalar)
     sf = _vectorize(sf_scalar)
     quantile = _vectorize(lambda p: _jump_quantile(atoms, p))
-    if atoms.count is not None:
-        right_end = atoms.location(atoms.count)
-    else:
-        right_end = atoms.locations.sup
+    right_end = math.inf if atoms.count is None else atoms.location(atoms.count)
     if sampler is None:
         sampler = lambda rng, size: quantile(np.maximum(rng.random(size), 1e-300))
     return DistFn(name=name, cdf=cdf, sf=sf, quantile=quantile,
@@ -273,8 +268,7 @@ def geometric(p: float) -> DistFn:
     if not (0.0 < p < 1.0):
         raise InvalidArgumentError("p must lie in (0, 1)")
     q = 1.0 - p
-    atoms = AtomRule(locations=LevelSequence(rule=float),
-                     tail_after=lambda n: q ** n)
+    atoms = AtomRule(location=float, tail_after=lambda n: q ** n)
     return jump_law(f"geometric({p:g})", atoms,
                     sampler=lambda rng, size: rng.geometric(p, size).astype(float),
                     mean=1.0 / p)
@@ -341,31 +335,26 @@ def symmetric_pareto(alpha: float, scale: float = 1.0) -> DistFn:
                   mean=0.0 if alpha > 1 else None)
 
 
-def mixture_component(k: int, vseq: LevelSequence | None = None) -> DistFn:
+def mixture_component(k: int) -> DistFn:
     """Component law F_k of the exchangeable mixture construction.
 
-    F_k places its first atom at vseq(k*k) and jumps to 1 - 1/n at
-    vseq(n) for every n >= k*k, so n * (tail at vseq(n)) is exactly 1.
+    F_k places its first atom at the level v_{k*k} and jumps to 1 - 1/n at
+    v_n for every n >= k*k, so n * (tail at v_n) is exactly 1; the levels
+    are v_n = n.
     """
     k = int(k)
     if k < 1 or k * k > HUGE_INDEX:
         raise InvalidArgumentError("component index must lie in [1, 2**31]")
-    if vseq is None:
-        vseq = LevelSequence(rule=float)
-    elif not isinstance(vseq, LevelSequence):
-        raise InvalidArgumentError("atom levels must be a LevelSequence")
     base = k * k
 
-    atoms = AtomRule(
-        locations=LevelSequence(rule=lambda j: vseq.value(base + j - 1), sup=vseq.sup),
-        tail_after=lambda j: 1.0 / (base + j - 1),
-    )
+    atoms = AtomRule(location=lambda j: float(base + j - 1),
+                     tail_after=lambda j: 1.0 / (base + j - 1))
 
     def sampler(rng, size):
+        # the level index n itself, an integer-valued float, is the draw v_n
         u = np.maximum(rng.random(size), 1e-300)
         idx = np.minimum(np.ceil(1.0 / u), float(HUGE_INDEX))
-        idx = np.maximum(idx, base)
-        return np.array([vseq.value(int(i)) for i in idx], dtype=float)
+        return np.maximum(idx, base)
 
     return jump_law(f"mixture-component(k={k})", atoms, sampler=sampler)
 
@@ -374,19 +363,18 @@ def jump_sequence(levels, tailprobs, count: int | None = None) -> DistFn:
     """Purely-jump law with prescribed atom locations and tail probabilities.
 
     ``levels`` and ``tailprobs`` may be arrays (finite support; the last
-    tail must be 0) or callables indexed from 1 (infinite support).
+    tail must be 0) or callables indexed from 1 (infinite support).  An
+    array of levels reads as ``inf`` past its last atom.
     """
     if callable(levels):
-        loc = LevelSequence(rule=levels)
-    elif isinstance(levels, LevelSequence):
-        loc = levels
+        location = levels
     else:
         arr = np.asarray(levels, dtype=float)
         if arr.ndim != 1:
             raise InvalidArgumentError("atom locations must be a 1-d array")
         if np.any(np.diff(arr) <= 0):
             raise InvalidArgumentError("atom locations must be strictly increasing")
-        loc = LevelSequence(prefix=arr)
+        location = lambda i: float(arr[i - 1]) if i <= arr.size else math.inf
         count = arr.size if count is None else count
     if callable(tailprobs):
         tail = tailprobs
@@ -396,7 +384,7 @@ def jump_sequence(levels, tailprobs, count: int | None = None) -> DistFn:
             raise InvalidArgumentError("tail probabilities must be non-increasing in [0, 1]")
         tail = lambda i: float(tarr[min(int(i), tarr.size) - 1])
         count = tarr.size if count is None else count
-    atoms = AtomRule(locations=loc, tail_after=tail, count=count)
+    atoms = AtomRule(location=location, tail_after=tail, count=count)
     return jump_law("jumpseq", atoms)
 
 
@@ -411,7 +399,8 @@ def shifted(dist: DistFn, offset: float) -> DistFn:
 
     atoms = None
     if dist.atoms is not None:
-        atoms = AtomRule(locations=dist.atoms.locations.shifted(offset),
+        inner_location = dist.atoms.location
+        atoms = AtomRule(location=lambda i: inner_location(i) + offset,
                          tail_after=dist.atoms.tail_after,
                          count=dist.atoms.count)
     sampler = None
@@ -440,7 +429,6 @@ _CATALOG: dict[str, Callable[..., DistFn]] = {
     "superheavy": superheavy,
     "symmetric_pareto": symmetric_pareto,
     "mixture_component": mixture_component,
-    "jumpseq": jump_sequence,
 }
 
 

@@ -37,6 +37,7 @@ from .processes import (
     SamplePath,
     TailComparison,
     _empty,
+    _mixture_count_leq,
     _mixture_draw_component,
     _mixture_weight_leq,
     _path_slabs,
@@ -238,8 +239,7 @@ def _transform_maxima(spec: ProcessSpec, n_list: Sequence[int], R: int,
         for n in n_list:
             t = -np.expm1(logu / n)  # tail level of the per-component quantile
             idx = np.maximum(np.ceil(1.0 / np.maximum(t, 1e-300)), bases)
-            idx = np.minimum(idx, float(HUGE_INDEX))
-            out[n] = np.array([spec.vseq.value(int(i)) for i in idx], dtype=float)
+            out[n] = np.minimum(idx, float(HUGE_INDEX))  # the level v_idx = idx
         return out
     raise InvalidArgumentError("no transform sampler for this kind")
 
@@ -298,7 +298,7 @@ def exact_max_quantile(spec: ProcessSpec, n: int, p: float) -> float:
             lambda j: math.exp(n * math.log1p(-1.0 / j)) * _mixture_weight_leq(j) >= p, 1)
         if j is None:
             raise InvalidArgumentError("quantile index overflow")
-        return spec.vseq.value(j)
+        return float(j)
     raise NotExactlyComputableError(f"no closed form for {describe_spec(spec)}")
 
 
@@ -496,7 +496,7 @@ def _bt_exact_cov(spec: ProcessSpec, v: float, p: int, q: int, r: int) -> float:
         total = (a_len + m - 1) + (q + m - 1)
         return f ** (total - overlap) - f ** total
     if isinstance(spec, MixtureSpec):
-        j = spec.vseq.count_leq(v)
+        j = _mixture_count_leq(v)
         if j < 1 or j >= HUGE_INDEX:
             return 0.0
         c = _mixture_weight_leq(j)
@@ -791,41 +791,25 @@ def decompose_regenerative(path: SamplePath,
 MIN_CYCLES = 500
 
 
-def _check_smoothing(smoothing: str) -> None:
-    if smoothing not in ("linear", "step"):
-        raise InvalidArgumentError("smoothing must be 'linear' or 'step'")
-
-
-def rootzen_phantom(rs: RegenStats, smoothing: str = "linear") -> DistFn:
+def rootzen_phantom(rs: RegenStats) -> DistFn:
     """Phantom from cycle maxima: G = (empirical law of Y)**(1/mu_hat).
 
-    'linear' interpolates the empirical CDF between distinct observed
-    cycle maxima (continuous except for a genuine atom at the cycle
-    floor); 'step' keeps the raw step function.
+    The empirical CDF is interpolated linearly between distinct observed
+    cycle maxima (continuous except for a genuine atom at the cycle floor).
     """
     if rs.cycle_count < MIN_CYCLES:
         raise InsufficientDataError(
             f"need at least {MIN_CYCLES} cycles, got {rs.cycle_count}")
-    _check_smoothing(smoothing)
     uniq, cum = rs.cycle_cdf
     tail_knots = 1.0 - cum
     inv_mu = 1.0 / rs.mu_hat
 
-    if smoothing == "linear":
-        def ecdf_tail(x):
-            return np.interp(np.asarray(x, dtype=float), uniq, tail_knots,
-                             left=1.0, right=0.0)
+    def ecdf_tail(x):
+        return np.interp(np.asarray(x, dtype=float), uniq, tail_knots,
+                         left=1.0, right=0.0)
 
-        def ecdf_inv(t):
-            return np.interp(np.asarray(t, dtype=float), cum, uniq)
-    else:
-        def ecdf_tail(x):
-            idx = np.searchsorted(uniq, np.asarray(x, dtype=float), side="right")
-            return np.where(idx == 0, 1.0, tail_knots[np.maximum(idx - 1, 0)])
-
-        def ecdf_inv(t):
-            idx = np.searchsorted(cum, np.asarray(t, dtype=float), side="left")
-            return uniq[np.minimum(idx, uniq.size - 1)]
+    def ecdf_inv(t):
+        return np.interp(np.asarray(t, dtype=float), cum, uniq)
 
     def log_cdf(x):
         with np.errstate(divide="ignore"):
@@ -841,7 +825,7 @@ def rootzen_phantom(rs: RegenStats, smoothing: str = "linear") -> DistFn:
         p = np.asarray(p, dtype=float)
         return ecdf_inv(np.exp(rs.mu_hat * np.log(p)))
 
-    return DistFn(name=f"rootzen-phantom[{smoothing}]", cdf=cdf, sf=sf,
+    return DistFn(name="rootzen-phantom", cdf=cdf, sf=sf,
                   quantile=quantile, right_end=float(uniq[-1]),
                   left_end=float(uniq[0]),
                   sampler=lambda rng, size: quantile(np.maximum(rng.random(size), 1e-300)))
@@ -1027,11 +1011,10 @@ class RegenPhantom:
 
 
 def regen_phantom(step: DistFn, length: int, block_sizes, R: int, seed: int,
-                  tag: str, workers: int = 1, smoothing: str = "linear") -> RegenPhantom:
+                  tag: str, workers: int = 1) -> RegenPhantom:
     """Regenerative phantom of one Lindley path with the given step law,
     verified by simulation, with its cycle-tail band and tail verdict."""
     blocks = _validate_sizes(block_sizes)
-    _check_smoothing(smoothing)
     _check_replicas(R)
     # the verification table's array, tried before the path work it follows,
     # so a replica count numpy cannot allocate exits before any simulation
@@ -1039,7 +1022,7 @@ def regen_phantom(step: DistFn, length: int, block_sizes, R: int, seed: int,
     spec = LindleySpec(step=step)
     path = generate(spec, seed, length)
     rs = decompose_regenerative(path)
-    G = rootzen_phantom(rs, smoothing=smoothing)
+    G = rootzen_phantom(rs)
     ml, ver, verified = verify_by_simulation(spec, G, blocks, R, seed, tag, workers)
     band = cycle_tail_ratio(rs, step, q=0.99)
     tails = lindley_step_tail_vs_stationary(step, path.values)

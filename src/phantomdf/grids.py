@@ -1,4 +1,4 @@
-"""Level sequences, tail probe levels and ratio-track classification.
+"""Index search, tail probe levels and ratio-track classification.
 
 Tail diagnostics never pick probe points ad hoc: they read
 :func:`probe_levels` and judge their tracks with the convergence rule
@@ -7,14 +7,13 @@ at ``PROBE_RATIO_TOL``.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
-# Sentinel index for "infinitely many levels at or below x" (bounded sequences).
+# Sentinel index for "infinitely many levels at or below x".
 HUGE_INDEX = 2**62
 
 
@@ -37,68 +36,6 @@ def first_index_where(holds: Callable[[int], bool], start: int) -> int | None:
         else:
             lo = mid
     return hi
-
-
-class LevelSequence:
-    """Non-decreasing levels v_1 <= v_2 <= ... with lazy evaluation.
-
-    A finite prefix is stored as an array; indices beyond the prefix are
-    served by ``rule`` when one is given and fail explicitly otherwise.
-    ``sup`` is the supremum of the whole sequence (``inf`` by default for
-    rule-backed sequences, the last prefix value otherwise).
-    """
-
-    def __init__(self,
-                 prefix: Sequence[float] = (),
-                 rule: Callable[[int], float] | None = None,
-                 sup: float | None = None) -> None:
-        self.prefix = np.asarray(prefix, dtype=float)
-        if self.prefix.size and np.any(np.diff(self.prefix) < 0):
-            raise InvalidArgumentError("levels must be non-decreasing")
-        self.rule = rule
-        if rule is None and self.prefix.size == 0:
-            raise InvalidArgumentError("level sequence needs a prefix or a rule")
-        if rule is not None and self.prefix.size:
-            nxt = float(rule(self.prefix.size + 1))
-            if nxt < float(self.prefix[-1]):
-                raise InvalidArgumentError("rule must continue the prefix monotonically")
-        if sup is None:
-            sup = math.inf if rule is not None else float(self.prefix[-1])
-        self.sup = float(sup)
-
-    def value(self, n: int) -> float:
-        n = int(n)
-        if n < 1:
-            raise InvalidArgumentError("level index must be >= 1")
-        if n <= self.prefix.size:
-            return float(self.prefix[n - 1])
-        if self.rule is None:
-            raise InvalidArgumentError(
-                f"level index {n} beyond stored prefix of size {self.prefix.size}")
-        return float(self.rule(n))
-
-    def count_leq(self, x: float) -> int:
-        """Largest n with v_n <= x; 0 when x sits below v_1.
-
-        For a bounded rule-backed sequence and x at or above the supremum
-        the count is infinite; ``HUGE_INDEX`` stands in for it.
-        """
-        x = float(x)
-        k = int(np.searchsorted(self.prefix, x, side="right"))
-        if k < self.prefix.size or self.rule is None:
-            return k
-        if x >= self.sup:
-            return HUGE_INDEX
-        k = first_index_where(lambda n: self.value(n) > x, self.prefix.size)
-        return HUGE_INDEX if k is None else k - 1
-
-    def shifted(self, offset: float) -> "LevelSequence":
-        rule = None
-        if self.rule is not None:
-            base = self.rule
-            rule = lambda n: float(base(n)) + offset
-        sup = self.sup + offset if math.isfinite(self.sup) else self.sup
-        return LevelSequence(self.prefix + offset, rule=rule, sup=sup)
 
 
 # Tail diagnostics probe at quantile(1 - 2**-j), j = 1..PROBE_DEPTH, so the

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -29,9 +29,9 @@ from .grids import (
     HUGE_INDEX,
     PROBE_DEPTH,
     PROBE_RATIO_TOL,
-    LevelSequence,
     classify_ratio_track,
     converges_to,
+    first_index_where,
     probe_levels,
 )
 from .seeding import rng_for
@@ -108,8 +108,8 @@ class MetropolisSpec:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Exchangeable mixture: component K with P(K=k) = 1/(k(k+1)), frozen per path."""
-    vseq: LevelSequence = field(default_factory=lambda: LevelSequence(rule=float))
+    """Exchangeable mixture: component K with P(K=k) = 1/(k(k+1)), frozen per
+    path; the atom levels are v_j = j."""
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,7 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
     if isinstance(spec, IIDSpec):
         laws = [spec.marginal] * rows
     elif isinstance(spec, MixtureSpec):
-        laws = [mixture_component(_mixture_draw_component(rng), spec.vseq)
-                for rng in rngs]
+        laws = [mixture_component(_mixture_draw_component(rng)) for rng in rngs]
     elif isinstance(spec, MovingMaxSpec):
         m = int(spec.window)
         laws = [spec.base] * rows
@@ -327,6 +326,13 @@ def generate(spec: ProcessSpec, seed: int, length: int) -> SamplePath:
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _mixture_count_leq(x: float) -> int:
+    """Number of mixture levels v_j = j at or below x; HUGE_INDEX for x >= 2**62."""
+    x = float(x)
+    j = first_index_where(lambda j: float(j) > x, 0)
+    return HUGE_INDEX if j is None else j - 1
+
+
 def _mixture_weight_leq(j: int) -> float:
     # sum of 1/(k(k+1)) over components k with k*k <= j
     return 1.0 - 1.0 / (math.isqrt(j) + 1)
@@ -344,7 +350,7 @@ def exact_max_cdf(spec: ProcessSpec, n: int, x: float) -> float:
         e = n + spec.window - 1
         return math.exp(e * math.log1p(-min(t, 1.0))) if t < 1.0 else 0.0
     if isinstance(spec, MixtureSpec):
-        j = spec.vseq.count_leq(x)
+        j = _mixture_count_leq(x)
         if j < 1:
             return 0.0
         if j >= HUGE_INDEX:
@@ -364,7 +370,7 @@ def marginal_sf(spec: ProcessSpec, x: float) -> float:
         t = float(spec.base.tail(x))
         return -math.expm1(spec.window * math.log1p(-min(t, 1.0)))
     if isinstance(spec, MixtureSpec):
-        j = spec.vseq.count_leq(x)
+        j = _mixture_count_leq(x)
         if j < 1:
             return 1.0
         if j >= HUGE_INDEX:

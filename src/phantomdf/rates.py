@@ -107,31 +107,22 @@ class MDependent:
                                        f"got {self.m!r}")
 
 
-def _check_mixing_constant(C: float) -> None:
-    if not (math.isfinite(C) and C >= 0):
-        raise InvalidArgumentError(f"mixing constant C must be finite and >= 0, got {C!r}")
-
-
 @dataclass(frozen=True)
 class ExponentialMixing:
     rho: float
-    C: float = 1.0
 
     def __post_init__(self):
         if not (0.0 <= self.rho < 1.0):
             raise InvalidArgumentError("exponential base rho must lie in [0, 1)")
-        _check_mixing_constant(self.C)
 
 
 @dataclass(frozen=True)
 class PolynomialMixing:
     beta: float
-    C: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise InvalidArgumentError("polynomial rate beta must be finite and positive")
-        _check_mixing_constant(self.C)
 
 
 MixingCase = MDependent | ExponentialMixing | PolynomialMixing

@@ -294,7 +294,7 @@ def test_regen_pipeline(run, tmp_path):
     # the regen command refuses paths shorter than 1e5 values
     rc, stdout, _ = run("[common]\nseed = 19\n"
                         "[regen]\nstep = pareto(2,1)-2\nlength = 100000\n"
-                        "verify_blocks = 300,1000\nsmoothing = linear\n",
+                        "verify_blocks = 300,1000\n",
                         "regen", "--out", str(tmp_path / "rg"))
     assert rc == 0, stdout
     assert "cycles" in stdout and "ratio->0" in stdout
@@ -307,7 +307,7 @@ def test_regen_pipeline(run, tmp_path):
 
 
 class TestBadBlockSizes:
-    """Bad block sizes, gamma, smoothing, replica counts, B_T horizons, law
+    """Bad block sizes, gamma, replica counts, B_T horizons, law
     parameters or estimation methods exit 2 with one line before anything
     is simulated."""
     FIT = ("[common]\nseed = 11\nreplicas = 256\n"
@@ -357,11 +357,6 @@ class TestBadBlockSizes:
         self.assert_rejected(*run(self.FIT.format("100,1000") + f"gamma = {gamma}\n",
                                   "phantom-fit", "--out", str(tmp_path / "o")),
                              error="error: gamma must lie strictly inside (0, 1)")
-
-    def test_regen_smoothing(self, run, tmp_path):
-        self.assert_rejected(*run(self.REGEN.format("1000,10000") + "smoothing = cubic\n",
-                                  "regen", "--out", str(tmp_path / "o")),
-                             error="error: smoothing must be 'linear' or 'step'")
 
     @pytest.mark.parametrize("command", ["phantom-fit", "verify", "regen"])
     def test_replica_floor(self, run, tmp_path, command):

@@ -2,7 +2,6 @@
 or is rejected with one error."""
 
 import argparse
-import math
 import warnings
 
 import pytest
@@ -103,15 +102,6 @@ def test_mixing_cases_still_parse():
     assert _parse_mixing("m_dependent(3.0)") == MDependent(3)
     assert _parse_mixing("exponential(0.5)") == ExponentialMixing(rho=0.5)
     assert _parse_mixing("polynomial(4)") == PolynomialMixing(beta=4.0)
-
-
-@pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf, -1.0])
-@pytest.mark.parametrize("make", [lambda C: ExponentialMixing(rho=0.5, C=C),
-                                  lambda C: PolynomialMixing(beta=4.0, C=C)],
-                         ids=["exponential", "polynomial"])
-def test_mixing_constant_must_be_finite_and_non_negative(make, C):
-    with pytest.raises(InvalidArgumentError, match="C must be finite and >= 0"):
-        make(C)
 
 
 _INT_LISTS = st.lists(st.one_of(st.integers().map(str), _NUMBERS, st.text(max_size=4)),

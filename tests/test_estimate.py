@@ -690,8 +690,6 @@ class TestRegenerative:
         G = rootzen_phantom(rs)
         for p in (0.2, 0.5, 0.9):
             assert float(G.quantile(p)) == pytest.approx(p, abs=0.03)
-        with pytest.raises(InvalidArgumentError):
-            rootzen_phantom(rs, smoothing="cubic")
 
     def test_cycle_tail_ratio_unit_cycles(self):
         band = cycle_tail_ratio(self.unit_cycles(), uniform(0.0, 1.0), q=0.9)

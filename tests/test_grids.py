@@ -1,4 +1,5 @@
-"""Level sequences, tail probe levels, and track classification."""
+"""Atom locations, the index search, tail probe levels, and track
+classification."""
 
 import math
 
@@ -14,102 +15,92 @@ from phantomdf.distributions import (
     geometric,
     jump_sequence,
     mixture_component,
+    shifted,
 )
 from phantomdf.errors import InvalidArgumentError
 from phantomdf.estimate import exact_max_quantile
 from phantomdf.grids import (
     HUGE_INDEX,
     PROBE_DEPTH,
-    LevelSequence,
     classify_ratio_track,
     converges_to,
     first_index_where,
     last_quarter,
     probe_levels,
 )
-from phantomdf.processes import MixtureSpec, _mixture_weight_leq
+from phantomdf.processes import MixtureSpec, _mixture_count_leq, _mixture_weight_leq
 
 
-class TestLevelSequence:
-    def test_prefix_values(self):
-        s = LevelSequence(prefix=[1.0, 1.0, 2.0, 5.0])
-        assert s.value(1) == 1.0
-        assert s.value(3) == 2.0
-        assert s.prefix.size == 4
-        assert s.sup == 5.0
+def finite_law(levels):
+    """jump_sequence on the given increasing levels, with equal masses."""
+    levels = np.asarray(levels, dtype=float)
+    return jump_sequence(levels, 1.0 - np.arange(1.0, levels.size + 1) / levels.size)
 
-    def test_beyond_prefix_fails_without_rule(self):
-        s = LevelSequence(prefix=[1.0, 2.0])
+
+class TestAtomLocations:
+    def test_array_values(self):
+        law = finite_law([1.0, 2.0, 5.0])
+        assert law.atoms.location(1) == 1.0
+        assert law.atoms.location(3) == 5.0
+        assert law.atoms.count == 3
+        assert (law.left_end, law.right_end) == (1.0, 5.0)
+
+    def test_past_the_last_atom_is_infinite(self):
+        atoms = finite_law([1.0, 2.0]).atoms
+        assert atoms.location(3) == math.inf
+        assert atoms.index_leq(1e300) == atoms.index_leq(math.inf) == 2
+
+    def test_decreasing_locations_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            s.value(3)
+            jump_sequence([2.0, 1.0], [0.5, 0.0])
 
-    def test_rule_extends_prefix(self):
-        s = LevelSequence(prefix=[0.5, 2.0], rule=float)
-        assert s.value(2) == 2.0
-        assert s.value(7) == 7.0
-        assert math.isinf(s.sup)
-        assert s.prefix.size == 2  # the rule serves every index past the prefix
-
-    def test_decreasing_prefix_rejected(self):
+    def test_empty_atom_list_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            LevelSequence(prefix=[2.0, 1.0])
+            jump_sequence([], [])
 
-    def test_empty_without_rule_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            LevelSequence(prefix=[])
-
-    def test_index_below_one_rejected(self):
-        s = LevelSequence(rule=float)
-        with pytest.raises(InvalidArgumentError):
-            s.value(0)
+    def test_below_the_first_atom_counts_zero(self):
+        law = geometric(0.3)
+        assert law.atoms.index_leq(0.5) == 0
+        assert law.jump_at(0.5) == 0.0
+        assert law.cdf(0.5) == 0.0
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=30),
            st.floats(min_value=-60, max_value=60))
     def test_count_leq_matches_brute_force(self, raw, x):
-        prefix = np.sort(np.asarray(raw, dtype=float))
-        s = LevelSequence(prefix=prefix)
-        assert s.count_leq(x) == int(np.sum(prefix <= x))
+        levels = np.unique(np.asarray(raw, dtype=float))
+        assert finite_law(levels).atoms.index_leq(x) == int(np.sum(levels <= x))
 
-    def test_count_leq_rule_region(self):
-        s = LevelSequence(rule=float)  # v_n = n
-        assert s.count_leq(0.5) == 0
-        assert s.count_leq(1.0) == 1
-        assert s.count_leq(1234567.9) == 1234567
-
-    def test_count_leq_bounded_rule_saturates(self):
-        # v_n = 1 - 1/n climbs to sup = 1; at or past the sup the count is "infinite".
-        s = LevelSequence(rule=lambda n: 1.0 - 1.0 / n, sup=1.0)
-        assert s.count_leq(1.0) == HUGE_INDEX
-        assert s.count_leq(0.75) == 4
-        assert s.count_leq(0.0) == 1
+    def test_count_leq_integer_locations(self):
+        atoms = geometric(0.3).atoms  # atom i sits at i
+        assert atoms.index_leq(0.5) == 0
+        assert atoms.index_leq(1.0) == 1
+        assert atoms.index_leq(1234567.9) == 1234567
 
     def test_shifted(self):
-        s = LevelSequence(prefix=[1.0, 3.0], rule=float, sup=math.inf)
-        t = s.shifted(10.0)
-        assert t.value(1) == 11.0
-        assert t.value(5) == 15.0
+        law = shifted(geometric(0.3), 10.0)
+        assert law.atoms.location(1) == 11.0
+        assert law.atoms.location(5) == 15.0
+        assert law.atoms.index_leq(15.0) == 5
+        assert law.right_end == math.inf
 
 
-# The three searches that first_index_where replaced, copied verbatim (self
-# renamed), as references for the shared search.
+# The searches that first_index_where replaced, restated over a location
+# callable (a level sequence with no stored prefix and an infinite
+# supremum), as references for the shared search.
 
-def _old_count_leq(self, x: float) -> int:
+def _old_count_leq(location, x: float) -> int:
     x = float(x)
-    k = int(np.searchsorted(self.prefix, x, side="right"))
-    if k < self.prefix.size or self.rule is None:
-        return k
-    if x >= self.sup:
+    if x >= math.inf:
         return HUGE_INDEX
-    lo = self.prefix.size
-    hi = max(1, lo + 1)
-    while self.value(hi) <= x:
+    lo, hi = 0, 1
+    while location(hi) <= x:
         lo = hi
         hi *= 2
         if hi > HUGE_INDEX:
             return HUGE_INDEX
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if self.value(mid) <= x:
+        if location(mid) <= x:
             lo = mid
         else:
             hi = mid
@@ -140,7 +131,7 @@ def _old_jump_quantile(atoms, p: float) -> float:
     return atoms.location(hi)
 
 
-def _old_mixture_quantile(spec, n: int, p: float) -> float:
+def _old_mixture_quantile(n: int, p: float) -> float:
     def cdf_at(j: int) -> float:
         return math.exp(n * math.log1p(-1.0 / j)) * _mixture_weight_leq(j)
     lo, hi = 1, 2
@@ -155,7 +146,7 @@ def _old_mixture_quantile(spec, n: int, p: float) -> float:
             lo = mid
         else:
             hi = mid
-    return spec.vseq.value(hi)
+    return float(hi)
 
 
 def _same_outcome(new, old, *args):
@@ -169,7 +160,8 @@ def _same_outcome(new, old, *args):
     assert new(*args) == want
 
 
-BOUNDED = LevelSequence(rule=lambda n: 1.0 - 1.0 / n, sup=1.0)
+XS = [-2.0, 0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-40, 1.0 - 2.0**-53, 1.0, 2.0, 2.5,
+      7.0, 1234567.9, 2.0**53, 2.0**61, 3.0 * 2.0**60, 2.0**62, 1e300, math.inf]
 PROBS = [1e-9, 0.01, 0.2, 0.5, 0.7, 0.9, 0.99, 0.999999, 1.0 - 1e-12, 1.0 - 2.0**-53]
 
 
@@ -188,45 +180,45 @@ class TestFirstIndexWhere:
         assert first_index_where(lambda k: probes.append(k) or False, 2) is None
         assert max(probes) == 3 * 2**60 <= HUGE_INDEX  # the next doubling passes it
 
-    @pytest.mark.parametrize("seq", [
-        LevelSequence(rule=float),
-        LevelSequence(prefix=[0.5, 2.0, 2.0], rule=float),
-        LevelSequence(rule=math.log1p),
-        BOUNDED,
-        LevelSequence(prefix=[-1.0, 0.25], rule=lambda n: 1.0 - 1.0 / n, sup=1.0),
-        LevelSequence(rule=lambda n: 0.0, sup=1.0),  # never passes 0: saturates
-    ], ids=["identity", "prefix", "log", "bounded", "bounded-prefix", "flat"])
-    def test_count_leq_matches_old_search(self, seq):
-        xs = [-2.0, 0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-40, 1.0 - 2.0**-53, 1.0, 2.0, 2.5,
-              7.0, 1234567.9, 2.0**61, 3.0 * 2.0**60, 2.0**62, 1e300]
-        for x in xs:
-            assert seq.count_leq(x) == _old_count_leq(seq, x), x
+    @pytest.mark.parametrize("atoms", [
+        geometric(0.3).atoms,
+        jump_sequence(math.log1p, lambda i: 0.5 ** i).atoms,
+        mixture_component(3).atoms,
+        shifted(geometric(0.3), -0.5).atoms,
+        finite_law([0.5, 2.0, 7.0]).atoms,
+    ], ids=["identity", "log", "mixture-component", "shifted", "finite"])
+    def test_count_leq_matches_old_search(self, atoms):
+        for x in XS:
+            want = _old_count_leq(atoms.location, x)
+            if atoms.count is not None:
+                want = min(want, atoms.count)
+            assert atoms.index_leq(x) == want, x
+
+    def test_mixture_count_leq_matches_old_search(self):
+        for x in XS:
+            assert _mixture_count_leq(x) == _old_count_leq(float, x), x
 
     @pytest.mark.parametrize("atoms", [
         geometric(0.3).atoms,
         geometric(1e-6).atoms,
         mixture_component(3).atoms,
-        mixture_component(2, BOUNDED).atoms,
         jump_sequence([1.0, 2.0, 3.0, 5.0, 8.0], [0.5, 0.3, 0.1, 0.05, 0.0]).atoms,
         jump_sequence(np.arange(1.0, 38.0), 1.0 - np.arange(1.0, 38.0) / 37.0).atoms,
-        AtomRule(locations=LevelSequence(rule=float), tail_after=lambda i: 0.5),
+        AtomRule(location=float, tail_after=lambda i: 0.5),
         # the last tail is not quite 0, so only the count stops the search
-        AtomRule(locations=LevelSequence(prefix=[1.0, 2.0, 3.0]),
+        AtomRule(location=lambda i: (1.0, 2.0, 3.0)[i - 1],
                  tail_after=lambda i: (0.5, 0.25, 5e-16)[i - 1], count=3),
-    ], ids=["geometric", "geometric-slow", "mixture", "mixture-bounded", "finite-5",
+    ], ids=["geometric", "geometric-slow", "mixture", "finite-5",
             "finite-37", "never-below-half", "finite-last-tail-positive"])
     def test_jump_quantile_matches_old_search(self, atoms):
         for p in PROBS:
             _same_outcome(_jump_quantile, _old_jump_quantile, atoms, p)
 
-    @pytest.mark.parametrize("vseq", [LevelSequence(rule=float), BOUNDED],
-                             ids=["identity", "bounded"])
-    def test_mixture_quantile_matches_old_search(self, vseq):
-        spec = MixtureSpec(vseq=vseq)
+    def test_mixture_quantile_matches_old_search(self):
         for n in (1, 2, 10, 1000, 10**6):
             for p in PROBS:
-                _same_outcome(lambda *a: exact_max_quantile(spec, *a),
-                              lambda *a: _old_mixture_quantile(spec, *a), n, p)
+                _same_outcome(lambda *a: exact_max_quantile(MixtureSpec(), *a),
+                              _old_mixture_quantile, n, p)
 
 
 class TestProbePolicy:

@@ -66,7 +66,7 @@ class ScalarReference:
         if k <= m:
             return float(self._knot_levels[k - 1]), int(self._knot_index[k - 1])
         raise InvalidArgumentError(
-            f"knot {k} beyond stored driving prefix ({m} knots)")
+            f"knot {k} beyond the stored knot table ({m} knots)")
 
     def knot_leq(self, x):
         return int(np.searchsorted(self._knot_levels, float(x), side="right"))
@@ -86,7 +86,7 @@ class ScalarReference:
         if x == xk:
             return ek
         if k >= d.knot_count:
-            raise InvalidArgumentError("evaluation beyond the stored driving prefix")
+            raise InvalidArgumentError("evaluation beyond the last stored knot")
         xn, en = self._knot_exponent(k + 1)
         t = (x - xk) / (xn - xk)
         return ek + t * (en - ek)
@@ -106,7 +106,7 @@ class ScalarReference:
                 if g >= e_last:
                     hi = count
                     break
-                raise InvalidArgumentError("quantile beyond the stored driving prefix")
+                raise InvalidArgumentError("quantile beyond the last stored knot")
             if self._knot_exponent(hi)[1] < g:
                 break
             lo = hi
@@ -141,10 +141,10 @@ def _drivings():
         "plateau": plateau_driving(),
         "estimates": driving_from_estimates(GAMMA, [2, 5, 9, 40], [1.0, 2.0, 3.0, 3.5]),
         "fitted": fitted,
-        # the rule v_n = n, stored up to n = 60
-        "rule": integer_driving(60),
-        # the levels 0.25, 0.25, 1, 1, 1.5, then the rule v_n = n up to 60
-        "prefix-and-rule": DrivingSequence(
+        # the levels v_n = n up to n = 60
+        "integers": integer_driving(60),
+        # the levels 0.25, 0.25, 1, 1, 1.5, then v_n = n up to 60
+        "plateaus-then-integers": DrivingSequence(
             0.3, np.r_[0.25, 1.0, 1.5, np.arange(6.0, 61.0)], np.r_[2, 4, 5, np.arange(6, 61)]),
         "parsed": parsed.driving,
     }
@@ -194,7 +194,7 @@ class TestKnotTableMatchesScalarReference:
                                       [ref.exponent_inverse(v) for v in g])
 
     @pytest.mark.parametrize("name", DRIVINGS)
-    def test_past_the_prefix_raises(self, name):
+    def test_past_the_last_knot_raises(self, name):
         d = DRIVINGS[name]
         ref = ScalarReference(d)
         G, J = PhantomDistFn(d), JumpPhantom(d)
@@ -310,7 +310,7 @@ class TestContinuousPhantom:
         G = PhantomDistFn(plateau_driving())
         assert G.exponent(0.25) == pytest.approx(0.75 + 1.0 / 3.0, rel=1e-15)
 
-    def test_beyond_prefix_fails_without_rule(self):
+    def test_past_the_last_knot_fails(self):
         G = PhantomDistFn(plateau_driving())
         with pytest.raises(InvalidArgumentError):
             G.cdf(3.5)

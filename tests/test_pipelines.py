@@ -87,12 +87,12 @@ def reference_criterion_8_fit(spec, R, seed, workers=1):
     return dse, phantom
 
 
-def reference_regen(step, length, blocks, R, seed, smoothing="linear", workers=1):
+def reference_regen(step, length, blocks, R, seed, workers=1):
     """The regen command's body up to its artifacts."""
     spec = LindleySpec(step=step)
     path = generate(spec, seed, length)
     rs = decompose_regenerative(path)
-    G = rootzen_phantom(rs, smoothing=smoothing)
+    G = rootzen_phantom(rs)
     table = block_maxima_table(spec, blocks, R, seed,
                                tag="regen-verify", workers=workers)
     ml = maxlaw_from_maxima(table, R)
@@ -182,13 +182,11 @@ class TestFitAndVerify:
 
 
 class TestRegen:
-    @pytest.mark.parametrize("smoothing", ["linear", "step"])
-    def test_equals_the_regen_sequence(self, smoothing):
+    def test_equals_the_regen_sequence(self):
         blocks = [100, 1_000]
         (path, rs, check_ref, band, band_ok, tails, tail_ok,
-         (uniq, cum)) = reference_regen(STEP, 100_000, blocks, R, SEED, smoothing)
-        rg = regen_phantom(STEP, 100_000, blocks, R, SEED, tag="regen-verify",
-                           smoothing=smoothing)
+         (uniq, cum)) = reference_regen(STEP, 100_000, blocks, R, SEED)
+        rg = regen_phantom(STEP, 100_000, blocks, R, SEED, tag="regen-verify")
         np.testing.assert_array_equal(rg.path.values, path.values)
         np.testing.assert_array_equal(rg.path.regeneration_marks, path.regeneration_marks)
         assert (rg.stats.cycle_count, rg.stats.mu_hat, rg.stats.mu_se) == \

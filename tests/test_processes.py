@@ -136,7 +136,7 @@ class TestPathSlabs:
         elif isinstance(spec, MixtureSpec):
             k = _mixture_draw_component(rng)
             assert path.mixture_component == k
-            want = mixture_component(k, spec.vseq).draw(rng, self.LENGTH)
+            want = mixture_component(k).draw(rng, self.LENGTH)
         else:
             want = spec.marginal.draw(rng, self.LENGTH)
         np.testing.assert_array_equal(path.values, want)

@@ -97,6 +97,17 @@ _SPEC_KEYS = {
     "moving_max": ("window", "base"),
 }
 
+# The keys each section may hold: its defaults and the [common] keys, which
+# a command's own section may override; the sections that build a process
+# spec also take every kind's spec keys and Metropolis's optional init.
+_SPEC_SECTIONS = ("simulate", "phantom-fit", "verify", "bt-check", "extremal-index")
+_ANY_SPEC_KEY = ("kind", "init", *(k for keys in _SPEC_KEYS.values() for k in keys))
+_KNOWN_KEYS = {
+    section: frozenset({*keys, *DEFAULTS["common"],
+                        *(_ANY_SPEC_KEY if section in _SPEC_SECTIONS else ())})
+    for section, keys in DEFAULTS.items()
+}
+
 _LAW_RE = re.compile(
     r"^\s*([a-z_][a-z_0-9]*)\s*\(([^()]*)\)\s*(?:(?P<sign>[+-])\s*(?P<off>[0-9.eE+-]+))?\s*$",
     re.IGNORECASE,
@@ -149,7 +160,9 @@ def _parser_with_defaults() -> configparser.ConfigParser:
 
 
 def load_config(path: str | None = None) -> configparser.ConfigParser:
-    """Defaults overlaid with an optional INI file."""
+    """Defaults overlaid with an optional INI file; a section or key that no
+    command reads is an error, so a misspelt or removed setting is never
+    dropped without a word."""
     cp = _parser_with_defaults()
     if path is not None:
         try:
@@ -159,6 +172,15 @@ def load_config(path: str | None = None) -> configparser.ConfigParser:
             raise InvalidArgumentError(f"cannot read config {path!r}: {exc}") from None
         except configparser.Error as exc:
             raise InvalidArgumentError(f"malformed config {path!r}: {exc}") from None
+    for section in cp.sections():
+        if section not in _KNOWN_KEYS:
+            raise InvalidArgumentError(
+                f"unknown config section [{section}]; one of {sorted(_KNOWN_KEYS)}")
+        unknown = sorted(set(cp[section]) - set(map(cp.optionxform, _KNOWN_KEYS[section])))
+        if unknown:
+            raise InvalidArgumentError(
+                f"unknown key {unknown[0]!r} in config section [{section}]; "
+                f"one of {sorted(_KNOWN_KEYS[section])}")
     return cp
 
 

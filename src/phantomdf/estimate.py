@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -197,9 +197,11 @@ def _check_gamma(gamma: float) -> None:
 class _QuantileColumns(Mapping):
     """Block maxima Q(u**(1/(n + shift))) of sorted uniforms u, by block size n.
 
-    The map u -> Q(u**(1/e)) is non-decreasing, so every column comes out
-    ascending.  A column is built when it is read and not kept, so the table
-    holds one array of R log-uniforms whatever the number of block sizes.
+    For a non-decreasing Q every column comes out ascending, so the sorted
+    log-uniforms fix every rank.  The estimators read a column by rank
+    (``_at``, ``_count_leq``) and evaluate Q only there; indexing builds the
+    whole column and does not keep it.  Either way the table holds one array
+    of R log-uniforms whatever the number of block sizes.
     """
 
     def __init__(self, quantile: Callable, shift: int, n_list: Sequence[int],
@@ -207,17 +209,77 @@ class _QuantileColumns(Mapping):
         self._quantile, self._shift = quantile, shift
         self._n_list, self._logu = tuple(n_list), logu
 
+    def _column_at(self, n: int, logu: np.ndarray) -> np.ndarray:
+        # one numpy expression for whole columns and single ranks alike, so a
+        # rank read carries the very bits of the built column
+        return np.asarray(self._quantile(np.exp(logu / (n + self._shift))), dtype=float)
+
     def __getitem__(self, n: int) -> np.ndarray:
         if n not in self._n_list:
             raise KeyError(n)
-        p = np.exp(self._logu / (n + self._shift))
-        return np.asarray(self._quantile(p), dtype=float)
+        return self._column_at(n, self._logu)
 
     def __iter__(self):
         return iter(self._n_list)
 
     def __len__(self) -> int:
         return len(self._n_list)
+
+    def _at(self, n: int, ranks: np.ndarray) -> np.ndarray:
+        """Column n at the 1-based ``ranks``."""
+        return self._column_at(n, self._logu[ranks - 1])
+
+    def _count_leq(self, n: int, x: float, start: int) -> int:
+        """Values of column n at or below x, given that rank ``start`` is.
+
+        Equal values form one run of ranks, so the first rank above x, found
+        by doubling and bisection past ``start``, is exact.
+        """
+        R = self._logu.size
+        read: dict[int, float] = {}
+
+        def above(j: int) -> bool:
+            k = start + j
+            if k > R:
+                return True
+            read[k] = float(self._at(n, np.array([k]))[0])
+            return read[k] > x
+
+        count = start + first_index_where(above, 0) - 1
+        _check_ascending(np.array([read[k] for k in sorted(read)]))
+        return count
+
+
+def _check_ascending(values: np.ndarray) -> None:
+    if np.any(values[1:] < values[:-1]):
+        raise InvalidArgumentError(
+            "block maxima decrease across the ranks read: the quantile is not monotone")
+
+
+def _rank_reader(table: Mapping[int, np.ndarray], n: int
+                 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[float, int], int]]:
+    """Column n of a block-maxima table as two rank queries: its values at
+    ascending 1-based ranks, and its count of values at or below x given a
+    rank that is.  A transform table is read only at those ranks; a
+    replica-order column is sorted once.  Values that decrease with rank are
+    rejected."""
+    if isinstance(table, _QuantileColumns):
+        at, count_leq = partial(table._at, n), partial(table._count_leq, n)
+    else:
+        s = np.sort(table[n])
+
+        def at(ranks):
+            return s[ranks - 1]
+
+        def count_leq(x, start):
+            return int(np.searchsorted(s, x, side="right"))
+
+    def values(ranks):
+        vals = at(ranks)
+        _check_ascending(vals)
+        return vals
+
+    return values, count_leq
 
 
 def _transform_maxima(spec: ProcessSpec, n_list: Sequence[int], R: int,
@@ -248,8 +310,12 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
                        tag: str = "maxlaw", workers: int = 1) -> Mapping[int, np.ndarray]:
     """R block maxima for each requested block size.
 
-    Order contract: IID and moving-max columns are ascending and built
-    when read; Monte-Carlo (Markov) and mixture columns are in replica order.
+    Order contract: IID and moving-max columns are ascending; the
+    estimators read them by rank, evaluating the quantile only at the ranks
+    they use, and indexing builds a whole column when read.  Monte-Carlo
+    (Markov) and mixture columns are in replica order, and the estimators
+    sort each once.  The estimators reject a column whose values decrease
+    across the ranks they read (a quantile that is not monotone).
     """
     n_list = _validate_sizes(block_sizes)
     if has_exact_max_law(spec):
@@ -302,14 +368,9 @@ def exact_max_quantile(spec: ProcessSpec, n: int, p: float) -> float:
     raise NotExactlyComputableError(f"no closed form for {describe_spec(spec)}")
 
 
-def _ascending(col: np.ndarray) -> np.ndarray:
-    """The column itself when already ascending, else a sorted copy."""
-    return col if np.all(col[1:] >= col[:-1]) else np.sort(col)
-
-
-def _type1_quantile(sorted_vals: np.ndarray, p: float) -> float:
-    k = max(1, math.ceil(p * sorted_vals.size))
-    return float(sorted_vals[min(k, sorted_vals.size) - 1])
+def _type1_rank(p: float, R: int) -> int:
+    """1-based rank of the type-1 empirical p-quantile of R values."""
+    return min(max(1, math.ceil(p * R)), R)
 
 
 def _binom_quantile(q: float, R: int, p: float) -> int:
@@ -369,16 +430,11 @@ def driving_from_maxima(gamma: float, table: Mapping[int, np.ndarray],
     """Driving-sequence estimate from an existing block-maxima table."""
     _check_gamma(gamma)
     n_list = sorted(int(n) for n in table)
-    k_lo = max(_binom_quantile(0.025, R, gamma), 1)
-    k_hi = min(_binom_quantile(0.975, R, gamma) + 1, R)
-    v_hat = np.empty(len(n_list))
-    ci_lo = np.empty(len(n_list))
-    ci_hi = np.empty(len(n_list))
-    for i, n in enumerate(n_list):
-        s = _ascending(table[n])
-        v_hat[i] = _type1_quantile(s, gamma)
-        ci_lo[i] = s[k_lo - 1]
-        ci_hi[i] = s[k_hi - 1]
+    ranks = np.array([max(_binom_quantile(0.025, R, gamma), 1),
+                      _type1_rank(gamma, R),
+                      min(_binom_quantile(0.975, R, gamma) + 1, R)])
+    reads = [_rank_reader(table, n)[0](ranks) for n in n_list]
+    ci_lo, v_hat, ci_hi = np.array(reads, dtype=float).reshape(-1, 3).T.copy()
     violations = int(np.count_nonzero(np.diff(v_hat) < 0))
     return DrivingSeqEstimate(gamma=gamma, n_values=np.asarray(n_list),
                               v_hat=np.maximum.accumulate(v_hat),
@@ -395,13 +451,18 @@ def maxlaw_from_maxima(table: Mapping[int, np.ndarray], R: int,
     """
     if probs is None:
         probs = np.linspace(0.01, 0.99, 33)
+    ranks = np.unique(np.array([_type1_rank(float(p), R) for p in probs], dtype=np.int64))
     rows = []
     for n in sorted(int(n) for n in table):
-        s = _ascending(table[n])
-        xs = np.unique([_type1_quantile(s, float(p)) for p in probs])
+        at, count_leq = _rank_reader(table, n)
+        vals = at(ranks)
+        xs = np.unique(vals)
         if level_cap is not None:
             xs = xs[xs <= level_cap]
-        p = np.searchsorted(s, xs, side="right") / R
+        # each level's count starts from the last rank read at that level
+        starts = ranks[np.searchsorted(vals, xs, side="right") - 1]
+        p = np.array([count_leq(x, int(k)) for x, k in zip(xs, starts)],
+                     dtype=np.int64) / R
         se = np.sqrt(p * (1.0 - p) / R)
         rows.append(MaxLawRow(n=n, levels=xs, p_hat=p, se=se))
     return MaxLawEstimate(method="monte-carlo", replicas=R, rows=tuple(rows))
@@ -843,7 +904,7 @@ def cycle_tail_ratio(rs: RegenStats, step: DistFn, q: float = 0.99) -> CycleTail
     if not (0.0 < q < 1.0):
         raise InvalidArgumentError("q must lie in (0, 1)")
     s = np.sort(rs.maxima)
-    y = _type1_quantile(s, q)
+    y = float(s[_type1_rank(q, s.size) - 1])
     exc = int(np.count_nonzero(rs.maxima > y))
     p_exc = exc / rs.cycle_count
     denom = rs.mu_hat * float(step.tail(y))

@@ -466,6 +466,46 @@ class TestBadNumbers:
         assert not (tmp_path / "o").exists()
 
 
+class TestUnknownConfigKeys:
+    """A key or section that no command reads exits 2 with one line naming
+    it, before any simulation runs; every config the package or the
+    benchmark writes still loads."""
+
+    @pytest.mark.parametrize("command, cfg, error", [
+        ("regen", "[regen]\nstep = pareto(2,1)-2\nlength = 100000\nsmoothing = step\n",
+         "unknown key 'smoothing' in config section [regen]"),
+        ("phantom-fit", "[phantom-fit]\nkind = iid\nmarginal = exp(1)\nblok_sizes = 10,100\n",
+         "unknown key 'blok_sizes' in config section [phantom-fit]"),
+        ("rates", "[common]\nseed = 1\n[phantom_fit]\nblock_sizes = 10\n",
+         "unknown config section [phantom_fit]"),
+    ], ids=["removed", "misspelt", "section"])
+    def test_exits_2_naming_the_key(self, run, tmp_path, monkeypatch, command, cfg, error):
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated before the config was checked")
+        monkeypatch.setattr("phantomdf.estimate.generate", simulated)
+        monkeypatch.setattr("phantomdf.estimate.block_maxima_table", simulated)
+        rc, stdout, err = run(cfg, command, "--out", str(tmp_path / "o"))
+        assert (rc, stdout) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {error}; one of [")
+        assert not (tmp_path / "o").exists()
+
+    def test_defaults_and_benchmark_configs_load(self, tmp_path):
+        import runpy
+
+        from phantomdf.config import load_config, print_defaults
+
+        load_config(write_config(tmp_path / "defaults.ini", print_defaults()))
+        path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+        workloads = runpy.run_path(str(path))["WORKLOADS"]
+        commands = [c for w in workloads.values() for c in w.commands]
+        assert len(commands) == 5
+        for c in commands:
+            text = f"[{c.subcommand}]\n" + "".join(f"{k} = {v}\n" for k, v in c.config.items())
+            cp = load_config(write_config(tmp_path / f"{c.name}.ini", text))
+            assert dict(cp[c.subcommand]).items() >= c.config.items()
+
+
 class TestBadRates:
     """Rate checks with a non-finite rate, a malformed mixing case or a flag
     that is neither true nor false exit 2 with one line and write nothing."""

@@ -4,8 +4,10 @@ Monte Carlo assertions run at fixed seeds with wide z-score margins
 (4 SE unless noted), so they are regression tests, not flaky coin flips.
 """
 
+import dataclasses
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -128,6 +130,10 @@ class TestDrivingSequence:
         assert dse.level_for(50) == s[math.ceil(GAMMA * R) - 1]
         # coverage on the sample itself cannot fall below gamma
         assert np.mean(table[50] <= dse.level_for(50)) >= GAMMA
+        # the one rank rule of the driving level, the max-law grid and the
+        # cycle tail band, clamped to [1, R]
+        assert estimate._type1_rank(GAMMA, R) == math.ceil(GAMMA * R)
+        assert estimate._type1_rank(1e-9, R) == 1 and estimate._type1_rank(1.0, R) == R
 
     def test_binom_quantile_matches_scipy(self):
         """The CI ranks equal scipy's binom.ppf on a grid of R, gamma and q,
@@ -217,23 +223,15 @@ class TestSortedTransformColumns:
         with pytest.raises(KeyError):
             table[3]
 
-    def test_estimators_sort_a_column_that_is_not_ascending(self):
+    def test_estimators_reject_a_column_that_is_not_ascending(self):
         R = 1000
         table = block_maxima_table(WOBBLE, self.SIZES, R, seed=22, tag="guard")
-        old = replica_order_transform_maxima(WOBBLE, self.SIZES, R, 22, "guard")
-        ref = {n: np.sort(old[n]) for n in self.SIZES}
         for n in self.SIZES:
             assert not np.all(np.diff(table[n]) >= 0)  # the guard has work to do
-            np.testing.assert_array_equal(estimate._ascending(table[n]), ref[n])
-        got, want = driving_from_maxima(GAMMA, table, R), driving_from_maxima(GAMMA, ref, R)
-        for field in ("v_hat", "ci_lo", "ci_hi"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-        assert got.raw_violations == want.raw_violations
-        got, want = maxlaw_from_maxima(table, R), maxlaw_from_maxima(ref, R)
-        for a, b in zip(got.rows, want.rows, strict=True):
-            assert a.n == b.n
-            for field in ("levels", "p_hat", "se"):
-                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        with pytest.raises(InvalidArgumentError, match="decrease across the ranks read"):
+            driving_from_maxima(GAMMA, table, R)
+        with pytest.raises(InvalidArgumentError, match="decrease across the ranks read"):
+            maxlaw_from_maxima(table, R)
 
     @staticmethod
     def fit_peak(blocks, R):
@@ -260,6 +258,124 @@ class TestSortedTransformColumns:
         self.fit_peak([1000], 2000)  # the first fit in a process allocates once more
         small, large = self.fit_peak([1000], 2000), self.fit_peak([100_000], 2000)
         assert large <= 1.25 * small, large / small
+
+
+def _ascending(col):
+    """The column itself when already ascending, else a sorted copy."""
+    return col if np.all(col[1:] >= col[:-1]) else np.sort(col)
+
+
+def _type1_quantile(sorted_vals, p):
+    k = max(1, math.ceil(p * sorted_vals.size))
+    return float(sorted_vals[min(k, sorted_vals.size) - 1])
+
+
+def full_column_driving(gamma, table, R):
+    """driving_from_maxima as it was before rank reads, verbatim: every
+    column built whole, sorted unless already ascending."""
+    n_list = sorted(int(n) for n in table)
+    k_lo = max(estimate._binom_quantile(0.025, R, gamma), 1)
+    k_hi = min(estimate._binom_quantile(0.975, R, gamma) + 1, R)
+    v_hat = np.empty(len(n_list))
+    ci_lo = np.empty(len(n_list))
+    ci_hi = np.empty(len(n_list))
+    for i, n in enumerate(n_list):
+        s = _ascending(table[n])
+        v_hat[i] = _type1_quantile(s, gamma)
+        ci_lo[i] = s[k_lo - 1]
+        ci_hi[i] = s[k_hi - 1]
+    violations = int(np.count_nonzero(np.diff(v_hat) < 0))
+    return DrivingSeqEstimate(gamma=gamma, n_values=np.asarray(n_list),
+                              v_hat=np.maximum.accumulate(v_hat),
+                              ci_lo=ci_lo, ci_hi=ci_hi, method="monte-carlo",
+                              replicas=R, raw_violations=violations)
+
+
+def full_column_maxlaw(table, R, probs=None, level_cap=None):
+    """maxlaw_from_maxima as it was before rank reads, verbatim."""
+    if probs is None:
+        probs = np.linspace(0.01, 0.99, 33)
+    rows = []
+    for n in sorted(int(n) for n in table):
+        s = _ascending(table[n])
+        xs = np.unique([_type1_quantile(s, float(p)) for p in probs])
+        if level_cap is not None:
+            xs = xs[xs <= level_cap]
+        p = np.searchsorted(s, xs, side="right") / R
+        se = np.sqrt(p * (1.0 - p) / R)
+        rows.append(estimate.MaxLawRow(n=n, levels=xs, p_hat=p, se=se))
+    return estimate.MaxLawEstimate(method="monte-carlo", replicas=R, rows=tuple(rows))
+
+
+def counting_quantile(dist):
+    """``dist`` whose quantile counts the values it is evaluated at."""
+    calls = [0]
+
+    def quantile(p):
+        calls[0] += np.size(p)
+        return dist.quantile(p)
+
+    return dataclasses.replace(dist, quantile=quantile), calls
+
+
+class TestRankReads:
+    """The estimators read a table by rank; they must give the bytes of the
+    full-column estimators they replaced."""
+    SIZES = [1, 2, 7, 50, 1000, 10**5]
+
+    @staticmethod
+    def assert_same(table, R):
+        got, want = driving_from_maxima(GAMMA, table, R), full_column_driving(GAMMA, table, R)
+        for field in ("n_values", "v_hat", "ci_lo", "ci_hi"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert got.raw_violations == want.raw_violations
+        # no cap, a cap that clips some columns and empties others, and a
+        # cap below every level
+        middle = np.sort(table[sorted(table)[len(table) // 2]])
+        for cap in (None, float(middle[len(middle) // 2]), -np.inf):
+            got, want = maxlaw_from_maxima(table, R, level_cap=cap), \
+                full_column_maxlaw(table, R, level_cap=cap)
+            for a, b in zip(got.rows, want.rows, strict=True):
+                assert a.n == b.n
+                for field in ("levels", "p_hat", "se"):
+                    np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("spec, R", [
+        (MOVMAX2, 20_000),
+        (IIDSpec(pareto(2.0, 1.0)), 20_000),
+        (IID_EXP, 20_000),
+        (IIDSpec(symmetric_pareto(2.0, 1.0)), 20_000),
+        (IIDSpec(geometric(0.3)), 5_000),  # flat quantile steps: runs of ties
+    ], ids=["moving-max", "pareto", "exp", "symmetric-pareto", "geometric"])
+    def test_transform_table_matches_full_columns(self, spec, R):
+        self.assert_same(block_maxima_table(spec, self.SIZES, R, seed=25, tag="ranks"), R)
+
+    @pytest.mark.parametrize("spec, sizes, R", [
+        (LINDLEY, [10, 50, 200], 400),
+        (MixtureSpec(), [100, 1000, 10_000], 2000),  # integer levels: many ties
+    ], ids=["lindley", "mixture"])
+    def test_replica_order_table_matches_full_columns(self, spec, sizes, R):
+        table = block_maxima_table(spec, sizes, R, seed=26, tag="ranks")
+        assert not all(np.all(np.diff(table[n]) >= 0) for n in sizes)  # needs a sort
+        self.assert_same(table, R)
+
+    def test_jump_law_fit_table_reads_only_the_ranks_used(self):
+        """A geometric fit table at R = 10**6 evaluates its quantile at
+        three ranks per column for the driving levels, and at the 33 grid
+        ranks plus one search per level for the max law (the full columns
+        took minutes)."""
+        marginal, calls = counting_quantile(geometric(0.3))
+        sizes, R = estimate._fit_sizes([100, 1000]), 10**6
+        start = time.perf_counter()
+        table = block_maxima_table(IIDSpec(marginal), sizes, R, seed=27, tag="fit")
+        dse = driving_from_maxima(GAMMA, table, R)
+        assert calls[0] == 3 * len(sizes)
+        assert np.all(np.diff(dse.v_hat) >= 0) and dse.v_hat[0] >= 1.0
+        calls[0] = 0
+        ml = maxlaw_from_maxima(table, R)
+        levels = sum(row.levels.size for row in ml.rows)
+        assert calls[0] <= 33 * len(sizes) + (2 * math.ceil(math.log2(R)) + 2) * levels
+        assert time.perf_counter() - start < 30.0
 
 
 class TestMaxLaw:

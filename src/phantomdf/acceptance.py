@@ -22,6 +22,7 @@ from .distributions import (
     symmetric_pareto,
     uniform,
 )
+from .errors import InvalidArgumentError
 from .estimate import (
     VERIFY_RULE,
     block_maxima_table,
@@ -372,7 +373,7 @@ _CRITERIA = {
 
 def run_criterion(number: int, workers: int = 1) -> CriterionResult:
     if number not in _CRITERIA:
-        raise ValueError(f"no criterion {number}")
+        raise InvalidArgumentError(f"no criterion {number}")
     start = time.perf_counter()
     result = _CRITERIA[number](workers=workers)
     result.seconds = time.perf_counter() - start

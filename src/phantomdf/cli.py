@@ -396,6 +396,9 @@ def cmd_acceptance(st: _Settings) -> int:
 
     which = st.get("criteria", "all")
     numbers = None if which.strip() == "all" else parse_int_list(which)
+    if numbers is not None and (not numbers or len(set(numbers)) < len(numbers)):
+        raise InvalidArgumentError(
+            f"criteria must be 'all' or distinct criterion numbers, got {which!r}")
     results = run_all(numbers, workers=st.workers)
     st.timing.extend(f"criterion {r.number}: {r.seconds:.2f} s" for r in results)
     for r in results:

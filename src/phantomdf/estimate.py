@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -194,30 +194,22 @@ def _check_gamma(gamma: float) -> None:
 # block maxima
 # ---------------------------------------------------------------------------
 
-class _QuantileColumns(Mapping):
-    """Block maxima Q(u**(1/(n + shift))) of sorted uniforms u, by block size n.
+class _MaximaTable(Mapping):
+    """R block maxima per block size n, every column ascending.
 
-    For a non-decreasing Q every column comes out ascending, so the sorted
-    log-uniforms fix every rank.  The estimators read a column by rank
-    (``_at``, ``_count_leq``) and evaluate Q only there; indexing builds the
-    whole column and does not keep it.  Either way the table holds one array
-    of R log-uniforms whatever the number of block sizes.
+    ``values(n, ranks)`` gives column n at 1-based ascending ranks; the
+    estimators read a column only through ``at`` and ``count_leq``, and
+    indexing builds the whole column.
     """
 
-    def __init__(self, quantile: Callable, shift: int, n_list: Sequence[int],
-                 logu: np.ndarray) -> None:
-        self._quantile, self._shift = quantile, shift
-        self._n_list, self._logu = tuple(n_list), logu
-
-    def _column_at(self, n: int, logu: np.ndarray) -> np.ndarray:
-        # one numpy expression for whole columns and single ranks alike, so a
-        # rank read carries the very bits of the built column
-        return np.asarray(self._quantile(np.exp(logu / (n + self._shift))), dtype=float)
+    def __init__(self, n_list: Sequence[int], replicas: int,
+                 values: Callable[[int, np.ndarray], np.ndarray]) -> None:
+        self._n_list, self.replicas, self._values = tuple(n_list), replicas, values
 
     def __getitem__(self, n: int) -> np.ndarray:
         if n not in self._n_list:
             raise KeyError(n)
-        return self._column_at(n, self._logu)
+        return self._values(n, np.arange(1, self.replicas + 1))
 
     def __iter__(self):
         return iter(self._n_list)
@@ -225,24 +217,27 @@ class _QuantileColumns(Mapping):
     def __len__(self) -> int:
         return len(self._n_list)
 
-    def _at(self, n: int, ranks: np.ndarray) -> np.ndarray:
-        """Column n at the 1-based ``ranks``."""
-        return self._column_at(n, self._logu[ranks - 1])
+    def at(self, n: int, ranks: np.ndarray) -> np.ndarray:
+        """Column n at the ascending 1-based ``ranks``; values that decrease
+        across them (a quantile that is not monotone) are rejected."""
+        vals = self._values(n, ranks)
+        _check_ascending(vals)
+        return vals
 
-    def _count_leq(self, n: int, x: float, start: int) -> int:
-        """Values of column n at or below x, given that rank ``start`` is.
+    def count_leq(self, n: int, x: float, start: int) -> int:
+        """Values of column n at or below x, given that the value at rank
+        ``start`` is (or that ``start`` is 0).
 
         Equal values form one run of ranks, so the first rank above x, found
         by doubling and bisection past ``start``, is exact.
         """
-        R = self._logu.size
         read: dict[int, float] = {}
 
         def above(j: int) -> bool:
             k = start + j
-            if k > R:
+            if k > self.replicas:
                 return True
-            read[k] = float(self._at(n, np.array([k]))[0])
+            read[k] = float(self._values(n, np.array([k]))[0])
             return read[k] > x
 
         count = start + first_index_where(above, 0) - 1
@@ -256,72 +251,42 @@ def _check_ascending(values: np.ndarray) -> None:
             "block maxima decrease across the ranks read: the quantile is not monotone")
 
 
-def _rank_reader(table: Mapping[int, np.ndarray], n: int
-                 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[float, int], int]]:
-    """Column n of a block-maxima table as two rank queries: its values at
-    ascending 1-based ranks, and its count of values at or below x given a
-    rank that is.  A transform table is read only at those ranks; a
-    replica-order column is sorted once.  Values that decrease with rank are
-    rejected."""
-    if isinstance(table, _QuantileColumns):
-        at, count_leq = partial(table._at, n), partial(table._count_leq, n)
-    else:
-        s = np.sort(table[n])
-
-        def at(ranks):
-            return s[ranks - 1]
-
-        def count_leq(x, start):
-            return int(np.searchsorted(s, x, side="right"))
-
-    def values(ranks):
-        vals = at(ranks)
-        _check_ascending(vals)
-        return vals
-
-    return values, count_leq
-
-
-def _transform_maxima(spec: ProcessSpec, n_list: Sequence[int], R: int,
-                      seed: int, tag: str) -> Mapping[int, np.ndarray]:
-    rng = rng_for(seed, tag, "maxima")
-    u = np.maximum(rng.random(out=_empty(R, "replicas")), 1e-300)
-    logu = np.log(u)
-    if isinstance(spec, IIDSpec):
-        logu.sort()
-        return _QuantileColumns(spec.marginal.quantile, 0, n_list, logu)
-    if isinstance(spec, MovingMaxSpec):
-        logu.sort()
-        return _QuantileColumns(spec.base.quantile, spec.window - 1, n_list, logu)
-    if isinstance(spec, MixtureSpec):
-        out: dict[int, np.ndarray] = {}
-        krng = rng_for(seed, tag, "component")
-        ks = np.array([_mixture_draw_component(krng) for _ in range(R)], dtype=np.int64)
-        bases = ks.astype(float) ** 2
-        for n in n_list:
-            t = -np.expm1(logu / n)  # tail level of the per-component quantile
-            idx = np.maximum(np.ceil(1.0 / np.maximum(t, 1e-300)), bases)
-            out[n] = np.minimum(idx, float(HUGE_INDEX))  # the level v_idx = idx
-        return out
-    raise InvalidArgumentError("no transform sampler for this kind")
-
-
 def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
-                       tag: str = "maxlaw", workers: int = 1) -> Mapping[int, np.ndarray]:
-    """R block maxima for each requested block size.
+                       tag: str = "maxlaw", workers: int = 1) -> _MaximaTable:
+    """R block maxima for each requested block size, every column ascending.
 
-    Order contract: IID and moving-max columns are ascending; the
-    estimators read them by rank, evaluating the quantile only at the ranks
-    they use, and indexing builds a whole column when read.  Monte-Carlo
-    (Markov) and mixture columns are in replica order, and the estimators
-    sort each once.  The estimators reject a column whose values decrease
-    across the ranks they read (a quantile that is not monotone).
+    The estimators read each column by rank.  IID and moving-max maxima are
+    Q(u**(1/(n + shift))) of sorted uniforms u, with Q evaluated only at the
+    ranks read, so the table holds R log-uniforms whatever the number of
+    block sizes.  Monte-Carlo (Markov) and mixture maxima are sorted once,
+    when the table is built.  A column whose values decrease across the
+    ranks read (a quantile that is not monotone) is rejected.
     """
     n_list = _validate_sizes(block_sizes)
-    if has_exact_max_law(spec):
-        return _transform_maxima(spec, n_list, R, seed, tag)
-    maxima = _window_maxima(spec, [(0, n) for n in n_list], R, seed, tag, workers)
-    return dict(zip(n_list, maxima))
+    if not has_exact_max_law(spec):
+        maxima = _window_maxima(spec, [(0, n) for n in n_list], R, seed, tag, workers)
+    else:
+        rng = rng_for(seed, tag, "maxima")
+        logu = np.log(np.maximum(rng.random(out=_empty(R, "replicas")), 1e-300))
+        if isinstance(spec, (IIDSpec, MovingMaxSpec)):
+            logu.sort()
+            quantile, shift = ((spec.marginal.quantile, 0) if isinstance(spec, IIDSpec)
+                               else (spec.base.quantile, spec.window - 1))
+            # one numpy expression for whole columns and single ranks alike,
+            # so a rank read carries the very bits of the built column
+            return _MaximaTable(n_list, R, lambda n, ranks: np.asarray(
+                quantile(np.exp(logu[ranks - 1] / (n + shift))), dtype=float))
+        krng = rng_for(seed, tag, "component")  # drawn after the uniforms
+        ks = np.array([_mixture_draw_component(krng) for _ in range(R)], dtype=np.int64)
+        bases = ks.astype(float) ** 2
+        maxima = _empty((len(n_list), R), "replicas")
+        for row, n in zip(maxima, n_list):
+            t = -np.expm1(logu / n)  # tail level of the per-component quantile
+            idx = np.maximum(np.ceil(1.0 / np.maximum(t, 1e-300)), bases)
+            np.minimum(idx, float(HUGE_INDEX), out=row)  # the level v_idx = idx
+    maxima.sort(axis=1)
+    row_of = {n: i for i, n in enumerate(n_list)}
+    return _MaximaTable(n_list, R, lambda n, ranks: maxima[row_of[n], ranks - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +306,6 @@ class MaxLawEstimate:
     method: str  # "monte-carlo" | "exact"
     replicas: int
     rows: tuple[MaxLawRow, ...]
-
-    def row(self, n: int) -> MaxLawRow:
-        for r in self.rows:
-            if r.n == int(n):
-                return r
-        raise InvalidArgumentError(f"no estimate stored for block size {n}")
 
 
 def exact_max_quantile(spec: ProcessSpec, n: int, p: float) -> float:
@@ -425,15 +384,14 @@ class DrivingSeqEstimate:
         return float(self.v_hat[idx[0]])
 
 
-def driving_from_maxima(gamma: float, table: Mapping[int, np.ndarray],
-                        R: int) -> DrivingSeqEstimate:
+def driving_from_maxima(gamma: float, table: _MaximaTable) -> DrivingSeqEstimate:
     """Driving-sequence estimate from an existing block-maxima table."""
     _check_gamma(gamma)
-    n_list = sorted(int(n) for n in table)
+    R, n_list = table.replicas, list(table)
     ranks = np.array([max(_binom_quantile(0.025, R, gamma), 1),
                       _type1_rank(gamma, R),
                       min(_binom_quantile(0.975, R, gamma) + 1, R)])
-    reads = [_rank_reader(table, n)[0](ranks) for n in n_list]
+    reads = [table.at(n, ranks) for n in n_list]
     ci_lo, v_hat, ci_hi = np.array(reads, dtype=float).reshape(-1, 3).T.copy()
     violations = int(np.count_nonzero(np.diff(v_hat) < 0))
     return DrivingSeqEstimate(gamma=gamma, n_values=np.asarray(n_list),
@@ -442,8 +400,8 @@ def driving_from_maxima(gamma: float, table: Mapping[int, np.ndarray],
                               replicas=R, raw_violations=violations)
 
 
-def maxlaw_from_maxima(table: Mapping[int, np.ndarray], R: int,
-                       probs=None, level_cap: float | None = None) -> MaxLawEstimate:
+def maxlaw_from_maxima(table: _MaximaTable, probs=None,
+                       level_cap: float | None = None) -> MaxLawEstimate:
     """Max-law estimate on empirical-quantile grids of an existing table.
 
     ``level_cap`` drops grid levels above a known evaluation bound (for
@@ -451,17 +409,17 @@ def maxlaw_from_maxima(table: Mapping[int, np.ndarray], R: int,
     """
     if probs is None:
         probs = np.linspace(0.01, 0.99, 33)
+    R = table.replicas
     ranks = np.unique(np.array([_type1_rank(float(p), R) for p in probs], dtype=np.int64))
     rows = []
-    for n in sorted(int(n) for n in table):
-        at, count_leq = _rank_reader(table, n)
-        vals = at(ranks)
+    for n in table:
+        vals = table.at(n, ranks)
         xs = np.unique(vals)
         if level_cap is not None:
             xs = xs[xs <= level_cap]
         # each level's count starts from the last rank read at that level
         starts = ranks[np.searchsorted(vals, xs, side="right") - 1]
-        p = np.array([count_leq(x, int(k)) for x, k in zip(xs, starts)],
+        p = np.array([table.count_leq(n, x, int(k)) for x, k in zip(xs, starts)],
                      dtype=np.int64) / R
         se = np.sqrt(p * (1.0 - p) / R)
         rows.append(MaxLawRow(n=n, levels=xs, p_hat=p, se=se))
@@ -499,7 +457,7 @@ def estimate_driving_sequence(spec: ProcessSpec, gamma: float, block_sizes,
                                   method="exact", replicas=0)
     _check_replicas(R)
     table = block_maxima_table(spec, n_list, R, seed, tag="driving", workers=workers)
-    return driving_from_maxima(gamma, table, R)
+    return driving_from_maxima(gamma, table)
 
 
 # ---------------------------------------------------------------------------
@@ -649,17 +607,11 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
             rows.append((n, v, prs, worst, le))
 
     # choose the r exponent so that r_n * tail decays along n_list
-    chosen = candidates[0]
-    adjusted = False
-    for e in candidates:
-        prods = [math.floor(n ** e) * tails[n] for n in n_list]
-        if all(b <= a * 1.05 for a, b in zip(prods, prods[1:])) or len(prods) < 2:
-            chosen = e
-            adjusted = e != candidates[0]
+    for chosen in candidates:  # the last one when none decays
+        prods = [math.floor(n ** chosen) * tails[n] for n in n_list]
+        if all(b <= a * 1.05 for a, b in zip(prods, prods[1:])):
             break
-    else:
-        chosen = candidates[-1]
-        adjusted = True
+    adjusted = chosen != candidates[0]
 
     out_rows = []
     for n, v, prs, worst, le in rows:
@@ -1038,7 +990,7 @@ def fit_phantom(spec: ProcessSpec, gamma: float, block_sizes, R: int, seed: int,
     _check_gamma(gamma)
     _check_replicas(R)
     fit = block_maxima_table(spec, sizes, R, seed, tag=tag, workers=workers)
-    dse = driving_from_maxima(gamma, fit, R)
+    dse = driving_from_maxima(gamma, fit)
     return dse, PhantomDistFn(driving_from_estimates(gamma, dse.n_values, dse.v_hat))
 
 
@@ -1053,7 +1005,7 @@ def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int
     _check_replicas(R)
     table = block_maxima_table(spec, n_list, R, seed, tag=tag, workers=workers)
     cap = phantom.driving.sup if isinstance(phantom, PhantomDistFn) else None
-    ml = maxlaw_from_maxima(table, R, level_cap=cap)
+    ml = maxlaw_from_maxima(table, level_cap=cap)
     ver = verify_phantom(phantom, ml)
     return ml, ver, ver.passes(se_multiplier=_GAP_SE, tolerance=_GAP_TOL)
 

@@ -506,6 +506,37 @@ class TestUnknownConfigKeys:
             assert dict(cp[c.subcommand]).items() >= c.config.items()
 
 
+class TestCriteriaList:
+    """An acceptance criteria list that is empty, names a criterion twice or
+    names no criterion exits 2 with one line, before any criterion runs."""
+    LIST_ERROR = "criteria must be 'all' or distinct criterion numbers, got {!r}"
+
+    @pytest.mark.parametrize("value, error", [
+        (",", LIST_ERROR.format(",")),
+        ("", LIST_ERROR.format("")),
+        ("1,1", LIST_ERROR.format("1,1")),
+        ("3, 2,3", LIST_ERROR.format("3, 2,3")),
+        ("11", "no criterion 11"),
+    ], ids=["comma", "empty", "repeated", "repeated-later", "unknown"])
+    def test_rejected(self, run, tmp_path, monkeypatch, value, error):
+        from phantomdf import acceptance
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a criterion ran before the list was checked")
+        monkeypatch.setattr(acceptance, "_CRITERIA", dict.fromkeys(acceptance._CRITERIA, ran))
+        rc, stdout, err = run(f"[acceptance]\ncriteria = {value}\n", "acceptance",
+                              "--out", str(tmp_path / "a"))
+        assert (rc, stdout, err) == (2, "", f"error: {error}\n")
+        assert not (tmp_path / "a").exists()
+
+    def test_unknown_number_is_an_invalid_argument(self):
+        from phantomdf.acceptance import run_criterion
+        from phantomdf.errors import InvalidArgumentError
+
+        with pytest.raises(InvalidArgumentError, match="no criterion 0"):
+            run_criterion(0)
+
+
 class TestBadRates:
     """Rate checks with a non-finite rate, a malformed mixing case or a flag
     that is neither true nor false exit 2 with one line and write nothing."""

@@ -41,6 +41,7 @@ from phantomdf.estimate import (
     propbasic_series,
     rootzen_phantom,
 )
+from phantomdf.grids import HUGE_INDEX
 from phantomdf.phantom import driving_from_estimates
 from phantomdf.processes import (
     IIDSpec,
@@ -50,6 +51,7 @@ from phantomdf.processes import (
     MovingMaxSpec,
     SLAB,
     SamplePath,
+    _mixture_draw_component,
     _path_slabs,
     default_burn_in,
     exact_max_cdf,
@@ -125,7 +127,7 @@ class TestDrivingSequence:
         """v_hat is the ceil(gamma R)-th order statistic of the block maxima."""
         R = 500
         table = block_maxima_table(MOVMAX2, [50], R, seed=7, tag="t1")
-        dse = driving_from_maxima(GAMMA, table, R)
+        dse = driving_from_maxima(GAMMA, table)
         s = np.sort(table[50])
         assert dse.level_for(50) == s[math.ceil(GAMMA * R) - 1]
         # coverage on the sample itself cannot fall below gamma
@@ -163,10 +165,11 @@ class TestDrivingSequence:
 
 class TestBlockMaximaTable:
     def test_worker_chunking_invariance(self):
-        a = block_maxima_table(LINDLEY, [50, 200], 240, seed=9, tag="w")
-        b = block_maxima_table(LINDLEY, [50, 200], 240, seed=9, tag="w", workers=3)
-        for n in (50, 200):
-            np.testing.assert_array_equal(a[n], b[n])
+        # replica by replica on the scan the table sorts
+        windows = [(0, 50), (0, 200)]
+        a = _window_maxima(LINDLEY, windows, 240, seed=9, tag="w")
+        b = _window_maxima(LINDLEY, windows, 240, seed=9, tag="w", workers=3)
+        np.testing.assert_array_equal(a, b)
 
     def test_tag_separates_streams(self):
         a = block_maxima_table(IID_EXP, [50], 300, seed=9, tag="x")
@@ -174,9 +177,12 @@ class TestBlockMaximaTable:
         assert not np.array_equal(a[50], b[50])
 
     def test_markov_and_transform_maxima_nondecreasing_in_n(self):
-        for spec in (MOVMAX2, LINDLEY):
-            t = block_maxima_table(spec, [25, 100], 210, seed=4, tag="mono")
-            assert np.all(t[100] >= t[25] - 1e-12)
+        # transform columns share one sorted array of uniforms, so a rank is
+        # a replica; Markov maxima are compared replica by replica
+        t = block_maxima_table(MOVMAX2, [25, 100], 210, seed=4, tag="mono")
+        assert np.all(t[100] >= t[25] - 1e-12)
+        m25, m100 = _window_maxima(LINDLEY, [(0, 25), (0, 100)], 210, seed=4, tag="mono")
+        assert np.all(m100 >= m25)
 
 
 def replica_order_transform_maxima(spec, n_list, R, seed, tag):
@@ -196,6 +202,23 @@ def replica_order_transform_maxima(spec, n_list, R, seed, tag):
             out[n] = np.asarray(spec.base.quantile(np.exp(logu / e)), dtype=float)
         return out
     raise InvalidArgumentError("no transform sampler for this kind")
+
+
+def replica_order_mixture_maxima(n_list, R, seed, tag):
+    """The mixture branch of the transform sampler as it was before the
+    table sorted it, verbatim: every column in replica order."""
+    rng = rng_for(seed, tag, "maxima")
+    u = np.maximum(rng.random(R), 1e-300)
+    logu = np.log(u)
+    out = {}
+    krng = rng_for(seed, tag, "component")
+    ks = np.array([_mixture_draw_component(krng) for _ in range(R)], dtype=np.int64)
+    bases = ks.astype(float) ** 2
+    for n in n_list:
+        t = -np.expm1(logu / n)  # tail level of the per-component quantile
+        idx = np.maximum(np.ceil(1.0 / np.maximum(t, 1e-300)), bases)
+        out[n] = np.minimum(idx, float(HUGE_INDEX))  # the level v_idx = idx
+    return out
 
 
 # a quantile that is not monotone, so its columns come out unsorted
@@ -229,9 +252,9 @@ class TestSortedTransformColumns:
         for n in self.SIZES:
             assert not np.all(np.diff(table[n]) >= 0)  # the guard has work to do
         with pytest.raises(InvalidArgumentError, match="decrease across the ranks read"):
-            driving_from_maxima(GAMMA, table, R)
+            driving_from_maxima(GAMMA, table)
         with pytest.raises(InvalidArgumentError, match="decrease across the ranks read"):
-            maxlaw_from_maxima(table, R)
+            maxlaw_from_maxima(table)
 
     @staticmethod
     def fit_peak(blocks, R):
@@ -324,8 +347,12 @@ class TestRankReads:
     SIZES = [1, 2, 7, 50, 1000, 10**5]
 
     @staticmethod
-    def assert_same(table, R):
-        got, want = driving_from_maxima(GAMMA, table, R), full_column_driving(GAMMA, table, R)
+    def assert_same(table, reference=None):
+        """Rank reads of ``table`` against the full-column estimators on
+        ``reference``, the same maxima in any order (default: ``table``)."""
+        reference = table if reference is None else reference
+        R = table.replicas
+        got, want = driving_from_maxima(GAMMA, table), full_column_driving(GAMMA, reference, R)
         for field in ("n_values", "v_hat", "ci_lo", "ci_hi"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
         assert got.raw_violations == want.raw_violations
@@ -333,8 +360,8 @@ class TestRankReads:
         # cap below every level
         middle = np.sort(table[sorted(table)[len(table) // 2]])
         for cap in (None, float(middle[len(middle) // 2]), -np.inf):
-            got, want = maxlaw_from_maxima(table, R, level_cap=cap), \
-                full_column_maxlaw(table, R, level_cap=cap)
+            got, want = maxlaw_from_maxima(table, level_cap=cap), \
+                full_column_maxlaw(reference, R, level_cap=cap)
             for a, b in zip(got.rows, want.rows, strict=True):
                 assert a.n == b.n
                 for field in ("levels", "p_hat", "se"):
@@ -348,7 +375,7 @@ class TestRankReads:
         (IIDSpec(geometric(0.3)), 5_000),  # flat quantile steps: runs of ties
     ], ids=["moving-max", "pareto", "exp", "symmetric-pareto", "geometric"])
     def test_transform_table_matches_full_columns(self, spec, R):
-        self.assert_same(block_maxima_table(spec, self.SIZES, R, seed=25, tag="ranks"), R)
+        self.assert_same(block_maxima_table(spec, self.SIZES, R, seed=25, tag="ranks"))
 
     @pytest.mark.parametrize("spec, sizes, R", [
         (LINDLEY, [10, 50, 200], 400),
@@ -356,8 +383,44 @@ class TestRankReads:
     ], ids=["lindley", "mixture"])
     def test_replica_order_table_matches_full_columns(self, spec, sizes, R):
         table = block_maxima_table(spec, sizes, R, seed=26, tag="ranks")
-        assert not all(np.all(np.diff(table[n]) >= 0) for n in sizes)  # needs a sort
-        self.assert_same(table, R)
+        if isinstance(spec, MixtureSpec):
+            source = replica_order_mixture_maxima(sizes, R, 26, "ranks")
+        else:
+            source = dict(zip(sizes, _window_maxima(spec, [(0, n) for n in sizes], R,
+                                                    seed=26, tag="ranks")))
+        assert not all(np.all(np.diff(source[n]) >= 0) for n in sizes)  # needs a sort
+        for n in sizes:
+            np.testing.assert_array_equal(table[n], np.sort(source[n]))
+        self.assert_same(table, source)
+
+    @pytest.mark.parametrize("spec, sizes, R", [
+        (IIDSpec(geometric(0.3)), [1, 50], 2000),  # flat quantile steps: runs of ties
+        (MOVMAX2, [1, 50], 2000),
+        # a drift of -1: the chain sits at its atom 0 a third of the time
+        (LindleySpec(step=shifted(exponential(1.0), -2.0), burn_in=300), [1, 50], 400),
+        (MixtureSpec(), [100, 1000], 2000),  # integer levels
+    ], ids=["iid", "moving-max", "lindley", "mixture"])
+    def test_count_leq_matches_searchsorted(self, spec, sizes, R):
+        """count_leq is exact at tied values, below the first value, at the
+        last and above it, from start = 1 and start = R where that rank is
+        at or below x, and from start = 0."""
+        table = block_maxima_table(spec, sizes, R, seed=28, tag="count")
+        assert table.replicas == R
+        ties = 0
+        for n in sizes:
+            s = table[n]
+            assert np.all(np.diff(s) >= 0)
+            uniq, counts = np.unique(s, return_counts=True)
+            tied = uniq[counts > 1]
+            ties += tied.size
+            xs = [*tied, *s[[0, R // 3, R // 2]], np.nextafter(s[0], -np.inf),
+                  s[-1], np.nextafter(s[-1], np.inf)]
+            for x in xs:
+                want = int(np.searchsorted(s, x, side="right"))
+                for start in (0, 1, R):
+                    if start == 0 or s[start - 1] <= x:
+                        assert table.count_leq(n, float(x), start) == want, (n, x, start)
+        assert (ties > 0) is (spec is not MOVMAX2)  # a continuous law has no ties
 
     def test_jump_law_fit_table_reads_only_the_ranks_used(self):
         """A geometric fit table at R = 10**6 evaluates its quantile at
@@ -368,11 +431,11 @@ class TestRankReads:
         sizes, R = estimate._fit_sizes([100, 1000]), 10**6
         start = time.perf_counter()
         table = block_maxima_table(IIDSpec(marginal), sizes, R, seed=27, tag="fit")
-        dse = driving_from_maxima(GAMMA, table, R)
+        dse = driving_from_maxima(GAMMA, table)
         assert calls[0] == 3 * len(sizes)
         assert np.all(np.diff(dse.v_hat) >= 0) and dse.v_hat[0] >= 1.0
         calls[0] = 0
-        ml = maxlaw_from_maxima(table, R)
+        ml = maxlaw_from_maxima(table)
         levels = sum(row.levels.size for row in ml.rows)
         assert calls[0] <= 33 * len(sizes) + (2 * math.ceil(math.log2(R)) + 2) * levels
         assert time.perf_counter() - start < 30.0
@@ -382,7 +445,7 @@ class TestMaxLaw:
     def test_monte_carlo_within_4se_of_exact(self):
         R = 1000
         table = block_maxima_table(MOVMAX2, [20, 80], R, seed=11, tag="maxlaw")
-        est = maxlaw_from_maxima(table, R, probs=np.linspace(0.002, 0.998, 41))
+        est = maxlaw_from_maxima(table, probs=np.linspace(0.002, 0.998, 41))
         for row in est.rows:
             exact = np.array([exact_max_cdf(MOVMAX2, row.n, float(x))
                               for x in row.levels])
@@ -407,9 +470,10 @@ class TestMaxLaw:
         R = 400
         table = block_maxima_table(MOVMAX2, [50], R, seed=13, tag="cap")
         cap = float(np.median(table[50]))
-        est = maxlaw_from_maxima(table, R, level_cap=cap)
-        assert est.row(50).levels.max() <= cap
-        assert est.row(50).levels.size >= 10
+        (row,) = maxlaw_from_maxima(table, level_cap=cap).rows
+        assert row.n == 50
+        assert row.levels.max() <= cap
+        assert row.levels.size >= 10
 
 
 class TestBT:
@@ -488,7 +552,7 @@ class TestSlabScansMatchDenseReference:
         table = block_maxima_table(LINDLEY, sizes, self.R, seed=40, tag="dense")
         seg = self.dense(40, "dense", sizes[-1])
         for n in sizes:
-            np.testing.assert_array_equal(table[n], seg[:, :n].max(axis=1))
+            np.testing.assert_array_equal(table[n], np.sort(seg[:, :n].max(axis=1)))
 
     @pytest.mark.parametrize("spec, n, fractions", [
         (LINDLEY, 8_200, ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0))),

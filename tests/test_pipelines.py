@@ -66,11 +66,11 @@ def reference_phantom_fit(spec, blocks, R, seed, gamma=GAMMA, workers=1):
     fit_sizes = reference_fit_sizes(blocks)
     fit = block_maxima_table(spec, fit_sizes, R, seed, tag="phantom-fit",
                              workers=workers)
-    dse = driving_from_maxima(gamma, fit, R)
+    dse = driving_from_maxima(gamma, fit)
     phantom = PhantomDistFn(driving_from_estimates(gamma, dse.n_values, dse.v_hat))
     val = block_maxima_table(spec, blocks, R, seed, tag="phantom-verify",
                              workers=workers)
-    ml = maxlaw_from_maxima(val, R, level_cap=float(dse.v_hat[-1]))
+    ml = maxlaw_from_maxima(val, level_cap=float(dse.v_hat[-1]))
     ver = verify_phantom(phantom, ml)
     verified = ver.passes(se_multiplier=3.0, tolerance=0.05)
     return dse, phantom, (ml, ver, verified)
@@ -82,7 +82,7 @@ def reference_criterion_8_fit(spec, R, seed, workers=1):
         10.0 ** np.arange(2.0, 6.0 + 1e-9, 1.0 / 6.0)).astype(int)).tolist()
     fit = block_maxima_table(spec, fit_sizes, R=R, seed=seed,
                              tag="c8-fit", workers=workers)
-    dse = driving_from_maxima(GAMMA, fit, R=R)
+    dse = driving_from_maxima(GAMMA, fit)
     phantom = PhantomDistFn(driving_from_estimates(GAMMA, dse.n_values, dse.v_hat))
     return dse, phantom
 
@@ -95,7 +95,7 @@ def reference_regen(step, length, blocks, R, seed, workers=1):
     G = rootzen_phantom(rs)
     table = block_maxima_table(spec, blocks, R, seed,
                                tag="regen-verify", workers=workers)
-    ml = maxlaw_from_maxima(table, R)
+    ml = maxlaw_from_maxima(table)
     ver = verify_phantom(G, ml)
     gaps_ok = ver.passes(se_multiplier=3.0, tolerance=0.05)
     band = cycle_tail_ratio(rs, step, q=0.99)
@@ -125,6 +125,12 @@ def assert_same_maxlaw(ml, ml_ref):
     for row, ref in zip(ml.rows, ml_ref.rows):
         for name in ("levels", "p_hat", "se"):
             np.testing.assert_array_equal(getattr(row, name), getattr(ref, name), name)
+
+
+def maxlaw_row(ml, n):
+    """The row of block size n."""
+    (row,) = [r for r in ml.rows if r.n == n]
+    return row
 
 
 def assert_same_check(got, want):
@@ -167,12 +173,13 @@ class TestFitAndVerify:
         cap = float(np.median(table[100]))
         short = PhantomDistFn(DrivingSequence(GAMMA, [0.5, 1.0, cap], [1, 2, 3]))
         ml = verify_by_simulation(IID, short, blocks, R, SEED, tag="cap")[0]
-        assert_same_maxlaw(ml, maxlaw_from_maxima(table, R, level_cap=cap))
-        assert max(ml.row(100).levels) <= cap
-        assert ml.row(100).levels.size < maxlaw_from_maxima(table, R).row(100).levels.size
+        assert_same_maxlaw(ml, maxlaw_from_maxima(table, level_cap=cap))
+        assert max(maxlaw_row(ml, 100).levels) <= cap
+        assert maxlaw_row(ml, 100).levels.size < \
+            maxlaw_row(maxlaw_from_maxima(table), 100).levels.size
 
         ml = verify_by_simulation(IID, exponential(1.0), blocks, R, SEED, tag="cap")[0]
-        assert_same_maxlaw(ml, maxlaw_from_maxima(table, R))
+        assert_same_maxlaw(ml, maxlaw_from_maxima(table))
 
     def test_verdict_is_the_rule(self):
         assert VERIFY_RULE == "gap <= 3 SE + 0.05"
@@ -236,7 +243,7 @@ def test_phantom_fit_and_verify_commands_write_the_references(tmp_path):
     ver_out = run_cli(tmp_path, "ver", "verify",
                       dict(iid, phantom=str(fit / "phantom.txt")))
     table = block_maxima_table(IID, [10, 100], R, SEED, tag="verify")
-    ml_ref = maxlaw_from_maxima(table, R, level_cap=float(dse.v_hat[-1]))
+    ml_ref = maxlaw_from_maxima(table, level_cap=float(dse.v_hat[-1]))
     assert (ver_out / "maxlaw.csv").read_text() == maxlaw_csv(ml_ref)
 
 

@@ -106,8 +106,8 @@ def reference_theta_csv(est) -> str:
 
 def test_maxlaw_csv_keeps_the_per_cell_bytes():
     table = block_maxima_table(IID, [10, 100], R, SEED, tag="pin")
-    for est in (maxlaw_from_maxima(table, R),
-                maxlaw_from_maxima(table, R, level_cap=float(np.median(table[100]))),
+    for est in (maxlaw_from_maxima(table),
+                maxlaw_from_maxima(table, level_cap=float(np.median(table[100]))),
                 exact_maxlaw(MOVMAX2, [20, 80], probs=np.linspace(0.01, 0.99, 33))):
         assert maxlaw_csv(est) == reference_maxlaw_csv(est)
 

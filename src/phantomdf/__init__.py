@@ -54,6 +54,7 @@ from .estimate import (
     maxlaw_from_maxima,
     propbasic_series,
     rootzen_phantom,
+    theta_from_driving,
 )
 from .grids import HUGE_INDEX
 from .phantom import (

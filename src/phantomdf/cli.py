@@ -13,6 +13,7 @@ import math
 import re
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
@@ -32,10 +33,11 @@ from .estimate import (
     fit_phantom,
     propbasic_series,
     regen_phantom,
+    theta_from_driving,
     verify_by_simulation,
 )
 from .phantom import PhantomDistFn
-from .processes import generate
+from .processes import generate, has_exact_max_law
 from .rates import (
     DeltaEvidence,
     ExponentialMixing,
@@ -123,13 +125,19 @@ class _Settings:
     def spec(self):
         return build_spec(self.cp[self.section])
 
+    @contextmanager
+    def stage(self, name: str):
+        """Time the block it wraps as one ``name: x.xx s`` timing line."""
+        start = time.perf_counter()
+        yield
+        self.timing.append(f"{name}: {time.perf_counter() - start:.2f} s")
+
     def write(self, name: str, text: str | Iterable[str]) -> None:
         """Write a text artifact given whole or as a stream of blocks, and
         time it; a stream's time includes its formatting."""
-        start = time.perf_counter()
-        with open(self.out_dir / name, "w", encoding="utf-8") as fh:
+        with self.stage(f"write {name}"), open(self.out_dir / name, "w",
+                                               encoding="utf-8") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
-        self.timing.append(f"write {name}: {time.perf_counter() - start:.2f} s")
 
 
 def cmd_simulate(st: _Settings) -> int:
@@ -159,15 +167,21 @@ def cmd_phantom_fit(st: _Settings) -> int:
     blocks = parse_int_list(st.get("block_sizes"))
     R, seed, gamma = st.replicas, st.seed, st.gamma
     bt_T = st.horizon("bt_T")
-    dse, phantom = fit_phantom(spec, gamma, blocks, R, seed, tag="phantom-fit",
-                               workers=st.workers)
-    ml, ver, verified = verify_by_simulation(spec, phantom, blocks, R, seed,
-                                             tag="phantom-verify", workers=st.workers)
-
-    bt = check_BT(spec, dse, T=bt_T, n_list=blocks, R=R, seed=seed,
-                  workers=st.workers)
-    theta = estimate_theta_single_sequence(spec, gamma, blocks, R=R,
-                                           seed=seed, workers=st.workers)
+    with st.stage("fit table"):
+        dse, phantom = fit_phantom(spec, gamma, blocks, R, seed, tag="phantom-fit",
+                                   workers=st.workers)
+    with st.stage("validation"):
+        ml, ver, verified = verify_by_simulation(spec, phantom, blocks, R, seed,
+                                                 tag="phantom-verify", workers=st.workers)
+    with st.stage("B_T"):
+        bt = check_BT(spec, dse, T=bt_T, n_list=blocks, R=R, seed=seed,
+                      workers=st.workers)
+    with st.stage("theta"):
+        # theta reads the fit's driving levels, or the exact ones where the
+        # max law has a closed form
+        levels = (estimate_driving_sequence(spec, gamma, blocks, method="exact")
+                  if has_exact_max_law(spec) else dse)
+        theta = theta_from_driving(spec, levels, blocks, seed)
     theta_text = "theta = 0" if theta.verdict == "zero" \
         else f"theta = {theta.theta_hat:.4f}"
 

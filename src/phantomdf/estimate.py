@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,6 +76,7 @@ __all__ = [
     "ThetaRow",
     "ThetaEstimate",
     "estimate_theta_single_sequence",
+    "theta_from_driving",
     "divergence_rule",
     "VERIFY_RULE",
     "fit_phantom",
@@ -194,28 +195,16 @@ def _check_gamma(gamma: float) -> None:
 # block maxima
 # ---------------------------------------------------------------------------
 
-class _MaximaTable(Mapping):
+class _MaximaTable:
     """R block maxima per block size n, every column ascending.
 
     ``values(n, ranks)`` gives column n at 1-based ascending ranks; the
-    estimators read a column only through ``at`` and ``count_leq``, and
-    indexing builds the whole column.
+    estimators read a column only through ``at`` and ``count_leq``.
     """
 
     def __init__(self, n_list: Sequence[int], replicas: int,
                  values: Callable[[int, np.ndarray], np.ndarray]) -> None:
-        self._n_list, self.replicas, self._values = tuple(n_list), replicas, values
-
-    def __getitem__(self, n: int) -> np.ndarray:
-        if n not in self._n_list:
-            raise KeyError(n)
-        return self._values(n, np.arange(1, self.replicas + 1))
-
-    def __iter__(self):
-        return iter(self._n_list)
-
-    def __len__(self) -> int:
-        return len(self._n_list)
+        self.n_list, self.replicas, self._values = tuple(n_list), replicas, values
 
     def at(self, n: int, ranks: np.ndarray) -> np.ndarray:
         """Column n at the ascending 1-based ``ranks``; values that decrease
@@ -377,17 +366,22 @@ class DrivingSeqEstimate:
     replicas: int
     raw_violations: int = 0
 
-    def level_for(self, n: int) -> float:
+    def row(self, n: int) -> tuple[float, float, float]:
+        """(v_hat, ci_lo, ci_hi) stored for block size n."""
         idx = np.nonzero(self.n_values == int(n))[0]
         if idx.size == 0:
             raise InvalidArgumentError(f"no driving level stored for n={n}")
-        return float(self.v_hat[idx[0]])
+        i = idx[0]
+        return float(self.v_hat[i]), float(self.ci_lo[i]), float(self.ci_hi[i])
+
+    def level_for(self, n: int) -> float:
+        return self.row(n)[0]
 
 
 def driving_from_maxima(gamma: float, table: _MaximaTable) -> DrivingSeqEstimate:
     """Driving-sequence estimate from an existing block-maxima table."""
     _check_gamma(gamma)
-    R, n_list = table.replicas, list(table)
+    R, n_list = table.replicas, list(table.n_list)
     ranks = np.array([max(_binom_quantile(0.025, R, gamma), 1),
                       _type1_rank(gamma, R),
                       min(_binom_quantile(0.975, R, gamma) + 1, R)])
@@ -412,7 +406,7 @@ def maxlaw_from_maxima(table: _MaximaTable, probs=None,
     R = table.replicas
     ranks = np.unique(np.array([_type1_rank(float(p), R) for p in probs], dtype=np.int64))
     rows = []
-    for n in table:
+    for n in table.n_list:
         vals = table.at(n, ranks)
         xs = np.unique(vals)
         if level_cap is not None:
@@ -534,7 +528,9 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
     Alongside the b-values the report carries the covariance diagnostic
     Cov(1{M_{p-r} <= v}, 1{window max over (p, p+q] <= v}) with
     r_n = floor(n**e); e starts at 1/3 and is lowered to 1/4 then 1/5 if
-    r_n * P(X_1 > v_n) fails to decay along n_list.
+    r_n * P(X_1 > v_n) fails to decay along n_list.  Monte Carlo reads every
+    block size off one replica set, tagged by the largest block, whose paths
+    run to the largest p + q as they would for that block alone.
     """
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgumentError(f"T must be finite and positive, got {T:g}")
@@ -580,21 +576,23 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
     else:
         _check_replicas(R)
         replicas = R
+        # the windows [0, t) for t = 1, p, q, p + q and p - r_n (under every
+        # candidate exponent: it is chosen after all rows), and (p, p + q],
+        # of every block size
+        pairs = [(n, p, q) for n in n_list for p, q in pair_table[n]]
+        heads = [1, *(t for _, p, q in pairs for t in (p, q, p + q)),
+                 *(max(p - max(1, math.floor(n ** e)), 0)
+                   for n, p, _ in pairs for e in candidates)]
+        windows = [(0, t) for t in heads] + [(p, p + q) for _, p, q in pairs]
+        maxima = dict(zip(windows, _window_maxima(spec, windows, R, seed,
+                                                  f"bt-{n_list[-1]}", workers)))
         for n in n_list:
             v = dse.level_for(n)
-            prs_pq = pair_table[n]
-            # the windows [0, t) for t = 1, p, q, p + q and p - r_n (under every
-            # candidate exponent: it is chosen after all rows), and (p, p + q]
-            heads = [1, *(t for p, q in prs_pq for t in (p, q, p + q)),
-                     *(max(p - max(1, math.floor(n ** e)), 0)
-                       for p, _ in prs_pq for e in candidates)]
-            windows = [(0, t) for t in heads] + [(p, p + q) for p, q in prs_pq]
-            le = dict(zip(windows, _window_maxima(spec, windows, R, seed, f"bt-{n}",
-                                                  workers) <= v))
+            le = {w: m <= v for w, m in maxima.items()}
             if tails[n] is None:
                 tails[n] = np.count_nonzero(~le[0, 1]) / R  # first value above v
             prs = []
-            for p, q in prs_pq:
+            for p, q in pair_table[n]:
                 ipq = le[0, p + q]
                 ip = le[0, p]
                 iq = le[0, q]
@@ -901,14 +899,22 @@ class ThetaEstimate:
     theta_hat: float | None
     se: float | None
     rows: tuple[ThetaRow, ...]
-    driving: DrivingSeqEstimate
 
 
 def estimate_theta_single_sequence(spec: ProcessSpec, gamma: float, n_list,
                                    R: int = 1000, seed: int = 0,
                                    method: str = "auto",
                                    workers: int = 1) -> ThetaEstimate:
-    """Extremal index from driving levels of one stationary sequence.
+    """Extremal index from driving levels of one stationary sequence,
+    estimated at ``n_list`` (see ``theta_from_driving``)."""
+    dse = estimate_driving_sequence(spec, gamma, n_list, R=R, seed=seed,
+                                    method=method, workers=workers)
+    return theta_from_driving(spec, dse, n_list, seed)
+
+
+def theta_from_driving(spec: ProcessSpec, dse: DrivingSeqEstimate, n_list,
+                       seed: int) -> ThetaEstimate:
+    """Extremal index read off the driving levels ``dse`` stores at ``n_list``.
 
     theta_hat(n) = log(gamma) / log(gamma'_n) with
     gamma'_n = exp(-n P(X_1 > v_hat_n)); the marginal tail is exact when
@@ -917,12 +923,9 @@ def estimate_theta_single_sequence(spec: ProcessSpec, gamma: float, n_list,
     the factor-2-per-decade rule.
     """
     n_list = _validate_sizes(n_list)
-    dse = estimate_driving_sequence(spec, gamma, n_list, R=R, seed=seed,
-                                    method=method, workers=workers)
-
-    emp_sorted = None
+    levels = [dse.row(n) for n in n_list]
     try:
-        marginal_sf(spec, dse.v_hat[0])
+        marginal_sf(spec, levels[0][0])
         def tail_at(x: float) -> float:
             return marginal_sf(spec, x)
     except NotExactlyComputableError:
@@ -933,16 +936,14 @@ def estimate_theta_single_sequence(spec: ProcessSpec, gamma: float, n_list,
             idx = np.searchsorted(emp_sorted, x, side="right")
             return float((emp_sorted.size - idx) / emp_sorted.size)
 
-    log_gamma = math.log(gamma)
+    log_gamma = math.log(dse.gamma)
     rows = []
     s_series = []
-    for i, n in enumerate(n_list):
-        v = float(dse.v_hat[i])
+    for n, (v, lo_v, hi_v) in zip(n_list, levels):
         t = float(tail_at(v))
         s = n * t
         s_series.append(s)
         theta = -log_gamma / s if s > 0 else math.inf
-        lo_v, hi_v = float(dse.ci_lo[i]), float(dse.ci_hi[i])
         t_lo, t_hi = float(tail_at(hi_v)), float(tail_at(lo_v))
         th_hi = -log_gamma / (n * t_lo) if t_lo > 0 else math.inf
         th_lo = -log_gamma / (n * t_hi) if t_hi > 0 else math.inf
@@ -958,8 +959,8 @@ def estimate_theta_single_sequence(spec: ProcessSpec, gamma: float, n_list,
         theta_hat = last.theta
         se = (last.theta_hi - last.theta_lo) / (2.0 * 1.959963984540054) \
             if dse.method == "monte-carlo" else 0.0
-    return ThetaEstimate(gamma=gamma, method=dse.method, verdict=verdict,
-                         theta_hat=theta_hat, se=se, rows=tuple(rows), driving=dse)
+    return ThetaEstimate(gamma=dse.gamma, method=dse.method, verdict=verdict,
+                         theta_hat=theta_hat, se=se, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +974,7 @@ VERIFY_RULE = f"gap <= {_GAP_SE:g} SE + {_GAP_TOL:g}"
 
 def _fit_sizes(block_sizes: list[int]) -> list[int]:
     # knots every sixth of a decade; a verified block's 0.01 and 0.99
-    # levels sit at effective indices n/4.6 and 460n, so the grid runs
+    # levels sit at effective indices n/4.6 and 99.5n, so the grid runs
     # from a decade below the smallest block to two past the largest
     lo = max(0.0, math.log10(min(block_sizes)) - 1.0)
     hi = math.log10(max(block_sizes)) + 2.0

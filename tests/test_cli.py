@@ -150,6 +150,40 @@ class TestPhantomFit:
         for name in ("driving.csv", "maxlaw.csv", "bt.csv", "theta.csv", "phantom.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_timing_lists_the_stages_then_the_writes(self, run, tmp_path):
+        out = tmp_path / "fit"
+        assert run(self.CFG, "phantom-fit", "--out", str(out))[0] == 0
+        lines = (out / "timing.txt").read_text().splitlines()
+        assert all(re.fullmatch(r"[\w. ]+: \d+\.\d\d s", line) for line in lines)
+        assert [line.split(":")[0] for line in lines] == [
+            "fit table", "validation", "B_T", "theta",
+            *(f"write {name}" for name in ("driving.csv", "maxlaw.csv", "bt.csv",
+                                           "theta.csv", "phantom.txt", "summary.json")),
+            "total"]
+
+    def test_markov_fit_draws_one_replica_set_per_question(self, run, tmp_path,
+                                                           monkeypatch):
+        """The fit table, the validation table and one B_T set for every
+        block size; theta reads the fit's driving levels."""
+        from phantomdf import estimate
+
+        tags = []
+        window_maxima = estimate._window_maxima
+
+        def spy(spec, windows, R, seed, tag, workers=1):
+            tags.append(tag)
+            return window_maxima(spec, windows, R, seed, tag, workers)
+
+        monkeypatch.setattr(estimate, "_window_maxima", spy)
+        out = tmp_path / "fit"
+        rc, _, err = run(TestWorkers.CFG, "phantom-fit", "--out", str(out))
+        assert rc in (0, 1) and err == ""
+        assert tags == ["phantom-fit", "phantom-verify", "bt-80"]
+        driving = {row[0]: row[1] for row in
+                   (line.split(",") for line in (out / "driving.csv").read_text().splitlines()[1:])}
+        theta = [line.split(",")[:2] for line in (out / "theta.csv").read_text().splitlines()[1:]]
+        assert theta == [[n, driving[n]] for n in ("20", "80")]
+
     def test_missing_phantom_file_exits_2(self, run, tmp_path):
         rc, _out, err = run("[verify]\nphantom = nowhere.txt\nkind = iid\n"
                             "marginal = exp(1)\nblock_sizes = 50,200\n",
@@ -527,6 +561,19 @@ class TestCriteriaList:
         rc, stdout, err = run(f"[acceptance]\ncriteria = {value}\n", "acceptance",
                               "--out", str(tmp_path / "a"))
         assert (rc, stdout, err) == (2, "", f"error: {error}\n")
+        assert not (tmp_path / "a").exists()
+
+    def test_a_known_number_before_an_unknown_one_runs_nothing(self, run, tmp_path,
+                                                             monkeypatch):
+        from phantomdf import acceptance
+
+        ran = []
+        monkeypatch.setattr(acceptance, "run_criterion",
+                            lambda number, workers=1: ran.append(number))
+        rc, stdout, err = run("[acceptance]\ncriteria = 3,11\n", "acceptance",
+                              "--out", str(tmp_path / "a"))
+        assert (rc, stdout, err) == (2, "", "error: no criterion 11\n")
+        assert ran == []
         assert not (tmp_path / "a").exists()
 
     def test_unknown_number_is_an_invalid_argument(self):

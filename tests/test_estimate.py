@@ -40,6 +40,7 @@ from phantomdf.estimate import (
     maxlaw_from_maxima,
     propbasic_series,
     rootzen_phantom,
+    theta_from_driving,
 )
 from phantomdf.grids import HUGE_INDEX
 from phantomdf.phantom import driving_from_estimates
@@ -103,6 +104,15 @@ def _exact_dse(n_list):
     return estimate_driving_sequence(MOVMAX2, GAMMA, n_list, method="exact")
 
 
+def column(table, n):
+    """Column n of a block-maxima table, every rank read unchecked (the
+    estimators read only the ranks they need); KeyError for a block size
+    the table does not hold."""
+    if n not in table.n_list:
+        raise KeyError(n)
+    return table._values(n, np.arange(1, table.replicas + 1))
+
+
 class TestDrivingSequence:
     def test_exact_iid_matches_closed_form(self):
         F = exponential(1.0)
@@ -128,10 +138,10 @@ class TestDrivingSequence:
         R = 500
         table = block_maxima_table(MOVMAX2, [50], R, seed=7, tag="t1")
         dse = driving_from_maxima(GAMMA, table)
-        s = np.sort(table[50])
+        s = np.sort(column(table, 50))
         assert dse.level_for(50) == s[math.ceil(GAMMA * R) - 1]
         # coverage on the sample itself cannot fall below gamma
-        assert np.mean(table[50] <= dse.level_for(50)) >= GAMMA
+        assert np.mean(column(table, 50) <= dse.level_for(50)) >= GAMMA
         # the one rank rule of the driving level, the max-law grid and the
         # cycle tail band, clamped to [1, R]
         assert estimate._type1_rank(GAMMA, R) == math.ceil(GAMMA * R)
@@ -174,13 +184,13 @@ class TestBlockMaximaTable:
     def test_tag_separates_streams(self):
         a = block_maxima_table(IID_EXP, [50], 300, seed=9, tag="x")
         b = block_maxima_table(IID_EXP, [50], 300, seed=9, tag="y")
-        assert not np.array_equal(a[50], b[50])
+        assert not np.array_equal(column(a, 50), column(b, 50))
 
     def test_markov_and_transform_maxima_nondecreasing_in_n(self):
         # transform columns share one sorted array of uniforms, so a rank is
         # a replica; Markov maxima are compared replica by replica
         t = block_maxima_table(MOVMAX2, [25, 100], 210, seed=4, tag="mono")
-        assert np.all(t[100] >= t[25] - 1e-12)
+        assert np.all(column(t, 100) >= column(t, 25) - 1e-12)
         m25, m100 = _window_maxima(LINDLEY, [(0, 25), (0, 100)], 210, seed=4, tag="mono")
         assert np.all(m100 >= m25)
 
@@ -239,18 +249,18 @@ class TestSortedTransformColumns:
     def test_columns_are_the_sorted_replica_order_columns(self, spec, R):
         table = block_maxima_table(spec, self.SIZES, R, seed=21, tag="sorted")
         old = replica_order_transform_maxima(spec, self.SIZES, R, 21, "sorted")
-        assert list(table) == self.SIZES and len(table) == len(self.SIZES)
+        assert table.n_list == tuple(self.SIZES)
         for n in self.SIZES:
-            np.testing.assert_array_equal(table[n], np.sort(old[n]))
-        assert 3 not in table
+            np.testing.assert_array_equal(column(table, n), np.sort(old[n]))
+        assert 3 not in table.n_list
         with pytest.raises(KeyError):
-            table[3]
+            column(table, 3)
 
     def test_estimators_reject_a_column_that_is_not_ascending(self):
         R = 1000
         table = block_maxima_table(WOBBLE, self.SIZES, R, seed=22, tag="guard")
         for n in self.SIZES:
-            assert not np.all(np.diff(table[n]) >= 0)  # the guard has work to do
+            assert not np.all(np.diff(column(table, n)) >= 0)  # the guard has work to do
         with pytest.raises(InvalidArgumentError, match="decrease across the ranks read"):
             driving_from_maxima(GAMMA, table)
         with pytest.raises(InvalidArgumentError, match="decrease across the ranks read"):
@@ -293,17 +303,17 @@ def _type1_quantile(sorted_vals, p):
     return float(sorted_vals[min(k, sorted_vals.size) - 1])
 
 
-def full_column_driving(gamma, table, R):
+def full_column_driving(gamma, columns, R):
     """driving_from_maxima as it was before rank reads, verbatim: every
     column built whole, sorted unless already ascending."""
-    n_list = sorted(int(n) for n in table)
+    n_list = sorted(int(n) for n in columns)
     k_lo = max(estimate._binom_quantile(0.025, R, gamma), 1)
     k_hi = min(estimate._binom_quantile(0.975, R, gamma) + 1, R)
     v_hat = np.empty(len(n_list))
     ci_lo = np.empty(len(n_list))
     ci_hi = np.empty(len(n_list))
     for i, n in enumerate(n_list):
-        s = _ascending(table[n])
+        s = _ascending(columns[n])
         v_hat[i] = _type1_quantile(s, gamma)
         ci_lo[i] = s[k_lo - 1]
         ci_hi[i] = s[k_hi - 1]
@@ -314,13 +324,13 @@ def full_column_driving(gamma, table, R):
                               replicas=R, raw_violations=violations)
 
 
-def full_column_maxlaw(table, R, probs=None, level_cap=None):
+def full_column_maxlaw(columns, R, probs=None, level_cap=None):
     """maxlaw_from_maxima as it was before rank reads, verbatim."""
     if probs is None:
         probs = np.linspace(0.01, 0.99, 33)
     rows = []
-    for n in sorted(int(n) for n in table):
-        s = _ascending(table[n])
+    for n in sorted(int(n) for n in columns):
+        s = _ascending(columns[n])
         xs = np.unique([_type1_quantile(s, float(p)) for p in probs])
         if level_cap is not None:
             xs = xs[xs <= level_cap]
@@ -350,7 +360,8 @@ class TestRankReads:
     def assert_same(table, reference=None):
         """Rank reads of ``table`` against the full-column estimators on
         ``reference``, the same maxima in any order (default: ``table``)."""
-        reference = table if reference is None else reference
+        if reference is None:
+            reference = {n: column(table, n) for n in table.n_list}
         R = table.replicas
         got, want = driving_from_maxima(GAMMA, table), full_column_driving(GAMMA, reference, R)
         for field in ("n_values", "v_hat", "ci_lo", "ci_hi"):
@@ -358,7 +369,7 @@ class TestRankReads:
         assert got.raw_violations == want.raw_violations
         # no cap, a cap that clips some columns and empties others, and a
         # cap below every level
-        middle = np.sort(table[sorted(table)[len(table) // 2]])
+        middle = np.sort(column(table, table.n_list[len(table.n_list) // 2]))
         for cap in (None, float(middle[len(middle) // 2]), -np.inf):
             got, want = maxlaw_from_maxima(table, level_cap=cap), \
                 full_column_maxlaw(reference, R, level_cap=cap)
@@ -390,7 +401,7 @@ class TestRankReads:
                                                     seed=26, tag="ranks")))
         assert not all(np.all(np.diff(source[n]) >= 0) for n in sizes)  # needs a sort
         for n in sizes:
-            np.testing.assert_array_equal(table[n], np.sort(source[n]))
+            np.testing.assert_array_equal(column(table, n), np.sort(source[n]))
         self.assert_same(table, source)
 
     @pytest.mark.parametrize("spec, sizes, R", [
@@ -408,7 +419,7 @@ class TestRankReads:
         assert table.replicas == R
         ties = 0
         for n in sizes:
-            s = table[n]
+            s = column(table, n)
             assert np.all(np.diff(s) >= 0)
             uniq, counts = np.unique(s, return_counts=True)
             tied = uniq[counts > 1]
@@ -469,7 +480,7 @@ class TestMaxLaw:
     def test_level_cap_clips_grid(self):
         R = 400
         table = block_maxima_table(MOVMAX2, [50], R, seed=13, tag="cap")
-        cap = float(np.median(table[50]))
+        cap = float(np.median(column(table, 50)))
         (row,) = maxlaw_from_maxima(table, level_cap=cap).rows
         assert row.n == 50
         assert row.levels.max() <= cap
@@ -552,24 +563,13 @@ class TestSlabScansMatchDenseReference:
         table = block_maxima_table(LINDLEY, sizes, self.R, seed=40, tag="dense")
         seg = self.dense(40, "dense", sizes[-1])
         for n in sizes:
-            np.testing.assert_array_equal(table[n], np.sort(seg[:, :n].max(axis=1)))
+            np.testing.assert_array_equal(column(table, n), np.sort(seg[:, :n].max(axis=1)))
 
-    @pytest.mark.parametrize("spec, n, fractions", [
-        (LINDLEY, 8_200, ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0))),
-        (EARLY_CUT, 100, ((0.05, 0.02),)),  # r_n = 4, pair (5, 2), level 0
-    ], ids=["long-pairs", "straddling-window"])
-    def test_check_bt_matches_dense_reference(self, spec, n, fractions):
-        seed = 41
-        assert default_burn_in(spec) + 2 * n > SLAB
-        seg = self.dense(seed, f"bt-{n}", 2 * n, spec)
-        v = float(np.median(seg[:, :n].max(axis=1))) if n > 100 else 0.0
-        dse = DrivingSeqEstimate(gamma=GAMMA, n_values=np.array([n]), v_hat=np.array([v]),
-                                 ci_lo=np.array([v]), ci_hi=np.array([v]),
-                                 method="monte-carlo", replicas=self.R)
-        row = check_BT(spec, dse, pair_fractions=fractions, R=self.R, seed=seed,
-                       method="monte-carlo").rows[0]
-        exceed = seg > v
-        fi = np.where(exceed.any(axis=1), exceed.argmax(axis=1) + 1, 2 * n + 1)
+    @staticmethod
+    def assert_row_matches(row, seg):
+        """A check_BT row against the dense paths ``seg`` at the row's level."""
+        exceed = seg > row.level
+        fi = np.where(exceed.any(axis=1), exceed.argmax(axis=1) + 1, seg.shape[1] + 1)
         for pair in row.pairs:
             p, q = pair.p, pair.q
             assert pair.value == np.mean(fi > p + q) - np.mean(fi > p) * np.mean(fi > q)
@@ -580,6 +580,41 @@ class TestSlabScansMatchDenseReference:
         assert 0.0 < a.mean() < 1.0 and 0.0 < b.mean() < 1.0
         assert row.cov_diag == np.mean(a * b) - a.mean() * b.mean()
         assert row.r_tail_product == row.r_n * np.mean(exceed[:, 0])
+
+    def monte_carlo_dse(self, levels):
+        n, v = np.array(list(levels)), np.array(list(levels.values()))
+        return DrivingSeqEstimate(gamma=GAMMA, n_values=n, v_hat=v, ci_lo=v, ci_hi=v,
+                                  method="monte-carlo", replicas=self.R)
+
+    @pytest.mark.parametrize("spec, n, fractions", [
+        (LINDLEY, 8_200, ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0))),
+        (EARLY_CUT, 100, ((0.05, 0.02),)),  # r_n = 4, pair (5, 2), level 0
+    ], ids=["long-pairs", "straddling-window"])
+    def test_check_bt_matches_dense_reference(self, spec, n, fractions):
+        seed = 41
+        assert default_burn_in(spec) + 2 * n > SLAB
+        seg = self.dense(seed, f"bt-{n}", 2 * n, spec)
+        v = float(np.median(seg[:, :n].max(axis=1))) if n > 100 else 0.0
+        row = check_BT(spec, self.monte_carlo_dse({n: v}), pair_fractions=fractions,
+                       R=self.R, seed=seed, method="monte-carlo").rows[0]
+        self.assert_row_matches(row, seg)
+
+    def test_check_bt_two_blocks_match_dense_reference(self):
+        """Every block size reads the one replica set of the largest, whose
+        paths run to twice the largest block; that block's pairs are the
+        ones a check of it alone gives."""
+        seed, sizes = 42, (1_000, 8_200)
+        assert default_burn_in(LINDLEY) + 2 * sizes[-1] > SLAB
+        seg = self.dense(seed, f"bt-{sizes[-1]}", 2 * sizes[-1])
+        levels = {n: float(np.median(seg[:, :n].max(axis=1))) for n in sizes}
+        report = check_BT(LINDLEY, self.monte_carlo_dse(levels), R=self.R, seed=seed,
+                          method="monte-carlo")
+        assert [row.n for row in report.rows] == list(sizes)
+        for row in report.rows:
+            self.assert_row_matches(row, seg)
+        alone = check_BT(LINDLEY, self.monte_carlo_dse({sizes[-1]: levels[sizes[-1]]}),
+                         R=self.R, seed=seed, method="monte-carlo").rows[0]
+        assert alone.pairs == report.rows[-1].pairs
 
     @pytest.mark.parametrize("spec, n, m, k", [
         (LINDLEY, 17_000, 1_000, 17),
@@ -654,7 +689,7 @@ class TestWorkerPool:
         b = block_maxima_table(METROPOLIS, sizes, self.R, seed=3, tag="pool",
                                workers=2)
         for n in sizes:
-            np.testing.assert_array_equal(a[n], b[n])
+            np.testing.assert_array_equal(column(a, n), column(b, n))
 
     def test_monte_carlo_check_bt_pool_invariant(self, monkeypatch):
         seen = []
@@ -673,14 +708,14 @@ class TestWorkerPool:
             reports.append(check_BT(METROPOLIS, dse, R=self.R, seed=4,
                                     method="monte-carlo", workers=workers))
             scans.append(list(seen))
-        assert len(scans[0]) == len(scans[1]) == 2  # one scan per block size
-        for n, one, two in zip([20, 80], *scans):
-            maxima = [np.concatenate([m for _, m in s], axis=1) for s in (one, two)]
-            np.testing.assert_array_equal(*maxima)  # every window, one row each
+        assert len(scans[0]) == len(scans[1]) == 1  # one scan for every block size
+        maxima = [np.concatenate([m for _, m in s[0]], axis=1) for s in scans]
+        np.testing.assert_array_equal(*maxima)  # every window, one row each
+        assert maxima[0].shape[1] == self.R and np.isfinite(maxima[0]).all()
+        # not degenerate: replicas differ, and each window exceeds v somewhere
+        assert all(np.unique(row).size > 2 for row in maxima[0])
+        for n in (20, 80):
             below = maxima[0] <= dse.level_for(n)
-            assert maxima[0].shape[1] == self.R and np.isfinite(maxima[0]).all()
-            # not degenerate: replicas differ, and each window exceeds v somewhere
-            assert all(np.unique(row).size > 2 for row in maxima[0])
             assert 0 < below.mean() < 1 and not below.all(axis=1).any()
         for r1, r2 in zip(reports[0].rows, reports[1].rows):
             assert r1.b_value == r2.b_value and r1.cov_diag == r2.cov_diag
@@ -890,6 +925,41 @@ class TestDivergenceRule:
     def test_edge_cases(self):
         assert not divergence_rule([100], [1.0])
         assert not divergence_rule([100, 1000], [0.0, 5.0])
+
+
+class TestThetaFromDriving:
+    """theta_from_driving reads the levels it is given; the whole estimate is
+    it on the estimate's own driving levels."""
+
+    @pytest.mark.parametrize("spec, method", [
+        (MOVMAX2, "exact"),
+        (MOVMAX2, "monte-carlo"),
+        (LINDLEY, "monte-carlo"),  # no closed-form marginal: an auxiliary path
+    ], ids=["exact", "monte-carlo", "auxiliary-path"])
+    def test_whole_estimate_is_theta_from_its_driving_levels(self, spec, method):
+        sizes = [100, 1000]
+        est = estimate_theta_single_sequence(spec, GAMMA, sizes, R=400, seed=31,
+                                             method=method)
+        dse = estimate_driving_sequence(spec, GAMMA, sizes, R=400, seed=31, method=method)
+        assert theta_from_driving(spec, dse, sizes, 31) == est
+
+    def test_reads_the_fit_levels_at_the_requested_sizes(self):
+        sizes = [20, 80]
+        dse, _ = fit_phantom(METROPOLIS, GAMMA, sizes, 256, seed=32, tag="fit")
+        assert len(dse.n_values) > len(sizes)
+        est = theta_from_driving(METROPOLIS, dse, sizes, 32)
+        rows = [dse.row(n) for n in sizes]
+        only = DrivingSeqEstimate(gamma=GAMMA, n_values=np.array(sizes),
+                                  v_hat=np.array([r[0] for r in rows]),
+                                  ci_lo=np.array([r[1] for r in rows]),
+                                  ci_hi=np.array([r[2] for r in rows]),
+                                  method="monte-carlo", replicas=256)
+        assert theta_from_driving(METROPOLIS, only, sizes, 32) == est
+        assert [row.level for row in est.rows] == [dse.level_for(n) for n in sizes]
+        assert [row.tail for row in est.rows] == [
+            float(METROPOLIS.target.tail(row.level)) for row in est.rows]
+        with pytest.raises(InvalidArgumentError, match="no driving level stored for n=30"):
+            theta_from_driving(METROPOLIS, dse, [20, 30], 32)
 
 
 class TestTheta:

@@ -38,6 +38,7 @@ from phantomdf.processes import (
     lindley_step_tail_vs_stationary,
 )
 from phantomdf.reporting import driving_csv, maxlaw_csv
+from test_estimate import column
 from test_reporting import reference_csv_table
 
 GAMMA = math.exp(-1.0)
@@ -170,7 +171,7 @@ class TestFitAndVerify:
     def test_the_last_knot_caps_the_levels_and_a_plain_law_does_not(self):
         blocks = [10, 100]
         table = block_maxima_table(IID, blocks, R, SEED, tag="cap")
-        cap = float(np.median(table[100]))
+        cap = float(np.median(column(table, 100)))
         short = PhantomDistFn(DrivingSequence(GAMMA, [0.5, 1.0, cap], [1, 2, 3]))
         ml = verify_by_simulation(IID, short, blocks, R, SEED, tag="cap")[0]
         assert_same_maxlaw(ml, maxlaw_from_maxima(table, level_cap=cap))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phantomdf import acceptance, reporting
 from phantomdf.distributions import exponential, jump_sequence, pareto, shifted, uniform
@@ -36,6 +37,7 @@ from phantomdf.reporting import (
     path_file_text,
     theta_csv,
 )
+from test_estimate import column
 
 LINDLEY = LindleySpec(step=shifted(pareto(2.0, 1.0), -2.0), burn_in=300)
 IID = IIDSpec(exponential(1.0))
@@ -107,7 +109,7 @@ def reference_theta_csv(est) -> str:
 def test_maxlaw_csv_keeps_the_per_cell_bytes():
     table = block_maxima_table(IID, [10, 100], R, SEED, tag="pin")
     for est in (maxlaw_from_maxima(table),
-                maxlaw_from_maxima(table, level_cap=float(np.median(table[100]))),
+                maxlaw_from_maxima(table, level_cap=float(np.median(column(table, 100)))),
                 exact_maxlaw(MOVMAX2, [20, 80], probs=np.linspace(0.01, 0.99, 33))):
         assert maxlaw_csv(est) == reference_maxlaw_csv(est)
 
@@ -252,13 +254,19 @@ def blocks_of(dtype, values, monkeypatch):
 _BLOCK_EDGE_SIZES = [0, 1, 96, 97, 98, 2 * 97 - 1, 2 * 97, 2 * 97 + 1, 3 * 97, 3 * 97 + 1]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([np.int64, np.uint64]), st.sampled_from(_BLOCK_EDGE_SIZES), st.data())
-def test_integer_column_keeps_the_percent_d_bytes(dtype, size, data):
+def integer_columns(dtype):
+    """Whole columns of ``dtype`` at the block-edge sizes, their values the
+    edges or any integer of the dtype."""
     info = np.iinfo(dtype)
-    values = data.draw(st.lists(st.one_of(st.sampled_from(edges(dtype)),
-                                          st.integers(int(info.min), int(info.max))),
-                                min_size=size, max_size=size))
+    values = st.one_of(st.sampled_from(edges(dtype)),
+                       st.integers(int(info.min), int(info.max)))
+    return hnp.arrays(dtype, st.sampled_from(_BLOCK_EDGE_SIZES), elements=values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.int64, np.uint64]).flatmap(integer_columns))
+def test_integer_column_keeps_the_percent_d_bytes(column_values):
+    dtype, size, values = column_values.dtype.type, column_values.size, column_values.tolist()
     with pytest.MonkeyPatch.context() as mp:
         blocks, calls = blocks_of(dtype, values, mp)
     assert "".join(blocks) == "# head\n" + percent_d_lines(values)

@@ -73,7 +73,6 @@ from .processes import (
     MixtureSpec,
     MovingMaxSpec,
     SamplePath,
-    TailComparison,
     exact_max_cdf,
     generate,
     lindley_step_tail_vs_stationary,

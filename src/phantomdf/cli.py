@@ -199,6 +199,7 @@ def cmd_phantom_fit(st: _Settings) -> int:
         "sup_gap": ver.sup_gap,
         "gaps": ver.gaps(),
         "bt_max_b": bt.max_b(),
+        "bt_cov_diag": {str(r.n): r.cov_diag for r in bt.rows},
         "bt_r_exponent": bt.r_exponent,
         "bt_r_adjusted": bt.r_adjusted,
         "driving_raw_violations": dse.raw_violations,
@@ -249,12 +250,14 @@ def cmd_bt_check(st: _Settings) -> int:
         "subcommand": "bt-check",
         "T": bt.T,
         "b_values": {str(r.n): r.b_value for r in bt.rows},
+        "cov_diag": {str(r.n): r.cov_diag for r in bt.rows},
         "r_exponent": bt.r_exponent,
         "r_adjusted": bt.r_adjusted,
         "factorizes_at_largest_n": ok,
         "propbasic": {
             "rows": [{"n": r.n, "k": r.k, "m": r.m, "k_tail": r.k_tail,
-                      "k_c": r.k_c, "sandwich_ok": r.sandwich_ok} for r in pb.rows],
+                      "k_c": r.k_c, "k_c_se": r.k_c_se, "sandwich_ok": r.sandwich_ok}
+                     for r in pb.rows],
             "max_k_tail": pb.max_k_tail,
             "diverging": pb.diverging,
         },
@@ -280,15 +283,17 @@ def cmd_regen(st: _Settings) -> int:
         "mu_se": rs.mu_se,
         "phantom_verified": rg.verified,
         "sup_gap": ver.sup_gap,
+        "gaps": ver.gaps(),
         "cycle_tail_ratio": rg.band.ratio,
+        "cycle_tail_exceedances": rg.band.exceedances,
         "cycle_tail_band_ok": rg.band_ok,
-        "stationary_tail_verdict": rg.tails.verdict,
+        "stationary_tail_verdict": rg.tail_verdict,
         "zero_cycle_diag": {str(k): v for k, v in rs.zero_cycle_diag.items()},
     }))
     ok = rg.verified and rg.band_ok and rg.tail_ok
     print(f"regen: {rs.cycle_count} cycles, mu = {rs.mu_hat:.4f}, "
           f"sup gap {ver.sup_gap:.4f}, tail band {rg.band.ratio:.3f}, "
-          f"verdict {rg.tails.verdict} -> {'ok' if ok else 'FAILS'}")
+          f"verdict {rg.tail_verdict} -> {'ok' if ok else 'FAILS'}")
     return 0 if ok else 1
 
 

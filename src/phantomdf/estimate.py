@@ -35,7 +35,6 @@ from .processes import (
     MovingMaxSpec,
     ProcessSpec,
     SamplePath,
-    TailComparison,
     _empty,
     _mixture_count_leq,
     _mixture_draw_component,
@@ -471,11 +470,8 @@ class BTRow:
     n: int
     level: float
     b_value: float
-    worst_pair: tuple[int, int]
     pairs: tuple[BTPair, ...]
-    r_n: int
-    r_tail_product: float
-    cov_diag: float
+    cov_diag: float  # Cov(1{M_{p-r_n} <= v}, 1{max over (p, p+q] <= v}), worst pair
 
 
 @dataclass(frozen=True)
@@ -518,6 +514,14 @@ def _bt_exact_cov(spec: ProcessSpec, v: float, p: int, q: int, r: int) -> float:
     raise NotExactlyComputableError("no closed-form covariance")
 
 
+def _product_gap_se(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """Delta-method SE of mean(a) - mean(b) mean(c), for indicator rows a, b
+    and c read off the same replicas."""
+    cov = np.cov(np.vstack([a, b, c]).astype(float), ddof=1) / a.size
+    grad = np.array([1.0, -c.mean(), -b.mean()])
+    return float(np.sqrt(max(grad @ cov @ grad, 0.0)))
+
+
 def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
              n_list=None, pair_fractions=_DEFAULT_PAIR_FRACTIONS,
              R: int = 1000, seed: int = 0, method: str = "auto",
@@ -525,12 +529,13 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
     """Factorization check sup |P(M_{p+q} <= v_n) - P(M_p <= v_n) P(M_q <= v_n)|.
 
     Pairs (p, q) come from fractions of n and must satisfy p + q <= T n.
-    Alongside the b-values the report carries the covariance diagnostic
-    Cov(1{M_{p-r} <= v}, 1{window max over (p, p+q] <= v}) with
-    r_n = floor(n**e); e starts at 1/3 and is lowered to 1/4 then 1/5 if
-    r_n * P(X_1 > v_n) fails to decay along n_list.  Monte Carlo reads every
-    block size off one replica set, tagged by the largest block, whose paths
-    run to the largest p + q as they would for that block alone.
+    Alongside the b-values each row carries the covariance diagnostic
+    Cov(1{M_{p-r} <= v}, 1{window max over (p, p+q] <= v}) at its worst pair,
+    with r_n = max(1, floor(n**e)); e starts at 1/3 and is lowered to 1/4
+    then 1/5 if floor(n**e) * P(X_1 > v_n) fails to decay along n_list.
+    Monte Carlo reads every block size off one replica set, tagged by the
+    largest block, whose paths run to the largest p + q as they would for
+    that block alone.
     """
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgumentError(f"T must be finite and positive, got {T:g}")
@@ -550,7 +555,7 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
             prs.append((p, q))
         pair_table[n] = prs
 
-    # marginal tails at the driving levels, for the r_n diagnostic
+    # marginal tails at the driving levels, for the choice of the r_n exponent
     tails = {}
     for n in n_list:
         v = dse.level_for(n)
@@ -570,8 +575,7 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
                 d = exact_max_cdf(spec, p + q, v) \
                     - exact_max_cdf(spec, p, v) * exact_max_cdf(spec, q, v)
                 prs.append(BTPair(p=p, q=q, value=d, se=0.0))
-            worst = max(prs, key=lambda b: abs(b.value))
-            rows.append((n, v, prs, worst, None))
+            rows.append((n, v, prs, None))
         replicas = 0
     else:
         _check_replicas(R)
@@ -593,16 +597,11 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
                 tails[n] = np.count_nonzero(~le[0, 1]) / R  # first value above v
             prs = []
             for p, q in pair_table[n]:
-                ipq = le[0, p + q]
-                ip = le[0, p]
-                iq = le[0, q]
+                ipq, ip, iq = le[0, p + q], le[0, p], le[0, q]
                 d = ipq.mean() - ip.mean() * iq.mean()
-                cov = np.cov(np.vstack([ipq, ip, iq]).astype(float), ddof=1) / R
-                grad = np.array([1.0, -iq.mean(), -ip.mean()])
-                se = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
-                prs.append(BTPair(p=p, q=q, value=float(d), se=se))
-            worst = max(prs, key=lambda b: abs(b.value))
-            rows.append((n, v, prs, worst, le))
+                prs.append(BTPair(p=p, q=q, value=float(d),
+                                  se=_product_gap_se(ipq, ip, iq)))
+            rows.append((n, v, prs, le))
 
     # choose the r exponent so that r_n * tail decays along n_list
     for chosen in candidates:  # the last one when none decays
@@ -612,7 +611,8 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
     adjusted = chosen != candidates[0]
 
     out_rows = []
-    for n, v, prs, worst, le in rows:
+    for n, v, prs, le in rows:
+        worst = max(prs, key=lambda b: abs(b.value))
         r_n = max(1, math.floor(n ** chosen))
         if le is None:
             cov = _bt_exact_cov(spec, v, worst.p, worst.q, r_n)
@@ -621,9 +621,7 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
             b = le[worst.p, worst.p + worst.q].astype(float)
             cov = float(np.mean(a * b) - a.mean() * b.mean())
         out_rows.append(BTRow(n=n, level=v, b_value=abs(worst.value),
-                              worst_pair=(worst.p, worst.q), pairs=tuple(prs),
-                              r_n=r_n, r_tail_product=float(r_n * tails[n]),
-                              cov_diag=cov))
+                              pairs=tuple(prs), cov_diag=cov))
     return BTReport(T=float(T), method=method, replicas=replicas,
                     r_exponent=chosen, r_adjusted=adjusted, rows=tuple(out_rows))
 
@@ -639,15 +637,9 @@ class CnDiagnostic:
     k: int
     level: float
     c_hat: float
-    worst_j: int
+    c_se: float  # delta-method SE of the worst skeleton difference
     p_single: float
-    p_single_se: float
-    p_max_n: float
-    p_max_n_se: float
-    skeleton_probs: np.ndarray
-    upper_bound: float
-    sandwich_lower_ok: bool
-    sandwich_upper_ok: bool
+    sandwich_ok: bool
 
 
 def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
@@ -657,7 +649,8 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
 
     Z_j is the max of X_m, X_{2m}, ..., X_{jm}; the statistic is
     C_hat = max_{2<=j<=k} |P(Z_j <= v) - P(X_1 <= v) P(Z_{j-1} <= v)|,
-    and the report checks the sandwich
+    reported with the delta-method SE of its worst j, and the report checks
+    the sandwich
     gamma <= P(M_n <= v) <= P(X_1 <= v)**k + k * C_hat within 3 SE.
     """
     if k < 2 or m < 1:
@@ -675,19 +668,17 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
     p1 = float(single_le.mean())
     pmn = float(max_le.mean())
     diffs = np.abs(pz[1:] - p1 * pz[:-1])
-    worst = int(np.argmax(diffs))
-    c_hat = float(diffs[worst])
+    j = int(np.argmax(diffs))  # Z_{j+2} against X_1 and Z_{j+1}
+    c_hat = float(diffs[j])
+    c_se = _product_gap_se(skel_le[:, j + 1], single_le, skel_le[:, j])
     se1 = math.sqrt(p1 * (1.0 - p1) / R)
     semn = math.sqrt(pmn * (1.0 - pmn) / R)
     bound = p1 ** k + k * c_hat
     se_bound = k * p1 ** (k - 1) * se1 + 2.0 * k * math.sqrt(0.25 / R)
     lower_ok = True if gamma is None else pmn >= gamma - 3.0 * semn
     upper_ok = pmn <= bound + 3.0 * (semn + se_bound)
-    return CnDiagnostic(n=n, m=m, k=k, level=v, c_hat=c_hat, worst_j=worst + 2,
-                        p_single=p1, p_single_se=se1, p_max_n=pmn,
-                        p_max_n_se=semn, skeleton_probs=pz, upper_bound=bound,
-                        sandwich_lower_ok=bool(lower_ok),
-                        sandwich_upper_ok=bool(upper_ok))
+    return CnDiagnostic(n=n, m=m, k=k, level=v, c_hat=c_hat, c_se=c_se, p_single=p1,
+                        sandwich_ok=bool(lower_ok and upper_ok))
 
 
 @dataclass(frozen=True)
@@ -698,6 +689,7 @@ class PropBasicRow:
     level: float
     k_tail: float      # k_n * P(X_1 > v_n)
     k_c: float         # k_n * C_hat(m_n; k_n)
+    k_c_se: float      # k_n * SE(C_hat)
     sandwich_ok: bool  # gamma <= P(M_n <= v_n) <= P(X_1 <= v_n)**k_n + k_n C_hat
 
 
@@ -730,8 +722,8 @@ def propbasic_series(spec: ProcessSpec, dse: DrivingSeqEstimate, R: int = 1000,
             tail = 1.0 - diag.p_single
         rows.append(PropBasicRow(n=n, k=k, m=m, level=v,
                                  k_tail=float(k * tail), k_c=float(k * diag.c_hat),
-                                 sandwich_ok=diag.sandwich_lower_ok
-                                 and diag.sandwich_upper_ok))
+                                 k_c_se=float(k * diag.c_se),
+                                 sandwich_ok=diag.sandwich_ok))
     series = [r.k_tail for r in rows]
     return PropBasicSeries(rows=tuple(rows), max_k_tail=max(series, default=None),
                            diverging=divergence_rule([r.n for r in rows], series))
@@ -744,13 +736,10 @@ def propbasic_series(spec: ProcessSpec, dse: DrivingSeqEstimate, R: int = 1000,
 @dataclass(frozen=True)
 class RegenStats:
     cycle_count: int
-    waits: np.ndarray      # W_j, cycle lengths
     maxima: np.ndarray     # Y_j, cycle maxima
-    mu_hat: float
+    mu_hat: float          # mean cycle length
     mu_se: float
     zero_cycle_diag: dict[int, float]
-    head_wait: int | None
-    head_max: float | None
 
     @cached_property
     def cycle_cdf(self) -> tuple[np.ndarray, np.ndarray]:
@@ -769,8 +758,9 @@ def decompose_regenerative(path: SamplePath,
 
     The zero-cycle diagnostic estimates P(Y_0 > max of the next n cycle
     maxima) by a sliding window over the observed cycles; the delayed
-    first cycle is reported but cannot be resampled from a single path,
-    so the diagnostic is an approximation, not an assertion.
+    first cycle, before the first mark, is left out and cannot be resampled
+    from a single path, so the diagnostic is an approximation, not an
+    assertion.
     """
     marks = path.regeneration_marks
     if marks is None:
@@ -781,8 +771,6 @@ def decompose_regenerative(path: SamplePath,
     values = path.values
     waits = np.diff(marks)
     maxima = np.maximum.reduceat(values, marks)[:-1]
-    head_wait = int(marks[0]) if marks[0] > 0 else None
-    head_max = float(values[:marks[0]].max()) if marks[0] > 0 else None
     mu = float(waits.mean())
     mu_se = float(waits.std(ddof=1) / math.sqrt(waits.size)) if waits.size > 1 else 0.0
     diag: dict[int, float] = {}
@@ -794,9 +782,8 @@ def decompose_regenerative(path: SamplePath,
         lead = maxima[:count]
         windows = np.lib.stride_tricks.sliding_window_view(maxima[1:], w)[:count]
         diag[w] = float(np.mean(lead > windows.max(axis=1)))
-    return RegenStats(cycle_count=int(waits.size), waits=waits, maxima=maxima,
-                      mu_hat=mu, mu_se=mu_se, zero_cycle_diag=diag,
-                      head_wait=head_wait, head_max=head_max)
+    return RegenStats(cycle_count=int(waits.size), maxima=maxima,
+                      mu_hat=mu, mu_se=mu_se, zero_cycle_diag=diag)
 
 
 MIN_CYCLES = 500
@@ -1020,7 +1007,7 @@ class RegenPhantom:
     verified: bool
     band: CycleTailBand
     band_ok: bool  # cycle tail ratio inside [0.5, 2]
-    tails: TailComparison
+    tail_verdict: str  # step tail against the stationary tail
     tail_ok: bool  # step tail negligible against the stationary tail
 
 
@@ -1039,7 +1026,7 @@ def regen_phantom(step: DistFn, length: int, block_sizes, R: int, seed: int,
     G = rootzen_phantom(rs)
     ml, ver, verified = verify_by_simulation(spec, G, blocks, R, seed, tag, workers)
     band = cycle_tail_ratio(rs, step, q=0.99)
-    tails = lindley_step_tail_vs_stationary(step, path.values)
+    tail_verdict = lindley_step_tail_vs_stationary(step, path.values)
     return RegenPhantom(path=path, stats=rs, maxlaw=ml, verification=ver,
                         verified=verified, band=band, band_ok=0.5 <= band.ratio <= 2.0,
-                        tails=tails, tail_ok=tails.verdict == "ratio->0")
+                        tail_verdict=tail_verdict, tail_ok=tail_verdict == "ratio->0")

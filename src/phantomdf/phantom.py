@@ -245,8 +245,10 @@ class PhantomVerification:
         return all(r.gap <= se_multiplier * r.se_at_gap + tolerance for r in self.rows)
 
     def gaps(self) -> list[dict]:
-        """Per-block-size gap and its SE, as the JSON reports list them."""
-        return [{"n": r.n, "gap": r.gap, "se": r.se_at_gap} for r in self.rows]
+        """Per-block-size gap, its SE and the level it sits at, as the JSON
+        reports list them."""
+        return [{"n": r.n, "gap": r.gap, "se": r.se_at_gap, "level": r.level_at_gap}
+                for r in self.rows]
 
 
 def verify_phantom(G: DistFn, maxlaw) -> PhantomVerification:

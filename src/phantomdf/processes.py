@@ -51,8 +51,6 @@ __all__ = [
     "MetropolisCheck",
     "metropolis_config_check",
     "target_tail_condition",
-    "TailShiftReport",
-    "TailComparison",
     "lindley_step_tail_vs_stationary",
 ]
 
@@ -394,12 +392,8 @@ def has_exact_max_law(spec: ProcessSpec) -> bool:
 class MetropolisCheck:
     ok: bool
     support_connected: bool
-    interval_in_support: bool
-    monotone_on_interval: bool
-    max_constancy_run: float
+    monotone_on_interval: bool  # no constancy run longer than (b-a)/4 either
     proposal_floor: float  # k_h on |x| <= (b-a)/3
-    proposal_symmetric: bool
-    notes: tuple[str, ...]
 
 
 # points of each grid that metropolis_config_check probes the densities on
@@ -412,14 +406,13 @@ def metropolis_config_check(target_pdf: Callable, proposal_pdf: Callable,
 
     (i) the support of the target is connected (one contiguous positive
     run on a wide probe grid containing [a, b]); (ii) the target is
-    monotone on [a, b] with no constancy run longer than (b-a)/4;
-    (iii) the proposal is symmetric and bounded away from 0 on
-    |x| <= (b-a)/3.
+    positive and monotone on [a, b] with no constancy run longer than
+    (b-a)/4; (iii) the proposal is symmetric and bounded away from 0 on
+    |x| <= (b-a)/3.  ``ok`` holds when all three do.
     """
     if not b > a:
         raise InvalidArgumentError("need b > a")
     span = b - a
-    notes: list[str] = []
 
     wide = np.linspace(a - 2.0 * span, b + 2.0 * span, 4 * CHECK_GRID_POINTS)
     fw = np.asarray(target_pdf(wide), dtype=float)
@@ -427,20 +420,14 @@ def metropolis_config_check(target_pdf: Callable, proposal_pdf: Callable,
     runs = np.nonzero(np.diff(pos.astype(int)))[0]
     support_connected = bool(pos.any() and runs.size <= 2
                              and (runs.size < 2 or pos[runs[0] + 1]))
-    if not support_connected:
-        notes.append("target support is empty or disconnected on the probe grid")
 
     xs = np.linspace(a, b, CHECK_GRID_POINTS)
     fv = np.asarray(target_pdf(xs), dtype=float)
     interval_in_support = bool(np.all(fv > 0.0))
-    if not interval_in_support:
-        notes.append("target density vanishes somewhere on [a, b]")
     scale = float(np.max(np.abs(fv))) if fv.size else 0.0
     tol = 1e-12 * max(scale, 1.0)
     d = np.diff(fv)
     monotone = bool(np.all(d >= -tol) or np.all(d <= tol))
-    if not monotone:
-        notes.append("target density is not monotone on [a, b]")
     flat = np.abs(d) <= tol
     max_run = 0
     run = 0
@@ -448,41 +435,20 @@ def metropolis_config_check(target_pdf: Callable, proposal_pdf: Callable,
         run = run + 1 if is_flat else 0
         max_run = max(max_run, run)
     dx = span / (CHECK_GRID_POINTS - 1)
-    max_constancy = max_run * dx
-    if max_constancy > span / 4.0:
-        monotone_ok = False
-        notes.append(f"constancy run of length {max_constancy:.3g} exceeds (b-a)/4")
-    else:
-        monotone_ok = monotone
+    monotone_ok = monotone and max_run * dx <= span / 4.0
 
     half = span / 3.0
     hz = np.linspace(-half, half, CHECK_GRID_POINTS)
     hv = np.asarray(proposal_pdf(hz), dtype=float)
     floor = float(np.min(hv))
     sym = float(np.max(np.abs(hv - hv[::-1]))) <= 1e-9 * max(float(np.max(np.abs(hv))), 1.0)
-    if floor <= 0.0:
-        notes.append("proposal density is not bounded away from 0 on |x| <= (b-a)/3")
-    if not sym:
-        notes.append("proposal density is not symmetric about 0")
 
     ok = support_connected and interval_in_support and monotone_ok and floor > 0.0 and sym
     return MetropolisCheck(ok=ok, support_connected=support_connected,
-                           interval_in_support=interval_in_support,
-                           monotone_on_interval=monotone_ok,
-                           max_constancy_run=float(max_constancy),
-                           proposal_floor=floor, proposal_symmetric=sym,
-                           notes=tuple(notes))
+                           monotone_on_interval=monotone_ok, proposal_floor=floor)
 
 
-@dataclass(frozen=True)
-class TailShiftReport:
-    m: float
-    holds: bool
-    levels: np.ndarray
-    ratio_track: np.ndarray
-
-
-def target_tail_condition(F: DistFn, m: float) -> TailShiftReport:
+def target_tail_condition(F: DistFn, m: float) -> bool:
     """Does (1 - F(u + m)) / (1 - F(u)) -> 1 toward the right end?
 
     This is the flat-tail criterion under which a bounded-step chain has
@@ -495,16 +461,7 @@ def target_tail_condition(F: DistFn, m: float) -> TailShiftReport:
     base = np.asarray(F.tail(xs), dtype=float)
     shifted_tail = np.asarray(F.tail(xs + m), dtype=float)
     keep = base > 0
-    track = shifted_tail[keep] / base[keep]
-    return TailShiftReport(m=float(m), holds=converges_to(track, 1.0, PROBE_RATIO_TOL),
-                           levels=xs[keep], ratio_track=track)
-
-
-@dataclass(frozen=True)
-class TailComparison:
-    levels: np.ndarray
-    ratio_track: np.ndarray
-    verdict: str  # equivalent | ratio->0 | ratio->inf | divergent | mismatched-right-ends
+    return converges_to(shifted_tail[keep] / base[keep], 1.0, PROBE_RATIO_TOL)
 
 
 _VERDICT = {"one": "equivalent", "zero": "ratio->0", "inf": "ratio->inf",
@@ -515,8 +472,10 @@ _VERDICT = {"one": "equivalent", "zero": "ratio->0", "inf": "ratio->inf",
 EMPIRICAL_RATIO_TOL = 0.2
 
 
-def lindley_step_tail_vs_stationary(step: DistFn, values) -> TailComparison:
-    """Compare the step tail 1-H against the empirical stationary tail.
+def lindley_step_tail_vs_stationary(step: DistFn, values) -> str:
+    """Verdict of the step tail 1-H against the empirical stationary tail:
+    'equivalent', 'ratio->0', 'ratio->inf', 'divergent' or
+    'mismatched-right-ends'.
 
     For subexponential steps the stationary tail is one order heavier
     (integrated tail), so the expected verdict is 'ratio->0'.  Probe
@@ -527,8 +486,7 @@ def lindley_step_tail_vs_stationary(step: DistFn, values) -> TailComparison:
         raise InsufficientDataError("need at least 1e5 path values")
     vmax = float(values.max())
     if math.isfinite(step.right_end) and vmax > step.right_end:
-        return TailComparison(levels=np.array([]), ratio_track=np.array([]),
-                              verdict="mismatched-right-ends")
+        return "mismatched-right-ends"
     sorted_vals = np.sort(values)
     qs = 1.0 - 2.0 ** (-np.arange(1.0, PROBE_DEPTH + 1))
     qs = qs[qs <= 0.999]
@@ -539,5 +497,4 @@ def lindley_step_tail_vs_stationary(step: DistFn, values) -> TailComparison:
     step_sf = np.asarray(step.tail(levels), dtype=float)
     keep = emp_sf > 0
     track = step_sf[keep] / emp_sf[keep]
-    return TailComparison(levels=levels[keep], ratio_track=track,
-                          verdict=_VERDICT[classify_ratio_track(track, EMPIRICAL_RATIO_TOL)])
+    return _VERDICT[classify_ratio_track(track, EMPIRICAL_RATIO_TOL)]

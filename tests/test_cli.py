@@ -142,6 +142,11 @@ class TestPhantomFit:
         assert isinstance(violations, int) and violations >= 0
         assert summary["bt_r_exponent"] in (1 / 3, 1 / 4, 1 / 5)
         assert summary["bt_r_adjusted"] is (summary["bt_r_exponent"] != 1 / 3)
+        # the r_n covariance and the level of each gap, per block size
+        assert list(summary["bt_cov_diag"]) == ["200", "50"]  # sorted keys
+        assert all(abs(c) < 0.25 for c in summary["bt_cov_diag"].values())
+        assert [(g["n"], g["level"] > 0) for g in summary["gaps"]] == [(50, True),
+                                                                       (200, True)]
 
     def test_worker_count_does_not_change_artifacts(self, run, tmp_path):
         a, b = tmp_path / "w1", tmp_path / "w3"
@@ -321,7 +326,10 @@ class TestVerdictExitCodes:
         assert [(r["n"], r["k"], r["m"]) for r in pb["rows"]] == [(50, 7, 7), (200, 14, 14)]
         assert pb["max_k_tail"] == max(r["k_tail"] for r in pb["rows"]) < 1.0
         assert pb["diverging"] is False
-        assert all(r["sandwich_ok"] and r["k_c"] >= 0 for r in pb["rows"])
+        assert all(r["sandwich_ok"] and r["k_c"] >= 0 and r["k_c_se"] > 0
+                   for r in pb["rows"])
+        summary = json.loads((outs[0] / "summary.json").read_text())
+        assert set(summary["cov_diag"]) == set(summary["b_values"]) == {"50", "200"}
 
 
 def test_regen_pipeline(run, tmp_path):
@@ -338,6 +346,8 @@ def test_regen_pipeline(run, tmp_path):
     assert summary["phantom_verified"] is True
     assert summary["cycle_count"] >= 500
     assert summary["stationary_tail_verdict"] == "ratio->0"
+    assert [g["n"] for g in summary["gaps"]] == [300, 1000]
+    assert summary["cycle_tail_exceedances"] > 0
 
 
 class TestBadBlockSizes:

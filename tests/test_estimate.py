@@ -57,6 +57,7 @@ from phantomdf.processes import (
     default_burn_in,
     exact_max_cdf,
     generate,
+    marginal_sf,
 )
 from phantomdf.seeding import rng_for
 
@@ -522,10 +523,10 @@ class TestBT:
             check_BT(IID_EXP, _exact_dse([100]), T=T, method="exact")
 
     def test_r_product_decays_for_iid(self):
-        rep = check_BT(IID_EXP,
-                       estimate_driving_sequence(IID_EXP, GAMMA, [100, 1000], method="exact"),
-                       method="exact")
-        prods = [row.r_tail_product for row in rep.rows]
+        dse = estimate_driving_sequence(IID_EXP, GAMMA, [100, 1000], method="exact")
+        rep = check_BT(IID_EXP, dse, method="exact")
+        prods = [math.floor(n ** rep.r_exponent) * marginal_sf(IID_EXP, dse.level_for(n))
+                 for n in (100, 1000)]
         assert prods[1] <= prods[0] * 1.05
         assert not rep.r_adjusted
 
@@ -566,20 +567,31 @@ class TestSlabScansMatchDenseReference:
             np.testing.assert_array_equal(column(table, n), np.sort(seg[:, :n].max(axis=1)))
 
     @staticmethod
-    def assert_row_matches(row, seg):
-        """A check_BT row against the dense paths ``seg`` at the row's level."""
-        exceed = seg > row.level
-        fi = np.where(exceed.any(axis=1), exceed.argmax(axis=1) + 1, seg.shape[1] + 1)
-        for pair in row.pairs:
-            p, q = pair.p, pair.q
-            assert pair.value == np.mean(fi > p + q) - np.mean(fi > p) * np.mean(fi > q)
-        assert row.b_value == max(abs(pair.value) for pair in row.pairs)
-        p, q = row.worst_pair
-        a = (fi > max(p - row.r_n, 0)).astype(float)
-        b = (~exceed[:, p:p + q].any(axis=1)).astype(float)
-        assert 0.0 < a.mean() < 1.0 and 0.0 < b.mean() < 1.0
-        assert row.cov_diag == np.mean(a * b) - a.mean() * b.mean()
-        assert row.r_tail_product == row.r_n * np.mean(exceed[:, 0])
+    def assert_report_matches(report, seg):
+        """check_BT's rows and r exponent against the dense paths ``seg``, at
+        each row's level."""
+        for row in report.rows:
+            exceed = seg > row.level
+            fi = np.where(exceed.any(axis=1), exceed.argmax(axis=1) + 1, seg.shape[1] + 1)
+            for pair in row.pairs:
+                p, q = pair.p, pair.q
+                assert pair.value == np.mean(fi > p + q) - np.mean(fi > p) * np.mean(fi > q)
+            worst = max(row.pairs, key=lambda pair: abs(pair.value))
+            assert row.b_value == abs(worst.value)
+            p, q = worst.p, worst.q
+            r_n = max(1, math.floor(row.n ** report.r_exponent))
+            a = (fi > max(p - r_n, 0)).astype(float)
+            b = (~exceed[:, p:p + q].any(axis=1)).astype(float)
+            assert 0.0 < a.mean() < 1.0 and 0.0 < b.mean() < 1.0
+            assert row.cov_diag == np.mean(a * b) - a.mean() * b.mean()
+        # the exponent is the first whose floor(n**e) * P(X_1 > v_n) decays,
+        # with the tail read off the first value of each path
+        tails = [np.mean(seg[:, 0] > row.level) for row in report.rows]
+        for e in (1 / 3, 1 / 4, 1 / 5):
+            prods = [math.floor(row.n ** e) * t for row, t in zip(report.rows, tails)]
+            if all(b <= a * 1.05 for a, b in zip(prods, prods[1:])):
+                break
+        assert report.r_exponent == e
 
     def monte_carlo_dse(self, levels):
         n, v = np.array(list(levels)), np.array(list(levels.values()))
@@ -595,9 +607,9 @@ class TestSlabScansMatchDenseReference:
         assert default_burn_in(spec) + 2 * n > SLAB
         seg = self.dense(seed, f"bt-{n}", 2 * n, spec)
         v = float(np.median(seg[:, :n].max(axis=1))) if n > 100 else 0.0
-        row = check_BT(spec, self.monte_carlo_dse({n: v}), pair_fractions=fractions,
-                       R=self.R, seed=seed, method="monte-carlo").rows[0]
-        self.assert_row_matches(row, seg)
+        report = check_BT(spec, self.monte_carlo_dse({n: v}), pair_fractions=fractions,
+                          R=self.R, seed=seed, method="monte-carlo")
+        self.assert_report_matches(report, seg)
 
     def test_check_bt_two_blocks_match_dense_reference(self):
         """Every block size reads the one replica set of the largest, whose
@@ -610,8 +622,7 @@ class TestSlabScansMatchDenseReference:
         report = check_BT(LINDLEY, self.monte_carlo_dse(levels), R=self.R, seed=seed,
                           method="monte-carlo")
         assert [row.n for row in report.rows] == list(sizes)
-        for row in report.rows:
-            self.assert_row_matches(row, seg)
+        self.assert_report_matches(report, seg)
         alone = check_BT(LINDLEY, self.monte_carlo_dse({sizes[-1]: levels[sizes[-1]]}),
                          R=self.R, seed=seed, method="monte-carlo").rows[0]
         assert alone.pairs == report.rows[-1].pairs
@@ -626,12 +637,27 @@ class TestSlabScansMatchDenseReference:
         seg = self.dense(seed, f"cn-{n}-{m}-{k}", n, spec)
         skel = seg[:, m - 1::m][:, :k]
         v = float(np.median(skel.max(axis=1))) if n > 12 else 0.0
-        diag = estimate_Cn(spec, v, n=n, m=m, k=k, R=self.R, seed=seed)
-        want = np.minimum.accumulate(skel <= v, axis=1).mean(axis=0)
-        assert 0.0 < want[-1] < want[0] < 1.0
-        np.testing.assert_array_equal(diag.skeleton_probs, want)
-        assert diag.p_single == np.mean(seg[:, 0] <= v)
-        assert diag.p_max_n == np.mean(seg.max(axis=1) <= v)
+        diag = estimate_Cn(spec, v, n=n, m=m, k=k, R=self.R, seed=seed, gamma=GAMMA)
+        z_le = np.minimum.accumulate(skel <= v, axis=1)  # Z_j <= v, j = 1..k
+        pz = z_le.mean(axis=0)
+        assert 0.0 < pz[-1] < pz[0] < 1.0
+        x1_le = seg[:, 0] <= v
+        p1 = np.mean(x1_le)
+        diffs = np.abs(pz[1:] - p1 * pz[:-1])
+        j = int(np.argmax(diffs))
+        # the delta-method SE of P(Z_{j+2} <= v) - P(X_1 <= v) P(Z_{j+1} <= v)
+        rows = np.vstack([z_le[:, j + 1], x1_le, z_le[:, j]]).astype(float)
+        grad = np.array([1.0, -pz[j], -p1])
+        c_se = np.sqrt(max(grad @ (np.cov(rows, ddof=1) / self.R) @ grad, 0.0))
+        pmn = np.mean(seg.max(axis=1) <= v)
+        se_mn = math.sqrt(pmn * (1.0 - pmn) / self.R)
+        se_bound = (k * p1 ** (k - 1) * math.sqrt(p1 * (1.0 - p1) / self.R)
+                    + 2.0 * k * math.sqrt(0.25 / self.R))
+        sandwich = (pmn >= GAMMA - 3.0 * se_mn
+                    and pmn <= p1 ** k + k * diffs[j] + 3.0 * (se_mn + se_bound))
+        assert (diag.c_hat, diag.c_se, diag.p_single, diag.sandwich_ok) == \
+            (diffs[j], c_se, p1, sandwich)
+        assert c_se > 0.0
 
 
 class TestWorkerPool:
@@ -725,9 +751,9 @@ class TestWorkerPool:
         v = float(symmetric_pareto(2.0, 1.0).quantile(0.99))
         a, b = (estimate_Cn(METROPOLIS, v, n=400, m=20, k=10, R=self.R,
                             seed=5, workers=w) for w in (1, 2))
-        assert 0.0 < a.p_max_n < 1.0
-        np.testing.assert_array_equal(a.skeleton_probs, b.skeleton_probs)
-        assert (a.c_hat, a.p_single, a.p_max_n) == (b.c_hat, b.p_single, b.p_max_n)
+        assert 0.0 < a.p_single < 1.0 and a.c_se > 0.0
+        assert (a.c_hat, a.c_se, a.p_single, a.sandwich_ok) == \
+            (b.c_hat, b.c_se, b.p_single, b.sandwich_ok)
 
 
 class TestCn:
@@ -735,8 +761,8 @@ class TestCn:
         v = float(exponential(1.0).quantile(GAMMA ** (1.0 / 60.0)))
         diag = estimate_Cn(IID_EXP, v, n=60, m=3, k=10, R=600, seed=17, gamma=GAMMA)
         assert diag.c_hat < 0.08
-        assert diag.sandwich_lower_ok and diag.sandwich_upper_ok
-        assert 2 <= diag.worst_j <= 10
+        assert diag.sandwich_ok
+        assert diag.c_hat <= 4.0 * diag.c_se
 
     def test_propbasic_bounded_for_iid(self):
         dse = estimate_driving_sequence(IID_EXP, GAMMA, [100, 400], method="exact")
@@ -747,6 +773,15 @@ class TestCn:
         assert series.max_k_tail < 1.0
         # gamma <= P(M_n <= v_n) <= P(X_1 <= v_n)**k + k C_hat within 3 SE
         assert all(r.sandwich_ok for r in series.rows)
+
+    def test_k_c_is_sampling_noise_for_iid(self):
+        """C_n = 0 exactly for i.i.d. values, so k_n C_hat is noise: it
+        stays within 4 of its standard errors."""
+        dse = estimate_driving_sequence(IID_EXP, GAMMA, [100, 1000], method="exact")
+        series = propbasic_series(IID_EXP, dse, R=1000, seed=1)
+        got = [x for r in series.rows for x in (r.k_c, r.k_c_se)]
+        assert got == pytest.approx([0.1095, 0.0373, 0.0930, 0.0536], abs=1e-4)
+        assert all(0.0 < r.k_c <= 4.0 * r.k_c_se for r in series.rows)
 
     def test_propbasic_skips_a_block_without_skeleton(self):
         # a block of one value holds no two skeleton points
@@ -870,10 +905,11 @@ class TestRegenerative:
     def test_cycle_decomposition_by_hand(self):
         rs = decompose_regenerative(self.synthetic(), diag_windows=(1,))
         assert rs.cycle_count == 3
-        np.testing.assert_array_equal(rs.waits, [3, 2, 2])
+        # cycles [1, 4), [4, 6) and [6, 8); the head before the first mark,
+        # and the values from the last mark on, belong to no cycle
         np.testing.assert_array_equal(rs.maxima, [5.0, 3.0, 9.0])
-        assert rs.mu_hat == pytest.approx(7.0 / 3.0)
-        assert rs.head_wait == 1 and rs.head_max == 2.0
+        assert rs.mu_hat == pytest.approx(7.0 / 3.0)  # lengths 3, 2, 2
+        assert rs.mu_se == pytest.approx(1.0 / 3.0)   # sqrt((1/3) / 3)
         # windows of one: 5 beats 3, 3 loses to 9
         assert rs.zero_cycle_diag == {1: 0.5}
 

@@ -1,7 +1,8 @@
 """Package layout: every public top-level name, and every public method of a
-public class, has a caller in the package, and every defaulted parameter of
+public class, has a caller in the package, every defaulted parameter of
 those, and every defaulted field of a public dataclass, is set by some
-package call."""
+package call, and every field of a public dataclass is read by package
+code."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,10 @@ UNSET_FIELDS = {
     # run_criterion sets the wall time by assignment once the criterion ran
     "CriterionResult.seconds",
 }
+
+# Dataclass fields that no package code reads, each with its reason; none
+# today: a computed value either reaches an artifact or is not computed.
+UNREAD_FIELDS: set[str] = set()
 
 
 def _modules():
@@ -125,20 +130,49 @@ def test_every_defaulted_parameter_is_set_by_a_package_call():
     assert sorted(unset) == sorted(UNSET_DEFAULTS)
 
 
+def _public_dataclasses(modules):
+    """(class name, its annotated fields in order) for every public dataclass."""
+    for tree in modules:
+        for cls in tree.body:
+            if (isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                    and any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                            for d in cls.decorator_list)):
+                yield cls.name, [f for f in cls.body if isinstance(f, ast.AnnAssign)
+                                 and isinstance(f.target, ast.Name)]
+
+
 def test_every_defaulted_dataclass_field_is_set_by_a_package_call():
     modules = _modules()
     calls = _calls(modules)
     unset = []
-    for tree in modules:
-        for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-                    and any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
-                            for d in cls.decorator_list)):
-                continue
-            fields = [f for f in cls.body
-                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
-            mine = [c for c in calls if _callee(c) == cls.name]
-            unset += [f"{cls.name}.{f.target.id}" for position, f in enumerate(fields)
-                      if f.value is not None
-                      and not any(_sets(c, f.target.id, position) for c in mine)]
+    for name, fields in _public_dataclasses(modules):
+        mine = [c for c in calls if _callee(c) == name]
+        unset += [f"{name}.{f.target.id}" for position, f in enumerate(fields)
+                  if f.value is not None
+                  and not any(_sets(c, f.target.id, position) for c in mine)]
     assert sorted(unset) == sorted(UNSET_FIELDS)
+
+
+def _read_names(modules):
+    """Attribute names that package code loads, and the string constants of
+    every function that calls getattr (the writers read fields by name)."""
+    read = set()
+    for tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call) and getattr(c.func, "id", None) == "getattr"
+                    for c in ast.walk(node)):
+                read |= {c.value for c in ast.walk(node)
+                         if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return read
+
+
+def test_every_dataclass_field_is_read_by_package_code():
+    # a field read only by tests is a diagnostic that reaches no artifact
+    modules = _modules()
+    read = _read_names(modules)
+    unread = [f"{name}.{f.target.id}" for name, fields in _public_dataclasses(modules)
+              for f in fields if f.target.id not in read]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)

@@ -101,12 +101,12 @@ def reference_regen(step, length, blocks, R, seed, workers=1):
     gaps_ok = ver.passes(se_multiplier=3.0, tolerance=0.05)
     band = cycle_tail_ratio(rs, step, q=0.99)
     band_ok = 0.5 <= band.ratio <= 2.0
-    tails = lindley_step_tail_vs_stationary(step, path.values)
-    tail_ok = tails.verdict == "ratio->0"
+    tail_verdict = lindley_step_tail_vs_stationary(step, path.values)
+    tail_ok = tail_verdict == "ratio->0"
 
     uniq, counts = np.unique(rs.maxima, return_counts=True)
     cum = np.cumsum(counts) / rs.cycle_count
-    return path, rs, (ml, ver, gaps_ok), band, band_ok, tails, tail_ok, (uniq, cum)
+    return path, rs, (ml, ver, gaps_ok), band, band_ok, tail_verdict, tail_ok, (uniq, cum)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ class TestFitAndVerify:
 class TestRegen:
     def test_equals_the_regen_sequence(self):
         blocks = [100, 1_000]
-        (path, rs, check_ref, band, band_ok, tails, tail_ok,
+        (path, rs, check_ref, band, band_ok, tail_verdict, tail_ok,
          (uniq, cum)) = reference_regen(STEP, 100_000, blocks, R, SEED)
         rg = regen_phantom(STEP, 100_000, blocks, R, SEED, tag="regen-verify")
         np.testing.assert_array_equal(rg.path.values, path.values)
@@ -204,8 +204,7 @@ class TestRegen:
         np.testing.assert_array_equal(got_cum, cum)
         assert_same_check((rg.maxlaw, rg.verification, rg.verified), check_ref)
         assert (rg.band, rg.band_ok) == (band, band_ok)
-        assert (rg.tails.verdict, rg.tail_ok) == (tails.verdict, tail_ok)
-        np.testing.assert_array_equal(rg.tails.ratio_track, tails.ratio_track)
+        assert (rg.tail_verdict, rg.tail_ok) == (tail_verdict, tail_ok)
 
     def test_cycle_cdf_is_built_once(self, monkeypatch):
         path = generate(LindleySpec(step=STEP), SEED, 100_000)
@@ -238,8 +237,8 @@ def test_phantom_fit_and_verify_commands_write_the_references(tmp_path):
     assert (fit / "phantom.txt").read_text() == phantom.to_text()
     summary = json.loads((fit / "summary.json").read_text())
     assert summary["phantom_verified"] is ok
-    assert summary["gaps"] == [{"n": r.n, "gap": r.gap, "se": r.se_at_gap}
-                               for r in ver.rows]
+    assert summary["gaps"] == [{"n": r.n, "gap": r.gap, "se": r.se_at_gap,
+                                "level": r.level_at_gap} for r in ver.rows]
 
     ver_out = run_cli(tmp_path, "ver", "verify",
                       dict(iid, phantom=str(fit / "phantom.txt")))
@@ -251,13 +250,15 @@ def test_phantom_fit_and_verify_commands_write_the_references(tmp_path):
 def test_regen_command_writes_the_reference(tmp_path):
     out = run_cli(tmp_path, "rg", "regen", {"step": "pareto(2,1)-2", "length": "100000",
                                             "verify_blocks": "100,1000"})
-    (path, rs, (ml, _ver, ok), band, band_ok, tails, _tail_ok,
+    (path, rs, (ml, ver, ok), band, band_ok, tail_verdict, _tail_ok,
      (uniq, cum)) = reference_regen(STEP, 100_000, [100, 1_000], R, SEED)
     assert (out / "cycle_maxima_cdf.csv").read_text() == \
         reference_csv_table(("y", "cycle_cdf"), zip(uniq, cum))
     assert (out / "maxlaw.csv").read_text() == maxlaw_csv(ml)
     summary = json.loads((out / "summary.json").read_text())
     assert (summary["cycle_count"], summary["phantom_verified"],
-            summary["cycle_tail_ratio"], summary["cycle_tail_band_ok"],
-            summary["stationary_tail_verdict"]) == \
-        (rs.cycle_count, ok, band.ratio, band_ok, tails.verdict)
+            summary["cycle_tail_ratio"], summary["cycle_tail_exceedances"],
+            summary["cycle_tail_band_ok"], summary["stationary_tail_verdict"]) == \
+        (rs.cycle_count, ok, band.ratio, band.exceedances, band_ok, tail_verdict)
+    assert summary["gaps"] == [{"n": r.n, "gap": r.gap, "se": r.se_at_gap,
+                                "level": r.level_at_gap} for r in ver.rows]

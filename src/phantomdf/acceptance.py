@@ -264,6 +264,7 @@ def criterion_7(workers: int = 1) -> CriterionResult:
             "mu_hat": rs.mu_hat,
             "mu_se": rs.mu_se,
             "gaps": ver.gaps(),
+            "cycle_tail_level": rg.band.level,
             "cycle_tail_ratio": rg.band.ratio,
             "cycle_tail_exceedances": rg.band.exceedances,
             "tail_verdict": rg.tail_verdict,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import re
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -284,6 +285,7 @@ def cmd_regen(st: _Settings) -> int:
         "phantom_verified": rg.verified,
         "sup_gap": ver.sup_gap,
         "gaps": ver.gaps(),
+        "cycle_tail_level": rg.band.level,
         "cycle_tail_ratio": rg.band.ratio,
         "cycle_tail_exceedances": rg.band.exceedances,
         "cycle_tail_band_ok": rg.band_ok,
@@ -487,9 +489,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # wall-clock lines, outside the byte contract; a rerun into the same out
-    # dir replaces them
+    # wall-clock and peak-memory lines, outside the byte contract; a rerun
+    # into the same out dir replaces them.  Forked workers, once joined,
+    # count under RUSAGE_CHILDREN (0 when nothing forked); maxrss is in KiB.
     settings.timing.append(f"total: {time.perf_counter() - start:.2f} s")
+    for label, who in (("peak rss", resource.RUSAGE_SELF),
+                       ("workers peak rss", resource.RUSAGE_CHILDREN)):
+        settings.timing.append(f"{label}: {resource.getrusage(who).ru_maxrss / 1024:.1f} MB")
     try:
         (settings.out_dir / "timing.txt").write_text(
             "".join(line + "\n" for line in settings.timing), encoding="utf-8")

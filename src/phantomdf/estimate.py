@@ -29,8 +29,10 @@ from .grids import HUGE_INDEX, first_index_where
 from .phantom import (PhantomDistFn, PhantomVerification, driving_from_estimates,
                       verify_phantom)
 from .processes import (
+    FILL_ROWS,
     IIDSpec,
     LindleySpec,
+    MetropolisSpec,
     MixtureSpec,
     MovingMaxSpec,
     ProcessSpec,
@@ -85,23 +87,32 @@ __all__ = [
 ]
 
 MIN_REPLICAS = 200
-# Replicas per chunk: one chunk is one _path_slabs call, whose per-step numpy
-# calls cover all of its rows, so bigger chunks step faster; 256 rows x SLAB
-# x 8 B = 32 MB per slab array bounds the memory a chunk holds.
-_CHUNK_CAP = 256
+# Most rows per replica chunk, by kernel shape; one chunk is one _path_slabs
+# call.  The Metropolis kernel steps time with one numpy call per operation
+# over all rows of its chunk, so rows make a step cheaper: up to 512 rows,
+# 512 x SLAB x 8 B = 64 MB per slab array.  The other kernels loop over rows
+# and vectorise along time, so their chunk only sets memory: FILL_ROWS rows,
+# 4 MB per slab array.
+_STEP_ROWS = 512
 
 
-def _chunk_plan(R: int, workers: int) -> tuple[list[tuple[int, int]], int]:
-    """Replica chunks [lo, hi) of R and the number of processes to run them.
+def _chunk_rows(spec: ProcessSpec) -> int:
+    return _STEP_ROWS if isinstance(spec, MetropolisSpec) else FILL_ROWS
+
+
+def _chunk_plan(R: int, workers: int,
+                cap: int) -> tuple[list[tuple[int, int]], int]:
+    """Replica chunks [lo, hi) of R, of at most ``cap`` rows, and the number
+    of processes to run them.
 
     The worker count is clamped to the core count before it sizes the
     chunks, so no value forks more processes than there are cores or cuts
-    R into more chunks than that clamp needs.
+    R into more chunks than that clamp and the cap need.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    size = min(max(1, math.ceil(R / workers)), _CHUNK_CAP)
+    size = min(max(1, math.ceil(R / workers)), cap)
     chunks = [(lo, min(lo + size, R)) for lo in range(0, R, size)]
     return chunks, min(workers, len(chunks))
 
@@ -115,9 +126,10 @@ def _run_chunk(bounds: tuple[int, int]):
     return _CHUNK_FN(*bounds)
 
 
-def _map_chunks(fn: Callable[[int, int], object], R: int,
-                workers: int) -> list[tuple[tuple[int, int], object]]:
-    """[((lo, hi), fn(lo, hi))] over the replica chunks of R, in chunk order.
+def _map_chunks(fn: Callable[[int, int], object], R: int, workers: int,
+                cap: int) -> list[tuple[tuple[int, int], object]]:
+    """[((lo, hi), fn(lo, hi))] over the replica chunks of R (at most ``cap``
+    rows each), in chunk order.
 
     With more than one process the chunks run in a pool forked after
     _CHUNK_FN is set; only the bounds go out and the chunk results come
@@ -125,7 +137,7 @@ def _map_chunks(fn: Callable[[int, int], object], R: int,
     not depend on the worker count or on scheduling.
     """
     global _CHUNK_FN
-    chunks, procs = _chunk_plan(R, workers)
+    chunks, procs = _chunk_plan(R, workers, cap)
     if procs <= 1:  # one chunk or one worker; no chunks when R == 0
         return [((lo, hi), fn(lo, hi)) for lo, hi in chunks]
     # imported here so that one-worker runs load no process machinery
@@ -168,7 +180,7 @@ def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], R: int
                          for a, b in windows])
 
     out = _empty((len(windows), R), "replicas")
-    for (lo, hi), part in _map_chunks(chunk, R, workers):
+    for (lo, hi), part in _map_chunks(chunk, R, workers, _chunk_rows(spec)):
         out[:, lo:hi] = part
     return out
 
@@ -254,8 +266,9 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
     if not has_exact_max_law(spec):
         maxima = _window_maxima(spec, [(0, n) for n in n_list], R, seed, tag, workers)
     else:
-        rng = rng_for(seed, tag, "maxima")
-        logu = np.log(np.maximum(rng.random(out=_empty(R, "replicas")), 1e-300))
+        # the uniforms become log-uniforms in place: one R-sized array
+        logu = rng_for(seed, tag, "maxima").random(out=_empty(R, "replicas"))
+        np.log(np.maximum(logu, 1e-300, out=logu), out=logu)
         if isinstance(spec, (IIDSpec, MovingMaxSpec)):
             logu.sort()
             quantile, shift = ((spec.marginal.quantile, 0) if isinstance(spec, IIDSpec)
@@ -742,10 +755,17 @@ class RegenStats:
     zero_cycle_diag: dict[int, float]
 
     @cached_property
+    def cycle_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct cycle maxima and how many cycle maxima lie at or below
+        each, built once."""
+        uniq, counts = np.unique(self.maxima, return_counts=True)
+        return uniq, np.cumsum(counts, out=counts)
+
+    @cached_property
     def cycle_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct cycle maxima and their empirical CDF, built once."""
-        uniq, counts = np.unique(self.maxima, return_counts=True)
-        return uniq, np.cumsum(counts) / self.cycle_count
+        uniq, below = self.cycle_counts
+        return uniq, below / self.cycle_count
 
 
 # most sliding windows the zero-cycle diagnostic averages, per window length
@@ -840,9 +860,11 @@ def cycle_tail_ratio(rs: RegenStats, step: DistFn, q: float = 0.99) -> CycleTail
     """Cycle-maximum tail against mu * step tail at the empirical q-quantile of Y."""
     if not (0.0 < q < 1.0):
         raise InvalidArgumentError("q must lie in (0, 1)")
-    s = np.sort(rs.maxima)
-    y = float(s[_type1_rank(q, s.size) - 1])
-    exc = int(np.count_nonzero(rs.maxima > y))
+    # the type-1 q-quantile is the first distinct maximum whose count at or
+    # below reaches its rank; the rest lie above it
+    uniq, below = rs.cycle_counts
+    j = int(np.searchsorted(below, _type1_rank(q, rs.maxima.size)))
+    y, exc = float(uniq[j]), rs.maxima.size - int(below[j])
     p_exc = exc / rs.cycle_count
     denom = rs.mu_hat * float(step.tail(y))
     ratio = math.inf if denom == 0.0 else p_exc / denom

@@ -86,13 +86,31 @@ class TestSimulate:
         for _ in range(2):
             assert run(self.CFG, "simulate", "--out", str(out))[0] == 0
         lines = (out / "timing.txt").read_text().splitlines()
-        # one write line per artifact, in write order, then one total line
-        assert [line for line in lines if line.startswith("total: ")] == [lines[-1]]
-        assert all(re.fullmatch(r"write [\w.]+: \d+\.\d\d s", line) for line in lines[:-1])
-        assert [line.split(":")[0] for line in lines[:-1]] == [
+        # one write line per artifact, in write order, then one total line,
+        # then the peak memory of this process and of its joined workers
+        assert [line for line in lines if line.startswith("total: ")] == [lines[-3]]
+        assert all(re.fullmatch(r"write [\w.]+: \d+\.\d\d s", line) for line in lines[:-3])
+        assert [line.split(":")[0] for line in lines[:-3]] == [
             "write path.txt", "write path.marks.txt", "write summary.json"]
+        assert all(re.fullmatch(r"(workers )?peak rss: \d+\.\d MB", line)
+                   for line in lines[-2:])
+        assert [line.split(":")[0] for line in lines[-2:]] == ["peak rss", "workers peak rss"]
         assert sorted(p.name for p in out.iterdir()) == [
             "path.marks.txt", "path.txt", "summary.json", "timing.txt"]
+
+    def test_timing_reports_no_worker_memory_when_nothing_forked(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.ini", self.CFG)
+        out = tmp_path / "sim"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "phantomdf.cli", "simulate", "--config", cfg,
+             "--out", str(out)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        memory = dict(line.split(": ") for line in
+                      (out / "timing.txt").read_text().splitlines()[-2:])
+        assert memory["workers peak rss"] == "0.0 MB"
+        assert float(memory["peak rss"].removesuffix(" MB")) > 0.0
 
     def test_seed_override_changes_path(self, run, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -159,12 +177,13 @@ class TestPhantomFit:
         out = tmp_path / "fit"
         assert run(self.CFG, "phantom-fit", "--out", str(out))[0] == 0
         lines = (out / "timing.txt").read_text().splitlines()
-        assert all(re.fullmatch(r"[\w. ]+: \d+\.\d\d s", line) for line in lines)
+        assert all(re.fullmatch(r"[\w. ]+: \d+\.\d\d s", line) for line in lines[:-2])
+        assert all(re.fullmatch(r"[\w ]+: \d+\.\d MB", line) for line in lines[-2:])
         assert [line.split(":")[0] for line in lines] == [
             "fit table", "validation", "B_T", "theta",
             *(f"write {name}" for name in ("driving.csv", "maxlaw.csv", "bt.csv",
                                            "theta.csv", "phantom.txt", "summary.json")),
-            "total"]
+            "total", "peak rss", "workers peak rss"]
 
     def test_markov_fit_draws_one_replica_set_per_question(self, run, tmp_path,
                                                            monkeypatch):
@@ -348,6 +367,7 @@ def test_regen_pipeline(run, tmp_path):
     assert summary["stationary_tail_verdict"] == "ratio->0"
     assert [g["n"] for g in summary["gaps"]] == [300, 1000]
     assert summary["cycle_tail_exceedances"] > 0
+    assert summary["cycle_tail_level"] > 0.0
 
 
 class TestBadBlockSizes:

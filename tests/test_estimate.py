@@ -22,8 +22,11 @@ from phantomdf.errors import (
 )
 from phantomdf import estimate
 from phantomdf.estimate import (
+    CycleTailBand,
     DrivingSeqEstimate,
+    RegenStats,
     _chunk_plan,
+    _chunk_rows,
     _map_chunks,
     _window_maxima,
     block_maxima_table,
@@ -45,6 +48,7 @@ from phantomdf.estimate import (
 from phantomdf.grids import HUGE_INDEX
 from phantomdf.phantom import driving_from_estimates
 from phantomdf.processes import (
+    FILL_ROWS,
     IIDSpec,
     LindleySpec,
     MetropolisSpec,
@@ -275,6 +279,19 @@ class TestSortedTransformColumns:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_an_iid_table_peaks_at_one_replica_array(self):
+        # the uniforms become log-uniforms and are sorted in place, so the
+        # table is built in the one array of R doubles that it keeps
+        R = 10**6
+        tracemalloc.start()
+        try:
+            table = block_maxima_table(IID_EXP, self.SIZES, R, seed=24, tag="memory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.replicas == R
+        assert peak <= 1.25 * 8 * R, peak / (8 * R)
 
     def test_fit_memory_does_not_grow_with_the_fit_sizes(self):
         # 19 fit sizes for [10000], 31 for [100, 1000, 10000], both up to
@@ -670,35 +687,53 @@ class TestWorkerPool:
         # two processes even on a one-core machine, so the pool path runs
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)
 
+    STEP, ROWS = _chunk_rows(METROPOLIS), _chunk_rows(LINDLEY)
+
+    def test_chunk_rows_follow_the_kernel_shape(self):
+        # the time-stepped Metropolis kernel takes up to 512 rows; the
+        # row-looping kernels take FILL_ROWS, whatever the worker count
+        assert (self.STEP, self.ROWS) == (512, FILL_ROWS)
+        assert {_chunk_rows(spec) for spec in (IID_EXP, MOVMAX2, MixtureSpec())} == \
+            {FILL_ROWS}
+
     def test_chunk_plan_clamps_workers_to_cores(self, monkeypatch):
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: 4)
-        chunks, procs = _chunk_plan(1000, 10**6)
+        chunks, procs = _chunk_plan(1000, 10**6, self.STEP)
         assert procs == 4
         assert chunks == [(0, 250), (250, 500), (500, 750), (750, 1000)]
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert _chunk_plan(3, 10**6) == ([(0, 1), (1, 2), (2, 3)], 3)
-        assert _chunk_plan(100, 3) == ([(0, 34), (34, 68), (68, 100)], 3)
-        # one worker: chunks stop at the 256-replica cap
-        assert _chunk_plan(1000, 1) == (
-            [(0, 256), (256, 512), (512, 768), (768, 1000)], 1)
+        assert _chunk_plan(3, 10**6, self.STEP) == ([(0, 1), (1, 2), (2, 3)], 3)
+        assert _chunk_plan(100, 3, self.STEP) == ([(0, 34), (34, 68), (68, 100)], 3)
+        # one worker: chunks stop at the cap of the kernel's shape
+        assert _chunk_plan(1000, 1, self.STEP) == ([(0, 512), (512, 1000)], 1)
+        assert _chunk_plan(100, 1, self.ROWS) == (
+            [(0, 32), (32, 64), (64, 96), (96, 100)], 1)
+        # the row cap cuts R finer than the workers, who still number 4
+        assert _chunk_plan(100, 10**6, self.ROWS) == (
+            [(0, 25), (25, 50), (50, 75), (75, 100)], 4)
+        assert _chunk_plan(200, 10**6, self.ROWS)[1] == 4
+        assert len(_chunk_plan(200, 10**6, self.ROWS)[0]) == 7
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: None)
-        assert _chunk_plan(1000, 10**6)[1] == 1
+        assert _chunk_plan(1000, 10**6, self.STEP)[1] == 1
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_chunk_plan_rejects_nonpositive_workers(self, workers):
         with pytest.raises(InvalidArgumentError):
-            _chunk_plan(self.R, workers)
+            _chunk_plan(self.R, workers, self.STEP)
 
     def test_map_chunks_forks_only_for_more_than_one_worker(self):
         def where(lo, hi):  # a closure: it reaches the workers by fork, not pickle
             return os.getpid()
 
-        serial = _map_chunks(where, self.R, 1)
+        serial = _map_chunks(where, self.R, 1, self.STEP)
         assert [b for b, _ in serial] == [(0, 256)]
         assert {pid for _, pid in serial} == {os.getpid()}
-        pooled = _map_chunks(where, self.R, 2)
+        pooled = _map_chunks(where, self.R, 2, self.STEP)
         assert [b for b, _ in pooled] == [(0, 128), (128, 256)]
         assert os.getpid() not in {pid for _, pid in pooled}
+        rows = _map_chunks(where, self.R, 2, self.ROWS)
+        assert [b for b, _ in rows] == [(lo, lo + 32) for lo in range(0, 256, 32)]
+        assert os.getpid() not in {pid for _, pid in rows}
 
     def test_worker_error_reaches_caller_as_invalid_argument(self):
         def chunk(lo, hi):
@@ -707,7 +742,32 @@ class TestWorkerPool:
             return os.getpid()
 
         with pytest.raises(InvalidArgumentError, match="bad chunk 128"):
-            _map_chunks(chunk, self.R, 2)
+            _map_chunks(chunk, self.R, 2, self.STEP)
+
+    @pytest.mark.parametrize("spec, workers, bounds", [
+        (METROPOLIS, 2, [(0, 500), (500, 1000)]),
+        (LINDLEY, 1, [(lo, min(lo + 32, 1000)) for lo in range(0, 1000, 32)]),
+    ])
+    def test_window_maxima_chunks_by_kernel_shape(self, monkeypatch, spec,
+                                                  workers, bounds):
+        """Metropolis R = 1000 at two workers runs one 500-row chunk each;
+        Lindley at one worker runs 32-row chunks.  Both equal one chunk of
+        all 1000 rows."""
+        seen = []
+
+        def spy(fn, R, workers, cap):
+            result = _map_chunks(fn, R, workers, cap)
+            seen.append([b for b, _ in result])
+            return result
+
+        windows = [(0, 1), (0, 40), (25, 90)]
+        monkeypatch.setattr(estimate, "_map_chunks", spy)
+        chunked = _window_maxima(spec, windows, 1000, 8, "shape", workers)
+        monkeypatch.setattr(estimate, "_chunk_rows", lambda spec: 1000)
+        whole = _window_maxima(spec, windows, 1000, 8, "shape", 1)
+        assert seen == [bounds, [(0, 1000)]]
+        assert np.isfinite(chunked).all() and np.unique(chunked[2]).size > 2
+        np.testing.assert_array_equal(chunked, whole)
 
     def test_metropolis_block_maxima_pool_invariant(self):
         sizes = [1, 10, 50, 300]
@@ -720,8 +780,8 @@ class TestWorkerPool:
     def test_monte_carlo_check_bt_pool_invariant(self, monkeypatch):
         seen = []
 
-        def spy(fn, R, workers):
-            result = _map_chunks(fn, R, workers)
+        def spy(fn, R, workers, cap):
+            result = _map_chunks(fn, R, workers, cap)
             seen.append(result)
             return result
 
@@ -946,6 +1006,64 @@ class TestRegenerative:
         band = cycle_tail_ratio(self.unit_cycles(), uniform(0.0, 1.0), q=0.9)
         assert 0.7 < band.ratio < 1.3
         assert band.exceedances > 200
+
+    @staticmethod
+    def sorted_cycle_tail(rs, step, q):
+        """cycle_tail_ratio as it was: the type-1 q-quantile of a sorted copy
+        of the cycle maxima, and a count of the maxima above it."""
+        s = np.sort(rs.maxima)
+        y = float(s[min(max(1, math.ceil(q * s.size)), s.size) - 1])
+        exc = int(np.count_nonzero(rs.maxima > y))
+        denom = rs.mu_hat * float(step.tail(y))
+        ratio = math.inf if denom == 0.0 else exc / rs.cycle_count / denom
+        return CycleTailBand(level=y, ratio=float(ratio), exceedances=exc)
+
+    @staticmethod
+    def hand_stats(maxima):
+        maxima = np.asarray(maxima, dtype=float)
+        return RegenStats(cycle_count=maxima.size, maxima=maxima, mu_hat=2.5,
+                          mu_se=0.0, zero_cycle_diag={})
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+    def test_cycle_tail_ratio_equals_the_sorted_copy_on_a_path(self, q):
+        rs = decompose_regenerative(generate(LINDLEY, length=200_000, seed=7))
+        assert rs.cycle_count > 10_000
+        assert cycle_tail_ratio(rs, LINDLEY.step, q) == \
+            self.sorted_cycle_tail(rs, LINDLEY.step, q)
+
+    # 12 maxima, sorted 1 1 2 2 2 2 3 3 4 5 5 7: q C is integral at 0.25, 0.5
+    # and 0.75; rank 3 starts the run of 2s, rank 6 ends it, rank 5 (q = 0.4)
+    # sits inside it, and rank 12 leaves nothing above
+    HAND = [3, 1, 2, 5, 2, 7, 2, 4, 1, 3, 5, 2]
+
+    @pytest.mark.parametrize("q, level, exceedances", [
+        (0.05, 1.0, 10), (0.25, 2.0, 6), (0.4, 2.0, 6), (0.5, 2.0, 6),
+        (0.75, 4.0, 3), (0.9, 5.0, 1), (0.99, 7.0, 0),
+    ])
+    def test_cycle_tail_ratio_equals_the_sorted_copy_at_ties(self, q, level,
+                                                             exceedances):
+        rs, step = self.hand_stats(self.HAND), uniform(0.0, 10.0)
+        band = cycle_tail_ratio(rs, step, q)
+        assert band == self.sorted_cycle_tail(rs, step, q)
+        assert (band.level, band.exceedances) == (level, exceedances)
+        one_value = self.hand_stats([4.0] * 12)
+        assert cycle_tail_ratio(one_value, step, q) == \
+            self.sorted_cycle_tail(one_value, step, q) == \
+            CycleTailBand(level=4.0, ratio=0.0, exceedances=0)
+
+    def test_cycle_tail_ratio_allocates_no_cycle_sized_array(self):
+        C = 10**6
+        rs = self.hand_stats(rng_for(32, "cycle-maxima").random(C))
+        rs.cycle_counts  # built before, as the phantom and the CDF file build it
+        step = uniform(0.0, 1.0)
+        tracemalloc.start()
+        try:
+            band = cycle_tail_ratio(rs, step, q=0.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < C, peak  # less than one byte per cycle
+        assert band == self.sorted_cycle_tail(rs, step, 0.99)
 
 
 class TestDivergenceRule:

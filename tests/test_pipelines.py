@@ -257,8 +257,10 @@ def test_regen_command_writes_the_reference(tmp_path):
     assert (out / "maxlaw.csv").read_text() == maxlaw_csv(ml)
     summary = json.loads((out / "summary.json").read_text())
     assert (summary["cycle_count"], summary["phantom_verified"],
-            summary["cycle_tail_ratio"], summary["cycle_tail_exceedances"],
-            summary["cycle_tail_band_ok"], summary["stationary_tail_verdict"]) == \
-        (rs.cycle_count, ok, band.ratio, band.exceedances, band_ok, tail_verdict)
+            summary["cycle_tail_level"], summary["cycle_tail_ratio"],
+            summary["cycle_tail_exceedances"], summary["cycle_tail_band_ok"],
+            summary["stationary_tail_verdict"]) == \
+        (rs.cycle_count, ok, band.level, band.ratio, band.exceedances, band_ok,
+         tail_verdict)
     assert summary["gaps"] == [{"n": r.n, "gap": r.gap, "se": r.se_at_gap,
                                 "level": r.level_at_gap} for r in ver.rows]

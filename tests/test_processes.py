@@ -15,6 +15,7 @@ from phantomdf.distributions import (
     uniform,
 )
 from phantomdf.errors import InvalidSpecError, NotExactlyComputableError
+from phantomdf.estimate import _chunk_rows
 from phantomdf.processes import (
     FILL_ROWS,
     IIDSpec,
@@ -202,8 +203,7 @@ class TestSlabKernels:
     MOVING_MAX = MovingMaxSpec(window=5, base=exponential(1.0))
     BUDGETS = {"metropolis": (METROPOLIS, 2.25), "lindley": (LINDLEY, 1.25),
                "moving-max": (MOVING_MAX, 2.25)}
-    ROWS = 256  # the replica chunk cap
-    SLAB_BYTES = ROWS * SLAB * 8  # one float64 slab array of a full chunk
+    ROWS = 256  # eight fill groups
 
     @staticmethod
     def metropolis_pair(spec, rows, length):
@@ -255,16 +255,21 @@ class TestSlabKernels:
         assert got.shape == (rows, length)
         np.testing.assert_array_equal(got, want)
 
+    # Budgets in slab arrays (one float64 array of a full chunk's rows by
+    # SLAB), each at its kind's own chunk rows: 512 for Metropolis, FILL_ROWS
+    # (32) for the row-looping kernels.  Metropolis: increments and
+    # uniforms, the chain state written over the increments, and a
+    # FILL_ROWS-row fill scratch (a sixteenth of a slab array at 512 rows;
+    # 2.07 slab arrays in all); Lindley: the steps, cumsum and reflection in
+    # place, with one row-sized running-minimum buffer (1.13); moving-max:
+    # the draws after the carry, folded into window maxima in place (each
+    # fold may copy its shifted input; 2.00).  What is left over covers
+    # per-row draws and per-step temps.
     @pytest.mark.parametrize("kind", ["metropolis", "lindley", "moving-max"])
     def test_one_full_chunk_slab_fits_its_budget(self, kind):
-        # Metropolis: increments and uniforms, the chain state written over the
-        # increments, and a FILL_ROWS-row fill scratch (an eighth of a slab
-        # array at 256 rows; 2.13 slab arrays in all); Lindley: the steps, cumsum and reflection in place;
-        # moving-max: the draws after the carry, folded into window maxima in
-        # place (each fold may copy its shifted input).  The quarter slab
-        # array left over covers per-row draws and per-step temps.
         spec, budget = self.BUDGETS[kind]
-        rngs = [rng_for(6, "memory", r) for r in range(self.ROWS)]
+        rows = _chunk_rows(spec)
+        rngs = [rng_for(6, "memory", r) for r in range(rows)]
         length = SLAB - default_burn_in(spec)  # burn-in + length is one slab
         slabs = _path_slabs(spec, rngs, length)
         tracemalloc.start()
@@ -273,15 +278,17 @@ class TestSlabKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert slab.shape == (self.ROWS, length)
-        assert peak <= budget * self.SLAB_BYTES, peak / self.SLAB_BYTES
+        assert slab.shape == (rows, length)
+        slab_bytes = rows * SLAB * 8
+        assert peak <= budget * slab_bytes, peak / slab_bytes
 
     @pytest.mark.parametrize("kind", ["metropolis", "lindley", "moving-max"])
     def test_three_full_slabs_fit_the_same_budget(self, kind):
         # every slab reuses the buffers of the one before, so a caller that
         # holds the previous slab while it asks for the next costs nothing
         spec, budget = self.BUDGETS[kind]
-        rngs = [rng_for(7, "memory", r) for r in range(self.ROWS)]
+        rows = _chunk_rows(spec)
+        rngs = [rng_for(7, "memory", r) for r in range(rows)]
         length = 3 * SLAB - default_burn_in(spec)
         slabs = _path_slabs(spec, rngs, length)
         widths = []
@@ -293,7 +300,8 @@ class TestSlabKernels:
         finally:
             tracemalloc.stop()
         assert widths == [SLAB - default_burn_in(spec), SLAB, SLAB]
-        assert peak <= budget * self.SLAB_BYTES, peak / self.SLAB_BYTES
+        slab_bytes = rows * SLAB * 8
+        assert peak <= budget * slab_bytes, peak / slab_bytes
 
 
 class TestExactMaxLaws:

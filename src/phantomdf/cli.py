@@ -191,7 +191,7 @@ def cmd_phantom_fit(st: _Settings) -> int:
     st.write("bt.csv", bt_csv(bt))
     st.write("theta.csv", theta_csv(theta))
     st.write("phantom.txt", phantom.to_text())
-    st.write("summary.json", json_report({
+    summary = {
         "subcommand": "phantom-fit",
         "gamma": gamma,
         "replicas": R,
@@ -206,7 +206,10 @@ def cmd_phantom_fit(st: _Settings) -> int:
         "driving_raw_violations": dse.raw_violations,
         "theta_verdict": theta.verdict,
         "theta_hat": theta.theta_hat,
-    }))
+    }
+    if dse.acceptance_rate is not None:  # the fit table's Metropolis chains
+        summary["metropolis_acceptance_rate"] = dse.acceptance_rate
+    st.write("summary.json", json_report(summary))
     verdict = "phantom verified" if verified else "phantom NOT verified"
     print(f"phantom-fit: {verdict}, {theta_text} (sup gap {ver.sup_gap:.4f})")
     return 0 if verified else 1

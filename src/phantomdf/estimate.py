@@ -1,7 +1,8 @@
 """Monte Carlo and exact estimators for max laws and phantom inputs.
 
 Block maxima always come from R independent blocks; for Markov kinds
-that means R independent paths, each with its own burn-in and its own
+that means R independent stationary paths (a Lindley path after its own
+burn-in, a Metropolis chain from a draw of its target), each from its own
 seed substream, so results do not depend on the worker count.  For kinds
 with a closed-form max law the block maxima are drawn by inverse
 transform from that law, one uniform per replica, shared across block
@@ -153,36 +154,50 @@ def _map_chunks(fn: Callable[[int, int], object], R: int, workers: int,
 
 
 def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], R: int,
-                   seed: int, tag: str, workers: int = 1) -> np.ndarray:
-    """max(X_a, ..., X_{b-1}) for each window [a, b) of each replica's path.
+                   seed: int, tag: str, workers: int = 1) -> tuple[np.ndarray, int]:
+    """max(X_a, ..., X_{b-1}) for each window [a, b) of each replica's path,
+    and the number of moves of the Metropolis chains.
 
-    Returns (len(windows), R); an empty window gives -inf.  Replica r draws
-    from rng_for(seed, tag, r) and its path runs to the largest b.  The
+    The maxima are (len(windows), R); an empty window gives -inf.  Replica r
+    draws from rng_for(seed, tag, r) and its path runs to the largest b.  The
     window ends cut the time axis into segments, the slab scan reads each
     segment's max once, and a window's max is the max of its segments, so
-    every path value is read once whatever the windows.
+    every path value is read once whatever the windows.  The moves are the
+    steps t >= 1 of every path with X_t != X_{t-1}: with a continuous
+    proposal, the accepted ones.  Other kinds count none.
     """
     cuts = np.unique([0, *(t for w in windows for t in w)])
     at = {int(t): j for j, t in enumerate(cuts)}
+    count_moves = isinstance(spec, MetropolisSpec)
 
-    def chunk(lo: int, hi: int) -> np.ndarray:
+    def chunk(lo: int, hi: int) -> tuple[np.ndarray, int]:
         rngs = [rng_for(seed, tag, r) for r in range(lo, hi)]
         seg = np.full((cuts.size - 1, hi - lo), -np.inf)  # max over [cuts[j], cuts[j+1])
-        pos = 0
+        pos = moves = 0
+        last = None  # the last value of the slab before
         for slab in _path_slabs(spec, rngs, int(cuts[-1])):
             end = pos + slab.shape[1]
             for j in range(np.searchsorted(cuts, pos, side="right") - 1,
                            np.searchsorted(cuts, end)):
                 a, b = max(cuts[j], pos) - pos, min(cuts[j + 1], end) - pos
                 np.maximum(seg[j], slab[:, a:b].max(axis=1), out=seg[j])
+            if count_moves:
+                # one comparison over the slab, and its first step against
+                # the slab before
+                moves += np.count_nonzero(slab[:, 1:] != slab[:, :-1])
+                if last is not None:
+                    moves += np.count_nonzero(slab[:, 0] != last)
+                last = slab[:, -1].copy()
             pos = end
         return np.array([seg[at[a]:at[b]].max(axis=0, initial=-np.inf)
-                         for a, b in windows])
+                         for a, b in windows]), moves
 
     out = _empty((len(windows), R), "replicas")
-    for (lo, hi), part in _map_chunks(chunk, R, workers, _chunk_rows(spec)):
+    moves = 0
+    for (lo, hi), (part, part_moves) in _map_chunks(chunk, R, workers, _chunk_rows(spec)):
         out[:, lo:hi] = part
-    return out
+        moves += part_moves
+    return out, moves
 
 
 def _validate_sizes(block_sizes) -> list[int]:
@@ -211,11 +226,15 @@ class _MaximaTable:
 
     ``values(n, ranks)`` gives column n at 1-based ascending ranks; the
     estimators read a column only through ``at`` and ``count_leq``.
+    ``acceptance_rate`` is the share of the Metropolis chains' steps that
+    moved, None for other kinds.
     """
 
     def __init__(self, n_list: Sequence[int], replicas: int,
-                 values: Callable[[int, np.ndarray], np.ndarray]) -> None:
+                 values: Callable[[int, np.ndarray], np.ndarray],
+                 acceptance_rate: float | None) -> None:
         self.n_list, self.replicas, self._values = tuple(n_list), replicas, values
+        self.acceptance_rate = acceptance_rate
 
     def at(self, n: int, ranks: np.ndarray) -> np.ndarray:
         """Column n at the ascending 1-based ``ranks``; values that decrease
@@ -263,8 +282,13 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
     ranks read (a quantile that is not monotone) is rejected.
     """
     n_list = _validate_sizes(block_sizes)
+    accept = None
     if not has_exact_max_law(spec):
-        maxima = _window_maxima(spec, [(0, n) for n in n_list], R, seed, tag, workers)
+        maxima, moves = _window_maxima(spec, [(0, n) for n in n_list], R, seed, tag,
+                                       workers)
+        steps = R * (n_list[-1] - 1)  # steps inside the paths, after their first value
+        if isinstance(spec, MetropolisSpec) and steps:
+            accept = moves / steps
     else:
         # the uniforms become log-uniforms in place: one R-sized array
         logu = rng_for(seed, tag, "maxima").random(out=_empty(R, "replicas"))
@@ -276,7 +300,7 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
             # one numpy expression for whole columns and single ranks alike,
             # so a rank read carries the very bits of the built column
             return _MaximaTable(n_list, R, lambda n, ranks: np.asarray(
-                quantile(np.exp(logu[ranks - 1] / (n + shift))), dtype=float))
+                quantile(np.exp(logu[ranks - 1] / (n + shift))), dtype=float), None)
         krng = rng_for(seed, tag, "component")  # drawn after the uniforms
         ks = np.array([_mixture_draw_component(krng) for _ in range(R)], dtype=np.int64)
         bases = ks.astype(float) ** 2
@@ -287,7 +311,8 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
             np.minimum(idx, float(HUGE_INDEX), out=row)  # the level v_idx = idx
     maxima.sort(axis=1)
     row_of = {n: i for i, n in enumerate(n_list)}
-    return _MaximaTable(n_list, R, lambda n, ranks: maxima[row_of[n], ranks - 1])
+    return _MaximaTable(n_list, R, lambda n, ranks: maxima[row_of[n], ranks - 1],
+                        accept)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +402,7 @@ class DrivingSeqEstimate:
     method: str
     replicas: int
     raw_violations: int = 0
+    acceptance_rate: float | None = None  # of the Metropolis chains behind it
 
     def row(self, n: int) -> tuple[float, float, float]:
         """(v_hat, ci_lo, ci_hi) stored for block size n."""
@@ -403,7 +429,8 @@ def driving_from_maxima(gamma: float, table: _MaximaTable) -> DrivingSeqEstimate
     return DrivingSeqEstimate(gamma=gamma, n_values=np.asarray(n_list),
                               v_hat=np.maximum.accumulate(v_hat),
                               ci_lo=ci_lo, ci_hi=ci_hi, method="monte-carlo",
-                              replicas=R, raw_violations=violations)
+                              replicas=R, raw_violations=violations,
+                              acceptance_rate=table.acceptance_rate)
 
 
 def maxlaw_from_maxima(table: _MaximaTable, probs=None,
@@ -602,7 +629,7 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
                    for n, p, _ in pairs for e in candidates)]
         windows = [(0, t) for t in heads] + [(p, p + q) for _, p, q in pairs]
         maxima = dict(zip(windows, _window_maxima(spec, windows, R, seed,
-                                                  f"bt-{n_list[-1]}", workers)))
+                                                  f"bt-{n_list[-1]}", workers)[0]))
         for n in n_list:
             v = dse.level_for(n)
             le = {w: m <= v for w, m in maxima.items()}
@@ -674,7 +701,7 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
     v = float(level)
     skel_t = [j * m - 1 for j in range(1, k + 1)]  # times of X_m, X_2m, ..., X_km
     windows = [(0, 1), (0, n), *((t, t + 1) for t in skel_t)]
-    below = _window_maxima(spec, windows, R, seed, f"cn-{n}-{m}-{k}", workers) <= v
+    below = _window_maxima(spec, windows, R, seed, f"cn-{n}-{m}-{k}", workers)[0] <= v
     single_le, max_le = below[0], below[1]
     skel_le = np.minimum.accumulate(below[2:].T, axis=1)
     pz = skel_le.mean(axis=0)  # P(Z_j <= v), j = 1..k

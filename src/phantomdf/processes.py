@@ -81,7 +81,9 @@ class MetropolisSpec:
     """Random-walk Metropolis chain with a symmetric proposal.
 
     The invariant marginal is ``target`` itself, which is why the target
-    is carried as a DistFn (density included) rather than a bare density.
+    is carried as a DistFn (density included) rather than a bare density,
+    and why a chain without ``init`` starts from a draw of it, stationary
+    from its first step.
     """
     target: DistFn
     proposal: DistFn
@@ -159,7 +161,11 @@ def default_burn_in(spec: ProcessSpec) -> int:
             return int(spec.burn_in)
         return max(DEFAULT_BURN_IN, int(math.ceil(20.0 / abs(spec.step.mean))))
     if isinstance(spec, MetropolisSpec):
-        return DEFAULT_BURN_IN if spec.burn_in is None else int(spec.burn_in)
+        if spec.burn_in is not None:
+            return int(spec.burn_in)
+        # without an init the chain starts in its invariant law (the target),
+        # so it is stationary from the first step and needs no burn-in
+        return 0 if spec.init is None else DEFAULT_BURN_IN
     return 0
 
 
@@ -194,12 +200,15 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
 
     Yields (len(rngs), slab_len) blocks, row i from rngs[i], with slab_len <=
     SLAB, that concatenate along axis 1 to the kept window; burn-in is
-    simulated and dropped here.  Slabs cut the time axis burn + length at
-    multiples of SLAB, and every row draws only from its own generator,
-    sequentially in time, so a replica's values do not depend on which rows
-    share the call.  Slabs are views of buffers that the next slab
-    overwrites (Metropolis slabs are transposed views of time-major ones),
-    so a caller must reduce or copy a slab before it calls next().
+    simulated and dropped here.  A Metropolis chain without an init starts
+    from a draw of its target, its invariant law, and so has no burn-in;
+    one with an init starts there and burns in DEFAULT_BURN_IN steps.
+    Slabs cut the time axis burn + length at multiples of SLAB, and every
+    row draws only from its own generator, sequentially in time, so a
+    replica's values do not depend on which rows share the call.  Slabs
+    are views of buffers that the next slab overwrites (Metropolis slabs are
+    transposed views of time-major ones), so a caller must reduce or copy a
+    slab before it calls next().
     """
     rows = len(rngs)
     burn = default_burn_in(spec)
@@ -226,8 +235,10 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         m_prev = np.zeros(rows)  # its running minimum, floored at 0
         low_buf = np.empty(width)
     elif isinstance(spec, MetropolisSpec):
-        x = np.full(rows, spec.init if spec.init is not None
-                    else float(spec.target.quantile(0.5)))
+        # the start state: init, or each row's first draw from the target,
+        # taken from its own generator before any increment
+        x = (np.full(rows, spec.init) if spec.init is not None
+             else np.array([spec.target.draw(rng, 1)[0] for rng in rngs]))
         fx = np.asarray(spec.target.pdf(x), dtype=float)
         pdf, where = spec.target.pdf, np.where
         # time-major increment and uniform buffers, and a row-major fill scratch

@@ -165,6 +165,7 @@ class TestPhantomFit:
         assert all(abs(c) < 0.25 for c in summary["bt_cov_diag"].values())
         assert [(g["n"], g["level"] > 0) for g in summary["gaps"]] == [(50, True),
                                                                        (200, True)]
+        assert "metropolis_acceptance_rate" not in summary  # Metropolis specs only
 
     def test_worker_count_does_not_change_artifacts(self, run, tmp_path):
         a, b = tmp_path / "w1", tmp_path / "w3"
@@ -250,6 +251,20 @@ class TestWorkers:
         assert (rc, stdout) == (2, "")
         assert err.splitlines() == [f"error: seed must lie in [0, 2**64), got {seed}"]
         assert not out.exists()
+
+    def test_acceptance_rate_is_the_same_at_one_and_two_workers(self, run, tmp_path,
+                                                                 monkeypatch):
+        from phantomdf import estimate
+
+        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)  # workers=2 forks
+        a, b = tmp_path / "w1", tmp_path / "w2"
+        assert run(self.CFG, "phantom-fit", "--out", str(a))[0] in (0, 1)
+        assert run(self.CFG, "phantom-fit", "--out", str(b),
+                   section_args=("--workers", "2"))[0] in (0, 1)
+        rates = [json.loads((out / "summary.json").read_text())["metropolis_acceptance_rate"]
+                 for out in (a, b)]
+        assert rates[0] == rates[1] and 0.5 < rates[0] < 1.0
+        assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
     def test_error_in_a_worker_exits_2_without_traceback(self, run, tmp_path,
                                                           monkeypatch):

@@ -182,9 +182,10 @@ class TestBlockMaximaTable:
     def test_worker_chunking_invariance(self):
         # replica by replica on the scan the table sorts
         windows = [(0, 50), (0, 200)]
-        a = _window_maxima(LINDLEY, windows, 240, seed=9, tag="w")
-        b = _window_maxima(LINDLEY, windows, 240, seed=9, tag="w", workers=3)
+        a, moves_a = _window_maxima(LINDLEY, windows, 240, seed=9, tag="w")
+        b, moves_b = _window_maxima(LINDLEY, windows, 240, seed=9, tag="w", workers=3)
         np.testing.assert_array_equal(a, b)
+        assert moves_a == moves_b == 0  # only Metropolis chains count moves
 
     def test_tag_separates_streams(self):
         a = block_maxima_table(IID_EXP, [50], 300, seed=9, tag="x")
@@ -196,7 +197,8 @@ class TestBlockMaximaTable:
         # a replica; Markov maxima are compared replica by replica
         t = block_maxima_table(MOVMAX2, [25, 100], 210, seed=4, tag="mono")
         assert np.all(column(t, 100) >= column(t, 25) - 1e-12)
-        m25, m100 = _window_maxima(LINDLEY, [(0, 25), (0, 100)], 210, seed=4, tag="mono")
+        (m25, m100), _ = _window_maxima(LINDLEY, [(0, 25), (0, 100)], 210, seed=4,
+                                        tag="mono")
         assert np.all(m100 >= m25)
 
 
@@ -416,7 +418,7 @@ class TestRankReads:
             source = replica_order_mixture_maxima(sizes, R, 26, "ranks")
         else:
             source = dict(zip(sizes, _window_maxima(spec, [(0, n) for n in sizes], R,
-                                                    seed=26, tag="ranks")))
+                                                    seed=26, tag="ranks")[0]))
         assert not all(np.all(np.diff(source[n]) >= 0) for n in sizes)  # needs a sort
         for n in sizes:
             np.testing.assert_array_equal(column(table, n), np.sort(source[n]))
@@ -569,7 +571,8 @@ class TestSlabScansMatchDenseReference:
         windows = [(7, 7), (0, 1), (0, 1), (100, 5_000), (2_000, 9_000),
                    (first - 1, first), (first, first + 1), (first - 10, length),
                    (0, length), (0, 3), (2, 3), (3, 5)]
-        got = _window_maxima(spec, windows, self.R, seed=44, tag="win", workers=workers)
+        got, _ = _window_maxima(spec, windows, self.R, seed=44, tag="win",
+                                workers=workers)
         seg = self.dense(44, "win", length, spec)
         want = [seg[:, a:b].max(axis=1) if a < b else np.full(self.R, -np.inf)
                 for a, b in windows]
@@ -762,12 +765,13 @@ class TestWorkerPool:
 
         windows = [(0, 1), (0, 40), (25, 90)]
         monkeypatch.setattr(estimate, "_map_chunks", spy)
-        chunked = _window_maxima(spec, windows, 1000, 8, "shape", workers)
+        chunked, chunked_moves = _window_maxima(spec, windows, 1000, 8, "shape", workers)
         monkeypatch.setattr(estimate, "_chunk_rows", lambda spec: 1000)
-        whole = _window_maxima(spec, windows, 1000, 8, "shape", 1)
+        whole, whole_moves = _window_maxima(spec, windows, 1000, 8, "shape", 1)
         assert seen == [bounds, [(0, 1000)]]
         assert np.isfinite(chunked).all() and np.unique(chunked[2]).size > 2
         np.testing.assert_array_equal(chunked, whole)
+        assert chunked_moves == whole_moves
 
     def test_metropolis_block_maxima_pool_invariant(self):
         sizes = [1, 10, 50, 300]
@@ -795,8 +799,10 @@ class TestWorkerPool:
                                     method="monte-carlo", workers=workers))
             scans.append(list(seen))
         assert len(scans[0]) == len(scans[1]) == 1  # one scan for every block size
-        maxima = [np.concatenate([m for _, m in s[0]], axis=1) for s in scans]
+        maxima = [np.concatenate([m for _, (m, _moves) in s[0]], axis=1) for s in scans]
         np.testing.assert_array_equal(*maxima)  # every window, one row each
+        moves = [sum(k for _, (_m, k) in s[0]) for s in scans]
+        assert moves[0] == moves[1] > 0
         assert maxima[0].shape[1] == self.R and np.isfinite(maxima[0]).all()
         # not degenerate: replicas differ, and each window exceeds v somewhere
         assert all(np.unique(row).size > 2 for row in maxima[0])
@@ -860,7 +866,7 @@ def test_window_maxima_within_dkw_band(spec):
     """Block maxima from the path scan (not the transform sampler) against
     the closed-form max law: the ECDF stays inside the 99.9% DKW band."""
     R, sizes = 2000, (1, 50, 1000)
-    maxima = _window_maxima(spec, [(0, n) for n in sizes], R, seed=1, tag="dkw")
+    maxima, _ = _window_maxima(spec, [(0, n) for n in sizes], R, seed=1, tag="dkw")
     i = np.arange(1, R + 1)
     for n, col in zip(sizes, maxima):
         F = np.array([exact_max_cdf(spec, n, float(x)) for x in np.sort(col)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from phantomdf.distributions import (
+    dkw_epsilon,
     exponential,
     mixture_component,
     pareto,
@@ -15,7 +16,8 @@ from phantomdf.distributions import (
     uniform,
 )
 from phantomdf.errors import InvalidSpecError, NotExactlyComputableError
-from phantomdf.estimate import _chunk_rows
+from phantomdf import estimate
+from phantomdf.estimate import _chunk_rows, _window_maxima, block_maxima_table
 from phantomdf.processes import (
     FILL_ROWS,
     IIDSpec,
@@ -151,11 +153,17 @@ class TestPathSlabs:
 
 
 def metropolis_row_major(spec, rngs, length):
-    """Reference Metropolis chains: the row-major loop, one column per step."""
+    """Reference Metropolis chains: the row-major loop, one column per step.
+
+    A chain starts at init, or else at its row's first draw of the target,
+    taken before its increments.
+    """
     rows, burn = len(rngs), default_burn_in(spec)
     total = burn + length
-    x = np.full(rows, spec.init if spec.init is not None
-                else float(spec.target.quantile(0.5)))
+    if spec.init is not None:
+        x = np.full(rows, spec.init)
+    else:
+        x = np.array([spec.target.draw(rng, 1)[0] for rng in rngs])
     fx = np.asarray(spec.target.pdf(x), dtype=float)
     slabs = []
     for pos in range(0, total, SLAB):
@@ -220,6 +228,64 @@ class TestSlabKernels:
     def test_metropolis_equals_row_major_loop(self, rows):
         length = SLAB + 200  # burn-in + length crosses a slab boundary
         np.testing.assert_array_equal(*self.metropolis_pair(self.METROPOLIS, rows, length))
+
+    def test_metropolis_starts_stationary_without_init(self):
+        # no init: no burn-in, and row r starts from the first draw of its own
+        # generator, so its first value is that draw or that draw plus the
+        # first increment, drawn next from the same generator
+        spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                              proposal=uniform(-1.0, 1.0))
+        assert default_burn_in(spec) == 0
+        rows, length = FILL_ROWS + 1, SLAB + 200
+        got, want = self.metropolis_pair(spec, rows, length)
+        np.testing.assert_array_equal(got, want)
+        for r in range(rows):
+            rng = rng_for(4, "kernel", r)
+            x0 = spec.target.draw(rng, 1)[0]
+            z0 = spec.proposal.draw(rng, SLAB)[0]
+            assert got[r, 0] in (x0, x0 + z0)
+
+    def test_metropolis_start_lies_in_the_target_law(self):
+        # over 2000 independent rows, the start x_0 and the chain at its
+        # first and last step stay inside the 99.9% DKW band of the target
+        spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                              proposal=uniform(-1.0, 1.0))
+        rows, length = 2000, 200
+        x0 = np.array([spec.target.draw(rng_for(8, "start", r), 1)[0]
+                       for r in range(rows)])
+        path = np.concatenate([s.copy() for s in _path_slabs(
+            spec, [rng_for(8, "start", r) for r in range(rows)], length)], axis=1)
+        i = np.arange(1, rows + 1)
+        for col in (x0, path[:, 0], path[:, -1]):
+            F = np.asarray(spec.target.cdf(np.sort(col)))
+            sup = max(np.max(i / rows - F), np.max(F - (i - 1) / rows))
+            assert sup <= dkw_epsilon(rows, 0.999), sup
+
+    def test_metropolis_with_init_keeps_its_burn_in(self):
+        # an init still starts every row there (the np.full reference) and
+        # burns in DEFAULT_BURN_IN = 10**4 steps
+        spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                              proposal=uniform(-1.0, 1.0), init=0.5)
+        assert default_burn_in(spec) == 10_000
+        got, want = self.metropolis_pair(spec, 3, SLAB - 10_000 + 200)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_window_maxima_counts_the_row_major_moves(self, monkeypatch, workers):
+        # a move is a step with x_t != x_{t-1}, counted within the scanned
+        # paths and across their slab boundary; the table's acceptance rate
+        # is the moves per such step
+        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)  # workers=2 forks
+        spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                              proposal=uniform(-1.0, 1.0))
+        R, length = 40, SLAB + 200
+        ref = metropolis_row_major(spec, [rng_for(3, "moves", r) for r in range(R)], length)
+        want = np.count_nonzero(ref[:, 1:] != ref[:, :-1])
+        _, moves = _window_maxima(spec, [(0, length)], R, 3, "moves", workers)
+        assert moves == want
+        table = block_maxima_table(spec, [length], R, 3, "moves", workers)
+        assert table.acceptance_rate == want / (R * (length - 1))
+        assert 0.5 < table.acceptance_rate < 1.0
 
     def test_metropolis_zero_density_state_always_moves(self):
         # started at -5, outside the support of uniform(0, 1): while a state
@@ -420,6 +486,14 @@ class TestMetropolis:
         assert path.values[0] != -5.0
 
     def test_default_burn_in(self):
+        # an explicit burn_in wins; without one, a chain started in its
+        # target needs none, and one started at an init burns in 10**4 steps
         assert default_burn_in(self.spec) == 2000
         assert default_burn_in(MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                                              proposal=uniform(-1.0, 1.0))) == 10_000
+                                              proposal=uniform(-1.0, 1.0),
+                                              burn_in=2000, init=0.0)) == 2000
+        assert default_burn_in(MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                                              proposal=uniform(-1.0, 1.0))) == 0
+        assert default_burn_in(MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                                              proposal=uniform(-1.0, 1.0),
+                                              init=0.0)) == 10_000

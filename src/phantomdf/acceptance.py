@@ -32,6 +32,7 @@ from .estimate import (
     fit_phantom,
     regen_phantom,
     theta_from_driving,
+    two_sided_gaps,
     verify_by_simulation,
 )
 from .phantom import DrivingSequence, JumpPhantom, PhantomDistFn
@@ -315,6 +316,8 @@ def criterion_8(workers: int = 1) -> CriterionResult:
             "tail_condition_holds": shift_ok,
             "theta_verdict": theta.verdict,
             "gaps": ver.gaps(),
+            "gaps_two_sided": two_sided_gaps(dse, phantom, ver),
+            "metropolis_acceptance_rate": dse.acceptance_rate,
         }),
     }
     return CriterionResult(

@@ -30,11 +30,11 @@ from .errors import InvalidArgumentError, PhantomdfError
 from .estimate import (
     check_BT,
     estimate_driving_sequence,
-    estimate_theta_single_sequence,
     fit_phantom,
     propbasic_series,
     regen_phantom,
     theta_from_driving,
+    two_sided_gaps,
     verify_by_simulation,
 )
 from .phantom import PhantomDistFn
@@ -199,6 +199,7 @@ def cmd_phantom_fit(st: _Settings) -> int:
         "phantom_verified": verified,
         "sup_gap": ver.sup_gap,
         "gaps": ver.gaps(),
+        "gaps_two_sided": two_sided_gaps(dse, phantom, ver),
         "bt_max_b": bt.max_b(),
         "bt_cov_diag": {str(r.n): r.cov_diag for r in bt.rows},
         "bt_r_exponent": bt.r_exponent,
@@ -394,18 +395,23 @@ def cmd_rates(st: _Settings) -> int:
 def cmd_extremal_index(st: _Settings) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
-    est = estimate_theta_single_sequence(spec, st.gamma, blocks,
-                                         R=st.replicas, seed=st.seed,
-                                         method=st.get("method", "auto"),
-                                         workers=st.workers)
+    # estimate_theta_single_sequence, with the driving levels kept for their
+    # acceptance rate
+    dse = estimate_driving_sequence(spec, st.gamma, blocks, R=st.replicas,
+                                    seed=st.seed, method=st.get("method", "auto"),
+                                    workers=st.workers)
+    est = theta_from_driving(spec, dse, blocks, st.seed)
     st.write("theta.csv", theta_csv(est))
-    st.write("summary.json", json_report({
+    summary = {
         "subcommand": "extremal-index",
         "verdict": est.verdict,
         "theta_hat": est.theta_hat,
         "se": est.se,
         "method": est.method,
-    }))
+    }
+    if dse.acceptance_rate is not None:  # the table's Metropolis chains
+        summary["metropolis_acceptance_rate"] = dse.acceptance_rate
+    st.write("summary.json", json_report(summary))
     if est.verdict == "zero":
         print("extremal-index: verdict theta = 0 (diverging n * tail)")
     else:

@@ -1,12 +1,15 @@
 """Monte Carlo and exact estimators for max laws and phantom inputs.
 
-Block maxima always come from R independent blocks; for Markov kinds
-that means R independent stationary paths (a Lindley path after its own
-burn-in, a Metropolis chain from a draw of its target), each from its own
-seed substream, so results do not depend on the worker count.  For kinds
-with a closed-form max law the block maxima are drawn by inverse
-transform from that law, one uniform per replica, shared across block
-sizes (which makes estimated driving levels monotone in n for free).
+Block maxima come from independent blocks; for Markov kinds that means
+independent stationary paths (a Lindley path after its own burn-in, a
+Metropolis chain from a draw of its target), each from its own seed
+substream and each as long as the largest block it serves, so results do
+not depend on the worker count.  A phantom's fit table reads R of them
+at every block size up to the largest verified block and fewer above it,
+where the verdict reads its knots only near G^n = 1.  For kinds with a
+closed-form max law the block maxima are drawn by inverse transform from
+that law, one uniform per replica, shared across block sizes (which makes
+estimated driving levels monotone in n for free).
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ __all__ = [
     "divergence_rule",
     "VERIFY_RULE",
     "fit_phantom",
+    "two_sided_gaps",
     "verify_by_simulation",
     "RegenPhantom",
     "regen_phantom",
@@ -101,20 +105,27 @@ def _chunk_rows(spec: ProcessSpec) -> int:
     return _STEP_ROWS if isinstance(spec, MetropolisSpec) else FILL_ROWS
 
 
-def _chunk_plan(R: int, workers: int,
+def _chunk_plan(lengths: np.ndarray, workers: int,
                 cap: int) -> tuple[list[tuple[int, int]], int]:
-    """Replica chunks [lo, hi) of R, of at most ``cap`` rows, and the number
-    of processes to run them.
+    """Replica chunks [lo, hi) of at most ``cap`` rows, each inside one run
+    of equal ``lengths``, and the number of processes to run them.
 
-    The worker count is clamped to the core count before it sizes the
-    chunks, so no value forks more processes than there are cores or cuts
-    R into more chunks than that clamp and the cap need.
+    Each run is cut into ceil(rows / workers)-row chunks, longest run
+    first, so the pool starts on the longest paths.  The worker count is
+    clamped to the core count before it sizes the chunks, so no value forks
+    more processes than there are cores or cuts a run into more chunks than
+    that clamp and the cap need.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    size = min(max(1, math.ceil(R / workers)), cap)
-    chunks = [(lo, min(lo + size, R)) for lo in range(0, R, size)]
+    lengths = np.asarray(lengths)
+    starts = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()  # none when empty
+    runs = sorted(zip(starts, [*starts[1:], lengths.size]), key=lambda run: -lengths[run[0]])
+    chunks = []
+    for lo, hi in runs:
+        size = min(max(1, math.ceil((hi - lo) / workers)), cap)
+        chunks += [(a, min(a + size, hi)) for a in range(lo, hi, size)]
     return chunks, min(workers, len(chunks))
 
 
@@ -127,10 +138,10 @@ def _run_chunk(bounds: tuple[int, int]):
     return _CHUNK_FN(*bounds)
 
 
-def _map_chunks(fn: Callable[[int, int], object], R: int, workers: int,
+def _map_chunks(fn: Callable[[int, int], object], lengths: np.ndarray, workers: int,
                 cap: int) -> list[tuple[tuple[int, int], object]]:
-    """[((lo, hi), fn(lo, hi))] over the replica chunks of R (at most ``cap``
-    rows each), in chunk order.
+    """[((lo, hi), fn(lo, hi))] over the replica chunks of ``lengths`` (at
+    most ``cap`` rows of one length each), longest first.
 
     With more than one process the chunks run in a pool forked after
     _CHUNK_FN is set; only the bounds go out and the chunk results come
@@ -138,8 +149,8 @@ def _map_chunks(fn: Callable[[int, int], object], R: int, workers: int,
     not depend on the worker count or on scheduling.
     """
     global _CHUNK_FN
-    chunks, procs = _chunk_plan(R, workers, cap)
-    if procs <= 1:  # one chunk or one worker; no chunks when R == 0
+    chunks, procs = _chunk_plan(lengths, workers, cap)
+    if procs <= 1:  # one chunk or one worker; no chunks when there are no replicas
         return [((lo, hi), fn(lo, hi)) for lo, hi in chunks]
     # imported here so that one-worker runs load no process machinery
     from concurrent.futures import ProcessPoolExecutor
@@ -153,29 +164,38 @@ def _map_chunks(fn: Callable[[int, int], object], R: int, workers: int,
         _CHUNK_FN = None
 
 
-def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], R: int,
+def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], lengths,
                    seed: int, tag: str, workers: int = 1) -> tuple[np.ndarray, int]:
     """max(X_a, ..., X_{b-1}) for each window [a, b) of each replica's path,
     and the number of moves of the Metropolis chains.
 
-    The maxima are (len(windows), R); an empty window gives -inf.  Replica r
-    draws from rng_for(seed, tag, r) and its path runs to the largest b.  The
-    window ends cut the time axis into segments, the slab scan reads each
-    segment's max once, and a window's max is the max of its segments, so
-    every path value is read once whatever the windows.  The moves are the
-    steps t >= 1 of every path with X_t != X_{t-1}: with a continuous
+    Replica r draws from rng_for(seed, tag, r) and its path runs to
+    ``lengths[r]``, at most the largest b.  The maxima are
+    (len(windows), len(lengths)); an empty window gives -inf, and a window
+    that ends past its replica's path gives nan.  Each chunk runs rows of
+    one length through one path call.  Every path draws as a path to the
+    longest length would, so a replica's values are the first of its path
+    at that length, whatever its own length and however the rows are cut.
+    The window ends cut the time axis into segments, the slab scan reads
+    each segment's max once, and a window's max is the max of its segments,
+    so every path value is read once whatever the windows.  The moves are
+    the steps t >= 1 of every path with X_t != X_{t-1}: with a continuous
     proposal, the accepted ones.  Other kinds count none.
     """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    horizon = int(lengths.max(initial=0))
     cuts = np.unique([0, *(t for w in windows for t in w)])
     at = {int(t): j for j, t in enumerate(cuts)}
+    ends = np.array([b for _, b in windows])
     count_moves = isinstance(spec, MetropolisSpec)
 
     def chunk(lo: int, hi: int) -> tuple[np.ndarray, int]:
+        length = int(lengths[lo])  # every row of a chunk runs this far
         rngs = [rng_for(seed, tag, r) for r in range(lo, hi)]
         seg = np.full((cuts.size - 1, hi - lo), -np.inf)  # max over [cuts[j], cuts[j+1])
         pos = moves = 0
         last = None  # the last value of the slab before
-        for slab in _path_slabs(spec, rngs, int(cuts[-1])):
+        for slab in _path_slabs(spec, rngs, length, horizon):
             end = pos + slab.shape[1]
             for j in range(np.searchsorted(cuts, pos, side="right") - 1,
                            np.searchsorted(cuts, end)):
@@ -189,12 +209,15 @@ def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], R: int
                     moves += np.count_nonzero(slab[:, 0] != last)
                 last = slab[:, -1].copy()
             pos = end
-        return np.array([seg[at[a]:at[b]].max(axis=0, initial=-np.inf)
-                         for a, b in windows]), moves
+        maxima = np.array([seg[at[a]:at[b]].max(axis=0, initial=-np.inf)
+                           for a, b in windows])
+        maxima[ends > length] = np.nan
+        return maxima, moves
 
-    out = _empty((len(windows), R), "replicas")
+    out = _empty((len(windows), lengths.size), "replicas")
     moves = 0
-    for (lo, hi), (part, part_moves) in _map_chunks(chunk, R, workers, _chunk_rows(spec)):
+    for (lo, hi), (part, part_moves) in _map_chunks(chunk, lengths, workers,
+                                                    _chunk_rows(spec)):
         out[:, lo:hi] = part
         moves += part_moves
     return out, moves
@@ -222,18 +245,20 @@ def _check_gamma(gamma: float) -> None:
 # ---------------------------------------------------------------------------
 
 class _MaximaTable:
-    """R block maxima per block size n, every column ascending.
+    """Block maxima per block size n, every column ascending.
 
-    ``values(n, ranks)`` gives column n at 1-based ascending ranks; the
-    estimators read a column only through ``at`` and ``count_leq``.
-    ``acceptance_rate`` is the share of the Metropolis chains' steps that
-    moved, None for other kinds.
+    ``replicas[n]`` is the number of maxima in column n; ``values(n, ranks)``
+    gives column n at 1-based ascending ranks, and the estimators read a
+    column only through ``at`` and ``count_leq``.  ``acceptance_rate`` is
+    the share of the Metropolis chains' steps that moved, None for other
+    kinds.
     """
 
-    def __init__(self, n_list: Sequence[int], replicas: int,
+    def __init__(self, n_list: Sequence[int], replicas: Sequence[int],
                  values: Callable[[int, np.ndarray], np.ndarray],
                  acceptance_rate: float | None) -> None:
-        self.n_list, self.replicas, self._values = tuple(n_list), replicas, values
+        self.n_list, self._values = tuple(n_list), values
+        self.replicas = dict(zip(self.n_list, (int(k) for k in replicas)))
         self.acceptance_rate = acceptance_rate
 
     def at(self, n: int, ranks: np.ndarray) -> np.ndarray:
@@ -254,7 +279,7 @@ class _MaximaTable:
 
         def above(j: int) -> bool:
             k = start + j
-            if k > self.replicas:
+            if k > self.replicas[n]:
                 return True
             read[k] = float(self._values(n, np.array([k]))[0])
             return read[k] > x
@@ -270,9 +295,27 @@ def _check_ascending(values: np.ndarray) -> None:
             "block maxima decrease across the ranks read: the quantile is not monotone")
 
 
+def _knot_replicas(n_list: Sequence[int], R: int, n_max: int) -> np.ndarray:
+    """Replicas per block size of a fit table whose largest verified block
+    is ``n_max``: R up to n_max, then min(R, max(MIN_REPLICAS, ceil(R f(s))))
+    at s = n / n_max > 1, with f(s) = (e - 1) e^{-1/s} s^{-2} / (1 - e^{-1/s}).
+
+    A knot at n is read at a verified block's levels where G^{n_max} is
+    about gamma^{1/s}; with gamma = 1/e, R f(s) replicas there keep the
+    phantom's delta-method SE within the max law's SE at R replicas
+    (README).  f(1) = 1 and f falls for s >= 1, so the counts never rise
+    with n.
+    """
+    s = np.asarray(n_list, dtype=float) / n_max
+    f = (math.e - 1.0) * np.exp(-1.0 / s) / (s * s * -np.expm1(-1.0 / s))
+    counts = np.minimum(R, np.maximum(MIN_REPLICAS, np.ceil(R * f))).astype(np.int64)
+    return np.where(s <= 1.0, R, counts)
+
+
 def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
-                       tag: str = "maxlaw", workers: int = 1) -> _MaximaTable:
-    """R block maxima for each requested block size, every column ascending.
+                       tag: str = "maxlaw", workers: int = 1,
+                       budget_above: int | None = None) -> _MaximaTable:
+    """Block maxima for each requested block size, every column ascending.
 
     The estimators read each column by rank.  IID and moving-max maxima are
     Q(u**(1/(n + shift))) of sorted uniforms u, with Q evaluated only at the
@@ -280,13 +323,26 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
     block sizes.  Monte-Carlo (Markov) and mixture maxima are sorted once,
     when the table is built.  A column whose values decrease across the
     ranks read (a quantile that is not monotone) is rejected.
+
+    Every column holds R maxima, except that a Monte-Carlo table given
+    ``budget_above`` holds only the first ``_knot_replicas`` of R at the
+    block sizes above it: replica r runs to the largest block size whose
+    count includes it.  Transform columns cost nothing per block size and
+    keep R.
     """
     n_list = _validate_sizes(block_sizes)
     accept = None
+    counts = np.full(len(n_list), R)
     if not has_exact_max_law(spec):
-        maxima, moves = _window_maxima(spec, [(0, n) for n in n_list], R, seed, tag,
-                                       workers)
-        steps = R * (n_list[-1] - 1)  # steps inside the paths, after their first value
+        if budget_above is not None:
+            counts = _knot_replicas(n_list, R, budget_above)
+        lengths = np.zeros(R, dtype=np.int64)
+        for n, k in zip(n_list, counts):
+            lengths[:k] = n
+        maxima, moves = _window_maxima(spec, [(0, n) for n in n_list], lengths, seed,
+                                       tag, workers)
+        # steps inside the paths, after their first value
+        steps = int(np.maximum(lengths - 1, 0).sum())
         if isinstance(spec, MetropolisSpec) and steps:
             accept = moves / steps
     else:
@@ -299,7 +355,7 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
                                else (spec.base.quantile, spec.window - 1))
             # one numpy expression for whole columns and single ranks alike,
             # so a rank read carries the very bits of the built column
-            return _MaximaTable(n_list, R, lambda n, ranks: np.asarray(
+            return _MaximaTable(n_list, counts, lambda n, ranks: np.asarray(
                 quantile(np.exp(logu[ranks - 1] / (n + shift))), dtype=float), None)
         krng = rng_for(seed, tag, "component")  # drawn after the uniforms
         ks = np.array([_mixture_draw_component(krng) for _ in range(R)], dtype=np.int64)
@@ -309,9 +365,10 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
             t = -np.expm1(logu / n)  # tail level of the per-component quantile
             idx = np.maximum(np.ceil(1.0 / np.maximum(t, 1e-300)), bases)
             np.minimum(idx, float(HUGE_INDEX), out=row)  # the level v_idx = idx
-    maxima.sort(axis=1)
+    for row, k in zip(maxima, counts):
+        row[:k].sort()  # a column's own replicas; the rest ran shorter paths
     row_of = {n: i for i, n in enumerate(n_list)}
-    return _MaximaTable(n_list, R, lambda n, ranks: maxima[row_of[n], ranks - 1],
+    return _MaximaTable(n_list, counts, lambda n, ranks: maxima[row_of[n], ranks - 1],
                         accept)
 
 
@@ -325,12 +382,12 @@ class MaxLawRow:
     levels: np.ndarray
     p_hat: np.ndarray
     se: np.ndarray
+    replicas: int = 0  # the block maxima behind p_hat; 0 for a closed form
 
 
 @dataclass(frozen=True)
 class MaxLawEstimate:
     method: str  # "monte-carlo" | "exact"
-    replicas: int
     rows: tuple[MaxLawRow, ...]
 
 
@@ -385,7 +442,7 @@ def exact_maxlaw(spec: ProcessSpec, block_sizes, probs) -> MaxLawEstimate:
         xs = np.unique([exact_max_quantile(spec, n, float(p)) for p in probs])
         p = np.array([exact_max_cdf(spec, n, float(x)) for x in xs])
         rows.append(MaxLawRow(n=n, levels=xs, p_hat=p, se=np.zeros_like(p)))
-    return MaxLawEstimate(method="exact", replicas=0, rows=tuple(rows))
+    return MaxLawEstimate(method="exact", rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +457,7 @@ class DrivingSeqEstimate:
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     method: str
-    replicas: int
+    replicas: np.ndarray  # block maxima behind each level; 0 for a closed form
     raw_violations: int = 0
     acceptance_rate: float | None = None  # of the Metropolis chains behind it
 
@@ -417,35 +474,40 @@ class DrivingSeqEstimate:
 
 
 def driving_from_maxima(gamma: float, table: _MaximaTable) -> DrivingSeqEstimate:
-    """Driving-sequence estimate from an existing block-maxima table."""
+    """Driving-sequence estimate from an existing block-maxima table, each
+    level and its CI read at its own column's replica count."""
     _check_gamma(gamma)
-    R, n_list = table.replicas, list(table.n_list)
-    ranks = np.array([max(_binom_quantile(0.025, R, gamma), 1),
-                      _type1_rank(gamma, R),
-                      min(_binom_quantile(0.975, R, gamma) + 1, R)])
-    reads = [table.at(n, ranks) for n in n_list]
+    n_list = list(table.n_list)
+    counts = np.array([table.replicas[n] for n in n_list])
+    ranks = {R: np.array([max(_binom_quantile(0.025, R, gamma), 1),
+                          _type1_rank(gamma, R),
+                          min(_binom_quantile(0.975, R, gamma) + 1, R)])
+             for R in np.unique(counts).tolist()}
+    reads = [table.at(n, ranks[R]) for n, R in zip(n_list, counts.tolist())]
     ci_lo, v_hat, ci_hi = np.array(reads, dtype=float).reshape(-1, 3).T.copy()
     violations = int(np.count_nonzero(np.diff(v_hat) < 0))
     return DrivingSeqEstimate(gamma=gamma, n_values=np.asarray(n_list),
                               v_hat=np.maximum.accumulate(v_hat),
                               ci_lo=ci_lo, ci_hi=ci_hi, method="monte-carlo",
-                              replicas=R, raw_violations=violations,
+                              replicas=counts, raw_violations=violations,
                               acceptance_rate=table.acceptance_rate)
 
 
 def maxlaw_from_maxima(table: _MaximaTable, probs=None,
                        level_cap: float | None = None) -> MaxLawEstimate:
-    """Max-law estimate on empirical-quantile grids of an existing table.
+    """Max-law estimate on empirical-quantile grids of an existing table,
+    each column read at its own replica count.
 
     ``level_cap`` drops grid levels above a known evaluation bound (for
     comparison against a phantom whose last knot level is that bound).
     """
     if probs is None:
         probs = np.linspace(0.01, 0.99, 33)
-    R = table.replicas
-    ranks = np.unique(np.array([_type1_rank(float(p), R) for p in probs], dtype=np.int64))
     rows = []
     for n in table.n_list:
+        R = table.replicas[n]
+        ranks = np.unique(np.array([_type1_rank(float(p), R) for p in probs],
+                                   dtype=np.int64))
         vals = table.at(n, ranks)
         xs = np.unique(vals)
         if level_cap is not None:
@@ -455,8 +517,8 @@ def maxlaw_from_maxima(table: _MaximaTable, probs=None,
         p = np.array([table.count_leq(n, x, int(k)) for x, k in zip(xs, starts)],
                      dtype=np.int64) / R
         se = np.sqrt(p * (1.0 - p) / R)
-        rows.append(MaxLawRow(n=n, levels=xs, p_hat=p, se=se))
-    return MaxLawEstimate(method="monte-carlo", replicas=R, rows=tuple(rows))
+        rows.append(MaxLawRow(n=n, levels=xs, p_hat=p, se=se, replicas=R))
+    return MaxLawEstimate(method="monte-carlo", rows=tuple(rows))
 
 
 def _resolve_method(spec: ProcessSpec, method: str) -> str:
@@ -487,7 +549,7 @@ def estimate_driving_sequence(spec: ProcessSpec, gamma: float, block_sizes,
         v = np.array([exact_max_quantile(spec, n, gamma) for n in n_list])
         return DrivingSeqEstimate(gamma=gamma, n_values=np.asarray(n_list),
                                   v_hat=v, ci_lo=v.copy(), ci_hi=v.copy(),
-                                  method="exact", replicas=0)
+                                  method="exact", replicas=np.zeros(len(n_list), int))
     _check_replicas(R)
     table = block_maxima_table(spec, n_list, R, seed, tag="driving", workers=workers)
     return driving_from_maxima(gamma, table)
@@ -628,7 +690,8 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
                  *(max(p - max(1, math.floor(n ** e)), 0)
                    for n, p, _ in pairs for e in candidates)]
         windows = [(0, t) for t in heads] + [(p, p + q) for _, p, q in pairs]
-        maxima = dict(zip(windows, _window_maxima(spec, windows, R, seed,
+        lengths = np.full(R, max(b for _, b in windows))
+        maxima = dict(zip(windows, _window_maxima(spec, windows, lengths, seed,
                                                   f"bt-{n_list[-1]}", workers)[0]))
         for n in n_list:
             v = dse.level_for(n)
@@ -701,7 +764,9 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
     v = float(level)
     skel_t = [j * m - 1 for j in range(1, k + 1)]  # times of X_m, X_2m, ..., X_km
     windows = [(0, 1), (0, n), *((t, t + 1) for t in skel_t)]
-    below = _window_maxima(spec, windows, R, seed, f"cn-{n}-{m}-{k}", workers)[0] <= v
+    # k m <= n: every window ends by n
+    below = _window_maxima(spec, windows, np.full(R, n), seed, f"cn-{n}-{m}-{k}",
+                           workers)[0] <= v
     single_le, max_le = below[0], below[1]
     skel_le = np.minimum.accumulate(below[2:].T, axis=1)
     pz = skel_le.mean(axis=0)  # P(Z_j <= v), j = 1..k
@@ -1021,14 +1086,54 @@ def _fit_sizes(block_sizes: list[int]) -> list[int]:
 
 def fit_phantom(spec: ProcessSpec, gamma: float, block_sizes, R: int, seed: int,
                 tag: str, workers: int = 1) -> tuple[DrivingSeqEstimate, PhantomDistFn]:
-    """O'Brien's continuous phantom, its driving levels fitted to R block
-    maxima per size of a log grid around ``block_sizes``."""
-    sizes = _fit_sizes(_validate_sizes(block_sizes))
+    """O'Brien's continuous phantom, its driving levels fitted to block
+    maxima per size of a log grid around ``block_sizes``.
+
+    Every fit size up to the largest block reads R maxima.  A simulated
+    (Markov) table reads fewer above it (``_knot_replicas``): those knots
+    are read only where G^n lies near 1, and there the knot's own noise
+    stays within the max law's.  ``dse.replicas`` holds each knot's count.
+    """
+    blocks = _validate_sizes(block_sizes)
     _check_gamma(gamma)
     _check_replicas(R)
-    fit = block_maxima_table(spec, sizes, R, seed, tag=tag, workers=workers)
+    fit = block_maxima_table(spec, _fit_sizes(blocks), R, seed, tag=tag, workers=workers,
+                             budget_above=blocks[-1])
     dse = driving_from_maxima(gamma, fit)
     return dse, PhantomDistFn(driving_from_estimates(gamma, dse.n_values, dse.v_hat))
+
+
+def two_sided_gaps(dse: DrivingSeqEstimate, phantom: PhantomDistFn,
+                   ver: PhantomVerification) -> list[dict]:
+    """For each verified block, the fitted phantom's own SE at the worst
+    level, the replica count behind it, and the gap over both SEs.
+
+    At a level where G^n = p, a knot fitted from R_N replicas gives G^n
+    the delta-method SE p |log p| sqrt((1 - gamma) / (gamma R_N)) / |log gamma|;
+    R_N is the smaller count of the two knots that bracket the level, or
+    the count of the one knot that G reads there (at a knot, or below the
+    first).  The z-score is gap / sqrt(se_maxlaw^2 + se_phantom^2), None
+    when both SEs are 0.  ``VERIFY_RULE`` still reads the one-sided gap.
+    """
+    gamma = dse.gamma
+    count = dict(zip(dse.n_values.tolist(), dse.replicas.tolist()))
+    xs, es = phantom.driving.knots()
+    knot_counts = np.array([count[round(1.0 / e)] for e in es.tolist()])
+    rows = []
+    for r in ver.rows:
+        x = r.level_at_gap
+        k = int(np.searchsorted(xs, x, side="right"))  # knots at or below x
+        i = max(k - 1, 0)
+        j = k if x > xs[i] else i  # x lies at or below the last knot
+        R_N = int(min(knot_counts[i], knot_counts[j]))
+        p = math.exp(r.n * float(phantom.log_cdf(x)))  # G^n, in (0, 1]
+        se = (0.0 if p == 0.0 else
+              p * abs(math.log(p)) * math.sqrt((1.0 - gamma) / (gamma * R_N))
+              / abs(math.log(gamma)))
+        both = math.hypot(r.se_at_gap, se)
+        rows.append({"n": r.n, "phantom_se": se, "phantom_replicas": R_N,
+                     "z": r.gap / both if both > 0.0 else None})
+    return rows
 
 
 def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int,

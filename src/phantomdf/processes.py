@@ -195,7 +195,7 @@ def _mixture_draw_component(rng: np.random.Generator) -> int:
 
 
 def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
-                length: int) -> Iterator[np.ndarray]:
+                length: int, horizon: int | None = None) -> Iterator[np.ndarray]:
     """Stationary values 0..length-1 of one path per generator, in time slabs.
 
     Yields (len(rngs), slab_len) blocks, row i from rngs[i], with slab_len <=
@@ -205,7 +205,10 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
     one with an init starts there and burns in DEFAULT_BURN_IN steps.
     Slabs cut the time axis burn + length at multiples of SLAB, and every
     row draws only from its own generator, sequentially in time, so a
-    replica's values do not depend on which rows share the call.  Slabs
+    replica's values do not depend on which rows share the call.  Every
+    slab draws what a path to ``horizon`` (at least ``length``; by default
+    ``length``) draws there, and steps only as far as ``length``, so the
+    values are the first ``length`` of the paths to ``horizon``.  Slabs
     are views of buffers that the next slab overwrites (Metropolis slabs are
     transposed views of time-major ones), so a caller must reduce or copy a
     slab before it calls next().
@@ -213,7 +216,8 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
     rows = len(rngs)
     burn = default_burn_in(spec)
     total = burn + length
-    width = min(SLAB, total)
+    drawn = burn + max(length, horizon or 0)  # the draws of a path to the horizon
+    width = min(SLAB, drawn)
 
     def draws(laws, out: np.ndarray) -> np.ndarray:
         for i, (law, rng) in enumerate(zip(laws, rngs)):
@@ -250,13 +254,15 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         buf = np.empty((rows, width))
 
     for pos in range(0, total, SLAB):
-        s_len = min(SLAB, total - pos)
+        # s_len steps of the slab, from d_len draws; d_len > s_len only in
+        # the last slab of a path stopped short of its horizon
+        s_len, d_len = min(SLAB, total - pos), min(SLAB, drawn - pos)
         if isinstance(spec, MovingMaxSpec):
             # x_t = max(raw_t, ..., raw_{t+m-1}): keep the last m - 1 draws for
             # the next slab, then fold neighbouring maxima m - 1 times in place
             buf[:, :m - 1] = carry
-            draws(laws, buf[:, m - 1:m - 1 + s_len])
-            carry = buf[:, s_len:s_len + m - 1].copy()
+            draws(laws, buf[:, m - 1:m - 1 + d_len])
+            carry = buf[:, d_len:d_len + m - 1].copy()
             for k in range(s_len + m - 2, s_len - 1, -1):
                 np.maximum(buf[:, :k], buf[:, 1:k + 1], out=buf[:, :k])
             xs = buf[:, :s_len]
@@ -265,7 +271,7 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
             # carry enters before the cumsum so slabs add up as one long cumsum
             # (the running minimum goes one row at a time through one
             # row-sized buffer, so a slab holds a single slab-sized array)
-            xs = draws(laws, buf[:, :s_len])
+            xs = draws(laws, buf[:, :d_len])[:, :s_len]
             xs[:, 0] += c_prev
             np.cumsum(xs, axis=1, out=xs)
             c_prev = xs[:, -1].copy()
@@ -280,16 +286,17 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
             # chain state overwrites the increment it was built from.  Each
             # row draws its increments, then its uniforms, from its own
             # generator; a group of rows goes in with one transposed copy.
-            zt, ut = zt_buf[:s_len], ut_buf[:s_len]
+            zt, ut = zt_buf[:d_len], ut_buf[:d_len]
             for lo in range(0, rows, FILL_ROWS):
                 group = rngs[lo:lo + FILL_ROWS]
-                block = fill[:len(group), :s_len]
+                block = fill[:len(group), :d_len]
                 for row, rng in zip(block, group):
-                    row[:] = spec.proposal.draw(rng, s_len)
+                    row[:] = spec.proposal.draw(rng, d_len)
                 zt[:, lo:lo + len(group)] = block.T
                 for row, rng in zip(block, group):
-                    rng.random(s_len, out=row)
+                    rng.random(d_len, out=row)
                 ut[:, lo:lo + len(group)] = block.T
+            zt, ut = zt[:s_len], ut[:s_len]
             for z, u in zip(zt, ut):
                 # u <= min(fy/fx, 1); a state of zero density always moves
                 y = x + z
@@ -300,7 +307,7 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
                 z[:] = x
             xs = zt.T
         else:
-            xs = draws(laws, buf[:, :s_len])
+            xs = draws(laws, buf[:, :d_len])[:, :s_len]
         start = max(burn - pos, 0)
         if start < s_len:
             yield xs[:, start:]

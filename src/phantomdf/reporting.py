@@ -46,16 +46,17 @@ def csv_table(header: Iterable[str], columns: Iterable[Iterable]) -> str:
 
 
 def maxlaw_csv(est: MaxLawEstimate) -> str:
-    n = np.repeat([r.n for r in est.rows], [r.levels.size for r in est.rows])
+    sizes = [r.levels.size for r in est.rows]
+    n = np.repeat([r.n for r in est.rows], sizes)
     grid = [np.concatenate([getattr(r, f) for r in est.rows])
             for f in ("levels", "p_hat", "se")]
-    return csv_table(("n", "level", "p_hat", "se", "replicas"),
-                     (n, *grid, np.full(n.size, est.replicas)))
+    replicas = np.repeat([r.replicas for r in est.rows], sizes)
+    return csv_table(("n", "level", "p_hat", "se", "replicas"), (n, *grid, replicas))
 
 
 def driving_csv(dse: DrivingSeqEstimate) -> str:
-    return csv_table(("n", "v_hat", "ci_lo", "ci_hi"),
-                     (dse.n_values, dse.v_hat, dse.ci_lo, dse.ci_hi))
+    return csv_table(("n", "v_hat", "ci_lo", "ci_hi", "replicas"),
+                     (dse.n_values, dse.v_hat, dse.ci_lo, dse.ci_hi, dse.replicas))
 
 
 def bt_csv(report: BTReport) -> str:

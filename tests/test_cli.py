@@ -6,6 +6,7 @@ each scenario gets its own config file under tmp_path.
 
 import configparser
 import json
+import math
 import os
 import re
 import subprocess
@@ -165,6 +166,13 @@ class TestPhantomFit:
         assert all(abs(c) < 0.25 for c in summary["bt_cov_diag"].values())
         assert [(g["n"], g["level"] > 0) for g in summary["gaps"]] == [(50, True),
                                                                        (200, True)]
+        # an IID fit keeps R at every knot; the two-sided z is the gap over
+        # both SEs
+        for gap, two in zip(summary["gaps"], summary["gaps_two_sided"], strict=True):
+            assert (two["n"], two["phantom_replicas"]) == (gap["n"], summary["replicas"])
+            assert 0.0 < two["phantom_se"] < 0.1
+            assert two["z"] == pytest.approx(gap["gap"] / math.hypot(gap["se"],
+                                                                     two["phantom_se"]))
         assert "metropolis_acceptance_rate" not in summary  # Metropolis specs only
 
     def test_worker_count_does_not_change_artifacts(self, run, tmp_path):
@@ -266,12 +274,36 @@ class TestWorkers:
         assert rates[0] == rates[1] and 0.5 < rates[0] < 1.0
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
+    def test_budgeted_fit_files_are_the_same_at_one_and_two_workers(self, run, tmp_path,
+                                                                     monkeypatch):
+        """R = 256 at blocks 20 and 80: the fit sizes above 80 read fewer
+        replicas, whose chains stop early, and every file keeps its bytes."""
+        from phantomdf import estimate
+
+        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)  # workers=2 forks
+        a, b = tmp_path / "w1", tmp_path / "w2"
+        assert run(self.CFG, "phantom-fit", "--out", str(a))[0] in (0, 1)
+        assert run(self.CFG, "phantom-fit", "--out", str(b),
+                   section_args=("--workers", "2"))[0] in (0, 1)
+        names = sorted(p.name for p in a.iterdir() if p.name != "timing.txt")
+        assert names == sorted(p.name for p in b.iterdir() if p.name != "timing.txt")
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        rows = [line.split(",") for line in (a / "driving.csv").read_text().splitlines()]
+        assert rows[0] == ["n", "v_hat", "ci_lo", "ci_hi", "replicas"]
+        counts = {int(row[0]): int(row[-1]) for row in rows[1:]}
+        assert counts[20] == counts[80] == 256 and counts[max(counts)] == 200
+        assert list(counts.values()) == sorted(counts.values(), reverse=True)
+        two = json.loads((a / "summary.json").read_text())["gaps_two_sided"]
+        assert [g["n"] for g in two] == [20, 80]
+        assert all(g["phantom_replicas"] in counts.values() for g in two)
+
     def test_error_in_a_worker_exits_2_without_traceback(self, run, tmp_path,
                                                           monkeypatch):
         from phantomdf import estimate
         from phantomdf.errors import InvalidArgumentError
 
-        def broken(spec, rngs, length):
+        def broken(spec, rngs, length, horizon=None):
             raise InvalidArgumentError("broken path engine")
 
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)
@@ -336,6 +368,25 @@ class TestVerdictExitCodes:
         assert rc == 0
         assert "theta" in stdout
         assert (tmp_path / "ei" / "theta.csv").exists()
+        summary = json.loads((tmp_path / "ei" / "summary.json").read_text())
+        assert "metropolis_acceptance_rate" not in summary  # Metropolis specs only
+
+    def test_extremal_index_writes_the_metropolis_acceptance_rate(self, run, tmp_path):
+        from phantomdf.distributions import symmetric_pareto, uniform
+        from phantomdf.estimate import estimate_driving_sequence
+        from phantomdf.processes import MetropolisSpec
+
+        rc, _, err = run("[common]\nseed = 5\nreplicas = 200\n"
+                         "[extremal-index]\nkind = metropolis\n"
+                         "target = symmetric_pareto(2,1)\nproposal = uniform(-1,1)\n"
+                         "block_sizes = 20,80\n",
+                         "extremal-index", "--out", str(tmp_path / "ei"))
+        assert (rc, err) == (0, "")
+        spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0))
+        dse = estimate_driving_sequence(spec, math.exp(-1.0), [20, 80], R=200, seed=5)
+        summary = json.loads((tmp_path / "ei" / "summary.json").read_text())
+        assert summary["metropolis_acceptance_rate"] == dse.acceptance_rate
+        assert 0.5 < dse.acceptance_rate < 1.0
 
     def test_bt_check_ok(self, run, tmp_path):
         rc, stdout, _ = run("[common]\nseed = 3\nreplicas = 400\n"

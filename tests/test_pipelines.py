@@ -62,11 +62,24 @@ def reference_fit_sizes(block_sizes):
     return sorted(set(sizes.tolist()) | set(block_sizes))
 
 
+def reference_budget(fit_sizes, R, n_max):
+    """Replicas per fit size of a simulated fit table: R up to n_max, then
+    min(R, max(200, ceil(R f(n / n_max)))), f(s) = (e - 1) e^{-1/s} s^{-2} / (1 - e^{-1/s})."""
+    def f(s):
+        return (math.e - 1.0) * math.exp(-1.0 / s) / (s * s * (1.0 - math.exp(-1.0 / s)))
+    return [R if n <= n_max else min(R, max(200, math.ceil(R * f(n / n_max))))
+            for n in fit_sizes]
+
+
 def reference_phantom_fit(spec, blocks, R, seed, gamma=GAMMA, workers=1):
-    """The phantom-fit command's fit and validation."""
+    """The phantom-fit command's fit and validation; a simulated fit table
+    reads fewer replicas above the largest block."""
     fit_sizes = reference_fit_sizes(blocks)
     fit = block_maxima_table(spec, fit_sizes, R, seed, tag="phantom-fit",
-                             workers=workers)
+                             workers=workers, budget_above=max(blocks))
+    budget = (reference_budget(fit_sizes, R, max(blocks))
+              if isinstance(spec, MetropolisSpec) else [R] * len(fit_sizes))
+    assert [fit.replicas[n] for n in fit_sizes] == budget
     dse = driving_from_maxima(gamma, fit)
     phantom = PhantomDistFn(driving_from_estimates(gamma, dse.n_values, dse.v_hat))
     val = block_maxima_table(spec, blocks, R, seed, tag="phantom-verify",
@@ -114,15 +127,15 @@ def reference_regen(step, length, blocks, R, seed, workers=1):
 # ---------------------------------------------------------------------------
 
 def assert_same_dse(got, want):
-    for name in ("n_values", "v_hat", "ci_lo", "ci_hi"):
+    for name in ("n_values", "v_hat", "ci_lo", "ci_hi", "replicas"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
-    assert (got.gamma, got.method, got.replicas, got.raw_violations) == \
-        (want.gamma, want.method, want.replicas, want.raw_violations)
+    assert (got.gamma, got.method, got.raw_violations) == \
+        (want.gamma, want.method, want.raw_violations)
 
 
 def assert_same_maxlaw(ml, ml_ref):
-    assert (ml.method, ml.replicas) == (ml_ref.method, ml_ref.replicas)
-    assert [r.n for r in ml.rows] == [r.n for r in ml_ref.rows]
+    assert ml.method == ml_ref.method
+    assert [(r.n, r.replicas) for r in ml.rows] == [(r.n, r.replicas) for r in ml_ref.rows]
     for row, ref in zip(ml.rows, ml_ref.rows):
         for name in ("levels", "p_hat", "se"):
             np.testing.assert_array_equal(getattr(row, name), getattr(ref, name), name)
@@ -143,13 +156,18 @@ def assert_same_check(got, want):
 
 
 class TestFitAndVerify:
-    @pytest.mark.parametrize("spec, blocks", [(IID, [10, 100]), (METROPOLIS, [5, 20])],
-                             ids=["iid", "metropolis"])
-    def test_equals_the_phantom_fit_sequence(self, spec, blocks):
+    # at R = 400 the Metropolis fit's budget cuts the sizes above 20 to as
+    # few as 200 replicas; at R = 200 it leaves every size at R
+    @pytest.mark.parametrize("spec, blocks, R", [
+        (IID, [10, 100], R), (METROPOLIS, [5, 20], R), (METROPOLIS, [5, 20], 400),
+    ], ids=["iid", "metropolis", "metropolis-budget"])
+    def test_equals_the_phantom_fit_sequence(self, spec, blocks, R):
         dse_ref, phantom_ref, check_ref = reference_phantom_fit(spec, blocks, R, SEED)
         dse, phantom = fit_phantom(spec, GAMMA, blocks, R, SEED, tag="phantom-fit")
         check = verify_by_simulation(spec, phantom, blocks, R, SEED,
                                      tag="phantom-verify")
+        if R > 200 and isinstance(spec, MetropolisSpec):
+            assert dse.replicas[0] == R and min(dse.replicas) == 200
         assert_same_dse(dse, dse_ref)
         assert phantom.to_text() == phantom_ref.to_text()
         assert_same_check(check, check_ref)

@@ -223,6 +223,26 @@ class TestSlabKernels:
         assert got.shape == (rows, length)
         return got, want
 
+    @pytest.mark.parametrize("kind", ["metropolis", "lindley", "moving-max", "iid"])
+    @pytest.mark.parametrize("length, horizon", [
+        (1, SLAB + 300), (SLAB - 150, SLAB + 300), (SLAB + 10, 2 * SLAB + 5),
+        (SLAB + 10, SLAB + 10)])
+    def test_a_path_stopped_short_of_its_horizon_is_the_start_of_the_longer_path(
+            self, kind, length, horizon):
+        # every slab draws what the path to the horizon draws there, so the
+        # values do not depend on where the path stops
+        spec = (self.BUDGETS[kind][0] if kind in self.BUDGETS
+                else IIDSpec(exponential(1.0)))
+
+        def run(*args):
+            rngs = [rng_for(7, "horizon", r) for r in range(3)]
+            return np.concatenate([s.copy() for s in _path_slabs(spec, rngs, *args)],
+                                  axis=1)
+
+        short = run(length, horizon)
+        assert short.shape == (3, length)
+        np.testing.assert_array_equal(short, run(horizon)[:, :length])
+
     # row counts below, at and across multiples of the fill group FILL_ROWS
     @pytest.mark.parametrize("rows", [1, 3, FILL_ROWS + 1, ROWS, ROWS + 1])
     def test_metropolis_equals_row_major_loop(self, rows):
@@ -281,10 +301,35 @@ class TestSlabKernels:
         R, length = 40, SLAB + 200
         ref = metropolis_row_major(spec, [rng_for(3, "moves", r) for r in range(R)], length)
         want = np.count_nonzero(ref[:, 1:] != ref[:, :-1])
-        _, moves = _window_maxima(spec, [(0, length)], R, 3, "moves", workers)
+        _, moves = _window_maxima(spec, [(0, length)], np.full(R, length), 3, "moves",
+                                  workers)
         assert moves == want
         table = block_maxima_table(spec, [length], R, 3, "moves", workers)
         assert table.acceptance_rate == want / (R * (length - 1))
+        assert 0.5 < table.acceptance_rate < 1.0
+
+    def test_budgeted_table_counts_the_row_major_moves_of_each_length(self):
+        # a budget above 100 runs 77 replicas to 100 steps, 123 to 150 and
+        # 200 to 3000, each the start of its chain to 3000; the rate divides
+        # the moves by the steps each path took
+        spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
+                              proposal=uniform(-1.0, 1.0))
+        R, sizes = 400, [10, 100, 150, 300, 3000]
+        table = block_maxima_table(spec, sizes, R, 6, "budget", budget_above=100)
+        assert table.replicas == {10: 400, 100: 400, 150: 323, 300: 200, 3000: 200}
+        ref = metropolis_row_major(spec, [rng_for(6, "budget", r) for r in range(R)], 3000)
+        paths = [path[:length] for path, length in
+                 zip(ref, [3000] * 200 + [150] * 123 + [100] * 77)]
+        moves = sum(np.count_nonzero(path[1:] != path[:-1]) for path in paths)
+        steps = sum(path.size - 1 for path in paths)
+        # column n holds the maxima of the first replicas[n] paths, each at
+        # least n long
+        for n in sizes:
+            k = table.replicas[n]
+            assert min(path.size for path in paths[:k]) >= n
+            np.testing.assert_array_equal(table.at(n, np.arange(1, k + 1)),
+                                          np.sort([path[:n].max() for path in paths[:k]]))
+        assert table.acceptance_rate == moves / steps
         assert 0.5 < table.acceptance_rate < 1.0
 
     def test_metropolis_zero_density_state_always_moves(self):

@@ -78,13 +78,13 @@ def reference_maxlaw_csv(est) -> str:
     rows = []
     for r in est.rows:
         for x, p, s in zip(r.levels, r.p_hat, r.se):
-            rows.append((r.n, x, p, s, est.replicas))
+            rows.append((r.n, x, p, s, r.replicas))
     return reference_csv_table(("n", "level", "p_hat", "se", "replicas"), rows)
 
 
 def reference_driving_csv(dse) -> str:
-    rows = zip(dse.n_values, dse.v_hat, dse.ci_lo, dse.ci_hi)
-    return reference_csv_table(("n", "v_hat", "ci_lo", "ci_hi"), rows)
+    rows = zip(dse.n_values, dse.v_hat, dse.ci_lo, dse.ci_hi, dse.replicas)
+    return reference_csv_table(("n", "v_hat", "ci_lo", "ci_hi", "replicas"), rows)
 
 
 def reference_bt_csv(report) -> str:

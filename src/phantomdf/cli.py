@@ -254,14 +254,17 @@ def cmd_bt_check(st: _Settings) -> int:
     st.write("summary.json", json_report({
         "subcommand": "bt-check",
         "T": bt.T,
+        "method": bt.method,
+        "replicas": bt.replicas,
         "b_values": {str(r.n): r.b_value for r in bt.rows},
         "cov_diag": {str(r.n): r.cov_diag for r in bt.rows},
         "r_exponent": bt.r_exponent,
         "r_adjusted": bt.r_adjusted,
         "factorizes_at_largest_n": ok,
         "propbasic": {
-            "rows": [{"n": r.n, "k": r.k, "m": r.m, "k_tail": r.k_tail,
-                      "k_c": r.k_c, "k_c_se": r.k_c_se, "sandwich_ok": r.sandwich_ok}
+            "rows": [{"n": r.n, "k": r.k, "m": r.m, "level": r.level,
+                      "k_tail": r.k_tail, "k_c": r.k_c, "k_c_se": r.k_c_se,
+                      "sandwich_ok": r.sandwich_ok}
                      for r in pb.rows],
             "max_k_tail": pb.max_k_tail,
             "diverging": pb.diverging,

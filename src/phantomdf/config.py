@@ -99,9 +99,9 @@ _SPEC_KEYS = {
 
 # The keys each section may hold: its defaults and the [common] keys, which
 # a command's own section may override; the sections that build a process
-# spec also take every kind's spec keys and Metropolis's optional init.
+# spec also take every kind's spec keys.
 _SPEC_SECTIONS = ("simulate", "phantom-fit", "verify", "bt-check", "extremal-index")
-_ANY_SPEC_KEY = ("kind", "init", *(k for keys in _SPEC_KEYS.values() for k in keys))
+_ANY_SPEC_KEY = ("kind", *(k for keys in _SPEC_KEYS.values() for k in keys))
 _KNOWN_KEYS = {
     section: frozenset({*keys, *DEFAULTS["common"],
                         *(_ANY_SPEC_KEY if section in _SPEC_SECTIONS else ())})
@@ -205,10 +205,8 @@ def build_spec(section: configparser.SectionProxy) -> ProcessSpec:
     if kind == "lindley":
         return LindleySpec(step=parse_law(section["step"]))
     if kind == "metropolis":
-        init = section.get("init", "").strip()
         return MetropolisSpec(target=parse_law(section["target"]),
-                              proposal=parse_law(section["proposal"]),
-                              init=parse_number("init", init, float) if init else None)
+                              proposal=parse_law(section["proposal"]))
     if kind == "mixture":
         return MixtureSpec()
     window = parse_number("window", section.get("window", "2"))

@@ -387,7 +387,6 @@ class MaxLawRow:
 
 @dataclass(frozen=True)
 class MaxLawEstimate:
-    method: str  # "monte-carlo" | "exact"
     rows: tuple[MaxLawRow, ...]
 
 
@@ -442,7 +441,7 @@ def exact_maxlaw(spec: ProcessSpec, block_sizes, probs) -> MaxLawEstimate:
         xs = np.unique([exact_max_quantile(spec, n, float(p)) for p in probs])
         p = np.array([exact_max_cdf(spec, n, float(x)) for x in xs])
         rows.append(MaxLawRow(n=n, levels=xs, p_hat=p, se=np.zeros_like(p)))
-    return MaxLawEstimate(method="exact", rows=tuple(rows))
+    return MaxLawEstimate(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +517,7 @@ def maxlaw_from_maxima(table: _MaximaTable, probs=None,
                      dtype=np.int64) / R
         se = np.sqrt(p * (1.0 - p) / R)
         rows.append(MaxLawRow(n=n, levels=xs, p_hat=p, se=se, replicas=R))
-    return MaxLawEstimate(method="monte-carlo", rows=tuple(rows))
+    return MaxLawEstimate(rows=tuple(rows))
 
 
 def _resolve_method(spec: ProcessSpec, method: str) -> str:
@@ -735,10 +734,6 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
 
 @dataclass(frozen=True)
 class CnDiagnostic:
-    n: int
-    m: int
-    k: int
-    level: float
     c_hat: float
     c_se: float  # delta-method SE of the worst skeleton difference
     p_single: float
@@ -782,7 +777,7 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
     se_bound = k * p1 ** (k - 1) * se1 + 2.0 * k * math.sqrt(0.25 / R)
     lower_ok = True if gamma is None else pmn >= gamma - 3.0 * semn
     upper_ok = pmn <= bound + 3.0 * (semn + se_bound)
-    return CnDiagnostic(n=n, m=m, k=k, level=v, c_hat=c_hat, c_se=c_se, p_single=p1,
+    return CnDiagnostic(c_hat=c_hat, c_se=c_se, p_single=p1,
                         sandwich_ok=bool(lower_ok and upper_ok))
 
 
@@ -994,7 +989,6 @@ class ThetaRow:
 
 @dataclass(frozen=True)
 class ThetaEstimate:
-    gamma: float
     method: str
     verdict: str  # "zero" | "positive"
     theta_hat: float | None
@@ -1060,8 +1054,8 @@ def theta_from_driving(spec: ProcessSpec, dse: DrivingSeqEstimate, n_list,
         theta_hat = last.theta
         se = (last.theta_hi - last.theta_lo) / (2.0 * 1.959963984540054) \
             if dse.method == "monte-carlo" else 0.0
-    return ThetaEstimate(gamma=dse.gamma, method=dse.method, verdict=verdict,
-                         theta_hat=theta_hat, se=se, rows=tuple(rows))
+    return ThetaEstimate(method=dse.method, verdict=verdict, theta_hat=theta_hat, se=se,
+                         rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

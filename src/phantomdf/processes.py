@@ -82,19 +82,15 @@ class MetropolisSpec:
 
     The invariant marginal is ``target`` itself, which is why the target
     is carried as a DistFn (density included) rather than a bare density,
-    and why a chain without ``init`` starts from a draw of it, stationary
-    from its first step.
+    and why a chain starts from a draw of it, stationary from its first
+    step, with no burn-in.
     """
     target: DistFn
     proposal: DistFn
-    burn_in: int | None = None
-    init: float | None = None
 
     def __post_init__(self) -> None:
         if self.target.pdf is None or self.proposal.pdf is None:
             raise InvalidSpecError("target and proposal need densities")
-        if self.init is not None and not math.isfinite(self.init):
-            raise InvalidSpecError(f"init must be finite, got {self.init:g}")
         z = np.linspace(0.0, 0.999, 101)
         zz = self.proposal.quantile(0.5 + 0.499 * z[1:])
         asym = np.max(np.abs(np.asarray(self.proposal.pdf(zz))
@@ -142,8 +138,7 @@ def describe_spec(spec: ProcessSpec) -> str:
     if isinstance(spec, LindleySpec):
         return f"lindley[step={spec.step.name},burn={spec.burn_in}]"
     if isinstance(spec, MetropolisSpec):
-        return (f"metropolis[target={spec.target.name},"
-                f"proposal={spec.proposal.name},burn={spec.burn_in}]")
+        return f"metropolis[target={spec.target.name},proposal={spec.proposal.name}]"
     if isinstance(spec, MixtureSpec):
         return "exchangeable-mixture"
     if isinstance(spec, MovingMaxSpec):
@@ -160,12 +155,6 @@ def default_burn_in(spec: ProcessSpec) -> int:
         if spec.burn_in is not None:
             return int(spec.burn_in)
         return max(DEFAULT_BURN_IN, int(math.ceil(20.0 / abs(spec.step.mean))))
-    if isinstance(spec, MetropolisSpec):
-        if spec.burn_in is not None:
-            return int(spec.burn_in)
-        # without an init the chain starts in its invariant law (the target),
-        # so it is stationary from the first step and needs no burn-in
-        return 0 if spec.init is None else DEFAULT_BURN_IN
     return 0
 
 
@@ -199,12 +188,11 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
     """Stationary values 0..length-1 of one path per generator, in time slabs.
 
     Yields (len(rngs), slab_len) blocks, row i from rngs[i], with slab_len <=
-    SLAB, that concatenate along axis 1 to the kept window; burn-in is
-    simulated and dropped here.  A Metropolis chain without an init starts
-    from a draw of its target, its invariant law, and so has no burn-in;
-    one with an init starts there and burns in DEFAULT_BURN_IN steps.
-    Slabs cut the time axis burn + length at multiples of SLAB, and every
-    row draws only from its own generator, sequentially in time, so a
+    SLAB, that concatenate along axis 1 to the kept window; a Lindley
+    burn-in is simulated and dropped here.  A Metropolis chain starts from
+    a draw of its target, its invariant law, and so has no burn-in.  Slabs
+    cut the time axis burn + length at multiples of SLAB, and every row
+    draws only from its own generator, sequentially in time, so a
     replica's values do not depend on which rows share the call.  Every
     slab draws what a path to ``horizon`` (at least ``length``; by default
     ``length``) draws there, and steps only as far as ``length``, so the
@@ -239,10 +227,9 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         m_prev = np.zeros(rows)  # its running minimum, floored at 0
         low_buf = np.empty(width)
     elif isinstance(spec, MetropolisSpec):
-        # the start state: init, or each row's first draw from the target,
-        # taken from its own generator before any increment
-        x = (np.full(rows, spec.init) if spec.init is not None
-             else np.array([spec.target.draw(rng, 1)[0] for rng in rngs]))
+        # the start state: each row's first draw from the target, taken
+        # from its own generator before any increment
+        x = np.array([spec.target.draw(rng, 1)[0] for rng in rngs])
         fx = np.asarray(spec.target.pdf(x), dtype=float)
         pdf, where = spec.target.pdf, np.where
         # time-major increment and uniform buffers, and a row-major fill scratch
@@ -329,8 +316,6 @@ def generate(spec: ProcessSpec, seed: int, length: int) -> SamplePath:
     if isinstance(spec, LindleySpec):
         return SamplePath(spec, seed, values, burn_in=default_burn_in(spec),
                           regeneration_marks=np.nonzero(values == 0.0)[0])
-    if isinstance(spec, MetropolisSpec):
-        return SamplePath(spec, seed, values, burn_in=default_burn_in(spec))
     if isinstance(spec, MixtureSpec):
         # the engine drew the component first from this same stream
         k = _mixture_draw_component(rng_for(seed, "path", tag))

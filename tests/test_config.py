@@ -121,22 +121,19 @@ def test_parse_int_list_returns_ints_or_rejects(text):
     assert all(type(v) is int for v in values)
 
 
-_METROPOLIS = {"kind": "metropolis", "target": "symmetric_pareto(2,1)",
-               "proposal": "uniform(-1,1)"}
-# (section, extra keys, key, getter, type of the value read)
+# (section, key, getter, type of the value read)
 _NUMERIC_FIELDS = [
-    ("phantom-fit", {}, "seed", lambda s: s.seed, int),
-    ("phantom-fit", {}, "replicas", lambda s: s.replicas, int),
-    ("phantom-fit", {}, "workers", lambda s: s.workers, int),
-    ("phantom-fit", {}, "gamma", lambda s: s.gamma, float),
-    ("phantom-fit", {}, "bt_T", lambda s: s.horizon("bt_T"), float),
-    ("bt-check", {}, "T", lambda s: s.horizon("T"), float),
-    ("simulate", {}, "length", lambda s: s.number("length"), int),
-    ("regen", {}, "length", lambda s: s.number("length"), int),
-    ("rates", {}, "b", lambda s: s.number("b", float), float),
-    ("rates", {}, "beta", lambda s: s.number("beta", float), float),
-    ("extremal-index", {}, "window", lambda s: s.spec().window, int),
-    ("phantom-fit", _METROPOLIS, "init", lambda s: s.spec().init, float),
+    ("phantom-fit", "seed", lambda s: s.seed, int),
+    ("phantom-fit", "replicas", lambda s: s.replicas, int),
+    ("phantom-fit", "workers", lambda s: s.workers, int),
+    ("phantom-fit", "gamma", lambda s: s.gamma, float),
+    ("phantom-fit", "bt_T", lambda s: s.horizon("bt_T"), float),
+    ("bt-check", "T", lambda s: s.horizon("T"), float),
+    ("simulate", "length", lambda s: s.number("length"), int),
+    ("regen", "length", lambda s: s.number("length"), int),
+    ("rates", "b", lambda s: s.number("b", float), float),
+    ("rates", "beta", lambda s: s.number("beta", float), float),
+    ("extremal-index", "window", lambda s: s.spec().window, int),
 ]
 
 
@@ -148,15 +145,14 @@ _NUMERIC_FIELDS = [
 def test_numeric_config_fields_read_their_type_or_reject(field, text):
     """The getters the commands read numbers through, called directly (no
     command runs, so nothing is simulated)."""
-    section, extra, key, read, kind = field
+    section, key, read, kind = field
     config = _Settings(argparse.Namespace(config=None, seed=None, replicas=None,
                                           workers=None, out=None), section)
-    for k, v in {**extra, key: text}.items():
-        config.cp.set(section, k, v)
+    config.cp.set(section, key, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             value = read(config)
         except (InvalidArgumentError, InvalidSpecError):
             return
-    assert type(value) is kind or (key == "init" and value is None and not text.strip())
+    assert type(value) is kind

@@ -200,7 +200,7 @@ def test_tail_equivalence_constant_ratio_is_divergent():
 
 
 def exact_rows(*rows):
-    return MaxLawEstimate(method="exact", rows=rows)
+    return MaxLawEstimate(rows=rows)
 
 
 def test_sup_power_distance_self_is_zero():

@@ -70,8 +70,7 @@ GAMMA = math.exp(-1.0)
 IID_EXP = IIDSpec(exponential(1.0))
 MOVMAX2 = MovingMaxSpec(window=2, base=uniform(0.0, 1.0))
 LINDLEY = LindleySpec(step=shifted(pareto(2.0, 1.0), -2.0), burn_in=300)
-METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                            proposal=uniform(-1.0, 1.0), burn_in=200)
+METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0))
 
 
 class TestValidation:
@@ -359,7 +358,7 @@ def full_column_maxlaw(columns, R, probs=None, level_cap=None):
         p = np.searchsorted(s, xs, side="right") / R
         se = np.sqrt(p * (1.0 - p) / R)
         rows.append(estimate.MaxLawRow(n=n, levels=xs, p_hat=p, se=se, replicas=R))
-    return estimate.MaxLawEstimate(method="monte-carlo", rows=tuple(rows))
+    return estimate.MaxLawEstimate(rows=tuple(rows))
 
 
 def counting_quantile(dist):
@@ -489,7 +488,7 @@ class TestMaxLaw:
     def test_exact_grid(self):
         probs = np.linspace(0.002, 0.998, 41)
         est = exact_maxlaw(MOVMAX2, [20, 80], probs=probs)
-        assert est.method == "exact" and {row.replicas for row in est.rows} == {0}
+        assert {row.replicas for row in est.rows} == {0}  # a closed form
         for row in est.rows:
             assert row.levels.size == probs.size
             np.testing.assert_array_equal(
@@ -856,7 +855,10 @@ class TestWorkerPool:
             assert [(p.value, p.se) for p in r1.pairs] == [(p.value, p.se) for p in r2.pairs]
 
     def test_estimate_cn_pool_invariant(self):
-        v = float(symmetric_pareto(2.0, 1.0).quantile(0.99))
+        # the 0.9 quantile, so that some of the R first values lie above the
+        # level: all 256 lie below the 0.99 quantile with probability
+        # 0.99**256 = 0.08, whatever the seed
+        v = float(symmetric_pareto(2.0, 1.0).quantile(0.9))
         a, b = (estimate_Cn(METROPOLIS, v, n=400, m=20, k=10, R=self.R,
                             seed=5, workers=w) for w in (1, 2))
         assert 0.0 < a.p_single < 1.0 and a.c_se > 0.0

@@ -504,7 +504,7 @@ class TestVerification:
     def test_thin_grid_refused(self):
         row = MaxLawRow(n=10, levels=np.linspace(0.0, 1.0, 20),
                         p_hat=np.full(20, 0.999), se=np.full(20, 0.01))
-        maxlaw = MaxLawEstimate(method="exact", rows=(row,))
+        maxlaw = MaxLawEstimate(rows=(row,))
         with pytest.raises(InsufficientGridError):
             verify_phantom(self.fit_from_exact_driving(GAMMA), maxlaw)
 

@@ -45,8 +45,7 @@ GAMMA = math.exp(-1.0)
 R = 200
 SEED = 20260814
 IID = IIDSpec(exponential(1.0))
-METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                            proposal=uniform(-1.0, 1.0), burn_in=100)
+METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0))
 STEP = shifted(pareto(2.0, 1.0), -2.0)
 
 
@@ -134,7 +133,6 @@ def assert_same_dse(got, want):
 
 
 def assert_same_maxlaw(ml, ml_ref):
-    assert ml.method == ml_ref.method
     assert [(r.n, r.replicas) for r in ml.rows] == [(r.n, r.replicas) for r in ml_ref.rows]
     for row, ref in zip(ml.rows, ml_ref.rows):
         for name in ("levels", "p_hat", "se"):

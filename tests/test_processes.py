@@ -1,5 +1,6 @@
 """Process specs, samplers, closed-form max laws, and chain diagnostics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -40,11 +41,18 @@ from phantomdf.processes import (
 from phantomdf.seeding import rng_for
 
 LINDLEY_STEP = shifted(pareto(2.0, 1.0), -2.0)  # mean 1 - 2 = -1
+# uniform(0, 1) with a sampler that draws -5, where its density is 0, and
+# draws nothing from its generator
+ZERO_DENSITY_START = dataclasses.replace(
+    uniform(0.0, 1.0), sampler=lambda rng, size: np.full(size, -5.0))
 
 
 def test_describe_spec_stable():
     assert describe_spec(IIDSpec(exponential(1.0))) == "iid[exp(1)]"
     assert "lindley" in describe_spec(LindleySpec(step=LINDLEY_STEP))
+    assert describe_spec(MetropolisSpec(target=uniform(0.0, 1.0),
+                                        proposal=uniform(-1.0, 1.0))) == \
+        "metropolis[target=uniform(0,1),proposal=uniform(-1,1)]"
 
 
 class TestSpecValidation:
@@ -68,8 +76,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("spec", [
         IIDSpec(exponential(1.0)),
         LindleySpec(step=LINDLEY_STEP, burn_in=100),
-        MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                       proposal=uniform(-1.0, 1.0), burn_in=100),
+        MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0)),
         MixtureSpec(),
         MovingMaxSpec(window=3, base=uniform(0.0, 1.0)),
     ], ids=describe_spec)
@@ -104,8 +111,7 @@ class TestPathSlabs:
     SPECS = [
         IIDSpec(exponential(1.0)),
         LindleySpec(step=LINDLEY_STEP, burn_in=50),
-        MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                       proposal=uniform(-1.0, 1.0), burn_in=50),
+        MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0)),
         MixtureSpec(),
         MovingMaxSpec(window=3, base=uniform(0.0, 1.0)),
     ]
@@ -155,19 +161,15 @@ class TestPathSlabs:
 def metropolis_row_major(spec, rngs, length):
     """Reference Metropolis chains: the row-major loop, one column per step.
 
-    A chain starts at init, or else at its row's first draw of the target,
-    taken before its increments.
+    A chain starts at its row's first draw of the target, taken before its
+    increments.
     """
-    rows, burn = len(rngs), default_burn_in(spec)
-    total = burn + length
-    if spec.init is not None:
-        x = np.full(rows, spec.init)
-    else:
-        x = np.array([spec.target.draw(rng, 1)[0] for rng in rngs])
+    rows = len(rngs)
+    x = np.array([spec.target.draw(rng, 1)[0] for rng in rngs])
     fx = np.asarray(spec.target.pdf(x), dtype=float)
     slabs = []
-    for pos in range(0, total, SLAB):
-        s_len = min(SLAB, total - pos)
+    for pos in range(0, length, SLAB):
+        s_len = min(SLAB, length - pos)
         z = np.empty((rows, s_len))
         u = np.empty((rows, s_len))
         for i, rng in enumerate(rngs):
@@ -182,7 +184,7 @@ def metropolis_row_major(spec, rngs, length):
             fx = np.where(acc, fy, fx)
             xs[:, t] = x
         slabs.append(xs)
-    return np.concatenate(slabs, axis=1)[:, burn:]
+    return np.concatenate(slabs, axis=1)
 
 
 def moving_max_concatenated(spec, rngs, length):
@@ -206,7 +208,7 @@ def moving_max_concatenated(spec, rngs, length):
 class TestSlabKernels:
     """The slab kernels against references, and their memory."""
     METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                                proposal=uniform(-1.0, 1.0), burn_in=100)
+                                proposal=uniform(-1.0, 1.0))
     LINDLEY = LindleySpec(step=LINDLEY_STEP, burn_in=100)
     MOVING_MAX = MovingMaxSpec(window=5, base=exponential(1.0))
     BUDGETS = {"metropolis": (METROPOLIS, 2.25), "lindley": (LINDLEY, 1.25),
@@ -246,15 +248,14 @@ class TestSlabKernels:
     # row counts below, at and across multiples of the fill group FILL_ROWS
     @pytest.mark.parametrize("rows", [1, 3, FILL_ROWS + 1, ROWS, ROWS + 1])
     def test_metropolis_equals_row_major_loop(self, rows):
-        length = SLAB + 200  # burn-in + length crosses a slab boundary
+        length = SLAB + 200  # crosses a slab boundary
         np.testing.assert_array_equal(*self.metropolis_pair(self.METROPOLIS, rows, length))
 
-    def test_metropolis_starts_stationary_without_init(self):
-        # no init: no burn-in, and row r starts from the first draw of its own
+    def test_metropolis_starts_stationary(self):
+        # no burn-in, and row r starts from the first draw of its own
         # generator, so its first value is that draw or that draw plus the
         # first increment, drawn next from the same generator
-        spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                              proposal=uniform(-1.0, 1.0))
+        spec = self.METROPOLIS
         assert default_burn_in(spec) == 0
         rows, length = FILL_ROWS + 1, SLAB + 200
         got, want = self.metropolis_pair(spec, rows, length)
@@ -280,15 +281,6 @@ class TestSlabKernels:
             F = np.asarray(spec.target.cdf(np.sort(col)))
             sup = max(np.max(i / rows - F), np.max(F - (i - 1) / rows))
             assert sup <= dkw_epsilon(rows, 0.999), sup
-
-    def test_metropolis_with_init_keeps_its_burn_in(self):
-        # an init still starts every row there (the np.full reference) and
-        # burns in DEFAULT_BURN_IN = 10**4 steps
-        spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                              proposal=uniform(-1.0, 1.0), init=0.5)
-        assert default_burn_in(spec) == 10_000
-        got, want = self.metropolis_pair(spec, 3, SLAB - 10_000 + 200)
-        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_window_maxima_counts_the_row_major_moves(self, monkeypatch, workers):
@@ -333,12 +325,12 @@ class TestSlabKernels:
         assert 0.5 < table.acceptance_rate < 1.0
 
     def test_metropolis_zero_density_state_always_moves(self):
-        # started at -5, outside the support of uniform(0, 1): while a state
-        # has density 0, u * 0 <= f(y) accepts every proposal, so the chain
-        # moves by its increment at every such step; the kernel keeps this
-        # rule row for row
-        spec = MetropolisSpec(target=uniform(0.0, 1.0), proposal=uniform(-1.0, 1.0),
-                              burn_in=0, init=-5.0)
+        # a target law that draws -5, outside the support of its density
+        # uniform(0, 1), starts every chain there without touching its
+        # generator: while a state has density 0, u * 0 <= f(y) accepts every
+        # proposal, so the chain moves by its increment at every such step;
+        # the kernel keeps this rule row for row
+        spec = MetropolisSpec(target=ZERO_DENSITY_START, proposal=uniform(-1.0, 1.0))
         rows, length = FILL_ROWS + 1, SLAB + 200
         got, want = self.metropolis_pair(spec, rows, length)
         np.testing.assert_array_equal(got, want)
@@ -487,8 +479,7 @@ class TestLindley:
 
 
 class TestMetropolis:
-    spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                          proposal=uniform(-1.0, 1.0), burn_in=2000)
+    spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0))
 
     def test_config_check_passes_on_interval(self):
         chk = metropolis_config_check(self.spec.target.pdf, self.spec.proposal.pdf,
@@ -523,22 +514,12 @@ class TestMetropolis:
         # every proposed density is 0, and 0 <= 0 accepts, so the chain moves
         # by its proposal increment on every step, the first one included
         proposal = uniform(-1.0, 1.0)
-        spec = MetropolisSpec(target=uniform(0.0, 1.0), proposal=proposal,
-                              burn_in=0, init=-5.0)
+        spec = MetropolisSpec(target=ZERO_DENSITY_START, proposal=proposal)
         path = generate(spec, length=3, seed=13)
         z = proposal.draw(rng_for(13, "path", describe_spec(spec)), 3)
         np.testing.assert_array_equal(path.values, np.add.accumulate([-5.0, *z])[1:])
         assert path.values[0] != -5.0
 
     def test_default_burn_in(self):
-        # an explicit burn_in wins; without one, a chain started in its
-        # target needs none, and one started at an init burns in 10**4 steps
-        assert default_burn_in(self.spec) == 2000
-        assert default_burn_in(MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                                              proposal=uniform(-1.0, 1.0),
-                                              burn_in=2000, init=0.0)) == 2000
-        assert default_burn_in(MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                                              proposal=uniform(-1.0, 1.0))) == 0
-        assert default_burn_in(MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
-                                              proposal=uniform(-1.0, 1.0),
-                                              init=0.0)) == 10_000
+        # a chain starts in its target, its invariant law, so it needs none
+        assert default_burn_in(self.spec) == 0

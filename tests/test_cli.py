@@ -527,6 +527,16 @@ class TestBadBlockSizes:
                              error=f"error: {error}")
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("law, bad, name", [
+        ("symmetric_pareto(2,1)", "symmetric_pareto(nan,1)", "symmetric_pareto"),
+        ("uniform(-1,1)", "uniform(-inf,1)", "uniform"),
+    ], ids=["target", "proposal"])
+    def test_phantom_fit_non_finite_metropolis_law(self, run, tmp_path, law, bad, name):
+        cfg = self.FIT.format("100,1000").replace(law, bad)
+        self.assert_rejected(*run(cfg, "phantom-fit", "--out", str(tmp_path / "o")),
+                             error=f"error: parameters of '{name}' must be finite")
+
+    @pytest.mark.filterwarnings("error")
     def test_regen_non_finite_shift(self, run, tmp_path):
         cfg = self.REGEN.format("1000,10000").replace("pareto(2,1)-2", "pareto(2,1)-1e400")
         self.assert_rejected(*run(cfg, "regen", "--out", str(tmp_path / "o")),
@@ -554,7 +564,9 @@ class TestBadNumbers:
          "window must be an integer, got '2.5'"),
         ("simulate", "[simulate]\nlength = 1e3\n", "length must be an integer, got '1e3'"),
         ("phantom-fit", "[common]\ngamma = e\n", "gamma must be a number, got 'e'"),
-    ], ids=["replicas", "window", "length", "gamma"])
+        ("bt-check", "[bt-check]\nT = ten\n", "T must be a number, got 'ten'"),
+        ("rates", "[rates]\nb = x\n", "b must be a number, got 'x'"),
+    ], ids=["replicas", "window", "length", "gamma", "T", "b"])
     def test_malformed_number_names_its_key(self, run, tmp_path, command, cfg, error):
         rc, stdout, err = run(cfg, command, "--out", str(tmp_path / "o"))
         assert (rc, stdout) == (2, "")

@@ -251,7 +251,7 @@ def cmd_bt_check(st: _Settings) -> int:
     pb = propbasic_series(spec, dse, R=st.replicas, seed=st.seed, workers=st.workers)
     st.write("bt.csv", bt_csv(bt))
     st.write("driving.csv", driving_csv(dse))
-    st.write("summary.json", json_report({
+    summary = {
         "subcommand": "bt-check",
         "T": bt.T,
         "method": bt.method,
@@ -269,7 +269,10 @@ def cmd_bt_check(st: _Settings) -> int:
             "max_k_tail": pb.max_k_tail,
             "diverging": pb.diverging,
         },
-    }))
+    }
+    if bt.acceptance_rate is not None:  # the B_T replicas' Metropolis chains
+        summary["metropolis_acceptance_rate"] = bt.acceptance_rate
+    st.write("summary.json", json_report(summary))
     print(f"bt-check: b({last.n}) = {last.b_value:.5f} -> "
           f"{'ok' if ok else 'FAILS'}")
     return 0 if ok else 1

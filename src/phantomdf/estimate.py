@@ -93,11 +93,12 @@ __all__ = [
 
 MIN_REPLICAS = 200
 # Most rows per replica chunk, by kernel shape; one chunk is one _path_slabs
-# call.  The Metropolis kernel steps time with one numpy call per operation
-# over all rows of its chunk, so rows make a step cheaper: up to 512 rows,
-# 512 x SLAB x 8 B = 64 MB per slab array.  The other kernels loop over rows
-# and vectorise along time, so their chunk only sets memory: FILL_ROWS rows,
-# 4 MB per slab array.
+# call.  The Metropolis kernel steps time with six numpy calls per time step
+# plus the target's log density (four more for symmetric_pareto at unit
+# scale), each over all rows of its chunk, so rows make a chain step
+# cheaper: up to 512 rows, 512 x SLAB x 8 B = 64 MB per slab array.  The
+# other kernels loop over rows and vectorise along time, so their chunk only
+# sets memory: FILL_ROWS rows, 4 MB per slab array.
 _STEP_ROWS = 512
 
 
@@ -223,6 +224,13 @@ def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], length
     return out, moves
 
 
+def _acceptance_rate(spec: ProcessSpec, moves: int, lengths) -> float | None:
+    """The moves per step of Metropolis paths of the given lengths, each
+    path's steps after its first value; None for other kinds."""
+    steps = int(np.maximum(np.asarray(lengths) - 1, 0).sum())
+    return moves / steps if isinstance(spec, MetropolisSpec) and steps else None
+
+
 def _validate_sizes(block_sizes) -> list[int]:
     ns = [int(n) for n in np.atleast_1d(block_sizes)]
     if not ns or any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -341,10 +349,7 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
             lengths[:k] = n
         maxima, moves = _window_maxima(spec, [(0, n) for n in n_list], lengths, seed,
                                        tag, workers)
-        # steps inside the paths, after their first value
-        steps = int(np.maximum(lengths - 1, 0).sum())
-        if isinstance(spec, MetropolisSpec) and steps:
-            accept = moves / steps
+        accept = _acceptance_rate(spec, moves, lengths)
     else:
         # the uniforms become log-uniforms in place: one R-sized array
         logu = rng_for(seed, tag, "maxima").random(out=_empty(R, "replicas"))
@@ -583,6 +588,7 @@ class BTReport:
     r_exponent: float
     r_adjusted: bool
     rows: tuple[BTRow, ...]
+    acceptance_rate: float | None  # of the Monte-Carlo Metropolis chains
 
     def max_b(self) -> float:
         return max((r.b_value for r in self.rows), default=0.0)
@@ -636,7 +642,8 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
     then 1/5 if floor(n**e) * P(X_1 > v_n) fails to decay along n_list.
     Monte Carlo reads every block size off one replica set, tagged by the
     largest block, whose paths run to the largest p + q as they would for
-    that block alone.
+    that block alone; on a Metropolis chain the report carries the share of
+    those paths' steps that moved.
     """
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgumentError(f"T must be finite and positive, got {T:g}")
@@ -677,7 +684,7 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
                     - exact_max_cdf(spec, p, v) * exact_max_cdf(spec, q, v)
                 prs.append(BTPair(p=p, q=q, value=d, se=0.0))
             rows.append((n, v, prs, None))
-        replicas = 0
+        replicas, accept = 0, None
     else:
         _check_replicas(R)
         replicas = R
@@ -690,8 +697,10 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
                    for n, p, _ in pairs for e in candidates)]
         windows = [(0, t) for t in heads] + [(p, p + q) for _, p, q in pairs]
         lengths = np.full(R, max(b for _, b in windows))
-        maxima = dict(zip(windows, _window_maxima(spec, windows, lengths, seed,
-                                                  f"bt-{n_list[-1]}", workers)[0]))
+        maxima, moves = _window_maxima(spec, windows, lengths, seed,
+                                       f"bt-{n_list[-1]}", workers)
+        maxima = dict(zip(windows, maxima))
+        accept = _acceptance_rate(spec, moves, lengths)
         for n in n_list:
             v = dse.level_for(n)
             le = {w: m <= v for w, m in maxima.items()}
@@ -725,7 +734,8 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
         out_rows.append(BTRow(n=n, level=v, b_value=abs(worst.value),
                               pairs=tuple(prs), cov_diag=cov))
     return BTReport(T=float(T), method=method, replicas=replicas,
-                    r_exponent=chosen, r_adjusted=adjusted, rows=tuple(out_rows))
+                    r_exponent=chosen, r_adjusted=adjusted, rows=tuple(out_rows),
+                    acceptance_rate=accept)
 
 
 # ---------------------------------------------------------------------------

@@ -81,16 +81,17 @@ class MetropolisSpec:
     """Random-walk Metropolis chain with a symmetric proposal.
 
     The invariant marginal is ``target`` itself, which is why the target
-    is carried as a DistFn (density included) rather than a bare density,
-    and why a chain starts from a draw of it, stationary from its first
-    step, with no burn-in.
+    is carried as a DistFn (log density included) rather than a bare
+    density, and why a chain starts from a draw of it, stationary from its
+    first step, with no burn-in.  The chain accepts on the target's log
+    density; the proposal's density is read only to check its symmetry.
     """
     target: DistFn
     proposal: DistFn
 
     def __post_init__(self) -> None:
-        if self.target.pdf is None or self.proposal.pdf is None:
-            raise InvalidSpecError("target and proposal need densities")
+        if self.target.logpdf is None or self.proposal.pdf is None:
+            raise InvalidSpecError("target needs a log density and proposal a density")
         z = np.linspace(0.0, 0.999, 101)
         zz = self.proposal.quantile(0.5 + 0.499 * z[1:])
         asym = np.max(np.abs(np.asarray(self.proposal.pdf(zz))
@@ -98,7 +99,7 @@ class MetropolisSpec:
         if asym > 1e-9:
             raise InvalidSpecError("proposal density must be symmetric about 0")
         probe = np.linspace(-100.0, 100.0, 4001)
-        if not np.any(np.asarray(self.target.pdf(probe)) > 0):
+        if not np.any(np.asarray(self.target.logpdf(probe)) > -np.inf):
             raise InvalidSpecError("target density vanishes on the probe grid")
 
 
@@ -230,8 +231,8 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         # the start state: each row's first draw from the target, taken
         # from its own generator before any increment
         x = np.array([spec.target.draw(rng, 1)[0] for rng in rngs])
-        fx = np.asarray(spec.target.pdf(x), dtype=float)
-        pdf, where = spec.target.pdf, np.where
+        lx = np.asarray(spec.target.logpdf(x), dtype=float)
+        logpdf, add, copyto = spec.target.logpdf, np.add, np.copyto
         # time-major increment and uniform buffers, and a row-major fill scratch
         zt_buf, ut_buf = np.empty((width, rows)), np.empty((width, rows))
         fill = np.empty((min(FILL_ROWS, rows), width))
@@ -284,14 +285,22 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
                     rng.random(d_len, out=row)
                 ut[:, lo:lo + len(group)] = block.T
             zt, ut = zt[:s_len], ut[:s_len]
-            for z, u in zip(zt, ut):
-                # u <= min(fy/fx, 1); a state of zero density always moves
-                y = x + z
-                fy = pdf(y)
-                acc = u * fx <= fy
-                x = where(acc, y, x)
-                fx = where(acc, fy, fx)
-                z[:] = x
+            with np.errstate(divide="ignore"):  # u = 0 gives log u = -inf
+                np.log(ut, out=ut)
+            for z, lu in zip(zt, ut):
+                # the proposal y = x + z overwrites z and becomes the state
+                # wherever it is accepted: log u + log f(x) <= log f(y), which
+                # is u f(x) <= f(y).  The negation rejects a NaN sum (log 0 +
+                # inf, where u f(x) is 0 * inf) as that rule does, and a state
+                # of zero density (-inf) always moves.  logpdf returns a new
+                # array, which becomes the state's log density.
+                add(x, z, out=z)
+                ly = logpdf(z)
+                rej = ~(lx + lu <= ly)
+                copyto(z, x, where=rej)
+                copyto(ly, lx, where=rej)
+                x, lx = z, ly
+            x = x.copy()  # a row of zt, which the next slab's fill overwrites
             xs = zt.T
         else:
             xs = draws(laws, buf[:, :d_len])[:, :s_len]

@@ -388,6 +388,29 @@ class TestVerdictExitCodes:
         assert summary["metropolis_acceptance_rate"] == dse.acceptance_rate
         assert 0.5 < dse.acceptance_rate < 1.0
 
+    def test_bt_check_writes_the_metropolis_acceptance_rate(self, run, tmp_path):
+        # the B_T replicas are R chains to the largest p + q (2 x 80); the
+        # rate is their moves over their R (160 - 1) steps
+        import numpy as np
+
+        from phantomdf.distributions import symmetric_pareto, uniform
+        from phantomdf.processes import MetropolisSpec, _path_slabs
+        from phantomdf.seeding import rng_for
+
+        rc, _, err = run("[common]\nseed = 5\nreplicas = 200\n"
+                         "[bt-check]\nkind = metropolis\n"
+                         "target = symmetric_pareto(2,1)\nproposal = uniform(-1,1)\n"
+                         "block_sizes = 20,80\n",
+                         "bt-check", "--out", str(tmp_path / "bt"))
+        assert rc in (0, 1) and err == ""
+        spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0))
+        paths = np.concatenate([s.copy() for s in _path_slabs(
+            spec, [rng_for(5, "bt-80", r) for r in range(200)], 160)], axis=1)
+        moves = np.count_nonzero(paths[:, 1:] != paths[:, :-1])
+        summary = json.loads((tmp_path / "bt" / "summary.json").read_text())
+        assert summary["metropolis_acceptance_rate"] == moves / (200 * 159)
+        assert 0.5 < summary["metropolis_acceptance_rate"] < 1.0
+
     def test_bt_check_ok(self, run, tmp_path):
         rc, stdout, _ = run("[common]\nseed = 3\nreplicas = 400\n"
                             "[bt-check]\nkind = iid\nmarginal = exp(1)\n"
@@ -415,6 +438,7 @@ class TestVerdictExitCodes:
                    for r in pb["rows"])
         summary = json.loads((outs[0] / "summary.json").read_text())
         assert set(summary["cov_diag"]) == set(summary["b_values"]) == {"50", "200"}
+        assert "metropolis_acceptance_rate" not in summary  # Metropolis specs only
 
 
 def test_regen_pipeline(run, tmp_path):
@@ -535,6 +559,13 @@ class TestBadBlockSizes:
         cfg = self.FIT.format("100,1000").replace(law, bad)
         self.assert_rejected(*run(cfg, "phantom-fit", "--out", str(tmp_path / "o")),
                              error=f"error: parameters of '{name}' must be finite")
+
+    @pytest.mark.parametrize("law", ["geometric(0.5)", "superheavy()"])
+    def test_phantom_fit_metropolis_target_without_a_density(self, run, tmp_path, law):
+        cfg = self.FIT.format("100,1000").replace("symmetric_pareto(2,1)", law)
+        self.assert_rejected(*run(cfg, "phantom-fit", "--out", str(tmp_path / "o")),
+                             error="error: target needs a log density and proposal "
+                                   "a density")
 
     @pytest.mark.filterwarnings("error")
     def test_regen_non_finite_shift(self, run, tmp_path):

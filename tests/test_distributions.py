@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phantomdf.distributions import (
+    _CATALOG,
     DistFn,
     beta_law,
     dkw_epsilon,
@@ -78,6 +79,63 @@ def test_sampler_matches_cdf_dkw(dist):
     cdf_left = cdf - np.array([dist.jump_at(v) for v in u])
     gap = max(np.max(np.abs(hi - cdf)), np.max(np.abs(lo - cdf_left)))
     assert gap <= dkw_epsilon(n, 0.999)
+
+
+# every catalog law with a density, at unit and non-unit parameters, and the
+# shift wrapper; beta(0.5, 0.5) has infinite density at both ends and
+# beta(2, 3) zero density there
+WITH_DENSITY = [
+    exponential(1.0),
+    exponential(0.25),
+    pareto(2.0, 1.0),
+    pareto(0.5, 3.0),
+    uniform(-1.0, 3.0),
+    beta_law(0.5, 0.5),
+    beta_law(2.0, 3.0),
+    symmetric_pareto(2.0, 1.0),
+    symmetric_pareto(1.5, 2.5),
+    shifted(pareto(2.0, 1.0), -2.0),
+    shifted(uniform(0.0, 1.0), 0.25),
+]
+CATALOG_ARGS = {"exp": (1.0,), "exponential": (2.0,), "pareto": (2.0, 1.0),
+                "uniform": (0.0, 1.0), "beta": (0.5, 0.5), "geometric": (0.5,),
+                "superheavy": (), "symmetric_pareto": (2.0, 1.0),
+                "mixture_component": (2,)}
+
+
+def test_every_catalog_law_with_a_density_has_a_log_density():
+    assert set(CATALOG_ARGS) == set(_CATALOG)
+    for name, args in CATALOG_ARGS.items():
+        law = make_distribution(name, *args)
+        assert (law.pdf is None) == (law.logpdf is None), name
+        moved = shifted(law, 1.5)
+        assert (moved.pdf is None) == (moved.logpdf is None), name
+    assert {law.name.split("(")[0] for law in WITH_DENSITY} >= {
+        "exp", "pareto", "uniform", "beta", "symmetric_pareto"}
+
+
+@pytest.mark.parametrize("dist", WITH_DENSITY, ids=lambda d: d.name)
+def test_logpdf_is_the_log_of_the_density(dist):
+    # inside the support (quantiles, and the finite ends), just outside it,
+    # and at +-inf; the log density is read with every floating-point
+    # warning raised, so a log(0) fails the test
+    inner = np.asarray(dist.quantile(np.linspace(1e-6, 1.0 - 1e-6, 201)), dtype=float)
+    ends = [e for e in (dist.left_end, dist.right_end) if math.isfinite(e)]
+    outer = [e + d for e in ends for d in (-1.0, -1e-9, 1e-9, 1.0)]
+    xs = np.concatenate([inner, ends, outer, [-np.inf, np.inf]])
+    with np.errstate(divide="ignore"):
+        want = np.log(np.asarray(dist.pdf(xs), dtype=float))
+    with np.errstate(all="raise"):
+        got = np.asarray(dist.logpdf(xs), dtype=float)
+    assert got.shape == xs.shape and not np.isnan(got).any()
+    # an error in log f is a relative error of f; 1e-12 relative to
+    # max(1, |log f|), and equal infinities where f is 0 or infinite
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    assert np.isneginf(got[[-2, -1]]).all()
+    with np.errstate(all="raise"):  # a scalar argument
+        assert float(dist.logpdf(inner[100])) == pytest.approx(float(want[100]),
+                                                               rel=1e-12, abs=1e-12)
 
 
 def test_dkw_epsilon_value():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from phantomdf.distributions import (
+    beta_law,
     dkw_epsilon,
     exponential,
     mixture_component,
@@ -162,7 +163,8 @@ def metropolis_row_major(spec, rngs, length):
     """Reference Metropolis chains: the row-major loop, one column per step.
 
     A chain starts at its row's first draw of the target, taken before its
-    increments.
+    increments.  It accepts by the ratio rule u f(x) <= f(y) on the
+    target's density, where the kernel compares logarithms.
     """
     rows = len(rngs)
     x = np.array([spec.target.draw(rng, 1)[0] for rng in rngs])
@@ -245,11 +247,54 @@ class TestSlabKernels:
         assert short.shape == (3, length)
         np.testing.assert_array_equal(short, run(horizon)[:, :length])
 
-    # row counts below, at and across multiples of the fill group FILL_ROWS
-    @pytest.mark.parametrize("rows", [1, 3, FILL_ROWS + 1, ROWS, ROWS + 1])
+    # row counts below, at and across multiples of the fill group FILL_ROWS,
+    # and the 100 and 200 rows of a long fit chain's chunk
+    @pytest.mark.parametrize("rows", [1, 3, FILL_ROWS + 1, 100, 200, ROWS, ROWS + 1])
     def test_metropolis_equals_row_major_loop(self, rows):
         length = SLAB + 200  # crosses a slab boundary
         np.testing.assert_array_equal(*self.metropolis_pair(self.METROPOLIS, rows, length))
+
+    def test_metropolis_state_survives_a_full_refill(self):
+        # the second slab is full, so its fill rewrites the buffer row that
+        # held the first slab's last state
+        np.testing.assert_array_equal(*self.metropolis_pair(self.METROPOLIS, 3, 2 * SLAB + 200))
+
+    def test_metropolis_target_with_zero_density_below_0_equals_row_major_loop(self):
+        # exp(1) has density 0 below 0: a proposal there has log density
+        # -inf and is rejected, as u f(x) <= 0 rejects it
+        spec = MetropolisSpec(target=exponential(1.0), proposal=uniform(-1.0, 1.0))
+        rows, length = FILL_ROWS + 1, SLAB + 200
+        got, want = self.metropolis_pair(spec, rows, length)
+        np.testing.assert_array_equal(got, want)
+        assert got.min() >= 0.0
+        # some proposals fell below 0 and were refused: the chain stayed put
+        steps = got[:, 1:] - got[:, :-1]
+        assert np.count_nonzero(steps == 0.0) > 0.1 * steps.size
+
+    def test_metropolis_target_with_infinite_density_at_its_ends_equals_row_major_loop(self):
+        # beta(0.5, 0.5) has infinite density at 0 and 1 and density 0
+        # outside [0, 1]
+        spec = MetropolisSpec(target=beta_law(0.5, 0.5), proposal=uniform(-0.25, 0.25))
+        rows, length = FILL_ROWS + 1, SLAB + 200
+        got, want = self.metropolis_pair(spec, rows, length)
+        np.testing.assert_array_equal(got, want)
+        assert 0.0 < got.min() and got.max() < 1.0
+        # a chain near an end refuses most proposals: it moved on fewer than
+        # nine steps in ten
+        moved = np.count_nonzero(got[:, 1:] != got[:, :-1]) / got[:, 1:].size
+        assert 0.3 < moved < 0.9
+
+    def test_metropolis_state_of_infinite_density_never_moves(self):
+        # a chain started at 0, where beta(0.5, 0.5) has infinite density,
+        # stays there: log u + inf <= log f(y) holds for no finite log f(y),
+        # and at u = 0 the sum is nan, which is refused, as u * inf <= f(y)
+        # refuses every proposal (0 * inf is nan)
+        target = dataclasses.replace(beta_law(0.5, 0.5),
+                                     sampler=lambda rng, size: np.zeros(size))
+        spec = MetropolisSpec(target=target, proposal=uniform(-0.25, 0.25))
+        got, want = self.metropolis_pair(spec, 3, 500)
+        np.testing.assert_array_equal(got, want)
+        assert np.all(got == 0.0)
 
     def test_metropolis_starts_stationary(self):
         # no burn-in, and row r starts from the first draw of its own

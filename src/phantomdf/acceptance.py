@@ -285,10 +285,9 @@ def criterion_8(workers: int = 1) -> CriterionResult:
     """Random-walk sampler pipeline: config check, flat-tail condition,
     zero verdict, fitted continuous phantom."""
     target = symmetric_pareto(2.0, 1.0)
-    proposal = uniform(-1.0, 1.0)
-    spec = MetropolisSpec(target=target, proposal=proposal)
+    spec = MetropolisSpec(target=target, proposal=uniform(-1.0, 1.0))
 
-    chk = metropolis_config_check(target.pdf, proposal.pdf, 0.0, 3.0)
+    chk = metropolis_config_check(spec, 0.0, 3.0)
     cfg_ok = chk.ok
     shift_ok = target_tail_condition(target, 1.0)
 

@@ -91,9 +91,9 @@ class DistFn:
     sf
         Survival function 1 - F, supplied separately wherever a closed
         form avoids cancellation near the right end.
-    pdf, logpdf
-        Vectorized density and its logarithm, for a law with a density; the
-        log density is ``-inf`` where the density is 0.
+    logpdf
+        Vectorized log density, for a law with a density; ``-inf`` where the
+        density is 0.
     atoms
         Declared atom rule, or None for a continuous law.
     sampler
@@ -108,7 +108,6 @@ class DistFn:
     right_end: float
     left_end: float = -math.inf
     sf: Callable | None = None
-    pdf: Callable | None = None
     logpdf: Callable | None = None
     atoms: AtomRule | None = None
     sampler: Callable | None = None
@@ -156,10 +155,6 @@ def exponential(rate: float = 1.0) -> DistFn:
     def quantile(p):
         return -np.log1p(-np.asarray(p, dtype=float)) / rate
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0)
-
     log_rate = math.log(rate)
 
     def logpdf(x):
@@ -167,7 +162,7 @@ def exponential(rate: float = 1.0) -> DistFn:
         return np.where(x >= 0, log_rate - rate * np.maximum(x, 0.0), -np.inf)
 
     return DistFn(name=f"exp({rate:g})", cdf=cdf, sf=sf, quantile=quantile,
-                  pdf=pdf, logpdf=logpdf, right_end=math.inf, left_end=0.0,
+                  logpdf=logpdf, right_end=math.inf, left_end=0.0,
                   sampler=lambda rng, size: rng.exponential(1.0 / rate, size),
                   mean=1.0 / rate)
 
@@ -188,12 +183,6 @@ def pareto(alpha: float, scale: float = 1.0) -> DistFn:
     def quantile(p):
         return scale * np.expm1(-np.log1p(-np.asarray(p, dtype=float)) / alpha)
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0,
-                        (alpha / scale) * np.exp(-(alpha + 1.0) * np.log1p(np.maximum(x, 0.0) / scale)),
-                        0.0)
-
     log_c = math.log(alpha / scale)
 
     def logpdf(x):
@@ -204,7 +193,7 @@ def pareto(alpha: float, scale: float = 1.0) -> DistFn:
 
     mean = scale / (alpha - 1.0) if alpha > 1 else math.inf
     return DistFn(name=f"pareto({alpha:g},{scale:g})", cdf=cdf, sf=sf,
-                  quantile=quantile, pdf=pdf, logpdf=logpdf, right_end=math.inf, left_end=0.0,
+                  quantile=quantile, logpdf=logpdf, right_end=math.inf, left_end=0.0,
                   sampler=lambda rng, size: quantile(rng.random(size)),
                   mean=mean)
 
@@ -220,17 +209,12 @@ def uniform(a: float = 0.0, b: float = 1.0) -> DistFn:
     def quantile(p):
         return a + span * np.asarray(p, dtype=float)
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= a) & (x <= b), 1.0 / span, 0.0)
-
     def logpdf(x):
         x = np.asarray(x, dtype=float)
         return np.where((x >= a) & (x <= b), -math.log(span), -np.inf)
 
     return DistFn(name=f"uniform({a:g},{b:g})", cdf=cdf,
-                  sf=lambda x: 1.0 - cdf(x), quantile=quantile, pdf=pdf,
-                  logpdf=logpdf,
+                  sf=lambda x: 1.0 - cdf(x), quantile=quantile, logpdf=logpdf,
                   right_end=b, left_end=a,
                   sampler=lambda rng, size: rng.uniform(a, b, size),
                   mean=0.5 * (a + b))
@@ -243,8 +227,7 @@ def beta_law(c: float, d: float) -> DistFn:
 
     frozen = stats.beta(c, d)
     return DistFn(name=f"beta({c:g},{d:g})", cdf=frozen.cdf, sf=frozen.sf,
-                  quantile=frozen.ppf, pdf=frozen.pdf,
-                  logpdf=frozen.logpdf,
+                  quantile=frozen.ppf, logpdf=frozen.logpdf,
                   right_end=1.0, left_end=0.0,
                   sampler=lambda rng, size: rng.beta(c, d, size),
                   mean=c / (c + d))
@@ -346,12 +329,6 @@ def symmetric_pareto(alpha: float, scale: float = 1.0) -> DistFn:
         mag = scale * np.expm1(-np.log(2.0 * t) / alpha)
         return np.where(p >= 0.5, mag, -mag)
 
-    def pdf(x):
-        x = np.abs(np.asarray(x, dtype=float))
-        if scale != 1.0:  # x / 1.0 == x exactly, so the unit scale skips it
-            x = x / scale
-        return (alpha / (2.0 * scale)) * np.exp(-(alpha + 1.0) * np.log1p(x))
-
     log_c = math.log(alpha / (2.0 * scale))
 
     def logpdf(x):
@@ -363,7 +340,7 @@ def symmetric_pareto(alpha: float, scale: float = 1.0) -> DistFn:
         return log_c - (alpha + 1.0) * np.log1p(x)
 
     return DistFn(name=f"symmetric_pareto({alpha:g},{scale:g})",
-                  cdf=cdf, sf=sf, quantile=quantile, pdf=pdf, logpdf=logpdf,
+                  cdf=cdf, sf=sf, quantile=quantile, logpdf=logpdf,
                   right_end=math.inf, left_end=-math.inf,
                   sampler=lambda rng, size: quantile(rng.random(size)),
                   mean=0.0 if alpha > 1 else None)
@@ -446,7 +423,6 @@ def shifted(dist: DistFn, offset: float) -> DistFn:
         cdf=lambda x: dist.cdf(np.asarray(x, dtype=float) - offset),
         sf=lambda x: dist.tail(np.asarray(x, dtype=float) - offset),
         quantile=lambda p: np.asarray(dist.quantile(p), dtype=float) + offset,
-        pdf=(lambda x: dist.pdf(np.asarray(x, dtype=float) - offset)) if dist.pdf else None,
         logpdf=((lambda x: dist.logpdf(np.asarray(x, dtype=float) - offset))
                 if dist.logpdf else None),
         right_end=move(dist.right_end), left_end=move(dist.left_end),

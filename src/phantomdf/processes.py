@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -84,19 +84,19 @@ class MetropolisSpec:
     is carried as a DistFn (log density included) rather than a bare
     density, and why a chain starts from a draw of it, stationary from its
     first step, with no burn-in.  The chain accepts on the target's log
-    density; the proposal's density is read only to check its symmetry.
+    density; the proposal's is read only to check its symmetry.
     """
     target: DistFn
     proposal: DistFn
 
     def __post_init__(self) -> None:
-        if self.target.logpdf is None or self.proposal.pdf is None:
-            raise InvalidSpecError("target needs a log density and proposal a density")
+        if self.target.logpdf is None or self.proposal.logpdf is None:
+            raise InvalidSpecError("target and proposal need a log density")
         z = np.linspace(0.0, 0.999, 101)
         zz = self.proposal.quantile(0.5 + 0.499 * z[1:])
-        asym = np.max(np.abs(np.asarray(self.proposal.pdf(zz))
-                             - np.asarray(self.proposal.pdf(-zz))))
-        if asym > 1e-9:
+        # isclose fails on NaN and holds where both sides are -inf
+        if not np.all(np.isclose(self.proposal.logpdf(zz), self.proposal.logpdf(-zz),
+                                 rtol=0.0, atol=1e-9)):
             raise InvalidSpecError("proposal density must be symmetric about 0")
         probe = np.linspace(-100.0, 100.0, 4001)
         if not np.any(np.asarray(self.target.logpdf(probe)) > -np.inf):
@@ -412,35 +412,35 @@ class MetropolisCheck:
 CHECK_GRID_POINTS = 1024
 
 
-def metropolis_config_check(target_pdf: Callable, proposal_pdf: Callable,
-                            a: float, b: float) -> MetropolisCheck:
+def metropolis_config_check(spec: MetropolisSpec, a: float, b: float) -> MetropolisCheck:
     """Grid-based check of the mixing conditions for the Metropolis walk.
 
-    (i) the support of the target is connected (one contiguous positive
-    run on a wide probe grid containing [a, b]); (ii) the target is
-    positive and monotone on [a, b] with no constancy run longer than
-    (b-a)/4; (iii) the proposal is symmetric and bounded away from 0 on
-    |x| <= (b-a)/3.  ``ok`` holds when all three do.
+    (i) the support of the target is connected (one contiguous run of
+    log density above ``-inf`` on a wide probe grid containing [a, b]);
+    (ii) the target is positive and monotone on [a, b] with no constancy
+    run longer than (b-a)/4, both read on its log density; (iii) the
+    proposal is bounded away from 0 on |x| <= (b-a)/3 (its symmetry is the
+    spec's own check).  ``ok`` holds when all three do.
     """
     if not b > a:
         raise InvalidArgumentError("need b > a")
     span = b - a
 
     wide = np.linspace(a - 2.0 * span, b + 2.0 * span, 4 * CHECK_GRID_POINTS)
-    fw = np.asarray(target_pdf(wide), dtype=float)
-    pos = fw > 0.0
+    pos = np.asarray(spec.target.logpdf(wide), dtype=float) > -np.inf
     runs = np.nonzero(np.diff(pos.astype(int)))[0]
     support_connected = bool(pos.any() and runs.size <= 2
                              and (runs.size < 2 or pos[runs[0] + 1]))
 
     xs = np.linspace(a, b, CHECK_GRID_POINTS)
-    fv = np.asarray(target_pdf(xs), dtype=float)
-    interval_in_support = bool(np.all(fv > 0.0))
-    scale = float(np.max(np.abs(fv))) if fv.size else 0.0
-    tol = 1e-12 * max(scale, 1.0)
-    d = np.diff(fv)
-    monotone = bool(np.all(d >= -tol) or np.all(d <= tol))
-    flat = np.abs(d) <= tol
+    lv = np.asarray(spec.target.logpdf(xs), dtype=float)
+    interval_in_support = bool(np.all(lv > -np.inf))
+    tol = 1e-12 * max(float(np.max(np.abs(lv), initial=0.0, where=np.isfinite(lv))), 1.0)
+    # comparisons rather than differences, so a run of -inf reads as flat
+    up = lv[1:] >= lv[:-1] - tol
+    down = lv[1:] <= lv[:-1] + tol
+    monotone = bool(np.all(up) or np.all(down))
+    flat = up & down
     max_run = 0
     run = 0
     for is_flat in flat:
@@ -451,11 +451,9 @@ def metropolis_config_check(target_pdf: Callable, proposal_pdf: Callable,
 
     half = span / 3.0
     hz = np.linspace(-half, half, CHECK_GRID_POINTS)
-    hv = np.asarray(proposal_pdf(hz), dtype=float)
-    floor = float(np.min(hv))
-    sym = float(np.max(np.abs(hv - hv[::-1]))) <= 1e-9 * max(float(np.max(np.abs(hv))), 1.0)
+    floor = float(np.exp(np.min(spec.proposal.logpdf(hz))))
 
-    ok = support_connected and interval_in_support and monotone_ok and floor > 0.0 and sym
+    ok = support_connected and interval_in_support and monotone_ok and floor > 0.0
     return MetropolisCheck(ok=ok, support_connected=support_connected,
                            monotone_on_interval=monotone_ok, proposal_floor=floor)
 

@@ -564,8 +564,20 @@ class TestBadBlockSizes:
     def test_phantom_fit_metropolis_target_without_a_density(self, run, tmp_path, law):
         cfg = self.FIT.format("100,1000").replace("symmetric_pareto(2,1)", law)
         self.assert_rejected(*run(cfg, "phantom-fit", "--out", str(tmp_path / "o")),
-                             error="error: target needs a log density and proposal "
-                                   "a density")
+                             error="error: target and proposal need a log density")
+
+    @pytest.mark.parametrize("law, bad, error", [
+        ("uniform(-1,1)", "uniform(-1,2)", "proposal density must be symmetric about 0"),
+        ("uniform(-1,1)", "uniform(-1,1)+0.5",
+         "proposal density must be symmetric about 0"),
+        ("uniform(-1,1)", "geometric(0.5)", "target and proposal need a log density"),
+        ("symmetric_pareto(2,1)", "uniform(200,300)",
+         "target density vanishes on the probe grid"),
+    ], ids=["asymmetric", "shifted", "proposal-without-density", "target-off-grid"])
+    def test_phantom_fit_metropolis_spec_refusal(self, run, tmp_path, law, bad, error):
+        cfg = self.FIT.format("100,1000").replace(law, bad)
+        self.assert_rejected(*run(cfg, "phantom-fit", "--out", str(tmp_path / "o")),
+                             error=f"error: {error}")
 
     @pytest.mark.filterwarnings("error")
     def test_regen_non_finite_shift(self, run, tmp_path):

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from phantomdf.distributions import (
     _CATALOG,
@@ -81,21 +82,28 @@ def test_sampler_matches_cdf_dkw(dist):
     assert gap <= dkw_epsilon(n, 0.999)
 
 
+def half_lomax(alpha, scale):
+    """Log density of symmetric_pareto: half of lomax's at |x|."""
+    lomax = stats.lomax(alpha, scale=scale)
+    return lambda x: math.log(0.5) + lomax.logpdf(np.abs(x))
+
+
 # every catalog law with a density, at unit and non-unit parameters, and the
-# shift wrapper; beta(0.5, 0.5) has infinite density at both ends and
-# beta(2, 3) zero density there
+# shift wrapper, each with scipy's log density of the same law;
+# beta(0.5, 0.5) has infinite density at both ends and beta(2, 3) zero
+# density there
 WITH_DENSITY = [
-    exponential(1.0),
-    exponential(0.25),
-    pareto(2.0, 1.0),
-    pareto(0.5, 3.0),
-    uniform(-1.0, 3.0),
-    beta_law(0.5, 0.5),
-    beta_law(2.0, 3.0),
-    symmetric_pareto(2.0, 1.0),
-    symmetric_pareto(1.5, 2.5),
-    shifted(pareto(2.0, 1.0), -2.0),
-    shifted(uniform(0.0, 1.0), 0.25),
+    (exponential(1.0), stats.expon(scale=1.0).logpdf),
+    (exponential(0.25), stats.expon(scale=1.0 / 0.25).logpdf),
+    (pareto(2.0, 1.0), stats.lomax(2.0, scale=1.0).logpdf),
+    (pareto(0.5, 3.0), stats.lomax(0.5, scale=3.0).logpdf),
+    (uniform(-1.0, 3.0), stats.uniform(-1.0, 4.0).logpdf),
+    (beta_law(0.5, 0.5), stats.beta(0.5, 0.5).logpdf),
+    (beta_law(2.0, 3.0), stats.beta(2.0, 3.0).logpdf),
+    (symmetric_pareto(2.0, 1.0), half_lomax(2.0, 1.0)),
+    (symmetric_pareto(1.5, 2.5), half_lomax(1.5, 2.5)),
+    (shifted(pareto(2.0, 1.0), -2.0), stats.lomax(2.0, loc=-2.0, scale=1.0).logpdf),
+    (shifted(uniform(0.0, 1.0), 0.25), stats.uniform(loc=0.25, scale=1.0).logpdf),
 ]
 CATALOG_ARGS = {"exp": (1.0,), "exponential": (2.0,), "pareto": (2.0, 1.0),
                 "uniform": (0.0, 1.0), "beta": (0.5, 0.5), "geometric": (0.5,),
@@ -105,26 +113,32 @@ CATALOG_ARGS = {"exp": (1.0,), "exponential": (2.0,), "pareto": (2.0, 1.0),
 
 def test_every_catalog_law_with_a_density_has_a_log_density():
     assert set(CATALOG_ARGS) == set(_CATALOG)
+    with_log_density = set()
     for name, args in CATALOG_ARGS.items():
         law = make_distribution(name, *args)
-        assert (law.pdf is None) == (law.logpdf is None), name
-        moved = shifted(law, 1.5)
-        assert (moved.pdf is None) == (moved.logpdf is None), name
-    assert {law.name.split("(")[0] for law in WITH_DENSITY} >= {
+        if law.logpdf is not None:
+            with_log_density.add(name)
+        assert (shifted(law, 1.5).logpdf is None) == (law.logpdf is None), name
+    assert with_log_density == {"exp", "exponential", "pareto", "uniform", "beta",
+                                "symmetric_pareto"}
+    assert {law.name.split("(")[0] for law, _ in WITH_DENSITY} >= {
         "exp", "pareto", "uniform", "beta", "symmetric_pareto"}
 
 
-@pytest.mark.parametrize("dist", WITH_DENSITY, ids=lambda d: d.name)
-def test_logpdf_is_the_log_of_the_density(dist):
+@pytest.mark.parametrize("dist, reference",
+                         [pytest.param(law, ref, id=law.name) for law, ref in WITH_DENSITY])
+def test_logpdf_is_the_log_of_the_density(dist, reference):
     # inside the support (quantiles, and the finite ends), just outside it,
-    # and at +-inf; the log density is read with every floating-point
-    # warning raised, so a log(0) fails the test
+    # and at +-inf, against scipy's log density of the same law (scipy also
+    # counts each finite end of the support in it, so the two agree there);
+    # the log density is read with every floating-point warning raised, so
+    # a log(0) fails the test
     inner = np.asarray(dist.quantile(np.linspace(1e-6, 1.0 - 1e-6, 201)), dtype=float)
     ends = [e for e in (dist.left_end, dist.right_end) if math.isfinite(e)]
     outer = [e + d for e in ends for d in (-1.0, -1e-9, 1e-9, 1.0)]
     xs = np.concatenate([inner, ends, outer, [-np.inf, np.inf]])
     with np.errstate(divide="ignore"):
-        want = np.log(np.asarray(dist.pdf(xs), dtype=float))
+        want = np.asarray(reference(xs), dtype=float)
     with np.errstate(all="raise"):
         got = np.asarray(dist.logpdf(xs), dtype=float)
     assert got.shape == xs.shape and not np.isnan(got).any()

@@ -164,11 +164,11 @@ def metropolis_row_major(spec, rngs, length):
 
     A chain starts at its row's first draw of the target, taken before its
     increments.  It accepts by the ratio rule u f(x) <= f(y) on the
-    target's density, where the kernel compares logarithms.
+    target's density f = exp(logpdf), where the kernel compares logarithms.
     """
     rows = len(rngs)
     x = np.array([spec.target.draw(rng, 1)[0] for rng in rngs])
-    fx = np.asarray(spec.target.pdf(x), dtype=float)
+    fx = np.exp(spec.target.logpdf(x))
     slabs = []
     for pos in range(0, length, SLAB):
         s_len = min(SLAB, length - pos)
@@ -180,7 +180,7 @@ def metropolis_row_major(spec, rngs, length):
         xs = np.empty((rows, s_len))
         for t in range(s_len):
             y = x + z[:, t]
-            fy = np.asarray(spec.target.pdf(y), dtype=float)
+            fy = np.exp(spec.target.logpdf(y))
             acc = u[:, t] * fx <= fy
             x = np.where(acc, y, x)
             fx = np.where(acc, fy, fx)
@@ -380,7 +380,7 @@ class TestSlabKernels:
         got, want = self.metropolis_pair(spec, rows, length)
         np.testing.assert_array_equal(got, want)
         prev = np.concatenate([np.full((rows, 1), -5.0), got[:, :-1]], axis=1)
-        outside = np.asarray(spec.target.pdf(prev)) == 0.0
+        outside = np.asarray(spec.target.logpdf(prev)) == -np.inf
         # a walk from -5 takes at least 5 steps of length <= 1 into [0, 1],
         # and some rows get there within the path
         assert np.all(outside[:, :5]) and not outside.all()
@@ -527,18 +527,24 @@ class TestMetropolis:
     spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0))
 
     def test_config_check_passes_on_interval(self):
-        chk = metropolis_config_check(self.spec.target.pdf, self.spec.proposal.pdf,
-                                      0.0, 3.0)
+        chk = metropolis_config_check(self.spec, 0.0, 3.0)
         assert chk.ok
         assert chk.proposal_floor == pytest.approx(0.5)
         assert chk.monotone_on_interval
 
     def test_config_check_flags_flat_target(self):
-        flat = uniform(-5.0, 5.0)
-        chk = metropolis_config_check(flat.pdf, self.spec.proposal.pdf, 0.0, 3.0)
+        flat = MetropolisSpec(target=uniform(-5.0, 5.0), proposal=self.spec.proposal)
+        chk = metropolis_config_check(flat, 0.0, 3.0)
         assert not chk.ok
         # monotone, but constant over all of [0, 3], longer than (b-a)/4
         assert not chk.monotone_on_interval
+
+    def test_config_check_flags_a_proposal_that_vanishes_on_the_window(self):
+        # uniform(-0.5, 0.5) is 0 past |x| = 0.5, inside |x| <= (3 - 0) / 3
+        narrow = MetropolisSpec(target=self.spec.target, proposal=uniform(-0.5, 0.5))
+        chk = metropolis_config_check(narrow, 0.0, 3.0)
+        assert chk.proposal_floor == 0.0
+        assert not chk.ok
 
     def test_tail_condition_prefers_flat_tails(self):
         assert target_tail_condition(symmetric_pareto(2.0, 1.0), 1.0)

@@ -1,9 +1,10 @@
 """Distribution functions with declared tails and atoms.
 
-A :class:`DistFn` bundles the CDF with its survival function, quantile
-function, declared atoms and an optional sampler.  Atoms are always
-declared, never inferred numerically: a law without an ``atoms`` rule is
-treated as continuous everywhere.
+A :class:`DistFn` is a law given by its tail 1 - F, with its quantile
+function, declared atoms, an optional log density and an optional sampler.
+Every estimator reads F through the tail, which does not cancel near the
+right end.  Atoms are always declared, never inferred numerically: a law
+without an ``atoms`` rule is treated as continuous everywhere.
 """
 
 from __future__ import annotations
@@ -80,17 +81,17 @@ class AtomRule:
 
 @dataclass(frozen=True)
 class DistFn:
-    """A distribution function with explicit tail and atom structure.
+    """A distribution function F given by its tail, with atom structure.
 
     Parameters
     ----------
-    cdf, quantile
-        Vectorized F and its generalized inverse inf{x : F(x) >= p}.
+    tail
+        Vectorized survival function 1 - F, in a closed form that avoids
+        cancellation near the right end wherever one exists.
+    quantile
+        Vectorized generalized inverse of F, inf{x : F(x) >= p}.
     right_end
         sup{x : F(x) < 1}; ``inf`` for unbounded laws.
-    sf
-        Survival function 1 - F, supplied separately wherever a closed
-        form avoids cancellation near the right end.
     logpdf
         Vectorized log density, for a law with a density; ``-inf`` where the
         density is 0.
@@ -103,20 +104,13 @@ class DistFn:
     """
 
     name: str
-    cdf: Callable
+    tail: Callable
     quantile: Callable
     right_end: float
-    left_end: float = -math.inf
-    sf: Callable | None = None
     logpdf: Callable | None = None
     atoms: AtomRule | None = None
     sampler: Callable | None = None
     mean: float | None = None
-
-    def tail(self, x):
-        if self.sf is not None:
-            return self.sf(x)
-        return 1.0 - np.asarray(self.cdf(x), dtype=float)
 
     def jump_at(self, x: float) -> float:
         """Mass of the declared atom at x (0.0 when none)."""
@@ -144,11 +138,7 @@ def exponential(rate: float = 1.0) -> DistFn:
     if rate <= 0:
         raise InvalidArgumentError("rate must be positive")
 
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0)
-
-    def sf(x):
+    def tail(x):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0, np.exp(-rate * np.maximum(x, 0.0)), 1.0)
 
@@ -161,8 +151,8 @@ def exponential(rate: float = 1.0) -> DistFn:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, log_rate - rate * np.maximum(x, 0.0), -np.inf)
 
-    return DistFn(name=f"exp({rate:g})", cdf=cdf, sf=sf, quantile=quantile,
-                  logpdf=logpdf, right_end=math.inf, left_end=0.0,
+    return DistFn(name=f"exp({rate:g})", tail=tail, quantile=quantile,
+                  logpdf=logpdf, right_end=math.inf,
                   sampler=lambda rng, size: rng.exponential(1.0 / rate, size),
                   mean=1.0 / rate)
 
@@ -172,18 +162,15 @@ def pareto(alpha: float, scale: float = 1.0) -> DistFn:
     if alpha <= 0 or scale <= 0:
         raise InvalidArgumentError("alpha and scale must be positive")
 
-    def sf(x):
+    def tail(x):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0, np.exp(-alpha * np.log1p(np.maximum(x, 0.0) / scale)), 1.0)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0, -np.expm1(-alpha * np.log1p(np.maximum(x, 0.0) / scale)), 0.0)
 
     def quantile(p):
         return scale * np.expm1(-np.log1p(-np.asarray(p, dtype=float)) / alpha)
 
-    log_c = math.log(alpha / scale)
+    # a difference of logs: alpha / scale may underflow to 0 or overflow
+    log_c = math.log(alpha) - math.log(scale)
 
     def logpdf(x):
         x = np.asarray(x, dtype=float)
@@ -192,8 +179,8 @@ def pareto(alpha: float, scale: float = 1.0) -> DistFn:
                         -np.inf)
 
     mean = scale / (alpha - 1.0) if alpha > 1 else math.inf
-    return DistFn(name=f"pareto({alpha:g},{scale:g})", cdf=cdf, sf=sf,
-                  quantile=quantile, logpdf=logpdf, right_end=math.inf, left_end=0.0,
+    return DistFn(name=f"pareto({alpha:g},{scale:g})", tail=tail,
+                  quantile=quantile, logpdf=logpdf, right_end=math.inf,
                   sampler=lambda rng, size: quantile(rng.random(size)),
                   mean=mean)
 
@@ -203,8 +190,8 @@ def uniform(a: float = 0.0, b: float = 1.0) -> DistFn:
         raise InvalidArgumentError("need b > a")
     span = b - a
 
-    def cdf(x):
-        return np.clip((np.asarray(x, dtype=float) - a) / span, 0.0, 1.0)
+    def tail(x):
+        return 1.0 - np.clip((np.asarray(x, dtype=float) - a) / span, 0.0, 1.0)
 
     def quantile(p):
         return a + span * np.asarray(p, dtype=float)
@@ -213,9 +200,8 @@ def uniform(a: float = 0.0, b: float = 1.0) -> DistFn:
         x = np.asarray(x, dtype=float)
         return np.where((x >= a) & (x <= b), -math.log(span), -np.inf)
 
-    return DistFn(name=f"uniform({a:g},{b:g})", cdf=cdf,
-                  sf=lambda x: 1.0 - cdf(x), quantile=quantile, logpdf=logpdf,
-                  right_end=b, left_end=a,
+    return DistFn(name=f"uniform({a:g},{b:g})", tail=tail,
+                  quantile=quantile, logpdf=logpdf, right_end=b,
                   sampler=lambda rng, size: rng.uniform(a, b, size),
                   mean=0.5 * (a + b))
 
@@ -226,9 +212,8 @@ def beta_law(c: float, d: float) -> DistFn:
     from scipy import stats  # only this law needs scipy; keep it off the import path
 
     frozen = stats.beta(c, d)
-    return DistFn(name=f"beta({c:g},{d:g})", cdf=frozen.cdf, sf=frozen.sf,
-                  quantile=frozen.ppf, logpdf=frozen.logpdf,
-                  right_end=1.0, left_end=0.0,
+    return DistFn(name=f"beta({c:g},{d:g})", tail=frozen.sf,
+                  quantile=frozen.ppf, logpdf=frozen.logpdf, right_end=1.0,
                   sampler=lambda rng, size: rng.beta(c, d, size),
                   mean=c / (c + d))
 
@@ -253,21 +238,13 @@ def jump_law(name: str, atoms: AtomRule,
         raise InvalidArgumentError(
             "finite atom list must exhaust the mass (tail after last atom is 0)")
 
-    def cdf_scalar(x: float) -> float:
-        return 1.0 - atoms.tail(atoms.index_leq(x))
-
-    def sf_scalar(x: float) -> float:
-        return atoms.tail(atoms.index_leq(x))
-
-    cdf = _vectorize(cdf_scalar)
-    sf = _vectorize(sf_scalar)
+    tail = _vectorize(lambda x: atoms.tail(atoms.index_leq(x)))
     quantile = _vectorize(lambda p: _jump_quantile(atoms, p))
     right_end = math.inf if atoms.count is None else atoms.location(atoms.count)
     if sampler is None:
         sampler = lambda rng, size: quantile(np.maximum(rng.random(size), 1e-300))
-    return DistFn(name=name, cdf=cdf, sf=sf, quantile=quantile,
-                  right_end=right_end, left_end=atoms.location(1), atoms=atoms,
-                  sampler=sampler, mean=mean)
+    return DistFn(name=name, tail=tail, quantile=quantile, right_end=right_end,
+                  atoms=atoms, sampler=sampler, mean=mean)
 
 
 def geometric(p: float) -> DistFn:
@@ -288,15 +265,10 @@ def superheavy() -> DistFn:
     power of x; the mean is infinite and so is every moment.
     """
 
-    def sf(x):
+    def tail(x):
         x = np.asarray(x, dtype=float)
         safe = np.maximum(x, np.nextafter(1.0, 2.0))
         return np.where(x > 1.0, np.exp(-np.sqrt(np.log(safe))), 1.0)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        safe = np.maximum(x, np.nextafter(1.0, 2.0))
-        return np.where(x > 1.0, -np.expm1(-np.sqrt(np.log(safe))), 0.0)
 
     def quantile(p):
         return np.exp(np.log1p(-np.asarray(p, dtype=float)) ** 2)
@@ -305,9 +277,8 @@ def superheavy() -> DistFn:
         u = np.maximum(rng.random(size), 1e-300)
         return np.exp(np.log(u) ** 2)
 
-    return DistFn(name="superheavy", cdf=cdf, sf=sf, quantile=quantile,
-                  right_end=math.inf, left_end=1.0, sampler=sampler,
-                  mean=math.inf)
+    return DistFn(name="superheavy", tail=tail, quantile=quantile,
+                  right_end=math.inf, sampler=sampler, mean=math.inf)
 
 
 def symmetric_pareto(alpha: float, scale: float = 1.0) -> DistFn:
@@ -315,13 +286,10 @@ def symmetric_pareto(alpha: float, scale: float = 1.0) -> DistFn:
     if alpha <= 0 or scale <= 0:
         raise InvalidArgumentError("alpha and scale must be positive")
 
-    def sf(x):
+    def tail(x):
         x = np.asarray(x, dtype=float)
         t = 0.5 * np.exp(-alpha * np.log1p(np.abs(x) / scale))
         return np.where(x >= 0, t, 1.0 - t)
-
-    def cdf(x):
-        return sf(-np.asarray(x, dtype=float))
 
     def quantile(p):
         p = np.asarray(p, dtype=float)
@@ -329,7 +297,8 @@ def symmetric_pareto(alpha: float, scale: float = 1.0) -> DistFn:
         mag = scale * np.expm1(-np.log(2.0 * t) / alpha)
         return np.where(p >= 0.5, mag, -mag)
 
-    log_c = math.log(alpha / (2.0 * scale))
+    # a difference of logs: alpha / (2 scale) may underflow to 0 or overflow
+    log_c = math.log(alpha) - math.log(2.0) - math.log(scale)
 
     def logpdf(x):
         # the Metropolis kernel calls this once per time step: four numpy
@@ -340,8 +309,7 @@ def symmetric_pareto(alpha: float, scale: float = 1.0) -> DistFn:
         return log_c - (alpha + 1.0) * np.log1p(x)
 
     return DistFn(name=f"symmetric_pareto({alpha:g},{scale:g})",
-                  cdf=cdf, sf=sf, quantile=quantile, logpdf=logpdf,
-                  right_end=math.inf, left_end=-math.inf,
+                  tail=tail, quantile=quantile, logpdf=logpdf, right_end=math.inf,
                   sampler=lambda rng, size: quantile(rng.random(size)),
                   mean=0.0 if alpha > 1 else None)
 
@@ -405,9 +373,6 @@ def shifted(dist: DistFn, offset: float) -> DistFn:
     if not math.isfinite(offset):
         raise InvalidArgumentError(f"shift must be finite, got {offset:g}")
 
-    def move(end):
-        return end + offset if math.isfinite(end) else end
-
     atoms = None
     if dist.atoms is not None:
         inner_location = dist.atoms.location
@@ -420,12 +385,11 @@ def shifted(dist: DistFn, offset: float) -> DistFn:
         sampler = lambda rng, size: np.asarray(inner(rng, size), dtype=float) + offset
     return DistFn(
         name=f"{dist.name}{offset:+g}",
-        cdf=lambda x: dist.cdf(np.asarray(x, dtype=float) - offset),
-        sf=lambda x: dist.tail(np.asarray(x, dtype=float) - offset),
+        tail=lambda x: dist.tail(np.asarray(x, dtype=float) - offset),
         quantile=lambda p: np.asarray(dist.quantile(p), dtype=float) + offset,
         logpdf=((lambda x: dist.logpdf(np.asarray(x, dtype=float) - offset))
                 if dist.logpdf else None),
-        right_end=move(dist.right_end), left_end=move(dist.left_end),
+        right_end=dist.right_end + offset,  # an infinite end stays put
         atoms=atoms, sampler=sampler,
         mean=None if dist.mean is None else dist.mean + offset,
     )

@@ -930,20 +930,12 @@ def rootzen_phantom(rs: RegenStats) -> DistFn:
         with np.errstate(divide="ignore"):
             return inv_mu * np.log1p(-np.minimum(ecdf_tail(x), 1.0))
 
-    def cdf(x):
-        return np.exp(log_cdf(x))
-
-    def sf(x):
-        return -np.expm1(log_cdf(x))
-
     def quantile(p):
         p = np.asarray(p, dtype=float)
         return ecdf_inv(np.exp(rs.mu_hat * np.log(p)))
 
-    return DistFn(name="rootzen-phantom", cdf=cdf, sf=sf,
-                  quantile=quantile, right_end=float(uniq[-1]),
-                  left_end=float(uniq[0]),
-                  sampler=lambda rng, size: quantile(np.maximum(rng.random(size), 1e-300)))
+    return DistFn(name="rootzen-phantom", tail=lambda x: -np.expm1(log_cdf(x)),
+                  quantile=quantile, right_end=float(uniq[-1]))
 
 
 @dataclass(frozen=True)

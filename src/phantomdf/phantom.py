@@ -95,8 +95,7 @@ class PhantomDistFn(DistFn):
 
     def __init__(self, driving: DrivingSequence) -> None:
         super().__init__(name="phantom",
-                         cdf=lambda x: np.exp(self.log_cdf(x)),
-                         sf=lambda x: -np.expm1(self.log_cdf(x)),
+                         tail=lambda x: -np.expm1(self.log_cdf(x)),
                          quantile=lambda p: self.exponent_inverse(
                              _exponent_of(p, self._log_gamma)),
                          right_end=driving.sup)
@@ -182,8 +181,7 @@ class JumpPhantom(DistFn):
 
     def __init__(self, driving: DrivingSequence) -> None:
         super().__init__(name="jump-phantom",
-                         cdf=lambda x: np.exp(self.log_cdf(x)),
-                         sf=lambda x: -np.expm1(self.log_cdf(x)),
+                         tail=lambda x: -np.expm1(self.log_cdf(x)),
                          quantile=self._quantile,
                          right_end=driving.sup)
         self.driving = driving

@@ -5,7 +5,7 @@ import argparse
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phantomdf.cli import _parse_mixing, _Settings
 from phantomdf.config import parse_int_list, parse_law
@@ -31,6 +31,10 @@ _LAWS = st.builds(
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(_LAWS, st.text(max_size=20)))
+# log densities whose constant alpha / scale (or alpha / (2 scale)) would
+# underflow to 0 or overflow
+@example("pareto(1e-300,1e300)")
+@example("symmetric_pareto(1,8.98846567431158e+307)")
 def test_parse_law_returns_a_law_or_rejects(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -40,31 +40,58 @@ from phantomdf.phantom import verify_phantom
 from phantomdf.processes import IIDSpec, exact_max_cdf
 from phantomdf.seeding import rng_for
 
-CONTINUOUS = [
-    exponential(1.0),
-    exponential(0.25),
-    pareto(2.0, 1.0),
-    uniform(-1.0, 3.0),
-    beta_law(0.5, 0.5),
-    symmetric_pareto(2.0, 1.0),
-    superheavy(),
-    shifted(pareto(2.0, 1.0), -2.0),
+class SymmetricLomax:
+    """The law of symmetric_pareto read through scipy: lomax at |x|, with
+    half of the mass on each side of 0."""
+
+    def __init__(self, alpha, scale):
+        self.lomax = stats.lomax(alpha, scale=scale)
+
+    def logpdf(self, x):
+        return math.log(0.5) + self.lomax.logpdf(np.abs(x))
+
+    def sf(self, x):
+        half = 0.5 * self.lomax.sf(np.abs(x))
+        return np.where(np.asarray(x) >= 0, half, 1.0 - half)
+
+    def support(self):
+        return -math.inf, math.inf
+
+
+def superheavy_sf(x):
+    """The tail of superheavy read through scipy: P(ln X > y) = exp(-sqrt(y)),
+    so ln X is Weibull with shape 1/2."""
+    return stats.weibull_min(0.5).sf(np.log(x))
+
+
+# every continuous catalog law and the shift wrapper, each with scipy's
+# survival function of the same law
+TAIL_REFERENCES = [
+    (exponential(1.0), stats.expon(scale=1.0).sf),
+    (exponential(0.25), stats.expon(scale=1.0 / 0.25).sf),
+    (pareto(2.0, 1.0), stats.lomax(2.0, scale=1.0).sf),
+    (uniform(-1.0, 3.0), stats.uniform(-1.0, 4.0).sf),
+    (beta_law(0.5, 0.5), stats.beta(0.5, 0.5).sf),
+    (symmetric_pareto(2.0, 1.0), SymmetricLomax(2.0, 1.0).sf),
+    (superheavy(), superheavy_sf),
+    (shifted(pareto(2.0, 1.0), -2.0), stats.lomax(2.0, loc=-2.0, scale=1.0).sf),
 ]
+CONTINUOUS = [law for law, _ in TAIL_REFERENCES]
 
 probs = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
 
-@pytest.mark.parametrize("dist", CONTINUOUS, ids=lambda d: d.name)
-def test_cdf_sf_complement(dist):
+@pytest.mark.parametrize("dist, reference",
+                         [pytest.param(law, ref, id=law.name) for law, ref in TAIL_REFERENCES])
+def test_tail_is_the_survival_function(dist, reference):
     xs = np.asarray(dist.quantile(np.linspace(0.01, 0.99, 23)))
-    np.testing.assert_allclose(np.asarray(dist.cdf(xs)) + np.asarray(dist.tail(xs)),
-                               1.0, atol=1e-12)
+    np.testing.assert_allclose(np.asarray(dist.tail(xs)), reference(xs), atol=1e-12)
 
 
 @pytest.mark.parametrize("dist", CONTINUOUS, ids=lambda d: d.name)
 def test_quantile_duality(dist):
     p = np.linspace(0.005, 0.995, 67)
-    np.testing.assert_allclose(np.asarray(dist.cdf(dist.quantile(p))), p,
+    np.testing.assert_allclose(1.0 - np.asarray(dist.tail(dist.quantile(p))), p,
                                atol=1e-9, rtol=1e-9)
 
 
@@ -76,34 +103,27 @@ def test_sampler_matches_cdf_dkw(dist):
     u = np.unique(x)
     hi = np.searchsorted(x, u, side="right") / n
     lo = np.searchsorted(x, u, side="left") / n
-    cdf = np.asarray(dist.cdf(u), dtype=float)
+    cdf = 1.0 - np.asarray(dist.tail(u), dtype=float)
     cdf_left = cdf - np.array([dist.jump_at(v) for v in u])
     gap = max(np.max(np.abs(hi - cdf)), np.max(np.abs(lo - cdf_left)))
     assert gap <= dkw_epsilon(n, 0.999)
 
 
-def half_lomax(alpha, scale):
-    """Log density of symmetric_pareto: half of lomax's at |x|."""
-    lomax = stats.lomax(alpha, scale=scale)
-    return lambda x: math.log(0.5) + lomax.logpdf(np.abs(x))
-
-
 # every catalog law with a density, at unit and non-unit parameters, and the
-# shift wrapper, each with scipy's log density of the same law;
-# beta(0.5, 0.5) has infinite density at both ends and beta(2, 3) zero
-# density there
+# shift wrapper, each with scipy's version of the same law; beta(0.5, 0.5) has
+# infinite density at both ends and beta(2, 3) zero density there
 WITH_DENSITY = [
-    (exponential(1.0), stats.expon(scale=1.0).logpdf),
-    (exponential(0.25), stats.expon(scale=1.0 / 0.25).logpdf),
-    (pareto(2.0, 1.0), stats.lomax(2.0, scale=1.0).logpdf),
-    (pareto(0.5, 3.0), stats.lomax(0.5, scale=3.0).logpdf),
-    (uniform(-1.0, 3.0), stats.uniform(-1.0, 4.0).logpdf),
-    (beta_law(0.5, 0.5), stats.beta(0.5, 0.5).logpdf),
-    (beta_law(2.0, 3.0), stats.beta(2.0, 3.0).logpdf),
-    (symmetric_pareto(2.0, 1.0), half_lomax(2.0, 1.0)),
-    (symmetric_pareto(1.5, 2.5), half_lomax(1.5, 2.5)),
-    (shifted(pareto(2.0, 1.0), -2.0), stats.lomax(2.0, loc=-2.0, scale=1.0).logpdf),
-    (shifted(uniform(0.0, 1.0), 0.25), stats.uniform(loc=0.25, scale=1.0).logpdf),
+    (exponential(1.0), stats.expon(scale=1.0)),
+    (exponential(0.25), stats.expon(scale=1.0 / 0.25)),
+    (pareto(2.0, 1.0), stats.lomax(2.0, scale=1.0)),
+    (pareto(0.5, 3.0), stats.lomax(0.5, scale=3.0)),
+    (uniform(-1.0, 3.0), stats.uniform(-1.0, 4.0)),
+    (beta_law(0.5, 0.5), stats.beta(0.5, 0.5)),
+    (beta_law(2.0, 3.0), stats.beta(2.0, 3.0)),
+    (symmetric_pareto(2.0, 1.0), SymmetricLomax(2.0, 1.0)),
+    (symmetric_pareto(1.5, 2.5), SymmetricLomax(1.5, 2.5)),
+    (shifted(pareto(2.0, 1.0), -2.0), stats.lomax(2.0, loc=-2.0, scale=1.0)),
+    (shifted(uniform(0.0, 1.0), 0.25), stats.uniform(loc=0.25, scale=1.0)),
 ]
 CATALOG_ARGS = {"exp": (1.0,), "exponential": (2.0,), "pareto": (2.0, 1.0),
                 "uniform": (0.0, 1.0), "beta": (0.5, 0.5), "geometric": (0.5,),
@@ -128,17 +148,17 @@ def test_every_catalog_law_with_a_density_has_a_log_density():
 @pytest.mark.parametrize("dist, reference",
                          [pytest.param(law, ref, id=law.name) for law, ref in WITH_DENSITY])
 def test_logpdf_is_the_log_of_the_density(dist, reference):
-    # inside the support (quantiles, and the finite ends), just outside it,
-    # and at +-inf, against scipy's log density of the same law (scipy also
-    # counts each finite end of the support in it, so the two agree there);
-    # the log density is read with every floating-point warning raised, so
-    # a log(0) fails the test
+    # inside the support (quantiles, and the finite ends of scipy's support
+    # of the same law), just outside it, and at +-inf, against scipy's log
+    # density of that law (scipy also counts each finite end of the support
+    # in it, so the two agree there); the log density is read with every
+    # floating-point warning raised, so a log(0) fails the test
     inner = np.asarray(dist.quantile(np.linspace(1e-6, 1.0 - 1e-6, 201)), dtype=float)
-    ends = [e for e in (dist.left_end, dist.right_end) if math.isfinite(e)]
+    ends = [float(e) for e in reference.support() if math.isfinite(e)]
     outer = [e + d for e in ends for d in (-1.0, -1e-9, 1e-9, 1.0)]
     xs = np.concatenate([inner, ends, outer, [-np.inf, np.inf]])
     with np.errstate(divide="ignore"):
-        want = np.asarray(reference(xs), dtype=float)
+        want = np.asarray(reference.logpdf(xs), dtype=float)
     with np.errstate(all="raise"):
         got = np.asarray(dist.logpdf(xs), dtype=float)
     assert got.shape == xs.shape and not np.isnan(got).any()
@@ -166,14 +186,14 @@ def test_superheavy_tail_identity():
         v = float(d.quantile(1.0 - 1.0 / n))
         assert v == pytest.approx(math.exp(math.log(n) ** 2), rel=1e-8)
         assert n * float(d.tail(v)) == pytest.approx(1.0, rel=1e-7)
-    assert float(d.cdf(1.0)) == 0.0
+    assert float(d.tail(1.0)) == 1.0
     assert d.mean == math.inf
 
 
 def test_geometric_atoms():
     d = geometric(0.25)
-    assert float(d.cdf(3.0)) == pytest.approx(1.0 - 0.75 ** 3)
-    assert float(d.cdf(3.5)) == pytest.approx(1.0 - 0.75 ** 3)
+    assert 1.0 - float(d.tail(3.0)) == pytest.approx(1.0 - 0.75 ** 3)
+    assert 1.0 - float(d.tail(3.5)) == pytest.approx(1.0 - 0.75 ** 3)
     assert d.jump_at(2.0) == pytest.approx(0.25 * 0.75)
     assert d.jump_at(2.5) == 0.0
 
@@ -190,12 +210,12 @@ def test_shifted_and_powered():
     base = exponential(1.0)
     sh = shifted(base, 2.5)
     assert float(sh.quantile(0.3)) == pytest.approx(float(base.quantile(0.3)) + 2.5)
-    assert float(sh.cdf(3.0)) == pytest.approx(float(base.cdf(0.5)))
+    assert float(sh.tail(3.0)) == pytest.approx(float(base.tail(0.5)))
 
     # F**n is the max law of n i.i.d. draws
     spec, n = IIDSpec(base), 3
     x = 1.7
-    assert exact_max_cdf(spec, n, x) == pytest.approx(float(base.cdf(x)) ** n)
+    assert exact_max_cdf(spec, n, x) == pytest.approx((1.0 - float(base.tail(x))) ** n)
     p = 0.42
     assert exact_max_cdf(spec, n, exact_max_quantile(spec, n, p)) == pytest.approx(p)
 
@@ -232,9 +252,10 @@ def tail_ratio_class(G, H):
 
 
 def increment_ratio(dist, b, xs):
-    """max over x in xs and u = 2**-j of (F(x + u) - F(x)) / u**b."""
+    """max over x in xs and u = 2**-j of (F(x + u) - F(x)) / u**b, read as
+    the drop of the tail."""
     us = 2.0 ** -np.arange(0.0, 51.0)
-    return max(float(np.max((np.asarray(dist.cdf(x + us)) - float(dist.cdf(x))) / us ** b))
+    return max(float(np.max((float(dist.tail(x)) - np.asarray(dist.tail(x + us))) / us ** b))
                for x in xs)
 
 
@@ -264,10 +285,9 @@ def test_tail_equivalence_verdicts():
 
 def test_tail_equivalence_constant_ratio_is_divergent():
     # ratio -> 1/2: neither 0, 1 nor infinity
-    half = DistFn(name="half-tail", cdf=lambda x: 1.0 - 0.5 * np.exp(-np.asarray(x)),
-                  sf=lambda x: 0.5 * np.exp(-np.asarray(x)),
+    half = DistFn(name="half-tail", tail=lambda x: 0.5 * np.exp(-np.asarray(x)),
                   quantile=lambda p: -np.log(2.0 * (1.0 - np.asarray(p))),
-                  right_end=math.inf, left_end=-math.log(2.0))
+                  right_end=math.inf)
     assert tail_ratio_class(exponential(1.0), half) == "divergent"
 
 
@@ -288,7 +308,7 @@ def test_sup_power_distance_squared_law():
     a = np.linspace(0.001, 0.999, 4096)
     for n in (1, 10, 200):
         xs = np.asarray(F.quantile(a ** (1.0 / n)))
-        hn = np.asarray(F.cdf(xs)) ** (2 * n)
+        hn = (1.0 - np.asarray(F.tail(xs))) ** (2 * n)
         row = MaxLawRow(n=n, levels=xs, p_hat=hn, se=np.zeros_like(xs))
         assert verify_phantom(F, exact_rows(row)).sup_gap == pytest.approx(0.25, abs=2e-3)
 

@@ -240,7 +240,7 @@ def replica_order_mixture_maxima(n_list, R, seed, tag):
 
 
 # a quantile that is not monotone, so its columns come out unsorted
-WOBBLE = IIDSpec(DistFn(name="wobble", cdf=lambda x: np.clip(x, -1.0, 1.0),
+WOBBLE = IIDSpec(DistFn(name="wobble", tail=lambda x: 1.0 - np.clip(x, -1.0, 1.0),
                         quantile=lambda p: np.sin(40.0 * np.asarray(p)), right_end=1.0))
 
 

@@ -43,7 +43,7 @@ class TestAtomLocations:
         assert law.atoms.location(1) == 1.0
         assert law.atoms.location(3) == 5.0
         assert law.atoms.count == 3
-        assert (law.left_end, law.right_end) == (1.0, 5.0)
+        assert law.right_end == 5.0
 
     def test_past_the_last_atom_is_infinite(self):
         atoms = finite_law([1.0, 2.0]).atoms
@@ -62,7 +62,7 @@ class TestAtomLocations:
         law = geometric(0.3)
         assert law.atoms.index_leq(0.5) == 0
         assert law.jump_at(0.5) == 0.0
-        assert law.cdf(0.5) == 0.0
+        assert law.tail(0.5) == 1.0
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=30),
            st.floats(min_value=-60, max_value=60))
@@ -233,7 +233,7 @@ class TestProbePolicy:
 
     def test_bad_parameters_rejected(self):
         # a law whose quantiles are all infinite leaves no probe level
-        law = DistFn(name="no-finite-quantile", cdf=lambda x: 0.0 * np.asarray(x),
+        law = DistFn(name="no-finite-quantile", tail=lambda x: np.ones(np.shape(x)),
                      quantile=lambda p: np.full(np.shape(p), np.inf), right_end=math.inf)
         with pytest.raises(InvalidArgumentError):
             probe_levels(law)

@@ -260,36 +260,50 @@ def _own_nodes(node):
 def _field_reads(modules) -> list[tuple[frozenset, str]]:
     """(receiver type, name) for every attribute that package code loads,
     and for every string constant of a function that calls getattr on a
-    receiver (the writers read fields by name)."""
+    receiver (the writers read fields by name).  A field loaded, through a
+    receiver of its own class, inside the keyword argument of the same name
+    in a constructor call of that class (``right_end=dist.right_end + offset``)
+    only copies the field onto a new instance, so it does not count as a
+    read."""
     types = _Types(modules)
     reads = []
 
-    def walk(node, env, strings):
+    def copied(node, child):
+        """(class, field) when ``child`` is a keyword argument of call
+        ``node`` that sets that field of that class's constructor."""
+        cls = _callee(node) if isinstance(node, ast.Call) else None
+        if isinstance(child, ast.keyword) and child.arg in types.fields.get(cls, ()):
+            return {(cls, child.arg)}
+        return _NONE
+
+    def walk(node, env, strings, skip=_NONE):
         if isinstance(node, ast.ClassDef):
             for child in node.body:
                 if isinstance(child, ast.FunctionDef):
-                    walk_scope(child, env, strings, owner=node.name)
+                    walk_scope(child, env, strings, skip, owner=node.name)
                 else:
-                    walk(child, env, strings)
+                    walk(child, env, strings, skip)
             return
         if isinstance(node, (ast.FunctionDef, ast.Lambda, *_COMPREHENSIONS)):
-            walk_scope(node, env, strings)
+            walk_scope(node, env, strings, skip)
             return
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads.append((types.of(node.value, env), node.attr))
+            receiver = types.of(node.value, env)
+            if not any((c, node.attr) in skip for c in receiver):
+                reads.append((receiver, node.attr))
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
             receiver = types.of(node.args[0], env)
             reads.extend((receiver, s) for s in strings)
         for child in ast.iter_child_nodes(node):
-            walk(child, env, strings)
+            walk(child, env, strings, skip | copied(node, child))
 
-    def walk_scope(node, env, strings, owner=None):
+    def walk_scope(node, env, strings, skip=_NONE, owner=None):
         env = types.scope(node, env, owner)
         if isinstance(node, ast.FunctionDef):
             strings = [c.value for c in ast.walk(node)
                        if isinstance(c, ast.Constant) and isinstance(c.value, str)]
         for child in ast.iter_child_nodes(node):
-            walk(child, env, strings)
+            walk(child, env, strings, skip)
 
     for tree in modules:
         walk_scope(tree, {}, ())

@@ -200,7 +200,7 @@ class TestKnotTableMatchesScalarReference:
         G, J = PhantomDistFn(d), JumpPhantom(d)
         xs, es = d.knots()
         beyond = float(xs[-1]) + 0.5
-        for fn in (ref.exponent, G.exponent, J.log_cdf, G.cdf, J.cdf):
+        for fn in (ref.exponent, G.exponent, G.log_cdf, J.log_cdf, G.tail, J.tail):
             with pytest.raises(InvalidArgumentError):
                 fn(beyond)
         with pytest.raises(InvalidArgumentError):
@@ -221,10 +221,10 @@ class TestPhantomsAreDistFns:
         G = PhantomDistFn(integer_driving(1000))
         x = np.array([[0.5, 1.0], [2.7, 400.0]])
         lc = G.exponent(x) * math.log(GAMMA)
-        np.testing.assert_array_equal(G.cdf(x), np.exp(lc))
+        np.testing.assert_array_equal(G.log_cdf(x), lc)
         np.testing.assert_array_equal(G.tail(x), -np.expm1(lc))
-        assert G.cdf(x).shape == x.shape
-        np.testing.assert_allclose(G.quantile(G.cdf(x)), x, rtol=1e-12)
+        assert G.tail(x).shape == x.shape
+        np.testing.assert_allclose(G.quantile(np.exp(G.log_cdf(x))), x, rtol=1e-12)
         with pytest.raises(InvalidArgumentError):
             G.quantile(np.array([0.5, 1.0]))
 
@@ -232,13 +232,13 @@ class TestPhantomsAreDistFns:
         J = JumpPhantom(plateau_driving())
         p = np.array([1e-3, GAMMA ** (1.0 / 3.0), 0.75, GAMMA ** 0.2])
         np.testing.assert_array_equal(J.quantile(p), [1.0, 1.0, 2.0, 3.0])
-        assert np.all(J.cdf(J.quantile(p)) >= p)
+        assert np.all(np.exp(J.log_cdf(J.quantile(p))) >= p)
         with pytest.raises(InvalidArgumentError):
             J.quantile(0.99)  # above the last step
 
     def test_verify_reads_a_phantom_like_any_distfn(self):
         G = TestVerification().fit_from_exact_driving(GAMMA)
-        plain = DistFn(name="copy", cdf=G.cdf, sf=G.sf, quantile=G.quantile,
+        plain = DistFn(name="copy", tail=G.tail, quantile=G.quantile,
                        right_end=G.right_end)
         maxlaw = TestVerification().exact_maxlaw()
         assert verify_phantom(G, maxlaw) == verify_phantom(plain, maxlaw)
@@ -300,7 +300,7 @@ class TestContinuousPhantom:
         assert G.exponent(1.0) == 1.0 / 3.0
         assert G.exponent(2.0) == 0.25
         assert G.exponent(3.0) == 0.2
-        assert G.cdf(1.0) == pytest.approx(math.exp(-1.0 / 3.0), rel=1e-15)
+        assert np.exp(G.log_cdf(1.0)) == pytest.approx(math.exp(-1.0 / 3.0), rel=1e-15)
 
     def test_linear_between_knots(self):
         G = PhantomDistFn(plateau_driving())
@@ -313,7 +313,7 @@ class TestContinuousPhantom:
     def test_past_the_last_knot_fails(self):
         G = PhantomDistFn(plateau_driving())
         with pytest.raises(InvalidArgumentError):
-            G.cdf(3.5)
+            G.tail(3.5)
         with pytest.raises(InvalidArgumentError):
             G.quantile(0.9999999)
 
@@ -326,7 +326,7 @@ class TestContinuousPhantom:
     def test_quantile_duality(self):
         G = PhantomDistFn(integer_driving(1000))
         for x in (1.0, 2.7, 19.25, 400.0):
-            assert G.quantile(G.cdf(x)) == pytest.approx(x, rel=1e-12)
+            assert G.quantile(np.exp(G.log_cdf(x))) == pytest.approx(x, rel=1e-12)
 
     def test_exponent_below_the_last_knots_refused(self):
         G = PhantomDistFn(plateau_driving())  # last knot (3, 1/5)
@@ -340,25 +340,25 @@ class TestContinuousPhantom:
 
     def test_tail_complement(self):
         G = PhantomDistFn(plateau_driving())
-        assert G.tail(2.0) == pytest.approx(1.0 - G.cdf(2.0), rel=1e-14)
+        assert G.tail(2.0) == pytest.approx(1.0 - np.exp(G.log_cdf(2.0)), rel=1e-14)
 
 
 class TestJumpPhantom:
     def test_step_values(self):
         J = JumpPhantom(plateau_driving())
-        assert J.cdf(0.99) == 0.0
-        assert J.cdf(1.0) == pytest.approx(GAMMA ** (1.0 / 3.0), rel=1e-15)
-        assert J.cdf(2.9) == pytest.approx(GAMMA ** 0.25, rel=1e-15)
-        assert J.cdf(3.0) == pytest.approx(GAMMA ** 0.2, rel=1e-15)
+        assert np.exp(J.log_cdf(0.99)) == 0.0
+        assert np.exp(J.log_cdf(1.0)) == pytest.approx(GAMMA ** (1.0 / 3.0), rel=1e-15)
+        assert np.exp(J.log_cdf(2.9)) == pytest.approx(GAMMA ** 0.25, rel=1e-15)
+        assert np.exp(J.log_cdf(3.0)) == pytest.approx(GAMMA ** 0.2, rel=1e-15)
         with pytest.raises(InvalidArgumentError):
-            J.cdf(3.5)
+            J.tail(3.5)
 
     def test_jump_below_continuous(self):
         """The step variant never exceeds the interpolated one."""
         d = plateau_driving()
         G, J = PhantomDistFn(d), JumpPhantom(d)
         for x in np.linspace(1.0, 3.0, 41):
-            assert J.cdf(float(x)) <= G.cdf(float(x)) + 1e-15
+            assert np.exp(J.log_cdf(float(x))) <= np.exp(G.log_cdf(float(x))) + 1e-15
 
     def test_pow_at_zero_cdf(self):
         J = JumpPhantom(plateau_driving())
@@ -380,7 +380,7 @@ class TestSerialization:
         H = PhantomDistFn.from_text(text)
         assert H.to_text() == text
         for x in np.linspace(0.5, 3.0, 21):
-            assert H.cdf(float(x)) == G.cdf(float(x))
+            assert np.exp(H.log_cdf(float(x))) == np.exp(G.log_cdf(float(x)))
 
     def test_header_checked(self):
         with pytest.raises(InvalidArgumentError):

@@ -323,7 +323,7 @@ class TestSlabKernels:
             spec, [rng_for(8, "start", r) for r in range(rows)], length)], axis=1)
         i = np.arange(1, rows + 1)
         for col in (x0, path[:, 0], path[:, -1]):
-            F = np.asarray(spec.target.cdf(np.sort(col)))
+            F = 1.0 - np.asarray(spec.target.tail(np.sort(col)))
             sup = max(np.max(i / rows - F), np.max(F - (i - 1) / rows))
             assert sup <= dkw_epsilon(rows, 0.999), sup
 
@@ -456,7 +456,7 @@ class TestExactMaxLaws:
     def test_iid_power(self):
         F = exponential(1.0)
         spec = IIDSpec(F)
-        assert exact_max_cdf(spec, 10, 1.3) == pytest.approx(float(F.cdf(1.3)) ** 10, rel=1e-12)
+        assert exact_max_cdf(spec, 10, 1.3) == pytest.approx((1.0 - float(F.tail(1.3))) ** 10, rel=1e-12)
 
     def test_moving_max_power(self):
         # window m: P(M_n <= x) = F_base(x)**(n + m - 1)
@@ -555,7 +555,7 @@ class TestMetropolis:
         """Long chain, invariant law: empirical cdf near the target cdf."""
         path = generate(self.spec, length=60_000, seed=5)
         x = np.sort(path.values)
-        target_cdf = np.asarray(self.spec.target.cdf(x))
+        target_cdf = 1.0 - np.asarray(self.spec.target.tail(x))
         ecdf = np.arange(1, x.size + 1) / x.size
         # dependent draws, so allow a few times the iid band
         assert np.max(np.abs(ecdf - target_cdf)) < 0.03

@@ -11,9 +11,13 @@ from __future__ import annotations
 import configparser
 import io
 import re
+import sys
+
+import numpy as np
 
 from .distributions import DistFn, make_distribution, shifted
 from .errors import InvalidArgumentError, InvalidSpecError
+from .grids import PROBE_TAILS
 from .processes import (
     IIDSpec,
     LindleySpec,
@@ -133,7 +137,26 @@ def parse_law(text: str) -> DistFn:
     if m.group("off") is not None:
         off = number(m.group("off"))
         dist = shifted(dist, -off if m.group("sign") == "-" else off)
+    _check_finite_quantile(dist, text)
     return dist
+
+
+def _check_finite_quantile(dist: DistFn, text: str) -> None:
+    """Refuse a law unless a double reaches its median and its quantile is
+    finite at every probe level 1 - 2**-j that a double reaches: every one
+    whose tail 2**-j lies above the law's tail at the largest double.
+    Otherwise its sampler returns inf where the law puts mass on doubles."""
+    with np.errstate(all="ignore"):
+        beyond = float(dist.tail(sys.float_info.max))
+        xs = np.asarray(dist.quantile(1.0 - PROBE_TAILS), dtype=float)
+    if not beyond < 0.5:
+        raise InvalidArgumentError(
+            f"law {text!r} has no finite median: its tail at the largest double "
+            f"is {beyond:.3g}")
+    bad = (PROBE_TAILS > beyond) & ~np.isfinite(xs)
+    if bad.any():
+        raise InvalidArgumentError(
+            f"law {text!r} has an infinite quantile at p = {1.0 - PROBE_TAILS[bad][0]:.17g}")
 
 
 def parse_int_list(text: str) -> list[int]:

@@ -209,11 +209,22 @@ def uniform(a: float = 0.0, b: float = 1.0) -> DistFn:
 def beta_law(c: float, d: float) -> DistFn:
     if c <= 0 or d <= 0:
         raise InvalidArgumentError("shape parameters must be positive")
-    from scipy import stats  # only this law needs scipy; keep it off the import path
+    # only this law needs scipy; keep it off the import path
+    from scipy import special, stats
 
     frozen = stats.beta(c, d)
+    xlogy, xlog1py = special.xlogy, special.xlog1py
+    log_b = float(special.betaln(c, d))
+
+    def logpdf(x):
+        # scipy's own closed form, without its per-call dispatch; the
+        # density is infinite at an end where its exponent is below 0
+        x = np.asarray(x, dtype=float)
+        inside = (x >= 0.0) & (x <= 1.0)
+        return np.where(inside, xlog1py(d - 1.0, -x) + xlogy(c - 1.0, x) - log_b, -np.inf)
+
     return DistFn(name=f"beta({c:g},{d:g})", tail=frozen.sf,
-                  quantile=frozen.ppf, logpdf=frozen.logpdf, right_end=1.0,
+                  quantile=frozen.ppf, logpdf=logpdf, right_end=1.0,
                   sampler=lambda rng, size: rng.beta(c, d, size),
                   mean=c / (c + d))
 

@@ -3,13 +3,13 @@
 Block maxima come from independent blocks; for Markov kinds that means
 independent stationary paths (a Lindley path after its own burn-in, a
 Metropolis chain from a draw of its target), each from its own seed
-substream and each as long as the largest block it serves, so results do
-not depend on the worker count.  A phantom's fit table reads R of them
-at every block size up to the largest verified block and fewer above it,
-where the verdict reads its knots only near G^n = 1.  For kinds with a
-closed-form max law the block maxima are drawn by inverse transform from
-that law, one uniform per replica, shared across block sizes (which makes
-estimated driving levels monotone in n for free).
+substream and each as long as the largest block of its table, so results
+do not depend on the worker count.  A phantom's fit table runs to the
+largest verified block and reads the knots above it off that block's
+column.  For kinds with a closed-form max law the block maxima are drawn
+by inverse transform from that law, one uniform per replica, shared
+across block sizes (which makes estimated driving levels monotone in n for
+free).
 """
 
 from __future__ import annotations
@@ -106,27 +106,19 @@ def _chunk_rows(spec: ProcessSpec) -> int:
     return _STEP_ROWS if isinstance(spec, MetropolisSpec) else FILL_ROWS
 
 
-def _chunk_plan(lengths: np.ndarray, workers: int,
-                cap: int) -> tuple[list[tuple[int, int]], int]:
-    """Replica chunks [lo, hi) of at most ``cap`` rows, each inside one run
-    of equal ``lengths``, and the number of processes to run them.
+def _chunk_plan(R: int, workers: int, cap: int) -> tuple[list[tuple[int, int]], int]:
+    """Replica chunks [lo, hi) of ceil(R / workers) rows, at most ``cap``,
+    and the number of processes to run them.
 
-    Each run is cut into ceil(rows / workers)-row chunks, longest run
-    first, so the pool starts on the longest paths.  The worker count is
-    clamped to the core count before it sizes the chunks, so no value forks
-    more processes than there are cores or cuts a run into more chunks than
-    that clamp and the cap need.
+    The worker count is clamped to the core count before it sizes the
+    chunks, so no value forks more processes than there are cores or cuts
+    the replicas into more chunks than that clamp and the cap need.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    lengths = np.asarray(lengths)
-    starts = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()  # none when empty
-    runs = sorted(zip(starts, [*starts[1:], lengths.size]), key=lambda run: -lengths[run[0]])
-    chunks = []
-    for lo, hi in runs:
-        size = min(max(1, math.ceil((hi - lo) / workers)), cap)
-        chunks += [(a, min(a + size, hi)) for a in range(lo, hi, size)]
+    size = min(max(1, math.ceil(R / workers)), cap)
+    chunks = [(lo, min(lo + size, R)) for lo in range(0, R, size)]  # none when R = 0
     return chunks, min(workers, len(chunks))
 
 
@@ -139,10 +131,10 @@ def _run_chunk(bounds: tuple[int, int]):
     return _CHUNK_FN(*bounds)
 
 
-def _map_chunks(fn: Callable[[int, int], object], lengths: np.ndarray, workers: int,
+def _map_chunks(fn: Callable[[int, int], object], R: int, workers: int,
                 cap: int) -> list[tuple[tuple[int, int], object]]:
-    """[((lo, hi), fn(lo, hi))] over the replica chunks of ``lengths`` (at
-    most ``cap`` rows of one length each), longest first.
+    """[((lo, hi), fn(lo, hi))] over the chunks of R replicas, at most
+    ``cap`` rows each.
 
     With more than one process the chunks run in a pool forked after
     _CHUNK_FN is set; only the bounds go out and the chunk results come
@@ -150,7 +142,7 @@ def _map_chunks(fn: Callable[[int, int], object], lengths: np.ndarray, workers: 
     not depend on the worker count or on scheduling.
     """
     global _CHUNK_FN
-    chunks, procs = _chunk_plan(lengths, workers, cap)
+    chunks, procs = _chunk_plan(R, workers, cap)
     if procs <= 1:  # one chunk or one worker; no chunks when there are no replicas
         return [((lo, hi), fn(lo, hi)) for lo, hi in chunks]
     # imported here so that one-worker runs load no process machinery
@@ -165,38 +157,30 @@ def _map_chunks(fn: Callable[[int, int], object], lengths: np.ndarray, workers: 
         _CHUNK_FN = None
 
 
-def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], lengths,
+def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], R: int,
                    seed: int, tag: str, workers: int = 1) -> tuple[np.ndarray, int]:
-    """max(X_a, ..., X_{b-1}) for each window [a, b) of each replica's path,
-    and the number of moves of the Metropolis chains.
+    """max(X_a, ..., X_{b-1}) for each window [a, b) of R replica paths, and
+    the number of moves of the Metropolis chains.
 
-    Replica r draws from rng_for(seed, tag, r) and its path runs to
-    ``lengths[r]``, at most the largest b.  The maxima are
-    (len(windows), len(lengths)); an empty window gives -inf, and a window
-    that ends past its replica's path gives nan.  Each chunk runs rows of
-    one length through one path call.  Every path draws as a path to the
-    longest length would, so a replica's values are the first of its path
-    at that length, whatever its own length and however the rows are cut.
-    The window ends cut the time axis into segments, the slab scan reads
-    each segment's max once, and a window's max is the max of its segments,
-    so every path value is read once whatever the windows.  The moves are
-    the steps t >= 1 of every path with X_t != X_{t-1}: with a continuous
-    proposal, the accepted ones.  Other kinds count none.
+    Replica r draws from rng_for(seed, tag, r), and every path runs to the
+    largest b.  The maxima are (len(windows), R); an empty window gives
+    -inf.  The window ends cut the time axis into segments, the slab scan
+    reads each segment's max once, and a window's max is the max of its
+    segments, so every path value is read once whatever the windows.  The
+    moves are the steps t >= 1 of every path with X_t != X_{t-1}: with a
+    continuous proposal, the accepted ones.  Other kinds count none.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    horizon = int(lengths.max(initial=0))
+    length = max((b for _, b in windows), default=0)
     cuts = np.unique([0, *(t for w in windows for t in w)])
     at = {int(t): j for j, t in enumerate(cuts)}
-    ends = np.array([b for _, b in windows])
     count_moves = isinstance(spec, MetropolisSpec)
 
     def chunk(lo: int, hi: int) -> tuple[np.ndarray, int]:
-        length = int(lengths[lo])  # every row of a chunk runs this far
         rngs = [rng_for(seed, tag, r) for r in range(lo, hi)]
         seg = np.full((cuts.size - 1, hi - lo), -np.inf)  # max over [cuts[j], cuts[j+1])
         pos = moves = 0
         last = None  # the last value of the slab before
-        for slab in _path_slabs(spec, rngs, length, horizon):
+        for slab in _path_slabs(spec, rngs, length):
             end = pos + slab.shape[1]
             for j in range(np.searchsorted(cuts, pos, side="right") - 1,
                            np.searchsorted(cuts, end)):
@@ -212,22 +196,20 @@ def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], length
             pos = end
         maxima = np.array([seg[at[a]:at[b]].max(axis=0, initial=-np.inf)
                            for a, b in windows])
-        maxima[ends > length] = np.nan
         return maxima, moves
 
-    out = _empty((len(windows), lengths.size), "replicas")
+    out = _empty((len(windows), R), "replicas")
     moves = 0
-    for (lo, hi), (part, part_moves) in _map_chunks(chunk, lengths, workers,
-                                                    _chunk_rows(spec)):
+    for (lo, hi), (part, part_moves) in _map_chunks(chunk, R, workers, _chunk_rows(spec)):
         out[:, lo:hi] = part
         moves += part_moves
     return out, moves
 
 
-def _acceptance_rate(spec: ProcessSpec, moves: int, lengths) -> float | None:
-    """The moves per step of Metropolis paths of the given lengths, each
+def _acceptance_rate(spec: ProcessSpec, moves: int, R: int, length: int) -> float | None:
+    """The moves per step of R Metropolis paths of ``length`` values, each
     path's steps after its first value; None for other kinds."""
-    steps = int(np.maximum(np.asarray(lengths) - 1, 0).sum())
+    steps = R * max(length - 1, 0)
     return moves / steps if isinstance(spec, MetropolisSpec) and steps else None
 
 
@@ -253,20 +235,18 @@ def _check_gamma(gamma: float) -> None:
 # ---------------------------------------------------------------------------
 
 class _MaximaTable:
-    """Block maxima per block size n, every column ascending.
+    """R block maxima per block size n, every column ascending.
 
-    ``replicas[n]`` is the number of maxima in column n; ``values(n, ranks)``
-    gives column n at 1-based ascending ranks, and the estimators read a
-    column only through ``at`` and ``count_leq``.  ``acceptance_rate`` is
-    the share of the Metropolis chains' steps that moved, None for other
-    kinds.
+    ``values(n, ranks)`` gives column n at 1-based ascending ranks, and the
+    estimators read a column only through ``at`` and ``count_leq``.
+    ``acceptance_rate`` is the share of the Metropolis chains' steps that
+    moved, None for other kinds.
     """
 
-    def __init__(self, n_list: Sequence[int], replicas: Sequence[int],
+    def __init__(self, n_list: Sequence[int], R: int,
                  values: Callable[[int, np.ndarray], np.ndarray],
                  acceptance_rate: float | None) -> None:
-        self.n_list, self._values = tuple(n_list), values
-        self.replicas = dict(zip(self.n_list, (int(k) for k in replicas)))
+        self.n_list, self.R, self._values = tuple(n_list), int(R), values
         self.acceptance_rate = acceptance_rate
 
     def at(self, n: int, ranks: np.ndarray) -> np.ndarray:
@@ -287,7 +267,7 @@ class _MaximaTable:
 
         def above(j: int) -> bool:
             k = start + j
-            if k > self.replicas[n]:
+            if k > self.R:
                 return True
             read[k] = float(self._values(n, np.array([k]))[0])
             return read[k] > x
@@ -303,53 +283,24 @@ def _check_ascending(values: np.ndarray) -> None:
             "block maxima decrease across the ranks read: the quantile is not monotone")
 
 
-def _knot_replicas(n_list: Sequence[int], R: int, n_max: int) -> np.ndarray:
-    """Replicas per block size of a fit table whose largest verified block
-    is ``n_max``: R up to n_max, then min(R, max(MIN_REPLICAS, ceil(R f(s))))
-    at s = n / n_max > 1, with f(s) = (e - 1) e^{-1/s} s^{-2} / (1 - e^{-1/s}).
-
-    A knot at n is read at a verified block's levels where G^{n_max} is
-    about gamma^{1/s}; with gamma = 1/e, R f(s) replicas there keep the
-    phantom's delta-method SE within the max law's SE at R replicas
-    (README).  f(1) = 1 and f falls for s >= 1, so the counts never rise
-    with n.
-    """
-    s = np.asarray(n_list, dtype=float) / n_max
-    f = (math.e - 1.0) * np.exp(-1.0 / s) / (s * s * -np.expm1(-1.0 / s))
-    counts = np.minimum(R, np.maximum(MIN_REPLICAS, np.ceil(R * f))).astype(np.int64)
-    return np.where(s <= 1.0, R, counts)
-
-
 def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
-                       tag: str = "maxlaw", workers: int = 1,
-                       budget_above: int | None = None) -> _MaximaTable:
-    """Block maxima for each requested block size, every column ascending.
+                       tag: str = "maxlaw", workers: int = 1) -> _MaximaTable:
+    """R block maxima for each requested block size, every column ascending.
 
     The estimators read each column by rank.  IID and moving-max maxima are
     Q(u**(1/(n + shift))) of sorted uniforms u, with Q evaluated only at the
     ranks read, so the table holds R log-uniforms whatever the number of
     block sizes.  Monte-Carlo (Markov) and mixture maxima are sorted once,
-    when the table is built.  A column whose values decrease across the
-    ranks read (a quantile that is not monotone) is rejected.
-
-    Every column holds R maxima, except that a Monte-Carlo table given
-    ``budget_above`` holds only the first ``_knot_replicas`` of R at the
-    block sizes above it: replica r runs to the largest block size whose
-    count includes it.  Transform columns cost nothing per block size and
-    keep R.
+    when the table is built; a Monte-Carlo replica's path runs to the
+    largest block size.  A column whose values decrease across the ranks
+    read (a quantile that is not monotone) is rejected.
     """
     n_list = _validate_sizes(block_sizes)
     accept = None
-    counts = np.full(len(n_list), R)
     if not has_exact_max_law(spec):
-        if budget_above is not None:
-            counts = _knot_replicas(n_list, R, budget_above)
-        lengths = np.zeros(R, dtype=np.int64)
-        for n, k in zip(n_list, counts):
-            lengths[:k] = n
-        maxima, moves = _window_maxima(spec, [(0, n) for n in n_list], lengths, seed,
-                                       tag, workers)
-        accept = _acceptance_rate(spec, moves, lengths)
+        maxima, moves = _window_maxima(spec, [(0, n) for n in n_list], R, seed, tag,
+                                       workers)
+        accept = _acceptance_rate(spec, moves, R, n_list[-1])
     else:
         # the uniforms become log-uniforms in place: one R-sized array
         logu = rng_for(seed, tag, "maxima").random(out=_empty(R, "replicas"))
@@ -360,7 +311,7 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
                                else (spec.base.quantile, spec.window - 1))
             # one numpy expression for whole columns and single ranks alike,
             # so a rank read carries the very bits of the built column
-            return _MaximaTable(n_list, counts, lambda n, ranks: np.asarray(
+            return _MaximaTable(n_list, R, lambda n, ranks: np.asarray(
                 quantile(np.exp(logu[ranks - 1] / (n + shift))), dtype=float), None)
         krng = rng_for(seed, tag, "component")  # drawn after the uniforms
         ks = np.array([_mixture_draw_component(krng) for _ in range(R)], dtype=np.int64)
@@ -370,11 +321,9 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
             t = -np.expm1(logu / n)  # tail level of the per-component quantile
             idx = np.maximum(np.ceil(1.0 / np.maximum(t, 1e-300)), bases)
             np.minimum(idx, float(HUGE_INDEX), out=row)  # the level v_idx = idx
-    for row, k in zip(maxima, counts):
-        row[:k].sort()  # a column's own replicas; the rest ran shorter paths
+    maxima.sort(axis=1)
     row_of = {n: i for i, n in enumerate(n_list)}
-    return _MaximaTable(n_list, counts, lambda n, ranks: maxima[row_of[n], ranks - 1],
-                        accept)
+    return _MaximaTable(n_list, R, lambda n, ranks: maxima[row_of[n], ranks - 1], accept)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +368,9 @@ def _type1_rank(p: float, R: int) -> int:
     return min(max(1, math.ceil(p * R)), R)
 
 
-def _binom_quantile(q: float, R: int, p: float) -> int:
-    """Smallest k with P(Bin(R, p) <= k) >= q, up to the rounding of the sum.
+def _binom_quantile(q, R: int, p: float):
+    """Smallest k with P(Bin(R, p) <= k) >= q, for a level q or an array of
+    levels read off one pmf, up to the rounding of the sum.
 
     The pmf is summed over R p +- t, clipped to [0, R]; with
     t = 25 + sqrt(625 + 150 var), about 12.25 SD at large R, Bernstein's
@@ -436,7 +386,7 @@ def _binom_quantile(q: float, R: int, p: float) -> int:
     steps = np.log((R - k) / (k + 1.0)) + (math.log(p) - math.log1p(-p))
     log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
     cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
-    return lo + int(np.searchsorted(cdf / cdf[-1], q, side="left"))
+    return lo + np.searchsorted(cdf / cdf[-1], q, side="left")
 
 
 def exact_maxlaw(spec: ProcessSpec, block_sizes, probs) -> MaxLawEstimate:
@@ -477,41 +427,57 @@ class DrivingSeqEstimate:
         return self.row(n)[0]
 
 
-def driving_from_maxima(gamma: float, table: _MaximaTable) -> DrivingSeqEstimate:
-    """Driving-sequence estimate from an existing block-maxima table, each
-    level and its CI read at its own column's replica count."""
+def _order_ranks(p: float, R: int) -> np.ndarray:
+    """1-based ranks of the 95% order-statistic CI of the p-quantile of R
+    values, and of the type-1 p-quantile between them."""
+    lo, hi = _binom_quantile((0.025, 0.975), R, p).tolist()
+    return np.array([max(lo, 1), _type1_rank(p, R), min(hi + 1, R)])
+
+
+def driving_from_maxima(gamma: float, table: _MaximaTable,
+                        above: Sequence[int] = ()) -> DrivingSeqEstimate:
+    """Driving-sequence estimate from an existing block-maxima table: each
+    level the type-1 gamma-quantile of its column, with an order-statistic
+    CI.
+
+    A size N in ``above``, past the table's largest block n_max, is read off
+    column n_max at level gamma^(n_max / N), its CI ranks at that same
+    level: the factorization B_T gives
+    P(M_N <= v) ~ P(M_{n_max} <= v)^(N / n_max).
+    """
     _check_gamma(gamma)
-    n_list = list(table.n_list)
-    counts = np.array([table.replicas[n] for n in n_list])
-    ranks = {R: np.array([max(_binom_quantile(0.025, R, gamma), 1),
-                          _type1_rank(gamma, R),
-                          min(_binom_quantile(0.975, R, gamma) + 1, R)])
-             for R in np.unique(counts).tolist()}
-    reads = [table.at(n, ranks[R]) for n, R in zip(n_list, counts.tolist())]
+    n_max = table.n_list[-1]
+    n_list = _validate_sizes([*table.n_list, *above])
+    ranks: dict[float, np.ndarray] = {}
+    reads = []
+    for n in n_list:
+        p = gamma if n <= n_max else gamma ** (n_max / n)
+        if p not in ranks:
+            ranks[p] = _order_ranks(p, table.R)
+        reads.append(table.at(min(n, n_max), ranks[p]))
     ci_lo, v_hat, ci_hi = np.array(reads, dtype=float).reshape(-1, 3).T.copy()
     violations = int(np.count_nonzero(np.diff(v_hat) < 0))
     return DrivingSeqEstimate(gamma=gamma, n_values=np.asarray(n_list),
                               v_hat=np.maximum.accumulate(v_hat),
                               ci_lo=ci_lo, ci_hi=ci_hi, method="monte-carlo",
-                              replicas=counts, raw_violations=violations,
+                              replicas=np.full(len(n_list), table.R),
+                              raw_violations=violations,
                               acceptance_rate=table.acceptance_rate)
 
 
 def maxlaw_from_maxima(table: _MaximaTable, probs=None,
                        level_cap: float | None = None) -> MaxLawEstimate:
-    """Max-law estimate on empirical-quantile grids of an existing table,
-    each column read at its own replica count.
+    """Max-law estimate on empirical-quantile grids of an existing table.
 
     ``level_cap`` drops grid levels above a known evaluation bound (for
     comparison against a phantom whose last knot level is that bound).
     """
     if probs is None:
         probs = np.linspace(0.01, 0.99, 33)
+    R = table.R
+    ranks = np.unique(np.array([_type1_rank(float(p), R) for p in probs], dtype=np.int64))
     rows = []
     for n in table.n_list:
-        R = table.replicas[n]
-        ranks = np.unique(np.array([_type1_rank(float(p), R) for p in probs],
-                                   dtype=np.int64))
         vals = table.at(n, ranks)
         xs = np.unique(vals)
         if level_cap is not None:
@@ -696,11 +662,10 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
                  *(max(p - max(1, math.floor(n ** e)), 0)
                    for n, p, _ in pairs for e in candidates)]
         windows = [(0, t) for t in heads] + [(p, p + q) for _, p, q in pairs]
-        lengths = np.full(R, max(b for _, b in windows))
-        maxima, moves = _window_maxima(spec, windows, lengths, seed,
-                                       f"bt-{n_list[-1]}", workers)
+        maxima, moves = _window_maxima(spec, windows, R, seed, f"bt-{n_list[-1]}",
+                                       workers)
+        accept = _acceptance_rate(spec, moves, R, max(b for _, b in windows))
         maxima = dict(zip(windows, maxima))
-        accept = _acceptance_rate(spec, moves, lengths)
         for n in n_list:
             v = dse.level_for(n)
             le = {w: m <= v for w, m in maxima.items()}
@@ -770,8 +735,7 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
     skel_t = [j * m - 1 for j in range(1, k + 1)]  # times of X_m, X_2m, ..., X_km
     windows = [(0, 1), (0, n), *((t, t + 1) for t in skel_t)]
     # k m <= n: every window ends by n
-    below = _window_maxima(spec, windows, np.full(R, n), seed, f"cn-{n}-{m}-{k}",
-                           workers)[0] <= v
+    below = _window_maxima(spec, windows, R, seed, f"cn-{n}-{m}-{k}", workers)[0] <= v
     single_le, max_le = below[0], below[1]
     skel_le = np.minimum.accumulate(below[2:].T, axis=1)
     pz = skel_le.mean(axis=0)  # P(Z_j <= v), j = 1..k
@@ -1082,52 +1046,56 @@ def _fit_sizes(block_sizes: list[int]) -> list[int]:
 
 def fit_phantom(spec: ProcessSpec, gamma: float, block_sizes, R: int, seed: int,
                 tag: str, workers: int = 1) -> tuple[DrivingSeqEstimate, PhantomDistFn]:
-    """O'Brien's continuous phantom, its driving levels fitted to block
+    """O'Brien's continuous phantom, its driving levels fitted to R block
     maxima per size of a log grid around ``block_sizes``.
 
-    Every fit size up to the largest block reads R maxima.  A simulated
-    (Markov) table reads fewer above it (``_knot_replicas``): those knots
-    are read only where G^n lies near 1, and there the knot's own noise
-    stays within the max law's.  ``dse.replicas`` holds each knot's count.
+    The table runs to the largest block n_max only.  A fit size N above it
+    is read off column n_max at level gamma^(n_max / N) (B_T), so above
+    v_{n_max} the phantom is the largest block's own natural phantom
+    F_{M_{n_max}}^(1 / n_max).
     """
     blocks = _validate_sizes(block_sizes)
     _check_gamma(gamma)
     _check_replicas(R)
-    fit = block_maxima_table(spec, _fit_sizes(blocks), R, seed, tag=tag, workers=workers,
-                             budget_above=blocks[-1])
-    dse = driving_from_maxima(gamma, fit)
+    sizes, n_max = _fit_sizes(blocks), blocks[-1]
+    fit = block_maxima_table(spec, [n for n in sizes if n <= n_max], R, seed, tag=tag,
+                             workers=workers)
+    dse = driving_from_maxima(gamma, fit, above=[n for n in sizes if n > n_max])
     return dse, PhantomDistFn(driving_from_estimates(gamma, dse.n_values, dse.v_hat))
 
 
 def two_sided_gaps(dse: DrivingSeqEstimate, phantom: PhantomDistFn,
                    ver: PhantomVerification) -> list[dict]:
     """For each verified block, the fitted phantom's own SE at the worst
-    level, the replica count behind it, and the gap over both SEs.
+    level, the R maxima behind it, and the gap over both SEs.
 
-    At a level where G^n = p, a knot fitted from R_N replicas gives G^n
-    the delta-method SE p |log p| sqrt((1 - gamma) / (gamma R_N)) / |log gamma|;
-    R_N is the smaller count of the two knots that bracket the level, or
-    the count of the one knot that G reads there (at a knot, or below the
-    first).  The z-score is gap / sqrt(se_maxlaw^2 + se_phantom^2), None
-    when both SEs are 0.  ``VERIFY_RULE`` still reads the one-sided gap.
+    Every knot is an order statistic of R block maxima.  Let n_max be the
+    largest verified block.  At a level x <= v_{n_max} where G^n = p, the
+    bracketing knots are gamma-quantiles, and the delta method on them
+    gives G^n the SE p |log p| sqrt((1 - gamma) / (gamma R)) / |log gamma|.
+    Above v_{n_max} every knot is a quantile of column n_max, so
+    q = G^{n_max}(x) estimates P(M_{n_max} <= x) with Var q ~ q (1 - q) / R,
+    and G^n = q^(n / n_max) has the SE (n / n_max) p sqrt((1 - q) / (q R)).
+    The z-score is gap / sqrt(se_maxlaw^2 + se_phantom^2), None when both
+    SEs are 0.  ``VERIFY_RULE`` still reads the one-sided gap.
     """
-    gamma = dse.gamma
-    count = dict(zip(dse.n_values.tolist(), dse.replicas.tolist()))
-    xs, es = phantom.driving.knots()
-    knot_counts = np.array([count[round(1.0 / e)] for e in es.tolist()])
+    gamma, R = dse.gamma, int(dse.replicas[-1])
+    n_max = max(r.n for r in ver.rows)
+    v_max = dse.level_for(n_max)
     rows = []
     for r in ver.rows:
-        x = r.level_at_gap
-        k = int(np.searchsorted(xs, x, side="right"))  # knots at or below x
-        i = max(k - 1, 0)
-        j = k if x > xs[i] else i  # x lies at or below the last knot
-        R_N = int(min(knot_counts[i], knot_counts[j]))
-        p = math.exp(r.n * float(phantom.log_cdf(x)))  # G^n, in (0, 1]
-        se = (0.0 if p == 0.0 else
-              p * abs(math.log(p)) * math.sqrt((1.0 - gamma) / (gamma * R_N))
-              / abs(math.log(gamma)))
+        log_g = float(phantom.log_cdf(r.level_at_gap))
+        p = math.exp(r.n * log_g)  # G^n, in (0, 1]
+        if p == 0.0:
+            se = 0.0
+        elif r.level_at_gap <= v_max:
+            se = (p * abs(math.log(p)) * math.sqrt((1.0 - gamma) / (gamma * R))
+                  / abs(math.log(gamma)))
+        else:
+            q = math.exp(n_max * log_g)
+            se = r.n / n_max * p * math.sqrt((1.0 - q) / (q * R))
         both = math.hypot(r.se_at_gap, se)
-        rows.append({"n": r.n, "phantom_se": se, "phantom_replicas": R_N,
+        rows.append({"n": r.n, "phantom_se": se, "phantom_replicas": R,
                      "z": r.gap / both if both > 0.0 else None})
     return rows
 

@@ -43,13 +43,13 @@ def first_index_where(holds: Callable[[int], bool], start: int) -> int | None:
 # its last quarter stays within PROBE_RATIO_TOL of the target.
 PROBE_DEPTH = 40
 PROBE_RATIO_TOL = 0.02
+PROBE_TAILS = 2.0 ** -np.arange(1.0, PROBE_DEPTH + 1)  # the tails 2**-j
 
 
 def probe_levels(dist) -> np.ndarray:
     """Probe levels for ``dist``, ascending, duplicates and overflow dropped."""
-    p = 1.0 - 2.0 ** -np.arange(1.0, PROBE_DEPTH + 1)
     with np.errstate(over="ignore"):
-        xs = np.asarray(dist.quantile(p), dtype=float)
+        xs = np.asarray(dist.quantile(1.0 - PROBE_TAILS), dtype=float)
     xs = xs[np.isfinite(xs)]
     if xs.size == 0:
         raise InvalidArgumentError("no finite probe levels for this distribution")

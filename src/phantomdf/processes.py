@@ -27,8 +27,8 @@ from .errors import (
 )
 from .grids import (
     HUGE_INDEX,
-    PROBE_DEPTH,
     PROBE_RATIO_TOL,
+    PROBE_TAILS,
     classify_ratio_track,
     converges_to,
     first_index_where,
@@ -185,7 +185,7 @@ def _mixture_draw_component(rng: np.random.Generator) -> int:
 
 
 def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
-                length: int, horizon: int | None = None) -> Iterator[np.ndarray]:
+                length: int) -> Iterator[np.ndarray]:
     """Stationary values 0..length-1 of one path per generator, in time slabs.
 
     Yields (len(rngs), slab_len) blocks, row i from rngs[i], with slab_len <=
@@ -194,10 +194,7 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
     a draw of its target, its invariant law, and so has no burn-in.  Slabs
     cut the time axis burn + length at multiples of SLAB, and every row
     draws only from its own generator, sequentially in time, so a
-    replica's values do not depend on which rows share the call.  Every
-    slab draws what a path to ``horizon`` (at least ``length``; by default
-    ``length``) draws there, and steps only as far as ``length``, so the
-    values are the first ``length`` of the paths to ``horizon``.  Slabs
+    replica's values do not depend on which rows share the call.  Slabs
     are views of buffers that the next slab overwrites (Metropolis slabs are
     transposed views of time-major ones), so a caller must reduce or copy a
     slab before it calls next().
@@ -205,8 +202,7 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
     rows = len(rngs)
     burn = default_burn_in(spec)
     total = burn + length
-    drawn = burn + max(length, horizon or 0)  # the draws of a path to the horizon
-    width = min(SLAB, drawn)
+    width = min(SLAB, total)
 
     def draws(laws, out: np.ndarray) -> np.ndarray:
         for i, (law, rng) in enumerate(zip(laws, rngs)):
@@ -242,15 +238,13 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         buf = np.empty((rows, width))
 
     for pos in range(0, total, SLAB):
-        # s_len steps of the slab, from d_len draws; d_len > s_len only in
-        # the last slab of a path stopped short of its horizon
-        s_len, d_len = min(SLAB, total - pos), min(SLAB, drawn - pos)
+        s_len = min(SLAB, total - pos)
         if isinstance(spec, MovingMaxSpec):
             # x_t = max(raw_t, ..., raw_{t+m-1}): keep the last m - 1 draws for
             # the next slab, then fold neighbouring maxima m - 1 times in place
             buf[:, :m - 1] = carry
-            draws(laws, buf[:, m - 1:m - 1 + d_len])
-            carry = buf[:, d_len:d_len + m - 1].copy()
+            draws(laws, buf[:, m - 1:m - 1 + s_len])
+            carry = buf[:, s_len:s_len + m - 1].copy()
             for k in range(s_len + m - 2, s_len - 1, -1):
                 np.maximum(buf[:, :k], buf[:, 1:k + 1], out=buf[:, :k])
             xs = buf[:, :s_len]
@@ -259,7 +253,7 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
             # carry enters before the cumsum so slabs add up as one long cumsum
             # (the running minimum goes one row at a time through one
             # row-sized buffer, so a slab holds a single slab-sized array)
-            xs = draws(laws, buf[:, :d_len])[:, :s_len]
+            xs = draws(laws, buf[:, :s_len])
             xs[:, 0] += c_prev
             np.cumsum(xs, axis=1, out=xs)
             c_prev = xs[:, -1].copy()
@@ -274,17 +268,16 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
             # chain state overwrites the increment it was built from.  Each
             # row draws its increments, then its uniforms, from its own
             # generator; a group of rows goes in with one transposed copy.
-            zt, ut = zt_buf[:d_len], ut_buf[:d_len]
+            zt, ut = zt_buf[:s_len], ut_buf[:s_len]
             for lo in range(0, rows, FILL_ROWS):
                 group = rngs[lo:lo + FILL_ROWS]
-                block = fill[:len(group), :d_len]
+                block = fill[:len(group), :s_len]
                 for row, rng in zip(block, group):
-                    row[:] = spec.proposal.draw(rng, d_len)
+                    row[:] = spec.proposal.draw(rng, s_len)
                 zt[:, lo:lo + len(group)] = block.T
                 for row, rng in zip(block, group):
-                    rng.random(d_len, out=row)
+                    rng.random(s_len, out=row)
                 ut[:, lo:lo + len(group)] = block.T
-            zt, ut = zt[:s_len], ut[:s_len]
             with np.errstate(divide="ignore"):  # u = 0 gives log u = -inf
                 np.log(ut, out=ut)
             for z, lu in zip(zt, ut):
@@ -303,7 +296,7 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
             x = x.copy()  # a row of zt, which the next slab's fill overwrites
             xs = zt.T
         else:
-            xs = draws(laws, buf[:, :d_len])[:, :s_len]
+            xs = draws(laws, buf[:, :s_len])
         start = max(burn - pos, 0)
         if start < s_len:
             yield xs[:, start:]
@@ -498,7 +491,7 @@ def lindley_step_tail_vs_stationary(step: DistFn, values) -> str:
     if math.isfinite(step.right_end) and vmax > step.right_end:
         return "mismatched-right-ends"
     sorted_vals = np.sort(values)
-    qs = 1.0 - 2.0 ** (-np.arange(1.0, PROBE_DEPTH + 1))
+    qs = 1.0 - PROBE_TAILS
     qs = qs[qs <= 0.999]
     idx = np.minimum((qs * values.size).astype(int), values.size - 1)
     levels = np.unique(sorted_vals[idx])

@@ -51,7 +51,6 @@ def test_criterion_07_regenerative_lindley_pipeline(check):
     check(7)
 
 
-@pytest.mark.slow
 def test_criterion_08_random_walk_sampler_pipeline(check):
     check(8)
 

@@ -115,7 +115,7 @@ def column(table, n):
     the table does not hold."""
     if n not in table.n_list:
         raise KeyError(n)
-    return table._values(n, np.arange(1, table.replicas[n] + 1))
+    return table._values(n, np.arange(1, table.R + 1))
 
 
 class TestDrivingSequence:
@@ -154,8 +154,10 @@ class TestDrivingSequence:
 
     def test_binom_quantile_matches_scipy(self):
         """The CI ranks equal scipy's binom.ppf on a grid of R, gamma and q,
-        on every (R, gamma) a workload, criterion or test fits, and where
-        the summation window clips at 0 or at R."""
+        on every (R, gamma) a workload, criterion or test fits, at the
+        levels gamma^(n_max / N) of the fit knots above the largest block,
+        and where the summation window clips at 0 or at R; both levels read
+        off one pmf give the ranks of two calls."""
         from scipy import stats
 
         grid = [200, 256, 300, 400, 500, 512, 1000, 2000, 5000, 10**4, 2 * 10**4,
@@ -164,12 +166,17 @@ class TestDrivingSequence:
                  for g in (GAMMA, 0.05, 0.1, 0.25, 0.5, 0.9)]
         cases += [(R, GAMMA) for R in (*range(200, 401), 512, 1000, 10**6)]
         cases += [(R, g) for R in (1, 2, 5, 20, 200) for g in (0.001, 0.05, 0.9, 0.999)]
+        cases += [(R, GAMMA ** 10.0 ** (-k / 6)) for R in (200, 256, 512, 1000, 10**6)
+                  for k in range(1, 13)]
         triples = [(q, R, g) for R, g in cases for q in (0.025, 0.975)]
         # q equal to a cdf value: the rank is the smallest k that reaches q
         triples += [(0.5, 1, 0.5), (0.25, 2, 0.5), (0.75, 2, 0.5)]
         mismatches = [(q, R, g) for q, R, g in triples
                       if estimate._binom_quantile(q, R, g) != int(stats.binom.ppf(q, R, g))]
         assert mismatches == []
+        for R, g in cases:
+            assert estimate._binom_quantile((0.025, 0.975), R, g).tolist() == [
+                estimate._binom_quantile(0.025, R, g), estimate._binom_quantile(0.975, R, g)]
 
     def test_driving_from_estimates_knots(self):
         dse = _exact_dse([10, 100])
@@ -182,8 +189,8 @@ class TestBlockMaximaTable:
     def test_worker_chunking_invariance(self):
         # replica by replica on the scan the table sorts
         windows = [(0, 50), (0, 200)]
-        a, moves_a = _window_maxima(LINDLEY, windows, np.full(240, 200), seed=9, tag="w")
-        b, moves_b = _window_maxima(LINDLEY, windows, np.full(240, 200), seed=9, tag="w",
+        a, moves_a = _window_maxima(LINDLEY, windows, 240, seed=9, tag="w")
+        b, moves_b = _window_maxima(LINDLEY, windows, 240, seed=9, tag="w",
                                     workers=3)
         np.testing.assert_array_equal(a, b)
         assert moves_a == moves_b == 0  # only Metropolis chains count moves
@@ -198,8 +205,8 @@ class TestBlockMaximaTable:
         # a replica; Markov maxima are compared replica by replica
         t = block_maxima_table(MOVMAX2, [25, 100], 210, seed=4, tag="mono")
         assert np.all(column(t, 100) >= column(t, 25) - 1e-12)
-        (m25, m100), _ = _window_maxima(LINDLEY, [(0, 25), (0, 100)], np.full(210, 100),
-                                        seed=4, tag="mono")
+        (m25, m100), _ = _window_maxima(LINDLEY, [(0, 25), (0, 100)], 210, seed=4,
+                                        tag="mono")
         assert np.all(m100 >= m25)
 
 
@@ -293,7 +300,7 @@ class TestSortedTransformColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.replicas == dict.fromkeys(self.SIZES, R)
+        assert table.R == R
         assert peak <= 1.25 * 8 * R, peak / (8 * R)
 
     def test_fit_memory_does_not_grow_with_the_fit_sizes(self):
@@ -383,7 +390,7 @@ class TestRankReads:
         ``reference``, the same maxima in any order (default: ``table``)."""
         if reference is None:
             reference = {n: column(table, n) for n in table.n_list}
-        (R,) = set(table.replicas.values())
+        R = table.R
         got, want = driving_from_maxima(GAMMA, table), full_column_driving(GAMMA, reference, R)
         for field in ("n_values", "v_hat", "ci_lo", "ci_hi", "replicas"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
@@ -418,9 +425,8 @@ class TestRankReads:
         if isinstance(spec, MixtureSpec):
             source = replica_order_mixture_maxima(sizes, R, 26, "ranks")
         else:
-            source = dict(zip(sizes, _window_maxima(spec, [(0, n) for n in sizes],
-                                                    np.full(R, sizes[-1]), seed=26,
-                                                    tag="ranks")[0]))
+            source = dict(zip(sizes, _window_maxima(spec, [(0, n) for n in sizes], R,
+                                                    seed=26, tag="ranks")[0]))
         assert not all(np.all(np.diff(source[n]) >= 0) for n in sizes)  # needs a sort
         for n in sizes:
             np.testing.assert_array_equal(column(table, n), np.sort(source[n]))
@@ -438,7 +444,7 @@ class TestRankReads:
         last and above it, from start = 1 and start = R where that rank is
         at or below x, and from start = 0."""
         table = block_maxima_table(spec, sizes, R, seed=28, tag="count")
-        assert table.replicas == dict.fromkeys(sizes, R)
+        assert table.R == R
         ties = 0
         for n in sizes:
             s = column(table, n)
@@ -573,34 +579,12 @@ class TestSlabScansMatchDenseReference:
         windows = [(7, 7), (0, 1), (0, 1), (100, 5_000), (2_000, 9_000),
                    (first - 1, first), (first, first + 1), (first - 10, length),
                    (0, length), (0, 3), (2, 3), (3, 5)]
-        got, _ = _window_maxima(spec, windows, np.full(self.R, length), seed=44,
-                                tag="win", workers=workers)
+        got, _ = _window_maxima(spec, windows, self.R, seed=44, tag="win",
+                                workers=workers)
         seg = self.dense(44, "win", length, spec)
         want = [seg[:, a:b].max(axis=1) if a < b else np.full(self.R, -np.inf)
                 for a, b in windows]
         np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("spec", [LINDLEY, METROPOLIS], ids=["lindley", "metropolis"])
-    def test_window_maxima_with_mixed_lengths_equal_one_row_runs(self, monkeypatch, spec,
-                                                                 workers):
-        """Each replica's maxima, when replicas run to different lengths,
-        equal those of the first values of a one-row run of its own stream
-        to the longest length; a window past a replica's length gives nan."""
-        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)  # workers=2 forks
-        long = SLAB + 300
-        lengths = np.array([long] * 3 + [5_000] * 4 + [40] * 2 + [1])
-        windows = [(0, 1), (0, 40), (30, 4_000), (0, 5_000), (0, long), (5_000, 5_000),
-                   (2_000, long)]
-        got, _ = _window_maxima(spec, windows, lengths, seed=45, tag="mixed",
-                                workers=workers)
-        for r, length in enumerate(lengths.tolist()):
-            path = np.concatenate([s[0].copy() for s in _path_slabs(
-                spec, [rng_for(45, "mixed", r)], long)])[:length]
-            want = [np.nan if b > length else path[a:b].max(initial=-np.inf)
-                    for a, b in windows]
-            np.testing.assert_array_equal(got[:, r], want)
-        assert np.isnan(got[:, -1]).sum() == len(windows) - 1
 
     def test_block_maxima_match_dense_reference(self):
         first = SLAB - default_burn_in(LINDLEY)  # values in the first slab
@@ -704,11 +688,6 @@ class TestSlabScansMatchDenseReference:
         assert c_se > 0.0
 
 
-def flat(R, length=5):
-    """R replicas of one path length."""
-    return np.full(R, length)
-
-
 class TestWorkerPool:
     """Replica chunks run in forked worker processes; every replica owns its
     substream, so one worker and two give equal arrays."""
@@ -730,51 +709,41 @@ class TestWorkerPool:
 
     def test_chunk_plan_clamps_workers_to_cores(self, monkeypatch):
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: 4)
-        chunks, procs = _chunk_plan(flat(1000), 10**6, self.STEP)
+        chunks, procs = _chunk_plan(1000, 10**6, self.STEP)
         assert procs == 4
         assert chunks == [(0, 250), (250, 500), (500, 750), (750, 1000)]
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert _chunk_plan(flat(3), 10**6, self.STEP) == ([(0, 1), (1, 2), (2, 3)], 3)
-        assert _chunk_plan(flat(100), 3, self.STEP) == ([(0, 34), (34, 68), (68, 100)], 3)
+        assert _chunk_plan(3, 10**6, self.STEP) == ([(0, 1), (1, 2), (2, 3)], 3)
+        assert _chunk_plan(100, 3, self.STEP) == ([(0, 34), (34, 68), (68, 100)], 3)
+        assert _chunk_plan(0, 2, self.STEP) == ([], 0)
         # one worker: chunks stop at the cap of the kernel's shape
-        assert _chunk_plan(flat(1000), 1, self.STEP) == ([(0, 512), (512, 1000)], 1)
-        assert _chunk_plan(flat(100), 1, self.ROWS) == (
+        assert _chunk_plan(1000, 1, self.STEP) == ([(0, 512), (512, 1000)], 1)
+        assert _chunk_plan(100, 1, self.ROWS) == (
             [(0, 32), (32, 64), (64, 96), (96, 100)], 1)
         # the row cap cuts R finer than the workers, who still number 4
-        assert _chunk_plan(flat(100), 10**6, self.ROWS) == (
+        assert _chunk_plan(100, 10**6, self.ROWS) == (
             [(0, 25), (25, 50), (50, 75), (75, 100)], 4)
-        assert _chunk_plan(flat(200), 10**6, self.ROWS)[1] == 4
-        assert len(_chunk_plan(flat(200), 10**6, self.ROWS)[0]) == 7
+        assert _chunk_plan(200, 10**6, self.ROWS)[1] == 4
+        assert len(_chunk_plan(200, 10**6, self.ROWS)[0]) == 7
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: None)
-        assert _chunk_plan(flat(1000), 10**6, self.STEP)[1] == 1
-
-    def test_chunk_plan_cuts_each_run_of_lengths_longest_first(self):
-        # runs of 5, 2 and 4 rows at lengths 9, 3 and 7: each run is cut in
-        # ceil(rows / workers)-row chunks, the longest run first, and no chunk
-        # mixes lengths
-        lengths = np.array([9] * 5 + [3] * 2 + [7] * 4)
-        assert _chunk_plan(lengths, 2, self.STEP) == (
-            [(0, 3), (3, 5), (7, 9), (9, 11), (5, 6), (6, 7)], 2)
-        assert _chunk_plan(lengths, 1, 3) == (
-            [(0, 3), (3, 5), (7, 10), (10, 11), (5, 7)], 1)
-        assert _chunk_plan(np.array([], dtype=int), 2, self.STEP) == ([], 0)
+        assert _chunk_plan(1000, 10**6, self.STEP)[1] == 1
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_chunk_plan_rejects_nonpositive_workers(self, workers):
         with pytest.raises(InvalidArgumentError):
-            _chunk_plan(flat(self.R), workers, self.STEP)
+            _chunk_plan(self.R, workers, self.STEP)
 
     def test_map_chunks_forks_only_for_more_than_one_worker(self):
         def where(lo, hi):  # a closure: it reaches the workers by fork, not pickle
             return os.getpid()
 
-        serial = _map_chunks(where, flat(self.R), 1, self.STEP)
+        serial = _map_chunks(where, self.R, 1, self.STEP)
         assert [b for b, _ in serial] == [(0, 256)]
         assert {pid for _, pid in serial} == {os.getpid()}
-        pooled = _map_chunks(where, flat(self.R), 2, self.STEP)
+        pooled = _map_chunks(where, self.R, 2, self.STEP)
         assert [b for b, _ in pooled] == [(0, 128), (128, 256)]
         assert os.getpid() not in {pid for _, pid in pooled}
-        rows = _map_chunks(where, flat(self.R), 2, self.ROWS)
+        rows = _map_chunks(where, self.R, 2, self.ROWS)
         assert [b for b, _ in rows] == [(lo, lo + 32) for lo in range(0, 256, 32)]
         assert os.getpid() not in {pid for _, pid in rows}
 
@@ -785,7 +754,7 @@ class TestWorkerPool:
             return os.getpid()
 
         with pytest.raises(InvalidArgumentError, match="bad chunk 128"):
-            _map_chunks(chunk, flat(self.R), 2, self.STEP)
+            _map_chunks(chunk, self.R, 2, self.STEP)
 
     @pytest.mark.parametrize("spec, workers, bounds", [
         (METROPOLIS, 2, [(0, 500), (500, 1000)]),
@@ -798,17 +767,16 @@ class TestWorkerPool:
         all 1000 rows."""
         seen = []
 
-        def spy(fn, lengths, workers, cap):
-            result = _map_chunks(fn, lengths, workers, cap)
+        def spy(fn, R, workers, cap):
+            result = _map_chunks(fn, R, workers, cap)
             seen.append([b for b, _ in result])
             return result
 
         windows = [(0, 1), (0, 40), (25, 90)]
         monkeypatch.setattr(estimate, "_map_chunks", spy)
-        chunked, chunked_moves = _window_maxima(spec, windows, flat(1000, 90), 8, "shape",
-                                                workers)
+        chunked, chunked_moves = _window_maxima(spec, windows, 1000, 8, "shape", workers)
         monkeypatch.setattr(estimate, "_chunk_rows", lambda spec: 1000)
-        whole, whole_moves = _window_maxima(spec, windows, flat(1000, 90), 8, "shape", 1)
+        whole, whole_moves = _window_maxima(spec, windows, 1000, 8, "shape", 1)
         assert seen == [bounds, [(0, 1000)]]
         assert np.isfinite(chunked).all() and np.unique(chunked[2]).size > 2
         np.testing.assert_array_equal(chunked, whole)
@@ -825,8 +793,8 @@ class TestWorkerPool:
     def test_monte_carlo_check_bt_pool_invariant(self, monkeypatch):
         seen = []
 
-        def spy(fn, lengths, workers, cap):
-            result = _map_chunks(fn, lengths, workers, cap)
+        def spy(fn, R, workers, cap):
+            result = _map_chunks(fn, R, workers, cap)
             seen.append(result)
             return result
 
@@ -910,8 +878,7 @@ def test_window_maxima_within_dkw_band(spec):
     """Block maxima from the path scan (not the transform sampler) against
     the closed-form max law: the ECDF stays inside the 99.9% DKW band."""
     R, sizes = 2000, (1, 50, 1000)
-    maxima, _ = _window_maxima(spec, [(0, n) for n in sizes], np.full(R, sizes[-1]),
-                               seed=1, tag="dkw")
+    maxima, _ = _window_maxima(spec, [(0, n) for n in sizes], R, seed=1, tag="dkw")
     i = np.arange(1, R + 1)
     for n, col in zip(sizes, maxima):
         F = np.array([exact_max_cdf(spec, n, float(x)) for x in np.sort(col)])
@@ -1154,10 +1121,9 @@ class TestThetaFromDriving:
         assert len(dse.n_values) > len(sizes)
         est = theta_from_driving(METROPOLIS, dse, sizes, 32)
         rows = [dse.row(n) for n in sizes]
-        # the fit's budget: R at the requested sizes, fewer above the largest
+        # every knot rests on R maxima
         counts = dict(zip(dse.n_values.tolist(), dse.replicas.tolist()))
-        assert [counts[n] for n in sizes] == [256, 256]
-        assert counts[int(dse.n_values[-1])] == estimate.MIN_REPLICAS
+        assert set(counts.values()) == {256}
         only = DrivingSeqEstimate(gamma=GAMMA, n_values=np.array(sizes),
                                   v_hat=np.array([r[0] for r in rows]),
                                   ci_lo=np.array([r[1] for r in rows]),
@@ -1172,69 +1138,79 @@ class TestThetaFromDriving:
             theta_from_driving(METROPOLIS, dse, [20, 30], 32)
 
 
-class TestFitBudget:
-    """fit_phantom's replica budget: R up to the largest block, fewer above."""
+class TestFarKnots:
+    """fit_phantom's table runs to the largest block n_max; a fit size N
+    above it is read off column n_max at level gamma^(n_max / N)."""
 
-    @pytest.mark.parametrize("blocks, R", [([100, 1_000], 512), ([1_000, 10_000], 1_000)],
-                             ids=["metropolis-fit", "criterion-8"])
-    def test_phantom_se_within_maxlaw_se_at_the_budgeted_knots(self, blocks, R):
-        """At the level where a verified block reads a knot above the
-        largest block, G^n = gamma^(n/N), the phantom's delta-method SE from
-        that knot's replicas stays within the max law's SE from R."""
+    @pytest.mark.parametrize("spec, blocks, R", [(IID_EXP, [10, 100], 1000),
+                                                 (METROPOLIS, [20, 80], 256)],
+                             ids=["iid", "metropolis"])
+    def test_far_knots_are_ranks_of_the_largest_block_column(self, spec, blocks, R):
+        sizes, n_max = estimate._fit_sizes(blocks), blocks[-1]
+        near = [n for n in sizes if n <= n_max]
+        far = sizes[len(near):]
+        assert len(far) == 12  # two decades at a sixth of a decade
+        dse, phantom = fit_phantom(spec, GAMMA, blocks, R, seed=47, tag="far")
+        col = column(block_maxima_table(spec, near, R, seed=47, tag="far"), n_max)
+        np.testing.assert_array_equal(dse.n_values, sizes)
+        np.testing.assert_array_equal(dse.replicas, np.full(len(sizes), R))
+        levels = [GAMMA ** (n_max / n) for n in far]
+        reads = [col[math.ceil(p * R) - 1] for p in levels]
+        # the running maximum carries on from the level at n_max
+        carried = np.maximum.accumulate([dse.v_hat[len(near) - 1], *reads])[1:]
+        np.testing.assert_array_equal(dse.v_hat[len(near):], carried)
+        for i, p in enumerate(levels, start=len(near)):
+            k_lo = max(estimate._binom_quantile(0.025, R, p), 1)
+            k_hi = min(estimate._binom_quantile(0.975, R, p) + 1, R)
+            assert (dse.ci_lo[i], dse.ci_hi[i]) == (col[k_lo - 1], col[k_hi - 1])
+        assert phantom.driving.sup == dse.v_hat[-1] == reads[-1]
+
+    def test_no_fit_path_runs_past_the_largest_block(self, monkeypatch):
+        lengths = []
+        path_slabs = estimate._path_slabs
+
+        def spy(spec, rngs, length):
+            lengths.append(length)
+            return path_slabs(spec, rngs, length)
+
+        monkeypatch.setattr(estimate, "_path_slabs", spy)
+        dse, _ = fit_phantom(METROPOLIS, GAMMA, [20, 80], 256, seed=48, tag="far")
+        assert dse.n_values[-1] == 6_325 and lengths == [80]  # one 256-row chunk
+
+    def test_two_sided_gap_reads_one_order_statistic_above_the_largest_block(self):
+        """At or below v_{n_max} the knot formula at R; above it the delta
+        method on q = G^{n_max}, an order statistic of R maxima, which
+        never exceeds the max law's own SE at G^n for n <= n_max."""
+        R, blocks, n_max = 512, [100, 1_000], 1_000
         sizes = estimate._fit_sizes(blocks)
-        counts = estimate._knot_replicas(sizes, R, blocks[-1])
-        assert counts[sizes.index(blocks[-1])] == R and counts[-1] == estimate.MIN_REPLICAS
-        assert np.all(np.diff(counts) <= 0)
         exact = estimate_driving_sequence(IID_EXP, GAMMA, sizes, method="exact")
-        dse = dataclasses.replace(exact, replicas=counts)
+        dse = dataclasses.replace(exact, replicas=np.full(len(sizes), R))
         phantom = PhantomDistFn(driving_from_estimates(GAMMA, dse.n_values, dse.v_hat))
-        budgeted = [(N, v) for N, v in zip(sizes, dse.v_hat.tolist()) if N > blocks[-1]]
-        for n in blocks:
-            ver = PhantomVerification(rows=tuple(
-                VerifyRow(n=n, gap=0.01, se_at_gap=1.0, level_at_gap=v)
-                for _, v in budgeted), sup_gap=0.01)
-            for (N, _), row in zip(budgeted, estimate.two_sided_gaps(dse, phantom, ver)):
-                p = GAMMA ** (n / N)
-                assert row["phantom_replicas"] == counts[sizes.index(N)]
-                assert row["phantom_se"] == pytest.approx(
-                    p * -math.log(p) * math.sqrt((1 - GAMMA) / (GAMMA * row["phantom_replicas"])),
-                    rel=1e-9)
-                assert row["phantom_se"] <= math.sqrt(p * (1.0 - p) / R), (n, N)
-
-    @pytest.mark.parametrize("spec", [LINDLEY, METROPOLIS], ids=["lindley", "metropolis"])
-    def test_budgeted_table_is_the_full_table_read_at_fewer_replicas(self, spec):
-        """Every column up to the budget's block equals the full table's, and
-        a column above it holds the first replicas of the full table's scan:
-        the budget only drops replicas, it draws nothing new."""
-        sizes, R, m = [10, 100, 300, 3_000, SLAB + 100], 600, 100
-        budgeted = block_maxima_table(spec, sizes, R, seed=46, tag="budget",
-                                      budget_above=m)
-        full = block_maxima_table(spec, sizes, R, seed=46, tag="budget")
-        scan, _ = _window_maxima(spec, [(0, n) for n in sizes], np.full(R, sizes[-1]),
-                                 seed=46, tag="budget")
-        counts = [budgeted.replicas[n] for n in sizes]
-        assert counts == [600, 600, 290, 200, 200]
-        for n, k, col in zip(sizes, counts, scan):
-            if n <= m:
-                np.testing.assert_array_equal(column(budgeted, n), column(full, n))
-            np.testing.assert_array_equal(column(budgeted, n), np.sort(col[:k]))
-
-    def test_two_sided_gap_reads_the_bracketing_knots(self):
-        """Between two knots the smaller count; at a knot, or below the
-        first, the count of the one knot G reads there."""
-        dse = dataclasses.replace(
-            estimate_driving_sequence(IID_EXP, GAMMA, [10, 20, 40], method="exact"),
-            replicas=np.array([900, 400, 200]))
-        phantom = PhantomDistFn(driving_from_estimates(GAMMA, dse.n_values, dse.v_hat))
-        v10, v20, v40 = dse.v_hat.tolist()
-        levels = [v10 - 0.1, v10, (v10 + v20) / 2, v20, (v20 + v40) / 2, v40]
+        v = dict(zip(sizes, dse.v_hat.tolist()))
+        levels = [v[10] - 0.5, v[100], (v[100] + v[1_000]) / 2, v[1_000],
+                  np.nextafter(v[1_000], np.inf), (v[1_000] + v[1_468]) / 2, v[10_000],
+                  v[100_000]]
+        # n_max is the largest block that ver holds a row of
+        cases = [(n, x) for n in blocks for x in levels]
         ver = PhantomVerification(rows=tuple(
-            VerifyRow(n=10, gap=0.02, se_at_gap=0.01, level_at_gap=x) for x in levels),
+            VerifyRow(n=n, gap=0.02, se_at_gap=0.01, level_at_gap=x) for n, x in cases),
             sup_gap=0.02)
         rows = estimate.two_sided_gaps(dse, phantom, ver)
-        assert [r["phantom_replicas"] for r in rows] == [900, 900, 400, 400, 200, 200]
-        for r in rows:
-            assert r["z"] == 0.02 / math.hypot(0.01, r["phantom_se"])
+        for (n, x), row in zip(cases, rows, strict=True):
+            p = math.exp(n * float(phantom.log_cdf(x)))
+            if x <= v[n_max]:
+                want = p * -math.log(p) * math.sqrt((1 - GAMMA) / (GAMMA * R))
+            else:
+                q = p ** (n_max / n)
+                want = n / n_max * p * math.sqrt((1 - q) / (q * R))
+                assert row["phantom_se"] <= math.sqrt(p * (1 - p) / R) * (1 + 1e-12)
+            assert row["phantom_se"] == pytest.approx(want, rel=1e-9), (n, x)
+            assert row["phantom_replicas"] == R
+            assert row["z"] == 0.02 / math.hypot(0.01, row["phantom_se"])
+        # the two rules meet at v_{n_max}
+        for i in (3, len(levels) + 3):
+            assert rows[i]["phantom_se"] == pytest.approx(rows[i + 1]["phantom_se"],
+                                                          rel=1e-9)
 
 
 class TestTheta:

@@ -4,7 +4,9 @@ The reference functions below are verbatim copies of what the phantom-fit
 and regen commands and acceptance criterion 8 computed inline before the
 pipelines in ``phantomdf.estimate`` took the work over.  Each pipeline must
 reproduce them exactly: the same stream tags, the same grids and the same
-level cap give the same floats, bit for bit.
+level cap give the same floats, bit for bit.  The fit references read the
+knots above the largest block off its column by rank, written out here
+without the package's driving-level code.
 """
 
 import json
@@ -18,10 +20,10 @@ from phantomdf.cli import main
 from phantomdf.distributions import exponential, pareto, shifted, symmetric_pareto, uniform
 from phantomdf.estimate import (
     VERIFY_RULE,
+    DrivingSeqEstimate,
     block_maxima_table,
     cycle_tail_ratio,
     decompose_regenerative,
-    driving_from_maxima,
     fit_phantom,
     maxlaw_from_maxima,
     regen_phantom,
@@ -61,25 +63,31 @@ def reference_fit_sizes(block_sizes):
     return sorted(set(sizes.tolist()) | set(block_sizes))
 
 
-def reference_budget(fit_sizes, R, n_max):
-    """Replicas per fit size of a simulated fit table: R up to n_max, then
-    min(R, max(200, ceil(R f(n / n_max)))), f(s) = (e - 1) e^{-1/s} s^{-2} / (1 - e^{-1/s})."""
-    def f(s):
-        return (math.e - 1.0) * math.exp(-1.0 / s) / (s * s * (1.0 - math.exp(-1.0 / s)))
-    return [R if n <= n_max else min(R, max(200, math.ceil(R * f(n / n_max))))
-            for n in fit_sizes]
+def reference_far_fit(spec, fit_sizes, n_max, R, seed, tag, gamma=GAMMA, workers=1):
+    """Driving levels of a fit table that runs to n_max: each fit size up to
+    n_max reads its own column at level gamma, and a size N above it reads
+    column n_max at level gamma^(n_max / N), its CI ranks at that level."""
+    near = [n for n in fit_sizes if n <= n_max]
+    fit = block_maxima_table(spec, near, R, seed, tag=tag, workers=workers)
+    raw, ci_lo, ci_hi = [], [], []
+    for n in fit_sizes:
+        level = gamma if n <= n_max else gamma ** (n_max / n)
+        col = column(fit, min(n, n_max))
+        raw.append(col[min(max(1, math.ceil(level * R)), R) - 1])
+        ci_lo.append(col[max(estimate._binom_quantile(0.025, R, level), 1) - 1])
+        ci_hi.append(col[min(estimate._binom_quantile(0.975, R, level) + 1, R) - 1])
+    return DrivingSeqEstimate(
+        gamma=gamma, n_values=np.asarray(fit_sizes),
+        v_hat=np.maximum.accumulate(raw), ci_lo=np.array(ci_lo), ci_hi=np.array(ci_hi),
+        method="monte-carlo", replicas=np.full(len(fit_sizes), R),
+        raw_violations=int(np.count_nonzero(np.diff(raw) < 0)),
+        acceptance_rate=fit.acceptance_rate)
 
 
 def reference_phantom_fit(spec, blocks, R, seed, gamma=GAMMA, workers=1):
-    """The phantom-fit command's fit and validation; a simulated fit table
-    reads fewer replicas above the largest block."""
-    fit_sizes = reference_fit_sizes(blocks)
-    fit = block_maxima_table(spec, fit_sizes, R, seed, tag="phantom-fit",
-                             workers=workers, budget_above=max(blocks))
-    budget = (reference_budget(fit_sizes, R, max(blocks))
-              if isinstance(spec, MetropolisSpec) else [R] * len(fit_sizes))
-    assert [fit.replicas[n] for n in fit_sizes] == budget
-    dse = driving_from_maxima(gamma, fit)
+    """The phantom-fit command's fit and validation."""
+    dse = reference_far_fit(spec, reference_fit_sizes(blocks), max(blocks), R, seed,
+                            "phantom-fit", gamma, workers)
     phantom = PhantomDistFn(driving_from_estimates(gamma, dse.n_values, dse.v_hat))
     val = block_maxima_table(spec, blocks, R, seed, tag="phantom-verify",
                              workers=workers)
@@ -93,9 +101,7 @@ def reference_criterion_8_fit(spec, R, seed, workers=1):
     """Criterion 8's fit with its own grid for blocks [1000, 10000]."""
     fit_sizes = np.unique(np.round(
         10.0 ** np.arange(2.0, 6.0 + 1e-9, 1.0 / 6.0)).astype(int)).tolist()
-    fit = block_maxima_table(spec, fit_sizes, R=R, seed=seed,
-                             tag="c8-fit", workers=workers)
-    dse = driving_from_maxima(GAMMA, fit)
+    dse = reference_far_fit(spec, fit_sizes, 10_000, R, seed, "c8-fit", workers=workers)
     phantom = PhantomDistFn(driving_from_estimates(GAMMA, dse.n_values, dse.v_hat))
     return dse, phantom
 
@@ -154,18 +160,15 @@ def assert_same_check(got, want):
 
 
 class TestFitAndVerify:
-    # at R = 400 the Metropolis fit's budget cuts the sizes above 20 to as
-    # few as 200 replicas; at R = 200 it leaves every size at R
     @pytest.mark.parametrize("spec, blocks, R", [
         (IID, [10, 100], R), (METROPOLIS, [5, 20], R), (METROPOLIS, [5, 20], 400),
-    ], ids=["iid", "metropolis", "metropolis-budget"])
+    ], ids=["iid", "metropolis", "metropolis-r400"])
     def test_equals_the_phantom_fit_sequence(self, spec, blocks, R):
         dse_ref, phantom_ref, check_ref = reference_phantom_fit(spec, blocks, R, SEED)
         dse, phantom = fit_phantom(spec, GAMMA, blocks, R, SEED, tag="phantom-fit")
         check = verify_by_simulation(spec, phantom, blocks, R, SEED,
                                      tag="phantom-verify")
-        if R > 200 and isinstance(spec, MetropolisSpec):
-            assert dse.replicas[0] == R and min(dse.replicas) == 200
+        assert set(dse.replicas.tolist()) == {R}
         assert_same_dse(dse, dse_ref)
         assert phantom.to_text() == phantom_ref.to_text()
         assert_same_check(check, check_ref)

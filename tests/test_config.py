@@ -2,8 +2,10 @@
 or is rejected with one error."""
 
 import argparse
+import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from phantomdf.cli import _parse_mixing, _Settings
 from phantomdf.config import parse_int_list, parse_law
 from phantomdf.distributions import _CATALOG, DistFn
 from phantomdf.errors import InvalidArgumentError, InvalidSpecError
+from phantomdf.grids import PROBE_TAILS
 from phantomdf.rates import ExponentialMixing, MDependent, PolynomialMixing
 
 _NUMBERS = st.one_of(
@@ -61,6 +64,37 @@ def test_non_finite_parameters_and_shifts_are_rejected(text):
 def test_malformed_arguments_are_rejected(text):
     with pytest.raises(InvalidArgumentError):
         parse_law(text)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("pareto(1e-300,1)", "has no finite median: its tail at the largest double is 1"),
+    ("symmetric_pareto(1e-300,1)",
+     "has no finite median: its tail at the largest double is 0.5"),
+    ("pareto(0.01,1e-300)", "has an infinite quantile at p = 0.99951171875"),
+    ("symmetric_pareto(0.01,1e-300)", "has an infinite quantile at p = 0.999755859375"),
+    ("pareto(0.01,1e-300)+1", "has an infinite quantile at p = 0.99951171875"),
+])
+def test_laws_whose_quantile_overflows_are_rejected(text, error):
+    # the quantile overflows at a probe level whose tail lies above the
+    # law's tail at the largest double; the check itself warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError) as info:
+            parse_law(text)
+    assert str(info.value) == f"law {text!r} {error}"
+
+
+@pytest.mark.parametrize("text", ["exp(1e-300)", "uniform(0,1e308)", "pareto(0.01,1)"])
+def test_laws_whose_mass_beyond_the_doubles_is_below_every_probe_tail_parse(text):
+    # pareto(0.01,1) puts 8.3e-4 beyond the largest double: its quantile
+    # overflows only at probe tails below that, which no double reaches
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = parse_law(text)
+        with np.errstate(over="ignore"):
+            xs = np.asarray(law.quantile(1.0 - PROBE_TAILS), dtype=float)
+        beyond = float(law.tail(sys.float_info.max))
+    assert np.isfinite(xs[PROBE_TAILS > beyond]).all()
 
 
 def test_finite_laws_still_parse():

@@ -1142,9 +1142,14 @@ class TestFarKnots:
     """fit_phantom's table runs to the largest block n_max; a fit size N
     above it is read off column n_max at level gamma^(n_max / N)."""
 
+    # one rule for every process kind: transform-sampled (IID, moving-max),
+    # path-scanned (Lindley, Metropolis) and the mixture's index columns
     @pytest.mark.parametrize("spec, blocks, R", [(IID_EXP, [10, 100], 1000),
-                                                 (METROPOLIS, [20, 80], 256)],
-                             ids=["iid", "metropolis"])
+                                                 (METROPOLIS, [20, 80], 256),
+                                                 (LINDLEY, [20, 80], 256),
+                                                 (MOVMAX2, [10, 100], 1000),
+                                                 (MixtureSpec(), [10, 100], 1000)],
+                             ids=["iid", "metropolis", "lindley", "moving-max", "mixture"])
     def test_far_knots_are_ranks_of_the_largest_block_column(self, spec, blocks, R):
         sizes, n_max = estimate._fit_sizes(blocks), blocks[-1]
         near = [n for n in sizes if n <= n_max]
@@ -1165,7 +1170,8 @@ class TestFarKnots:
             assert (dse.ci_lo[i], dse.ci_hi[i]) == (col[k_lo - 1], col[k_hi - 1])
         assert phantom.driving.sup == dse.v_hat[-1] == reads[-1]
 
-    def test_no_fit_path_runs_past_the_largest_block(self, monkeypatch):
+    @pytest.mark.parametrize("spec", [METROPOLIS, LINDLEY], ids=["metropolis", "lindley"])
+    def test_no_fit_path_runs_past_the_largest_block(self, monkeypatch, spec):
         lengths = []
         path_slabs = estimate._path_slabs
 
@@ -1174,8 +1180,11 @@ class TestFarKnots:
             return path_slabs(spec, rngs, length)
 
         monkeypatch.setattr(estimate, "_path_slabs", spy)
-        dse, _ = fit_phantom(METROPOLIS, GAMMA, [20, 80], 256, seed=48, tag="far")
-        assert dse.n_values[-1] == 6_325 and lengths == [80]  # one 256-row chunk
+        dse, _ = fit_phantom(spec, GAMMA, [20, 80], 256, seed=48, tag="far")
+        # one call per chunk: one of 256 Metropolis rows, eight of FILL_ROWS
+        # Lindley rows
+        assert dse.n_values[-1] == 6_325
+        assert lengths == [80] * math.ceil(256 / _chunk_rows(spec))
 
     def test_two_sided_gap_reads_one_order_statistic_above_the_largest_block(self):
         """At or below v_{n_max} the knot formula at R; above it the delta

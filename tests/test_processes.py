@@ -135,6 +135,32 @@ class TestPathSlabs:
         np.testing.assert_array_equal(chunk[1], alone[0])
         assert not np.array_equal(chunk[0], chunk[1])
 
+    # one value, less than a slab, and just across one and two slab
+    # boundaries: buffers are sized to burn-in + length, not to a full slab
+    @pytest.mark.parametrize("length", [1, SLAB - 150, SLAB + 10, 2 * SLAB + 5])
+    @pytest.mark.parametrize("spec", SPECS, ids=describe_spec)
+    def test_slabs_cut_any_length_at_multiples_of_slab(self, spec, length):
+        burn = default_burn_in(spec)
+        total = burn + length
+        cuts = [min(pos + SLAB, total) - max(pos, burn) for pos in range(0, total, SLAB)
+                if pos + SLAB > burn]
+
+        def run(rows):
+            slabs = [s.copy() for s in _path_slabs(
+                spec, [rng_for(2, "cut", r) for r in rows], length)]
+            assert [s.shape for s in slabs] == [(len(rows), w) for w in cuts]
+            return np.concatenate(slabs, axis=1)
+
+        chunk = run((4, 5, 6))
+        np.testing.assert_array_equal(chunk[1], run((5,))[0])
+        if not isinstance(spec, MetropolisSpec):
+            # one draw per step from one stream: a shorter path is the start
+            # of the longer one (a Metropolis slab draws all its increments
+            # before its uniforms, so its values depend on where it stops)
+            longer = self.paths(spec, [rng_for(2, "cut", r) for r in (4, 5, 6)],
+                                self.LENGTH)
+            np.testing.assert_array_equal(chunk, longer[:, :length])
+
     @pytest.mark.parametrize("spec", [SPECS[0], SPECS[3], SPECS[4]], ids=describe_spec)
     def test_stream_continues_across_slabs(self, spec):
         # without a chain state, the values are those of one long draw

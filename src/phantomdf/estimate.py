@@ -41,6 +41,7 @@ from .processes import (
     MovingMaxSpec,
     ProcessSpec,
     SamplePath,
+    U_STEPS,
     _empty,
     _mixture_count_leq,
     _mixture_draw_component,
@@ -107,19 +108,17 @@ def _chunk_rows(spec: ProcessSpec) -> int:
 
 
 def _chunk_plan(R: int, workers: int, cap: int) -> tuple[list[tuple[int, int]], int]:
-    """Replica chunks [lo, hi) of ceil(R / workers) rows, at most ``cap``,
-    and the number of processes to run them.
+    """Replica chunks [lo, hi) of ``cap`` rows (the last may be shorter), and
+    the number of processes to run them: min(workers, cores, chunks).
 
-    The worker count is clamped to the core count before it sizes the
-    chunks, so no value forks more processes than there are cores or cuts
-    the replicas into more chunks than that clamp and the cap need.
+    The chunks depend on R and the kernel's row cap alone, so a replica set
+    that fits one chunk runs in the parent whatever the worker count; the
+    workers only choose how many processes share the chunks.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
-    size = min(max(1, math.ceil(R / workers)), cap)
-    chunks = [(lo, min(lo + size, R)) for lo in range(0, R, size)]  # none when R = 0
-    return chunks, min(workers, len(chunks))
+    chunks = [(lo, min(lo + cap, R)) for lo in range(0, R, cap)]  # none when R = 0
+    return chunks, min(workers, os.cpu_count() or 1, len(chunks))
 
 
 # The chunk function of the running _map_chunks call.  Specs carry closures
@@ -187,9 +186,12 @@ def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], R: int
                 a, b = max(cuts[j], pos) - pos, min(cuts[j + 1], end) - pos
                 np.maximum(seg[j], slab[:, a:b].max(axis=1), out=seg[j])
             if count_moves:
-                # one comparison over the slab, and its first step against
-                # the slab before
-                moves += np.count_nonzero(slab[:, 1:] != slab[:, :-1])
+                # the slab's steps in blocks of U_STEPS, each against the
+                # value before it, and its first step against the slab before
+                n = slab.shape[1]
+                for a in range(1, n, U_STEPS):
+                    b = min(a + U_STEPS, n)
+                    moves += np.count_nonzero(slab[:, a:b] != slab[:, a - 1:b - 1])
                 if last is not None:
                     moves += np.count_nonzero(slab[:, 0] != last)
                 last = slab[:, -1].copy()

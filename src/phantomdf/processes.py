@@ -166,6 +166,8 @@ def default_burn_in(spec: ProcessSpec) -> int:
 SLAB = 16_384  # fixed time-slab length; constant so slab boundaries (and with
                # them the Metropolis draw order) never depend on chunking
 FILL_ROWS = 32  # Metropolis rows drawn row-major per transposed block copy
+U_STEPS = 256  # Metropolis time steps per block of acceptance uniforms; any
+               # value draws the same uniforms, it only sizes the block
 
 
 def _empty(shape, field: str) -> np.ndarray:
@@ -229,9 +231,21 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         x = np.array([spec.target.draw(rng, 1)[0] for rng in rngs])
         lx = np.asarray(spec.target.logpdf(x), dtype=float)
         logpdf, add, copyto = spec.target.logpdf, np.add, np.copyto
-        # time-major increment and uniform buffers, and a row-major fill scratch
-        zt_buf, ut_buf = np.empty((width, rows)), np.empty((width, rows))
+        # a time-major increment buffer, a time-major block of U_STEPS
+        # uniforms, and a row-major fill scratch
+        zt_buf, ut_buf = np.empty((width, rows)), np.empty((min(U_STEPS, width), rows))
         fill = np.empty((min(FILL_ROWS, rows), width))
+
+        def fill_rows(out_t: np.ndarray, draw) -> None:
+            # column i of the time-major out_t gets draw(rngs[i], steps),
+            # one group of rows per transposed copy
+            steps = out_t.shape[0]
+            for lo in range(0, rows, FILL_ROWS):
+                group = rngs[lo:lo + FILL_ROWS]
+                block = fill[:len(group), :steps]
+                for row, rng in zip(block, group):
+                    row[:] = draw(rng, steps)
+                out_t[:, lo:lo + len(group)] = block.T
     else:
         raise InvalidArgumentError(f"unknown spec {type(spec).__name__}")
     if not isinstance(spec, (MetropolisSpec, MovingMaxSpec)):
@@ -266,33 +280,31 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
         elif isinstance(spec, MetropolisSpec):
             # time-major, so each step reads and writes contiguous rows; the
             # chain state overwrites the increment it was built from.  Each
-            # row draws its increments, then its uniforms, from its own
-            # generator; a group of rows goes in with one transposed copy.
-            zt, ut = zt_buf[:s_len], ut_buf[:s_len]
-            for lo in range(0, rows, FILL_ROWS):
-                group = rngs[lo:lo + FILL_ROWS]
-                block = fill[:len(group), :s_len]
-                for row, rng in zip(block, group):
-                    row[:] = spec.proposal.draw(rng, s_len)
-                zt[:, lo:lo + len(group)] = block.T
-                for row, rng in zip(block, group):
-                    rng.random(s_len, out=row)
-                ut[:, lo:lo + len(group)] = block.T
-            with np.errstate(divide="ignore"):  # u = 0 gives log u = -inf
-                np.log(ut, out=ut)
-            for z, lu in zip(zt, ut):
-                # the proposal y = x + z overwrites z and becomes the state
-                # wherever it is accepted: log u + log f(x) <= log f(y), which
-                # is u f(x) <= f(y).  The negation rejects a NaN sum (log 0 +
-                # inf, where u f(x) is 0 * inf) as that rule does, and a state
-                # of zero density (-inf) always moves.  logpdf returns a new
-                # array, which becomes the state's log density.
-                add(x, z, out=z)
-                ly = logpdf(z)
-                rej = ~(lx + lu <= ly)
-                copyto(z, x, where=rej)
-                copyto(ly, lx, where=rej)
-                x, lx = z, ly
+            # row draws its slab's increments, then its uniforms U_STEPS
+            # steps at a time, just before the steps that read them, from
+            # its own generator (random(a) then random(b) is random(a + b)
+            # on one stream); a group of rows goes in with one transposed copy.
+            zt = zt_buf[:s_len]
+            fill_rows(zt, spec.proposal.draw)
+            for t0 in range(0, s_len, U_STEPS):
+                ut = ut_buf[:min(U_STEPS, s_len - t0)]
+                fill_rows(ut, np.random.Generator.random)
+                with np.errstate(divide="ignore"):  # u = 0 gives log u = -inf
+                    np.log(ut, out=ut)
+                for z, lu in zip(zt[t0:t0 + ut.shape[0]], ut):
+                    # the proposal y = x + z overwrites z and becomes the
+                    # state wherever it is accepted: log u + log f(x) <= log
+                    # f(y), which is u f(x) <= f(y).  The negation rejects a
+                    # NaN sum (log 0 + inf, where u f(x) is 0 * inf) as that
+                    # rule does, and a state of zero density (-inf) always
+                    # moves.  logpdf returns a new array, which becomes the
+                    # state's log density.
+                    add(x, z, out=z)
+                    ly = logpdf(z)
+                    rej = ~(lx + lu <= ly)
+                    copyto(z, x, where=rej)
+                    copyto(ly, lx, where=rej)
+                    x, lx = z, ly
             x = x.copy()  # a row of zt, which the next slab's fill overwrites
             xs = zt.T
         else:

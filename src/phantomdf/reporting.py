@@ -9,10 +9,12 @@ contract.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .estimate import (
     BTReport,
     DrivingSeqEstimate,
@@ -74,25 +76,32 @@ def theta_csv(est: ThetaEstimate) -> str:
                      [[getattr(r, f) for r in est.rows] for f in fields])
 
 
-def _plain(obj):
+def _plain(obj, key: str = ""):
+    """``obj`` as JSON-ready builtins; ``key`` is its dotted path in the
+    report, which names a value that JSON cannot hold."""
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return {str(k): _plain(v, f"{key}.{k}" if key else str(k)) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v, f"{key}.{i}") for i, v in enumerate(obj)]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise InvalidArgumentError(
+                f"report field {key} is {fmt_float(obj)}, which JSON cannot hold")
         # textual float so json round-off never differs between platforms
         return float(fmt_float(obj))
     return obj
 
 
 def json_report(payload: dict) -> str:
-    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+    """Sorted, indented strict JSON; a non-finite float is an error that
+    names its field."""
+    return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # values per text block of a streamed artifact: large paths and mark lists

@@ -13,8 +13,10 @@ from phantomdf.acceptance import run_criterion
 @pytest.fixture
 def check(record_criterion):
     def _check(number: int) -> None:
-        # two workers keep both cores of a small runner busy; _chunk_plan
-        # clamps to the core count and results do not depend on it
+        # two workers run a replica set of several chunks (criterion 8's
+        # 1,000 Metropolis rows are two) on both cores of a small runner; a
+        # set of one chunk runs in this process, and results do not depend
+        # on the worker count
         result = run_criterion(number, workers=2)
         record_criterion(result)
         print(result.line())

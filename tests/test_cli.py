@@ -260,31 +260,36 @@ class TestWorkers:
         assert err.splitlines() == [f"error: seed must lie in [0, 2**64), got {seed}"]
         assert not out.exists()
 
-    def test_acceptance_rate_is_the_same_at_one_and_two_workers(self, run, tmp_path,
-                                                                 monkeypatch):
+    @staticmethod
+    def fit_at_one_and_two_workers(run, cfg, a, b, monkeypatch, pool_spy):
+        """phantom-fit into ``a`` at one worker, whose 256 Metropolis rows are
+        one chunk in the parent, then into ``b`` at two, with the rows cut
+        into two 128-row chunks so that every replica set forks."""
         from phantomdf import estimate
 
-        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)  # workers=2 forks
-        a, b = tmp_path / "w1", tmp_path / "w2"
-        assert run(self.CFG, "phantom-fit", "--out", str(a))[0] in (0, 1)
-        assert run(self.CFG, "phantom-fit", "--out", str(b),
+        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)
+        assert run(cfg, "phantom-fit", "--out", str(a))[0] in (0, 1)
+        assert pool_spy == []
+        monkeypatch.setattr(estimate, "_chunk_rows", lambda spec: 128)
+        assert run(cfg, "phantom-fit", "--out", str(b),
                    section_args=("--workers", "2"))[0] in (0, 1)
+        assert pool_spy == [2, 2, 2]  # fit, validation and B_T each forked
+
+    def test_acceptance_rate_is_the_same_at_one_and_two_workers(self, run, tmp_path,
+                                                                 monkeypatch, pool_spy):
+        a, b = tmp_path / "w1", tmp_path / "w2"
+        self.fit_at_one_and_two_workers(run, self.CFG, a, b, monkeypatch, pool_spy)
         rates = [json.loads((out / "summary.json").read_text())["metropolis_acceptance_rate"]
                  for out in (a, b)]
         assert rates[0] == rates[1] and 0.5 < rates[0] < 1.0
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
     def test_fit_files_are_the_same_at_one_and_two_workers(self, run, tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch, pool_spy):
         """R = 256 at blocks 20 and 80: the fit chains stop at 80, the fit
         sizes above it read that column, and every file keeps its bytes."""
-        from phantomdf import estimate
-
-        monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)  # workers=2 forks
         a, b = tmp_path / "w1", tmp_path / "w2"
-        assert run(self.CFG, "phantom-fit", "--out", str(a))[0] in (0, 1)
-        assert run(self.CFG, "phantom-fit", "--out", str(b),
-                   section_args=("--workers", "2"))[0] in (0, 1)
+        self.fit_at_one_and_two_workers(run, self.CFG, a, b, monkeypatch, pool_spy)
         names = sorted(p.name for p in a.iterdir() if p.name != "timing.txt")
         assert names == sorted(p.name for p in b.iterdir() if p.name != "timing.txt")
         for name in names:
@@ -297,7 +302,7 @@ class TestWorkers:
         assert [(g["n"], g["phantom_replicas"]) for g in two] == [(20, 256), (80, 256)]
 
     def test_error_in_a_worker_exits_2_without_traceback(self, run, tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch, pool_spy):
         from phantomdf import estimate
         from phantomdf.errors import InvalidArgumentError
 
@@ -305,11 +310,13 @@ class TestWorkers:
             raise InvalidArgumentError("broken path engine")
 
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(estimate, "_chunk_rows", lambda spec: 128)  # two chunks
         monkeypatch.setattr(estimate, "_path_slabs", broken)
         rc, _out, err = run(self.CFG, "phantom-fit", "--out", str(tmp_path / "o"),
                             section_args=("--workers", "2"))
         assert rc == 2
         assert err == "error: broken path engine\n"
+        assert pool_spy == [2]  # raised in the forked workers
 
 
 class TestMalformedPhantom:
@@ -408,6 +415,19 @@ class TestVerdictExitCodes:
         summary = json.loads((tmp_path / "bt" / "summary.json").read_text())
         assert summary["metropolis_acceptance_rate"] == moves / (200 * 159)
         assert 0.5 < summary["metropolis_acceptance_rate"] < 1.0
+
+    def test_bt_check_with_an_infinite_level_exits_2_naming_it(self, run, tmp_path):
+        # symmetric_pareto(0.001, 1) holds a quarter of its mass on each side
+        # beyond the largest double, so the propbasic levels are infinite:
+        # summary.json would need "level": Infinity, which is not JSON
+        out = tmp_path / "bt"
+        rc, _out, err = run("[common]\nseed = 1\nreplicas = 200\n"
+                            "[bt-check]\nkind = iid\nmarginal = symmetric_pareto(0.001,1)\n"
+                            "block_sizes = 10,20\n", "bt-check", "--out", str(out))
+        assert rc == 2
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: report field propbasic.rows.0.level is inf, which JSON cannot hold"]
+        assert not (out / "summary.json").exists()
 
     def test_bt_check_ok(self, run, tmp_path):
         rc, stdout, _ = run("[common]\nseed = 3\nreplicas = 400\n"

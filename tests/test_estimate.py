@@ -572,8 +572,12 @@ class TestSlabScansMatchDenseReference:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("spec", [LINDLEY, METROPOLIS], ids=["lindley", "metropolis"])
-    def test_window_maxima_match_dense_reference(self, monkeypatch, spec, workers):
+    def test_window_maxima_match_dense_reference(self, monkeypatch, pool_spy, spec,
+                                                 workers):
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)  # workers=2 forks
+        # chunks of at most R / 2 rows, so the one-chunk Metropolis set forks too
+        monkeypatch.setattr(estimate, "_chunk_rows",
+                            lambda spec: min(_chunk_rows(spec), self.R // 2))
         first = SLAB - default_burn_in(spec)  # values in the first slab
         length = 17_000
         windows = [(7, 7), (0, 1), (0, 1), (100, 5_000), (2_000, 9_000),
@@ -581,6 +585,7 @@ class TestSlabScansMatchDenseReference:
                    (0, length), (0, 3), (2, 3), (3, 5)]
         got, _ = _window_maxima(spec, windows, self.R, seed=44, tag="win",
                                 workers=workers)
+        assert pool_spy == [2] * (workers - 1)
         seg = self.dense(44, "win", length, spec)
         want = [seg[:, a:b].max(axis=1) if a < b else np.full(self.R, -np.inf)
                 for a, b in windows]
@@ -707,26 +712,29 @@ class TestWorkerPool:
         assert {_chunk_rows(spec) for spec in (IID_EXP, MOVMAX2, MixtureSpec())} == \
             {FILL_ROWS}
 
-    def test_chunk_plan_clamps_workers_to_cores(self, monkeypatch):
+    def test_chunk_plan_cuts_by_the_cap_alone(self, monkeypatch):
+        # the chunks are the cap's, at any worker count; the workers only
+        # choose the processes: min(workers, cores, chunks)
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: 4)
-        chunks, procs = _chunk_plan(1000, 10**6, self.STEP)
-        assert procs == 4
-        assert chunks == [(0, 250), (250, 500), (500, 750), (750, 1000)]
-        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert _chunk_plan(3, 10**6, self.STEP) == ([(0, 1), (1, 2), (2, 3)], 3)
-        assert _chunk_plan(100, 3, self.STEP) == ([(0, 34), (34, 68), (68, 100)], 3)
-        assert _chunk_plan(0, 2, self.STEP) == ([], 0)
-        # one worker: chunks stop at the cap of the kernel's shape
-        assert _chunk_plan(1000, 1, self.STEP) == ([(0, 512), (512, 1000)], 1)
-        assert _chunk_plan(100, 1, self.ROWS) == (
-            [(0, 32), (32, 64), (64, 96), (96, 100)], 1)
-        # the row cap cuts R finer than the workers, who still number 4
-        assert _chunk_plan(100, 10**6, self.ROWS) == (
-            [(0, 25), (25, 50), (50, 75), (75, 100)], 4)
+        plans = {
+            (1000, self.STEP): [(0, 512), (512, 1000)],
+            (512, self.STEP): [(0, 512)],
+            (3, self.STEP): [(0, 3)],
+            (0, self.STEP): [],
+            (100, self.ROWS): [(0, 32), (32, 64), (64, 96), (96, 100)],
+            (200, self.ROWS): [(lo, min(lo + 32, 200)) for lo in range(0, 200, 32)],
+        }
+        for (R, cap), chunks in plans.items():
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            for workers in (1, 2, 10**6):
+                assert _chunk_plan(R, workers, cap) == (
+                    chunks, min(workers, 4, len(chunks))), (R, cap, workers)
+        assert _chunk_plan(1000, 10**6, self.STEP)[1] == 2
+        assert _chunk_plan(512, 10**6, self.STEP)[1] == 1
         assert _chunk_plan(200, 10**6, self.ROWS)[1] == 4
-        assert len(_chunk_plan(200, 10**6, self.ROWS)[0]) == 7
+        assert _chunk_plan(200, 3, self.ROWS)[1] == 3
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: None)
-        assert _chunk_plan(1000, 10**6, self.STEP)[1] == 1
+        assert _chunk_plan(1000, 10**6, self.STEP) == ([(0, 512), (512, 1000)], 1)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_chunk_plan_rejects_nonpositive_workers(self, workers):
@@ -737,34 +745,52 @@ class TestWorkerPool:
         def where(lo, hi):  # a closure: it reaches the workers by fork, not pickle
             return os.getpid()
 
-        serial = _map_chunks(where, self.R, 1, self.STEP)
-        assert [b for b, _ in serial] == [(0, 256)]
+        R = 2 * self.STEP - 24
+        serial = _map_chunks(where, R, 1, self.STEP)
+        assert [b for b, _ in serial] == [(0, 512), (512, R)]
         assert {pid for _, pid in serial} == {os.getpid()}
-        pooled = _map_chunks(where, self.R, 2, self.STEP)
-        assert [b for b, _ in pooled] == [(0, 128), (128, 256)]
+        pooled = _map_chunks(where, R, 2, self.STEP)
+        assert [b for b, _ in pooled] == [(0, 512), (512, R)]
         assert os.getpid() not in {pid for _, pid in pooled}
+        # one chunk runs in the parent whatever the worker count
+        alone = _map_chunks(where, self.R, 2, self.STEP)
+        assert alone == [((0, self.R), os.getpid())]
         rows = _map_chunks(where, self.R, 2, self.ROWS)
         assert [b for b, _ in rows] == [(lo, lo + 32) for lo in range(0, 256, 32)]
         assert os.getpid() not in {pid for _, pid in rows}
 
-    def test_worker_error_reaches_caller_as_invalid_argument(self):
+    def test_worker_error_reaches_caller_as_invalid_argument(self, pool_spy):
         def chunk(lo, hi):
             if lo > 0:
                 raise InvalidArgumentError(f"bad chunk {lo}")
             return os.getpid()
 
-        with pytest.raises(InvalidArgumentError, match="bad chunk 128"):
-            _map_chunks(chunk, self.R, 2, self.STEP)
+        with pytest.raises(InvalidArgumentError, match="bad chunk 512"):
+            _map_chunks(chunk, 1000, 2, self.STEP)
+        assert pool_spy == [2]  # raised in a forked child
+
+    def test_metropolis_set_of_one_chunk_forks_nothing(self, pool_spy):
+        """Up to 512 Metropolis replicas are one chunk, which the parent
+        runs at two workers; one replica more forks two processes."""
+        windows = [(0, 30), (10, 40)]
+        for R in (self.R, self.STEP):
+            pair = [_window_maxima(METROPOLIS, windows, R, 9, "one", workers)
+                    for workers in (1, 2)]
+            np.testing.assert_array_equal(pair[0][0], pair[1][0])
+            assert pair[0][1] == pair[1][1] > 0
+        assert pool_spy == []
+        _window_maxima(METROPOLIS, windows, self.STEP + 1, 9, "one", 2)
+        assert pool_spy == [2]
 
     @pytest.mark.parametrize("spec, workers, bounds", [
-        (METROPOLIS, 2, [(0, 500), (500, 1000)]),
+        (METROPOLIS, 2, [(0, 512), (512, 1000)]),
         (LINDLEY, 1, [(lo, min(lo + 32, 1000)) for lo in range(0, 1000, 32)]),
     ])
     def test_window_maxima_chunks_by_kernel_shape(self, monkeypatch, spec,
                                                   workers, bounds):
-        """Metropolis R = 1000 at two workers runs one 500-row chunk each;
-        Lindley at one worker runs 32-row chunks.  Both equal one chunk of
-        all 1000 rows."""
+        """Metropolis R = 1000 at two workers runs a 512-row and a 488-row
+        chunk, one per worker; Lindley at one worker runs 32-row chunks.
+        Both equal one chunk of all 1000 rows."""
         seen = []
 
         def spy(fn, R, workers, cap):
@@ -782,15 +808,26 @@ class TestWorkerPool:
         np.testing.assert_array_equal(chunked, whole)
         assert chunked_moves == whole_moves
 
-    def test_metropolis_block_maxima_pool_invariant(self):
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Cut the Metropolis replicas into 128-row chunks from here on, so
+        that two workers fork where the R = 256 rows are otherwise one
+        chunk in the parent."""
+        def _split():
+            monkeypatch.setattr(estimate, "_chunk_rows", lambda spec: self.R // 2)
+        return _split
+
+    def test_metropolis_block_maxima_pool_invariant(self, split, pool_spy):
         sizes = [1, 10, 50, 300]
         a = block_maxima_table(METROPOLIS, sizes, self.R, seed=3, tag="pool")
+        split()
         b = block_maxima_table(METROPOLIS, sizes, self.R, seed=3, tag="pool",
                                workers=2)
+        assert pool_spy == [2]
         for n in sizes:
             np.testing.assert_array_equal(column(a, n), column(b, n))
 
-    def test_monte_carlo_check_bt_pool_invariant(self, monkeypatch):
+    def test_monte_carlo_check_bt_pool_invariant(self, monkeypatch, split, pool_spy):
         seen = []
 
         def spy(fn, R, workers, cap):
@@ -803,11 +840,15 @@ class TestWorkerPool:
                                         seed=4)
         reports, scans = [], []
         for workers in (1, 2):
+            if workers == 2:
+                split()
             seen.clear()
             reports.append(check_BT(METROPOLIS, dse, R=self.R, seed=4,
                                     method="monte-carlo", workers=workers))
             scans.append(list(seen))
+        assert pool_spy == [2]  # the two-worker scan forked
         assert len(scans[0]) == len(scans[1]) == 1  # one scan for every block size
+        assert [b for b, _ in scans[1][0]] == [(0, 128), (128, 256)]
         maxima = [np.concatenate([m for _, (m, _moves) in s[0]], axis=1) for s in scans]
         np.testing.assert_array_equal(*maxima)  # every window, one row each
         moves = [sum(k for _, (_m, k) in s[0]) for s in scans]
@@ -822,13 +863,15 @@ class TestWorkerPool:
             assert r1.b_value == r2.b_value and r1.cov_diag == r2.cov_diag
             assert [(p.value, p.se) for p in r1.pairs] == [(p.value, p.se) for p in r2.pairs]
 
-    def test_estimate_cn_pool_invariant(self):
+    def test_estimate_cn_pool_invariant(self, split, pool_spy):
         # the 0.9 quantile, so that some of the R first values lie above the
         # level: all 256 lie below the 0.99 quantile with probability
         # 0.99**256 = 0.08, whatever the seed
         v = float(symmetric_pareto(2.0, 1.0).quantile(0.9))
-        a, b = (estimate_Cn(METROPOLIS, v, n=400, m=20, k=10, R=self.R,
-                            seed=5, workers=w) for w in (1, 2))
+        a = estimate_Cn(METROPOLIS, v, n=400, m=20, k=10, R=self.R, seed=5)
+        split()
+        b = estimate_Cn(METROPOLIS, v, n=400, m=20, k=10, R=self.R, seed=5, workers=2)
+        assert pool_spy == [2]
         assert 0.0 < a.p_single < 1.0 and a.c_se > 0.0
         assert (a.c_hat, a.c_se, a.p_single, a.sandwich_ok) == \
             (b.c_hat, b.c_se, b.p_single, b.sandwich_ok)

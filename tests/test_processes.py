@@ -28,6 +28,7 @@ from phantomdf.processes import (
     MixtureSpec,
     MovingMaxSpec,
     SLAB,
+    U_STEPS,
     _mixture_draw_component,
     _path_slabs,
     default_burn_in,
@@ -239,7 +240,7 @@ class TestSlabKernels:
                                 proposal=uniform(-1.0, 1.0))
     LINDLEY = LindleySpec(step=LINDLEY_STEP, burn_in=100)
     MOVING_MAX = MovingMaxSpec(window=5, base=exponential(1.0))
-    BUDGETS = {"metropolis": (METROPOLIS, 2.25), "lindley": (LINDLEY, 1.25),
+    BUDGETS = {"metropolis": (METROPOLIS, 1.25), "lindley": (LINDLEY, 1.25),
                "moving-max": (MOVING_MAX, 2.25)}
     ROWS = 256  # eight fill groups
 
@@ -255,10 +256,13 @@ class TestSlabKernels:
 
     # row counts below, at and across multiples of the fill group FILL_ROWS,
     # and the 100 and 200 rows of a 200-replica table's chunks at two
-    # workers and at one
+    # workers and at one; lengths below, at and across one block of U_STEPS
+    # uniforms, and across a slab boundary into a partial block and into a
+    # full block and one step more
+    @pytest.mark.parametrize("length", [U_STEPS - 1, U_STEPS, U_STEPS + 1, SLAB + 200,
+                                        SLAB + U_STEPS + 1])
     @pytest.mark.parametrize("rows", [1, 3, FILL_ROWS + 1, 100, 200, ROWS, ROWS + 1])
-    def test_metropolis_equals_row_major_loop(self, rows):
-        length = SLAB + 200  # crosses a slab boundary
+    def test_metropolis_equals_row_major_loop(self, rows, length):
         np.testing.assert_array_equal(*self.metropolis_pair(self.METROPOLIS, rows, length))
 
     def test_metropolis_state_survives_a_full_refill(self):
@@ -335,11 +339,13 @@ class TestSlabKernels:
             assert sup <= dkw_epsilon(rows, 0.999), sup
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_window_maxima_counts_the_row_major_moves(self, monkeypatch, workers):
+    def test_window_maxima_counts_the_row_major_moves(self, monkeypatch, pool_spy,
+                                                      workers):
         # a move is a step with x_t != x_{t-1}, counted within the scanned
-        # paths and across their slab boundary; the table's acceptance rate
-        # is the moves per such step
+        # paths, in blocks of U_STEPS and across their slab boundary; the
+        # table's acceptance rate is the moves per such step
         monkeypatch.setattr(estimate.os, "cpu_count", lambda: 2)  # workers=2 forks
+        monkeypatch.setattr(estimate, "_chunk_rows", lambda spec: 20)  # two chunks
         spec = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
                               proposal=uniform(-1.0, 1.0))
         R, length = 40, SLAB + 200
@@ -350,6 +356,7 @@ class TestSlabKernels:
         table = block_maxima_table(spec, [length], R, 3, "moves", workers)
         assert table.acceptance_rate == want / (R * (length - 1))
         assert 0.5 < table.acceptance_rate < 1.0
+        assert pool_spy == ([2, 2] if workers == 2 else [])
 
     def test_metropolis_zero_density_state_always_moves(self):
         # a target law that draws -5, outside the support of its density
@@ -387,14 +394,14 @@ class TestSlabKernels:
 
     # Budgets in slab arrays (one float64 array of a full chunk's rows by
     # SLAB), each at its kind's own chunk rows: 512 for Metropolis, FILL_ROWS
-    # (32) for the row-looping kernels.  Metropolis: increments and
-    # uniforms, the chain state written over the increments, and a
-    # FILL_ROWS-row fill scratch (a sixteenth of a slab array at 512 rows;
-    # 2.07 slab arrays in all); Lindley: the steps, cumsum and reflection in
-    # place, with one row-sized running-minimum buffer (1.13); moving-max:
-    # the draws after the carry, folded into window maxima in place (each
-    # fold may copy its shifted input; 2.00).  What is left over covers
-    # per-row draws and per-step temps.
+    # (32) for the row-looping kernels.  Metropolis: the increments, with
+    # the chain state written over them, a block of U_STEPS uniforms (a
+    # sixty-fourth of a slab array) and a FILL_ROWS-row fill scratch (a
+    # sixteenth at 512 rows; 1.08 slab arrays in all); Lindley: the steps,
+    # cumsum and reflection in place, with one row-sized running-minimum
+    # buffer (1.13); moving-max: the draws after the carry, folded into
+    # window maxima in place (each fold may copy its shifted input; 2.00).
+    # What is left over covers per-row draws and per-step temps.
     @pytest.mark.parametrize("kind", ["metropolis", "lindley", "moving-max"])
     def test_one_full_chunk_slab_fits_its_budget(self, kind):
         spec, budget = self.BUDGETS[kind]

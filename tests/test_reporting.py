@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from phantomdf import acceptance, reporting
+from phantomdf.errors import InvalidArgumentError
 from phantomdf.distributions import exponential, jump_sequence, pareto, shifted, uniform
 from phantomdf.estimate import (
     block_maxima_table,
@@ -32,6 +33,7 @@ from phantomdf.reporting import (
     bt_csv,
     csv_table,
     driving_csv,
+    json_report,
     marks_file_text,
     maxlaw_csv,
     path_file_text,
@@ -283,3 +285,25 @@ def test_integer_column_edges_and_empty_column(dtype, monkeypatch):
     assert "".join(blocks) == "# head\n" + percent_d_lines(values)
     assert calls == [97] * (len(values) // 97) + [len(values) % 97]
     assert blocks_of(dtype, [], monkeypatch) == (["# head\n"], [])
+
+
+def test_json_report_writes_finite_values_as_text_floats():
+    payload = {"b": {2: np.float64(1 / 3), 10: 0.1}, "a": [1, True, np.int64(7)],
+               "c": np.array([[1.5, 2.0]]), "d": None, "e": "zero"}
+    assert json_report(payload) == (
+        '{\n  "a": [\n    1,\n    true,\n    7\n  ],\n'
+        '  "b": {\n    "10": 0.1,\n    "2": 0.3333333333333333\n  },\n'
+        '  "c": [\n    [\n      1.5,\n      2.0\n    ]\n  ],\n'
+        '  "d": null,\n  "e": "zero"\n}\n')
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(np.inf)])
+def test_json_report_refuses_a_non_finite_value_naming_its_field(bad):
+    text = reporting.fmt_float(bad)
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"^report field rows\.1\.level is {text}, which JSON cannot hold$"):
+        json_report({"rows": [{"level": 1.0}, {"level": bad}]})
+    with pytest.raises(InvalidArgumentError, match=rf"^report field grid\.0\.2 is {text},"):
+        json_report({"grid": np.array([[1.0, 2.0, bad]])})
+    with pytest.raises(InvalidArgumentError, match=rf"^report field se is {text},"):
+        json_report({"se": bad, "n": 3})

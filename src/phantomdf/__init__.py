@@ -92,6 +92,6 @@ from .rates import (
     check_rate_sufficiency,
     threshold_beta,
 )
-from .seeding import rng_for, seed_sequence
+from .seeding import rng_for, rngs_for, seed_sequence
 
 __version__ = "0.1.0"

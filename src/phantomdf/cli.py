@@ -49,7 +49,7 @@ from .rates import (
 )
 from .reporting import (
     bt_csv,
-    csv_table,
+    csv_blocks,
     driving_csv,
     json_report,
     marks_file_text,
@@ -283,8 +283,7 @@ def cmd_regen(st: _Settings) -> int:
                        parse_int_list(st.get("verify_blocks")), st.replicas,
                        st.seed, tag="regen-verify", workers=st.workers)
     rs, ver = rg.stats, rg.verification
-    st.write("cycle_maxima_cdf.csv",
-           csv_table(("y", "cycle_cdf"), rs.cycle_cdf))
+    st.write("cycle_maxima_cdf.csv", csv_blocks(("y", "cycle_cdf"), rs.cycle_cdf))
     st.write("maxlaw.csv", maxlaw_csv(rg.maxlaw))
     st.write("path.marks.txt", marks_file_text(rg.path))
     st.write("summary.json", json_report({

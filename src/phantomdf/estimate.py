@@ -29,7 +29,7 @@ from .errors import (
     NotExactlyComputableError,
     NotRegenerativeError,
 )
-from .grids import HUGE_INDEX, first_index_where
+from .grids import HUGE_INDEX, ascending_distinct, first_index_where
 from .phantom import (PhantomDistFn, PhantomVerification, driving_from_estimates,
                       verify_phantom)
 from .processes import (
@@ -54,7 +54,7 @@ from .processes import (
     lindley_step_tail_vs_stationary,
     marginal_sf,
 )
-from .seeding import rng_for
+from .seeding import rng_for, rngs_for
 
 __all__ = [
     "MaxLawRow",
@@ -170,12 +170,13 @@ def _window_maxima(spec: ProcessSpec, windows: Sequence[tuple[int, int]], R: int
     continuous proposal, the accepted ones.  Other kinds count none.
     """
     length = max((b for _, b in windows), default=0)
-    cuts = np.unique([0, *(t for w in windows for t in w)])
+    # a sorted set, not np.unique, which imports numpy.ma on its first call
+    cuts = np.array(sorted({0, *(int(t) for w in windows for t in w)}))
     at = {int(t): j for j, t in enumerate(cuts)}
     count_moves = isinstance(spec, MetropolisSpec)
 
     def chunk(lo: int, hi: int) -> tuple[np.ndarray, int]:
-        rngs = [rng_for(seed, tag, r) for r in range(lo, hi)]
+        rngs = rngs_for(seed, tag, lo=lo, hi=hi)
         seg = np.full((cuts.size - 1, hi - lo), -np.inf)  # max over [cuts[j], cuts[j+1])
         pos = moves = 0
         last = None  # the last value of the slab before
@@ -477,11 +478,14 @@ def maxlaw_from_maxima(table: _MaximaTable, probs=None,
     if probs is None:
         probs = np.linspace(0.01, 0.99, 33)
     R = table.R
-    ranks = np.unique(np.array([_type1_rank(float(p), R) for p in probs], dtype=np.int64))
+    # sorted sets and adjacent differences, not np.unique, which imports
+    # numpy.ma on its first call: the ranks are ints, and each column's
+    # values at ascending ranks are ascending and finite
+    ranks = np.array(sorted({_type1_rank(float(p), R) for p in probs}), dtype=np.int64)
     rows = []
     for n in table.n_list:
         vals = table.at(n, ranks)
-        xs = np.unique(vals)
+        xs = ascending_distinct(vals)
         if level_cap is not None:
             xs = xs[xs <= level_cap]
         # each level's count starts from the last rank read at that level
@@ -1042,8 +1046,8 @@ def _fit_sizes(block_sizes: list[int]) -> list[int]:
     lo = max(0.0, math.log10(min(block_sizes)) - 1.0)
     hi = math.log10(max(block_sizes)) + 2.0
     grid = 10.0 ** np.arange(lo, hi + 1e-9, 1.0 / 6.0)
-    sizes = np.unique(np.round(grid).astype(int))
-    return sorted(set(sizes.tolist()) | set(block_sizes))
+    # the set dedupes; np.unique would import numpy.ma on its first call
+    return sorted(set(np.round(grid).astype(int).tolist()) | set(block_sizes))
 
 
 def fit_phantom(spec: ProcessSpec, gamma: float, block_sizes, R: int, seed: int,

@@ -29,6 +29,7 @@ from .grids import (
     HUGE_INDEX,
     PROBE_RATIO_TOL,
     PROBE_TAILS,
+    ascending_distinct,
     classify_ratio_track,
     converges_to,
     first_index_where,
@@ -266,17 +267,24 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
             # X_{j+1} = max(X_j + Z_j, 0) = C_{j+1} - min(0, C_1..C_{j+1}); the
             # carry enters before the cumsum so slabs add up as one long cumsum
             # (the running minimum goes one row at a time through one
-            # row-sized buffer, so a slab holds a single slab-sized array)
+            # row-sized buffer, so a slab holds a single slab-sized array).
+            # The slab's burn-in steps, which are never kept, only fold their
+            # minimum into m_prev: min is exact, so the kept values are the
+            # same bits as with the running minimum taken through them
             xs = draws(laws, buf[:, :s_len])
             xs[:, 0] += c_prev
             np.cumsum(xs, axis=1, out=xs)
             c_prev = xs[:, -1].copy()
-            low = low_buf[:s_len]
-            for i in range(rows):
-                np.minimum.accumulate(xs[i], out=low)
-                np.minimum(low, m_prev[i], out=low)
-                m_prev[i] = low[-1]
-                xs[i] -= low
+            skip = min(max(burn - pos, 0), s_len)
+            if skip:
+                np.minimum(m_prev, xs[:, :skip].min(axis=1), out=m_prev)
+            if skip < s_len:
+                low = low_buf[:s_len - skip]
+                for i in range(rows):
+                    np.minimum.accumulate(xs[i, skip:], out=low)
+                    np.minimum(low, m_prev[i], out=low)
+                    m_prev[i] = low[-1]
+                    xs[i, skip:] -= low
         elif isinstance(spec, MetropolisSpec):
             # time-major, so each step reads and writes contiguous rows; the
             # chain state overwrites the increment it was built from.  Each
@@ -506,7 +514,9 @@ def lindley_step_tail_vs_stationary(step: DistFn, values) -> str:
     qs = 1.0 - PROBE_TAILS
     qs = qs[qs <= 0.999]
     idx = np.minimum((qs * values.size).astype(int), values.size - 1)
-    levels = np.unique(sorted_vals[idx])
+    # qs ascends, so the levels are ascending and finite: adjacent
+    # differences dedupe them (np.unique imports numpy.ma on its first call)
+    levels = ascending_distinct(sorted_vals[idx])
     emp_sf = (values.size - np.searchsorted(sorted_vals, levels, side="right")) \
         / values.size
     step_sf = np.asarray(step.tail(levels), dtype=float)

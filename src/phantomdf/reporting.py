@@ -26,6 +26,7 @@ from .processes import SamplePath, describe_spec, spec_digest
 __all__ = [
     "FLOAT_FMT",
     "fmt_float",
+    "csv_blocks",
     "csv_table",
     "maxlaw_csv",
     "driving_csv",
@@ -43,8 +44,13 @@ def fmt_float(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
+def csv_blocks(header: Iterable[str], columns: Iterable[Iterable]) -> Iterator[str]:
+    """The CSV table as text blocks; their concatenation is the file."""
+    return _text_blocks([",".join(header)], columns)
+
+
 def csv_table(header: Iterable[str], columns: Iterable[Iterable]) -> str:
-    return "".join(_text_blocks([",".join(header)], columns))
+    return "".join(csv_blocks(header, columns))
 
 
 def maxlaw_csv(est: MaxLawEstimate) -> str:

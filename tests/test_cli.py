@@ -844,3 +844,30 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "0 False"), proc.stdout
+
+
+def test_numpy_ma_stays_off_the_command_path(tmp_path):
+    """A Metropolis phantom-fit, a regen and a moving-max phantom-fit, run in
+    one fresh interpreter, never load numpy.ma: np.unique without
+    return_counts would import it on its first call, 15-25 ms of each
+    command's fixed cost."""
+    configs = {
+        "metropolis": "[phantom-fit]\nkind = metropolis\ntarget = symmetric_pareto(2,1)\n"
+                      "proposal = uniform(-1,1)\nblock_sizes = 20,80\n",
+        "regen": "[regen]\nstep = pareto(2,1)-2\nlength = 100000\nverify_blocks = 300,1000\n",
+        "moving-max": "[phantom-fit]\nkind = moving_max\nwindow = 2\nbase = uniform(0,1)\n"
+                      "block_sizes = 100,1000\n",
+    }
+    script = "import sys\nimport phantomdf.cli\n"
+    for name, text in configs.items():
+        cfg = write_config(tmp_path / f"{name}.ini", "[common]\nseed = 3\nreplicas = 200\n" + text)
+        command = "regen" if name == "regen" else "phantom-fit"
+        script += (f"rc = phantomdf.cli.main([{command!r}, '--config', {cfg!r}, "
+                   f"'--out', {str(tmp_path / name)!r}])\n"
+                   f"print({name!r}, rc, 'numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.split()[0] in configs]
+    assert lines == [f"{name} 0 False" for name in configs], proc.stdout

@@ -16,8 +16,10 @@ import phantomdf
 # checks; DistFn.jump_at, the atom mass P(X = x) for the left-limit CDF
 # checks of the samplers; jump_sequence, a jump law on given atoms and tails
 # for the atom and quantile searches, which a config string cannot build
-# because it passes only scalars).
-TEST_REFERENCES = ("exact_maxlaw", "dkw_epsilon", "DistFn.jump_at", "jump_sequence")
+# because it passes only scalars; seed_sequence, the numpy SeedSequence
+# whose streams rng_for and rngs_for derive without building it).
+TEST_REFERENCES = ("exact_maxlaw", "dkw_epsilon", "DistFn.jump_at", "jump_sequence",
+                   "seed_sequence")
 
 # Defaulted parameters that no package call sets, each with its reason.
 UNSET_DEFAULTS = {

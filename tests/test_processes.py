@@ -265,6 +265,27 @@ class TestSlabKernels:
     def test_metropolis_equals_row_major_loop(self, rows, length):
         np.testing.assert_array_equal(*self.metropolis_pair(self.METROPOLIS, rows, length))
 
+    # burn-ins (LindleySpec.burn_in) that end inside the first slab, exactly
+    # at its end, 7 steps into the second, and none; the kept window crosses
+    # a slab boundary, so every slab skips some, all or none of its steps
+    @pytest.mark.parametrize("burn", [0, 100, SLAB, SLAB + 7])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_lindley_equals_one_array_reflection(self, rows, burn):
+        # the burn-in steps fold only their minimum into the reflection;
+        # min is exact, so the kept values are the one-array formula's bits.
+        # Drift -0.1 keeps a chain away from 0 where its burn-in ends, so a
+        # burn-in minimum that went astray would show in the kept values
+        spec = LindleySpec(step=shifted(pareto(2.0, 1.0), -1.1), burn_in=burn)
+        length = SLAB + 50
+        got = np.concatenate([s.copy() for s in _path_slabs(
+            spec, [rng_for(4, "lindley", r) for r in range(rows)], length)], axis=1)
+        assert got.shape == (rows, length)
+        for r in range(rows):
+            c = np.cumsum(spec.step.draw(rng_for(4, "lindley", r), burn + length))
+            want = c - np.minimum(0.0, np.minimum.accumulate(c))
+            np.testing.assert_array_equal(got[r], want[burn:])
+        assert (got == 0.0).any() and not (got == 0.0).all()
+
     def test_metropolis_state_survives_a_full_refill(self):
         # the second slab is full, so its fill rewrites the buffer row that
         # held the first slab's last state

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -1136,21 +1137,28 @@ class RegenPhantom:
 
 
 def regen_phantom(step: DistFn, length: int, block_sizes, R: int, seed: int,
-                  tag: str, workers: int = 1) -> RegenPhantom:
+                  tag: str, workers: int = 1,
+                  stage: Callable[[str], AbstractContextManager] = nullcontext
+                  ) -> RegenPhantom:
     """Regenerative phantom of one Lindley path with the given step law,
-    verified by simulation, with its cycle-tail band and tail verdict."""
+    verified by simulation, with its cycle-tail band and tail verdict;
+    ``stage(name)`` wraps each of its four stages (the CLI times them)."""
     blocks = _validate_sizes(block_sizes)
     _check_replicas(R)
     # the verification table's array, tried before the path work it follows,
     # so a replica count numpy cannot allocate exits before any simulation
     _empty((len(blocks), R), "replicas")
     spec = LindleySpec(step=step)
-    path = generate(spec, seed, length)
-    rs = decompose_regenerative(path)
-    G = rootzen_phantom(rs)
-    ml, ver, verified = verify_by_simulation(spec, G, blocks, R, seed, tag, workers)
-    band = cycle_tail_ratio(rs, step, q=0.99)
-    tail_verdict = lindley_step_tail_vs_stationary(step, path.values)
+    with stage("path"):
+        path = generate(spec, seed, length)
+    with stage("regenerative split"):
+        rs = decompose_regenerative(path)
+        G = rootzen_phantom(rs)
+    with stage("validation table"):
+        ml, ver, verified = verify_by_simulation(spec, G, blocks, R, seed, tag, workers)
+    with stage("band and tail verdict"):
+        band = cycle_tail_ratio(rs, step, q=0.99)
+        tail_verdict = lindley_step_tail_vs_stationary(step, path.values)
     return RegenPhantom(path=path, stats=rs, maxlaw=ml, verification=ver,
                         verified=verified, band=band, band_ok=0.5 <= band.ratio <= 2.0,
                         tail_verdict=tail_verdict, tail_ok=tail_verdict == "ratio->0")

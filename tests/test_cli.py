@@ -476,6 +476,13 @@ def test_regen_pipeline(run, tmp_path):
     assert [g["n"] for g in summary["gaps"]] == [300, 1000]
     assert summary["cycle_tail_exceedances"] > 0
     assert summary["cycle_tail_level"] > 0.0
+    lines = (tmp_path / "rg" / "timing.txt").read_text().splitlines()
+    assert all(re.fullmatch(r"[\w. ]+: \d+\.\d\d s", line) for line in lines[:-2])
+    assert [line.split(":")[0] for line in lines] == [
+        "path", "regenerative split", "validation table", "band and tail verdict",
+        *(f"write {name}" for name in ("cycle_maxima_cdf.csv", "maxlaw.csv",
+                                       "path.marks.txt", "summary.json")),
+        "total", "peak rss", "workers peak rss"]
 
 
 class TestBadBlockSizes:

@@ -1,6 +1,7 @@
 """Text artifacts: every writer keeps the bytes of the per-cell writer it
 replaced, and streamed path and marks files keep the joined bytes."""
 
+import decimal
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from phantomdf.distributions import exponential, jump_sequence, pareto, shifted,
 from phantomdf.estimate import (
     block_maxima_table,
     check_BT,
+    decompose_regenerative,
     estimate_driving_sequence,
     estimate_theta_single_sequence,
     exact_maxlaw,
@@ -31,6 +33,7 @@ from phantomdf.processes import (
 from phantomdf.reporting import (
     FLOAT_FMT,
     bt_csv,
+    csv_blocks,
     csv_table,
     driving_csv,
     json_report,
@@ -168,6 +171,12 @@ def test_csv_table_across_blocks_keeps_the_per_cell_bytes(monkeypatch):
         header = ("n", "x", "u")
         assert csv_table(header, (n, x, u)) == reference_csv_table(header, zip(n, x, u))
         assert csv_table(header[1:], (x, u)) == reference_csv_table(header[1:], zip(x, u))
+        # float bit patterns (subnormals, nan) and uint64 columns between them
+        m = rng.integers(0, np.iinfo(np.uint64).max, size, dtype=np.uint64, endpoint=True)
+        b = rng.integers(0, np.iinfo(np.uint64).max, size, dtype=np.uint64,
+                         endpoint=True).view(np.float64)
+        header = ("u", "n", "b", "m")
+        assert csv_table(header, (u, n, b, m)) == reference_csv_table(header, zip(u, n, b, m))
 
 
 def test_csv_table_without_rows_is_the_header_line():
@@ -225,7 +234,7 @@ def test_marks_of_a_path_without_regeneration_raise_at_call():
 
 
 # ---------------------------------------------------------------------------
-# the digit kernel behind integer-only blocks against "%d\n" per value
+# the digit kernel behind integer columns against "%d\n" per value
 # ---------------------------------------------------------------------------
 
 def percent_d_lines(values) -> str:
@@ -238,6 +247,13 @@ def edges(dtype) -> list[int]:
                         info.max - 1, info.max) if info.min <= v <= info.max]
 
 
+def kernel_lines(kernel, values) -> str:
+    """A cell kernel's rows, each ended by a newline in its separator byte."""
+    cells, keep = kernel(values)
+    cells[:, -1], keep[:, -1] = ord("\n"), True
+    return cells[keep].tobytes().decode("ascii")
+
+
 def blocks_of(dtype, values, monkeypatch):
     """_text_blocks on one integer column at TEXT_BLOCK = 97, with the size
     of every kernel call recorded."""
@@ -245,11 +261,11 @@ def blocks_of(dtype, values, monkeypatch):
 
     def spy(block):
         calls.append(block.size)
-        return int_lines(block)
+        return int_cells(block)
 
-    int_lines = reporting._int_lines
+    int_cells = reporting._int_cells
     monkeypatch.setattr(reporting, "TEXT_BLOCK", 97)
-    monkeypatch.setattr(reporting, "_int_lines", spy)
+    monkeypatch.setattr(reporting, "_int_cells", spy)
     return list(reporting._text_blocks(["# head"], [np.array(values, dtype=dtype)])), calls
 
 
@@ -279,12 +295,164 @@ def test_integer_column_keeps_the_percent_d_bytes(column_values):
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
 def test_integer_column_edges_and_empty_column(dtype, monkeypatch):
     values = edges(dtype) * 30  # 10-14 edges a copy: several blocks of 97
-    assert reporting._int_lines(np.array(values, dtype=dtype)) == percent_d_lines(values)
-    assert reporting._int_lines(np.array([], dtype=dtype)) == ""
+    int_cells = reporting._int_cells
+    assert kernel_lines(int_cells, np.array(values, dtype=dtype)) == percent_d_lines(values)
+    assert kernel_lines(int_cells, np.array([], dtype=dtype)) == ""
     blocks, calls = blocks_of(dtype, values, monkeypatch)
     assert "".join(blocks) == "# head\n" + percent_d_lines(values)
     assert calls == [97] * (len(values) // 97) + [len(values) % 97]
     assert blocks_of(dtype, [], monkeypatch) == (["# head\n"], [])
+
+
+# ---------------------------------------------------------------------------
+# the float kernel against "%.17g\n" per value, and the values it leaves to
+# FLOAT_FMT itself
+# ---------------------------------------------------------------------------
+
+def percent_g_lines(values) -> str:
+    return "".join("%.17g\n" % v for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+class CountingFormat(str):
+    """FLOAT_FMT that records each value formatted through it."""
+
+    def __new__(cls, seen: list):
+        fmt = super().__new__(cls, "%.17g")
+        fmt.seen = seen
+        return fmt
+
+    def __mod__(self, value):
+        self.seen.append(value)
+        return str.__mod__(self, value)
+
+
+def float_lines(values) -> tuple[str, list]:
+    """The float kernel's lines, and the values it handed to FLOAT_FMT."""
+    guarded = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reporting, "FLOAT_FMT", CountingFormat(guarded))
+        text = kernel_lines(reporting._float_cells, np.asarray(values, dtype=np.float64))
+    return text, guarded
+
+
+def in_table(values):
+    """Finite values inside the kernel's table, and zeros."""
+    a = np.abs(values)
+    return (a == 0) | ((a >= 1e-291) & (a < 1e299))
+
+
+def is_tie(value: float) -> bool:
+    """Whether |value| lies exactly halfway between two 17-digit decimals."""
+    with decimal.localcontext(prec=800):  # exact: a double has < 800 digits
+        d = abs(decimal.Decimal(value))
+        return d.scaleb(16 - d.adjusted()) % 1 == decimal.Decimal("0.5")
+
+
+# ties at 17 digits: 16 integer digits and a fraction of .25 or .75
+TIES = [2.0 ** 50 + i + f for i in range(0, 4000, 7) for f in (0.25, 0.75)]
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, 1e-291, 1e299,
+            0.1, 0.5, 1.0, 1e16, 1e17, 99999999999999999.0, *TIES[:4]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.sampled_from(_BLOCK_EDGE_SIZES), elements=st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))))
+def test_float_column_keeps_the_percent_g_bytes(values):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reporting, "TEXT_BLOCK", 97)
+        blocks = list(reporting._text_blocks(["# head"], [values]))
+    assert "".join(blocks) == "# head\n" + percent_g_lines(values)
+    assert len(blocks) == 1 + -(-values.size // 97)
+
+
+def test_float_kernel_on_a_million_bit_patterns():
+    bits = np.random.default_rng(20261020).integers(
+        0, np.iinfo(np.uint64).max, 10**6, dtype=np.uint64, endpoint=True)
+    values = bits.view(np.float64)
+    text, guarded = float_lines(values)
+    assert text == percent_g_lines(values)
+    # FLOAT_FMT takes what lies outside the table, inf and nan, the exact
+    # ties, and no more than a few near-ties and log10 misses besides
+    guarded = np.array(guarded)
+    assert np.count_nonzero(~in_table(guarded)) == np.count_nonzero(~in_table(values))
+    inside = guarded[in_table(guarded)]
+    assert sum(not is_tie(v) for v in inside.tolist()) <= 10
+
+
+def test_float_kernel_at_every_power_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    assert powers[0] > 0.0 and np.isfinite(powers[-1])
+    near = np.concatenate([powers, np.nextafter(powers, np.inf),
+                           np.nextafter(powers, -np.inf)])
+    values = np.concatenate([near, -near])
+    assert float_lines(values)[0] == percent_g_lines(values)
+
+
+def test_float_kernel_on_decimal_grids():
+    i = np.arange(1, 10_001, dtype=np.float64)
+    values = np.concatenate([i * 10.0 ** e for e in range(-30, 31)]
+                            + [i / 10.0 ** e for e in range(31)])
+    assert float_lines(values)[0] == percent_g_lines(values)
+
+
+def test_float_kernel_leaves_ties_and_the_outside_to_float_fmt():
+    outside = [math.inf, -math.inf, math.nan, 5e-324, 1e-292, 1e299, -1.7976931348623157e308]
+    text, guarded = float_lines(TIES + outside)
+    assert text == percent_g_lines(TIES + outside)
+    assert text.startswith("1125899906842624.2\n1125899906842624.8\n")  # half to even
+    assert guarded[:len(TIES)] == TIES and all(map(is_tie, TIES))
+    assert np.array_equal(guarded[len(TIES):], outside, equal_nan=True)
+
+
+def near_ties() -> list[float]:
+    """Doubles x = M 2**-(s+k) whose 17 digits x 10**s = M 5**s / 2**k lie
+    2**-k from a tie, for k = 34 .. 52: M 5**s = 2**(k-1) +- 1 (mod 2**k)."""
+    values = []
+    for k in range(34, 53):
+        for s in range(1, 40):
+            for d in (1, -1):
+                r = (2 ** (k - 1) + d) * pow(5, -s, 2 ** k) % 2 ** k
+                M = r + -(-(2 ** 52 - r) // 2 ** k) * 2 ** k  # the least M >= 2**52
+                if M < 2 ** 53 and 10 ** 16 <= M * 5 ** s >> k < 10 ** 17:
+                    values.append(math.ldexp(M, -(s + k)))
+    return values
+
+
+def test_float_kernel_leaves_near_ties_to_float_fmt():
+    # within _HALF_MARGIN of a tie, where the kernel's 2**-47 error could
+    # round either way, the value goes through FLOAT_FMT
+    values = near_ties()
+    values += [-v for v in values]
+    assert len(values) > 80
+    text, guarded = float_lines(values)
+    assert text == percent_g_lines(values)
+    assert guarded == values and not any(map(is_tie, values))
+
+
+def test_float_kernel_certifies_ordinary_columns():
+    path = generate(LINDLEY, 5, 20_000)
+    rng = np.random.default_rng(7)
+    for values in (path.values, np.arange(1, 20_001) / 20_000, rng.random(20_000),
+                   rng.standard_normal(20_000) * 10.0 ** rng.integers(-200, 10, 20_000),
+                   np.array([0.0, -0.0, 2e-291, 9.9e298])):
+        text, guarded = float_lines(values)
+        assert text == percent_g_lines(values)
+        assert guarded == []
+
+
+def test_cycle_cdf_keeps_the_per_cell_bytes(monkeypatch):
+    monkeypatch.setattr(reporting, "TEXT_BLOCK", 97)
+    uniq, cum = decompose_regenerative(generate(LINDLEY, 5, 20_000)).cycle_cdf
+    assert uniq.size > 3 * 97
+    assert "".join(csv_blocks(("y", "cycle_cdf"), (uniq, cum))) == \
+        reference_csv_table(("y", "cycle_cdf"), zip(uniq, cum))
+
+
+def test_columns_of_unequal_length_raise():
+    with pytest.raises(ValueError, match="columns differ in length"):
+        csv_table(("a", "b"), (np.arange(3), np.ones(4)))
 
 
 def test_json_report_writes_finite_values_as_text_floats():

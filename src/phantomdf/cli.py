@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 verdict failure (the computation ran but the
 scientific check said no), 2 usage or configuration error.  All outputs
 except timing.txt are byte-deterministic in (config, seed); wall-clock
-numbers live only in timing.txt.
+numbers live only in timing.txt.  Each command builds its summary.json
+text before it writes any file, so a summary that JSON cannot hold exits 2
+naming its field and leaves no file behind.
 """
 
 from __future__ import annotations
@@ -146,19 +148,19 @@ def cmd_simulate(st: _Settings) -> int:
     length = st.number("length")
     path = generate(spec, st.seed, length)
     out = st.out_dir
-    st.write("path.txt", path_file_text(path))
-    wrote = ["path.txt"]
-    if path.regeneration_marks is not None:
-        st.write("path.marks.txt", marks_file_text(path))
-        wrote.append("path.marks.txt")
-    st.write("summary.json", json_report({
+    marks = path.regeneration_marks is not None
+    wrote = ["path.txt", "path.marks.txt"] if marks else ["path.txt"]
+    summary = json_report({
         "subcommand": "simulate",
         "seed": st.seed,
         "length": length,
         "files": wrote,
-        "regenerations": None if path.regeneration_marks is None
-        else int(path.regeneration_marks.size),
-    }))
+        "regenerations": int(path.regeneration_marks.size) if marks else None,
+    })
+    st.write("path.txt", path_file_text(path))
+    if marks:
+        st.write("path.marks.txt", marks_file_text(path))
+    st.write("summary.json", summary)
     print(f"simulate: wrote {', '.join(wrote)} to {out}")
     return 0
 
@@ -186,11 +188,6 @@ def cmd_phantom_fit(st: _Settings) -> int:
     theta_text = "theta = 0" if theta.verdict == "zero" \
         else f"theta = {theta.theta_hat:.4f}"
 
-    st.write("driving.csv", driving_csv(dse))
-    st.write("maxlaw.csv", maxlaw_csv(ml))
-    st.write("bt.csv", bt_csv(bt))
-    st.write("theta.csv", theta_csv(theta))
-    st.write("phantom.txt", phantom.to_text())
     summary = {
         "subcommand": "phantom-fit",
         "gamma": gamma,
@@ -208,11 +205,19 @@ def cmd_phantom_fit(st: _Settings) -> int:
         "theta_verdict": theta.verdict,
         "theta_hat": theta.theta_hat,
     }
+    chains = ""
     if dse.acceptance_rate is not None:  # the fit table's Metropolis chains
         summary["metropolis_acceptance_rate"] = dse.acceptance_rate
-    st.write("summary.json", json_report(summary))
+        chains = f", metropolis acceptance rate {dse.acceptance_rate:.4f}"
+    summary_text = json_report(summary)
+    st.write("driving.csv", driving_csv(dse))
+    st.write("maxlaw.csv", maxlaw_csv(ml))
+    st.write("bt.csv", bt_csv(bt))
+    st.write("theta.csv", theta_csv(theta))
+    st.write("phantom.txt", phantom.to_text())
+    st.write("summary.json", summary_text)
     verdict = "phantom verified" if verified else "phantom NOT verified"
-    print(f"phantom-fit: {verdict}, {theta_text} (sup gap {ver.sup_gap:.4f})")
+    print(f"phantom-fit: {verdict}, {theta_text} (sup gap {ver.sup_gap:.4f}{chains})")
     return 0 if verified else 1
 
 
@@ -223,13 +228,14 @@ def cmd_verify(st: _Settings) -> int:
     phantom = PhantomDistFn.from_text(text)
     ml, ver, ok = verify_by_simulation(spec, phantom, blocks, st.replicas, st.seed,
                                        tag="verify", workers=st.workers)
-    st.write("maxlaw.csv", maxlaw_csv(ml))
-    st.write("summary.json", json_report({
+    summary = json_report({
         "subcommand": "verify",
         "phantom_verified": ok,
         "sup_gap": ver.sup_gap,
         "gaps": ver.gaps(),
-    }))
+    })
+    st.write("maxlaw.csv", maxlaw_csv(ml))
+    st.write("summary.json", summary)
     print(f"verify: sup gap {ver.sup_gap:.4f} -> "
           f"{'verified' if ok else 'NOT verified'}")
     return 0 if ok else 1
@@ -239,18 +245,20 @@ def cmd_bt_check(st: _Settings) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
     T = st.horizon("T")
-    dse = estimate_driving_sequence(spec, st.gamma, blocks, R=st.replicas,
-                                    seed=st.seed, workers=st.workers)
-    bt = check_BT(spec, dse, T=T, n_list=blocks,
-                  R=st.replicas, seed=st.seed, workers=st.workers)
+    with st.stage("driving levels"):
+        dse = estimate_driving_sequence(spec, st.gamma, blocks, R=st.replicas,
+                                        seed=st.seed, workers=st.workers)
+    with st.stage("B_T"):
+        bt = check_BT(spec, dse, T=T, n_list=blocks,
+                      R=st.replicas, seed=st.seed, workers=st.workers)
     last = bt.rows[-1]
     worst = max(last.pairs, key=lambda p: abs(p.value))
     ok = abs(worst.value) <= max(4.0 * worst.se, 0.02)
     # the skeleton condition k_n C_n -> 0 with k_n P(X_1 > v_n) bounded;
     # reported only, it does not enter the exit code
-    pb = propbasic_series(spec, dse, R=st.replicas, seed=st.seed, workers=st.workers)
-    st.write("bt.csv", bt_csv(bt))
-    st.write("driving.csv", driving_csv(dse))
+    with st.stage("propbasic"):
+        pb = propbasic_series(spec, dse, R=st.replicas, seed=st.seed,
+                              workers=st.workers)
     summary = {
         "subcommand": "bt-check",
         "T": bt.T,
@@ -272,7 +280,10 @@ def cmd_bt_check(st: _Settings) -> int:
     }
     if bt.acceptance_rate is not None:  # the B_T replicas' Metropolis chains
         summary["metropolis_acceptance_rate"] = bt.acceptance_rate
-    st.write("summary.json", json_report(summary))
+    summary_text = json_report(summary)
+    st.write("bt.csv", bt_csv(bt))
+    st.write("driving.csv", driving_csv(dse))
+    st.write("summary.json", summary_text)
     print(f"bt-check: b({last.n}) = {last.b_value:.5f} -> "
           f"{'ok' if ok else 'FAILS'}")
     return 0 if ok else 1
@@ -283,10 +294,7 @@ def cmd_regen(st: _Settings) -> int:
                        parse_int_list(st.get("verify_blocks")), st.replicas,
                        st.seed, tag="regen-verify", workers=st.workers, stage=st.stage)
     rs, ver = rg.stats, rg.verification
-    st.write("cycle_maxima_cdf.csv", csv_blocks(("y", "cycle_cdf"), rs.cycle_cdf))
-    st.write("maxlaw.csv", maxlaw_csv(rg.maxlaw))
-    st.write("path.marks.txt", marks_file_text(rg.path))
-    st.write("summary.json", json_report({
+    summary = json_report({
         "subcommand": "regen",
         "cycle_count": rs.cycle_count,
         "mu_hat": rs.mu_hat,
@@ -300,7 +308,11 @@ def cmd_regen(st: _Settings) -> int:
         "cycle_tail_band_ok": rg.band_ok,
         "stationary_tail_verdict": rg.tail_verdict,
         "zero_cycle_diag": {str(k): v for k, v in rs.zero_cycle_diag.items()},
-    }))
+    })
+    # no marks file: simulate writes it for the same step, seed and length
+    st.write("cycle_maxima_cdf.csv", csv_blocks(("y", "cycle_cdf"), rs.cycle_cdf))
+    st.write("maxlaw.csv", maxlaw_csv(rg.maxlaw))
+    st.write("summary.json", summary)
     ok = rg.verified and rg.band_ok and rg.tail_ok
     print(f"regen: {rs.cycle_count} cycles, mu = {rs.mu_hat:.4f}, "
           f"sup gap {ver.sup_gap:.4f}, tail band {rg.band.ratio:.3f}, "
@@ -402,11 +414,12 @@ def cmd_extremal_index(st: _Settings) -> int:
     blocks = parse_int_list(st.get("block_sizes"))
     # estimate_theta_single_sequence, with the driving levels kept for their
     # acceptance rate
-    dse = estimate_driving_sequence(spec, st.gamma, blocks, R=st.replicas,
-                                    seed=st.seed, method=st.get("method", "auto"),
-                                    workers=st.workers)
-    est = theta_from_driving(spec, dse, blocks, st.seed)
-    st.write("theta.csv", theta_csv(est))
+    with st.stage("driving levels"):
+        dse = estimate_driving_sequence(spec, st.gamma, blocks, R=st.replicas,
+                                        seed=st.seed, method=st.get("method", "auto"),
+                                        workers=st.workers)
+    with st.stage("theta"):
+        est = theta_from_driving(spec, dse, blocks, st.seed)
     summary = {
         "subcommand": "extremal-index",
         "verdict": est.verdict,
@@ -416,7 +429,9 @@ def cmd_extremal_index(st: _Settings) -> int:
     }
     if dse.acceptance_rate is not None:  # the table's Metropolis chains
         summary["metropolis_acceptance_rate"] = dse.acceptance_rate
-    st.write("summary.json", json_report(summary))
+    summary_text = json_report(summary)
+    st.write("theta.csv", theta_csv(est))
+    st.write("summary.json", summary_text)
     if est.verdict == "zero":
         print("extremal-index: verdict theta = 0 (diverging n * tail)")
     else:
@@ -436,16 +451,17 @@ def cmd_acceptance(st: _Settings) -> int:
             f"criteria must be 'all' or distinct criterion numbers, got {which!r}")
     results = run_all(numbers, workers=st.workers)
     st.timing.extend(f"criterion {r.number}: {r.seconds:.2f} s" for r in results)
-    for r in results:
-        print(r.line())
-        for name, text in r.artifacts.items():
-            st.write(f"criterion{r.number}_{name}", text)
-    st.write("summary.json", json_report({
+    summary = json_report({
         "subcommand": "acceptance",
         "results": [{"number": r.number, "name": r.name, "passed": r.passed,
                      "detail": r.detail} for r in results],
         "all_passed": all(r.passed for r in results),
-    }))
+    })
+    for r in results:
+        print(r.line())
+        for name, text in r.artifacts.items():
+            st.write(f"criterion{r.number}_{name}", text)
+    st.write("summary.json", summary)
     return 0 if all(r.passed for r in results) else 1
 
 

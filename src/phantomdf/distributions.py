@@ -304,8 +304,10 @@ def symmetric_pareto(alpha: float, scale: float = 1.0) -> DistFn:
 
     def quantile(p):
         p = np.asarray(p, dtype=float)
-        t = np.where(p >= 0.5, 1.0 - p, p)
-        mag = scale * np.expm1(-np.log(2.0 * t) / alpha)
+        t = np.minimum(p, 1.0 - p)  # the tail beyond the quantile
+        # a small alpha puts mass beyond the largest double: inf, on purpose
+        with np.errstate(over="ignore"):
+            mag = scale * np.expm1(-np.log(2.0 * t) / alpha)
         return np.where(p >= 0.5, mag, -mag)
 
     # a difference of logs: alpha / (2 scale) may underflow to 0 or overflow

@@ -1125,7 +1125,6 @@ def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int
 
 @dataclass(frozen=True)
 class RegenPhantom:
-    path: SamplePath
     stats: RegenStats
     maxlaw: MaxLawEstimate
     verification: PhantomVerification
@@ -1159,6 +1158,6 @@ def regen_phantom(step: DistFn, length: int, block_sizes, R: int, seed: int,
     with stage("band and tail verdict"):
         band = cycle_tail_ratio(rs, step, q=0.99)
         tail_verdict = lindley_step_tail_vs_stationary(step, path.values)
-    return RegenPhantom(path=path, stats=rs, maxlaw=ml, verification=ver,
+    return RegenPhantom(stats=rs, maxlaw=ml, verification=ver,
                         verified=verified, band=band, band_ok=0.5 <= band.ratio <= 2.0,
                         tail_verdict=tail_verdict, tail_ok=tail_verdict == "ratio->0")

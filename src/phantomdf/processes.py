@@ -270,7 +270,12 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
             # row-sized buffer, so a slab holds a single slab-sized array).
             # The slab's burn-in steps, which are never kept, only fold their
             # minimum into m_prev: min is exact, so the kept values are the
-            # same bits as with the running minimum taken through them
+            # same bits as with the running minimum taken through them.  The
+            # kept window's running minimum is fmin's, which is faster than
+            # minimum's and differs from it only on NaN; the partial sums are
+            # finite, since the step mean is finite and negative and
+            # parse_law refuses a law whose quantile is infinite at any
+            # probe level a double reaches
             xs = draws(laws, buf[:, :s_len])
             xs[:, 0] += c_prev
             np.cumsum(xs, axis=1, out=xs)
@@ -281,7 +286,7 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
             if skip < s_len:
                 low = low_buf[:s_len - skip]
                 for i in range(rows):
-                    np.minimum.accumulate(xs[i, skip:], out=low)
+                    np.fmin.accumulate(xs[i, skip:], out=low)
                     np.minimum(low, m_prev[i], out=low)
                     m_prev[i] = low[-1]
                     xs[i, skip:] -= low

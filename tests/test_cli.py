@@ -23,6 +23,15 @@ def write_config(path, text):
     return str(path)
 
 
+def timing_labels(out):
+    """The labels of out/timing.txt: stage and write seconds, then the two
+    memory lines, each line checked against its format."""
+    lines = (out / "timing.txt").read_text().splitlines()
+    assert all(re.fullmatch(r"[\w. ]+: \d+\.\d\d s", line) for line in lines[:-2])
+    assert all(re.fullmatch(r"[\w ]+: \d+\.\d MB", line) for line in lines[-2:])
+    return [line.split(":")[0] for line in lines]
+
+
 @pytest.fixture
 def run(tmp_path, capsys):
     def _run(text, *argv, section_args=()):
@@ -185,10 +194,7 @@ class TestPhantomFit:
     def test_timing_lists_the_stages_then_the_writes(self, run, tmp_path):
         out = tmp_path / "fit"
         assert run(self.CFG, "phantom-fit", "--out", str(out))[0] == 0
-        lines = (out / "timing.txt").read_text().splitlines()
-        assert all(re.fullmatch(r"[\w. ]+: \d+\.\d\d s", line) for line in lines[:-2])
-        assert all(re.fullmatch(r"[\w ]+: \d+\.\d MB", line) for line in lines[-2:])
-        assert [line.split(":")[0] for line in lines] == [
+        assert timing_labels(out) == [
             "fit table", "validation", "B_T", "theta",
             *(f"write {name}" for name in ("driving.csv", "maxlaw.csv", "bt.csv",
                                            "theta.csv", "phantom.txt", "summary.json")),
@@ -416,18 +422,59 @@ class TestVerdictExitCodes:
         assert summary["metropolis_acceptance_rate"] == moves / (200 * 159)
         assert 0.5 < summary["metropolis_acceptance_rate"] < 1.0
 
+    # the law's quantile maps its overflow to inf on purpose, so numpy warns
+    # of nothing, and an error here fails the test
+    @pytest.mark.filterwarnings("error")
     def test_bt_check_with_an_infinite_level_exits_2_naming_it(self, run, tmp_path):
         # symmetric_pareto(0.001, 1) holds a quarter of its mass on each side
         # beyond the largest double, so the propbasic levels are infinite:
-        # summary.json would need "level": Infinity, which is not JSON
+        # summary.json would need "level": Infinity, which is not JSON.  The
+        # summary is built before the first write, so no artifact is left
         out = tmp_path / "bt"
         rc, _out, err = run("[common]\nseed = 1\nreplicas = 200\n"
                             "[bt-check]\nkind = iid\nmarginal = symmetric_pareto(0.001,1)\n"
                             "block_sizes = 10,20\n", "bt-check", "--out", str(out))
         assert rc == 2
-        assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            "error: report field propbasic.rows.0.level is inf, which JSON cannot hold"]
-        assert not (out / "summary.json").exists()
+        assert err == ("error: report field propbasic.rows.0.level is inf, "
+                       "which JSON cannot hold\n")
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_phantom_fit_names_the_acceptance_rate_of_a_chain_that_never_moves(
+            self, run, tmp_path):
+        # every proposal lands where exp(1) has no mass, or so far out that
+        # its density is 0, so each chain stays at its start
+        out = tmp_path / "fit"
+        rc, stdout, err = run("[common]\nseed = 1\nreplicas = 200\n"
+                              "[phantom-fit]\nkind = metropolis\ntarget = exp(1)\n"
+                              "proposal = uniform(-1e300,1e300)\nblock_sizes = 10,20\n",
+                              "phantom-fit", "--out", str(out))
+        assert (rc, err) == (1, "")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["metropolis_acceptance_rate"] == 0.0
+        assert stdout == (
+            f"phantom-fit: phantom NOT verified, theta = 0 (sup gap "
+            f"{summary['sup_gap']:.4f}, metropolis acceptance rate 0.0000)\n")
+
+    def test_bt_check_timing_lists_the_stages_then_the_writes(self, run, tmp_path):
+        out = tmp_path / "bt"
+        assert run("[common]\nseed = 3\nreplicas = 200\n"
+                   "[bt-check]\nkind = iid\nmarginal = exp(1)\nblock_sizes = 50,200\n",
+                   "bt-check", "--out", str(out))[0] in (0, 1)
+        assert timing_labels(out) == [
+            "driving levels", "B_T", "propbasic",
+            *(f"write {name}" for name in ("bt.csv", "driving.csv", "summary.json")),
+            "total", "peak rss", "workers peak rss"]
+
+    def test_extremal_index_timing_lists_the_stages_then_the_writes(self, run, tmp_path):
+        out = tmp_path / "ei"
+        assert run("[common]\nseed = 5\nreplicas = 300\n"
+                   "[extremal-index]\nkind = moving_max\nwindow = 2\n"
+                   "base = uniform(0,1)\nblock_sizes = 100,1000\nmethod = exact\n",
+                   "extremal-index", "--out", str(out))[0] == 0
+        assert timing_labels(out) == [
+            "driving levels", "theta",
+            *(f"write {name}" for name in ("theta.csv", "summary.json")),
+            "total", "peak rss", "workers peak rss"]
 
     def test_bt_check_ok(self, run, tmp_path):
         rc, stdout, _ = run("[common]\nseed = 3\nreplicas = 400\n"
@@ -467,8 +514,8 @@ def test_regen_pipeline(run, tmp_path):
                         "regen", "--out", str(tmp_path / "rg"))
     assert rc == 0, stdout
     assert "cycles" in stdout and "ratio->0" in stdout
-    for name in ("cycle_maxima_cdf.csv", "maxlaw.csv", "path.marks.txt"):
-        assert (tmp_path / "rg" / name).exists()
+    assert sorted(p.name for p in (tmp_path / "rg").iterdir()) == [
+        "cycle_maxima_cdf.csv", "maxlaw.csv", "summary.json", "timing.txt"]
     summary = json.loads((tmp_path / "rg" / "summary.json").read_text())
     assert summary["phantom_verified"] is True
     assert summary["cycle_count"] >= 500
@@ -476,13 +523,37 @@ def test_regen_pipeline(run, tmp_path):
     assert [g["n"] for g in summary["gaps"]] == [300, 1000]
     assert summary["cycle_tail_exceedances"] > 0
     assert summary["cycle_tail_level"] > 0.0
-    lines = (tmp_path / "rg" / "timing.txt").read_text().splitlines()
-    assert all(re.fullmatch(r"[\w. ]+: \d+\.\d\d s", line) for line in lines[:-2])
-    assert [line.split(":")[0] for line in lines] == [
+    assert timing_labels(tmp_path / "rg") == [
         "path", "regenerative split", "validation table", "band and tail verdict",
         *(f"write {name}" for name in ("cycle_maxima_cdf.csv", "maxlaw.csv",
-                                       "path.marks.txt", "summary.json")),
+                                       "summary.json")),
         "total", "peak rss", "workers peak rss"]
+
+
+def test_simulate_writes_the_marks_of_regen_s_path(run, tmp_path, monkeypatch):
+    # regen writes no marks; simulate with its step, seed and length writes
+    # the marks of the path it split into cycles
+    from phantomdf import estimate
+    from phantomdf.processes import generate
+
+    drawn = []
+
+    def spy(*args):
+        drawn.append(generate(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(estimate, "generate", spy)
+    law = "[common]\nseed = 19\n[{}]\nstep = pareto(2,1)-2\nlength = 100000\n"
+    assert run(law.format("regen") + "verify_blocks = 300,1000\n",
+               "regen", "--out", str(tmp_path / "rg"))[0] == 0
+    assert run(law.format("simulate") + "kind = lindley\n",
+               "simulate", "--out", str(tmp_path / "sim"))[0] == 0
+    [path] = drawn
+    lines = (tmp_path / "sim" / "path.marks.txt").read_text().splitlines()
+    marks = [int(s) for s in lines if s and not s.startswith("#")]
+    assert marks == path.regeneration_marks.tolist()
+    cycles = json.loads((tmp_path / "rg" / "summary.json").read_text())["cycle_count"]
+    assert cycles == len(marks) - 1
 
 
 class TestBadBlockSizes:

@@ -5,6 +5,7 @@ with a fixed seed, so a failure means a real bug, not bad luck.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -364,3 +365,24 @@ def test_pareto_quantile_formula(p):
     # tail (1 + x)**-2 on [0, inf); quantile is (1-p)**-1/2 - 1
     d = pareto(2.0, 1.0)
     assert float(d.quantile(p)) == pytest.approx((1.0 - p) ** -0.5 - 1.0, rel=1e-9, abs=1e-12)
+
+
+def test_symmetric_pareto_quantile_bits():
+    # the tail beyond the quantile is min(p, 1 - p); pinned bit for bit
+    # against the branch it replaced, at the ends, around 1/2 and on the
+    # doubles a generator draws, and an overflow maps to inf without a warning
+    def branch(alpha, scale, p):
+        t = np.where(p >= 0.5, 1.0 - p, p)
+        with np.errstate(all="ignore"):
+            mag = scale * np.expm1(-np.log(2.0 * t) / alpha)
+        return np.where(p >= 0.5, mag, -mag)
+
+    half = np.nextafter(0.5, [0.0, 1.0])
+    p = np.concatenate([[0.0, -0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, np.nan],
+                        half, np.random.default_rng(1).random(10_000)])
+    for alpha, scale in ((2.0, 1.0), (1.5, 2.5), (0.001, 1.0)):
+        with np.errstate(divide="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = symmetric_pareto(alpha, scale).quantile(p)
+        np.testing.assert_array_equal(got.view(np.int64), branch(alpha, scale, p).view(np.int64))
+    assert symmetric_pareto(0.001, 1.0).quantile(0.9) == math.inf

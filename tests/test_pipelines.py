@@ -209,13 +209,21 @@ class TestFitAndVerify:
 
 
 class TestRegen:
-    def test_equals_the_regen_sequence(self):
+    def test_equals_the_regen_sequence(self, monkeypatch):
         blocks = [100, 1_000]
         (path, rs, check_ref, band, band_ok, tail_verdict, tail_ok,
          (uniq, cum)) = reference_regen(STEP, 100_000, blocks, R, SEED)
+        drawn = []  # the path regen_phantom draws; its result does not keep it
+
+        def spy(*args):
+            drawn.append(generate(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(estimate, "generate", spy)
         rg = regen_phantom(STEP, 100_000, blocks, R, SEED, tag="regen-verify")
-        np.testing.assert_array_equal(rg.path.values, path.values)
-        np.testing.assert_array_equal(rg.path.regeneration_marks, path.regeneration_marks)
+        [got] = drawn
+        np.testing.assert_array_equal(got.values, path.values)
+        np.testing.assert_array_equal(got.regeneration_marks, path.regeneration_marks)
         assert (rg.stats.cycle_count, rg.stats.mu_hat, rg.stats.mu_se) == \
             (rs.cycle_count, rs.mu_hat, rs.mu_se)
         got_uniq, got_cum = rg.stats.cycle_cdf

@@ -7,13 +7,11 @@ sufficient-condition calculators for weak-dependence rate theorems.
 """
 
 from .distributions import (
-    AtomRule,
     DistFn,
     beta_law,
     dkw_epsilon,
     exponential,
     geometric,
-    jump_law,
     jump_sequence,
     make_distribution,
     mixture_component,

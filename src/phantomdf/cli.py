@@ -358,7 +358,7 @@ def _parse_flag(key: str, text: str) -> bool:
 
 
 def _parse_delta_xi(text: str) -> dict[float, bool]:
-    """``xi:flag`` pairs, comma-separated; each xi finite and >= 0."""
+    """``xi:flag`` pairs, comma-separated; each xi finite, >= 0 and named once."""
     delta_xi = {}
     for piece in filter(None, (p.strip() for p in text.split(","))):
         xitext, colon, flag = piece.partition(":")
@@ -370,6 +370,8 @@ def _parse_delta_xi(text: str) -> dict[float, bool]:
             raise InvalidArgumentError(
                 f"delta_xi entries must read xi:true or xi:false with a finite "
                 f"xi >= 0, got {piece!r}")
+        if xi in delta_xi:
+            raise InvalidArgumentError(f"delta_xi names xi = {xi:g} twice, got {text!r}")
         delta_xi[xi] = _parse_flag("delta_xi flag", flag)
     return delta_xi
 

@@ -1,10 +1,10 @@
-"""Distribution functions with declared tails and atoms.
+"""Distribution functions with declared tails.
 
 A :class:`DistFn` is a law given by its tail 1 - F, with its quantile
-function, declared atoms, an optional log density and an optional sampler.
-Every estimator reads F through the tail, which does not cancel near the
-right end.  Atoms are always declared, never inferred numerically: a law
-without an ``atoms`` rule is treated as continuous everywhere.
+function, an optional log density and an optional sampler.  Every
+estimator reads F through the tail, which does not cancel near the right
+end.  The jump laws (``geometric``, ``mixture_component``,
+``jump_sequence``) give their tail and quantile in closed form too.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import HUGE_INDEX, first_index_where
+from .grids import HUGE_INDEX
 
 __all__ = [
-    "AtomRule",
     "DistFn",
     "exponential",
     "pareto",
@@ -37,51 +36,9 @@ __all__ = [
 ]
 
 
-def _vectorize(fn: Callable[[float], float]) -> Callable:
-    def wrapped(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return fn(float(arr))
-        out = np.fromiter((fn(float(v)) for v in arr.ravel()),
-                          dtype=float, count=arr.size)
-        return out.reshape(arr.shape)
-    return wrapped
-
-
-@dataclass(frozen=True)
-class AtomRule:
-    """Atom bookkeeping for a purely-jump (or mixed) law.
-
-    Atom i (1-based) sits at ``location(i)``, increasing in i, and the tail
-    mass strictly beyond it is ``tail_after(i)``; ``tail_after(0)`` is 1 by
-    convention, so atom i carries mass tail(i-1) - tail(i).
-    """
-
-    location: Callable[[int], float]
-    tail_after: Callable[[int], float]
-    count: int | None = None
-
-    def tail(self, i: int) -> float:
-        if i <= 0:
-            return 1.0
-        if self.count is not None and i > self.count:
-            i = self.count
-        return float(self.tail_after(int(i)))
-
-    def mass(self, i: int) -> float:
-        return self.tail(i - 1) - self.tail(i)
-
-    def index_leq(self, x: float) -> int:
-        """Number of atoms at or below x; HUGE_INDEX when the search runs out."""
-        x = float(x)
-        k = first_index_where(lambda i: self.location(i) > x, 0)
-        i = HUGE_INDEX if k is None else k - 1
-        return i if self.count is None else min(i, self.count)
-
-
 @dataclass(frozen=True)
 class DistFn:
-    """A distribution function F given by its tail, with atom structure.
+    """A distribution function F given by its tail.
 
     Parameters
     ----------
@@ -95,8 +52,6 @@ class DistFn:
     logpdf
         Vectorized log density, for a law with a density; ``-inf`` where the
         density is 0.
-    atoms
-        Declared atom rule, or None for a continuous law.
     sampler
         ``sampler(rng, size) -> ndarray`` of i.i.d. draws.
     mean
@@ -108,20 +63,8 @@ class DistFn:
     quantile: Callable
     right_end: float
     logpdf: Callable | None = None
-    atoms: AtomRule | None = None
     sampler: Callable | None = None
     mean: float | None = None
-
-    def jump_at(self, x: float) -> float:
-        """Mass of the declared atom at x (0.0 when none)."""
-        if self.atoms is None:
-            return 0.0
-        i = self.atoms.index_leq(float(x))
-        if i < 1 or i >= HUGE_INDEX:
-            return 0.0
-        if self.atoms.location(i) == float(x):
-            return self.atoms.mass(i)
-        return 0.0
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.sampler is None:
@@ -229,44 +172,39 @@ def beta_law(c: float, d: float) -> DistFn:
                   mean=c / (c + d))
 
 
-def _jump_quantile(atoms: AtomRule, p: float) -> float:
-    if not (0.0 < p < 1.0):
+def _tail_target(u) -> np.ndarray:
+    """1 - u, the tail a jump law's quantile at u must reach; u in (0, 1)."""
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise InvalidArgumentError("quantile argument must lie in (0, 1)")
-    target = 1.0 - p
-    # a finite list ends at its last atom: nothing lies beyond it
-    k = first_index_where(lambda i: (atoms.count is not None and i >= atoms.count)
-                          or atoms.tail(i) <= target, 0)
-    if k is None:
-        raise InvalidArgumentError("quantile beyond representable atom index")
-    return atoms.location(k)
-
-
-def jump_law(name: str, atoms: AtomRule,
-             sampler: Callable | None = None,
-             mean: float | None = None) -> DistFn:
-    """Build a purely-jump DistFn from an atom rule."""
-    if atoms.count is not None and atoms.tail(atoms.count) > 1e-15:
-        raise InvalidArgumentError(
-            "finite atom list must exhaust the mass (tail after last atom is 0)")
-
-    tail = _vectorize(lambda x: atoms.tail(atoms.index_leq(x)))
-    quantile = _vectorize(lambda p: _jump_quantile(atoms, p))
-    right_end = math.inf if atoms.count is None else atoms.location(atoms.count)
-    if sampler is None:
-        sampler = lambda rng, size: quantile(np.maximum(rng.random(size), 1e-300))
-    return DistFn(name=name, tail=tail, quantile=quantile, right_end=right_end,
-                  atoms=atoms, sampler=sampler, mean=mean)
+    return 1.0 - u
 
 
 def geometric(p: float) -> DistFn:
-    """Geometric law on {1, 2, ...} with success probability p."""
+    """Geometric law on {1, 2, ...} with success probability p: the tail
+    beyond x is q**floor(x), q = 1 - p."""
     if not (0.0 < p < 1.0):
         raise InvalidArgumentError("p must lie in (0, 1)")
     q = 1.0 - p
-    atoms = AtomRule(location=float, tail_after=lambda n: q ** n)
-    return jump_law(f"geometric({p:g})", atoms,
-                    sampler=lambda rng, size: rng.geometric(p, size).astype(float),
-                    mean=1.0 / p)
+    if q == 1.0:
+        raise InvalidArgumentError(f"p = {p:g} rounds 1 - p to 1, so the tail never falls")
+    log_q = math.log(q)
+
+    def tail(x):
+        # float_power is C's pow, as Python's q ** n; np.power may differ
+        return np.float_power(q, np.floor(np.maximum(np.asarray(x, dtype=float), 0.0)))
+
+    def quantile(u):
+        # the first k >= 1 with q**k <= 1 - u: the log ratio, then one step
+        t = _tail_target(u)
+        k = np.maximum(np.ceil(np.log(t) / log_q), 1.0)
+        k = np.where(tail(k) > t, k + 1.0, k)
+        return np.where((k > 1.0) & (tail(k - 1.0) <= t), k - 1.0, k)
+
+    return DistFn(name=f"geometric({p:g})", tail=tail, quantile=quantile,
+                  right_end=math.inf,
+                  sampler=lambda rng, size: rng.geometric(p, size).astype(float),
+                  mean=1.0 / p)
 
 
 def superheavy() -> DistFn:
@@ -332,15 +270,22 @@ def mixture_component(k: int) -> DistFn:
 
     F_k places its first atom at the level v_{k*k} and jumps to 1 - 1/n at
     v_n for every n >= k*k, so n * (tail at v_n) is exactly 1; the levels
-    are v_n = n.
+    are v_n = n, so the tail beyond x >= k*k is 1 / floor(x).
     """
     k = int(k)
     if k < 1 or k * k > HUGE_INDEX:
         raise InvalidArgumentError("component index must lie in [1, 2**31]")
     base = k * k
+    first = float(base)
 
-    atoms = AtomRule(location=lambda j: float(base + j - 1),
-                     tail_after=lambda j: 1.0 / (base + j - 1))
+    def tail(x):
+        n = np.floor(np.asarray(x, dtype=float))
+        return np.where(n >= first, 1.0 / np.maximum(n, first), 1.0)
+
+    def quantile(u):
+        # the first level n >= k*k with 1/n <= 1 - u; as 1 - u is a multiple
+        # of 2**-53, 1/(1 - u) never rounds across such an n
+        return np.maximum(np.ceil(1.0 / _tail_target(u)), first)
 
     def sampler(rng, size):
         # the level index n itself, an integer-valued float, is the draw v_n
@@ -348,36 +293,38 @@ def mixture_component(k: int) -> DistFn:
         idx = np.minimum(np.ceil(1.0 / u), float(HUGE_INDEX))
         return np.maximum(idx, base)
 
-    return jump_law(f"mixture-component(k={k})", atoms, sampler=sampler)
+    return DistFn(name=f"mixture-component(k={k})", tail=tail, quantile=quantile,
+                  right_end=math.inf, sampler=sampler)
 
 
-def jump_sequence(levels, tailprobs, count: int | None = None) -> DistFn:
-    """Purely-jump law with prescribed atom locations and tail probabilities.
+def jump_sequence(levels, tailprobs) -> DistFn:
+    """Purely-jump law on finitely many atoms: the tail beyond
+    ``levels[i]`` is ``tailprobs[i]``, and the last tail is 0."""
+    arr = np.asarray(levels, dtype=float)
+    tarr = np.asarray(tailprobs, dtype=float)
+    if arr.ndim != 1 or arr.size == 0 or tarr.shape != arr.shape:
+        raise InvalidArgumentError(
+            "atom locations and tail probabilities must be nonempty 1-d arrays of one length")
+    if np.any(np.diff(arr) <= 0):
+        raise InvalidArgumentError("atom locations must be strictly increasing")
+    if np.any(tarr < 0) or np.any(tarr > 1) or np.any(np.diff(tarr) > 0):
+        raise InvalidArgumentError("tail probabilities must be non-increasing in [0, 1]")
+    if tarr[-1] > 1e-15:
+        raise InvalidArgumentError(
+            "finite atom list must exhaust the mass (tail after last atom is 0)")
+    tails = np.concatenate(([1.0], tarr))
+    rising = -tarr  # ascending, for searchsorted
 
-    ``levels`` and ``tailprobs`` may be arrays (finite support; the last
-    tail must be 0) or callables indexed from 1 (infinite support).  An
-    array of levels reads as ``inf`` past its last atom.
-    """
-    if callable(levels):
-        location = levels
-    else:
-        arr = np.asarray(levels, dtype=float)
-        if arr.ndim != 1:
-            raise InvalidArgumentError("atom locations must be a 1-d array")
-        if np.any(np.diff(arr) <= 0):
-            raise InvalidArgumentError("atom locations must be strictly increasing")
-        location = lambda i: float(arr[i - 1]) if i <= arr.size else math.inf
-        count = arr.size if count is None else count
-    if callable(tailprobs):
-        tail = tailprobs
-    else:
-        tarr = np.asarray(tailprobs, dtype=float)
-        if np.any(tarr < 0) or np.any(tarr > 1) or np.any(np.diff(tarr) > 0):
-            raise InvalidArgumentError("tail probabilities must be non-increasing in [0, 1]")
-        tail = lambda i: float(tarr[min(int(i), tarr.size) - 1])
-        count = tarr.size if count is None else count
-    atoms = AtomRule(location=location, tail_after=tail, count=count)
-    return jump_law("jumpseq", atoms)
+    def tail(x):
+        return tails[np.searchsorted(arr, x, side="right")]
+
+    def quantile(u):
+        # the first atom whose tail is at most 1 - u; the last atom ends the list
+        i = np.searchsorted(rising, -_tail_target(u), side="left")
+        return arr[np.minimum(i, arr.size - 1)]
+
+    return DistFn(name="jumpseq", tail=tail, quantile=quantile, right_end=float(arr[-1]),
+                  sampler=lambda rng, size: quantile(np.maximum(rng.random(size), 1e-300)))
 
 
 def shifted(dist: DistFn, offset: float) -> DistFn:
@@ -386,12 +333,6 @@ def shifted(dist: DistFn, offset: float) -> DistFn:
     if not math.isfinite(offset):
         raise InvalidArgumentError(f"shift must be finite, got {offset:g}")
 
-    atoms = None
-    if dist.atoms is not None:
-        inner_location = dist.atoms.location
-        atoms = AtomRule(location=lambda i: inner_location(i) + offset,
-                         tail_after=dist.atoms.tail_after,
-                         count=dist.atoms.count)
     sampler = None
     if dist.sampler is not None:
         inner = dist.sampler
@@ -403,7 +344,7 @@ def shifted(dist: DistFn, offset: float) -> DistFn:
         logpdf=((lambda x: dist.logpdf(np.asarray(x, dtype=float) - offset))
                 if dist.logpdf else None),
         right_end=dist.right_end + offset,  # an infinite end stays put
-        atoms=atoms, sampler=sampler,
+        sampler=sampler,
         mean=None if dist.mean is None else dist.mean + offset,
     )
 

@@ -99,8 +99,7 @@ def _plain(obj, key: str = ""):
         if not math.isfinite(obj):
             raise InvalidArgumentError(
                 f"report field {key} is {fmt_float(obj)}, which JSON cannot hold")
-        # textual float so json round-off never differs between platforms
-        return float(fmt_float(obj))
+        return float(obj)
     return obj
 
 

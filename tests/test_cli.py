@@ -887,6 +887,12 @@ class TestBadRates:
         pytest.param(XI.format("0.5"), XI_ERROR.format("0.5"), id="xi-without-flag"),
         pytest.param(XI.format("0.5:yes"), "delta_xi flag must be true or false, got 'yes'",
                      id="xi-flag-yes"),
+        pytest.param(XI.format("0.1:true,0.1:false"),
+                     "delta_xi names xi = 0.1 twice, got '0.1:true,0.1:false'",
+                     id="xi-repeated"),
+        pytest.param(XI.format("0.5:false, 0.1:true, 0.10:true"),
+                     "delta_xi names xi = 0.1 twice, got '0.5:false, 0.1:true, 0.10:true'",
+                     id="xi-repeated-later"),
         pytest.param(MIXING.format("m_dependent(2)") + "delta0 = ture\n",
                      "delta0 must be true or false, got 'ture'", id="delta0-ture"),
     ])

@@ -13,13 +13,11 @@ import phantomdf
 # Closed-form references that no package code calls: the tests compare
 # estimators against them (exact_maxlaw, the exact max law on a quantile
 # grid; dkw_epsilon, the DKW band half-width for sampler and block-maxima
-# checks; DistFn.jump_at, the atom mass P(X = x) for the left-limit CDF
-# checks of the samplers; jump_sequence, a jump law on given atoms and tails
-# for the atom and quantile searches, which a config string cannot build
+# checks; jump_sequence, a jump law on given atoms and tails for the
+# closed-form tail and quantile checks, which a config string cannot build
 # because it passes only scalars; seed_sequence, the numpy SeedSequence
 # whose streams rng_for and rngs_for derive without building it).
-TEST_REFERENCES = ("exact_maxlaw", "dkw_epsilon", "DistFn.jump_at", "jump_sequence",
-                   "seed_sequence")
+TEST_REFERENCES = ("exact_maxlaw", "dkw_epsilon", "jump_sequence", "seed_sequence")
 
 # Defaulted parameters that no package call sets, each with its reason.
 UNSET_DEFAULTS = {
@@ -30,12 +28,10 @@ UNSET_DEFAULTS = {
     # the criteria run through a lookup in _CRITERIA, so no call names them
     *(f"criterion_{i}(workers)" for i in range(1, 11)),
     # test knobs: a probability grid finer than the pipelines use, the pair
-    # fractions of the factorization check, the zero-cycle window lengths,
-    # and a short jump sequence for the atom checks
+    # fractions of the factorization check, and the zero-cycle window lengths
     "maxlaw_from_maxima(probs)",
     "check_BT(pair_fractions)",
     "decompose_regenerative(diag_windows)",
-    "jump_sequence(count)",
 }
 
 # Defaulted dataclass fields that no package call sets, each with its reason.

@@ -2,6 +2,7 @@
 replaced, and streamed path and marks files keep the joined bytes."""
 
 import decimal
+import json
 import math
 
 import numpy as np
@@ -463,6 +464,21 @@ def test_json_report_writes_finite_values_as_text_floats():
         '  "b": {\n    "10": 0.1,\n    "2": 0.3333333333333333\n  },\n'
         '  "c": [\n    [\n      1.5,\n      2.0\n    ]\n  ],\n'
         '  "d": null,\n  "e": "zero"\n}\n')
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_json_report_writes_each_float_as_itself(values):
+    """Every finite double, subnormals and -0.0 among them, reaches the
+    JSON as itself: the bytes equal those of its "%.17g" text round trip,
+    whether it comes as a float, a numpy scalar or an array entry."""
+    values = [*values, -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310]
+    via_text = [float("%.17g" % v) for v in values]
+    got = json_report({"array": np.array(values), "list": values,
+                       "scalars": [np.float64(v) for v in values]})
+    assert got == json.dumps({"array": via_text, "list": via_text, "scalars": via_text},
+                             sort_keys=True, indent=2, allow_nan=False) + "\n"
+    back = np.array(json.loads(got)["array"], dtype=float)
+    np.testing.assert_array_equal(back.view(np.uint64), np.array(values).view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(np.inf)])

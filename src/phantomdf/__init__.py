@@ -4,6 +4,10 @@ Construction of continuous and jump phantoms from driving sequences,
 Monte Carlo verification of the phantom property, extremal-index
 estimation, regenerative (cycle-maximum) phantoms, and closed-form
 sufficient-condition calculators for weak-dependence rate theorems.
+
+The rate calculators load on first use: ``phantomdf.MDependent``,
+``from phantomdf import check_rate_sufficiency`` and ``dir(phantomdf)``
+reach them, and a command that does not read them does not import them.
 """
 
 from .distributions import (
@@ -78,18 +82,31 @@ from .processes import (
     metropolis_config_check,
     target_tail_condition,
 )
-from .rates import (
-    AlphaCaseVerdict,
-    DeltaEvidence,
-    DependenceKind,
-    ExponentialMixing,
-    MDependent,
-    PolynomialMixing,
-    RateVerdict,
-    alpha_discontinuous_case,
-    check_rate_sufficiency,
-    threshold_beta,
-)
 from .seeding import rng_for, rngs_for, seed_sequence
 
 __version__ = "0.1.0"
+
+# names served from .rates by __getattr__ (PEP 562)
+_RATES = (
+    "AlphaCaseVerdict",
+    "DeltaEvidence",
+    "DependenceKind",
+    "ExponentialMixing",
+    "MDependent",
+    "PolynomialMixing",
+    "RateVerdict",
+    "alpha_discontinuous_case",
+    "check_rate_sufficiency",
+    "threshold_beta",
+)
+
+
+def __getattr__(name: str):
+    if name in _RATES:
+        from . import rates
+        return getattr(rates, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_RATES})

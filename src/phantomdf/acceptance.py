@@ -46,12 +46,6 @@ from .processes import (
     metropolis_config_check,
     target_tail_condition,
 )
-from .rates import (
-    DeltaEvidence,
-    PolynomialMixing,
-    alpha_discontinuous_case,
-    threshold_beta,
-)
 from .reporting import (
     bt_csv,
     csv_table,
@@ -69,6 +63,8 @@ GAMMA = math.exp(-1.0)
 
 @dataclass
 class CriterionResult:
+    """One criterion's verdict, its detail line and artifacts; run_criterion
+    sets its wall time once the criterion ran."""
     number: int
     name: str
     passed: bool
@@ -331,6 +327,9 @@ def criterion_8(workers: int = 1) -> CriterionResult:
 
 def criterion_9(workers: int = 1) -> CriterionResult:
     """Rate thresholds reproduce the closed forms; strict boundary."""
+    from .rates import (DeltaEvidence, PolynomialMixing, alpha_discontinuous_case,
+                        threshold_beta)
+
     sqrt5 = math.sqrt(5.0)
     checks = [
         threshold_beta("theta", 1.0) == 1.0 + sqrt5,

@@ -41,14 +41,6 @@ from .estimate import (
 )
 from .phantom import PhantomDistFn
 from .processes import generate, has_exact_max_law
-from .rates import (
-    DeltaEvidence,
-    ExponentialMixing,
-    MDependent,
-    PolynomialMixing,
-    alpha_discontinuous_case,
-    check_rate_sufficiency,
-)
 from .reporting import (
     bt_csv,
     csv_blocks,
@@ -322,6 +314,8 @@ def cmd_regen(st: _Settings) -> int:
 
 def _parse_mixing(text: str):
     """A mixing case from ``name(arg)``, or None for an empty string."""
+    from .rates import ExponentialMixing, MDependent, PolynomialMixing
+
     text = text.strip().lower()
     if not text:
         return None
@@ -377,6 +371,8 @@ def _parse_delta_xi(text: str) -> dict[float, bool]:
 
 
 def cmd_rates(st: _Settings) -> int:
+    from .rates import DeltaEvidence, alpha_discontinuous_case, check_rate_sufficiency
+
     kind = st.get("kind")
     b = st.number("b", float)
     beta = st.number("beta", float)

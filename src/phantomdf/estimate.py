@@ -10,6 +10,12 @@ column.  For kinds with a closed-form max law the block maxima are drawn
 by inverse transform from that law, one uniform per replica, shared
 across block sizes (which makes estimated driving levels monotone in n for
 free).
+
+Result records are NamedTuples: immutable, compared and hashed field
+by field, and about five times cheaper to define at import than a
+frozen dataclass.  A class stays a frozen dataclass only where it
+validates in ``__post_init__``, caches, is subclassed or is assigned to
+(here ``RegenStats``, whose cycle counts are cached properties).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import os
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -334,8 +340,7 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
 # max law estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaxLawRow:
+class MaxLawRow(NamedTuple):
     n: int
     levels: np.ndarray
     p_hat: np.ndarray
@@ -343,8 +348,7 @@ class MaxLawRow:
     replicas: int = 0  # the block maxima behind p_hat; 0 for a closed form
 
 
-@dataclass(frozen=True)
-class MaxLawEstimate:
+class MaxLawEstimate(NamedTuple):
     rows: tuple[MaxLawRow, ...]
 
 
@@ -407,8 +411,7 @@ def exact_maxlaw(spec: ProcessSpec, block_sizes, probs) -> MaxLawEstimate:
 # driving sequence estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DrivingSeqEstimate:
+class DrivingSeqEstimate(NamedTuple):
     gamma: float
     n_values: np.ndarray
     v_hat: np.ndarray
@@ -536,16 +539,14 @@ def estimate_driving_sequence(spec: ProcessSpec, gamma: float, block_sizes,
 # long-range factorization check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BTPair:
+class BTPair(NamedTuple):
     p: int
     q: int
     value: float  # P(M_{p+q} <= v) - P(M_p <= v) P(M_q <= v)
     se: float
 
 
-@dataclass(frozen=True)
-class BTRow:
+class BTRow(NamedTuple):
     n: int
     level: float
     b_value: float
@@ -553,8 +554,7 @@ class BTRow:
     cov_diag: float  # Cov(1{M_{p-r_n} <= v}, 1{max over (p, p+q] <= v}), worst pair
 
 
-@dataclass(frozen=True)
-class BTReport:
+class BTReport(NamedTuple):
     T: float
     method: str
     replicas: int
@@ -714,8 +714,7 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
 # skeleton diagnostic and the sandwich series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CnDiagnostic:
+class CnDiagnostic(NamedTuple):
     c_hat: float
     c_se: float  # delta-method SE of the worst skeleton difference
     p_single: float
@@ -762,8 +761,7 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
                         sandwich_ok=bool(lower_ok and upper_ok))
 
 
-@dataclass(frozen=True)
-class PropBasicRow:
+class PropBasicRow(NamedTuple):
     n: int
     k: int
     m: int
@@ -774,8 +772,7 @@ class PropBasicRow:
     sandwich_ok: bool  # gamma <= P(M_n <= v_n) <= P(X_1 <= v_n)**k_n + k_n C_hat
 
 
-@dataclass(frozen=True)
-class PropBasicSeries:
+class PropBasicSeries(NamedTuple):
     rows: tuple[PropBasicRow, ...]
     max_k_tail: float | None  # None when no block size has a row
     diverging: bool
@@ -816,6 +813,8 @@ def propbasic_series(spec: ProcessSpec, dse: DrivingSeqEstimate, R: int = 1000,
 
 @dataclass(frozen=True)
 class RegenStats:
+    """The cycles of one regenerative path: their maxima, the mean cycle
+    length and its SE, and the zero-cycle diagnostic by window length."""
     cycle_count: int
     maxima: np.ndarray     # Y_j, cycle maxima
     mu_hat: float          # mean cycle length
@@ -909,8 +908,7 @@ def rootzen_phantom(rs: RegenStats) -> DistFn:
                   quantile=quantile, right_end=float(uniq[-1]))
 
 
-@dataclass(frozen=True)
-class CycleTailBand:
+class CycleTailBand(NamedTuple):
     level: float
     ratio: float  # P(Y > y) / (mu_hat * (1 - H(y)))
     exceedances: int
@@ -948,8 +946,7 @@ def divergence_rule(n_list: Sequence[int], series: Sequence[float]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ThetaRow:
+class ThetaRow(NamedTuple):
     n: int
     level: float
     tail: float
@@ -960,8 +957,7 @@ class ThetaRow:
     theta_hi: float
 
 
-@dataclass(frozen=True)
-class ThetaEstimate:
+class ThetaEstimate(NamedTuple):
     method: str
     verdict: str  # "zero" | "positive"
     theta_hat: float | None
@@ -1123,8 +1119,7 @@ def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int
     return ml, ver, ver.passes(se_multiplier=_GAP_SE, tolerance=_GAP_TOL)
 
 
-@dataclass(frozen=True)
-class RegenPhantom:
+class RegenPhantom(NamedTuple):
     stats: RegenStats
     maxlaw: MaxLawEstimate
     verification: PhantomVerification

@@ -7,6 +7,12 @@ drawn once per path), and moving maxima over a sliding window.
 
 Where the max law has a closed form (:func:`exact_max_cdf`), estimators
 prefer it; Lindley and Metropolis paths are simulated.
+
+Result records are NamedTuples: immutable, compared and hashed field
+by field, and about five times cheaper to define at import than a
+frozen dataclass.  A class stays a frozen dataclass only where it
+validates in ``__post_init__``, caches, is subclassed or is assigned to
+(here the five process specs, some of which validate their fields).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,6 +66,7 @@ DEFAULT_BURN_IN = 10_000
 
 @dataclass(frozen=True)
 class IIDSpec:
+    """X_j i.i.d. with law ``marginal``."""
     marginal: DistFn
 
 
@@ -124,8 +131,7 @@ class MovingMaxSpec:
 ProcessSpec = IIDSpec | LindleySpec | MetropolisSpec | MixtureSpec | MovingMaxSpec
 
 
-@dataclass(frozen=True)
-class SamplePath:
+class SamplePath(NamedTuple):
     spec: ProcessSpec
     seed: int
     values: np.ndarray
@@ -418,8 +424,7 @@ def has_exact_max_law(spec: ProcessSpec) -> bool:
 # Metropolis diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MetropolisCheck:
+class MetropolisCheck(NamedTuple):
     ok: bool
     support_connected: bool
     monotone_on_interval: bool  # no constancy run longer than (b-a)/4 either
@@ -500,6 +505,29 @@ _VERDICT = {"one": "equivalent", "zero": "ratio->0", "inf": "ratio->inf",
 EMPIRICAL_RATIO_TOL = 0.2
 
 
+def _empirical_tail(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct empirical quantiles of a path >= 0 at 1 - 2**-j, capped at
+    0.999, and the path's empirical tail at each.
+
+    A Lindley path sits at 0 much of the time, so only its positive values
+    are sorted: an order statistic below the count of zeros is 0, and no
+    zero lies above a level.
+    """
+    positive = values[values > 0.0]
+    positive.sort()
+    zeros = values.size - positive.size
+    qs = 1.0 - PROBE_TAILS
+    qs = qs[qs <= 0.999]
+    ranks = np.minimum((qs * values.size).astype(int), values.size - 1) - zeros
+    order_stats = np.zeros(ranks.size)
+    order_stats[ranks >= 0] = positive[ranks[ranks >= 0]]
+    # qs ascends, so the levels are ascending and finite: adjacent
+    # differences dedupe them (np.unique imports numpy.ma on its first call)
+    levels = ascending_distinct(order_stats)
+    emp_sf = (positive.size - np.searchsorted(positive, levels, side="right")) / values.size
+    return levels, emp_sf
+
+
 def lindley_step_tail_vs_stationary(step: DistFn, values) -> str:
     """Verdict of the step tail 1-H against the empirical stationary tail:
     'equivalent', 'ratio->0', 'ratio->inf', 'divergent' or
@@ -512,18 +540,12 @@ def lindley_step_tail_vs_stationary(step: DistFn, values) -> str:
     values = np.asarray(getattr(values, "values", values), dtype=float)
     if values.size < 100_000:
         raise InsufficientDataError("need at least 1e5 path values")
+    if not values.min() >= 0.0:  # NaN fails too
+        raise InvalidArgumentError("a Lindley path is >= 0")
     vmax = float(values.max())
     if math.isfinite(step.right_end) and vmax > step.right_end:
         return "mismatched-right-ends"
-    sorted_vals = np.sort(values)
-    qs = 1.0 - PROBE_TAILS
-    qs = qs[qs <= 0.999]
-    idx = np.minimum((qs * values.size).astype(int), values.size - 1)
-    # qs ascends, so the levels are ascending and finite: adjacent
-    # differences dedupe them (np.unique imports numpy.ma on its first call)
-    levels = ascending_distinct(sorted_vals[idx])
-    emp_sf = (values.size - np.searchsorted(sorted_vals, levels, side="right")) \
-        / values.size
+    levels, emp_sf = _empirical_tail(values)
     step_sf = np.asarray(step.tail(levels), dtype=float)
     keep = emp_sf > 0
     track = step_sf[keep] / emp_sf[keep]

@@ -4,6 +4,14 @@ Pure arithmetic over user-asserted decay rates and concentration
 exponents.  Nothing here estimates mixing coefficients from data; the
 point is to machine-check applicability conditions, with strict
 inequalities kept strict.
+
+Result records are NamedTuples: immutable, compared and hashed field
+by field, and about five times cheaper to define at import than a
+frozen dataclass.  A class stays a frozen dataclass only where it
+validates in ``__post_init__``, caches, is subclassed or is assigned to
+(here the three mixing cases, which validate, and ``DeltaEvidence``,
+whose jump-bound map has a default factory).  The package loads this
+module only when a name from it is first asked for.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidArgumentError
 
@@ -65,8 +73,7 @@ def threshold_beta(kind: DependenceKind | str, b: float) -> float:
     return 2.0 * GOLDEN_RATIO * (1.0 + 2.0 / b)
 
 
-@dataclass(frozen=True)
-class RateVerdict:
+class RateVerdict(NamedTuple):
     kind: DependenceKind
     b: float
     beta: float
@@ -99,6 +106,7 @@ def check_rate_sufficiency(kind: DependenceKind | str, beta: float,
 
 @dataclass(frozen=True)
 class MDependent:
+    """m-dependence: blocks more than m steps apart are independent."""
     m: int
 
     def __post_init__(self):
@@ -109,6 +117,7 @@ class MDependent:
 
 @dataclass(frozen=True)
 class ExponentialMixing:
+    """Strong mixing with coefficients alpha(k) = O(rho**k)."""
     rho: float
 
     def __post_init__(self):
@@ -118,6 +127,7 @@ class ExponentialMixing:
 
 @dataclass(frozen=True)
 class PolynomialMixing:
+    """Strong mixing with coefficients alpha(k) = O(k**-beta)."""
     beta: float
 
     def __post_init__(self):
@@ -138,8 +148,7 @@ class DeltaEvidence:
         return sorted(x for x, ok in self.delta_xi.items() if ok and x > 0)
 
 
-@dataclass(frozen=True)
-class AlphaCaseVerdict:
+class AlphaCaseVerdict(NamedTuple):
     admits_phantom: bool
     which_case: str | None
     undetermined: bool

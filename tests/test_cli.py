@@ -955,3 +955,37 @@ def test_numpy_ma_stays_off_the_command_path(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line.split()[0] in configs]
     assert lines == [f"{name} 0 False" for name in configs], proc.stdout
+
+
+def test_rates_and_acceptance_stay_off_the_command_path(tmp_path):
+    """import phantomdf.cli, a Metropolis phantom-fit and a regen load
+    neither phantomdf.rates nor phantomdf.acceptance; acceptance
+    --criteria 1 loads acceptance but not rates; the package's rates names
+    still resolve on first use."""
+    configs = {
+        "metropolis": ("phantom-fit", "[phantom-fit]\nkind = metropolis\n"
+                       "target = symmetric_pareto(2,1)\nproposal = uniform(-1,1)\n"
+                       "block_sizes = 20,80\n"),
+        "regen": ("regen", "[regen]\nstep = pareto(2,1)-2\nlength = 100000\n"
+                  "verify_blocks = 300,1000\n"),
+        "acceptance": ("acceptance", "[acceptance]\ncriteria = 1\n"),
+    }
+    loaded = "[m for m in ('phantomdf.rates', 'phantomdf.acceptance') if m in sys.modules]"
+    script = f"import sys\nimport phantomdf.cli\nprint('import', {loaded})\n"
+    for name, (command, text) in configs.items():
+        cfg = write_config(tmp_path / f"{name}.ini", "[common]\nseed = 3\nreplicas = 200\n" + text)
+        script += (f"rc = phantomdf.cli.main([{command!r}, '--config', {cfg!r}, "
+                   f"'--out', {str(tmp_path / name)!r}])\n"
+                   f"print({name!r}, rc, {loaded})\n")
+    script += ("import phantomdf\n"
+               "from phantomdf import check_rate_sufficiency\n"
+               "print('names', phantomdf.MDependent(m=2).m, callable(check_rate_sufficiency),\n"
+               "      {'DeltaEvidence', 'threshold_beta', 'MDependent'} <= set(dir(phantomdf)))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines()
+             if line.split()[0] in ("import", "names", *configs)]
+    assert lines == ["import []", "metropolis 0 []", "regen 0 []",
+                     "acceptance 0 ['phantomdf.acceptance']", "names 2 True True"], proc.stdout

@@ -1236,7 +1236,7 @@ class TestFarKnots:
         R, blocks, n_max = 512, [100, 1_000], 1_000
         sizes = estimate._fit_sizes(blocks)
         exact = estimate_driving_sequence(IID_EXP, GAMMA, sizes, method="exact")
-        dse = dataclasses.replace(exact, replicas=np.full(len(sizes), R))
+        dse = exact._replace(replicas=np.full(len(sizes), R))
         phantom = PhantomDistFn(driving_from_estimates(GAMMA, dse.n_values, dse.v_hat))
         v = dict(zip(sizes, dse.v_hat.tolist()))
         levels = [v[10] - 0.5, v[100], (v[100] + v[1_000]) / 2, v[1_000],

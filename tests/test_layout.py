@@ -1,9 +1,9 @@
 """Package layout: every public top-level name, and every public method of a
 public class, has a caller in the package, every defaulted parameter of
-those, and every defaulted field of a public dataclass, is set by some
-package call, and every field of a public dataclass is read by package
-code, through a receiver of its own class where another public dataclass
-has a field of the same name."""
+those, and every defaulted field of a public record (a dataclass or a
+NamedTuple), is set by some package call, and every field of a public
+record is read by package code, through a receiver of its own class where
+another public record has a field of the same name."""
 
 import ast
 from pathlib import Path
@@ -34,7 +34,7 @@ UNSET_DEFAULTS = {
     "decompose_regenerative(diag_windows)",
 }
 
-# Defaulted dataclass fields that no package call sets, each with its reason.
+# Defaulted record fields that no package call sets, each with its reason.
 UNSET_FIELDS = {
     # tests set short Lindley burn-ins, some to put the burn-in boundary on
     # a slab edge; the package takes the default burn-in
@@ -43,7 +43,7 @@ UNSET_FIELDS = {
     "CriterionResult.seconds",
 }
 
-# Dataclass fields that no package code reads, or whose reads the type
+# Record fields that no package code reads, or whose reads the type
 # reader below cannot tie to their class, each with its reason; none today:
 # a computed value either reaches an artifact or is not computed.
 UNREAD_FIELDS: set[str] = set()
@@ -130,22 +130,41 @@ def test_every_defaulted_parameter_is_set_by_a_package_call():
     assert sorted(unset) == sorted(UNSET_DEFAULTS)
 
 
-def _public_dataclasses(modules):
-    """(class name, its annotated fields in order) for every public dataclass."""
+def _is_record(cls) -> bool:
+    """Is the class a dataclass or a NamedTuple?"""
+    return (any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in cls.decorator_list)
+            or any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases))
+
+
+def _public_records(modules):
+    """(class name, its annotated fields in order) for every public
+    dataclass and every public NamedTuple."""
     for tree in modules:
         for cls in tree.body:
             if (isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-                    and any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
-                            for d in cls.decorator_list)):
+                    and _is_record(cls)):
                 yield cls.name, [f for f in cls.body if isinstance(f, ast.AnnAssign)
                                  and isinstance(f.target, ast.Name)]
+
+
+def test_every_class_with_fields_is_a_record_the_guards_read():
+    """A public class that declares annotated fields is a dataclass or a
+    NamedTuple, so the field guards below cover it; both kinds are there."""
+    modules = _modules()
+    records = {name for name, _ in _public_records(modules)}
+    with_fields = {cls.name for tree in modules for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                   and any(isinstance(f, ast.AnnAssign) for f in cls.body)}
+    assert with_fields <= records
+    assert {"RegenStats", "RegenPhantom"} <= records  # a dataclass, a NamedTuple
 
 
 def test_every_defaulted_dataclass_field_is_set_by_a_package_call():
     modules = _modules()
     calls = _calls(modules)
     unset = []
-    for name, fields in _public_dataclasses(modules):
+    for name, fields in _public_records(modules):
         mine = [c for c in calls if _callee(c) == name]
         unset += [f"{name}.{f.target.id}" for position, f in enumerate(fields)
                   if f.value is not None
@@ -165,7 +184,7 @@ class _Types:
     A type is a frozenset of class names and ("seq", element type) pairs for
     homogeneous containers; the empty set is a type it cannot tell.  Names
     take their types from constructor calls, calls of annotated functions,
-    annotated parameters (and self), annotated dataclass fields, module-level
+    annotated parameters (and self), annotated record fields, module-level
     union aliases (ProcessSpec), and the elements of containers they iterate
     or subscript.
     """
@@ -310,13 +329,13 @@ def _field_reads(modules) -> list[tuple[frozenset, str]]:
 
 def test_every_dataclass_field_is_read_by_package_code():
     # a field read only by tests is a diagnostic that reaches no artifact.
-    # A read of a name that one public dataclass alone has counts as its
+    # A read of a name that one public record alone has counts as its
     # read; a name that several share is read only through a receiver that
     # the type reader ties to the owning class.
     modules = _modules()
-    dataclasses = dict(_public_dataclasses(modules))
+    records = dict(_public_records(modules))
     owners: dict[str, set[str]] = {}
-    for name, fields in dataclasses.items():
+    for name, fields in records.items():
         for f in fields:
             owners.setdefault(f.target.id, set()).add(name)
     reads = _field_reads(modules)
@@ -327,6 +346,6 @@ def test_every_dataclass_field_is_read_by_package_code():
             return attr in names_read
         return any(a == attr and cls in receiver for receiver, a in reads)
 
-    unread = [f"{name}.{f.target.id}" for name, fields in dataclasses.items()
+    unread = [f"{name}.{f.target.id}" for name, fields in records.items()
               for f in fields if not is_read(name, f.target.id)]
     assert sorted(unread) == sorted(UNREAD_FIELDS)

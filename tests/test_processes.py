@@ -17,10 +17,12 @@ from phantomdf.distributions import (
     symmetric_pareto,
     uniform,
 )
-from phantomdf.errors import InvalidSpecError, NotExactlyComputableError
+from phantomdf.errors import InvalidArgumentError, InvalidSpecError, NotExactlyComputableError
 from phantomdf import estimate
 from phantomdf.estimate import _chunk_rows, _window_maxima, block_maxima_table
+from phantomdf.grids import PROBE_TAILS, ascending_distinct, classify_ratio_track
 from phantomdf.processes import (
+    EMPIRICAL_RATIO_TOL,
     FILL_ROWS,
     IIDSpec,
     LindleySpec,
@@ -29,6 +31,8 @@ from phantomdf.processes import (
     MovingMaxSpec,
     SLAB,
     U_STEPS,
+    _VERDICT,
+    _empirical_tail,
     _mixture_draw_component,
     _path_slabs,
     default_burn_in,
@@ -531,6 +535,47 @@ class TestLindley:
     def test_step_tail_dominates_stationary(self):
         path = generate(LindleySpec(step=LINDLEY_STEP), length=200_000, seed=3)
         assert lindley_step_tail_vs_stationary(LINDLEY_STEP, path) == "ratio->0"
+
+    @staticmethod
+    def _full_sort_tail(values):
+        """The empirical tail as read before the zeros were counted: the
+        whole path sorted."""
+        sorted_vals = np.sort(values)
+        qs = 1.0 - PROBE_TAILS
+        qs = qs[qs <= 0.999]
+        idx = np.minimum((qs * values.size).astype(int), values.size - 1)
+        levels = ascending_distinct(sorted_vals[idx])
+        emp_sf = (values.size - np.searchsorted(sorted_vals, levels, side="right")) \
+            / values.size
+        return levels, emp_sf
+
+    @pytest.mark.parametrize("drift", [-1.0, -0.1, None])
+    def test_counting_the_zeros_reads_the_full_sort_tail(self, drift):
+        """Sorting only the positive values gives the levels and tail of the
+        full sort bit for bit, and the same verdict, on Lindley paths with
+        many zeros (drift -1), few zeros (drift -0.1) and none."""
+        if drift is None:
+            step = LINDLEY_STEP
+            values = 1.0 + generate(LindleySpec(step=step), length=200_000, seed=5).values
+        else:
+            step = shifted(pareto(2.0, 1.0), drift - 1.0)
+            values = generate(LindleySpec(step=step), length=200_000, seed=5).values
+        zeros = np.count_nonzero(values == 0.0)
+        assert (zeros == 0) == (drift is None) and zeros < values.size
+        levels, emp_sf = _empirical_tail(values)
+        full_levels, full_sf = self._full_sort_tail(values)
+        np.testing.assert_array_equal(levels, full_levels, strict=True)
+        np.testing.assert_array_equal(emp_sf, full_sf, strict=True)
+        full_track = np.asarray(step.tail(full_levels)) / full_sf
+        keep = full_sf > 0
+        assert lindley_step_tail_vs_stationary(step, values) == _VERDICT[
+            classify_ratio_track(full_track[keep], EMPIRICAL_RATIO_TOL)]
+
+    def test_step_tail_check_refuses_a_negative_path(self):
+        values = np.zeros(100_000)
+        values[7] = -1.0
+        with pytest.raises(InvalidArgumentError, match="Lindley path is >= 0"):
+            lindley_step_tail_vs_stationary(LINDLEY_STEP, values)
 
 
 class TestMetropolis:

@@ -51,7 +51,6 @@ from .estimate import (
     driving_from_maxima,
     estimate_Cn,
     estimate_driving_sequence,
-    estimate_theta_single_sequence,
     exact_maxlaw,
     maxlaw_from_maxima,
     propbasic_series,

@@ -28,7 +28,6 @@ from .estimate import (
     block_maxima_table,
     check_BT,
     estimate_driving_sequence,
-    estimate_theta_single_sequence,
     fit_phantom,
     regen_phantom,
     theta_from_driving,
@@ -144,8 +143,9 @@ def criterion_3(workers: int = 1) -> CriterionResult:
         rhs = n / (math.isqrt(n) + 1)
         if lhs < rhs:
             ineq_ok = False
-    est = estimate_theta_single_sequence(spec, GAMMA, [100, 1_000, 10_000],
-                                         method="auto", workers=workers)
+    sizes = [100, 1_000, 10_000]
+    dse = estimate_driving_sequence(spec, GAMMA, sizes, method="auto", workers=workers)
+    est = theta_from_driving(spec, dse, sizes, 0)
     verdict_ok = est.verdict == "zero"
     return CriterionResult(
         number=3, name="mixture extremal index zero witness",
@@ -178,14 +178,15 @@ def criterion_4(workers: int = 1) -> CriterionResult:
 def criterion_5(workers: int = 1) -> CriterionResult:
     """Moving-maximum extremal index one half, exact and Monte Carlo."""
     spec = MovingMaxSpec(window=2, base=uniform(0.0, 1.0))
-    exact = estimate_theta_single_sequence(spec, GAMMA, [100, 1_000, 10_000],
-                                           method="exact", workers=workers)
+    sizes = [100, 1_000, 10_000]
+    dse = estimate_driving_sequence(spec, GAMMA, sizes, method="exact", workers=workers)
+    exact = theta_from_driving(spec, dse, sizes, 0)
     th_e = exact.rows[-1].theta
     exact_ok = abs(th_e - 0.5) <= 1e-2
 
-    mc = estimate_theta_single_sequence(spec, GAMMA, [10_000], R=10_000,
-                                        seed=SEED, method="monte-carlo",
-                                        workers=workers)
+    dse = estimate_driving_sequence(spec, GAMMA, [10_000], R=10_000, seed=SEED,
+                                    method="monte-carlo", workers=workers)
+    mc = theta_from_driving(spec, dse, [10_000], SEED)
     th_m, se = mc.theta_hat, mc.se
     mc_ok = th_m is not None and se is not None and abs(th_m - 0.5) <= 3.0 * se
     arts = {
@@ -210,8 +211,7 @@ def criterion_6(workers: int = 1) -> CriterionResult:
     dse = estimate_driving_sequence(iid, GAMMA, [100, 1_000], R=2_000,
                                     seed=SEED, method="monte-carlo",
                                     workers=workers)
-    bt = check_BT(iid, dse, T=2.0, R=2_000, seed=SEED,
-                  method="monte-carlo", workers=workers)
+    bt = check_BT(iid, dse, R=2_000, seed=SEED, method="monte-carlo", workers=workers)
     worst_ratio = 0.0
     iid_ok = True
     for row in bt.rows:
@@ -225,7 +225,7 @@ def criterion_6(workers: int = 1) -> CriterionResult:
     mm = MovingMaxSpec(window=2, base=uniform(0.0, 1.0))
     dse_mm = estimate_driving_sequence(mm, GAMMA, [100, 1_000, 10_000],
                                        method="exact")
-    bt_mm = check_BT(mm, dse_mm, T=2.0, method="exact")
+    bt_mm = check_BT(mm, dse_mm, method="exact")
     # closed forms give b = F^{p+q+1}(1-F) for the worst pair, so the
     # ratio to the base tail stays inside [gamma^2/2, 2 gamma]
     rate_ok = True

@@ -30,6 +30,7 @@ from .config import (
 )
 from .errors import InvalidArgumentError, PhantomdfError
 from .estimate import (
+    BT_HORIZON,
     check_BT,
     estimate_driving_sequence,
     fit_phantom,
@@ -56,45 +57,41 @@ __all__ = ["main"]
 
 
 class _Settings:
-    """Config lookup with section -> [common] fallback and CLI overrides,
-    and the wall-clock lines of the run's timing.txt."""
+    """The command's config section, with the --seed, --replicas, --workers
+    and --out flags written into it, and the wall-clock lines of the run's
+    timing.txt.  A key reads the flag, else the section, else [common] (the
+    parser's default section), else the built-in default."""
 
     def __init__(self, args: argparse.Namespace, section: str):
-        self.cp = load_config(getattr(args, "config", None))
-        self.section = section
-        self.args = args
+        self.cp = load_config(args.config)
+        self.section = self.cp[section]
+        for key in ("seed", "replicas", "workers", "out"):
+            flag = getattr(args, key)
+            if flag is not None:
+                self.section[key] = str(flag)
         self.timing: list[str] = []
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        if self.cp.has_option(self.section, key):
-            return self.cp.get(self.section, key)
-        if self.cp.has_option("common", key):
-            return self.cp.get("common", key)
-        return default
+    def get(self, key: str) -> str:
+        return self.section[key]
 
-    def number(self, key: str, kind: type = int, default: str | None = None) -> int | float:
+    def number(self, key: str, kind: type = int) -> int | float:
         """The value under ``key`` as ``kind`` (see ``parse_number``)."""
-        return parse_number(key, self.get(key, default), kind)
+        return parse_number(key, self.get(key), kind)
 
     @property
     def seed(self) -> int:
-        seed = self.args.seed if self.args.seed is not None else self.number("seed")
+        seed = self.number("seed")
         if not 0 <= seed < 2**64:
             raise InvalidArgumentError(f"seed must lie in [0, 2**64), got {seed}")
         return seed
 
     @property
     def replicas(self) -> int:
-        if self.args.replicas is not None:
-            return self.args.replicas
         return self.number("replicas")
 
     @property
     def workers(self) -> int:
-        if getattr(self.args, "workers", None) is not None:
-            workers = self.args.workers
-        else:
-            workers = self.number("workers")
+        workers = self.number("workers")
         if workers < 1:
             raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
         return workers
@@ -103,22 +100,14 @@ class _Settings:
     def gamma(self) -> float:
         return self.number("gamma", float)
 
-    def horizon(self, key: str) -> float:
-        """The B_T horizon T stored under ``key``: finite and positive."""
-        T = self.number(key, float, "2.0")
-        if not (math.isfinite(T) and T > 0):
-            raise InvalidArgumentError(f"{key} must be finite and positive, got {T:g}")
-        return T
-
     @property
     def out_dir(self) -> Path:
-        out = self.args.out if self.args.out is not None else self.get("out")
-        p = Path(out)
+        p = Path(self.get("out"))
         p.mkdir(parents=True, exist_ok=True)
         return p
 
     def spec(self):
-        return build_spec(self.cp[self.section])
+        return build_spec(self.section)
 
     @contextmanager
     def stage(self, name: str):
@@ -161,7 +150,6 @@ def cmd_phantom_fit(st: _Settings) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
     R, seed, gamma = st.replicas, st.seed, st.gamma
-    bt_T = st.horizon("bt_T")
     with st.stage("fit table"):
         dse, phantom = fit_phantom(spec, gamma, blocks, R, seed, tag="phantom-fit",
                                    workers=st.workers)
@@ -169,8 +157,7 @@ def cmd_phantom_fit(st: _Settings) -> int:
         ml, ver, verified = verify_by_simulation(spec, phantom, blocks, R, seed,
                                                  tag="phantom-verify", workers=st.workers)
     with st.stage("B_T"):
-        bt = check_BT(spec, dse, T=bt_T, n_list=blocks, R=R, seed=seed,
-                      workers=st.workers)
+        bt = check_BT(spec, dse, n_list=blocks, R=R, seed=seed, workers=st.workers)
     with st.stage("theta"):
         # theta reads the fit's driving levels, or the exact ones where the
         # max law has a closed form
@@ -236,13 +223,12 @@ def cmd_verify(st: _Settings) -> int:
 def cmd_bt_check(st: _Settings) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
-    T = st.horizon("T")
     with st.stage("driving levels"):
         dse = estimate_driving_sequence(spec, st.gamma, blocks, R=st.replicas,
                                         seed=st.seed, workers=st.workers)
     with st.stage("B_T"):
-        bt = check_BT(spec, dse, T=T, n_list=blocks,
-                      R=st.replicas, seed=st.seed, workers=st.workers)
+        bt = check_BT(spec, dse, n_list=blocks, R=st.replicas, seed=st.seed,
+                      workers=st.workers)
     last = bt.rows[-1]
     worst = max(last.pairs, key=lambda p: abs(p.value))
     ok = abs(worst.value) <= max(4.0 * worst.se, 0.02)
@@ -253,7 +239,7 @@ def cmd_bt_check(st: _Settings) -> int:
                               workers=st.workers)
     summary = {
         "subcommand": "bt-check",
-        "T": bt.T,
+        "T": BT_HORIZON,
         "method": bt.method,
         "replicas": bt.replicas,
         "b_values": {str(r.n): r.b_value for r in bt.rows},
@@ -302,7 +288,7 @@ def cmd_regen(st: _Settings) -> int:
         "zero_cycle_diag": {str(k): v for k, v in rs.zero_cycle_diag.items()},
     })
     # no marks file: simulate writes it for the same step, seed and length
-    st.write("cycle_maxima_cdf.csv", csv_blocks(("y", "cycle_cdf"), rs.cycle_cdf))
+    st.write("cycle_maxima_cdf.csv", csv_blocks(("y", "cycle_cdf"), rs.cycle_cdf()))
     st.write("maxlaw.csv", maxlaw_csv(rg.maxlaw))
     st.write("summary.json", summary)
     ok = rg.verified and rg.band_ok and rg.tail_ok
@@ -387,10 +373,10 @@ def cmd_rates(st: _Settings) -> int:
         "note": verdict.note,
     }}
     ok = verdict.sufficient
-    mixing = _parse_mixing(st.get("mixing", ""))
+    mixing = _parse_mixing(st.get("mixing"))
     if mixing is not None:
-        ev = DeltaEvidence(delta0=_parse_flag("delta0", st.get("delta0", "false")),
-                           delta_xi=_parse_delta_xi(st.get("delta_xi", "") or ""))
+        ev = DeltaEvidence(delta0=_parse_flag("delta0", st.get("delta0")),
+                           delta_xi=_parse_delta_xi(st.get("delta_xi")))
         case = alpha_discontinuous_case(mixing, ev)
         payload["discontinuous_case"] = {
             "admits_phantom": case.admits_phantom,
@@ -410,11 +396,10 @@ def cmd_rates(st: _Settings) -> int:
 def cmd_extremal_index(st: _Settings) -> int:
     spec = st.spec()
     blocks = parse_int_list(st.get("block_sizes"))
-    # estimate_theta_single_sequence, with the driving levels kept for their
-    # acceptance rate
+    # the driving levels are kept for their acceptance rate
     with st.stage("driving levels"):
         dse = estimate_driving_sequence(spec, st.gamma, blocks, R=st.replicas,
-                                        seed=st.seed, method=st.get("method", "auto"),
+                                        seed=st.seed, method=st.get("method"),
                                         workers=st.workers)
     with st.stage("theta"):
         est = theta_from_driving(spec, dse, blocks, st.seed)
@@ -442,7 +427,7 @@ def cmd_extremal_index(st: _Settings) -> int:
 def cmd_acceptance(st: _Settings) -> int:
     from .acceptance import run_all
 
-    which = st.get("criteria", "all")
+    which = st.get("criteria")
     numbers = None if which.strip() == "all" else parse_int_list(which)
     if numbers is not None and (not numbers or len(set(numbers)) < len(numbers)):
         raise InvalidArgumentError(
@@ -511,10 +496,7 @@ def main(argv=None) -> int:
         # reject a bad seed or worker count before any work starts
         settings.seed, settings.workers
         code = _COMMANDS[args.command](settings)
-    except PhantomdfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (PhantomdfError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # wall-clock and peak-memory lines, outside the byte contract; a rerun

@@ -54,7 +54,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "kind": "iid",
         "marginal": "exp(1)",
         "block_sizes": "100,1000,10000",
-        "bt_T": "2.0",
     },
     "verify": {
         "phantom": "phantom.txt",
@@ -66,7 +65,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "kind": "iid",
         "marginal": "exp(1)",
         "block_sizes": "100,1000",
-        "T": "2.0",
     },
     "regen": {
         "step": "pareto(2,1)-2",
@@ -177,7 +175,9 @@ def parse_number(key: str, text: str | None, kind: type = int) -> int | float:
 
 
 def _parser_with_defaults() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(interpolation=None)
+    # [common] is the parser's default section, so every section reads
+    # through to it: one lookup gives the section's value, else [common]'s
+    cp = configparser.ConfigParser(interpolation=None, default_section="common")
     cp.read_dict(DEFAULTS)
     return cp
 
@@ -185,21 +185,26 @@ def _parser_with_defaults() -> configparser.ConfigParser:
 def load_config(path: str | None = None) -> configparser.ConfigParser:
     """Defaults overlaid with an optional INI file; a section or key that no
     command reads is an error, so a misspelt or removed setting is never
-    dropped without a word."""
+    dropped without a word.  A [DEFAULT] section is an unknown section."""
     cp = _parser_with_defaults()
     if path is not None:
+        # read as written, with no default section, so that a repeated
+        # [common] is refused like any other repeated section
+        given = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                cp.read_file(fh)
+                given.read_file(fh)
         except OSError as exc:
             raise InvalidArgumentError(f"cannot read config {path!r}: {exc}") from None
         except configparser.Error as exc:
             raise InvalidArgumentError(f"malformed config {path!r}: {exc}") from None
-    for section in cp.sections():
+        cp.read_dict({section: given[section] for section in given.sections()})
+    for section in ("common", *cp.sections()):
         if section not in _KNOWN_KEYS:
             raise InvalidArgumentError(
                 f"unknown config section [{section}]; one of {sorted(_KNOWN_KEYS)}")
-        unknown = sorted(set(cp[section]) - set(map(cp.optionxform, _KNOWN_KEYS[section])))
+        keys = cp.defaults() if section == "common" else cp[section]
+        unknown = sorted(set(keys) - set(map(cp.optionxform, _KNOWN_KEYS[section])))
         if unknown:
             raise InvalidArgumentError(
                 f"unknown key {unknown[0]!r} in config section [{section}]; "

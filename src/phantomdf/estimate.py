@@ -13,9 +13,7 @@ free).
 
 Result records are NamedTuples: immutable, compared and hashed field
 by field, and about five times cheaper to define at import than a
-frozen dataclass.  A class stays a frozen dataclass only where it
-validates in ``__post_init__``, caches, is subclassed or is assigned to
-(here ``RegenStats``, whose cycle counts are cached properties).
+frozen dataclass.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from __future__ import annotations
 import math
 import os
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -37,8 +33,8 @@ from .errors import (
     NotRegenerativeError,
 )
 from .grids import HUGE_INDEX, ascending_distinct, first_index_where
-from .phantom import (PhantomDistFn, PhantomVerification, driving_from_estimates,
-                      verify_phantom)
+from .phantom import (VERIFY_RULE, PhantomDistFn, PhantomVerification,
+                      driving_from_estimates, verify_phantom)
 from .processes import (
     FILL_ROWS,
     IIDSpec,
@@ -75,6 +71,7 @@ __all__ = [
     "BTPair",
     "BTRow",
     "BTReport",
+    "BT_HORIZON",
     "check_BT",
     "CnDiagnostic",
     "estimate_Cn",
@@ -88,7 +85,6 @@ __all__ = [
     "cycle_tail_ratio",
     "ThetaRow",
     "ThetaEstimate",
-    "estimate_theta_single_sequence",
     "theta_from_driving",
     "divergence_rule",
     "VERIFY_RULE",
@@ -555,7 +551,6 @@ class BTRow(NamedTuple):
 
 
 class BTReport(NamedTuple):
-    T: float
     method: str
     replicas: int
     r_exponent: float
@@ -568,6 +563,9 @@ class BTReport(NamedTuple):
 
 
 _DEFAULT_PAIR_FRACTIONS = ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0))
+# the paper's B_T reads the pairs with p + q <= T n; the default pairs
+# reach T = 2 at every n
+BT_HORIZON = max(f1 + f2 for f1, f2 in _DEFAULT_PAIR_FRACTIONS)
 
 
 def _bt_exact_cov(spec: ProcessSpec, v: float, p: int, q: int, r: int) -> float:
@@ -602,13 +600,14 @@ def _product_gap_se(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     return float(np.sqrt(max(grad @ cov @ grad, 0.0)))
 
 
-def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
+def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate,
              n_list=None, pair_fractions=_DEFAULT_PAIR_FRACTIONS,
              R: int = 1000, seed: int = 0, method: str = "auto",
              workers: int = 1) -> BTReport:
     """Factorization check sup |P(M_{p+q} <= v_n) - P(M_p <= v_n) P(M_q <= v_n)|.
 
-    Pairs (p, q) come from fractions of n and must satisfy p + q <= T n.
+    Pairs (p, q) come from fractions of n; the default ones satisfy
+    p + q <= BT_HORIZON n.
     Alongside the b-values each row carries the covariance diagnostic
     Cov(1{M_{p-r} <= v}, 1{window max over (p, p+q] <= v}) at its worst pair,
     with r_n = max(1, floor(n**e)); e starts at 1/3 and is lowered to 1/4
@@ -618,23 +617,13 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
     that block alone; on a Metropolis chain the report carries the share of
     those paths' steps that moved.
     """
-    if not (math.isfinite(T) and T > 0):
-        raise InvalidArgumentError(f"T must be finite and positive, got {T:g}")
     if n_list is None:
         n_list = [int(n) for n in dse.n_values]
     n_list = _validate_sizes(n_list)
     method = _resolve_method(spec, method)
 
-    pair_table: dict[int, list[tuple[int, int]]] = {}
-    for n in n_list:
-        prs = []
-        for f1, f2 in pair_fractions:
-            p, q = max(1, round(f1 * n)), max(1, round(f2 * n))
-            if p + q > T * n:
-                raise InvalidArgumentError(
-                    f"pair ({p},{q}) violates p + q <= T*n at n={n}")
-            prs.append((p, q))
-        pair_table[n] = prs
+    pair_table = {n: [(max(1, round(f1 * n)), max(1, round(f2 * n)))
+                      for f1, f2 in pair_fractions] for n in n_list}
 
     # marginal tails at the driving levels, for the choice of the r_n exponent
     tails = {}
@@ -705,7 +694,7 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate, T: float = 2.0,
             cov = float(np.mean(a * b) - a.mean() * b.mean())
         out_rows.append(BTRow(n=n, level=v, b_value=abs(worst.value),
                               pairs=tuple(prs), cov_diag=cov))
-    return BTReport(T=float(T), method=method, replicas=replicas,
+    return BTReport(method=method, replicas=replicas,
                     r_exponent=chosen, r_adjusted=adjusted, rows=tuple(out_rows),
                     acceptance_rate=accept)
 
@@ -811,28 +800,21 @@ def propbasic_series(spec: ProcessSpec, dse: DrivingSeqEstimate, R: int = 1000,
 # regenerative decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegenStats:
-    """The cycles of one regenerative path: their maxima, the mean cycle
-    length and its SE, and the zero-cycle diagnostic by window length."""
+class RegenStats(NamedTuple):
+    """The cycles of one regenerative path: their maxima, the distinct ones
+    and how many maxima lie at or below each, the mean cycle length and its
+    SE, and the zero-cycle diagnostic by window length."""
     cycle_count: int
     maxima: np.ndarray     # Y_j, cycle maxima
+    distinct: np.ndarray   # the distinct cycle maxima, ascending
+    below: np.ndarray      # how many cycle maxima lie at or below each
     mu_hat: float          # mean cycle length
     mu_se: float
     zero_cycle_diag: dict[int, float]
 
-    @cached_property
-    def cycle_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct cycle maxima and how many cycle maxima lie at or below
-        each, built once."""
-        uniq, counts = np.unique(self.maxima, return_counts=True)
-        return uniq, np.cumsum(counts, out=counts)
-
-    @cached_property
     def cycle_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct cycle maxima and their empirical CDF, built once."""
-        uniq, below = self.cycle_counts
-        return uniq, below / self.cycle_count
+        """Distinct cycle maxima and their empirical CDF."""
+        return self.distinct, self.below / self.cycle_count
 
 
 # most sliding windows the zero-cycle diagnostic averages, per window length
@@ -855,11 +837,11 @@ def decompose_regenerative(path: SamplePath,
     marks = np.asarray(marks, dtype=np.int64)
     if marks.size < 2:
         raise NotRegenerativeError("path never completes a regeneration cycle")
-    values = path.values
+    maxima = np.maximum.reduceat(path.values, marks)[:-1]
     waits = np.diff(marks)
-    maxima = np.maximum.reduceat(values, marks)[:-1]
     mu = float(waits.mean())
     mu_se = float(waits.std(ddof=1) / math.sqrt(waits.size)) if waits.size > 1 else 0.0
+    del waits  # not held through the sort below, the split's memory peak
     diag: dict[int, float] = {}
     for w in diag_windows:
         w = int(w)
@@ -869,8 +851,10 @@ def decompose_regenerative(path: SamplePath,
         lead = maxima[:count]
         windows = np.lib.stride_tricks.sliding_window_view(maxima[1:], w)[:count]
         diag[w] = float(np.mean(lead > windows.max(axis=1)))
-    return RegenStats(cycle_count=int(waits.size), maxima=maxima,
-                      mu_hat=mu, mu_se=mu_se, zero_cycle_diag=diag)
+    distinct, counts = np.unique(maxima, return_counts=True)
+    return RegenStats(cycle_count=int(maxima.size), maxima=maxima, distinct=distinct,
+                      below=np.cumsum(counts, out=counts), mu_hat=mu, mu_se=mu_se,
+                      zero_cycle_diag=diag)
 
 
 MIN_CYCLES = 500
@@ -885,7 +869,7 @@ def rootzen_phantom(rs: RegenStats) -> DistFn:
     if rs.cycle_count < MIN_CYCLES:
         raise InsufficientDataError(
             f"need at least {MIN_CYCLES} cycles, got {rs.cycle_count}")
-    uniq, cum = rs.cycle_cdf
+    uniq, cum = rs.cycle_cdf()
     tail_knots = 1.0 - cum
     inv_mu = 1.0 / rs.mu_hat
 
@@ -920,9 +904,8 @@ def cycle_tail_ratio(rs: RegenStats, step: DistFn, q: float = 0.99) -> CycleTail
         raise InvalidArgumentError("q must lie in (0, 1)")
     # the type-1 q-quantile is the first distinct maximum whose count at or
     # below reaches its rank; the rest lie above it
-    uniq, below = rs.cycle_counts
-    j = int(np.searchsorted(below, _type1_rank(q, rs.maxima.size)))
-    y, exc = float(uniq[j]), rs.maxima.size - int(below[j])
+    j = int(np.searchsorted(rs.below, _type1_rank(q, rs.maxima.size)))
+    y, exc = float(rs.distinct[j]), rs.maxima.size - int(rs.below[j])
     p_exc = exc / rs.cycle_count
     denom = rs.mu_hat * float(step.tail(y))
     ratio = math.inf if denom == 0.0 else p_exc / denom
@@ -963,17 +946,6 @@ class ThetaEstimate(NamedTuple):
     theta_hat: float | None
     se: float | None
     rows: tuple[ThetaRow, ...]
-
-
-def estimate_theta_single_sequence(spec: ProcessSpec, gamma: float, n_list,
-                                   R: int = 1000, seed: int = 0,
-                                   method: str = "auto",
-                                   workers: int = 1) -> ThetaEstimate:
-    """Extremal index from driving levels of one stationary sequence,
-    estimated at ``n_list`` (see ``theta_from_driving``)."""
-    dse = estimate_driving_sequence(spec, gamma, n_list, R=R, seed=seed,
-                                    method=method, workers=workers)
-    return theta_from_driving(spec, dse, n_list, seed)
 
 
 def theta_from_driving(spec: ProcessSpec, dse: DrivingSeqEstimate, n_list,
@@ -1030,11 +1002,6 @@ def theta_from_driving(spec: ProcessSpec, dse: DrivingSeqEstimate, n_list,
 # ---------------------------------------------------------------------------
 # experiment pipelines: build a phantom, then check G**n by simulation
 # ---------------------------------------------------------------------------
-
-# the verdict of every simulation check of a phantom, at each block size
-_GAP_SE, _GAP_TOL = 3.0, 0.05
-VERIFY_RULE = f"gap <= {_GAP_SE:g} SE + {_GAP_TOL:g}"
-
 
 def _fit_sizes(block_sizes: list[int]) -> list[int]:
     # knots every sixth of a decade; a verified block's 0.01 and 0.99
@@ -1116,7 +1083,7 @@ def verify_by_simulation(spec: ProcessSpec, phantom: DistFn, block_sizes, R: int
     cap = phantom.driving.sup if isinstance(phantom, PhantomDistFn) else None
     ml = maxlaw_from_maxima(table, level_cap=cap)
     ver = verify_phantom(phantom, ml)
-    return ml, ver, ver.passes(se_multiplier=_GAP_SE, tolerance=_GAP_TOL)
+    return ml, ver, ver.passes()
 
 
 class RegenPhantom(NamedTuple):

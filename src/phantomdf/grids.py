@@ -74,15 +74,6 @@ def last_quarter(track: np.ndarray) -> np.ndarray:
     return track[-k:]
 
 
-def converges_to(track, target: float, tol: float) -> bool:
-    """Convergence rule: the last quarter of the track stays within tol of target."""
-    track = np.asarray(track, dtype=float)
-    if track.size == 0:
-        return False
-    tail = last_quarter(track)
-    return bool(np.all(np.abs(tail - target) <= tol))
-
-
 # Thresholds for deciding that a positive ratio track heads to 0 or infinity.
 RATIO_ZERO_THRESHOLD = 0.05
 RATIO_INF_THRESHOLD = 20.0

@@ -44,6 +44,7 @@ __all__ = [
     "driving_from_estimates",
     "verify_phantom",
     "PhantomVerification",
+    "VERIFY_RULE",
 ]
 
 class DrivingSequence:
@@ -239,12 +240,18 @@ class VerifyRow(NamedTuple):
     level_at_gap: float
 
 
+# the verdict of every simulation check of a phantom, at each block size
+_GAP_SE, _GAP_TOL = 3.0, 0.05
+VERIFY_RULE = f"gap <= {_GAP_SE:g} SE + {_GAP_TOL:g}"
+
+
 class PhantomVerification(NamedTuple):
     rows: tuple[VerifyRow, ...]
     sup_gap: float
 
-    def passes(self, se_multiplier: float = 3.0, tolerance: float = 0.0) -> bool:
-        return all(r.gap <= se_multiplier * r.se_at_gap + tolerance for r in self.rows)
+    def passes(self) -> bool:
+        """Does every block size's gap keep ``VERIFY_RULE``?"""
+        return all(r.gap <= _GAP_SE * r.se_at_gap + _GAP_TOL for r in self.rows)
 
     def gaps(self) -> list[dict]:
         """Per-block-size gap, its SE and the level it sits at, as the JSON

@@ -37,7 +37,6 @@ from .grids import (
     PROBE_TAILS,
     ascending_distinct,
     classify_ratio_track,
-    converges_to,
     first_index_where,
     probe_levels,
 )
@@ -494,7 +493,7 @@ def target_tail_condition(F: DistFn, m: float) -> bool:
     base = np.asarray(F.tail(xs), dtype=float)
     shifted_tail = np.asarray(F.tail(xs + m), dtype=float)
     keep = base > 0
-    return converges_to(shifted_tail[keep] / base[keep], 1.0, PROBE_RATIO_TOL)
+    return classify_ratio_track(shifted_tail[keep] / base[keep], PROBE_RATIO_TOL) == "one"
 
 
 _VERDICT = {"one": "equivalent", "zero": "ratio->0", "inf": "ratio->inf",

@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) to keep the suite fast;
 each scenario gets its own config file under tmp_path.
 """
 
+import argparse
 import configparser
 import json
 import math
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from phantomdf.cli import main
+from phantomdf.cli import _Settings, main
+from phantomdf.config import DEFAULTS
 
 
 def write_config(path, text):
@@ -479,7 +481,7 @@ class TestVerdictExitCodes:
     def test_bt_check_ok(self, run, tmp_path):
         rc, stdout, _ = run("[common]\nseed = 3\nreplicas = 400\n"
                             "[bt-check]\nkind = iid\nmarginal = exp(1)\n"
-                            "block_sizes = 50,200\nt = 2.0\n",
+                            "block_sizes = 50,200\n",
                             "bt-check", "--out", str(tmp_path / "bt"))
         assert rc == 0 and "ok" in stdout
 
@@ -557,9 +559,8 @@ def test_simulate_writes_the_marks_of_regen_s_path(run, tmp_path, monkeypatch):
 
 
 class TestBadBlockSizes:
-    """Bad block sizes, gamma, replica counts, B_T horizons, law
-    parameters or estimation methods exit 2 with one line before anything
-    is simulated."""
+    """Bad block sizes, gamma, replica counts, law parameters or
+    estimation methods exit 2 with one line before anything is simulated."""
     FIT = ("[common]\nseed = 11\nreplicas = 256\n"
            "[phantom-fit]\nkind = metropolis\ntarget = symmetric_pareto(2,1)\n"
            "proposal = uniform(-1,1)\nblock_sizes = {}\n")
@@ -618,18 +619,6 @@ class TestBadBlockSizes:
         self.assert_rejected(*run(cfg, command, "--out", str(tmp_path / "o"),
                                   section_args=("--replicas", "50")),
                              error="error: need at least 200 replicas, got 50")
-
-    @pytest.mark.parametrize("T", ["nan", "inf", "-1"])
-    def test_phantom_fit_horizon(self, run, tmp_path, T):
-        self.assert_rejected(*run(self.FIT.format("100,1000") + f"bt_T = {T}\n",
-                                  "phantom-fit", "--out", str(tmp_path / "o")),
-                             error=f"error: bt_T must be finite and positive, got {float(T):g}")
-
-    @pytest.mark.parametrize("T", ["nan", "inf", "-1"])
-    def test_bt_check_horizon(self, run, tmp_path, T):
-        cfg = self.FIT.replace("[phantom-fit]", "[bt-check]").format("100,1000")
-        self.assert_rejected(*run(cfg + f"T = {T}\n", "bt-check", "--out", str(tmp_path / "o")),
-                             error=f"error: T must be finite and positive, got {float(T):g}")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("law, error", [
@@ -717,9 +706,9 @@ class TestBadNumbers:
          "window must be an integer, got '2.5'"),
         ("simulate", "[simulate]\nlength = 1e3\n", "length must be an integer, got '1e3'"),
         ("phantom-fit", "[common]\ngamma = e\n", "gamma must be a number, got 'e'"),
-        ("bt-check", "[bt-check]\nT = ten\n", "T must be a number, got 'ten'"),
+        ("rates", "[rates]\nbeta = ten\n", "beta must be a number, got 'ten'"),
         ("rates", "[rates]\nb = x\n", "b must be a number, got 'x'"),
-    ], ids=["replicas", "window", "length", "gamma", "T", "b"])
+    ], ids=["replicas", "window", "length", "gamma", "beta", "b"])
     def test_malformed_number_names_its_key(self, run, tmp_path, command, cfg, error):
         rc, stdout, err = run(cfg, command, "--out", str(tmp_path / "o"))
         assert (rc, stdout) == (2, "")
@@ -769,7 +758,15 @@ class TestUnknownConfigKeys:
         ("phantom-fit", "[phantom-fit]\nkind = metropolis\ntarget = symmetric_pareto(2,1)\n"
          "proposal = uniform(-1,1)\ninit = 0.5\n",
          "unknown key 'init' in config section [phantom-fit]"),
-    ], ids=["removed", "misspelt", "section", "init"])
+        # the B_T pairs reach p + q = 2n whatever a horizon says, so no key sets one
+        ("bt-check", "[bt-check]\nT = 3\n", "unknown key 't' in config section [bt-check]"),
+        ("phantom-fit", "[phantom-fit]\nbt_T = 2\n",
+         "unknown key 'bt_t' in config section [phantom-fit]"),
+        # [common] is the section every other one reads through to
+        ("phantom-fit", "[DEFAULT]\nseed = 3\n", "unknown config section [DEFAULT]"),
+        ("phantom-fit", "[common]\nblock_sizes = 10\n",
+         "unknown key 'block_sizes' in config section [common]"),
+    ], ids=["removed", "misspelt", "section", "init", "T", "bt_T", "DEFAULT", "common"])
     def test_exits_2_naming_the_key(self, run, tmp_path, monkeypatch, command, cfg, error):
         def simulated(*args, **kwargs):
             raise AssertionError("simulated before the config was checked")
@@ -795,6 +792,34 @@ class TestUnknownConfigKeys:
             text = f"[{c.subcommand}]\n" + "".join(f"{k} = {v}\n" for k, v in c.config.items())
             cp = load_config(write_config(tmp_path / f"{c.name}.ini", text))
             assert dict(cp[c.subcommand]).items() >= c.config.items()
+
+
+@pytest.mark.parametrize("key, flag", [("seed", 13), ("replicas", 500), ("workers", 4),
+                                       ("out", "from-flag")])
+def test_a_setting_reads_the_flag_then_the_section_then_common_then_the_default(
+        tmp_path, key, flag):
+    def read(text, flag=None):
+        args = argparse.Namespace(config=write_config(tmp_path / "cfg.ini", text),
+                                  seed=None, replicas=None, workers=None, out=None)
+        setattr(args, key, flag)
+        return _Settings(args, "phantom-fit").get(key)
+
+    common = f"[common]\n{key} = 7\n[bt-check]\n{key} = 9\n"
+    both = common + f"[phantom-fit]\n{key} = 8\n"
+    assert read("") == DEFAULTS["common"][key]
+    assert read(common) == "7"
+    assert read(both) == "8"
+    assert read(both, flag) == read("", flag) == str(flag)
+
+
+@pytest.mark.parametrize("section", ["common", "phantom-fit"])
+def test_a_repeated_section_exits_2(run, tmp_path, section):
+    rc, stdout, err = run(f"[{section}]\nseed = 1\n[{section}]\nreplicas = 300\n",
+                          "phantom-fit", "--out", str(tmp_path / "o"))
+    assert (rc, stdout) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: malformed config") and "already exists" in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestCriteriaList:

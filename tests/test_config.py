@@ -165,8 +165,6 @@ _NUMERIC_FIELDS = [
     ("phantom-fit", "replicas", lambda s: s.replicas, int),
     ("phantom-fit", "workers", lambda s: s.workers, int),
     ("phantom-fit", "gamma", lambda s: s.gamma, float),
-    ("phantom-fit", "bt_T", lambda s: s.horizon("bt_T"), float),
-    ("bt-check", "T", lambda s: s.horizon("T"), float),
     ("simulate", "length", lambda s: s.number("length"), int),
     ("regen", "length", lambda s: s.number("length"), int),
     ("rates", "b", lambda s: s.number("b", float), float),

@@ -33,7 +33,6 @@ from phantomdf.estimate import MaxLawEstimate, MaxLawRow, exact_max_quantile, ex
 from phantomdf.grids import (
     PROBE_RATIO_TOL,
     classify_ratio_track,
-    converges_to,
     last_quarter,
     probe_levels,
 )
@@ -288,7 +287,8 @@ def test_regularity_geometric_fails():
 
 def test_regularity_mixture_component_passes():
     # ratio at the n-th atom is 1 + 1/(n-1) -> 1
-    assert converges_to(1.0 + jump_over_tail(mixture_component(1)), 1.0, PROBE_RATIO_TOL)
+    assert classify_ratio_track(1.0 + jump_over_tail(mixture_component(1)),
+                                PROBE_RATIO_TOL) == "one"
 
 
 def test_tail_equivalence_verdicts():

@@ -37,7 +37,6 @@ from phantomdf.estimate import (
     driving_from_maxima,
     estimate_Cn,
     estimate_driving_sequence,
-    estimate_theta_single_sequence,
     exact_maxlaw,
     fit_phantom,
     maxlaw_from_maxima,
@@ -89,7 +88,7 @@ class TestValidation:
         monkeypatch.setattr(estimate, "block_maxima_table", called)
         monkeypatch.setattr(estimate, "_window_maxima", called)
         with pytest.raises(InvalidArgumentError, match="method must be 'auto', 'exact' or"):
-            estimate_theta_single_sequence(LINDLEY, GAMMA, [100], R=200, method=method)
+            estimate_driving_sequence(LINDLEY, GAMMA, [100], R=200, method=method)
         with pytest.raises(InvalidArgumentError, match="method must be 'auto', 'exact' or"):
             check_BT(LINDLEY, _exact_dse([100]), R=200, method=method)
 
@@ -518,14 +517,14 @@ class TestMaxLaw:
 class TestBT:
     def test_iid_exact_factorizes(self):
         dse = estimate_driving_sequence(IID_EXP, GAMMA, [64, 256], method="exact")
-        rep = check_BT(IID_EXP, dse, T=2.0, method="exact")
+        rep = check_BT(IID_EXP, dse, method="exact")
         assert rep.max_b() <= 1e-15  # roundoff of F**(p+q) - F**p F**q
         assert all(p.se == 0.0 for row in rep.rows for p in row.pairs)
 
     def test_moving_max_exact_value(self):
         """b(p, q) = F**(p+q+1) (1 - F) for a window-2 moving maximum."""
         dse = _exact_dse([64])
-        rep = check_BT(MOVMAX2, dse, T=2.0, method="exact")
+        rep = check_BT(MOVMAX2, dse, method="exact")
         v = dse.level_for(64)
         f = 0.0 if v >= 1.0 else v  # uniform base cdf
         for pair in rep.rows[0].pairs:
@@ -535,19 +534,10 @@ class TestBT:
     def test_iid_monte_carlo_within_4se(self):
         dse = estimate_driving_sequence(IID_EXP, GAMMA, [50, 200], R=800,
                                         seed=21, method="monte-carlo")
-        rep = check_BT(IID_EXP, dse, T=2.0, R=800, seed=22, method="monte-carlo")
+        rep = check_BT(IID_EXP, dse, R=800, seed=22, method="monte-carlo")
         for row in rep.rows:
             for pair in row.pairs:
                 assert abs(pair.value) <= 4.0 * max(pair.se, 1e-4)
-
-    def test_pair_budget_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            check_BT(IID_EXP, _exact_dse([100]), T=1.5, method="exact")  # (1,1) pair needs T >= 2
-
-    @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0, 0.0])
-    def test_horizon_must_be_finite_and_positive(self, T):
-        with pytest.raises(InvalidArgumentError, match="T must be finite and positive"):
-            check_BT(IID_EXP, _exact_dse([100]), T=T, method="exact")
 
     def test_r_product_decays_for_iid(self):
         dse = estimate_driving_sequence(IID_EXP, GAMMA, [100, 1000], method="exact")
@@ -971,12 +961,13 @@ def intervals_theta(values: np.ndarray, level: float, batches: int = 20):
 def test_intervals_estimator_agrees_with_theta_estimate(spec, theta):
     """A second estimator of theta on paths from the same spec and seed: the
     intervals estimator at the driving level v_n agrees with
-    estimate_theta_single_sequence within 3 SE, the SE of the difference
+    theta_from_driving within 3 SE, the SE of the difference
     being the root sum of squares of the jackknife SE above and the
     estimate's own SE (its order-statistic CI half-width / 1.96)."""
     seed, n = 7, 1000
-    est = estimate_theta_single_sequence(spec, GAMMA, [100, n], R=4000, seed=seed,
-                                         method="monte-carlo")
+    dse = estimate_driving_sequence(spec, GAMMA, [100, n], R=4000, seed=seed,
+                                    method="monte-carlo")
+    est = theta_from_driving(spec, dse, [100, n], seed)
     fs, fs_se = intervals_theta(generate(spec, seed, 2_000_000).values, est.rows[-1].level)
     assert est.verdict == "positive" and est.se > 0 and fs_se > 0
     assert abs(fs - est.theta_hat) <= 3.0 * math.hypot(fs_se, est.se), (fs, fs_se, est)
@@ -1082,8 +1073,10 @@ class TestRegenerative:
     @staticmethod
     def hand_stats(maxima):
         maxima = np.asarray(maxima, dtype=float)
-        return RegenStats(cycle_count=maxima.size, maxima=maxima, mu_hat=2.5,
-                          mu_se=0.0, zero_cycle_diag={})
+        distinct, counts = np.unique(maxima, return_counts=True)
+        return RegenStats(cycle_count=maxima.size, maxima=maxima, distinct=distinct,
+                          below=np.cumsum(counts), mu_hat=2.5, mu_se=0.0,
+                          zero_cycle_diag={})
 
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
     def test_cycle_tail_ratio_equals_the_sorted_copy_on_a_path(self, q):
@@ -1115,7 +1108,6 @@ class TestRegenerative:
     def test_cycle_tail_ratio_allocates_no_cycle_sized_array(self):
         C = 10**6
         rs = self.hand_stats(rng_for(32, "cycle-maxima").random(C))
-        rs.cycle_counts  # built before, as the phantom and the CDF file build it
         step = uniform(0.0, 1.0)
         tracemalloc.start()
         try:
@@ -1143,20 +1135,7 @@ class TestDivergenceRule:
 
 
 class TestThetaFromDriving:
-    """theta_from_driving reads the levels it is given; the whole estimate is
-    it on the estimate's own driving levels."""
-
-    @pytest.mark.parametrize("spec, method", [
-        (MOVMAX2, "exact"),
-        (MOVMAX2, "monte-carlo"),
-        (LINDLEY, "monte-carlo"),  # no closed-form marginal: an auxiliary path
-    ], ids=["exact", "monte-carlo", "auxiliary-path"])
-    def test_whole_estimate_is_theta_from_its_driving_levels(self, spec, method):
-        sizes = [100, 1000]
-        est = estimate_theta_single_sequence(spec, GAMMA, sizes, R=400, seed=31,
-                                             method=method)
-        dse = estimate_driving_sequence(spec, GAMMA, sizes, R=400, seed=31, method=method)
-        assert theta_from_driving(spec, dse, sizes, 31) == est
+    """theta_from_driving reads the levels it is given."""
 
     def test_reads_the_fit_levels_at_the_requested_sizes(self):
         sizes = [20, 80]
@@ -1267,23 +1246,26 @@ class TestFarKnots:
 
 class TestTheta:
     def test_moving_max_half(self):
-        est = estimate_theta_single_sequence(MOVMAX2, GAMMA, [10_000], method="exact")
+        dse = estimate_driving_sequence(MOVMAX2, GAMMA, [10_000], method="exact")
+        est = theta_from_driving(MOVMAX2, dse, [10_000], 0)
         assert est.verdict == "positive"
         assert est.theta_hat == pytest.approx(0.5, abs=0.01)
 
     def test_iid_is_one(self):
-        est = estimate_theta_single_sequence(IID_EXP, GAMMA, [1000], method="exact")
+        dse = estimate_driving_sequence(IID_EXP, GAMMA, [1000], method="exact")
+        est = theta_from_driving(IID_EXP, dse, [1000], 0)
         assert est.verdict == "positive"
         assert est.theta_hat == pytest.approx(1.0, abs=0.01)
 
     def test_mixture_verdict_zero(self):
-        est = estimate_theta_single_sequence(MixtureSpec(), GAMMA, [100, 10_000],
-                                             method="exact")
+        dse = estimate_driving_sequence(MixtureSpec(), GAMMA, [100, 10_000], method="exact")
+        est = theta_from_driving(MixtureSpec(), dse, [100, 10_000], 0)
         assert est.verdict == "zero"
         assert est.theta_hat is None
 
     def test_monte_carlo_tracks_exact(self):
-        mc = estimate_theta_single_sequence(MOVMAX2, GAMMA, [2000], R=2000,
-                                            seed=29, method="monte-carlo")
+        dse = estimate_driving_sequence(MOVMAX2, GAMMA, [2000], R=2000, seed=29,
+                                        method="monte-carlo")
+        mc = theta_from_driving(MOVMAX2, dse, [2000], 29)
         row = mc.rows[0]
         assert row.theta_lo <= 0.5 <= row.theta_hi

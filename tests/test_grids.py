@@ -22,7 +22,6 @@ from phantomdf.grids import (
     HUGE_INDEX,
     PROBE_DEPTH,
     classify_ratio_track,
-    converges_to,
     first_index_where,
     last_quarter,
     probe_levels,
@@ -332,11 +331,11 @@ def test_last_quarter_size():
     assert last_quarter(np.array([3.0])).tolist() == [3.0]
 
 
-def test_converges_to():
+def test_classify_ratio_track_one_is_the_last_quarter_within_tol():
     track = 1.0 + 1.0 / np.arange(1, 101)
-    assert converges_to(track, 1.0, 0.02)
-    assert not converges_to(track, 1.0, 1e-4)
-    assert not converges_to(np.array([]), 1.0, 0.5)
+    assert classify_ratio_track(track, 0.02) == "one"
+    assert classify_ratio_track(track, 1e-4) != "one"
+    assert classify_ratio_track(np.array([]), 0.5) != "one"
 
 
 @pytest.mark.parametrize("track,expected", [

@@ -1,7 +1,8 @@
 """Package layout: every public top-level name, and every public method of a
 public class, has a caller in the package, every defaulted parameter of
 those, and every defaulted field of a public record (a dataclass or a
-NamedTuple), is set by some package call, and every field of a public
+NamedTuple), is set by some package call, no defaulted parameter takes one
+and the same constant at every package call, and every field of a public
 record is read by package code, through a receiver of its own class where
 another public record has a field of the same name."""
 
@@ -32,6 +33,19 @@ UNSET_DEFAULTS = {
     "maxlaw_from_maxima(probs)",
     "check_BT(pair_fractions)",
     "decompose_regenerative(diag_windows)",
+}
+
+# Defaulted parameters that some package call sets and that take one and the
+# same constant (a literal or a module constant) at every package call, the
+# default included where a call leaves it: knobs the package never turns,
+# each with its reason.
+CONSTANT_DEFAULTS = {
+    # the config grammar sets a catalog law's scale through make_distribution,
+    # which calls the law by name, so no call site shows it
+    "pareto(scale)",
+    "symmetric_pareto(scale)",
+    # a test knob: the tests read the cycle tail at other quantiles
+    "cycle_tail_ratio(q)",
 }
 
 # Defaulted record fields that no package call sets, each with its reason.
@@ -72,6 +86,56 @@ def _sets(call, name, position):
     return position is not None and (
         len(call.args) > position
         or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+_OMITTED = object()
+
+
+def _passed(call, name, position):
+    """The expression a call passes for ``name``, by keyword or at
+    ``position``; _OMITTED when it passes none, and None when a * or **
+    argument may hold it."""
+    for k in call.keywords:
+        if k.arg == name:
+            return k.value
+        if k.arg is None:
+            return None
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    if position is not None and len(call.args) > position:
+        return call.args[position]
+    return _OMITTED
+
+
+def _module_constants(modules) -> set[str]:
+    """The names that a module binds at its top level."""
+    return {n.id for tree in modules for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+
+def _constant(expr, constants):
+    """A key for ``expr`` if it is a literal or a module constant, else None."""
+    inner = expr.operand if isinstance(expr, ast.UnaryOp) else expr
+    if isinstance(inner, ast.Constant) or (isinstance(inner, ast.Name)
+                                           and inner.id in constants):
+        return ast.dump(expr)
+    return None
+
+
+def _defaulted(fn, bound):
+    """(name, position a call passes it at or None, default expression) for
+    each defaulted parameter of ``fn``, whose first ``bound`` parameters the
+    call does not pass."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    for i, (p, d) in enumerate(zip(positional[first:], a.defaults), start=first):
+        yield p.arg, i - bound, d
+    for p, d in zip(a.kwonlyargs, a.kw_defaults):
+        if d is not None:
+            yield p.arg, None, d
 
 
 def _public_functions(modules):
@@ -118,16 +182,33 @@ def test_every_defaulted_parameter_is_set_by_a_package_call():
     calls = _calls(modules)
     unset = []
     for bare, qualified, fn, bound in _public_functions(modules):
-        a = fn.args
-        positional = a.posonlyargs + a.args
-        first = len(positional) - len(a.defaults)
-        defaulted = [(p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
-        defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
-                      if d is not None]
         mine = [c for c in calls if _callee(c) == bare]
-        unset += [f"{qualified.split('.')[-1]}({name})" for name, position in defaulted
+        unset += [f"{qualified.split('.')[-1]}({name})"
+                  for name, position, _ in _defaulted(fn, bound)
                   if not any(_sets(c, name, position) for c in mine)]
     assert sorted(unset) == sorted(UNSET_DEFAULTS)
+
+
+def test_no_defaulted_parameter_is_one_constant_at_every_package_call():
+    """A parameter that every package call sets to the same literal or module
+    constant is a knob the package never turns: the value belongs in the
+    body, unless CONSTANT_DEFAULTS gives a reason to keep it."""
+    modules = _modules()
+    calls = _calls(modules)
+    constants = _module_constants(modules)
+    flagged = []
+    for bare, qualified, fn, bound in _public_functions(modules):
+        mine = [c for c in calls if _callee(c) == bare]
+        for name, position, default in _defaulted(fn, bound):
+            passed = [_passed(c, name, position) for c in mine]
+            if all(p is _OMITTED for p in passed):
+                continue  # set by no call: UNSET_DEFAULTS lists it
+            values = {None if p is None else
+                      _constant(default if p is _OMITTED else p, constants)
+                      for p in passed}
+            if len(values) == 1 and None not in values:
+                flagged.append(f"{qualified.split('.')[-1]}({name})")
+    assert sorted(flagged) == sorted(CONSTANT_DEFAULTS)
 
 
 def _is_record(cls) -> bool:
@@ -157,7 +238,7 @@ def test_every_class_with_fields_is_a_record_the_guards_read():
                    if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
                    and any(isinstance(f, ast.AnnAssign) for f in cls.body)}
     assert with_fields <= records
-    assert {"RegenStats", "RegenPhantom"} <= records  # a dataclass, a NamedTuple
+    assert {"LindleySpec", "RegenStats"} <= records  # a dataclass, a NamedTuple
 
 
 def test_every_defaulted_dataclass_field_is_set_by_a_package_call():

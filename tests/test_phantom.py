@@ -16,8 +16,9 @@ from phantomdf.errors import (
 from phantomdf.estimate import (
     MaxLawEstimate,
     MaxLawRow,
-    estimate_theta_single_sequence,
+    estimate_driving_sequence,
     exact_maxlaw,
+    theta_from_driving,
 )
 from phantomdf.phantom import (
     DrivingSequence,
@@ -494,12 +495,13 @@ class TestVerification:
     def test_true_phantom_verifies(self):
         rep = verify_phantom(self.fit_from_exact_driving(GAMMA), self.exact_maxlaw())
         assert rep.sup_gap < 0.03
-        assert rep.passes(tolerance=0.03)
+        assert all(r.gap <= 3.0 * r.se_at_gap + 0.03 for r in rep.rows)
+        assert rep.passes()
 
     def test_wrong_gamma_rejected(self):
         rep = verify_phantom(self.fit_from_exact_driving(0.6), self.exact_maxlaw())
         assert rep.sup_gap > 0.15
-        assert not rep.passes(tolerance=0.05)
+        assert not rep.passes()
 
     def test_thin_grid_refused(self):
         row = MaxLawRow(n=10, levels=np.linspace(0.0, 1.0, 20),
@@ -514,8 +516,8 @@ class TestExtremalIndex:
     MOVMAX2 = MovingMaxSpec(window=2, base=exponential(1.0))
 
     def test_log_ratio(self):
-        est = estimate_theta_single_sequence(self.MOVMAX2, GAMMA, [100, 10_000],
-                                             method="exact")
+        dse = estimate_driving_sequence(self.MOVMAX2, GAMMA, [100, 10_000], method="exact")
+        est = theta_from_driving(self.MOVMAX2, dse, [100, 10_000], 0)
         for row in est.rows:
             assert row.theta == pytest.approx(math.log(GAMMA) / math.log(row.gamma_prime),
                                               rel=1e-12)
@@ -526,8 +528,10 @@ class TestExtremalIndex:
            gamma=st.floats(min_value=0.05, max_value=0.95))
     def test_scale_consistency(self, c, gamma):
         """Raising gamma to a power cannot move theta."""
-        base, scaled = (estimate_theta_single_sequence(self.MOVMAX2, g, [10_000],
-                                                       method="exact").theta_hat
-                        for g in (gamma, gamma ** c))
+        def theta(g):
+            dse = estimate_driving_sequence(self.MOVMAX2, g, [10_000], method="exact")
+            return theta_from_driving(self.MOVMAX2, dse, [10_000], 0).theta_hat
+
+        base, scaled = theta(gamma), theta(gamma ** c)
         assert scaled == pytest.approx(base, abs=0.01)
         assert base == pytest.approx(0.5, abs=0.01)

@@ -18,9 +18,9 @@ from phantomdf.estimate import (
     check_BT,
     decompose_regenerative,
     estimate_driving_sequence,
-    estimate_theta_single_sequence,
     exact_maxlaw,
     maxlaw_from_maxima,
+    theta_from_driving,
 )
 from phantomdf.processes import (
     IIDSpec,
@@ -138,10 +138,12 @@ def test_bt_csv_keeps_the_per_cell_bytes():
 def test_theta_csv_keeps_the_per_cell_bytes():
     for spec, method in ((TOP_ATOM, "exact"), (TOP_ATOM, "monte-carlo"),
                          (MOVMAX2, "monte-carlo"), (LINDLEY, "monte-carlo")):
-        est = estimate_theta_single_sequence(spec, GAMMA, [100, 1000], R=R,
-                                             seed=SEED, method=method)
+        dse = estimate_driving_sequence(spec, GAMMA, [100, 1000], R=R, seed=SEED,
+                                        method=method)
+        est = theta_from_driving(spec, dse, [100, 1000], SEED)
         assert theta_csv(est) == reference_theta_csv(est)
-    top = estimate_theta_single_sequence(TOP_ATOM, GAMMA, [100, 1000], method="exact")
+    dse = estimate_driving_sequence(TOP_ATOM, GAMMA, [100, 1000], method="exact")
+    top = theta_from_driving(TOP_ATOM, dse, [100, 1000], 0)
     assert math.isinf(top.rows[-1].theta)
     assert ",inf," in theta_csv(top)
 
@@ -445,7 +447,7 @@ def test_float_kernel_certifies_ordinary_columns():
 
 def test_cycle_cdf_keeps_the_per_cell_bytes(monkeypatch):
     monkeypatch.setattr(reporting, "TEXT_BLOCK", 97)
-    uniq, cum = decompose_regenerative(generate(LINDLEY, 5, 20_000)).cycle_cdf
+    uniq, cum = decompose_regenerative(generate(LINDLEY, 5, 20_000)).cycle_cdf()
     assert uniq.size > 3 * 97
     assert "".join(csv_blocks(("y", "cycle_cdf"), (uniq, cum))) == \
         reference_csv_table(("y", "cycle_cdf"), zip(uniq, cum))

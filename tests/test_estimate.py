@@ -5,6 +5,7 @@ Monte Carlo assertions run at fixed seeds with wide z-score margins
 """
 
 import dataclasses
+import json
 import math
 import os
 import time
@@ -21,7 +22,9 @@ from phantomdf.errors import (
     NotRegenerativeError,
 )
 from phantomdf import estimate
+from phantomdf.cli import main
 from phantomdf.estimate import (
+    BT_HORIZON,
     CycleTailBand,
     DrivingSeqEstimate,
     RegenStats,
@@ -63,6 +66,7 @@ from phantomdf.processes import (
     generate,
     marginal_sf,
 )
+from phantomdf.reporting import theta_csv
 from phantomdf.seeding import rng_for
 
 GAMMA = math.exp(-1.0)
@@ -538,6 +542,15 @@ class TestBT:
         for row in rep.rows:
             for pair in row.pairs:
                 assert abs(pair.value) <= 4.0 * max(pair.se, 1e-4)
+
+    def test_pair_budget_enforced(self):
+        """The default pairs reach p + q = BT_HORIZON n and no further, at odd
+        and at tiny n too, where the fractions round."""
+        assert BT_HORIZON == 2.0
+        rep = check_BT(MOVMAX2, _exact_dse([1, 3, 101, 1000]), method="exact")
+        for row in rep.rows:
+            reach = [pair.p + pair.q for pair in row.pairs]
+            assert max(reach) == BT_HORIZON * row.n, (row.n, reach)
 
     def test_r_product_decays_for_iid(self):
         dse = estimate_driving_sequence(IID_EXP, GAMMA, [100, 1000], method="exact")
@@ -1135,7 +1148,29 @@ class TestDivergenceRule:
 
 
 class TestThetaFromDriving:
-    """theta_from_driving reads the levels it is given."""
+    """theta_from_driving reads the levels it is given; the whole estimate,
+    extremal-index's theta.csv, is it on the command's own driving levels."""
+
+    @pytest.mark.parametrize("spec, keys, method", [
+        (MOVMAX2, "kind = moving_max\nwindow = 2\nbase = uniform(0,1)", "exact"),
+        (MOVMAX2, "kind = moving_max\nwindow = 2\nbase = uniform(0,1)", "monte-carlo"),
+        # no closed-form marginal: an auxiliary path
+        (LindleySpec(step=shifted(pareto(2.0, 1.0), -2.0)),
+         "kind = lindley\nstep = pareto(2,1)-2", "monte-carlo"),
+    ], ids=["exact", "monte-carlo", "auxiliary-path"])
+    def test_whole_estimate_is_theta_from_its_driving_levels(self, tmp_path, capsys,
+                                                             spec, keys, method):
+        sizes = [100, 1000]
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[common]\nseed = 31\nreplicas = 400\n[extremal-index]\n{keys}\n"
+                       f"block_sizes = 100,1000\nmethod = {method}\n")
+        out = tmp_path / "ei"
+        assert main(["extremal-index", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        dse = estimate_driving_sequence(spec, GAMMA, sizes, R=400, seed=31, method=method)
+        est = theta_from_driving(spec, dse, sizes, 31)
+        assert (out / "theta.csv").read_text(encoding="utf-8") == theta_csv(est)
+        assert json.loads((out / "summary.json").read_text())["theta_hat"] == est.theta_hat
 
     def test_reads_the_fit_levels_at_the_requested_sizes(self):
         sizes = [20, 80]

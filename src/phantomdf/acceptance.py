@@ -302,12 +302,7 @@ def criterion_8(workers: int = 1) -> CriterionResult:
         "metropolis_maxlaw.csv": maxlaw_csv(ml),
         "metropolis_theta.csv": theta_csv(theta),
         "metropolis.json": json_report({
-            "config_check": {
-                "ok": chk.ok,
-                "support_connected": chk.support_connected,
-                "monotone_on_interval": chk.monotone_on_interval,
-                "proposal_floor": chk.proposal_floor,
-            },
+            "config_check": chk._asdict(),
             "tail_condition_holds": shift_ok,
             "theta_verdict": theta.verdict,
             "gaps": ver.gaps(),

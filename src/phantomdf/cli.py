@@ -248,10 +248,7 @@ def cmd_bt_check(st: _Settings) -> int:
         "r_adjusted": bt.r_adjusted,
         "factorizes_at_largest_n": ok,
         "propbasic": {
-            "rows": [{"n": r.n, "k": r.k, "m": r.m, "level": r.level,
-                      "k_tail": r.k_tail, "k_c": r.k_c, "k_c_se": r.k_c_se,
-                      "sandwich_ok": r.sandwich_ok}
-                     for r in pb.rows],
+            "rows": [r._asdict() for r in pb.rows],
             "max_k_tail": pb.max_k_tail,
             "diverging": pb.diverging,
         },
@@ -363,27 +360,16 @@ def cmd_rates(st: _Settings) -> int:
     b = st.number("b", float)
     beta = st.number("beta", float)
     verdict = check_rate_sufficiency(kind, beta, b)
-    payload = {"rate_check": {
-        "kind": verdict.kind.value,
-        "b": verdict.b,
-        "beta": verdict.beta,
-        "threshold": verdict.threshold,
-        "sufficient": verdict.sufficient,
-        "margin": verdict.margin,
-        "note": verdict.note,
-    }}
+    # a record's fields are its JSON keys; DependenceKind is a str enum,
+    # which JSON writes as its value
+    payload = {"rate_check": verdict._asdict()}
     ok = verdict.sufficient
     mixing = _parse_mixing(st.get("mixing"))
     if mixing is not None:
         ev = DeltaEvidence(delta0=_parse_flag("delta0", st.get("delta0")),
                            delta_xi=_parse_delta_xi(st.get("delta_xi")))
         case = alpha_discontinuous_case(mixing, ev)
-        payload["discontinuous_case"] = {
-            "admits_phantom": case.admits_phantom,
-            "which_case": case.which_case,
-            "undetermined": case.undetermined,
-            "detail": case.detail,
-        }
+        payload["discontinuous_case"] = case._asdict()
         ok = ok and case.admits_phantom
     st.write("summary.json", json_report(payload))
     note = f" ({verdict.note})" if verdict.note else ""

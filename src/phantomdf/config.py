@@ -185,30 +185,41 @@ def _parser_with_defaults() -> configparser.ConfigParser:
 def load_config(path: str | None = None) -> configparser.ConfigParser:
     """Defaults overlaid with an optional INI file; a section or key that no
     command reads is an error, so a misspelt or removed setting is never
-    dropped without a word.  A [DEFAULT] section is an unknown section."""
+    dropped without a word.  A [DEFAULT] section is an unknown section.
+    Keys compare in lowercase, so two keys of one section that differ only
+    in case are an error too."""
     cp = _parser_with_defaults()
-    if path is not None:
-        # read as written, with no default section, so that a repeated
-        # [common] is refused like any other repeated section
-        given = configparser.ConfigParser(interpolation=None, default_section="")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                given.read_file(fh)
-        except OSError as exc:
-            raise InvalidArgumentError(f"cannot read config {path!r}: {exc}") from None
-        except configparser.Error as exc:
-            raise InvalidArgumentError(f"malformed config {path!r}: {exc}") from None
-        cp.read_dict({section: given[section] for section in given.sections()})
-    for section in ("common", *cp.sections()):
+    if path is None:
+        return cp
+    # read as written: with no default section, so that a repeated [common]
+    # is refused like any other repeated section, and with each key's case,
+    # so that an error names a key as the file writes it
+    given = configparser.ConfigParser(interpolation=None, default_section="")
+    given.optionxform = str
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            given.read_file(fh)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot read config {path!r}: {exc}") from None
+    except configparser.Error as exc:
+        raise InvalidArgumentError(f"malformed config {path!r}: {exc}") from None
+    for section in given.sections():
         if section not in _KNOWN_KEYS:
             raise InvalidArgumentError(
                 f"unknown config section [{section}]; one of {sorted(_KNOWN_KEYS)}")
-        keys = cp.defaults() if section == "common" else cp[section]
-        unknown = sorted(set(keys) - set(map(cp.optionxform, _KNOWN_KEYS[section])))
+        unknown = sorted(k for k in given[section] if k.lower() not in _KNOWN_KEYS[section])
         if unknown:
             raise InvalidArgumentError(
                 f"unknown key {unknown[0]!r} in config section [{section}]; "
                 f"one of {sorted(_KNOWN_KEYS[section])}")
+        seen: dict[str, str] = {}
+        for key in given[section]:
+            if key.lower() in seen:
+                raise InvalidArgumentError(
+                    f"config section [{section}] sets {seen[key.lower()]!r} and "
+                    f"{key!r}, which name one key")
+            seen[key.lower()] = key
+    cp.read_dict({section: given[section] for section in given.sections()})
     return cp
 
 

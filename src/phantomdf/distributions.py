@@ -1,7 +1,7 @@
 """Distribution functions with declared tails.
 
-A :class:`DistFn` is a law given by its tail 1 - F, with its quantile
-function, an optional log density and an optional sampler.  Every
+A :class:`DistFn` is a law given by its tail 1 - F, with an optional
+quantile function, log density and sampler.  Every
 estimator reads F through the tail, which does not cancel near the right
 end.  The jump laws (``geometric``, ``mixture_component``,
 ``jump_sequence``) give their tail and quantile in closed form too.
@@ -45,10 +45,12 @@ class DistFn:
     tail
         Vectorized survival function 1 - F, in a closed form that avoids
         cancellation near the right end wherever one exists.
-    quantile
-        Vectorized generalized inverse of F, inf{x : F(x) >= p}.
     right_end
         sup{x : F(x) < 1}; ``inf`` for unbounded laws.
+    quantile
+        Vectorized generalized inverse of F, inf{x : F(x) >= p}; every
+        catalog law has one, a phantom (which is evaluated, never inverted)
+        has none.
     logpdf
         Vectorized log density, for a law with a density; ``-inf`` where the
         density is 0.
@@ -60,8 +62,8 @@ class DistFn:
 
     name: str
     tail: Callable
-    quantile: Callable
     right_end: float
+    quantile: Callable | None = None
     logpdf: Callable | None = None
     sampler: Callable | None = None
     mean: float | None = None
@@ -340,7 +342,8 @@ def shifted(dist: DistFn, offset: float) -> DistFn:
     return DistFn(
         name=f"{dist.name}{offset:+g}",
         tail=lambda x: dist.tail(np.asarray(x, dtype=float) - offset),
-        quantile=lambda p: np.asarray(dist.quantile(p), dtype=float) + offset,
+        quantile=((lambda p: np.asarray(dist.quantile(p), dtype=float) + offset)
+                  if dist.quantile else None),
         logpdf=((lambda x: dist.logpdf(np.asarray(x, dtype=float) - offset))
                 if dist.logpdf else None),
         right_end=dist.right_end + offset,  # an infinite end stays put

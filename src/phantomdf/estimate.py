@@ -468,20 +468,24 @@ def driving_from_maxima(gamma: float, table: _MaximaTable,
                               acceptance_rate=table.acceptance_rate)
 
 
-def maxlaw_from_maxima(table: _MaximaTable, probs=None,
+# the probabilities whose empirical quantiles make a max-law grid
+MAXLAW_PROBS = np.linspace(0.01, 0.99, 33)
+
+
+def maxlaw_from_maxima(table: _MaximaTable,
                        level_cap: float | None = None) -> MaxLawEstimate:
-    """Max-law estimate on empirical-quantile grids of an existing table.
+    """Max-law estimate on the empirical ``MAXLAW_PROBS``-quantile grid of
+    each column of an existing table.
 
     ``level_cap`` drops grid levels above a known evaluation bound (for
     comparison against a phantom whose last knot level is that bound).
     """
-    if probs is None:
-        probs = np.linspace(0.01, 0.99, 33)
     R = table.R
     # sorted sets and adjacent differences, not np.unique, which imports
     # numpy.ma on its first call: the ranks are ints, and each column's
     # values at ascending ranks are ascending and finite
-    ranks = np.array(sorted({_type1_rank(float(p), R) for p in probs}), dtype=np.int64)
+    ranks = np.array(sorted({_type1_rank(float(p), R) for p in MAXLAW_PROBS}),
+                     dtype=np.int64)
     rows = []
     for n in table.n_list:
         vals = table.at(n, ranks)
@@ -562,10 +566,10 @@ class BTReport(NamedTuple):
         return max((r.b_value for r in self.rows), default=0.0)
 
 
-_DEFAULT_PAIR_FRACTIONS = ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0))
-# the paper's B_T reads the pairs with p + q <= T n; the default pairs
-# reach T = 2 at every n
-BT_HORIZON = max(f1 + f2 for f1, f2 in _DEFAULT_PAIR_FRACTIONS)
+_PAIR_FRACTIONS = ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0))
+# the paper's B_T reads the pairs with p + q <= T n; the pairs reach
+# T = 2 at every n
+BT_HORIZON = max(f1 + f2 for f1, f2 in _PAIR_FRACTIONS)
 
 
 def _bt_exact_cov(spec: ProcessSpec, v: float, p: int, q: int, r: int) -> float:
@@ -601,12 +605,11 @@ def _product_gap_se(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
 
 
 def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate,
-             n_list=None, pair_fractions=_DEFAULT_PAIR_FRACTIONS,
-             R: int = 1000, seed: int = 0, method: str = "auto",
+             n_list=None, R: int = 1000, seed: int = 0, method: str = "auto",
              workers: int = 1) -> BTReport:
     """Factorization check sup |P(M_{p+q} <= v_n) - P(M_p <= v_n) P(M_q <= v_n)|.
 
-    Pairs (p, q) come from fractions of n; the default ones satisfy
+    Pairs (p, q) come from the fractions ``_PAIR_FRACTIONS`` of n, so
     p + q <= BT_HORIZON n.
     Alongside the b-values each row carries the covariance diagnostic
     Cov(1{M_{p-r} <= v}, 1{window max over (p, p+q] <= v}) at its worst pair,
@@ -623,7 +626,7 @@ def check_BT(spec: ProcessSpec, dse: DrivingSeqEstimate,
     method = _resolve_method(spec, method)
 
     pair_table = {n: [(max(1, round(f1 * n)), max(1, round(f2 * n)))
-                      for f1, f2 in pair_fractions] for n in n_list}
+                      for f1, f2 in _PAIR_FRACTIONS] for n in n_list}
 
     # marginal tails at the driving levels, for the choice of the r_n exponent
     tails = {}
@@ -711,7 +714,7 @@ class CnDiagnostic(NamedTuple):
 
 
 def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
-                R: int = 1000, seed: int = 0, gamma: float | None = None,
+                gamma: float, R: int = 1000, seed: int = 0,
                 workers: int = 1) -> CnDiagnostic:
     """Skeleton factorization diagnostic at spacing m with k skeleton points.
 
@@ -744,7 +747,7 @@ def estimate_Cn(spec: ProcessSpec, level: float, n: int, m: int, k: int,
     semn = math.sqrt(pmn * (1.0 - pmn) / R)
     bound = p1 ** k + k * c_hat
     se_bound = k * p1 ** (k - 1) * se1 + 2.0 * k * math.sqrt(0.25 / R)
-    lower_ok = True if gamma is None else pmn >= gamma - 3.0 * semn
+    lower_ok = pmn >= gamma - 3.0 * semn
     upper_ok = pmn <= bound + 3.0 * (semn + se_bound)
     return CnDiagnostic(c_hat=c_hat, c_se=c_se, p_single=p1,
                         sandwich_ok=bool(lower_ok and upper_ok))
@@ -781,7 +784,7 @@ def propbasic_series(spec: ProcessSpec, dse: DrivingSeqEstimate, R: int = 1000,
     for n in (int(n) for n in dse.n_values if n >= 2):
         k, m = max(math.isqrt(n), 2), math.isqrt(n)
         v = dse.level_for(n)
-        diag = estimate_Cn(spec, v, n, m, k, R=R, seed=seed, gamma=dse.gamma,
+        diag = estimate_Cn(spec, v, n, m, k, dse.gamma, R=R, seed=seed,
                            workers=workers)
         try:
             tail = marginal_sf(spec, v)
@@ -819,10 +822,11 @@ class RegenStats(NamedTuple):
 
 # most sliding windows the zero-cycle diagnostic averages, per window length
 MAX_DIAG_WINDOWS = 20_000
+# the window lengths, in cycles, of the zero-cycle diagnostic
+DIAG_WINDOWS = (10, 100, 1000)
 
 
-def decompose_regenerative(path: SamplePath,
-                           diag_windows=(10, 100, 1000)) -> RegenStats:
+def decompose_regenerative(path: SamplePath) -> RegenStats:
     """Split a regenerative path into cycles at its regeneration marks.
 
     The zero-cycle diagnostic estimates P(Y_0 > max of the next n cycle
@@ -843,8 +847,7 @@ def decompose_regenerative(path: SamplePath,
     mu_se = float(waits.std(ddof=1) / math.sqrt(waits.size)) if waits.size > 1 else 0.0
     del waits  # not held through the sort below, the split's memory peak
     diag: dict[int, float] = {}
-    for w in diag_windows:
-        w = int(w)
+    for w in DIAG_WINDOWS:
         if maxima.size <= w + 1:
             continue
         count = min(maxima.size - w, MAX_DIAG_WINDOWS)
@@ -877,19 +880,12 @@ def rootzen_phantom(rs: RegenStats) -> DistFn:
         return np.interp(np.asarray(x, dtype=float), uniq, tail_knots,
                          left=1.0, right=0.0)
 
-    def ecdf_inv(t):
-        return np.interp(np.asarray(t, dtype=float), cum, uniq)
-
     def log_cdf(x):
         with np.errstate(divide="ignore"):
             return inv_mu * np.log1p(-np.minimum(ecdf_tail(x), 1.0))
 
-    def quantile(p):
-        p = np.asarray(p, dtype=float)
-        return ecdf_inv(np.exp(rs.mu_hat * np.log(p)))
-
     return DistFn(name="rootzen-phantom", tail=lambda x: -np.expm1(log_cdf(x)),
-                  quantile=quantile, right_end=float(uniq[-1]))
+                  right_end=float(uniq[-1]))
 
 
 class CycleTailBand(NamedTuple):
@@ -898,13 +894,11 @@ class CycleTailBand(NamedTuple):
     exceedances: int
 
 
-def cycle_tail_ratio(rs: RegenStats, step: DistFn, q: float = 0.99) -> CycleTailBand:
-    """Cycle-maximum tail against mu * step tail at the empirical q-quantile of Y."""
-    if not (0.0 < q < 1.0):
-        raise InvalidArgumentError("q must lie in (0, 1)")
-    # the type-1 q-quantile is the first distinct maximum whose count at or
-    # below reaches its rank; the rest lie above it
-    j = int(np.searchsorted(rs.below, _type1_rank(q, rs.maxima.size)))
+def cycle_tail_ratio(rs: RegenStats, step: DistFn) -> CycleTailBand:
+    """Cycle-maximum tail against mu * step tail at the empirical 0.99-quantile of Y."""
+    # the type-1 0.99-quantile is the first distinct maximum whose count at
+    # or below reaches its rank; the rest lie above it
+    j = int(np.searchsorted(rs.below, _type1_rank(0.99, rs.maxima.size)))
     y, exc = float(rs.distinct[j]), rs.maxima.size - int(rs.below[j])
     p_exc = exc / rs.cycle_count
     denom = rs.mu_hat * float(step.tail(y))
@@ -1118,7 +1112,7 @@ def regen_phantom(step: DistFn, length: int, block_sizes, R: int, seed: int,
     with stage("validation table"):
         ml, ver, verified = verify_by_simulation(spec, G, blocks, R, seed, tag, workers)
     with stage("band and tail verdict"):
-        band = cycle_tail_ratio(rs, step, q=0.99)
+        band = cycle_tail_ratio(rs, step)
         tail_verdict = lindley_step_tail_vs_stationary(step, path.values)
     return RegenPhantom(stats=rs, maxlaw=ml, verification=ver,
                         verified=verified, band=band, band_ok=0.5 <= band.ratio <= 2.0,

@@ -13,7 +13,8 @@ verification tooling leans on.
 The jump phantom takes the value gamma**(1/p_k) on [v_{p_k}, v_{p_k+1})
 and brackets the continuous one from below on each step.  Both phantoms
 are DistFns that read one knot table (ascending knot levels and their
-exponents 1/p_k) with ``np.searchsorted``.
+exponents 1/p_k) with ``np.searchsorted``.  A phantom is evaluated and
+never inverted, so neither carries a quantile.
 
 Result records are NamedTuples: immutable, compared and hashed field
 by field, and about five times cheaper to define at import than a
@@ -89,22 +90,12 @@ def _knots_over(d: DrivingSequence, x: np.ndarray):
     return xs, es, np.searchsorted(xs, x, side="right")
 
 
-def _exponent_of(p, log_gamma: float) -> np.ndarray:
-    """The exponent g with gamma**g = p, for p in (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise InvalidArgumentError("quantile argument must lie in (0, 1)")
-    return np.log(p) / log_gamma
-
-
 class PhantomDistFn(DistFn):
     """Continuous phantom G(x) = gamma**g(x), evaluated on the knot table."""
 
     def __init__(self, driving: DrivingSequence) -> None:
         super().__init__(name="phantom",
                          tail=lambda x: -np.expm1(self.log_cdf(x)),
-                         quantile=lambda p: self.exponent_inverse(
-                             _exponent_of(p, self._log_gamma)),
                          right_end=driving.sup)
         self.driving = driving
         self._log_gamma = math.log(driving.gamma)
@@ -120,21 +111,6 @@ class PhantomDistFn(DistFn):
             g = ek + ((x - xk) / (xs[j] - xk)) * (es[j] - ek)
         g = np.where(x == xk, ek, g)  # exact at knots, the last one included
         return np.where(k == 0, (xs[0] - x) + es[0], g)[()]
-
-    def exponent_inverse(self, g):
-        """x with exponent(x) = g, for g at or above the last knot's 1/p."""
-        g = np.asarray(g, dtype=float)
-        xs, es = self.driving.knots()
-        if np.any(g < es[-1]):
-            raise InvalidArgumentError("exponent below the last knot's")
-        k = np.searchsorted(-es, -g, side="right")  # knots with exponent >= g
-        i = np.maximum(k - 1, 0)
-        j = np.minimum(k, es.size - 1)
-        xk, ek = xs[i], es[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = xk + (ek - g) / (ek - es[j]) * (xs[j] - xk)
-        x = np.where(g == ek, xk, x)  # exact at knots, the last one included
-        return np.where(k == 0, xs[0] + (es[0] - g), x)[()]
 
     def log_cdf(self, x):
         return self.exponent(x) * self._log_gamma
@@ -189,7 +165,6 @@ class JumpPhantom(DistFn):
     def __init__(self, driving: DrivingSequence) -> None:
         super().__init__(name="jump-phantom",
                          tail=lambda x: -np.expm1(self.log_cdf(x)),
-                         quantile=self._quantile,
                          right_end=driving.sup)
         self.driving = driving
         self._log_gamma = math.log(driving.gamma)
@@ -201,14 +176,6 @@ class JumpPhantom(DistFn):
 
     def pow(self, x, n):
         return np.exp(n * self.log_cdf(x))
-
-    def _quantile(self, p):
-        g = _exponent_of(p, self._log_gamma)
-        xs, es = self.driving.knots()
-        k = np.searchsorted(-es, -g, side="left")  # knots with exponent > g
-        if np.any(k == es.size):
-            raise InvalidArgumentError("quantile beyond the last knot")
-        return xs[k][()]
 
 
 def driving_from_estimates(gamma: float, n_values, v_values) -> DrivingSequence:

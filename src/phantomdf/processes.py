@@ -61,26 +61,48 @@ __all__ = [
 ]
 
 DEFAULT_BURN_IN = 10_000
+# the longest Lindley burn-in a spec may ask for: at about 15 ns a step,
+# 0.15 s per replica path
+MAX_BURN_IN = 10**7
+
+
+def _need_quantile(law: DistFn, role: str) -> None:
+    """Refuse a law with no quantile where a spec reads one."""
+    if law.quantile is None:
+        raise InvalidSpecError(f"{role} law {law.name!r} needs a quantile")
 
 
 @dataclass(frozen=True)
 class IIDSpec:
-    """X_j i.i.d. with law ``marginal``."""
+    """X_j i.i.d. with law ``marginal``; block maxima are drawn through
+    its quantile."""
     marginal: DistFn
+
+    def __post_init__(self) -> None:
+        _need_quantile(self.marginal, "marginal")
 
 
 @dataclass(frozen=True)
 class LindleySpec:
-    """X_{j+1} = max(X_j + Z_j, 0) with i.i.d. steps Z; needs E[Z] < 0."""
+    """X_{j+1} = max(X_j + Z_j, 0) with i.i.d. steps Z; needs E[Z] < 0.
+
+    A path drops a burn-in of max(DEFAULT_BURN_IN, ceil(20 / |E[Z]|))
+    steps, which may not exceed MAX_BURN_IN.
+    """
     step: DistFn
-    burn_in: int | None = None
 
     def __post_init__(self) -> None:
-        if self.step.mean is None:
+        mean = self.step.mean
+        if mean is None:
             raise InvalidSpecError("step law needs a declared mean to check stability")
-        if not self.step.mean < 0:
+        if not mean < 0:
             raise InvalidSpecError(
-                f"Lindley recursion is unstable: step mean {self.step.mean} >= 0")
+                f"Lindley recursion is unstable: step mean {mean} >= 0")
+        burn = 20.0 / -mean  # inf where the division overflows
+        if not burn <= MAX_BURN_IN:
+            raise InvalidSpecError(
+                f"step mean {mean} needs a burn-in of {burn:.3g} steps; "
+                f"at most {MAX_BURN_IN} are allowed")
 
 
 @dataclass(frozen=True)
@@ -99,6 +121,7 @@ class MetropolisSpec:
     def __post_init__(self) -> None:
         if self.target.logpdf is None or self.proposal.logpdf is None:
             raise InvalidSpecError("target and proposal need a log density")
+        _need_quantile(self.proposal, "proposal")
         z = np.linspace(0.0, 0.999, 101)
         zz = self.proposal.quantile(0.5 + 0.499 * z[1:])
         # isclose fails on NaN and holds where both sides are -inf
@@ -118,13 +141,15 @@ class MixtureSpec:
 
 @dataclass(frozen=True)
 class MovingMaxSpec:
-    """X_j = max of a window of m i.i.d. base draws; marginal is base**m."""
+    """X_j = max of a window of m i.i.d. base draws; marginal is base**m.
+    Block maxima are drawn through the base law's quantile."""
     window: int
     base: DistFn
 
     def __post_init__(self) -> None:
         if int(self.window) < 1:
             raise InvalidSpecError("window must be >= 1")
+        _need_quantile(self.base, "base")
 
 
 ProcessSpec = IIDSpec | LindleySpec | MetropolisSpec | MixtureSpec | MovingMaxSpec
@@ -143,7 +168,9 @@ def describe_spec(spec: ProcessSpec) -> str:
     if isinstance(spec, IIDSpec):
         return f"iid[{spec.marginal.name}]"
     if isinstance(spec, LindleySpec):
-        return f"lindley[step={spec.step.name},burn={spec.burn_in}]"
+        # "burn=None" stays: this text seeds every Lindley path (its
+        # rng_for tag) and heads path.txt, so changing it moves their bytes
+        return f"lindley[step={spec.step.name},burn=None]"
     if isinstance(spec, MetropolisSpec):
         return f"metropolis[target={spec.target.name},proposal={spec.proposal.name}]"
     if isinstance(spec, MixtureSpec):
@@ -159,9 +186,7 @@ def spec_digest(spec: ProcessSpec) -> str:
 
 def default_burn_in(spec: ProcessSpec) -> int:
     if isinstance(spec, LindleySpec):
-        if spec.burn_in is not None:
-            return int(spec.burn_in)
-        return max(DEFAULT_BURN_IN, int(math.ceil(20.0 / abs(spec.step.mean))))
+        return max(DEFAULT_BURN_IN, math.ceil(20.0 / -spec.step.mean))
     return 0
 
 
@@ -527,7 +552,7 @@ def _empirical_tail(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return levels, emp_sf
 
 
-def lindley_step_tail_vs_stationary(step: DistFn, values) -> str:
+def lindley_step_tail_vs_stationary(step: DistFn, values: np.ndarray) -> str:
     """Verdict of the step tail 1-H against the empirical stationary tail:
     'equivalent', 'ratio->0', 'ratio->inf', 'divergent' or
     'mismatched-right-ends'.
@@ -536,7 +561,7 @@ def lindley_step_tail_vs_stationary(step: DistFn, values) -> str:
     (integrated tail), so the expected verdict is 'ratio->0'.  Probe
     levels are the empirical quantiles at 1 - 2**-j, capped at 0.999.
     """
-    values = np.asarray(getattr(values, "values", values), dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.size < 100_000:
         raise InsufficientDataError("need at least 1e5 path values")
     if not values.min() >= 0.0:  # NaN fails too

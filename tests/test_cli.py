@@ -12,12 +12,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from phantomdf.cli import _Settings, main
 from phantomdf.config import DEFAULTS
+from phantomdf.rates import RateVerdict
 
 
 def write_config(path, text):
@@ -359,6 +361,9 @@ class TestVerdictExitCodes:
         assert rc == 0 and "sufficient" in stdout
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert summary["rate_check"]["sufficient"] is True
+        # the record's fields are the keys, and its str enum is its value
+        assert sorted(summary["rate_check"]) == sorted(RateVerdict._fields)
+        assert summary["rate_check"]["kind"] == "theta"
 
     def test_rates_insufficient(self, run, tmp_path):
         rc, stdout, _ = run("[rates]\nkind = kappa\nb = 1.0\nbeta = 4.0\n",
@@ -679,6 +684,27 @@ class TestBadBlockSizes:
                              error=f"error: {error}")
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("step, mean, burn", [
+        ("uniform(-1,1)-1e-12", "-1e-12", "2e+13"),
+        ("uniform(-1,1)-5e-324", "-5e-324", "inf"),  # 20 / |mean| overflows
+    ], ids=["tiny-mean", "subnormal-mean"])
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", "kind = lindley\nstep = {}\nlength = 10\n"),
+        ("regen", "step = {}\nlength = 10\n"),
+        ("phantom-fit", "kind = lindley\nstep = {}\nblock_sizes = 10\n"),
+    ], ids=["simulate", "regen", "phantom-fit"])
+    def test_lindley_burn_in_past_the_cap(self, run, tmp_path, command, section, step,
+                                          mean, burn):
+        # a burn-in of 20 / |mean| steps would run for hours, or not at all
+        start = time.perf_counter()
+        got = run(f"[{command}]\n" + section.format(step), command,
+                  "--out", str(tmp_path / "o"))
+        assert time.perf_counter() - start < 1.0
+        self.assert_rejected(*got, error=f"error: step mean {mean} needs a burn-in of "
+                                         f"{burn} steps; at most 10000000 are allowed")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
     def test_regen_non_finite_shift(self, run, tmp_path):
         cfg = self.REGEN.format("1000,10000").replace("pareto(2,1)-2", "pareto(2,1)-1e400")
         self.assert_rejected(*run(cfg, "regen", "--out", str(tmp_path / "o")),
@@ -758,10 +784,11 @@ class TestUnknownConfigKeys:
         ("phantom-fit", "[phantom-fit]\nkind = metropolis\ntarget = symmetric_pareto(2,1)\n"
          "proposal = uniform(-1,1)\ninit = 0.5\n",
          "unknown key 'init' in config section [phantom-fit]"),
-        # the B_T pairs reach p + q = 2n whatever a horizon says, so no key sets one
-        ("bt-check", "[bt-check]\nT = 3\n", "unknown key 't' in config section [bt-check]"),
+        # the B_T pairs reach p + q = 2n whatever a horizon says, so no key
+        # sets one; the error names a key as the file writes it
+        ("bt-check", "[bt-check]\nT = 3\n", "unknown key 'T' in config section [bt-check]"),
         ("phantom-fit", "[phantom-fit]\nbt_T = 2\n",
-         "unknown key 'bt_t' in config section [phantom-fit]"),
+         "unknown key 'bt_T' in config section [phantom-fit]"),
         # [common] is the section every other one reads through to
         ("phantom-fit", "[DEFAULT]\nseed = 3\n", "unknown config section [DEFAULT]"),
         ("phantom-fit", "[common]\nblock_sizes = 10\n",
@@ -776,6 +803,17 @@ class TestUnknownConfigKeys:
         assert (rc, stdout) == (2, "")
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {error}; one of [")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section", ["common", "phantom-fit"])
+    def test_two_cases_of_one_key_exit_2(self, run, tmp_path, section):
+        # keys compare in lowercase, so Seed and seed name one key twice;
+        # one of them alone is the seed
+        rc, stdout, err = run(f"[{section}]\nSeed = 3\nseed = 4\n", "phantom-fit",
+                              "--out", str(tmp_path / "o"))
+        assert (rc, stdout) == (2, "")
+        assert err == (f"error: config section [{section}] sets 'Seed' and 'seed', "
+                       "which name one key\n")
         assert not (tmp_path / "o").exists()
 
     def test_defaults_and_benchmark_configs_load(self, tmp_path):

@@ -68,11 +68,12 @@ from phantomdf.processes import (
 )
 from phantomdf.reporting import theta_csv
 from phantomdf.seeding import rng_for
+from test_processes import lindley_with_burn_in
 
 GAMMA = math.exp(-1.0)
 IID_EXP = IIDSpec(exponential(1.0))
 MOVMAX2 = MovingMaxSpec(window=2, base=uniform(0.0, 1.0))
-LINDLEY = LindleySpec(step=shifted(pareto(2.0, 1.0), -2.0), burn_in=300)
+LINDLEY = LindleySpec(step=shifted(pareto(2.0, 1.0), -2.0))
 METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0))
 
 
@@ -103,9 +104,9 @@ class TestValidation:
 
     def test_cn_geometry(self):
         with pytest.raises(InvalidArgumentError):
-            estimate_Cn(IID_EXP, 1.0, n=50, m=10, k=6, R=300)  # k*m > n
+            estimate_Cn(IID_EXP, 1.0, n=50, m=10, k=6, gamma=GAMMA, R=300)  # k*m > n
         with pytest.raises(InvalidArgumentError):
-            estimate_Cn(IID_EXP, 1.0, n=50, m=5, k=1, R=300)
+            estimate_Cn(IID_EXP, 1.0, n=50, m=5, k=1, gamma=GAMMA, R=300)
 
 
 def _exact_dse(n_list):
@@ -439,7 +440,7 @@ class TestRankReads:
         (IIDSpec(geometric(0.3)), [1, 50], 2000),  # flat quantile steps: runs of ties
         (MOVMAX2, [1, 50], 2000),
         # a drift of -1: the chain sits at its atom 0 a third of the time
-        (LindleySpec(step=shifted(exponential(1.0), -2.0), burn_in=300), [1, 50], 400),
+        (LindleySpec(step=shifted(exponential(1.0), -2.0)), [1, 50], 400),
         (MixtureSpec(), [100, 1000], 2000),  # integer levels
     ], ids=["iid", "moving-max", "lindley", "mixture"])
     def test_count_leq_matches_searchsorted(self, spec, sizes, R):
@@ -487,7 +488,7 @@ class TestMaxLaw:
     def test_monte_carlo_within_4se_of_exact(self):
         R = 1000
         table = block_maxima_table(MOVMAX2, [20, 80], R, seed=11, tag="maxlaw")
-        est = maxlaw_from_maxima(table, probs=np.linspace(0.002, 0.998, 41))
+        est = maxlaw_from_maxima(table)
         for row in est.rows:
             exact = np.array([exact_max_cdf(MOVMAX2, row.n, float(x))
                               for x in row.levels])
@@ -565,9 +566,9 @@ class TestSlabScansMatchDenseReference:
     """Block maxima, check_BT and estimate_Cn scan paths slab by slab; the
     references here rebuild each path densely from the concatenated slabs."""
     R = 200
-    # burn-in that leaves 6 values in the first slab, so the window (5, 7]
-    # straddles a slab boundary while M_1 carries the covariance diagnostic
-    EARLY_CUT = LindleySpec(step=LINDLEY.step, burn_in=SLAB - 6)
+    # burn-in that leaves 6 values in the first slab, so the window (5, 10]
+    # straddles a slab boundary
+    EARLY_CUT = lindley_with_burn_in(SLAB - 6)
 
     def dense(self, seed, tag, length, spec=LINDLEY):
         rngs = [rng_for(seed, tag, r) for r in range(self.R)]
@@ -634,17 +635,17 @@ class TestSlabScansMatchDenseReference:
         return DrivingSeqEstimate(gamma=GAMMA, n_values=n, v_hat=v, ci_lo=v, ci_hi=v,
                                   method="monte-carlo", replicas=np.full(n.size, self.R))
 
-    @pytest.mark.parametrize("spec, n, fractions", [
-        (LINDLEY, 8_200, ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0))),
-        (EARLY_CUT, 100, ((0.05, 0.02),)),  # r_n = 4, pair (5, 2), level 0
+    @pytest.mark.parametrize("spec, n", [
+        (LINDLEY, 8_200),
+        (EARLY_CUT, 10),  # pairs (5, 5), (10, 5), (5, 10), (10, 10); r_n = 2
     ], ids=["long-pairs", "straddling-window"])
-    def test_check_bt_matches_dense_reference(self, spec, n, fractions):
+    def test_check_bt_matches_dense_reference(self, spec, n):
         seed = 41
         assert default_burn_in(spec) + 2 * n > SLAB
         seg = self.dense(seed, f"bt-{n}", 2 * n, spec)
-        v = float(np.median(seg[:, :n].max(axis=1))) if n > 100 else 0.0
-        report = check_BT(spec, self.monte_carlo_dse({n: v}), pair_fractions=fractions,
-                          R=self.R, seed=seed, method="monte-carlo")
+        v = float(np.median(seg[:, :n].max(axis=1)))
+        report = check_BT(spec, self.monte_carlo_dse({n: v}), R=self.R, seed=seed,
+                          method="monte-carlo")
         self.assert_report_matches(report, seg)
 
     def test_check_bt_two_blocks_match_dense_reference(self):
@@ -665,15 +666,15 @@ class TestSlabScansMatchDenseReference:
 
     @pytest.mark.parametrize("spec, n, m, k", [
         (LINDLEY, 17_000, 1_000, 17),
-        (EARLY_CUT, 12, 2, 6),  # level 0: each dropped or shifted value shows
+        (EARLY_CUT, 12, 2, 6),
     ], ids=["long-path", "early-cut"])
     def test_estimate_cn_matches_dense_reference(self, spec, n, m, k):
         seed = 43
         assert default_burn_in(spec) + n > SLAB
         seg = self.dense(seed, f"cn-{n}-{m}-{k}", n, spec)
         skel = seg[:, m - 1::m][:, :k]
-        v = float(np.median(skel.max(axis=1))) if n > 12 else 0.0
-        diag = estimate_Cn(spec, v, n=n, m=m, k=k, R=self.R, seed=seed, gamma=GAMMA)
+        v = float(np.median(skel.max(axis=1)))
+        diag = estimate_Cn(spec, v, n=n, m=m, k=k, gamma=GAMMA, R=self.R, seed=seed)
         z_le = np.minimum.accumulate(skel <= v, axis=1)  # Z_j <= v, j = 1..k
         pz = z_le.mean(axis=0)
         assert 0.0 < pz[-1] < pz[0] < 1.0
@@ -871,9 +872,10 @@ class TestWorkerPool:
         # level: all 256 lie below the 0.99 quantile with probability
         # 0.99**256 = 0.08, whatever the seed
         v = float(symmetric_pareto(2.0, 1.0).quantile(0.9))
-        a = estimate_Cn(METROPOLIS, v, n=400, m=20, k=10, R=self.R, seed=5)
+        a = estimate_Cn(METROPOLIS, v, n=400, m=20, k=10, gamma=GAMMA, R=self.R, seed=5)
         split()
-        b = estimate_Cn(METROPOLIS, v, n=400, m=20, k=10, R=self.R, seed=5, workers=2)
+        b = estimate_Cn(METROPOLIS, v, n=400, m=20, k=10, gamma=GAMMA, R=self.R, seed=5,
+                        workers=2)
         assert pool_spy == [2]
         assert 0.0 < a.p_single < 1.0 and a.c_se > 0.0
         assert (a.c_hat, a.c_se, a.p_single, a.sandwich_ok) == \
@@ -883,7 +885,7 @@ class TestWorkerPool:
 class TestCn:
     def test_iid_skeleton_factorizes(self):
         v = float(exponential(1.0).quantile(GAMMA ** (1.0 / 60.0)))
-        diag = estimate_Cn(IID_EXP, v, n=60, m=3, k=10, R=600, seed=17, gamma=GAMMA)
+        diag = estimate_Cn(IID_EXP, v, n=60, m=3, k=10, gamma=GAMMA, R=600, seed=17)
         assert diag.c_hat < 0.08
         assert diag.sandwich_ok
         assert diag.c_hat <= 4.0 * diag.c_se
@@ -1021,22 +1023,35 @@ def test_intervals_estimator_falls_toward_zero_on_metropolis():
 
 
 class TestRegenerative:
+    # the values of 12 cycles after the 0 that marks each, maximum first:
+    # the fewest cycles with a window-10 zero-cycle diagnostic
+    CYCLES = [[9.0], [8.0, 1.0], [1.0], [2.0, 0.5], [3.0], [4.0, 1.0], [5.0],
+              [6.0, 2.0], [7.0], [2.0], [3.0, 3.0], [9.0]]
+
     def synthetic(self):
-        values = np.array([2.0, 0.0, 5.0, 1.0, 0.0, 3.0, 0.0, 9.0, 0.0, 2.0])
-        marks = np.array([1, 4, 6, 8])
-        return SamplePath(spec=LINDLEY, seed=0, values=values,
-                          regeneration_marks=marks)
+        # a head before the first mark, the cycles, and a last cycle that
+        # the path does not finish
+        values, marks = [2.0], []
+        for cycle in self.CYCLES:
+            marks.append(len(values))
+            values += [0.0, *cycle]
+        marks.append(len(values))
+        values += [0.0, 2.0]
+        return SamplePath(spec=LINDLEY, seed=0, values=np.array(values),
+                          regeneration_marks=np.array(marks))
 
     def test_cycle_decomposition_by_hand(self):
-        rs = decompose_regenerative(self.synthetic(), diag_windows=(1,))
-        assert rs.cycle_count == 3
-        # cycles [1, 4), [4, 6) and [6, 8); the head before the first mark,
-        # and the values from the last mark on, belong to no cycle
-        np.testing.assert_array_equal(rs.maxima, [5.0, 3.0, 9.0])
-        assert rs.mu_hat == pytest.approx(7.0 / 3.0)  # lengths 3, 2, 2
-        assert rs.mu_se == pytest.approx(1.0 / 3.0)   # sqrt((1/3) / 3)
-        # windows of one: 5 beats 3, 3 loses to 9
-        assert rs.zero_cycle_diag == {1: 0.5}
+        rs = decompose_regenerative(self.synthetic())
+        assert rs.cycle_count == 12
+        # the head before the first mark, and the values from the last mark
+        # on, belong to no cycle
+        np.testing.assert_array_equal(rs.maxima, [c[0] for c in self.CYCLES])
+        # lengths: seven cycles of 2 and five of 3
+        assert rs.mu_hat == pytest.approx(29.0 / 12.0)
+        assert rs.mu_se == pytest.approx(math.sqrt(420.0 / 144.0 / 11.0 / 12.0))
+        # windows of ten, the only ones 12 cycles hold: the first 9 beats
+        # the next ten cycles, the 8 loses to the last 9
+        assert rs.zero_cycle_diag == {10: 0.5}
 
     def test_not_regenerative(self):
         path = generate(IID_EXP, length=50, seed=1)
@@ -1065,10 +1080,11 @@ class TestRegenerative:
         assert rs.mu_hat == 1.0
         G = rootzen_phantom(rs)
         for p in (0.2, 0.5, 0.9):
-            assert float(G.quantile(p)) == pytest.approx(p, abs=0.03)
+            assert 1.0 - float(G.tail(p)) == pytest.approx(p, abs=0.03)
 
     def test_cycle_tail_ratio_unit_cycles(self):
-        band = cycle_tail_ratio(self.unit_cycles(), uniform(0.0, 1.0), q=0.9)
+        # 1% of 40,000 cycles lie above the 0.99-quantile
+        band = cycle_tail_ratio(self.unit_cycles(40_000), uniform(0.0, 1.0))
         assert 0.7 < band.ratio < 1.3
         assert band.exceedances > 200
 
@@ -1091,31 +1107,31 @@ class TestRegenerative:
                           below=np.cumsum(counts), mu_hat=2.5, mu_se=0.0,
                           zero_cycle_diag={})
 
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
-    def test_cycle_tail_ratio_equals_the_sorted_copy_on_a_path(self, q):
+    def test_cycle_tail_ratio_equals_the_sorted_copy_on_a_path(self):
         rs = decompose_regenerative(generate(LINDLEY, length=200_000, seed=7))
         assert rs.cycle_count > 10_000
-        assert cycle_tail_ratio(rs, LINDLEY.step, q) == \
-            self.sorted_cycle_tail(rs, LINDLEY.step, q)
+        assert cycle_tail_ratio(rs, LINDLEY.step) == \
+            self.sorted_cycle_tail(rs, LINDLEY.step, 0.99)
 
-    # 12 maxima, sorted 1 1 2 2 2 2 3 3 4 5 5 7: q C is integral at 0.25, 0.5
-    # and 0.75; rank 3 starts the run of 2s, rank 6 ends it, rank 5 (q = 0.4)
-    # sits inside it, and rank 12 leaves nothing above
-    HAND = [3, 1, 2, 5, 2, 7, 2, 4, 1, 3, 5, 2]
-
-    @pytest.mark.parametrize("q, level, exceedances", [
-        (0.05, 1.0, 10), (0.25, 2.0, 6), (0.4, 2.0, 6), (0.5, 2.0, 6),
-        (0.75, 4.0, 3), (0.9, 5.0, 1), (0.99, 7.0, 0),
-    ])
-    def test_cycle_tail_ratio_equals_the_sorted_copy_at_ties(self, q, level,
+    # the type-1 0.99-quantile is rank ceil(0.99 C): of 12 maxima, rank 12
+    # leaves nothing above; of 200, rank 198 starts a run of ties, sits
+    # inside one, ends one, or meets none
+    @pytest.mark.parametrize("maxima, level, exceedances", [
+        ([3, 1, 2, 5, 2, 7, 2, 4, 1, 3, 5, 2], 7.0, 0),
+        ([1] * 197 + [5, 5, 7], 5.0, 1),
+        ([1] * 196 + [5, 5, 5, 7], 5.0, 1),
+        ([1] * 196 + [5, 5, 6, 7], 5.0, 2),
+        (list(range(200)), 197.0, 2),
+    ], ids=["rank-is-last", "run-starts", "inside-run", "run-ends", "no-ties"])
+    def test_cycle_tail_ratio_equals_the_sorted_copy_at_ties(self, maxima, level,
                                                              exceedances):
-        rs, step = self.hand_stats(self.HAND), uniform(0.0, 10.0)
-        band = cycle_tail_ratio(rs, step, q)
-        assert band == self.sorted_cycle_tail(rs, step, q)
+        rs, step = self.hand_stats(maxima[::-1]), uniform(0.0, 300.0)
+        band = cycle_tail_ratio(rs, step)
+        assert band == self.sorted_cycle_tail(rs, step, 0.99)
         assert (band.level, band.exceedances) == (level, exceedances)
-        one_value = self.hand_stats([4.0] * 12)
-        assert cycle_tail_ratio(one_value, step, q) == \
-            self.sorted_cycle_tail(one_value, step, q) == \
+        one_value = self.hand_stats([4.0] * len(maxima))
+        assert cycle_tail_ratio(one_value, step) == \
+            self.sorted_cycle_tail(one_value, step, 0.99) == \
             CycleTailBand(level=4.0, ratio=0.0, exceedances=0)
 
     def test_cycle_tail_ratio_allocates_no_cycle_sized_array(self):
@@ -1124,7 +1140,7 @@ class TestRegenerative:
         step = uniform(0.0, 1.0)
         tracemalloc.start()
         try:
-            band = cycle_tail_ratio(rs, step, q=0.99)
+            band = cycle_tail_ratio(rs, step)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

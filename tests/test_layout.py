@@ -1,15 +1,20 @@
 """Package layout: every public top-level name, and every public method of a
-public class, has a caller in the package, every defaulted parameter of
-those, and every defaulted field of a public record (a dataclass or a
-NamedTuple), is set by some package call, no defaulted parameter takes one
-and the same constant at every package call, and every field of a public
-record is read by package code, through a receiver of its own class where
-another public record has a field of the same name."""
+public class, has a caller in the package and runs in some command, every
+defaulted parameter of those, and every defaulted field of a public record
+(a dataclass or a NamedTuple), is set by some package call, no defaulted
+parameter takes one and the same constant at every package call, and every
+field of a public record is read by package code, through a receiver of its
+own class where another public record has a field of the same name."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
+import sys
 from pathlib import Path
 
 import phantomdf
+from phantomdf.cli import main
 
 # Closed-form references that no package code calls: the tests compare
 # estimators against them (exact_maxlaw, the exact max law on a quantile
@@ -20,6 +25,16 @@ import phantomdf
 # whose streams rng_for and rngs_for derive without building it).
 TEST_REFERENCES = ("exact_maxlaw", "dkw_epsilon", "jump_sequence", "seed_sequence")
 
+# Public functions and methods that no command and no criterion that
+# _RUNS holds enters, each with its reason.
+UNREACHED = {
+    *TEST_REFERENCES,
+    # they simulate for seconds to minutes; test_acceptance.py runs them
+    "criterion_7", "criterion_10",
+    # it builds only the message of an error: a report field JSON cannot hold
+    "fmt_float",
+}
+
 # Defaulted parameters that no package call sets, each with its reason.
 UNSET_DEFAULTS = {
     # the console entry point reads sys.argv; tests pass an argument list
@@ -28,11 +43,6 @@ UNSET_DEFAULTS = {
     "dkw_epsilon(confidence)",
     # the criteria run through a lookup in _CRITERIA, so no call names them
     *(f"criterion_{i}(workers)" for i in range(1, 11)),
-    # test knobs: a probability grid finer than the pipelines use, the pair
-    # fractions of the factorization check, and the zero-cycle window lengths
-    "maxlaw_from_maxima(probs)",
-    "check_BT(pair_fractions)",
-    "decompose_regenerative(diag_windows)",
 }
 
 # Defaulted parameters that some package call sets and that take one and the
@@ -44,15 +54,10 @@ CONSTANT_DEFAULTS = {
     # which calls the law by name, so no call site shows it
     "pareto(scale)",
     "symmetric_pareto(scale)",
-    # a test knob: the tests read the cycle tail at other quantiles
-    "cycle_tail_ratio(q)",
 }
 
 # Defaulted record fields that no package call sets, each with its reason.
 UNSET_FIELDS = {
-    # tests set short Lindley burn-ins, some to put the burn-in boundary on
-    # a slab edge; the package takes the default burn-in
-    "LindleySpec.burn_in",
     # run_criterion sets the wall time by assignment once the criterion ran
     "CriterionResult.seconds",
 }
@@ -357,7 +362,8 @@ def _own_nodes(node):
 
 def _field_reads(modules) -> list[tuple[frozenset, str]]:
     """(receiver type, name) for every attribute that package code loads,
-    and for every string constant of a function that calls getattr on a
+    for every field of a record whose ``_asdict`` it loads, and for every
+    string constant of a function that calls getattr on a
     receiver (the writers read fields by name).  A field loaded, through a
     receiver of its own class, inside the keyword argument of the same name
     in a constructor call of that class (``right_end=dist.right_end + offset``)
@@ -387,7 +393,10 @@ def _field_reads(modules) -> list[tuple[frozenset, str]]:
             return
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             receiver = types.of(node.value, env)
-            if not any((c, node.attr) in skip for c in receiver):
+            if node.attr == "_asdict":  # a NamedTuple's dict of every field
+                reads.extend((receiver, f) for c in receiver if isinstance(c, str)
+                             for f in types.fields[c])
+            elif not any((c, node.attr) in skip for c in receiver):
                 reads.append((receiver, node.attr))
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
             receiver = types.of(node.args[0], env)
@@ -430,3 +439,74 @@ def test_every_dataclass_field_is_read_by_package_code():
     unread = [f"{name}.{f.target.id}" for name, fields in records.items()
               for f in fields if not is_read(name, f.target.id)]
     assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+# One small run of every subcommand, of every process kind and of every
+# catalog law, with the criteria that take under a second
+_LAWS = ("exp(1)", "exponential(2)", "pareto(2,1)", "uniform(0,1)", "beta(2,3)",
+         "geometric(0.3)", "superheavy()", "symmetric_pareto(2,1)", "mixture_component(2)")
+_KINDS = ("kind = lindley\nstep = pareto(2,1)-2",
+          "kind = metropolis\ntarget = symmetric_pareto(2,1)\nproposal = uniform(-1,1)",
+          "kind = mixture", "kind = moving_max\nwindow = 2\nbase = uniform(0,1)")
+_RUNS = (
+    *(("simulate", f"kind = iid\nmarginal = {law}\nlength = 50") for law in _LAWS),
+    *(("simulate", f"{kind}\nlength = 50") for kind in _KINDS),
+    ("phantom-fit", "block_sizes = 10,100"),
+    ("verify", "phantom = {out}/phantom.txt\nblock_sizes = 10,100"),
+    ("phantom-fit", f"{_KINDS[0]}\nblock_sizes = 10,100"),
+    ("bt-check", "block_sizes = 10,100"),
+    ("bt-check", "kind = mixture\nblock_sizes = 10,100"),
+    ("regen", "length = 100000\nverify_blocks = 10,100"),
+    ("rates", "mixing = polynomial(4)\ndelta_xi = 0.1:true"),
+    ("extremal-index", "block_sizes = 10,100"),
+    ("extremal-index", "block_sizes = 10,100\nmethod = monte-carlo"),
+    ("acceptance", "criteria = 1,2,3,4,5,6,8,9"),
+)
+
+
+def _public_code() -> dict:
+    """The code object of every public function and of every public method
+    of a public class in the package, by name."""
+    public = {}
+    for info in pkgutil.iter_modules(phantomdf.__path__):
+        module = importlib.import_module(f"phantomdf.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                public[obj.__code__] = name
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", member)  # class and static methods
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        public[fn.__code__] = f"{name}.{attr}"
+    return public
+
+
+def test_every_public_function_runs_in_some_command(tmp_path):
+    """Code that only the tests reach is an option no user has: every run of
+    _RUNS, and --print-defaults, goes through main at one worker in this
+    process, and every public function and method is entered, but for
+    those that UNREACHED names."""
+    out = tmp_path / "out"
+    argvs = [["--print-defaults"]]
+    for i, (command, section) in enumerate(_RUNS):
+        cfg = tmp_path / f"{i}.ini"
+        cfg.write_text(f"[common]\nseed = 3\nreplicas = 200\n[{command}]\n"
+                       + section.format(out=out) + "\n")
+        argvs.append([command, "--config", str(cfg), "--workers", "1", "--out", str(out)])
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    before = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        codes = [main(argv) for argv in argvs]
+    finally:
+        sys.setprofile(before)
+    assert set(codes) <= {0, 1}  # every run ran: a verdict, not a usage error
+    missed = [name for code, name in _public_code().items() if code not in entered]
+    assert sorted(missed) == sorted(UNREACHED)

@@ -12,6 +12,7 @@ from phantomdf.errors import (
     DegenerateDrivingSequenceError,
     InsufficientGridError,
     InvalidArgumentError,
+    InvalidSpecError,
 )
 from phantomdf.estimate import (
     MaxLawEstimate,
@@ -45,9 +46,8 @@ def integer_driving(last):
 
 class ScalarReference:
     """The scalar phantom evaluation that the knot table replaced, kept as a
-    reference: the knot accessors and the continuous ``exponent``,
-    ``exponent_inverse`` and jump ``log_cdf`` bodies as they were, one knot
-    at a time."""
+    reference: the knot accessors and the continuous ``exponent`` and jump
+    ``log_cdf`` bodies as they were, one knot at a time."""
 
     def __init__(self, driving: DrivingSequence) -> None:
         self.driving = self  # the copied bodies read knots off self.driving
@@ -91,38 +91,6 @@ class ScalarReference:
         xn, en = self._knot_exponent(k + 1)
         t = (x - xk) / (xn - xk)
         return ek + t * (en - ek)
-
-    def exponent_inverse(self, g):
-        d = self.driving
-        if g < 0:
-            raise InvalidArgumentError("exponent must be >= 0")
-        x1, e1 = self._knot_exponent(1)
-        if g >= e1:
-            return x1 + (e1 - g)
-        count = d.knot_count
-        lo, hi = 1, 2
-        while True:
-            if hi > count:
-                _, e_last = self._knot_exponent(count)
-                if g >= e_last:
-                    hi = count
-                    break
-                raise InvalidArgumentError("quantile beyond the last stored knot")
-            if self._knot_exponent(hi)[1] < g:
-                break
-            lo = hi
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._knot_exponent(mid)[1] >= g:
-                lo = mid
-            else:
-                hi = mid
-        xk, ek = self._knot_exponent(lo)
-        if g == ek:
-            return xk
-        xn, en = self._knot_exponent(lo + 1)
-        return xk + (ek - g) / (ek - en) * (xn - xk)
 
     def jump_log_cdf(self, x):
         k = self.driving.knot_leq(float(x))
@@ -184,31 +152,17 @@ class TestKnotTableMatchesScalarReference:
         np.testing.assert_array_equal(J.log_cdf(x), [ref.jump_log_cdf(v) for v in x])
 
     @pytest.mark.parametrize("name", DRIVINGS)
-    def test_exponent_inverse(self, name):
-        d = DRIVINGS[name]
-        ref, G = ScalarReference(d), PhantomDistFn(d)
-        es = d.knots()[1][:60]
-        between = np.random.default_rng(9).uniform(es[-1], es[0], 400)
-        g = np.concatenate([es, (es[:-1] + es[1:]) / 2.0, es[0] + np.array([0.5, 3.0]),
-                            between])
-        np.testing.assert_array_equal(G.exponent_inverse(g),
-                                      [ref.exponent_inverse(v) for v in g])
-
-    @pytest.mark.parametrize("name", DRIVINGS)
     def test_past_the_last_knot_raises(self, name):
         d = DRIVINGS[name]
         ref = ScalarReference(d)
         G, J = PhantomDistFn(d), JumpPhantom(d)
-        xs, es = d.knots()
+        xs = d.knots()[0]
         beyond = float(xs[-1]) + 0.5
         for fn in (ref.exponent, G.exponent, G.log_cdf, J.log_cdf, G.tail, J.tail):
             with pytest.raises(InvalidArgumentError):
                 fn(beyond)
         with pytest.raises(InvalidArgumentError):
             G.exponent(np.array([float(xs[0]), beyond]))  # one bad point suffices
-        for fn in (ref.exponent_inverse, G.exponent_inverse):
-            with pytest.raises(InvalidArgumentError):
-                fn(float(es[-1]) / 2.0)
 
 
 class TestPhantomsAreDistFns:
@@ -218,29 +172,25 @@ class TestPhantomsAreDistFns:
         assert isinstance(JumpPhantom(d), DistFn)
         assert PhantomDistFn(d).right_end == 3.0
 
-    def test_vectorised_cdf_sf_quantile(self):
+    def test_vectorised_cdf_sf(self):
         G = PhantomDistFn(integer_driving(1000))
         x = np.array([[0.5, 1.0], [2.7, 400.0]])
         lc = G.exponent(x) * math.log(GAMMA)
         np.testing.assert_array_equal(G.log_cdf(x), lc)
         np.testing.assert_array_equal(G.tail(x), -np.expm1(lc))
         assert G.tail(x).shape == x.shape
-        np.testing.assert_allclose(G.quantile(np.exp(G.log_cdf(x))), x, rtol=1e-12)
-        with pytest.raises(InvalidArgumentError):
-            G.quantile(np.array([0.5, 1.0]))
 
-    def test_jump_quantile_is_generalized_inverse(self):
-        J = JumpPhantom(plateau_driving())
-        p = np.array([1e-3, GAMMA ** (1.0 / 3.0), 0.75, GAMMA ** 0.2])
-        np.testing.assert_array_equal(J.quantile(p), [1.0, 1.0, 2.0, 3.0])
-        assert np.all(np.exp(J.log_cdf(J.quantile(p))) >= p)
-        with pytest.raises(InvalidArgumentError):
-            J.quantile(0.99)  # above the last step
+    def test_a_phantom_is_never_inverted(self):
+        # the specs that read a law's quantile refuse a phantom
+        d = plateau_driving()
+        for G in (PhantomDistFn(d), JumpPhantom(d)):
+            assert G.quantile is None
+            with pytest.raises(InvalidSpecError, match="needs a quantile"):
+                IIDSpec(G)
 
     def test_verify_reads_a_phantom_like_any_distfn(self):
         G = TestVerification().fit_from_exact_driving(GAMMA)
-        plain = DistFn(name="copy", tail=G.tail, quantile=G.quantile,
-                       right_end=G.right_end)
+        plain = DistFn(name="copy", tail=G.tail, right_end=G.right_end)
         maxlaw = TestVerification().exact_maxlaw()
         assert verify_phantom(G, maxlaw) == verify_phantom(plain, maxlaw)
 
@@ -315,29 +265,12 @@ class TestContinuousPhantom:
         G = PhantomDistFn(plateau_driving())
         with pytest.raises(InvalidArgumentError):
             G.tail(3.5)
-        with pytest.raises(InvalidArgumentError):
-            G.quantile(0.9999999)
 
     def test_power_identity_strictly_increasing_levels(self):
         """G(v_n)**n = gamma at every index once plateaus are absent."""
         G = PhantomDistFn(integer_driving(10**6))
         for n in (1, 2, 17, 1000, 10**6):
             assert G.pow(float(n), n) == pytest.approx(GAMMA, abs=1e-12)
-
-    def test_quantile_duality(self):
-        G = PhantomDistFn(integer_driving(1000))
-        for x in (1.0, 2.7, 19.25, 400.0):
-            assert G.quantile(np.exp(G.log_cdf(x))) == pytest.approx(x, rel=1e-12)
-
-    def test_exponent_below_the_last_knots_refused(self):
-        G = PhantomDistFn(plateau_driving())  # last knot (3, 1/5)
-        assert G.exponent_inverse(0.2) == 3.0
-        assert G.quantile(GAMMA ** 0.25) == pytest.approx(2.0, rel=1e-12)
-        for g in (0.1, 0.0, np.array([0.25, 0.19])):
-            with pytest.raises(InvalidArgumentError):
-                G.exponent_inverse(g)
-        with pytest.raises(InvalidArgumentError):
-            G.quantile(np.array([GAMMA ** 0.25, GAMMA ** 0.1]))
 
     def test_tail_complement(self):
         G = PhantomDistFn(plateau_driving())

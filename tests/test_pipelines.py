@@ -117,7 +117,7 @@ def reference_regen(step, length, blocks, R, seed, workers=1):
     ml = maxlaw_from_maxima(table)
     ver = verify_phantom(G, ml)
     gaps_ok = all(r.gap <= 3.0 * r.se_at_gap + 0.05 for r in ver.rows)
-    band = cycle_tail_ratio(rs, step, q=0.99)
+    band = cycle_tail_ratio(rs, step)
     band_ok = 0.5 <= band.ratio <= 2.0
     tail_verdict = lindley_step_tail_vs_stationary(step, path.values)
     tail_ok = tail_verdict == "ratio->0"
@@ -238,7 +238,7 @@ class TestRegen:
         rs = decompose_regenerative(path)
         monkeypatch.setattr(np, "unique", None)  # the split built the counts
         rootzen_phantom(rs)
-        cycle_tail_ratio(rs, STEP, q=0.99)
+        cycle_tail_ratio(rs, STEP)
         uniq, cum = rs.cycle_cdf()
         assert cum[-1] == 1.0 and uniq.size == cum.size
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from phantomdf.processes import (
     FILL_ROWS,
     IIDSpec,
     LindleySpec,
+    MAX_BURN_IN,
     MetropolisSpec,
     MixtureSpec,
     MovingMaxSpec,
@@ -46,7 +48,18 @@ from phantomdf.processes import (
 )
 from phantomdf.seeding import rng_for
 
-LINDLEY_STEP = shifted(pareto(2.0, 1.0), -2.0)  # mean 1 - 2 = -1
+LINDLEY_STEP = shifted(pareto(2.0, 1.0), -2.0)  # mean 1 - 2 = -1; burn-in 10,000
+
+
+def lindley_with_burn_in(burn: int) -> LindleySpec:
+    """A Lindley spec whose burn-in is ``burn`` >= DEFAULT_BURN_IN steps:
+    a uniform(-1, 1) step shifted to the mean -20 / (burn - 0.5), so that
+    ceil(20 / |mean|) is ``burn``."""
+    spec = LindleySpec(step=shifted(uniform(-1.0, 1.0), -20.0 / (burn - 0.5)))
+    assert default_burn_in(spec) == burn
+    return spec
+
+
 # uniform(0, 1) with a sampler that draws -5, where its density is 0, and
 # draws nothing from its generator
 ZERO_DENSITY_START = dataclasses.replace(
@@ -62,6 +75,18 @@ def test_describe_spec_stable():
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("offset, burn", [(-1e-12, "2e+13"), (-5e-324, "inf")])
+    def test_lindley_step_mean_near_0_is_refused(self, offset, burn):
+        # 20 / |mean| steps of burn-in; the division overflows at -5e-324
+        with pytest.raises(InvalidSpecError, match=f"step mean {offset!r} needs a "
+                           f"burn-in of {re.escape(burn)} steps"):
+            LindleySpec(step=shifted(uniform(-1.0, 1.0), offset))
+
+    def test_lindley_burn_in_is_capped(self):
+        assert default_burn_in(lindley_with_burn_in(MAX_BURN_IN)) == MAX_BURN_IN
+        with pytest.raises(InvalidSpecError, match=f"at most {MAX_BURN_IN} are allowed"):
+            lindley_with_burn_in(MAX_BURN_IN + 1)
+
     def test_lindley_needs_negative_drift(self):
         with pytest.raises(InvalidSpecError):
             LindleySpec(step=shifted(pareto(2.0, 1.0), -0.5))  # mean +0.5
@@ -77,11 +102,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             MovingMaxSpec(window=0, base=uniform(0.0, 1.0))
 
+    @pytest.mark.parametrize("build", [
+        lambda law: IIDSpec(law),
+        lambda law: MovingMaxSpec(window=2, base=law),
+        lambda law: MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=law),
+    ], ids=["iid-marginal", "moving-max-base", "metropolis-proposal"])
+    def test_a_law_read_through_its_quantile_needs_one(self, build):
+        law = dataclasses.replace(uniform(-1.0, 1.0), quantile=None)
+        with pytest.raises(InvalidSpecError, match="law 'uniform\\(-1,1\\)' needs a quantile"):
+            build(law)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("spec", [
         IIDSpec(exponential(1.0)),
-        LindleySpec(step=LINDLEY_STEP, burn_in=100),
+        LindleySpec(step=LINDLEY_STEP),
         MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0)),
         MixtureSpec(),
         MovingMaxSpec(window=3, base=uniform(0.0, 1.0)),
@@ -95,7 +130,7 @@ class TestDeterminism:
         assert not np.array_equal(a.values, c.values)
 
     def test_lindley_marks_point_at_zeros(self):
-        path = generate(LindleySpec(step=LINDLEY_STEP, burn_in=50), length=5000, seed=7)
+        path = generate(LindleySpec(step=LINDLEY_STEP), length=5000, seed=7)
         marks = path.regeneration_marks
         assert marks is not None and marks.size > 10
         np.testing.assert_array_equal(path.values[marks], 0.0)
@@ -116,7 +151,7 @@ class TestPathSlabs:
     """The one path engine: slab layout, burn-in and per-replica streams."""
     SPECS = [
         IIDSpec(exponential(1.0)),
-        LindleySpec(step=LINDLEY_STEP, burn_in=50),
+        LindleySpec(step=LINDLEY_STEP),
         MetropolisSpec(target=symmetric_pareto(2.0, 1.0), proposal=uniform(-1.0, 1.0)),
         MixtureSpec(),
         MovingMaxSpec(window=3, base=uniform(0.0, 1.0)),
@@ -242,7 +277,7 @@ class TestSlabKernels:
     """The slab kernels against references, and their memory."""
     METROPOLIS = MetropolisSpec(target=symmetric_pareto(2.0, 1.0),
                                 proposal=uniform(-1.0, 1.0))
-    LINDLEY = LindleySpec(step=LINDLEY_STEP, burn_in=100)
+    LINDLEY = LindleySpec(step=LINDLEY_STEP)
     MOVING_MAX = MovingMaxSpec(window=5, base=exponential(1.0))
     BUDGETS = {"metropolis": (METROPOLIS, 1.25), "lindley": (LINDLEY, 1.25),
                "moving-max": (MOVING_MAX, 2.25)}
@@ -269,18 +304,20 @@ class TestSlabKernels:
     def test_metropolis_equals_row_major_loop(self, rows, length):
         np.testing.assert_array_equal(*self.metropolis_pair(self.METROPOLIS, rows, length))
 
-    # burn-ins (LindleySpec.burn_in) that end inside the first slab, exactly
-    # at its end, 7 steps into the second, and none; the kept window crosses
-    # a slab boundary, so every slab skips some, all or none of its steps
-    @pytest.mark.parametrize("burn", [0, 100, SLAB, SLAB + 7])
+    # burn-ins that end inside the first slab, exactly at its end, and 7
+    # steps into the second; the kept window crosses slab boundaries, so
+    # every slab skips some, all or none of its steps
+    @pytest.mark.parametrize("burn", [10_000, SLAB, SLAB + 7])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_lindley_equals_one_array_reflection(self, rows, burn):
         # the burn-in steps fold only their minimum into the reflection;
         # min is exact, so the kept values are the one-array formula's bits.
-        # Drift -0.1 keeps a chain away from 0 where its burn-in ends, so a
-        # burn-in minimum that went astray would show in the kept values
-        spec = LindleySpec(step=shifted(pareto(2.0, 1.0), -1.1), burn_in=burn)
-        length = SLAB + 50
+        # A drift near -0.002 leaves a chain far from 0 where its burn-in
+        # ends, so a burn-in minimum that went astray would show in the kept
+        # values; at that drift a chain can take 1e5 steps to come back to 0,
+        # so the kept window runs eight slabs
+        spec = lindley_with_burn_in(burn)
+        length = 8 * SLAB + 50
         got = np.concatenate([s.copy() for s in _path_slabs(
             spec, [rng_for(4, "lindley", r) for r in range(rows)], length)], axis=1)
         assert got.shape == (rows, length)
@@ -510,11 +547,12 @@ class TestExactMaxLaws:
 
 class TestLindley:
     def test_reflection_matches_direct_recursion(self):
-        burn, length = 200, 2 * SLAB  # the kept window crosses two slab boundaries
+        length = 2 * SLAB  # the kept window crosses two slab boundaries
         # drift -0.1 keeps the chain away from 0 at the slab boundaries
         for drift in (-1.0, -0.1):
             step = shifted(pareto(2.0, 1.0), drift - 1.0)
-            spec = LindleySpec(step=step, burn_in=burn)
+            spec = LindleySpec(step=step)
+            burn = default_burn_in(spec)
             path = generate(spec, length=length, seed=11)
             # replay the path's step draws and run X_{j+1} = max(X_j + Z_j, 0)
             # from X_0 = 0 one step at a time
@@ -534,7 +572,7 @@ class TestLindley:
 
     def test_step_tail_dominates_stationary(self):
         path = generate(LindleySpec(step=LINDLEY_STEP), length=200_000, seed=3)
-        assert lindley_step_tail_vs_stationary(LINDLEY_STEP, path) == "ratio->0"
+        assert lindley_step_tail_vs_stationary(LINDLEY_STEP, path.values) == "ratio->0"
 
     @staticmethod
     def _full_sort_tail(values):

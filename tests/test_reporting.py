@@ -45,7 +45,7 @@ from phantomdf.reporting import (
 )
 from test_estimate import column
 
-LINDLEY = LindleySpec(step=shifted(pareto(2.0, 1.0), -2.0), burn_in=300)
+LINDLEY = LindleySpec(step=shifted(pareto(2.0, 1.0), -2.0))
 IID = IIDSpec(exponential(1.0))
 MOVMAX2 = MovingMaxSpec(window=2, base=uniform(0.0, 1.0))
 # a bounded jump law: at n >= 100 the driving level is the top atom, whose

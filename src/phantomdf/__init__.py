@@ -73,7 +73,6 @@ from .processes import (
     MetropolisSpec,
     MixtureSpec,
     MovingMaxSpec,
-    SamplePath,
     exact_max_cdf,
     generate,
     lindley_step_tail_vs_stationary,

@@ -41,7 +41,7 @@ from .estimate import (
     verify_by_simulation,
 )
 from .phantom import PhantomDistFn
-from .processes import generate, has_exact_max_law
+from .processes import LindleySpec, _regeneration_marks, generate, has_exact_max_law
 from .reporting import (
     bt_csv,
     csv_blocks,
@@ -127,20 +127,20 @@ class _Settings:
 def cmd_simulate(st: _Settings) -> int:
     spec = st.spec()
     length = st.number("length")
-    path = generate(spec, st.seed, length)
+    values = generate(spec, st.seed, length)
     out = st.out_dir
-    marks = path.regeneration_marks is not None
-    wrote = ["path.txt", "path.marks.txt"] if marks else ["path.txt"]
+    lindley = isinstance(spec, LindleySpec)
+    wrote = ["path.txt", "path.marks.txt"] if lindley else ["path.txt"]
     summary = json_report({
         "subcommand": "simulate",
         "seed": st.seed,
         "length": length,
         "files": wrote,
-        "regenerations": int(path.regeneration_marks.size) if marks else None,
+        "regenerations": _regeneration_marks(values).size if lindley else None,
     })
-    st.write("path.txt", path_file_text(path))
-    if marks:
-        st.write("path.marks.txt", marks_file_text(path))
+    st.write("path.txt", path_file_text(spec, st.seed, values))
+    if lindley:
+        st.write("path.marks.txt", marks_file_text(spec, values))
     st.write("summary.json", summary)
     print(f"simulate: wrote {', '.join(wrote)} to {out}")
     return 0

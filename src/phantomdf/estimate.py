@@ -37,19 +37,18 @@ from .phantom import (VERIFY_RULE, PhantomDistFn, PhantomVerification,
                       driving_from_estimates, verify_phantom)
 from .processes import (
     FILL_ROWS,
-    IIDSpec,
     LindleySpec,
     MetropolisSpec,
     MixtureSpec,
-    MovingMaxSpec,
     ProcessSpec,
-    SamplePath,
     U_STEPS,
     _empty,
     _mixture_count_leq,
     _mixture_draw_component,
     _mixture_weight_leq,
     _path_slabs,
+    _regeneration_marks,
+    _window_law,
     describe_spec,
     exact_max_cdf,
     generate,
@@ -311,10 +310,10 @@ def block_maxima_table(spec: ProcessSpec, block_sizes, R: int, seed: int,
         # the uniforms become log-uniforms in place: one R-sized array
         logu = rng_for(seed, tag, "maxima").random(out=_empty(R, "replicas"))
         np.log(np.maximum(logu, 1e-300, out=logu), out=logu)
-        if isinstance(spec, (IIDSpec, MovingMaxSpec)):
+        window = _window_law(spec)
+        if window is not None:
             logu.sort()
-            quantile, shift = ((spec.marginal.quantile, 0) if isinstance(spec, IIDSpec)
-                               else (spec.base.quantile, spec.window - 1))
+            quantile, shift = window[0].quantile, window[1] - 1
             # one numpy expression for whole columns and single ranks alike,
             # so a rank read carries the very bits of the built column
             return _MaximaTable(n_list, R, lambda n, ranks: np.asarray(
@@ -352,11 +351,10 @@ def exact_max_quantile(spec: ProcessSpec, n: int, p: float) -> float:
     """inf{x : P(M_n <= x) >= p} from the closed-form max law."""
     if not (0.0 < p < 1.0):
         raise InvalidArgumentError("probability must lie in (0, 1)")
-    if isinstance(spec, IIDSpec):
-        return float(spec.marginal.quantile(math.exp(math.log(p) / n)))
-    if isinstance(spec, MovingMaxSpec):
-        e = n + spec.window - 1
-        return float(spec.base.quantile(math.exp(math.log(p) / e)))
+    window = _window_law(spec)
+    if window is not None:
+        base, m = window
+        return float(base.quantile(math.exp(math.log(p) / (n + m - 1))))
     if isinstance(spec, MixtureSpec):
         # smallest j > 1 with P(M_n <= v_j) = (1 - 1/j)**n P(K*K <= j) >= p
         j = first_index_where(
@@ -576,12 +574,13 @@ def _bt_exact_cov(spec: ProcessSpec, v: float, p: int, q: int, r: int) -> float:
     a_len = p - r
     if a_len < 1:
         return 0.0
-    if isinstance(spec, IIDSpec):
-        return 0.0
-    if isinstance(spec, MovingMaxSpec):
-        m = spec.window
+    window = _window_law(spec)
+    if window is not None:
+        # the blocks share max(0, a_len + m - 1 - p) base draws; an IID
+        # spec (m = 1) shares none, and its covariance is f**t - f**t = 0
+        law, m = window
         overlap = max(0, (a_len + m - 1) - p)
-        f = 1.0 - float(spec.base.tail(v))
+        f = 1.0 - float(law.tail(v))
         if f <= 0.0:
             return 0.0
         total = (a_len + m - 1) + (q + m - 1)
@@ -826,26 +825,25 @@ MAX_DIAG_WINDOWS = 20_000
 DIAG_WINDOWS = (10, 100, 1000)
 
 
-def decompose_regenerative(path: SamplePath) -> RegenStats:
-    """Split a regenerative path into cycles at its regeneration marks.
+def decompose_regenerative(values: np.ndarray) -> RegenStats:
+    """Split a Lindley path into cycles at its zeros, where it regenerates.
 
     The zero-cycle diagnostic estimates P(Y_0 > max of the next n cycle
     maxima) by a sliding window over the observed cycles; the delayed
-    first cycle, before the first mark, is left out and cannot be resampled
+    first cycle, before the first zero, is left out and cannot be resampled
     from a single path, so the diagnostic is an approximation, not an
     assertion.
     """
-    marks = path.regeneration_marks
-    if marks is None:
-        raise NotRegenerativeError("path carries no regeneration marks")
-    marks = np.asarray(marks, dtype=np.int64)
+    marks = _regeneration_marks(values)
     if marks.size < 2:
         raise NotRegenerativeError("path never completes a regeneration cycle")
-    maxima = np.maximum.reduceat(path.values, marks)[:-1]
+    # three cycle-sized arrays at most: the marks, the cycle lengths and
+    # std's deviations or the maxima; then the maxima and unique's sorted copy
     waits = np.diff(marks)
     mu = float(waits.mean())
     mu_se = float(waits.std(ddof=1) / math.sqrt(waits.size)) if waits.size > 1 else 0.0
-    del waits  # not held through the sort below, the split's memory peak
+    maxima = np.maximum.reduceat(values, marks)[:-1]
+    del marks, waits
     diag: dict[int, float] = {}
     for w in DIAG_WINDOWS:
         if maxima.size <= w + 1:
@@ -959,9 +957,9 @@ def theta_from_driving(spec: ProcessSpec, dse: DrivingSeqEstimate, n_list,
         def tail_at(x: float) -> float:
             return marginal_sf(spec, x)
     except NotExactlyComputableError:
-        aux_len = max(100_000, 20 * n_list[-1])
-        aux = generate(spec, int(rng_for(seed, "theta-marginal").integers(2**63)), aux_len)
-        emp_sorted = np.sort(aux.values)
+        aux_seed = int(rng_for(seed, "theta-marginal").integers(2**63))
+        emp_sorted = generate(spec, aux_seed, max(100_000, 20 * n_list[-1]))
+        emp_sorted.sort()
         def tail_at(x: float) -> float:
             idx = np.searchsorted(emp_sorted, x, side="right")
             return float((emp_sorted.size - idx) / emp_sorted.size)
@@ -1105,15 +1103,15 @@ def regen_phantom(step: DistFn, length: int, block_sizes, R: int, seed: int,
     _empty((len(blocks), R), "replicas")
     spec = LindleySpec(step=step)
     with stage("path"):
-        path = generate(spec, seed, length)
+        values = generate(spec, seed, length)
     with stage("regenerative split"):
-        rs = decompose_regenerative(path)
+        rs = decompose_regenerative(values)
         G = rootzen_phantom(rs)
     with stage("validation table"):
         ml, ver, verified = verify_by_simulation(spec, G, blocks, R, seed, tag, workers)
     with stage("band and tail verdict"):
         band = cycle_tail_ratio(rs, step)
-        tail_verdict = lindley_step_tail_vs_stationary(step, path.values)
+        tail_verdict = lindley_step_tail_vs_stationary(step, values)
     return RegenPhantom(stats=rs, maxlaw=ml, verification=ver,
                         verified=verified, band=band, band_ok=0.5 <= band.ratio <= 2.0,
                         tail_verdict=tail_verdict, tail_ok=tail_verdict == "ratio->0")

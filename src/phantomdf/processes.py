@@ -48,7 +48,6 @@ __all__ = [
     "MetropolisSpec",
     "MixtureSpec",
     "MovingMaxSpec",
-    "SamplePath",
     "generate",
     "exact_max_cdf",
     "marginal_sf",
@@ -153,15 +152,6 @@ class MovingMaxSpec:
 
 
 ProcessSpec = IIDSpec | LindleySpec | MetropolisSpec | MixtureSpec | MovingMaxSpec
-
-
-class SamplePath(NamedTuple):
-    spec: ProcessSpec
-    seed: int
-    values: np.ndarray
-    burn_in: int = 0
-    regeneration_marks: np.ndarray | None = None
-    mixture_component: int | None = None
 
 
 def describe_spec(spec: ProcessSpec) -> str:
@@ -357,27 +347,22 @@ def _path_slabs(spec: ProcessSpec, rngs: list[np.random.Generator],
             yield xs[:, start:]
 
 
-def generate(spec: ProcessSpec, seed: int, length: int) -> SamplePath:
-    """Simulate one path of the given length (after any burn-in).
-
-    Identical (spec, seed, length) triples produce identical values.
-    """
+def generate(spec: ProcessSpec, seed: int, length: int) -> np.ndarray:
+    """The values of one path of the given length (after any burn-in);
+    identical (spec, seed, length) triples produce identical values."""
     if length < 1:
         raise InvalidArgumentError("length must be >= 1")
-    tag = describe_spec(spec)
     values = _empty(length, "length")
     pos = 0
-    for slab in _path_slabs(spec, [rng_for(seed, "path", tag)], length):
+    for slab in _path_slabs(spec, [rng_for(seed, "path", describe_spec(spec))], length):
         values[pos:pos + slab.shape[1]] = slab[0]  # copied before next() reuses it
         pos += slab.shape[1]
-    if isinstance(spec, LindleySpec):
-        return SamplePath(spec, seed, values, burn_in=default_burn_in(spec),
-                          regeneration_marks=np.nonzero(values == 0.0)[0])
-    if isinstance(spec, MixtureSpec):
-        # the engine drew the component first from this same stream
-        k = _mixture_draw_component(rng_for(seed, "path", tag))
-        return SamplePath(spec, seed, values, mixture_component=k)
-    return SamplePath(spec, seed, values)
+    return values
+
+
+def _regeneration_marks(values: np.ndarray) -> np.ndarray:
+    """Where a Lindley path regenerates: the indices of its zeros."""
+    return np.flatnonzero(values == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +381,25 @@ def _mixture_weight_leq(j: int) -> float:
     return 1.0 - 1.0 / (math.isqrt(j) + 1)
 
 
+def _window_law(spec: ProcessSpec) -> tuple[DistFn, int] | None:
+    """(base law, window m) of a spec whose values are maxima of m i.i.d.
+    base draws, m = 1 for an IID spec; None for the other kinds."""
+    if isinstance(spec, IIDSpec):
+        return spec.marginal, 1
+    if isinstance(spec, MovingMaxSpec):
+        return spec.base, spec.window
+    return None
+
+
 def exact_max_cdf(spec: ProcessSpec, n: int, x: float) -> float:
     """P(max of n consecutive values <= x), exact where a closed form exists."""
     if n < 1:
         raise InvalidArgumentError("block size must be >= 1")
-    if isinstance(spec, IIDSpec):
-        t = float(spec.marginal.tail(x))
-        return math.exp(n * math.log1p(-min(t, 1.0))) if t < 1.0 else 0.0
-    if isinstance(spec, MovingMaxSpec):
-        t = float(spec.base.tail(x))
-        e = n + spec.window - 1
-        return math.exp(e * math.log1p(-min(t, 1.0))) if t < 1.0 else 0.0
+    window = _window_law(spec)
+    if window is not None:
+        base, m = window
+        t = float(base.tail(x))
+        return math.exp((n + m - 1) * math.log1p(-min(t, 1.0))) if t < 1.0 else 0.0
     if isinstance(spec, MixtureSpec):
         j = _mixture_count_leq(x)
         if j < 1:

@@ -21,7 +21,9 @@ from .estimate import (
     MaxLawEstimate,
     ThetaEstimate,
 )
-from .processes import SamplePath, describe_spec, spec_digest
+from .processes import (LindleySpec, MixtureSpec, ProcessSpec, _mixture_draw_component,
+                        _regeneration_marks, default_burn_in, describe_spec, spec_digest)
+from .seeding import rng_for
 
 __all__ = [
     "FLOAT_FMT",
@@ -306,27 +308,31 @@ def _file_blocks(head: list[str], values: np.ndarray) -> Iterator[str]:
     return _text_blocks(head + [""] if values.size == 0 else head, [values])
 
 
-def path_file_text(path: SamplePath) -> Iterator[str]:
-    """The path file as text blocks; their concatenation is the file."""
+def path_file_text(spec: ProcessSpec, seed: int, values: np.ndarray) -> Iterator[str]:
+    """The file of the path ``generate(spec, seed, len(values))`` as text
+    blocks; their concatenation is the file."""
+    tag = describe_spec(spec)
     head = [
         "# phantomdf path v1",
-        f"# spec: {describe_spec(path.spec)}",
-        f"# digest: {spec_digest(path.spec)}",
-        f"# seed: {path.seed}",
-        f"# burn_in: {path.burn_in}",
-        f"# length: {path.values.size}",
+        f"# spec: {tag}",
+        f"# digest: {spec_digest(spec)}",
+        f"# seed: {seed}",
+        f"# burn_in: {default_burn_in(spec)}",
+        f"# length: {values.size}",
     ]
-    if path.mixture_component is not None:
-        head.append(f"# component: {path.mixture_component}")
-    return _file_blocks(head, path.values)
+    if isinstance(spec, MixtureSpec):
+        # the engine draws the component first from the path's own stream
+        head.append(f"# component: {_mixture_draw_component(rng_for(seed, 'path', tag))}")
+    return _file_blocks(head, values)
 
 
-def marks_file_text(path: SamplePath) -> Iterator[str]:
-    """The regeneration marks file as text blocks; their concatenation is the file."""
-    if path.regeneration_marks is None:
-        raise ValueError("path has no regeneration marks")
+def marks_file_text(spec: ProcessSpec, values: np.ndarray) -> Iterator[str]:
+    """The regeneration marks file of a Lindley path, the indices of its
+    zeros, as text blocks; their concatenation is the file."""
+    if not isinstance(spec, LindleySpec):
+        raise ValueError(f"a {describe_spec(spec)} path has no regeneration marks")
     head = [
         "# phantomdf regeneration marks v1 (post burn-in indices)",
-        f"# digest: {spec_digest(path.spec)}",
+        f"# digest: {spec_digest(spec)}",
     ]
-    return _file_blocks(head, path.regeneration_marks)
+    return _file_blocks(head, _regeneration_marks(values))

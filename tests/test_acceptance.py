@@ -48,7 +48,6 @@ def test_criterion_06_factorization_error_bounds(check):
     check(6)
 
 
-@pytest.mark.slow
 def test_criterion_07_regenerative_lindley_pipeline(check):
     check(7)
 
@@ -61,6 +60,5 @@ def test_criterion_09_rate_threshold_closed_forms(check):
     check(9)
 
 
-@pytest.mark.slow
 def test_criterion_10_worker_count_determinism(check):
     check(10)

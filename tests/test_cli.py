@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phantomdf.cli import _Settings, main
@@ -87,6 +88,21 @@ class TestSimulate:
         lines = (out / "path.marks.txt").read_text().splitlines()
         idx = [int(s) for s in lines if s and not s.startswith("#")]
         assert idx and all(0 <= i < 4000 for i in idx)
+
+    def test_lindley_marks_point_at_zeros(self, run, tmp_path):
+        out = tmp_path / "sim"
+        assert run(self.CFG, "simulate", "--out", str(out))[0] == 0
+
+        def body(name):
+            return [s for s in (out / name).read_text().splitlines() if not s.startswith("#")]
+
+        values = np.array([float(s) for s in body("path.txt")])
+        marks = [int(s) for s in body("path.marks.txt")]
+        assert values.size == 4000 and len(marks) > 10
+        np.testing.assert_array_equal(values[marks], 0.0)
+        # every zero inside the kept window is marked, and counted
+        assert marks == [i for i, v in enumerate(values) if v == 0.0]
+        assert json.loads((out / "summary.json").read_text())["regenerations"] == len(marks)
 
     def test_rerun_byte_identical(self, run, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -558,7 +574,7 @@ def test_simulate_writes_the_marks_of_regen_s_path(run, tmp_path, monkeypatch):
     [path] = drawn
     lines = (tmp_path / "sim" / "path.marks.txt").read_text().splitlines()
     marks = [int(s) for s in lines if s and not s.startswith("#")]
-    assert marks == path.regeneration_marks.tolist()
+    assert marks == np.flatnonzero(path == 0.0).tolist()
     cycles = json.loads((tmp_path / "rg" / "summary.json").read_text())["cycle_count"]
     assert cycles == len(marks) - 1
 

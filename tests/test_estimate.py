@@ -14,8 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phantomdf.distributions import (DistFn, dkw_epsilon, exponential, geometric, pareto,
-                                     shifted, symmetric_pareto, uniform)
+from phantomdf.distributions import (_CATALOG, DistFn, dkw_epsilon, exponential, geometric,
+                                     pareto, shifted, symmetric_pareto, uniform)
 from phantomdf.errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -40,10 +40,12 @@ from phantomdf.estimate import (
     driving_from_maxima,
     estimate_Cn,
     estimate_driving_sequence,
+    exact_max_quantile,
     exact_maxlaw,
     fit_phantom,
     maxlaw_from_maxima,
     propbasic_series,
+    regen_phantom,
     rootzen_phantom,
     theta_from_driving,
 )
@@ -58,7 +60,6 @@ from phantomdf.processes import (
     MixtureSpec,
     MovingMaxSpec,
     SLAB,
-    SamplePath,
     _mixture_draw_component,
     _path_slabs,
     default_burn_in,
@@ -68,6 +69,7 @@ from phantomdf.processes import (
 )
 from phantomdf.reporting import theta_csv
 from phantomdf.seeding import rng_for
+from test_distributions import CATALOG_ARGS
 from test_processes import lindley_with_burn_in
 
 GAMMA = math.exp(-1.0)
@@ -517,6 +519,29 @@ class TestMaxLaw:
         assert row.n == 50
         assert row.levels.max() <= cap
         assert row.levels.size >= 10
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_ARGS))
+def test_iid_is_a_moving_max_of_window_1(name):
+    """Every closed form reads an IID spec as the moving maximum of window 1,
+    to the bit: its max law and quantile, its block-maxima columns and its
+    B_T covariance, which is f**t - f**t = 0 for a window of 1."""
+    law = _CATALOG[name](*CATALOG_ARGS[name])
+    iid, mm1 = IIDSpec(law), MovingMaxSpec(window=1, base=law)
+    sizes = [1, 7, 1000]
+    levels = [-1e300] + [float(law.quantile(u)) for u in (0.01, 0.3, 0.5, 0.9, 0.999)]
+    for n in sizes:
+        for x in levels:
+            assert exact_max_cdf(iid, n, x) == exact_max_cdf(mm1, n, x)
+            for p, q, r in ((1, 1, 1), (5, 5, 1), (10, 5, 3), (n, n, 1)):
+                assert estimate._bt_exact_cov(iid, x, p, q, r) == \
+                    estimate._bt_exact_cov(mm1, x, p, q, r) == 0.0
+        for prob in (0.01, 0.5, 0.99):
+            assert exact_max_quantile(iid, n, prob) == exact_max_quantile(mm1, n, prob)
+    a = block_maxima_table(iid, sizes, 500, seed=25, tag="window-1")
+    b = block_maxima_table(mm1, sizes, 500, seed=25, tag="window-1")
+    for n in sizes:
+        np.testing.assert_array_equal(column(a, n), column(b, n), strict=True)
 
 
 class TestBT:
@@ -983,7 +1008,7 @@ def test_intervals_estimator_agrees_with_theta_estimate(spec, theta):
     dse = estimate_driving_sequence(spec, GAMMA, [100, n], R=4000, seed=seed,
                                     method="monte-carlo")
     est = theta_from_driving(spec, dse, [100, n], seed)
-    fs, fs_se = intervals_theta(generate(spec, seed, 2_000_000).values, est.rows[-1].level)
+    fs, fs_se = intervals_theta(generate(spec, seed, 2_000_000), est.rows[-1].level)
     assert est.verdict == "positive" and est.se > 0 and fs_se > 0
     assert abs(fs - est.theta_hat) <= 3.0 * math.hypot(fs_se, est.se), (fs, fs_se, est)
     # and both find the known theta
@@ -996,7 +1021,7 @@ def test_intervals_estimator_falls_toward_zero_on_lindley(seed):
     subexponential steps, the intervals estimate at the 0.90, 0.95, 0.99 and
     0.995 path quantiles falls at every step by more than 3 jackknife SEs of
     that step (the delete-one-batch differences of the two estimates)."""
-    values = generate(LindleySpec(step=LINDLEY.step), seed, 2_000_000).values
+    values = generate(LindleySpec(step=LINDLEY.step), seed, 2_000_000)
     fits = [intervals_fit(values, float(np.quantile(values, q)))
             for q in (0.90, 0.95, 0.99, 0.995)]
     for (low, low_out), (high, high_out) in zip(fits, fits[1:]):
@@ -1023,27 +1048,23 @@ def test_intervals_estimator_falls_toward_zero_on_metropolis():
 
 
 class TestRegenerative:
-    # the values of 12 cycles after the 0 that marks each, maximum first:
+    # the values of 12 cycles after the 0 that starts each, maximum first:
     # the fewest cycles with a window-10 zero-cycle diagnostic
     CYCLES = [[9.0], [8.0, 1.0], [1.0], [2.0, 0.5], [3.0], [4.0, 1.0], [5.0],
               [6.0, 2.0], [7.0], [2.0], [3.0, 3.0], [9.0]]
 
     def synthetic(self):
-        # a head before the first mark, the cycles, and a last cycle that
+        # a head before the first zero, the cycles, and a last cycle that
         # the path does not finish
-        values, marks = [2.0], []
+        values = [2.0]
         for cycle in self.CYCLES:
-            marks.append(len(values))
             values += [0.0, *cycle]
-        marks.append(len(values))
-        values += [0.0, 2.0]
-        return SamplePath(spec=LINDLEY, seed=0, values=np.array(values),
-                          regeneration_marks=np.array(marks))
+        return np.array(values + [0.0, 2.0])
 
     def test_cycle_decomposition_by_hand(self):
         rs = decompose_regenerative(self.synthetic())
         assert rs.cycle_count == 12
-        # the head before the first mark, and the values from the last mark
+        # the head before the first zero, and the values from the last zero
         # on, belong to no cycle
         np.testing.assert_array_equal(rs.maxima, [c[0] for c in self.CYCLES])
         # lengths: seven cycles of 2 and five of 3
@@ -1057,10 +1078,8 @@ class TestRegenerative:
         path = generate(IID_EXP, length=50, seed=1)
         with pytest.raises(NotRegenerativeError):
             decompose_regenerative(path)
-        one_mark = SamplePath(spec=LINDLEY, seed=0,
-                              values=np.zeros(5), regeneration_marks=np.array([0]))
         with pytest.raises(NotRegenerativeError):
-            decompose_regenerative(one_mark)
+            decompose_regenerative(np.array([0.0, 1.0, 2.0, 3.0, 4.0]))  # one zero
 
     def test_cycle_floor_needed(self):
         path = generate(LINDLEY, length=400, seed=2)
@@ -1069,11 +1088,9 @@ class TestRegenerative:
             rootzen_phantom(rs)
 
     def unit_cycles(self, n=4000):
-        # every index regenerates: mu = 1 and the phantom is the marginal itself
-        values = rng_for(31, "unit-cycles").random(n)
-        return decompose_regenerative(
-            SamplePath(spec=LINDLEY, seed=31, values=values,
-                       regeneration_marks=np.arange(n)))
+        # n - 1 cycles of one value each: mu = 1 and the phantom is the
+        # marginal itself (no path has them, since a cycle starts at a 0)
+        return self.hand_stats(rng_for(31, "unit-cycles").random(n)[:-1], mu_hat=1.0)
 
     def test_unit_cycle_phantom_recovers_marginal(self):
         rs = self.unit_cycles()
@@ -1100,11 +1117,11 @@ class TestRegenerative:
         return CycleTailBand(level=y, ratio=float(ratio), exceedances=exc)
 
     @staticmethod
-    def hand_stats(maxima):
+    def hand_stats(maxima, mu_hat=2.5):
         maxima = np.asarray(maxima, dtype=float)
         distinct, counts = np.unique(maxima, return_counts=True)
         return RegenStats(cycle_count=maxima.size, maxima=maxima, distinct=distinct,
-                          below=np.cumsum(counts), mu_hat=2.5, mu_se=0.0,
+                          below=np.cumsum(counts), mu_hat=mu_hat, mu_se=0.0,
                           zero_cycle_diag={})
 
     def test_cycle_tail_ratio_equals_the_sorted_copy_on_a_path(self):
@@ -1146,6 +1163,27 @@ class TestRegenerative:
             tracemalloc.stop()
         assert peak < C, peak  # less than one byte per cycle
         assert band == self.sorted_cycle_tail(rs, step, 0.99)
+
+    # regen holds its path, 8 bytes a step, from start to end.  At about
+    # 0.69 cycles a step, the split then peaks at three more cycle-sized
+    # arrays: the cycle starts (the path's zeros), the cycle lengths and the
+    # lengths' deviations from their mean inside std.  That reads 24.7
+    # bytes a step on this path, and 30.2 when the cycle starts were kept
+    # beside the path for the whole run.
+    REGEN_BYTES_PER_STEP = 27.5
+
+    @pytest.mark.parametrize("length", [400_000, 800_000])
+    def test_regen_memory_per_path_step(self, length):
+        # small blocks and R: the validation table's slabs stay below the
+        # path's own arrays
+        tracemalloc.start()
+        try:
+            rg = regen_phantom(LINDLEY.step, length, [10, 100], 200, seed=3, tag="memory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rg.stats.cycle_count > 0.6 * length
+        assert peak < self.REGEN_BYTES_PER_STEP * length, peak / length
 
 
 class TestDivergenceRule:

@@ -119,7 +119,7 @@ def reference_regen(step, length, blocks, R, seed, workers=1):
     gaps_ok = all(r.gap <= 3.0 * r.se_at_gap + 0.05 for r in ver.rows)
     band = cycle_tail_ratio(rs, step)
     band_ok = 0.5 <= band.ratio <= 2.0
-    tail_verdict = lindley_step_tail_vs_stationary(step, path.values)
+    tail_verdict = lindley_step_tail_vs_stationary(step, path)
     tail_ok = tail_verdict == "ratio->0"
 
     uniq, counts = np.unique(rs.maxima, return_counts=True)
@@ -222,8 +222,7 @@ class TestRegen:
         monkeypatch.setattr(estimate, "generate", spy)
         rg = regen_phantom(STEP, 100_000, blocks, R, SEED, tag="regen-verify")
         [got] = drawn
-        np.testing.assert_array_equal(got.values, path.values)
-        np.testing.assert_array_equal(got.regeneration_marks, path.regeneration_marks)
+        np.testing.assert_array_equal(got, path, strict=True)
         assert (rg.stats.cycle_count, rg.stats.mu_hat, rg.stats.mu_se) == \
             (rs.cycle_count, rs.mu_hat, rs.mu_se)
         got_uniq, got_cum = rg.stats.cycle_cdf()

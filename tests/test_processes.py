@@ -46,6 +46,7 @@ from phantomdf.processes import (
     metropolis_config_check,
     target_tail_condition,
 )
+from phantomdf.reporting import path_file_text
 from phantomdf.seeding import rng_for
 
 LINDLEY_STEP = shifted(pareto(2.0, 1.0), -2.0)  # mean 1 - 2 = -1; burn-in 10,000
@@ -58,6 +59,13 @@ def lindley_with_burn_in(burn: int) -> LindleySpec:
     spec = LindleySpec(step=shifted(uniform(-1.0, 1.0), -20.0 / (burn - 0.5)))
     assert default_burn_in(spec) == burn
     return spec
+
+
+def path_header(spec, seed, values) -> dict[str, str]:
+    """The ``# key: value`` lines that head the path file of ``values``."""
+    head = next(path_file_text(spec, seed, values)).split("\n")
+    return dict(line[2:].split(": ", 1) for line in head
+                if line.startswith("# ") and ": " in line)
 
 
 # uniform(0, 1) with a sampler that draws -5, where its density is 0, and
@@ -124,21 +132,14 @@ class TestDeterminism:
     def test_same_seed_same_path(self, spec):
         a = generate(spec, length=300, seed=42)
         b = generate(spec, length=300, seed=42)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.values.shape == (300,)
+        np.testing.assert_array_equal(a, b)
+        assert type(a) is np.ndarray and a.shape == (300,)
         c = generate(spec, length=300, seed=43)
-        assert not np.array_equal(a.values, c.values)
-
-    def test_lindley_marks_point_at_zeros(self):
-        path = generate(LindleySpec(step=LINDLEY_STEP), length=5000, seed=7)
-        marks = path.regeneration_marks
-        assert marks is not None and marks.size > 10
-        np.testing.assert_array_equal(path.values[marks], 0.0)
-        # every zero inside the kept window is marked
-        np.testing.assert_array_equal(np.nonzero(path.values == 0.0)[0], marks)
+        assert not np.array_equal(a, c)
 
     def test_mixture_component_recorded(self):
-        comps = [generate(MixtureSpec(), length=10, seed=s).mixture_component
+        spec = MixtureSpec()
+        comps = [int(path_header(spec, s, generate(spec, length=10, seed=s))["component"])
                  for s in range(400)]
         comps = np.asarray(comps)
         assert np.all(comps >= 1)
@@ -211,18 +212,18 @@ class TestPathSlabs:
             want = np.lib.stride_tricks.sliding_window_view(raw, spec.window).max(axis=1)
         elif isinstance(spec, MixtureSpec):
             k = _mixture_draw_component(rng)
-            assert path.mixture_component == k
+            assert path_header(spec, 9, path)["component"] == str(k)
             want = mixture_component(k).draw(rng, self.LENGTH)
         else:
             want = spec.marginal.draw(rng, self.LENGTH)
-        np.testing.assert_array_equal(path.values, want)
+        np.testing.assert_array_equal(path, want)
 
     @pytest.mark.parametrize("spec", SPECS, ids=describe_spec)
     def test_generate_is_one_engine_row(self, spec):
         path = generate(spec, length=self.LENGTH, seed=9)
         rng = rng_for(9, "path", describe_spec(spec))
-        np.testing.assert_array_equal(path.values, self.paths(spec, [rng], self.LENGTH)[0])
-        assert path.burn_in == default_burn_in(spec)
+        np.testing.assert_array_equal(path, self.paths(spec, [rng], self.LENGTH)[0])
+        assert path_header(spec, 9, path)["burn_in"] == str(default_burn_in(spec))
 
 
 def metropolis_row_major(spec, rngs, length):
@@ -537,7 +538,7 @@ class TestExactMaxLaws:
         """Empirical max-law frequencies stay within 4 binomial SE of the formula."""
         spec = MixtureSpec()
         n, R = 50, 2000
-        maxima = np.array([generate(spec, length=n, seed=s).values.max()
+        maxima = np.array([generate(spec, length=n, seed=s).max()
                            for s in range(R)])
         for x in (25.0, 100.0, 400.0):
             p = exact_max_cdf(spec, n, x)
@@ -562,8 +563,8 @@ class TestLindley:
             for j, dz in enumerate(z):
                 x = max(x + dz, 0.0)
                 direct[j] = x
-            np.testing.assert_allclose(path.values, direct[burn:], rtol=0.0, atol=1e-6)
-            resets = path.values == 0
+            np.testing.assert_allclose(path, direct[burn:], rtol=0.0, atol=1e-6)
+            resets = path == 0
             np.testing.assert_array_equal(resets, direct[burn:] == 0.0)
             assert resets.any() and not resets.all()
 
@@ -572,7 +573,7 @@ class TestLindley:
 
     def test_step_tail_dominates_stationary(self):
         path = generate(LindleySpec(step=LINDLEY_STEP), length=200_000, seed=3)
-        assert lindley_step_tail_vs_stationary(LINDLEY_STEP, path.values) == "ratio->0"
+        assert lindley_step_tail_vs_stationary(LINDLEY_STEP, path) == "ratio->0"
 
     @staticmethod
     def _full_sort_tail(values):
@@ -594,10 +595,10 @@ class TestLindley:
         many zeros (drift -1), few zeros (drift -0.1) and none."""
         if drift is None:
             step = LINDLEY_STEP
-            values = 1.0 + generate(LindleySpec(step=step), length=200_000, seed=5).values
+            values = 1.0 + generate(LindleySpec(step=step), length=200_000, seed=5)
         else:
             step = shifted(pareto(2.0, 1.0), drift - 1.0)
-            values = generate(LindleySpec(step=step), length=200_000, seed=5).values
+            values = generate(LindleySpec(step=step), length=200_000, seed=5)
         zeros = np.count_nonzero(values == 0.0)
         assert (zeros == 0) == (drift is None) and zeros < values.size
         levels, emp_sf = _empirical_tail(values)
@@ -647,7 +648,7 @@ class TestMetropolis:
     def test_marginal_matches_target(self):
         """Long chain, invariant law: empirical cdf near the target cdf."""
         path = generate(self.spec, length=60_000, seed=5)
-        x = np.sort(path.values)
+        x = np.sort(path)
         target_cdf = 1.0 - np.asarray(self.spec.target.tail(x))
         ecdf = np.arange(1, x.size + 1) / x.size
         # dependent draws, so allow a few times the iid band
@@ -661,8 +662,8 @@ class TestMetropolis:
         spec = MetropolisSpec(target=ZERO_DENSITY_START, proposal=proposal)
         path = generate(spec, length=3, seed=13)
         z = proposal.draw(rng_for(13, "path", describe_spec(spec)), 3)
-        np.testing.assert_array_equal(path.values, np.add.accumulate([-5.0, *z])[1:])
-        assert path.values[0] != -5.0
+        np.testing.assert_array_equal(path, np.add.accumulate([-5.0, *z])[1:])
+        assert path[0] != -5.0
 
     def test_default_burn_in(self):
         # a chain starts in its target, its invariant law, so it needs none

@@ -26,7 +26,7 @@ from phantomdf.processes import (
     IIDSpec,
     LindleySpec,
     MovingMaxSpec,
-    SamplePath,
+    default_burn_in,
     describe_spec,
     generate,
     spec_digest,
@@ -188,52 +188,52 @@ def test_csv_table_without_rows_is_the_header_line():
         == "a,b\n"
 
 
-def joined_path_text(path):
+def joined_path_text(spec, seed, values):
     # the single-string form the blocked writer must reproduce byte for byte
     head = [
         "# phantomdf path v1",
-        f"# spec: {describe_spec(path.spec)}",
-        f"# digest: {spec_digest(path.spec)}",
-        f"# seed: {path.seed}",
-        f"# burn_in: {path.burn_in}",
-        f"# length: {path.values.size}",
+        f"# spec: {describe_spec(spec)}",
+        f"# digest: {spec_digest(spec)}",
+        f"# seed: {seed}",
+        f"# burn_in: {default_burn_in(spec)}",
+        f"# length: {values.size}",
     ]
-    body = "\n".join(FLOAT_FMT % float(v) for v in path.values)
+    body = "\n".join(FLOAT_FMT % float(v) for v in values)
     return "\n".join(head) + "\n" + body + "\n"
 
 
-def joined_marks_text(path):
+def joined_marks_text(spec, marks):
     head = [
         "# phantomdf regeneration marks v1 (post burn-in indices)",
-        f"# digest: {spec_digest(path.spec)}",
+        f"# digest: {spec_digest(spec)}",
     ]
-    body = "\n".join(str(int(i)) for i in path.regeneration_marks)
+    body = "\n".join(str(int(i)) for i in marks)
     return "\n".join(head) + "\n" + body + "\n"
 
 
 def test_blocked_text_equals_joined_text(monkeypatch):
     monkeypatch.setattr(reporting, "TEXT_BLOCK", 97)
-    path = generate(LINDLEY, 5, 1_000)
-    assert path.regeneration_marks.size > 3 * 97
-    blocks = list(path_file_text(path))
+    values = generate(LINDLEY, 5, 1_000)
+    zeros = [i for i, v in enumerate(values) if v == 0.0]
+    assert len(zeros) > 3 * 97
+    blocks = list(path_file_text(LINDLEY, 5, values))
     assert len(blocks) == 1 + -(-1_000 // 97)
-    assert "".join(blocks) == joined_path_text(path)
-    marks = list(marks_file_text(path))
-    assert len(marks) == 1 + -(-path.regeneration_marks.size // 97)
-    assert "".join(marks) == joined_marks_text(path)
+    assert "".join(blocks) == joined_path_text(LINDLEY, 5, values)
+    marks = list(marks_file_text(LINDLEY, values))
+    assert len(marks) == 1 + -(-len(zeros) // 97)
+    assert "".join(marks) == joined_marks_text(LINDLEY, zeros)
 
 
 def test_blocked_text_without_marks_keeps_empty_body_line():
-    path = SamplePath(spec=LINDLEY, seed=1, values=np.array([1.5, 0.25]),
-                      regeneration_marks=np.array([], dtype=np.int64))
-    assert "".join(marks_file_text(path)) == joined_marks_text(path)
-    assert "".join(path_file_text(path)) == joined_path_text(path)
+    values = np.array([1.5, 0.25])
+    assert "".join(marks_file_text(LINDLEY, values)) == joined_marks_text(LINDLEY, [])
+    assert "".join(path_file_text(LINDLEY, 1, values)) == joined_path_text(LINDLEY, 1, values)
 
 
 def test_marks_of_a_path_without_regeneration_raise_at_call():
-    path = generate(IIDSpec(pareto(2.0, 1.0)), 1, 10)
+    spec = IIDSpec(pareto(2.0, 1.0))
     with pytest.raises(ValueError):
-        marks_file_text(path)
+        marks_file_text(spec, generate(spec, 1, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +435,8 @@ def test_float_kernel_leaves_near_ties_to_float_fmt():
 
 
 def test_float_kernel_certifies_ordinary_columns():
-    path = generate(LINDLEY, 5, 20_000)
     rng = np.random.default_rng(7)
-    for values in (path.values, np.arange(1, 20_001) / 20_000, rng.random(20_000),
+    for values in (generate(LINDLEY, 5, 20_000), np.arange(1, 20_001) / 20_000, rng.random(20_000),
                    rng.standard_normal(20_000) * 10.0 ** rng.integers(-200, 10, 20_000),
                    np.array([0.0, -0.0, 2e-291, 9.9e298])):
         text, guarded = float_lines(values)
